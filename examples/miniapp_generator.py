@@ -57,7 +57,6 @@ def main():
     mini_tracer = PilgrimTracer()
     state = ns["ReplayState"](ns["NPROCS"])
     sim = SimMPI(ns["NPROCS"], seed=5, tracer=mini_tracer)
-    state.bind_comm(0, sim.world)
     sim.run(ns["make_program"](state))
     print(f"mini-app fixed point: "
           f"{structurally_equal(blob, mini_tracer.result.trace_bytes)}")

@@ -3,9 +3,18 @@
 Times the re-execution side: a directed replay with the lockstep
 comparator attached (exactly what ``repro replay`` / ``api.replay``
 runs on the identical-conditions path).  Trace blobs are captured once
-at setup; the headline metric is ``replay_ms_per_call`` — divergence
-checking cost per recorded MPI call, aggregated across families — so
-the number stays comparable as family call counts evolve.
+at setup; per sample every family is replayed and, on the same runner,
+the same workload is run once under the ``null`` backend (the
+simulator's own cost with nothing recorded), so two kinds of metric
+come out:
+
+* ``<family>.replay_ms`` / ``replay_ms_per_call`` — absolute times, for
+  humans (``BENCH_replay.json``); per recorded call so the headline
+  stays comparable as family call counts evolve;
+* ``<family>.replay_over_null`` / ``replay_over_null`` — replay time over
+  the untraced run of the same family (and summed over families): what
+  re-execution costs on top of the simulation it has to do anyway.
+  Machine-independent, so this is what CI gates.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ def _replay(params: dict):
 
     def sample() -> dict:
         out: dict = {}
-        total_ms = 0.0
+        total_ms = total_null_ms = 0.0
         for fam, blob in blobs:
             start = perf_counter()
             res = run_divergence(blob)
@@ -46,9 +55,15 @@ def _replay(params: dict):
                 raise RuntimeError(
                     f"identical-conditions replay of {fam} diverged: "
                     f"{res.summary()}")
+            start = perf_counter()
+            make(fam, nprocs).run(seed=seed, tracer=make_tracer("null"))
+            null_ms = (perf_counter() - start) * 1e3
             out[f"{fam}.replay_ms"] = ms
+            out[f"{fam}.replay_over_null"] = ms / null_ms
             total_ms += ms
+            total_null_ms += null_ms
         out["replay_ms_per_call"] = total_ms / max(total_calls, 1)
+        out["replay_over_null"] = total_ms / total_null_ms
         return out
 
     return sample

@@ -12,14 +12,43 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import MissingRankError
+from .errors import CorruptTraceError, MissingRankError
 from .records import DecodedCall, sig_to_params
 from .timing import TimingMeta, reconstruct_times
 from .trace_format import TraceFile
 
 
+class RankStream:
+    """One rank's decoded calls: a read-only sequence of
+    :class:`DecodedCall` backed by ``terms`` (the rank's terminal list —
+    one per *unique grammar*, shared by every rank that compressed to
+    it) and ``table`` (terminal -> the rank's one frozen record for that
+    signature, first-occurrence order).  Per-signature consumers walk
+    ``table`` once, then ``terms``.  Neither may be mutated.
+    """
+
+    __slots__ = ("terms", "table")
+
+    def __init__(self, terms: list[int], table: dict[int, DecodedCall]):
+        self.terms = terms
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, i: int) -> DecodedCall:
+        return self.table[self.terms[i]]
+
+    def __iter__(self) -> Iterator[DecodedCall]:
+        return map(self.table.__getitem__, self.terms)
+
+
 class TraceDecoder:
     """Random-access decoder over a parsed :class:`TraceFile`.
+
+    Decoding is lazy and per signature: a grammar is expanded, and a CST
+    entry decoded and validated, the first time a rank needs it; every
+    later caller shares the result.
 
     Asking for a rank outside ``[0, nprocs)`` is a caller bug and raises
     :class:`IndexError`; asking for an in-range rank the trace has no
@@ -32,6 +61,9 @@ class TraceDecoder:
     def __init__(self, trace: TraceFile):
         self.trace = trace
         self._sig_cache: dict[int, tuple[str, dict]] = {}
+        #: unique-grammar index -> its expansion (shared, never mutated)
+        self._expanded: dict[int, list[int]] = {}
+        self._streams: dict[int, RankStream] = {}
 
     @classmethod
     def from_bytes(cls, data: bytes, salvage: bool = False) -> "TraceDecoder":
@@ -63,35 +95,58 @@ class TraceDecoder:
     # -- terminal level ------------------------------------------------------------------
 
     def rank_terminals(self, rank: int) -> list[int]:
-        """One rank's call sequence as global CST terminal symbols."""
-        cfg = self.trace.cfg
-        return cfg.unique[self._rank_uid(rank)].expand()
+        """One rank's call sequence as global CST terminal symbols.
+        Ranks with identical grammars get the same list object."""
+        uid = self._rank_uid(rank)
+        terms = self._expanded.get(uid)
+        if terms is None:
+            terms = self._expanded[uid] = self.trace.cfg.unique[uid].expand()
+        return terms
 
     def all_terminals(self) -> list[list[int]]:
         """Every rank's sequence; identical ranks share one expansion."""
-        cfg = self.trace.cfg
-        expanded = [g.expand() for g in cfg.unique]
-        return [expanded[self._rank_uid(rank)]
-                for rank in range(len(cfg.rank_uid))]
+        return [self.rank_terminals(rank)
+                for rank in range(len(self.trace.cfg.rank_uid))]
 
     # -- record level ----------------------------------------------------------------------
 
-    def _decode_sig(self, term: int) -> tuple[str, dict]:
+    def _decode_sig(self, term: int, rank: Optional[int] = None
+                    ) -> tuple[str, dict]:
+        """Decode (once) and validate CST entry *term*; a terminal the
+        CST cannot answer for is corruption, not a caller bug."""
         got = self._sig_cache.get(term)
         if got is None:
-            got = sig_to_params(self.trace.cst.sigs[term])
-            self._sig_cache[term] = got
+            sigs = self.trace.cst.sigs
+            where = f"terminal {term}" if rank is None \
+                else f"rank {rank}: terminal {term}"
+            if not 0 <= term < len(sigs):
+                raise CorruptTraceError(
+                    f"{where} is outside the {len(sigs)}-entry CST")
+            try:
+                got = self._sig_cache[term] = sig_to_params(sigs[term])
+            except CorruptTraceError as e:
+                raise CorruptTraceError(f"{where}: {e}") from None
         return got
 
-    def rank_calls(self, rank: int) -> Iterator[DecodedCall]:
-        cst = self.trace.cst
-        for term in self.rank_terminals(rank):
-            fname, params = self._decode_sig(term)
-            count = cst.counts[term]
-            yield DecodedCall(
-                rank=rank, fname=fname, params=params,
-                avg_duration=(cst.dur_sums[term] / count if count else 0.0),
-                sig_count=count)
+    def rank_calls(self, rank: int) -> RankStream:
+        """The rank's calls as a :class:`RankStream`: one shared frozen
+        :class:`DecodedCall` per (rank, terminal), however often the
+        signature repeats."""
+        stream = self._streams.get(rank)
+        if stream is None:
+            cst = self.trace.cst
+            terms = self.rank_terminals(rank)
+            table: dict[int, DecodedCall] = {}
+            for term in dict.fromkeys(terms):
+                fname, params = self._decode_sig(term, rank)
+                count = cst.counts[term]
+                table[term] = DecodedCall(
+                    rank=rank, fname=fname, params=params,
+                    avg_duration=(cst.dur_sums[term] / count
+                                  if count else 0.0),
+                    sig_count=count)
+            stream = self._streams[rank] = RankStream(terms, table)
+        return stream
 
     def rank_times(self, rank: int) -> list[tuple[float, float]]:
         """Reconstructed ``(t_start, t_end)`` per call for one rank
@@ -118,7 +173,7 @@ class TraceDecoder:
             pfb = meta.per_function_base
             term_bases = {}
             for term in set(terms):
-                b = pfb.get(self._decode_sig(term)[0])
+                b = pfb.get(self._decode_sig(term, rank)[0])
                 if b is not None:
                     term_bases[term] = b
         return reconstruct_times(dbins, ibins, terms, meta.base,

@@ -26,7 +26,8 @@ from typing import Iterator
 
 from .decoder import TraceDecoder
 from .errors import TraceFormatError
-from .trace_format import HEADER_FIXED, section_spans
+from .trace_format import (FLAG_COMPRESSED, HEADER_FIXED, TraceFile,
+                           section_spans)
 
 #: outcome kinds
 STRUCTURED = "structured"   # raised a TraceFormatError subclass: correct
@@ -127,6 +128,32 @@ def iter_mutations(blob: bytes, seed: int = 0,
                                n_random=n_random)
 
 
+def _cst_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
+    """CST entries the grammars reference but no reader can decode,
+    re-sealed so every section CRC is valid: the damage only shows when
+    a terminal is decoded, where it must surface as a structured
+    :class:`~repro.core.errors.CorruptTraceError` naming the terminal."""
+
+    trace = TraceFile.from_bytes(blob)
+    cst = trace.cst
+    if not cst.sigs:
+        return
+    compress = bool(blob[5] & FLAG_COMPRESSED)
+    first = cst.sigs[0]
+    for desc, sig in (
+            ("CST entry 0 names an unknown function id",
+             (1 << 30,) + first[1:]),
+            ("CST entry 0 carries one value too many", first + (0,)),
+            ("CST entry 0 is an empty signature", ())):
+        cst.sigs[0] = sig
+        yield desc, trace.to_bytes(compress)
+    cst.sigs[0] = first
+    for column in (cst.sigs, cst.counts, cst.dur_sums):
+        column.pop()
+    yield ("the grammars reference a terminal past the end of the CST",
+           trace.to_bytes(compress))
+
+
 def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     """Semantically-targeted corpus: mutations every section checksum
     still accepts.  Random bit flips essentially never survive the
@@ -136,9 +163,11 @@ def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     Strict parsing must reject the mismatch with a structured error;
     salvage parsing must recover the covered ranks and answer requests
     for the others with :class:`~repro.core.errors.MissingRankError`,
-    never a bare ``IndexError``/``KeyError``."""
+    never a bare ``IndexError``/``KeyError``.  The CST cases
+    (:func:`_cst_mutations`) ride the same corpus."""
     if len(blob) <= HEADER_FIXED:
         return
+    yield from _cst_mutations(blob)
     nprocs = blob[HEADER_FIXED]
     if nprocs >= 0x7f:  # multi-byte varint; the single-byte edits below
         return          # would change its meaning, not its value

@@ -10,6 +10,7 @@ emits (ints, strings, booleans, None, and tuples thereof).
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Any, Iterable
 
 from .errors import CorruptTraceError, TruncatedTraceError
@@ -113,6 +114,8 @@ _T_TRUE = 4
 _T_FALSE = 5
 _T_FLOAT = 6
 
+_F64 = Struct("<d")
+
 
 def write_value(out: bytearray, v: Any) -> None:
     """Serialize one (possibly nested) signature value."""
@@ -136,9 +139,8 @@ def write_value(out: bytearray, v: Any) -> None:
         for item in v:
             write_value(out, item)
     elif isinstance(v, float):
-        import struct
         out.append(_T_FLOAT)
-        out.extend(struct.pack("<d", v))
+        out.extend(_F64.pack(v))
     else:
         raise TypeError(f"unsupported signature value type {type(v)!r}")
 
@@ -173,9 +175,7 @@ def read_value(r: Reader) -> Any:
                 f"{r.remaining()} bytes left")
         return tuple(read_value(r) for _ in range(n))
     if tag == _T_FLOAT:
-        import struct
-        (v,) = struct.unpack("<d", r.read_bytes(8))
-        return v
+        return _F64.unpack(r.read_bytes(8))[0]
     raise CorruptTraceError(f"unknown value tag {tag} at offset {r.pos - 1}")
 
 

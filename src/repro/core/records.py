@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..mpisim import funcs as F
+from .errors import CorruptTraceError
 from .relative import MARK_ABS, MARK_REL, MARK_SPECIAL, decode as rel_decode
 
 
@@ -61,11 +62,14 @@ class DecodedCall:
 
 def sig_to_params(sig: tuple) -> tuple[str, dict[str, Any]]:
     """Split a flat signature tuple into (fname, named params)."""
-    fid = sig[0]
-    spec = F.BY_ID[fid]
+    if not sig:
+        raise CorruptTraceError("empty signature")
+    spec = F.BY_ID.get(sig[0])
+    if spec is None:
+        raise CorruptTraceError(f"unknown function id {sig[0]!r}")
     values = sig[1:]
     if len(values) != len(spec.params):
-        raise ValueError(
+        raise CorruptTraceError(
             f"signature arity mismatch for {spec.name}: "
             f"{len(values)} values vs {len(spec.params)} params")
     return spec.name, {p.name: v for p, v in zip(spec.params, values)}

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..core.decoder import RankStream
 from ..core.records import DecodedCall
 from ..core.relative import MARK_REL, decode as rel_decode
 from ..mpisim.hooks import TracerHooks
@@ -159,7 +160,7 @@ def _json_val(v: Any) -> Any:
 class _RankCursor:
     """One rank's walk through its recorded stream."""
 
-    recorded: list
+    recorded: RankStream
     ptr: int = 0
     replayed: int = 0
     matched: int = 0
@@ -169,6 +170,19 @@ class _RankCursor:
     #: running |live - recorded| duration deltas (seconds)
     timing_abs: float = 0.0
     timing_max: float = 0.0
+
+
+def _records_outcome(rec: DecodedCall) -> bool:
+    """Does this signature record anything :meth:`LockstepComparator.
+    _compare_outcome` could disagree with?  Isend/irecv/collectives do
+    not, so their calls cost the comparator one branch."""
+    p = rec.params
+    st = p.get("status")
+    return (isinstance(p.get("index"), int)
+            or "array_of_indices" in p
+            or isinstance(p.get("outcount"), int)
+            or p.get("flag") is not None
+            or (isinstance(st, tuple) and len(st) == 2))
 
 
 class LockstepComparator(TracerHooks):
@@ -185,16 +199,20 @@ class LockstepComparator(TracerHooks):
         n = decoder.nprocs if nprocs is None else nprocs
         if rank_sources is None:
             rank_sources = list(range(n))
-        #: recorded streams are materialized once per *source* rank and
-        #: shared by every cursor comparing against them
-        streams: dict[int, list[DecodedCall]] = {}
-        for src in rank_sources:
-            if src not in streams:
-                streams[src] = list(decoder.rank_calls(src))
         self.recorded_nprocs = decoder.nprocs
         self.nprocs = n
-        self._cursors = [_RankCursor(recorded=streams[rank_sources[r]])
+        self._cursors = [_RankCursor(decoder.rank_calls(rank_sources[r]))
                          for r in range(n)]
+        # decided once per signature, whichever ranks and calls use it
+        records: dict[int, DecodedCall] = {}
+        for cur in self._cursors:
+            records.update(cur.recorded.table)
+        #: terminals the engine re-issues nothing for
+        self._not_reissued = {term for term, rec in records.items()
+                              if rec.fname in NOT_REISSUED}
+        #: terminals that record an outcome worth comparing
+        self._with_outcome = {term for term, rec in records.items()
+                              if _records_outcome(rec)}
 
     # -- the hook ----------------------------------------------------------------
 
@@ -204,13 +222,14 @@ class LockstepComparator(TracerHooks):
         cur.replayed += 1
         if cur.point is not None:
             return  # already diverged: count, don't compare
-        rec = self._advance(cur, fname)
-        if rec is None:
+        term = self._advance(cur, fname)
+        if term is None:
             cur.extra += 1
             cur.point = DivergencePoint(
                 rank=rank, call_index=len(cur.recorded), function=fname,
                 recorded_function="", field="stream", live=fname)
             return
+        rec = cur.recorded.table[term]
         if rec.fname != fname:
             cur.point = DivergencePoint(
                 rank=rank, call_index=cur.ptr, function=fname,
@@ -222,7 +241,8 @@ class LockstepComparator(TracerHooks):
         delta = (t1 - t0) - rec.avg_duration
         cur.timing_abs += abs(delta)
         cur.timing_max = max(cur.timing_max, abs(delta))
-        mismatch = self._compare_outcome(rank, rec, args)
+        mismatch = self._compare_outcome(rank, rec, args) \
+            if term in self._with_outcome else None
         if mismatch is not None:
             field_name, rec_v, live_v = mismatch
             cur.point = DivergencePoint(
@@ -233,18 +253,20 @@ class LockstepComparator(TracerHooks):
             cur.matched += 1
         cur.ptr += 1
 
-    def _advance(self, cur: _RankCursor, fname: str):
+    def _advance(self, cur: _RankCursor, fname: str) -> Optional[int]:
         """Skip recorded entries the engine never re-issues (unless the
-        live call happens to be exactly that entry); returns the record
-        to compare against, or None past the end of the stream."""
-        rec_list = cur.recorded
-        while cur.ptr < len(rec_list):
-            rec = rec_list[cur.ptr]
-            if rec.fname in NOT_REISSUED and rec.fname != fname:
+        live call happens to be exactly that entry); returns the
+        terminal to compare against, or None past the end of the
+        stream."""
+        terms = cur.recorded.terms
+        while cur.ptr < len(terms):
+            term = terms[cur.ptr]
+            if term in self._not_reissued \
+                    and cur.recorded.table[term].fname != fname:
                 cur.skipped += 1
                 cur.ptr += 1
                 continue
-            return rec
+            return term
         return None
 
     # -- outcome comparison ------------------------------------------------------

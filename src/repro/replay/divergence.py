@@ -29,7 +29,9 @@ zero divergences, by construction.
 
 Phases are span-instrumented (``ReplayOptions(spans=True)``) so ``repro
 stats --spans`` can show where a replay spends its time: ``decode`` →
-``build`` → ``execute`` → ``compare``.
+``build`` → ``execute`` → ``compare``.  ``build`` is all of set-up (the
+per-terminal tables, segment extents, wildcard bookkeeping), ``execute``
+the simulator and the handlers alone.
 """
 
 from __future__ import annotations
@@ -202,6 +204,10 @@ class ReplayResult:
     cpu_s: float = 0.0
     #: exported phase spans (empty unless ``ReplayOptions(spans=True)``)
     spans: list = field(default_factory=list)
+    #: ``replay.plan.*``: distinct ``terminals`` planned, the ``calls``
+    #: they stand for, ``grammars_shared`` (ranks served by a grammar
+    #: another rank had already expanded)
+    counters: dict = field(default_factory=dict)
 
     @property
     def diverged(self) -> bool:
@@ -248,7 +254,9 @@ class ReplayResult:
         if not self.spans:
             raise ValueError(
                 "no spans recorded — replay with ReplayOptions(spans=True)")
-        return write_spans_jsonl(str(path), self.spans,
+        counters = [{"type": "counter", "name": name, "value": value}
+                    for name, value in self.counters.items()]
+        return write_spans_jsonl(str(path), self.spans + counters,
                                  meta={"command": "replay",
                                        "nprocs": self.nprocs})
 
@@ -333,9 +341,16 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
             directed = not opts.what_if
             comparator = LockstepComparator(decoder, nprocs=n,
                                             rank_sources=rank_sources)
-            _state, _replayers, program = build_rank_programs(
+            _state, replayers, program = build_rank_programs(
                 decoder, nprocs=n, directed=directed,
                 strict_ids=strict_ids, rank_sources=rank_sources)
+            counters = {
+                "replay.plan.terminals": len(replayers[0].plan),
+                "replay.plan.calls": sum(len(r.stream) for r in replayers),
+                # ranks of one grammar share one terminal list
+                "replay.plan.grammars_shared":
+                    n - len({id(r.stream.terms) for r in replayers}),
+            }
             injector = arm(opts.fault_plan)
             sim = SimMPI(n, seed=opts.seed, tracer=comparator,
                          noise=opts.noise, net=opts.net,
@@ -350,4 +365,5 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
         recorded_nprocs=recorded_n, injector=injector,
         wall_s=_time.perf_counter() - w0,
         cpu_s=_time.process_time() - c0,
-        spans=recorder.export() if opts.spans else [])
+        spans=recorder.export() if opts.spans else [],
+        counters=counters)

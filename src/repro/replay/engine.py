@@ -31,7 +31,8 @@ is why the comparison is structural rather than byte-wise.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..mpisim import constants as C
 from ..mpisim.comm import Comm
@@ -40,7 +41,7 @@ from ..mpisim.errors import MpiSimError, RankProgramError
 from ..mpisim.group import Group
 from ..mpisim.ops import ALL_OPS
 from ..mpisim.runtime import RankAPI, SimMPI
-from ..core.decoder import TraceDecoder
+from ..core.decoder import RankStream, TraceDecoder
 from ..core.errors import ReplayFormatError, TraceFormatError
 from ..core.encoder import (CommIdSpace, PTR_DEVICE, PTR_HEAP, PTR_NULL,
                             PTR_STACK, WinIdSpace)
@@ -77,23 +78,65 @@ class ReplayState:
         self.comm_space = CommIdSpace(nprocs)
         self.win_space = WinIdSpace(nprocs)
 
-    def bind_comm(self, sym: int, comm: Optional[Comm]) -> None:
-        """Backwards-compatible shim (bindings are per rank now); still
-        validates the derivation."""
-        if comm is not None and self.comm_space.sym_for(comm) != sym:
-            raise ReplayFormatError(
-                f"replay diverged: recorded comm id {sym} does not match "
-                f"the replayed construction order")
+
+# ---------------------------------------------------------------------------------
+# the per-terminal table
+# ---------------------------------------------------------------------------------
+
+_ANY_SOURCE_ENC = (0, C.ANY_SOURCE)  # (MARK_SPECIAL, ANY_SOURCE)
+
+
+class TermPlan(NamedTuple):
+    """What replay derives from one signature, once, however many calls
+    and ranks share it.  (Handler *bodies* still resolve their arguments
+    per call; a registry-derived kind -> resolver table attaches here.)"""
+
+    #: generator(replayer, api, params); None for MPI_Init/MPI_Finalize,
+    #: which the runtime emits itself
+    run: Optional[Callable]
+    params: dict
+    #: every heap/device segment mention: (sid, device or -1, offset)
+    segments: tuple
+    #: sid MPI_Win_allocate returns (the replayed call allocates it)
+    win_sid: Optional[int]
+
+
+def _plan_terminal(call) -> TermPlan:
+    fname, p = call.fname, call.params
+    run = _HANDLERS.get(fname)
+    if run is None and fname in _QUERY_CALLS:
+        def run(r, m, p):
+            return r._replay_query(m, fname, p)
+    elif run is None and fname not in ("MPI_Init", "MPI_Finalize"):
+        def run(r, m, p):  # fails where the call is reached, not here
+            raise ReplayFormatError(f"replay has no handler for {fname}")
+    segments = []
+    for v in p.values():
+        if not (isinstance(v, tuple) and v):
+            continue
+        if v[0] == PTR_HEAP and len(v) == 3:
+            segments.append((v[1], -1, v[2]))
+        elif v[0] == PTR_DEVICE and len(v) == 4:
+            segments.append((v[2], v[1], v[3]))
+    win_sid = None
+    if fname == "MPI_Win_allocate":
+        bp = p.get("baseptr")
+        if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
+            win_sid = bp[1]
+    return TermPlan(run, p, tuple(segments), win_sid)
 
 
 class RankReplayer:
     """Replays one rank's decoded call stream.
 
-    ``calls`` may be a list of :class:`DecodedCall` or a zero-argument
-    callable returning an iterable (the stream is walked twice: a
-    prescan discovers the memory segments so they can be materialized in
-    ascending symbolic-id order — preserving the tracer's id assignment
-    and hence the fixed-point property — then the replay pass runs).
+    ``stream`` is the decoder's :class:`~repro.core.decoder.RankStream`.
+    What replay derives from a *signature* is resolved once per terminal
+    into ``plan`` (:class:`TermPlan`; ranks handed the same dict share
+    entries), and construction folds those into the rank's set-up: the
+    segments to materialize in ascending symbolic-id order (preserving
+    the tracer's id assignment and hence the fixed-point property) and
+    the recorded source of every wildcard irecv.  Per call that leaves
+    one table lookup and the handler itself.
 
     ``directed=True`` (the default) pins every nondeterministic choice —
     Wait*/Test* completion picks and wildcard receive sources — to the
@@ -110,11 +153,13 @@ class RankReplayer:
     legitimately differs.
     """
 
-    def __init__(self, rank: int, state: ReplayState, calls, *,
+    def __init__(self, rank: int, state: ReplayState, stream: RankStream, *,
+                 plan: Optional[dict[int, TermPlan]] = None,
                  directed: bool = True, strict_ids: bool = True) -> None:
         self.rank = rank
         self.state = state
-        self._calls = calls
+        self.stream = stream
+        self.plan: dict[int, TermPlan] = {} if plan is None else plan
         self.directed = directed
         self.strict_ids = strict_ids
         # per-rank symbolic bindings
@@ -124,14 +169,16 @@ class RankReplayer:
         self.seg_map: dict[int, tuple[int, int]] = {}   # sid -> (addr, size)
         self.dev_seg_map: dict[tuple[int, int], tuple[int, int]] = {}
         self.stack_base = 0x10  # synthetic addresses for stack-id buffers
-        #: (request sym, occurrence) -> recorded completion source enc
-        self._any_sources: dict[tuple, Any] = {}
         self._any_occ: dict[tuple, int] = {}
         #: per-rank symbolic comm/win id -> live object (ids are only
         #: locally unique: different ranks may map one id to different
         #: communicators, e.g. the colour groups of one split)
         self.comm_map: dict[int, Optional[Comm]] = {}
         self.win_map: dict[int, Any] = {}
+        #: segments to materialize, ascending sid: (sid, device, max_off)
+        self._segments = self._fold_segments()
+        #: (request sym, occurrence) -> recorded completion source enc
+        self._any_sources = self._scan_wildcards()
 
     # -- symbolic object bindings (per rank) --------------------------------------
 
@@ -173,25 +220,44 @@ class RankReplayer:
             raise ReplayFormatError(
                 f"replay references unknown win id {sym}")
 
-    def _call_stream(self):
-        return self._calls() if callable(self._calls) else iter(self._calls)
-
     #: generous per-segment tail so any in-segment displacement the trace
     #: references stays inside the materialized allocation
     _SEG_PAD = 1 << 16
 
-    _ANY_SOURCE_ENC = (0, C.ANY_SOURCE)  # (MARK_SPECIAL, ANY_SOURCE)
-
-    def _prescan(self) -> list[tuple[int, int, int]]:
-        """One pass over the stream discovering (a) every memory segment
-        with its max displacement and (b) the recorded completion source
-        of every wildcard irecv (keyed by request id and occurrence, so
-        pool-slot reuse is handled) — the data directed replay needs."""
+    def _fold_segments(self) -> list[tuple[int, int, int]]:
+        """Plan the stream's terminals and fold their segment mentions
+        into ``(sid, device, max displacement)`` — in last-occurrence
+        order, so a sid reused across devices keeps the device the stream
+        mentions last, as a call-by-call walk would conclude."""
+        plan, table = self.plan, self.stream.table
         need: dict[int, tuple[int, int]] = {}  # sid -> (device, max_off)
+        skip_sids: set[int] = set()
+        last_seen = dict.fromkeys(reversed(self.stream.terms))
+        for term in reversed(last_seen):
+            entry = plan.get(term)
+            if entry is None:
+                entry = plan[term] = _plan_terminal(table[term])
+            for sid, dev, off in entry.segments:
+                need[sid] = (dev, max(need.get(sid, (dev, 0))[1], off))
+            if entry.win_sid is not None:
+                skip_sids.add(entry.win_sid)
+        return [(sid, dev, off)
+                for sid, (dev, off) in sorted(need.items())
+                if sid not in skip_sids]
+
+    def _scan_wildcards(self) -> dict[tuple, Any]:
+        """The recorded completion source of every wildcard irecv, keyed
+        by request id and occurrence (so pool-slot reuse is handled) —
+        what directed replay pins ``ANY_SOURCE`` to.  The one set-up step
+        that needs call order: the stream is walked only when one of its
+        terminals is an ``ANY_SOURCE`` ``MPI_Irecv``."""
+        found: dict[tuple, Any] = {}
+        if not any(call.fname == "MPI_Irecv"
+                   and call.params.get("source") == _ANY_SOURCE_ENC
+                   for call in self.stream.table.values()):
+            return found
         occ_next: dict[tuple, int] = {}
         occ_active: dict[tuple, int] = {}
-        self._any_sources: dict[tuple, Any] = {}
-        skip_sids: set[int] = set()
 
         def note_completion(syms, statuses, idxs=None):
             if statuses is None:
@@ -207,27 +273,12 @@ class RankReplayer:
                 key = tuple(sym)
                 occ = occ_active.pop(key, None)
                 if occ is not None and st is not None:
-                    self._any_sources[(key, occ)] = st[0]
+                    found[(key, occ)] = st[0]
 
-        for call in self._call_stream():
+        for call in self.stream:
             p = call.params
-            for v in p.values():
-                if not (isinstance(v, tuple) and v):
-                    continue
-                if v[0] == PTR_HEAP and len(v) == 3:
-                    _k, sid, off = v
-                    dev, prev = need.get(sid, (-1, 0))
-                    need[sid] = (-1, max(prev, off))
-                elif v[0] == PTR_DEVICE and len(v) == 4:
-                    _k, dev, sid, off = v
-                    _d, prev = need.get(sid, (dev, 0))
-                    need[sid] = (dev, max(prev, off))
-            if call.fname == "MPI_Win_allocate":
-                bp = p.get("baseptr")
-                if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
-                    skip_sids.add(bp[1])
             if call.fname == "MPI_Irecv" \
-                    and p.get("source") == self._ANY_SOURCE_ENC:
+                    and p.get("source") == _ANY_SOURCE_ENC:
                 key = tuple(p["request"])
                 occ = occ_next.get(key, 0)
                 occ_next[key] = occ + 1
@@ -249,15 +300,13 @@ class RankReplayer:
                 if idxs:
                     note_completion(p.get("array_of_requests") or (),
                                     p.get("array_of_statuses"), list(idxs))
-        return [(sid, dev, off)
-                for sid, (dev, off) in sorted(need.items())
-                if sid not in skip_sids]
+        return found
 
     def _materialize_segments(self, m: RankAPI) -> None:
         """Allocate every recorded segment through the *intercepted*
         allocator, ascending by sid, so a tracer attached to the replay
         assigns the same symbolic ids."""
-        for sid, dev, max_off in self._prescan():
+        for sid, dev, max_off in self._segments:
             size = max_off + self._SEG_PAD
             if dev < 0:
                 addr = m.malloc(size)
@@ -353,17 +402,11 @@ class RankReplayer:
         """Generator: re-issues every recorded call on the live runtime."""
         self.comm_map.setdefault(0, m.world)
         self._materialize_segments(m)
-        for call in self._call_stream():
-            handler = _HANDLERS.get(call.fname)
-            if handler is not None:
-                yield from handler(self, m, call.params)
-            elif call.fname in ("MPI_Init", "MPI_Finalize"):
-                continue  # emitted by the runtime itself
-            elif call.fname in _QUERY_CALLS:
-                yield from self._replay_query(m, call.fname, call.params)
-            else:
-                raise ReplayFormatError(
-                    f"replay has no handler for {call.fname}")
+        plan = self.plan
+        for term in self.stream.terms:
+            entry = plan[term]
+            if entry.run is not None:
+                yield from entry.run(self, m, entry.params)
 
     def _replay_query(self, m: RankAPI, fname: str, p: dict):
         """Local queries: re-issue for trace fidelity, ignore results."""
@@ -460,7 +503,7 @@ def _h_irecv(r, m, p):
     src = r._rankval(p["source"], ctx)
     tag = r._rankval(p["tag"], ctx)
     directed = None
-    if p["source"] == r._ANY_SOURCE_ENC and r.directed:
+    if p["source"] == _ANY_SOURCE_ENC and r.directed:
         key = tuple(p["request"])
         occ = r._any_occ.get(key, 0)
         r._any_occ[key] = occ + 1
@@ -1260,12 +1303,14 @@ def build_rank_programs(decoder: TraceDecoder, *,
         raise ReplayFormatError(
             f"rank_sources covers {len(rank_sources)} ranks, world is {n}")
     state = ReplayState(n)
-    replayers = [
-        RankReplayer(r, state,
-                     (lambda rr=rank_sources[r]: decoder.rank_calls(rr)),
-                     directed=directed, strict_ids=strict_ids)
-        for r in range(n)
-    ]
+    plan: dict[int, TermPlan] = {}
+    with _structured_errors():
+        replayers = [
+            RankReplayer(r, state, decoder.rank_calls(rank_sources[r]),
+                         plan=plan, directed=directed,
+                         strict_ids=strict_ids)
+            for r in range(n)
+        ]
 
     def program(m):
         yield from replayers[m.rank].program(m)
@@ -1273,18 +1318,19 @@ def build_rank_programs(decoder: TraceDecoder, *,
     return state, replayers, program
 
 
-def run_replay(sim: SimMPI, program):
-    """Drive a replay program, routing malformed-trace failures into the
+@contextmanager
+def _structured_errors():
+    """Route malformed-trace failures into the
     :class:`~repro.core.errors.ReplayFormatError` hierarchy.
 
-    A fuzzed-but-parseable trace can make the replay interpreter raise a
-    bare simulator error (unknown handle, mismatched collective, a
-    deadlock from a half-recorded exchange) or trip an internal
-    assertion; the replayer's contract is the decoder's — structured
-    errors only, never a crash.
+    A fuzzed-but-parseable trace can make replay set-up or the
+    interpreter raise a bare simulator error (unknown handle, mismatched
+    collective, a deadlock from a half-recorded exchange) or trip over a
+    mistyped parameter or an internal assertion; the replayer's contract
+    is the decoder's — structured errors only, never a crash.
     """
     try:
-        return sim.run(program)
+        yield
     except TraceFormatError:
         raise
     except RankProgramError as e:
@@ -1298,6 +1344,13 @@ def run_replay(sim: SimMPI, program):
             TypeError, AttributeError) as e:
         raise ReplayFormatError(
             f"trace is not replayable: {type(e).__name__}: {e}") from e
+
+
+def run_replay(sim: SimMPI, program):
+    """Drive a replay program; malformed traces raise structured errors
+    (see :func:`_structured_errors`)."""
+    with _structured_errors():
+        return sim.run(program)
 
 
 def replay_trace(trace_bytes: bytes, *, seed: int = 0,

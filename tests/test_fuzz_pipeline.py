@@ -189,6 +189,5 @@ def test_fuzzed_miniapp_roundtrip():
     retrace = PilgrimTracer()
     state = ReplayState(ns["NPROCS"])
     sim = _SimMPI(ns["NPROCS"], seed=9, tracer=retrace)
-    state.bind_comm(0, sim.world)
     sim.run(ns["make_program"](state))
     assert structurally_equal(blob, retrace.result.trace_bytes)

@@ -180,7 +180,6 @@ class TestMiniApp:
         tracer = PilgrimTracer()
         state = ReplayState(ns["NPROCS"])
         sim = SimMPI(ns["NPROCS"], seed=seed, tracer=tracer)
-        state.bind_comm(0, sim.world)
         sim.run(ns["make_program"](state))
         return tracer.result.trace_bytes
 
