@@ -233,11 +233,6 @@ class MergedCST:
             durs.append(dur)
         return cls(sigs, counts, durs, remaps=[])
 
-    def size_bytes(self) -> int:
-        out = bytearray()
-        self.write_to(out)
-        return len(out)
-
 
 def merge_csts(csts: list[CST]) -> MergedCST:
     """Inter-process CST compression (§3.5.1).

@@ -27,13 +27,23 @@ from typing import Iterator
 from .decoder import TraceDecoder
 from .errors import TraceFormatError
 from .trace_format import (FLAG_COMPRESSED, HEADER_FIXED, TraceFile,
-                           section_spans)
+                           emit_section, section_spans, split_sections)
 
 #: outcome kinds
 STRUCTURED = "structured"   # raised a TraceFormatError subclass: correct
 CRASH = "crash"             # raised anything else: decoder bug
 SILENT = "silent"           # decoded without complaint: integrity bug
 SALVAGED = "salvaged"       # salvage mode recovered a partial decode
+
+#: tagged values the one-pass codec must refuse in bounded time: a tuple
+#: nest past ``MAX_VALUE_DEPTH`` and an int whose varint runs past
+#: ``MAX_VARINT_BYTES``.  Each fuzzer re-seals them behind valid CRCs in
+#: its own container (trace CST, run manifest, CHUNK frame).
+CODEC_BOMBS = (
+    ("a value nests 5000 tuples deep", b"\x03\x01" * 5000 + b"\x00"),
+    ("an int's varint runs to 320 KB of continuation bytes",
+     b"\x01" + b"\xff" * 320_000 + b"\x00"),
+)
 
 
 @dataclass
@@ -154,6 +164,17 @@ def _cst_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
            trace.to_bytes(compress))
 
 
+def _bomb_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
+    """Each of :data:`CODEC_BOMBS` as the one signature of the CST
+    section of an otherwise intact trace, every CRC valid."""
+    header, sections = split_sections(blob)
+    for desc, value in CODEC_BOMBS:
+        out = bytearray(header)
+        emit_section(out, b"\x01" + value, bool(blob[5] & FLAG_COMPRESSED))
+        out += b"".join(sec for _, sec in sections[1:])
+        yield f"codec bomb in the signature table: {desc}", bytes(out)
+
+
 def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     """Semantically-targeted corpus: mutations every section checksum
     still accepts.  Random bit flips essentially never survive the
@@ -164,10 +185,12 @@ def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     salvage parsing must recover the covered ranks and answer requests
     for the others with :class:`~repro.core.errors.MissingRankError`,
     never a bare ``IndexError``/``KeyError``.  The CST cases
-    (:func:`_cst_mutations`) ride the same corpus."""
+    (:func:`_cst_mutations`) and the codec bombs
+    (:func:`_bomb_mutations`) ride the same corpus."""
     if len(blob) <= HEADER_FIXED:
         return
     yield from _cst_mutations(blob)
+    yield from _bomb_mutations(blob)
     nprocs = blob[HEADER_FIXED]
     if nprocs >= 0x7f:  # multi-byte varint; the single-byte edits below
         return          # would change its meaning, not its value

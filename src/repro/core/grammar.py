@@ -13,10 +13,11 @@ memory-comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import CorruptTraceError
-from .packing import Reader, pack_ints, write_varint
+from .packing import Reader, read_varints, write_varints
 from .sequitur import Sequitur
 
 Token = tuple[int, int]
@@ -140,30 +141,15 @@ class Grammar:
 
     # -- serialization ------------------------------------------------------------------
 
-    def to_ints(self) -> list[int]:
+    def write_to(self, out: bytearray) -> None:
         """Flat int-array encoding (Pilgrim stores grammars this way):
-        ``[nrules, len(rule0), v,e,v,e,..., len(rule1), ...]``."""
-        out = [len(self.rules)]
+        ``[nrules, len(rule0), v,e,v,e,..., len(rule1), ...]``, packed
+        as one array of varints."""
+        ints = [len(self.rules)]
         for rule in self.rules:
-            out.append(len(rule))
-            for v, e in rule:
-                out.append(v)
-                out.append(e)
-        return out
-
-    def to_bytes(self) -> bytes:
-        return pack_ints(self.to_ints())
-
-    @classmethod
-    def from_ints(cls, ints: list[int]) -> "Grammar":
-        it = iter(ints)
-        nrules = next(it)
-        rules = []
-        for _ in range(nrules):
-            ntok = next(it)
-            rule = tuple((next(it), next(it)) for _ in range(ntok))
-            rules.append(rule)
-        return cls(tuple(rules))
+            ints.append(len(rule))
+            ints.extend(chain.from_iterable(rule))
+        write_varints(out, ints)
 
     @classmethod
     def from_reader(cls, r: Reader) -> "Grammar":
@@ -176,18 +162,14 @@ class Grammar:
             if ntok < 0:
                 raise CorruptTraceError(
                     f"negative token count {ntok} in rule {i}")
-            rule = tuple((r.read_varint(), r.read_varint())
-                         for _ in range(ntok))
-            rules.append(rule)
+            flat = read_varints(r, 2 * ntok)
+            rules.append(tuple(zip(flat[::2], flat[1::2])))
         return cls(tuple(rules))
 
-    def write_to(self, out: bytearray) -> None:
-        write_varint(out, len(self.rules))
-        for rule in self.rules:
-            write_varint(out, len(rule))
-            for v, e in rule:
-                write_varint(out, v)
-                write_varint(out, e)
+    def to_bytes(self) -> bytes:
+        out = bytearray()
+        self.write_to(out)
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Grammar":

@@ -5,15 +5,27 @@ binary trace files; all size numbers this reproduction reports are real
 bytes produced by this module (no pickle bloat, no JSON).  Integers use
 LEB128 varints with zigzag signing; structured signature values use a
 small tag-prefixed encoding closed under the value shapes the encoder
-emits (ints, strings, booleans, None, and tuples thereof).
+emits (ints, strings, booleans, None, floats and tuples thereof).
+
+The codec is one-pass: a value, or an array of *n* varints, costs one
+loop over the buffer with a local cursor — no call per byte and no
+recursion.  ``MAX_VARINT_BYTES`` and ``MAX_VALUE_DEPTH`` are part of the
+reader's contract (:class:`CorruptTraceError` beyond either; the writer
+refuses to produce such bytes).
 """
 
 from __future__ import annotations
 
-from struct import Struct
-from typing import Any, Iterable
+from struct import Struct, error as StructError
+from typing import Any, Sequence
 
 from .errors import CorruptTraceError, TruncatedTraceError
+
+#: longest varint accepted (448 payload bits): all-continuation garbage
+#: costs a bounded big-int accumulation instead of a quadratic one
+MAX_VARINT_BYTES = 64
+#: deepest tuple nesting accepted (real signatures reach 4)
+MAX_VALUE_DEPTH = 64
 
 
 def zigzag(n: int) -> int:
@@ -28,20 +40,57 @@ def unzigzag(z: int) -> int:
 
 
 def write_uvarint(out: bytearray, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"uvarint of negative {n}")
-    while True:
-        b = n & 0x7F
+    if n < 0x80:
+        if n < 0:
+            raise ValueError(f"uvarint of negative {n}")
+        out.append(n)
+        return
+    if n >> 7 * MAX_VARINT_BYTES:
+        raise ValueError(f"{n.bit_length()}-bit integer exceeds a "
+                         f"{MAX_VARINT_BYTES}-byte varint")
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
         n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+    out.append(n)
 
 
 def write_varint(out: bytearray, n: int) -> None:
     write_uvarint(out, zigzag(n))
+
+
+def write_varints(out: bytearray, ints: Sequence[int],
+                  signed: bool = True) -> None:
+    """Append *ints* as varints (zigzag-coded if *signed*) — one C-speed
+    ``extend`` when each fits a single byte, as grammar arrays mostly do."""
+    if signed:
+        ints = [-2 * n - 1 if n < 0 else 2 * n for n in ints]
+    if ints and 0 <= min(ints) and max(ints) < 0x80:
+        out.extend(ints)
+    else:
+        for n in ints:
+            write_uvarint(out, n)
+
+
+def _uvarint_tail(data: bytes, pos: int, z: int) -> tuple[int, int]:
+    """Finish the varint whose first byte *z* (continuation bit set) sits
+    just before *pos*: ``(value, pos past it)``.  Running off the buffer
+    is an ``IndexError`` the caller reports as truncation."""
+    z &= 0x7F
+    for shift in range(7, 7 * MAX_VARINT_BYTES, 7):
+        b = data[pos]
+        pos += 1
+        z |= (b & 0x7F) << shift
+        if b < 0x80:
+            return z, pos
+    if pos == len(data):    # cut exactly at the bound: still a truncation
+        raise IndexError
+    raise CorruptTraceError(f"varint still open at offset {pos} is longer "
+                            f"than {MAX_VARINT_BYTES} bytes")
+
+
+def _truncated(what: str, at: int, data: bytes) -> TruncatedTraceError:
+    return TruncatedTraceError(f"{what} starting at byte {at} runs past "
+                               f"the end of the {len(data)}-byte buffer")
 
 
 class Reader:
@@ -59,37 +108,18 @@ class Reader:
 
     def read_uvarint(self) -> int:
         data, pos = self.data, self.pos
-        end = len(data)
-        shift = 0
-        result = 0
-        while True:
-            if pos >= end:
-                # also the guard for a malformed varint whose continuation
-                # bits run longer than the buffer: the loop can never
-                # shift past the data that actually exists
-                raise TruncatedTraceError(
-                    f"varint starting at byte {self.pos} runs past the "
-                    f"end of the {end}-byte buffer")
-            b = data[pos]
-            pos += 1
-            result |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-        self.pos = pos
-        return result
+        try:
+            z = data[pos]
+            if z < 0x80:
+                self.pos = pos + 1
+            else:
+                z, self.pos = _uvarint_tail(data, pos + 1, z)
+            return z
+        except IndexError:
+            raise _truncated("varint", pos, data) from None
 
     def read_varint(self) -> int:
         return unzigzag(self.read_uvarint())
-
-    def read_byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise TruncatedTraceError(
-                f"expected a byte at offset {self.pos}, buffer has "
-                f"{len(self.data)}")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
 
     def read_bytes(self, n: int) -> bytes:
         chunk = self.data[self.pos:self.pos + n]
@@ -102,6 +132,28 @@ class Reader:
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
+
+
+def read_varints(r: Reader, n: int, signed: bool = True) -> list[int]:
+    """The next *n* varints in one call (zigzag-decoded if *signed*) — a
+    C-speed slice when every one of them is a single byte."""
+    data, pos = r.data, r.pos
+    out = data[pos:pos + n]
+    if len(out) == n and (not n or max(out) < 0x80):
+        pos += n
+    else:
+        out = []
+        try:
+            for _ in range(n):
+                z = data[pos]
+                pos += 1
+                if z >= 0x80:
+                    z, pos = _uvarint_tail(data, pos, z)
+                out.append(z)
+        except IndexError:
+            raise _truncated(f"{n}-varint array", r.pos, data) from None
+    r.pos = pos
+    return [(z >> 1) ^ -(z & 1) for z in out] if signed else list(out)
 
 
 # -- tagged values ---------------------------------------------------------------
@@ -118,83 +170,120 @@ _F64 = Struct("<d")
 
 
 def write_value(out: bytearray, v: Any) -> None:
-    """Serialize one (possibly nested) signature value."""
-    if v is None:
-        out.append(_T_NONE)
-    elif v is True:
-        out.append(_T_TRUE)
-    elif v is False:
-        out.append(_T_FALSE)
-    elif isinstance(v, int):
-        out.append(_T_INT)
-        write_varint(out, v)
-    elif isinstance(v, str):
-        raw = v.encode("utf-8")
-        out.append(_T_STR)
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(v, tuple):
-        out.append(_T_TUPLE)
-        write_uvarint(out, len(v))
-        for item in v:
-            write_value(out, item)
-    elif isinstance(v, float):
-        out.append(_T_FLOAT)
-        out.extend(_F64.pack(v))
-    else:
-        raise TypeError(f"unsupported signature value type {type(v)!r}")
+    """Serialize one (possibly nested) signature value: one loop, with a
+    stack of the open tuples' iterators instead of recursion."""
+    stack: list = []
+    it = iter((v,))
+    while True:
+        for v in it:
+            if v is None:
+                out.append(_T_NONE)
+            elif v is True:
+                out.append(_T_TRUE)
+            elif v is False:
+                out.append(_T_FALSE)
+            elif isinstance(v, int):
+                out.append(_T_INT)
+                z = -2 * v - 1 if v < 0 else 2 * v
+                if z < 0x80:
+                    out.append(z)
+                else:
+                    write_uvarint(out, z)
+            elif isinstance(v, str):
+                raw = v.encode("utf-8")
+                out.append(_T_STR)
+                write_uvarint(out, len(raw))
+                out.extend(raw)
+            elif isinstance(v, tuple):
+                if len(stack) >= MAX_VALUE_DEPTH:
+                    raise ValueError(
+                        f"value nests past {MAX_VALUE_DEPTH} tuples")
+                out.append(_T_TUPLE)
+                write_uvarint(out, len(v))
+                stack.append(it)
+                it = iter(v)
+                break
+            elif isinstance(v, float):
+                out.append(_T_FLOAT)
+                out.extend(_F64.pack(v))
+            else:
+                raise TypeError(
+                    f"unsupported signature value type {type(v)!r}")
+        else:
+            if not stack:
+                return
+            it = stack.pop()
 
 
 def read_value(r: Reader) -> Any:
-    tag = r.read_byte()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return r.read_varint()
-    if tag == _T_STR:
-        n = r.read_uvarint()
-        raw = r.read_bytes(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CorruptTraceError(
-                f"string value at offset {r.pos - n} is not UTF-8: "
-                f"{e}") from None
-    if tag == _T_TUPLE:
-        n = r.read_uvarint()
-        if n > r.remaining():
-            # every element costs at least its tag byte; an impossible
-            # count means the length field itself is damaged — fail now
-            # instead of looping toward the inevitable
-            raise TruncatedTraceError(
-                f"tuple of {n} elements at offset {r.pos} exceeds the "
-                f"{r.remaining()} bytes left")
-        return tuple(read_value(r) for _ in range(n))
-    if tag == _T_FLOAT:
-        return _F64.unpack(r.read_bytes(8))[0]
-    raise CorruptTraceError(f"unknown value tag {tag} at offset {r.pos - 1}")
+    """Parse one (possibly nested) value in a single pass: a local
+    cursor, and a stack of the open tuples instead of recursion."""
+    data, pos = r.data, r.pos
+    end = len(data)
+    stack: list = []            # the enclosing tuples: (items, missing)
+    items, missing = None, 0    # the innermost open tuple
+    try:
+        while True:
+            tag = data[pos]
+            pos += 1
+            if tag == _T_INT:
+                z = data[pos]
+                pos += 1
+                if z >= 0x80:
+                    z, pos = _uvarint_tail(data, pos, z)
+                v = (z >> 1) ^ -(z & 1)
+            elif tag == _T_TUPLE or tag == _T_STR:  # a count, then the body
+                z = data[pos]
+                pos += 1
+                if z >= 0x80:
+                    z, pos = _uvarint_tail(data, pos, z)
+                if z > end - pos:
+                    # a tuple element costs at least its tag byte: an
+                    # impossible count means the length itself is damaged
+                    raise _truncated(f"{z}-element tuple or string", pos, data)
+                if tag == _T_STR:
+                    try:
+                        v = data[pos:pos + z].decode("utf-8")
+                    except UnicodeDecodeError as e:
+                        raise CorruptTraceError(f"string value at offset "
+                                                f"{pos} is not UTF-8: {e}") from None
+                    pos += z
+                elif z:
+                    if len(stack) >= MAX_VALUE_DEPTH:
+                        raise CorruptTraceError(f"value at offset {pos} nests "
+                                                f"past {MAX_VALUE_DEPTH} tuples")
+                    stack.append((items, missing))
+                    items, missing = [], z
+                    continue
+                else:
+                    v = ()
+            elif tag == _T_NONE:
+                v = None
+            elif tag == _T_FLOAT:
+                v = _F64.unpack_from(data, pos)[0]
+                pos += 8
+            elif tag == _T_TRUE:
+                v = True
+            elif tag == _T_FALSE:
+                v = False
+            else:
+                raise CorruptTraceError(
+                    f"unknown value tag {tag} at offset {pos - 1}")
+            while items is not None:
+                items.append(v)
+                missing -= 1
+                if missing:
+                    break
+                v = tuple(items)
+                items, missing = stack.pop()
+            else:
+                r.pos = pos
+                return v
+    except (IndexError, StructError):
+        raise _truncated("value", r.pos, data) from None
 
 
 def pack_value(v: Any) -> bytes:
     out = bytearray()
     write_value(out, v)
     return bytes(out)
-
-
-def pack_ints(ints: Iterable[int]) -> bytes:
-    out = bytearray()
-    for n in ints:
-        write_varint(out, n)
-    return bytes(out)
-
-
-def unpack_ints(data: bytes) -> list[int]:
-    r = Reader(data)
-    out = []
-    while not r.exhausted:
-        out.append(r.read_varint())
-    return out

@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from ..resilience.salvage import SalvageReport
@@ -42,8 +43,8 @@ from .encoder import PerRankEncoder
 from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
                      UnsupportedVersionError)
 from .grammar import Grammar
-from .packing import (Reader, read_value, write_uvarint, write_value,
-                      write_varint)
+from .packing import (Reader, read_value, read_varints, unzigzag,
+                      write_uvarint, write_value, write_varints, zigzag)
 from .sequitur import Sequitur
 from .timing import TimingCompressor
 
@@ -104,10 +105,8 @@ class GrammarSet:
     # -- serialization (one v2 section payload) ----------------------------------
 
     def write_to(self, out: bytearray) -> None:
-        write_uvarint(out, len(self.unique))
-        write_uvarint(out, len(self.uid))
-        for u in self.uid:
-            write_uvarint(out, u)
+        write_varints(out, [len(self.unique), len(self.uid), *self.uid],
+                      signed=False)
         for g in self.unique:
             g.write_to(out)
 
@@ -119,7 +118,7 @@ class GrammarSet:
             raise CorruptTraceError(
                 f"{name} section claims {n_unique} grammars over {n_uid} "
                 f"ranks but only {r.remaining()} bytes remain")
-        uid = [r.read_uvarint() for _ in range(n_uid)]
+        uid = read_varints(r, n_uid, signed=False)
         bad = [u for u in uid if u >= n_unique]
         if bad:
             raise CorruptTraceError(
@@ -216,9 +215,7 @@ class RankShard:
             write_uvarint(cst_b, count)
             write_uvarint(cst_b, ns)
         calls_b = bytearray()
-        write_uvarint(calls_b, len(self.calls))
-        for c in self.calls:
-            write_uvarint(calls_b, c)
+        write_varints(calls_b, [len(self.calls), *self.calls], signed=False)
         cfg_b = bytearray()
         self.cfg.write_to(cfg_b)
         payloads = [bytes(cst_b), bytes(calls_b), bytes(cfg_b)]
@@ -286,7 +283,7 @@ class RankShard:
                 counts.append(cr.read_uvarint())
                 dur_ns.append(cr.read_uvarint())
             lr = take_section(r, compressed, "shard-calls")
-            calls = [lr.read_uvarint() for _ in range(lr.read_uvarint())]
+            calls = read_varints(lr, lr.read_uvarint(), signed=False)
             cfg = GrammarSet.read_from(
                 take_section(r, compressed, "shard-CFG"), "shard-CFG")
             td = ti = None
@@ -439,11 +436,9 @@ class ShardPartial:
         for sig in self.new_sigs:
             write_value(sigs_b, sig)
         delta_b = bytearray()
-        write_uvarint(delta_b, len(self.idx))
-        for i, dc, dns in zip(self.idx, self.d_counts, self.d_dur_ns):
-            write_uvarint(delta_b, i)
-            write_varint(delta_b, dc)
-            write_varint(delta_b, dns)
+        write_varints(delta_b, [len(self.idx), *chain.from_iterable(zip(
+            self.idx, map(zigzag, self.d_counts),
+            map(zigzag, self.d_dur_ns)))], signed=False)
         parts_b = bytearray()
         write_uvarint(parts_b, len(self.parts))
         for g in self.parts:
@@ -500,11 +495,10 @@ class ShardPartial:
                 raise CorruptTraceError(
                     f"shard partial claims {n} CST deltas but only "
                     f"{dr.remaining()} bytes remain")
-            idx, d_counts, d_dur_ns = [], [], []
-            for _ in range(n):
-                idx.append(dr.read_uvarint())
-                d_counts.append(dr.read_varint())
-                d_dur_ns.append(dr.read_varint())
+            delta = read_varints(dr, 3 * n, signed=False)
+            idx = delta[0::3]
+            d_counts = list(map(unzigzag, delta[1::3]))
+            d_dur_ns = list(map(unzigzag, delta[2::3]))
             pr = take_section(r, compressed, "partial-parts")
             n = pr.read_uvarint()
             if n > pr.remaining():

@@ -52,7 +52,7 @@ from .errors import (ChecksumError, CorruptTraceError, TraceFormatError,
                      TruncatedTraceError, UnsupportedVersionError)
 from .grammar import Grammar
 from .interproc import CFGMergeResult
-from .packing import Reader, write_uvarint
+from .packing import Reader, read_varints, write_uvarint, write_varints
 from .timing import TimingMeta
 
 MAGIC = b"PILG"
@@ -101,10 +101,8 @@ def take_section(r: Reader, compressed: bool, name: str) -> Reader:
 
 def _write_cfg_section(out: bytearray, merge: CFGMergeResult) -> None:
     n_top = len(merge.final.rules) - sum(len(g.rules) for g in merge.unique)
-    write_uvarint(out, n_top)
-    write_uvarint(out, len(merge.unique))
-    for g in merge.unique:
-        write_uvarint(out, len(g.rules))
+    write_varints(out, [n_top, len(merge.unique),
+                        *(len(g.rules) for g in merge.unique)], signed=False)
     merge.final.write_to(out)
     # NB: no separate rank map — the rank -> sub-grammar assignment lives
     # in the merged start rule (as in the paper's S -> S1 S2 ... form,
@@ -118,7 +116,7 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
         raise CorruptTraceError(
             f"{name} section claims {n_unique} unique grammars but only "
             f"{r.remaining()} bytes remain")
-    rule_counts = [r.read_uvarint() for _ in range(n_unique)]
+    rule_counts = read_varints(r, n_unique, signed=False)
     final = Grammar.from_reader(r)
     if n_top + sum(rule_counts) != len(final.rules):
         raise CorruptTraceError(

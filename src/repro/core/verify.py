@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decoder import TraceDecoder
-from .packing import pack_ints
 from .records import sig_to_params
 from .trace_format import TraceFile
 from .tracer import PilgrimTracer
@@ -140,8 +139,8 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
                 mismatches, f"rank {rank}: {len(raw_terms)} raw calls, "
                 f"{len(dec_terms)} decoded, call_count says {n_dec}")
 
-        # byte-exact terminal streams: map the raw local signatures to the
-        # decoded CST's global numbering and compare the packed bytes
+        # exact terminal streams: map the raw local signatures to the
+        # decoded CST's global numbering and compare symbol for symbol
         if len(raw_sigs) != len(dec_sigs):
             checks["terminal_streams"] = _note(
                 mismatches, f"rank {rank}: length {len(raw_sigs)} raw vs "
@@ -151,9 +150,9 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
                       for sig in raw_sigs]
         if None in raw_global:
             checks["terminal_streams"] = False
-        elif pack_ints(raw_global) != pack_ints(dec_terms):
+        elif raw_global != dec_terms:
             checks["terminal_streams"] = _note(
-                mismatches, f"rank {rank}: terminal stream bytes differ")
+                mismatches, f"rank {rank}: terminal streams differ")
 
         for i, (a, b) in enumerate(zip(raw_sigs, dec_sigs)):
             if a != b:

@@ -22,12 +22,14 @@ behind an intact frame header.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from ..core.errors import TraceFormatError
-from ..core.fuzz import (CRASH, SILENT, STRUCTURED, FuzzOutcome, FuzzReport,
-                         iter_blob_mutations)
-from ..core.shard import ShardPartial
+from ..core.fuzz import (CODEC_BOMBS, CRASH, SILENT, STRUCTURED, FuzzOutcome,
+                         FuzzReport, iter_blob_mutations)
+from ..core.shard import PARTIAL_MAGIC, PARTIAL_VERSION, ShardPartial
+from ..core.trace_format import emit_section
 from . import protocol as proto
 
 
@@ -56,6 +58,21 @@ def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
     wl.run(seed=seed, tracer=tracer, noise=0.05)
     fin = proto.encode_fin([rc.streamed_calls for rc in tracer.ranks])
     return hello + bytes(frames) + fin
+
+
+def corpus_frame_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
+    """Sessions a hostile client could send that every CRC accepts: the
+    recorded HELLO, then one CHUNK carrying a codec bomb — as the frame's
+    own sequence number, and as the one new signature of an otherwise
+    well-formed :class:`ShardPartial`."""
+    hello = blob[:proto.frame_spans(blob)["frame0.HELLO.payload"][1]]
+    yield ("CHUNK sequence number is 320 KB of continuation bytes",
+           hello + proto.encode_frame(proto.CHUNK, b"\xff" * 320_000 + b"\x00"))
+    for desc, value in CODEC_BOMBS:
+        partial = bytearray(PARTIAL_MAGIC + bytes((PARTIAL_VERSION, 0, 0, 1)))
+        emit_section(partial, b"\x01" + value, compress=False)
+        yield (f"codec bomb as CHUNK 0's new signature: {desc}",
+               hello + proto.encode_chunk(0, bytes(partial)))
 
 
 def decode_stream(blob: bytes) -> list[tuple[int, tuple]]:
@@ -106,8 +123,9 @@ def run_frame_fuzz(blob: Optional[bytes] = None, seed: int = 0,
     reference = decode_stream(blob)
     report = FuzzReport()
     spans = proto.frame_spans(blob)
-    for desc, mut in iter_blob_mutations(blob, spans, seed=seed,
-                                         n_random=n_random):
+    for desc, mut in chain(corpus_frame_mutations(blob),
+                           iter_blob_mutations(blob, spans, seed=seed,
+                                               n_random=n_random)):
         if mut == blob:
             continue
         report.total += 1
@@ -143,4 +161,5 @@ def run_frame_fuzz(blob: Optional[bytes] = None, seed: int = 0,
 
 
 __all__ = ["STRUCTURED", "CRASH", "SILENT", "FuzzReport", "FuzzOutcome",
-           "build_frame_corpus", "decode_stream", "run_frame_fuzz"]
+           "build_frame_corpus", "corpus_frame_mutations", "decode_stream",
+           "run_frame_fuzz"]

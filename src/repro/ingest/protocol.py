@@ -118,24 +118,21 @@ class FrameDecoder:
         if flags & ~_FLAG_COMPRESSED:
             raise FrameFormatError(
                 f"unknown frame flag bits in {flags:#04x}")
-        # scan the payload-length uvarint without consuming
-        pos, shift, n = 7, 0, 0
-        while True:
-            if pos >= have:
-                return None if pos - 7 <= 10 else self._overlong()
-            b = buf[pos]
-            n |= (b & 0x7F) << shift
-            pos += 1
-            if not (b & 0x80):
-                break
-            shift += 7
-            if shift > 63:
-                self._overlong()
+        # the payload-length varint, read without consuming: the buffer
+        # may end inside it, but no honest length needs more than 10 bytes
+        r = Reader(buf, 7)
+        try:
+            n = r.read_uvarint()
+        except TruncatedTraceError:
+            if have - 7 <= 10:
+                return None
+            raise FrameFormatError(
+                "frame length varint is overlong") from None
         if n > MAX_FRAME_PAYLOAD:
             raise FrameFormatError(
                 f"frame payload of {n} bytes exceeds the "
                 f"{MAX_FRAME_PAYLOAD}-byte bound")
-        end = pos + 4 + n
+        end = r.pos + 4 + n
         if have < end:
             return None
         name = f"frame-{KIND_NAMES[kind]}"
@@ -162,10 +159,6 @@ class FrameDecoder:
             raise TruncatedTraceError(
                 f"{len(self._buf)} trailing bytes form no complete "
                 f"ingest frame")
-
-    @staticmethod
-    def _overlong() -> None:
-        raise FrameFormatError("frame length varint is overlong")
 
 
 def frame_spans(blob: bytes) -> dict[str, tuple[int, int]]:
@@ -354,7 +347,7 @@ def _read_tuple(payload: bytes, kind: str,
     except TraceFormatError:
         raise
     except (IndexError, KeyError, ValueError, OverflowError,
-            RecursionError, struct.error) as e:
+            struct.error) as e:
         raise FrameFormatError(
             f"malformed {kind} payload ({type(e).__name__}: {e})") from e
     if not isinstance(val, tuple) or \

@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..core.errors import TraceFormatError
-from ..core.fuzz import CRASH, SILENT, FuzzOutcome, FuzzReport, \
-    iter_blob_mutations
+from ..core.fuzz import CODEC_BOMBS, CRASH, SILENT, FuzzOutcome, \
+    FuzzReport, iter_blob_mutations
 from ..core.packing import write_value
 from ..core.trace_format import emit_section
 from .manifest import MANIFEST_MAGIC, MANIFEST_VERSION, RunRecord, \
@@ -32,16 +32,21 @@ from .manifest import MANIFEST_MAGIC, MANIFEST_VERSION, RunRecord, \
 from .repository import TraceStore
 
 
-def _reencode(body: tuple) -> bytes:
-    """A structurally valid manifest blob around an arbitrary body
-    tuple — the CRC is correct, so only semantic validation can catch
-    the damage."""
+def _seal(payload: bytes) -> bytes:
+    """A manifest blob with a correct CRC around arbitrary payload
+    bytes — only the parser behind the checksum can catch the damage."""
     out = bytearray(MANIFEST_MAGIC)
     out.append(MANIFEST_VERSION)
+    emit_section(out, payload, compress=False)
+    return bytes(out)
+
+
+def _reencode(body: tuple) -> bytes:
+    """A structurally valid manifest blob around an arbitrary body
+    tuple: only semantic validation can catch the damage."""
     payload = bytearray()
     write_value(payload, body)
-    emit_section(out, bytes(payload), compress=False)
-    return bytes(out)
+    return _seal(bytes(payload))
 
 
 def corpus_manifest_mutations(record: RunRecord
@@ -85,6 +90,8 @@ def corpus_manifest_mutations(record: RunRecord
            _reencode(body[:6] + ("xyzzy",) + body[7:]))
     yield ("body is not a tuple", _reencode(("x",)))
     yield ("body has wrong arity", _reencode(body[:5]))
+    for desc, value in CODEC_BOMBS:
+        yield f"codec bomb as the body: {desc}", _seal(value)
 
 
 def _exercise(store: TraceStore, blob: bytes) -> None:

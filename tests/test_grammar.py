@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.grammar import Grammar
-from repro.core.packing import Reader
+from repro.core.packing import Reader, read_varints
 from repro.core.sequitur import Sequitur
 
 
@@ -76,9 +76,19 @@ class TestSerialization:
         g = freeze(seq)
         assert Grammar.from_bytes(g.to_bytes()) == g
 
-    def test_ints_roundtrip(self):
+    def test_bytes_are_the_packed_int_array(self):
+        # "stores grammars as an array of integers": the bytes are
+        # [nrules, len(rule0), v,e,v,e,..., len(rule1), ...] as varints
+        # and nothing else
         g = freeze([1, 2, 1, 2, 3])
-        assert Grammar.from_ints(g.to_ints()) == g
+        r = Reader(g.to_bytes())
+        ints = read_varints(r, 1 + g.n_rules + 2 * g.n_tokens)
+        assert r.exhausted
+        it = iter(ints)
+        assert next(it) == g.n_rules
+        for rule in g.rules:
+            assert next(it) == len(rule)
+            assert tuple((next(it), next(it)) for _ in rule) == rule
 
     def test_write_to_reader_roundtrip(self):
         g = freeze([4, 5, 6] * 4)

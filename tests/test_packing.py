@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.core.errors import (CorruptTraceError, TraceFormatError,
                                TruncatedTraceError)
-from repro.core.packing import (Reader, pack_ints, pack_value, read_value,
-                                unpack_ints, unzigzag, write_uvarint,
-                                write_varint, zigzag)
+from repro.core.packing import (MAX_VALUE_DEPTH, MAX_VARINT_BYTES, Reader,
+                                pack_value, read_value, read_varints,
+                                unzigzag, write_uvarint, write_varint,
+                                write_varints, zigzag)
 
 
 class TestZigzag:
@@ -74,9 +75,35 @@ class TestVarint:
         r = Reader(bytes(out))
         assert [r.read_varint() for _ in values] == values
 
-    @given(st.lists(st.integers(min_value=-2**62, max_value=2**62)))
-    def test_pack_ints_roundtrip(self, values):
-        assert unpack_ints(pack_ints(values)) == values
+    @given(st.lists(st.integers(min_value=-2**62, max_value=2**62)),
+           st.booleans())
+    def test_bulk_varints_roundtrip(self, values, signed):
+        if not signed:
+            values = [abs(v) for v in values]
+        out = bytearray()
+        write_varints(out, values, signed)
+        r = Reader(bytes(out))
+        assert read_varints(r, len(values), signed) == values
+        assert r.exhausted
+
+    def test_bulk_varints_single_byte_fast_path(self):
+        # all-single-byte arrays take the C-speed slice; same values
+        out = bytearray()
+        write_varints(out, list(range(-64, 64)))
+        assert len(out) == 128
+        assert read_varints(Reader(bytes(out)), 128) == list(range(-64, 64))
+        assert read_varints(Reader(b""), 0) == []
+
+    def test_bulk_varints_truncated(self):
+        for blob in (b"\x01\x02", b"\x01\x80", b""):
+            r = Reader(blob)
+            with pytest.raises(TruncatedTraceError):
+                read_varints(r, 3)
+            assert r.pos == 0
+
+    def test_bulk_negative_unsigned_rejected(self):
+        with pytest.raises(ValueError):
+            write_varints(bytearray(), [3, -1], signed=False)
 
     def test_truncated_read_bytes(self):
         r = Reader(b"ab")
@@ -102,6 +129,26 @@ class TestVarint:
         # buffer end instead of running unbounded
         with pytest.raises(TruncatedTraceError):
             Reader(b"\xff" * 64).read_uvarint()
+
+    def test_varint_longer_than_bound_is_corrupt(self):
+        # the varint bomb: continuation bytes past MAX_VARINT_BYTES are
+        # corruption, in bounded time, in the scalar and bulk reader alike
+        ok = b"\xff" * (MAX_VARINT_BYTES - 1) + b"\x7f"
+        assert Reader(ok).read_uvarint() == 2 ** (7 * MAX_VARINT_BYTES) - 1
+        bomb = b"\xff" * 320_000 + b"\x00"
+        for read, blob in ((Reader.read_uvarint, bomb),
+                           (Reader.read_varint, bomb),
+                           (lambda r: read_varints(r, 1), bomb),
+                           (read_value, b"\x01" + bomb)):
+            with pytest.raises(CorruptTraceError):
+                read(Reader(blob))
+
+    def test_writer_refuses_what_the_reader_would(self):
+        out = bytearray()
+        write_uvarint(out, 2 ** (7 * MAX_VARINT_BYTES) - 1)
+        assert len(out) == MAX_VARINT_BYTES
+        with pytest.raises(ValueError):
+            write_uvarint(bytearray(), 2 ** (7 * MAX_VARINT_BYTES))
 
     def test_reader_position_unchanged_on_truncation(self):
         r = Reader(b"\x80")
@@ -174,3 +221,24 @@ class TestTaggedValues:
         blob = bytes([2, 2, 0xC0, 0x00])  # _T_STR, len 2, bad UTF-8
         with pytest.raises(CorruptTraceError):
             read_value(Reader(blob))
+
+    def test_nesting_bound(self):
+        def nest(depth):
+            v = 7
+            for _ in range(depth):
+                v = (v,)
+            return v
+        deepest = nest(MAX_VALUE_DEPTH)
+        assert read_value(Reader(pack_value(deepest))) == deepest
+        with pytest.raises(ValueError):
+            pack_value(nest(MAX_VALUE_DEPTH + 1))
+        # the depth bomb: deterministic CorruptTraceError, never a
+        # RecursionError that depends on the caller's stack depth
+        with pytest.raises(CorruptTraceError):
+            read_value(Reader(b"\x03\x01" * 5000 + b"\x00"))
+
+    def test_reader_position_after_nested_value(self):
+        blob = pack_value((1, ("ab", 2.5), ())) + b"\x00"
+        r = Reader(blob)
+        assert read_value(r) == (1, ("ab", 2.5), ())
+        assert r.pos == len(blob) - 1
