@@ -201,7 +201,7 @@ def write_results(doc: dict, output_dir: str = "benchmarks/results", *,
 
 
 # built-in benchmarks register themselves on import
-from . import decode, finalize, hotpath, replay  # noqa: E402,F401
+from . import decode, finalize, hotpath, ingest, replay  # noqa: E402,F401
 
 
 class _BenchFacadeModule(types.ModuleType):

@@ -301,7 +301,8 @@ def cmd_push(args) -> int:
                    chunk_calls=args.chunk_calls,
                    params=_parse_params(args.param))
     print(f"{args.workload} ({args.procs} ranks, tenant {args.tenant!r}): "
-          f"{res.total_calls} calls in {res.chunks_sent} chunks -> "
+          f"{res.total_calls} calls in {res.chunks_sent} chunks "
+          f"({res.partials_sent} partials) -> "
           f"{res.trace_size} byte trace"
           + (f", {res.reconnects} reconnects" if res.reconnects else ""))
     if args.check:
@@ -875,7 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=0,
                    metavar="CHUNKS",
                    help="checkpoint a tenant's fold every N absorbed "
-                        "chunks (0 = never; needs --checkpoint-dir)")
+                        "chunks — a chunk is one flush of the pushing "
+                        "tracer, all its ranks' partials together "
+                        "(0 = never; needs --checkpoint-dir)")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="archive every completed fold into the trace "
                         "store at DIR (workload == tenant, so repeated "
@@ -896,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--chunk-calls", type=int, default=256,
                    metavar="CALLS",
-                   help="flush a partial shard every N traced calls "
+                   help="flush every N traced calls, as one chunk "
+                        "carrying each rank's partial shard "
                         "(1 streams per call)")
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VALUE")

@@ -456,23 +456,38 @@ class ShardPartial:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardPartial":
+        """Exactly one partial: :meth:`read_from`, and nothing after it."""
+        r = Reader(data)
+        partial = cls.read_from(r)
+        if not r.exhausted:
+            raise CorruptTraceError(
+                f"{len(data) - r.pos} trailing bytes after the last "
+                f"shard-partial section")
+        return partial
+
+    @classmethod
+    def read_from(cls, r: Reader) -> "ShardPartial":
+        """Read one partial at the reader's position and leave the reader
+        just past it.  A partial is self-delimiting (a fixed header, then
+        length-prefixed sections whose number the flags give), so partials
+        can sit back to back — one ingest CHUNK carries a whole flush."""
         from .trace_format import take_section
 
-        if len(data) < 6:
+        left = r.remaining()
+        if left < 6:
             raise TruncatedTraceError(
-                f"shard partial of {len(data)} bytes is shorter than "
-                f"the header")
-        if data[:4] != PARTIAL_MAGIC:
+                f"shard partial of {left} bytes is shorter than the header")
+        head = r.read_bytes(6)
+        if head[:4] != PARTIAL_MAGIC:
             raise TraceFormatError("not a Pilgrim shard partial (bad magic)")
-        if data[4] != PARTIAL_VERSION:
-            raise UnsupportedVersionError(data[4], PARTIAL_VERSION)
-        flags = data[5]
+        if head[4] != PARTIAL_VERSION:
+            raise UnsupportedVersionError(head[4], PARTIAL_VERSION)
+        flags = head[5]
         if flags & ~(_PARTIAL_FLAG_TIMING | _PARTIAL_FLAG_COMPRESSED):
             raise CorruptTraceError(
                 f"unknown shard-partial flag bits in {flags:#04x}")
         compressed = bool(flags & _PARTIAL_FLAG_COMPRESSED)
         try:
-            r = Reader(data, 6)
             rank = r.read_uvarint()
             n_calls = r.read_uvarint()
             sr = take_section(r, compressed, "partial-sigs")
@@ -512,10 +527,6 @@ class ShardPartial:
                     take_section(r, compressed, "partial-timing-duration"))
                 ti = Grammar.from_reader(
                     take_section(r, compressed, "partial-timing-interval"))
-            if not r.exhausted:
-                raise CorruptTraceError(
-                    f"{len(data) - r.pos} trailing bytes after the last "
-                    f"shard-partial section")
         except TraceFormatError:
             raise
         except (IndexError, KeyError, ValueError, OverflowError,

@@ -23,6 +23,12 @@ to the one-shot in-process run (the invariant
 ``tests/test_ingest.py::test_chunked_fold_byte_identity`` pins across
 workload families and chunk sizes).
 
+A CHUNK (one flush: one or more partials, :func:`read_partials`) is
+absorbed all-or-nothing: every partial is parsed, then every partial is
+checked against the fold, and only then is any of them applied — a
+refused chunk leaves the fold exactly as it found it, so the session can
+be resumed and the good stream resent.
+
 Tenants are isolated: one tenant's corrupt partial raises inside its
 own fold and never touches another tenant's state.  Checkpoints pair
 each fold with its session watermark so a restarted server resumes
@@ -61,6 +67,23 @@ class FoldError(RuntimeError):
     slice out of order, conservation mismatch at FIN)."""
 
 
+def read_partials(blob: bytes) -> list[ShardPartial]:
+    """Every partial of one CHUNK (the blob after its sequence number):
+    one or more, back to back, ranks strictly ascending — what one flush
+    of a tracer produces, and nothing else."""
+    r = Reader(blob)
+    partials = [ShardPartial.read_from(r)]
+    while not r.exhausted:
+        p = ShardPartial.read_from(r)
+        if p.rank <= partials[-1].rank:
+            raise CorruptTraceError(
+                f"chunk partial {len(partials)} is for rank {p.rank} after "
+                f"rank {partials[-1].rank}: a chunk holds each rank at "
+                f"most once, in ascending order")
+        partials.append(p)
+    return partials
+
+
 class RankFold:
     """One rank's accumulated streaming state."""
 
@@ -79,7 +102,9 @@ class RankFold:
         self.calls = 0
         self.consolidations = 0
 
-    def absorb(self, p: ShardPartial, *, loop_detection: bool) -> None:
+    def check(self, p: ShardPartial) -> None:
+        """Refuse *p* if :meth:`apply` could not take it whole; touches
+        nothing, so a refusal leaves the fold as it was."""
         if p.rank != self.rank:
             raise FoldError(
                 f"partial for rank {p.rank} routed to fold {self.rank}")
@@ -87,21 +112,23 @@ class RankFold:
             raise FoldError(
                 f"rank {p.rank}: ragged CST delta arrays "
                 f"({len(p.idx)}/{len(p.d_counts)}/{len(p.d_dur_ns)})")
-        n_before = len(self.sigs)
+        known = len(self.sigs) + len(p.new_sigs)
+        if p.idx and not (0 <= min(p.idx) and max(p.idx) < known):
+            bad = next(i for i in p.idx if not 0 <= i < known)
+            raise FoldError(
+                f"rank {p.rank}: CST delta targets signature {bad} but "
+                f"the fold knows {known}")
+
+    def apply(self, p: ShardPartial, *, loop_detection: bool) -> None:
+        """Fold in a partial that :meth:`check` has passed."""
         if p.new_sigs:
             self.sigs.extend(p.new_sigs)
             self.counts.extend([0] * len(p.new_sigs))
             self.dur_ns.extend([0] * len(p.new_sigs))
+        counts, dur_ns = self.counts, self.dur_ns
         for i, dc, dns in zip(p.idx, p.d_counts, p.d_dur_ns):
-            if not 0 <= i < len(self.sigs):
-                raise FoldError(
-                    f"rank {p.rank}: CST delta targets signature {i} but "
-                    f"the fold knows {len(self.sigs)}")
-            if i < n_before and dc == 0 and dns == 0:
-                # zero deltas for known sigs are legal but pointless
-                continue
-            self.counts[i] += dc
-            self.dur_ns[i] += dns
+            counts[i] += dc
+            dur_ns[i] += dns
         self.parts.extend(p.parts)
         if p.timing_duration is not None:
             self.timing_dur_parts.append(p.timing_duration)
@@ -150,7 +177,8 @@ class RankFold:
     def to_partial(self) -> ShardPartial:
         """The fold's whole accumulated state as one consolidated
         partial — what checkpoints persist (a checkpoint restore is just
-        ``absorb`` of this into a fresh fold; partials compose)."""
+        :meth:`TenantFold.absorb` of this into a fresh fold; partials
+        compose)."""
         n = len(self.sigs)
         idx = [i for i in range(n) if self.counts[i] or self.dur_ns[i]]
         td = ti = None
@@ -182,26 +210,39 @@ class TenantFold:
         self.partials_absorbed = 0
         self.bytes_absorbed = 0
 
-    def absorb_blob(self, blob: bytes) -> ShardPartial:
-        p = ShardPartial.from_bytes(blob)
-        self.absorb(p)
+    def absorb_blob(self, blob: bytes) -> list[ShardPartial]:
+        """Absorb one CHUNK's partials — the only chunk absorb routine.
+        Parse all, check all, then apply all: any ``TraceFormatError`` or
+        ``FoldError`` leaves the fold as it was before the chunk."""
+        partials = read_partials(blob)
+        self._absorb_all(partials)
         self.bytes_absorbed += len(blob)
-        return p
+        return partials
 
     def absorb(self, p: ShardPartial) -> None:
-        if not 0 <= p.rank < self.nprocs:
-            raise FoldError(
-                f"tenant {self.tenant!r}: partial for rank {p.rank} "
-                f"outside [0, {self.nprocs})")
-        if bool(p.timing_duration is not None) != self.config.lossy_timing:
-            raise FoldError(
-                f"tenant {self.tenant!r}: partial timing presence does "
-                f"not match the session's lossy_timing config")
-        fold = self.ranks.get(p.rank)
-        if fold is None:
-            fold = self.ranks[p.rank] = RankFold(p.rank)
-        fold.absorb(p, loop_detection=self.config.loop_detection)
-        self.partials_absorbed += 1
+        self._absorb_all((p,))
+
+    def _absorb_all(self, partials) -> None:
+        """*partials* are for distinct ranks, so each can be checked
+        against its rank's fold before any of them is applied."""
+        folds = []
+        for p in partials:
+            if not 0 <= p.rank < self.nprocs:
+                raise FoldError(
+                    f"tenant {self.tenant!r}: partial for rank {p.rank} "
+                    f"outside [0, {self.nprocs})")
+            if (p.timing_duration is not None) != self.config.lossy_timing:
+                raise FoldError(
+                    f"tenant {self.tenant!r}: partial timing presence does "
+                    f"not match the session's lossy_timing config")
+            fold = self.ranks.get(p.rank) or RankFold(p.rank)
+            fold.check(p)
+            folds.append(fold)
+        loop_detection = self.config.loop_detection
+        for p, fold in zip(partials, folds):
+            self.ranks[p.rank] = fold
+            fold.apply(p, loop_detection=loop_detection)
+        self.partials_absorbed += len(partials)
 
     @property
     def total_calls(self) -> int:
@@ -323,14 +364,15 @@ class Aggregator:
             self.obs.gauge("tenants").set(len(self.tenants))
         return fold
 
-    def absorb(self, tenant: str, blob: bytes) -> ShardPartial:
+    def absorb(self, tenant: str, blob: bytes) -> list[ShardPartial]:
+        """One CHUNK's partials into *tenant*'s fold, all or nothing."""
         fold = self._fold(tenant)
-        p = fold.absorb_blob(blob)
+        partials = fold.absorb_blob(blob)
         if self.obs.enabled:
-            self.obs.counter("partials").inc()
-            self.obs.counter("calls").inc(p.n_calls)
+            self.obs.counter("partials").inc(len(partials))
+            self.obs.counter("calls").inc(sum(p.n_calls for p in partials))
             self.obs.counter("bytes").inc(len(blob))
-        return p
+        return partials
 
     def finish(self, tenant: str,
                expected_calls: Optional[list[int]] = None) -> bytes:

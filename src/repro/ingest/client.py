@@ -2,15 +2,17 @@
 
 :class:`ChunkingTracer` subclasses :class:`~repro.core.tracer.
 PilgrimTracer` and, every *chunk_calls* traced calls, drains each rank's
-new state into :class:`~repro.core.shard.ShardPartial` chunks
-(:meth:`flush_partials`) which it hands to an emit callback instead of
-folding locally — ``on_run_end`` deliberately skips ``finalize()``, the
-server owns the fold.
+new state into one :class:`~repro.core.shard.ShardPartial` per rank
+(:meth:`flush_partials`) and hands that flush to an emit callback
+instead of folding locally — ``on_run_end`` deliberately skips
+``finalize()``, the server owns the fold.
 
 :class:`IngestClient` speaks the frame protocol over a plain blocking
-socket: HELLO/HELLO_ACK handshake, a bounded window of unACKed CHUNKs
-(mirroring the server's bounded queue — the client blocks on ACKs when
-the window fills), FIN with per-rank call counts for the conservation
+socket: HELLO/HELLO_ACK handshake, one CHUNK per flush
+(:meth:`IngestClient.send_partials`: every rank's partial in one frame,
+compressed once, written once, ACKed once), a bounded window of unACKed
+CHUNKs (mirroring the server's bounded queue — the client blocks on ACKs
+when the window fills), FIN with per-rank call counts for the conservation
 check, then RESULT with the folded trace.  Reconnects ride
 :class:`~repro.resilience.retry.TaskSupervisor`: on a connection
 failure the client redials with backoff, re-HELLOs with ``resume=True``,
@@ -55,19 +57,29 @@ class IngestError(RuntimeError):
 class ChunkingTracer(PilgrimTracer):
     """A tracer that streams partial shards instead of finalizing.
 
-    *emit* receives each :class:`~repro.core.shard.ShardPartial` as soon
-    as it is produced (in rank order within a flush).  ``chunk_calls``
-    is the flush period in traced calls across all ranks; 1 streams
-    after every call, huge values degenerate to one whole-run chunk.
+    A *flush* drains every rank with something new into one
+    :class:`~repro.core.shard.ShardPartial` each, in ascending rank
+    order.  *emit_flush* receives each flush whole, as a list — the unit
+    the wire carries (:meth:`IngestClient.send_partials`); *emit*
+    receives the same partials one at a time, for callers that record or
+    time them individually.  ``chunk_calls`` is the flush period in
+    traced calls across all ranks; 1 streams after every call, huge
+    values degenerate to one whole-run chunk.
     """
 
-    def __init__(self, emit: Callable[[ShardPartial], None], *,
+    def __init__(self, emit: Optional[Callable[[ShardPartial], None]] = None,
+                 *, emit_flush: Optional[
+                     Callable[[list[ShardPartial]], None]] = None,
                  chunk_calls: int = 256, **kwargs):
         if chunk_calls < 1:
             raise ValueError(
                 f"chunk_calls must be >= 1, got {chunk_calls}")
+        if (emit is None) == (emit_flush is None):
+            raise TypeError("pass exactly one of emit and emit_flush")
         super().__init__(**kwargs)
         self._emit = emit
+        self._emit_flush = emit_flush if emit_flush is not None \
+            else self._emit_each
         self.chunk_calls = chunk_calls
         self._unflushed = 0
 
@@ -86,7 +98,12 @@ class ChunkingTracer(PilgrimTracer):
 
     def flush_now(self) -> None:
         self._unflushed = 0
-        for p in self.flush_partials():
+        partials = self.flush_partials()
+        if partials:
+            self._emit_flush(partials)
+
+    def _emit_each(self, partials: list[ShardPartial]) -> None:
+        for p in partials:
             self._emit(p)
 
     def on_run_end(self, sim) -> None:
@@ -125,6 +142,13 @@ class IngestClient:
         self._nprocs = 0
         self._config: Optional[proto.IngestConfig] = None
         self.reconnects = 0
+        #: CHUNK frames (flushes) and the partials they carried; resends
+        #: after a reconnect are not counted again
+        self.chunks_sent = 0
+        self.partials_sent = 0
+        #: socket writes and the bytes they carried, resends included
+        self.sendalls = 0
+        self.bytes_sent = 0
 
     # -- transport -----------------------------------------------------------------
 
@@ -141,8 +165,8 @@ class IngestClient:
                                         timeout=self.timeout)
         self._sock = sock
         assert self._config is not None
-        sock.sendall(proto.encode_hello(self.tenant, self._nprocs,
-                                        self._config, resume=resume))
+        self._send(proto.encode_hello(self.tenant, self._nprocs,
+                                      self._config, resume=resume))
         kind, payload = self._read_frame()
         if kind == proto.ERROR:
             code, detail = proto.parse_error(payload)
@@ -162,7 +186,7 @@ class IngestClient:
             del self._unacked[seq]
         self._acked = max(self._acked, next_seq)
         for seq in sorted(self._unacked):
-            sock.sendall(self._unacked[seq])
+            self._send(self._unacked[seq])
 
     def _reconnect(self) -> None:
         self.reconnects += 1
@@ -178,6 +202,13 @@ class IngestClient:
                 pass
             self._sock = None
 
+    def _send(self, frame: bytes) -> None:
+        """The one socket write: every frame, first send or resend."""
+        assert self._sock is not None
+        self._sock.sendall(frame)
+        self.sendalls += 1
+        self.bytes_sent += len(frame)
+
     def _read_frame(self) -> tuple[int, bytes]:
         assert self._sock is not None
         while True:
@@ -191,14 +222,37 @@ class IngestClient:
     # -- the produce path ----------------------------------------------------------
 
     def send_partial(self, partial: ShardPartial) -> None:
+        self.send_partials([partial])
+
+    def send_partials(self, partials: list[ShardPartial]) -> None:
+        """One flush (ascending ranks) as one CHUNK: the partials' sections
+        go uncompressed and the frame is compressed and CRC'd once — one
+        ``sendall``, one resend-buffer entry, one sequence number, one
+        window slot.  Only a flush whose blobs would overflow
+        ``MAX_FRAME_PAYLOAD`` is split over consecutive CHUNKs."""
+        budget = proto.MAX_FRAME_PAYLOAD - 10   # room for the seq varint
+        blobs: list[bytes] = []
+        size = 0
+        for p in partials:
+            blob = p.to_bytes(compress=False)
+            if blobs and size + len(blob) > budget:
+                self._send_chunk(blobs)
+                blobs, size = [], 0
+            blobs.append(blob)
+            size += len(blob)
+        if blobs:
+            self._send_chunk(blobs)
+
+    def _send_chunk(self, blobs: list[bytes]) -> None:
         seq = self._next_seq
         self._next_seq += 1
-        frame = proto.encode_chunk(seq, partial.to_bytes())
+        frame = proto.encode_chunk(seq, b"".join(blobs), compress=True)
         self._unacked[seq] = frame
+        self.chunks_sent += 1
+        self.partials_sent += len(blobs)
         while True:
             try:
-                assert self._sock is not None
-                self._sock.sendall(frame)
+                self._send(frame)
                 # honor the window: block on ACKs until within bounds
                 while len(self._unacked) > self.window:
                     self._pump_one()
@@ -224,8 +278,7 @@ class IngestClient:
         fin = proto.encode_fin(per_rank_calls)
         while True:
             try:
-                assert self._sock is not None
-                self._sock.sendall(fin)
+                self._send(fin)
                 while True:
                     kind, payload = self._read_frame()
                     if kind == proto.ACK:
@@ -261,7 +314,10 @@ class PushResult:
     trace_bytes: bytes
     total_calls: int
     per_rank_calls: list[int] = field(default_factory=list)
+    #: CHUNK frames sent — one per flush (more only past the frame bound)
     chunks_sent: int = 0
+    #: the per-rank partials those chunks carried
+    partials_sent: int = 0
     reconnects: int = 0
 
     @property
@@ -283,15 +339,9 @@ def push(workload: str, nprocs: int = 8, *,
     server, and return the server-folded trace (byte-identical to the
     one-shot in-process run — the subsystem's core invariant)."""
     opts = options if options is not None else TracerOptions()
-    sent = [0]
     client = IngestClient(host, port, tenant, retry=retry, timeout=timeout)
-
-    def emit(p: ShardPartial) -> None:
-        client.send_partial(p)
-        sent[0] += 1
-
     tracer = ChunkingTracer(
-        emit, chunk_calls=chunk_calls,
+        emit_flush=client.send_partials, chunk_calls=chunk_calls,
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
         signature_cache=opts.signature_cache,
         batch_size=opts.batch_size,
@@ -310,5 +360,7 @@ def push(workload: str, nprocs: int = 8, *,
     return PushResult(workload=workload, nprocs=nprocs, tenant=tenant,
                       seed=seed, trace_bytes=blob,
                       total_calls=sum(per_rank),
-                      per_rank_calls=per_rank, chunks_sent=sent[0],
+                      per_rank_calls=per_rank,
+                      chunks_sent=client.chunks_sent,
+                      partials_sent=client.partials_sent,
                       reconnects=client.reconnects)

@@ -14,10 +14,10 @@ attacking a real recorded session byte stream with the shared
 at frame boundaries via :func:`~repro.ingest.protocol.frame_spans`.
 
 Deep decode goes all the way down: frame framing → per-kind payload
-parse → :meth:`ShardPartial.from_bytes
-<repro.core.shard.ShardPartial.from_bytes>` for every CHUNK → EOF
-check, so lazily-materialized corruption inside a partial cannot hide
-behind an intact frame header.
+parse → :func:`~repro.ingest.aggregator.read_partials` for every CHUNK
+(every partial of the flush it carries, and the ascending-rank rule
+between them) → EOF check, so lazily-materialized corruption inside a
+partial cannot hide behind an intact frame header.
 """
 
 from __future__ import annotations
@@ -28,30 +28,35 @@ from typing import Iterator, Optional
 from ..core.errors import TraceFormatError
 from ..core.fuzz import (CODEC_BOMBS, CRASH, SILENT, STRUCTURED, FuzzOutcome,
                          FuzzReport, iter_blob_mutations)
+from ..core.packing import pack_value
 from ..core.shard import PARTIAL_MAGIC, PARTIAL_VERSION, ShardPartial
 from ..core.trace_format import emit_section
 from . import protocol as proto
+from .aggregator import read_partials
 
 
 def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
                        seed: int = 3, chunk_calls: int = 16,
                        lossy_timing: bool = True) -> bytes:
     """Record a real client session as one contiguous byte stream:
-    HELLO, every CHUNK a small traced run produces, FIN.  This is the
-    known-good blob the fuzzer mutates — real partials, real grammars,
-    real CRCs."""
+    HELLO, every CHUNK a small traced run produces — one per flush, every
+    rank's partial inside, framed as the client frames it — FIN.  This
+    is the known-good blob the fuzzer mutates — real partials, real
+    grammars, real CRCs."""
     from ..workloads import make as make_workload
     from .client import ChunkingTracer
 
     frames = bytearray()
     seq = [0]
 
-    def emit(p: ShardPartial) -> None:
-        frames.extend(proto.encode_chunk(seq[0], p.to_bytes()))
+    def emit_flush(partials: list[ShardPartial]) -> None:
+        frames.extend(proto.encode_chunk(
+            seq[0], b"".join(p.to_bytes(compress=False) for p in partials),
+            compress=True))
         seq[0] += 1
 
     tracer = ChunkingTracer(
-        emit, chunk_calls=chunk_calls,
+        emit_flush=emit_flush, chunk_calls=chunk_calls,
         timing_mode="lossy" if lossy_timing else "aggregate")
     wl = make_workload(workload, nprocs)
     hello = proto.encode_hello("fuzz-corpus", nprocs, tracer.config())
@@ -60,25 +65,52 @@ def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
     return hello + bytes(frames) + fin
 
 
+#: the packed signature of a well-formed minimal partial
+_PLAIN_SIG = pack_value(("MPI_Barrier", 0))
+
+
+def _raw_partial(rank: int, sig: bytes = _PLAIN_SIG) -> bytes:
+    """A minimal partial for *rank* — one call, no deltas, no grammar
+    parts, sections uncompressed — whose one new signature is the packed
+    value *sig*, taken as raw bytes so it can be a codec bomb."""
+    partial = bytearray(PARTIAL_MAGIC + bytes((PARTIAL_VERSION, 0, rank, 1)))
+    for section in (b"\x01" + sig, b"\x00", b"\x00"):
+        emit_section(partial, section, compress=False)
+    return bytes(partial)
+
+
 def corpus_frame_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     """Sessions a hostile client could send that every CRC accepts: the
-    recorded HELLO, then one CHUNK carrying a codec bomb — as the frame's
-    own sequence number, and as the one new signature of an otherwise
-    well-formed :class:`ShardPartial`."""
+    recorded HELLO, then one CHUNK that is wrong *inside* — a codec bomb
+    as the frame's own sequence number or as a partial's one new
+    signature (first partial of the chunk, and second), and the ways a
+    multi-partial chunk can be malformed: its second partial cut short,
+    bytes left over after its last, one rank in it twice."""
     hello = blob[:proto.frame_spans(blob)["frame0.HELLO.payload"][1]]
     yield ("CHUNK sequence number is 320 KB of continuation bytes",
            hello + proto.encode_frame(proto.CHUNK, b"\xff" * 320_000 + b"\x00"))
     for desc, value in CODEC_BOMBS:
-        partial = bytearray(PARTIAL_MAGIC + bytes((PARTIAL_VERSION, 0, 0, 1)))
-        emit_section(partial, b"\x01" + value, compress=False)
         yield (f"codec bomb as CHUNK 0's new signature: {desc}",
-               hello + proto.encode_chunk(0, bytes(partial)))
+               hello + proto.encode_chunk(0, _raw_partial(0, value)))
+        yield (f"codec bomb as the new signature of CHUNK 0's second "
+               f"partial: {desc}",
+               hello + proto.encode_chunk(
+                   0, _raw_partial(0) + _raw_partial(1, value)))
+    for desc, partials in (
+            ("CHUNK 0's second partial is truncated mid-section",
+             _raw_partial(0) + _raw_partial(1)[:-2]),
+            ("three bytes trail CHUNK 0's last partial",
+             _raw_partial(0) + _raw_partial(1) + b"\x00\x01\x02"),
+            ("CHUNK 0 carries rank 0 twice",
+             _raw_partial(0) + _raw_partial(0))):
+        yield desc, hello + proto.encode_chunk(0, partials)
 
 
 def decode_stream(blob: bytes) -> list[tuple[int, tuple]]:
     """Fully decode a client byte stream, the way the server would —
     framing, per-kind payload parsing, deep :class:`ShardPartial`
-    decode for CHUNKs, and an EOF check for trailing partial frames.
+    decode of every partial of every CHUNK, and an EOF check for
+    trailing partial frames.
     Returns the parsed frames (used for the identical-decode check);
     raises a :class:`TraceFormatError` subclass on any corruption."""
     dec = proto.FrameDecoder()
@@ -90,10 +122,10 @@ def decode_stream(blob: bytes) -> list[tuple[int, tuple]]:
         elif kind == proto.HELLO_ACK:
             out.append((kind, (proto.parse_hello_ack(payload),)))
         elif kind == proto.CHUNK:
-            chunk_seq, partial_blob = proto.parse_chunk(payload)
-            partial = ShardPartial.from_bytes(partial_blob)
+            chunk_seq, partials_blob = proto.parse_chunk(payload)
             # canonical re-serialization pins the deep decode
-            out.append((kind, (chunk_seq, partial.to_bytes())))
+            out.append((kind, (chunk_seq, *(
+                p.to_bytes() for p in read_partials(partials_blob)))))
         elif kind == proto.ACK:
             out.append((kind, (proto.parse_ack(payload),)))
         elif kind == proto.FIN:

@@ -14,6 +14,16 @@ verbatim, so every frame's content is integrity-checked exactly like a
 trace section on disk, and the corruption fuzzer
 (:mod:`repro.ingest.fuzz`) can aim the same boundary attacks at it.
 
+A CHUNK is one *flush* of the client's tracer, not one rank's share of
+it: its payload is ``uvarint seq`` followed by one or more
+:class:`~repro.core.shard.ShardPartial` blobs back to back, in strictly
+ascending rank order.  Partials are self-delimiting, so the payload needs
+no count and no per-partial length; the producing client writes their
+sections uncompressed and compresses the whole frame once (flag bit 0),
+so a flush costs one ``zlib`` call, one frame CRC, one write and one ACK
+however many ranks it covers.  The server absorbs a CHUNK all-or-nothing
+(:func:`repro.ingest.aggregator.read_partials`).
+
 The decoder is sans-io: :class:`FrameDecoder` is fed raw bytes from
 whatever transport and yields complete ``(kind, payload)`` frames.  Any
 wire-format violation raises a structured
@@ -43,7 +53,8 @@ _FLAG_COMPRESSED = 1
 #: frame kinds
 HELLO = 1        # client -> server: open/resume a tenant session
 HELLO_ACK = 2    # server -> client: session accepted, next expected seq
-CHUNK = 3        # client -> server: uvarint seq + one ShardPartial blob
+CHUNK = 3        # client -> server: uvarint seq + one flush's ShardPartial
+#                  blobs back to back (>= 1, ascending ranks)
 ACK = 4          # server -> client: uvarint seq absorbed into the fold
 FIN = 5          # client -> server: stream complete + per-rank call counts
 RESULT = 6       # server -> client: the folded trace blob
@@ -268,17 +279,22 @@ def parse_hello_ack(payload: bytes) -> int:
     return _read_uvarint_payload(payload, "HELLO_ACK")
 
 
-def encode_chunk(seq: int, partial_blob: bytes) -> bytes:
+def encode_chunk(seq: int, partials_blob: bytes, *,
+                 compress: bool = False) -> bytes:
+    """The only CHUNK writer: *partials_blob* is one partial's bytes, or
+    several concatenated.  *compress* is the frame-level flag — worth it
+    when the partials' own sections were written uncompressed."""
     out = bytearray()
     write_uvarint(out, seq)
-    out.extend(partial_blob)
-    return encode_frame(CHUNK, bytes(out))
+    out.extend(partials_blob)
+    return encode_frame(CHUNK, bytes(out), compress=compress)
 
 
 def parse_chunk(payload: bytes) -> tuple[int, bytes]:
-    """``(seq, partial_blob)``; the blob is *not* parsed here — the
-    aggregation layer owns :meth:`ShardPartial.from_bytes` so a corrupt
-    partial fails inside the tenant's fold, not the shared reader."""
+    """``(seq, partials_blob)``; the blob is *not* parsed here — the
+    aggregation layer owns the partial reader
+    (:func:`repro.ingest.aggregator.read_partials`) so a corrupt partial
+    fails inside the tenant's fold, not the shared reader."""
     try:
         r = Reader(payload)
         seq = r.read_uvarint()

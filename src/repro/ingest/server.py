@@ -5,13 +5,15 @@ One connection carries one tenant's stream.  Per connection:
 * the **reader** coroutine feeds socket bytes through a
   :class:`~repro.ingest.protocol.FrameDecoder` and classifies CHUNKs
   against the session state machine, re-ACKing duplicates immediately
-  and putting fresh partials on a **bounded** queue — when the fold
+  and putting fresh chunks on a **bounded** queue — when the fold
   consumer falls behind, ``queue.put`` blocks the reader, the kernel
   socket buffer fills, and TCP pushes back on the client (the
   backpressure chain the session layer documents);
-* the **consumer** coroutine drains the queue into the tenant's fold,
-  advances the durable sequence watermark, ACKs, and on FIN runs the
-  final fold and sends RESULT.
+* the **consumer** coroutine drains the queue into the tenant's fold one
+  CHUNK at a time — every partial of the chunk (one flush of the client's
+  tracer) parsed and checked before any is absorbed — then advances the
+  durable sequence watermark and ACKs once, and on FIN runs the final
+  fold and sends RESULT.
 
 Error isolation is per connection: a corrupt stream (structured
 ``TraceFormatError``) or a session violation gets an ERROR frame and a
@@ -64,7 +66,7 @@ class IngestServer:
             SessionRegistry()
         mreg = metrics if metrics is not None else NULL_REGISTRY
         self.obs = mreg.scope("ingest.server")
-        #: checkpoint a tenant's fold every N absorbed partials (0 = only
+        #: checkpoint a tenant's fold every N absorbed chunks (0 = only
         #: implicit persistence via explicit checkpoint calls)
         self.checkpoint_every = checkpoint_every
         self.window = window
@@ -191,11 +193,13 @@ class IngestServer:
     async def _consume(self, session: Session, queue: asyncio.Queue,
                        writer: asyncio.StreamWriter,
                        wlock: asyncio.Lock) -> None:
-        """Drain partials into the fold; finalize on FIN.
+        """Drain chunks into the fold; finalize on FIN.
 
-        Errors raised here (corrupt partial blob, fold inconsistency,
-        conservation mismatch) propagate to the reader via the awaited
-        task or surface as an ERROR frame directly."""
+        A chunk is absorbed whole or not at all, and ``next_seq`` moves
+        only after it is: errors raised here (corrupt partial blob, fold
+        inconsistency, conservation mismatch) leave the tenant's durable
+        state where the last ACK put it, and propagate to the reader via
+        the awaited task or surface as an ERROR frame directly."""
         tenant = session.tenant
         assert tenant is not None
         agg = self.aggregator
@@ -211,9 +215,11 @@ class IngestServer:
                     agg.discard(tenant)
                     self.registry.drop(tenant)
                     return
-                seq, partial_blob = item
-                agg.absorb(tenant, partial_blob)
+                seq, partials_blob = item
+                agg.absorb(tenant, partials_blob)
                 session.absorbed(seq)
+                if self.obs.enabled:
+                    self.obs.counter("chunks").inc()
                 st = session.tenant_state
                 if (self.checkpoint_every and st is not None
                         and st.next_seq % self.checkpoint_every == 0):

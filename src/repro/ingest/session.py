@@ -12,14 +12,15 @@ Two counters make the reconnect story exact:
   accepted; used to classify an incoming CHUNK as duplicate / in-order /
   gap.
 * ``TenantState.next_seq`` (per tenant, durable) — what the *fold* has
-  absorbed; advanced by the consumer only after a partial is safely in
+  absorbed; advanced by the consumer only after a chunk is safely in
   the aggregate, and reported back in HELLO_ACK.  Anything the client
   has not seen ACKed it resends; anything already absorbed the reader
   recognizes as a duplicate and re-ACKs without re-folding.
 
 Backpressure is a contract, not a mechanism, at this layer: the server
 binds each session to a bounded queue of :data:`DEFAULT_WINDOW` pending
-partials, and the transport stops reading while the queue is full (TCP
+chunks (one chunk = one flush of the client's tracer, however many ranks
+it covers), and the transport stops reading while the queue is full (TCP
 push-back does the rest).  The client mirrors the same window on its
 unacked buffer.
 
@@ -34,8 +35,8 @@ from typing import Optional
 
 from .protocol import IngestConfig
 
-#: bound on partials queued between the connection reader and the fold
-#: consumer (and on the client's unacked window)
+#: bound on chunks (flushes) queued between the connection reader and the
+#: fold consumer (and on the client's unacked window)
 DEFAULT_WINDOW = 32
 
 #: CHUNK classification results
@@ -176,7 +177,7 @@ class Session:
 
     def on_chunk(self, seq: int) -> str:
         """Classify an in-order CHUNK.  :data:`SEQ_NEW` means the caller
-        must hand the partial to the fold consumer; :data:`SEQ_DUPLICATE`
+        must hand the chunk to the fold consumer; :data:`SEQ_DUPLICATE`
         means re-ACK and drop (idempotent resend after reconnect)."""
         if self.state != self.ACTIVE:
             raise SessionError(f"CHUNK in state {self.state}")

@@ -13,10 +13,12 @@ fails CI until the snapshot is updated *deliberately*:
 import inspect
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import repro
 import repro.api as api
+from repro.ingest import PushResult
 
 SNAPSHOT = Path(__file__).parent / "data" / "api_surface.json"
 
@@ -49,6 +51,7 @@ def current_surface() -> dict:
             n for n in dir(api.ReplayOptions) if not n.startswith("_")),
         "ReplayResult": sorted(
             n for n in dir(api.ReplayResult) if not n.startswith("_")),
+        "PushResult": sorted(f.name for f in fields(PushResult)),
         "api.__all__": sorted(api.__all__),
         "repro.__all__": sorted(repro.__all__),
     }

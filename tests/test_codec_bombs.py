@@ -22,9 +22,9 @@ import pytest
 import repro
 from repro.core.errors import CorruptTraceError, StoreFormatError
 from repro.core.fuzz import CODEC_BOMBS, corpus_mutations, run_fuzz
-from repro.core.shard import ShardPartial
 from repro.core.trace_format import TraceFile, emit_section
 from repro.ingest import protocol as proto, push, serve_in_thread
+from repro.ingest.aggregator import read_partials
 from repro.ingest.fuzz import (build_frame_corpus, corpus_frame_mutations,
                                run_frame_fuzz)
 from repro.replay import run_replay_fuzz
@@ -65,8 +65,12 @@ def trace_bombs(trace_blob) -> list:
 
 @pytest.fixture(scope="module")
 def frame_bombs() -> list:
-    bombs = list(corpus_frame_mutations(build_frame_corpus(chunk_calls=64)))
-    assert len(bombs) == 3
+    # the sequence-number bomb, then each codec bomb as the signature of
+    # a chunk's first partial and of its second
+    bombs = [(d, b) for d, b in corpus_frame_mutations(
+                 build_frame_corpus(chunk_calls=64))
+             if d.startswith(("CHUNK sequence number", "codec bomb"))]
+    assert len(bombs) == 1 + 2 * len(CODEC_BOMBS)
     return bombs
 
 
@@ -99,9 +103,9 @@ class TestStructuredAndBounded:
             dec.feed(stream)
             (_, _), (kind, payload) = list(dec.frames())
             assert kind == proto.CHUNK
-            seq, partial = proto.parse_chunk(payload)
+            seq, partials = proto.parse_chunk(payload)
             assert seq == 0
-            assert _refused(ShardPartial.from_bytes, partial) < BOUND_S, desc
+            assert _refused(read_partials, partials) < BOUND_S, desc
 
     def test_chunk_sequence_number(self, frame_bombs):
         dec = proto.FrameDecoder()

@@ -11,9 +11,12 @@ corrupt client that must not disturb healthy tenants.
 
 from __future__ import annotations
 
+import functools
+import os
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,8 @@ import repro
 from repro.core.backends import TracerOptions, make_tracer
 from repro.ingest import (ChunkingTracer, IngestClient, IngestError,
                           protocol as proto, push, serve_in_thread)
-from repro.ingest.aggregator import Aggregator
+from repro.ingest.aggregator import Aggregator, TenantFold
+from repro.obs import MetricsRegistry
 from repro.workloads import make
 
 FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
@@ -86,6 +90,82 @@ class TestFoldByteIdentity:
                                lossy=False) == ref, family
 
 
+@functools.lru_cache(maxsize=None)
+def _recorded(family: str, nprocs: int, seed: int, *, chunk_calls: int,
+              lossy: bool = False, watermark=None):
+    """One run's partial stream, flush by flush: (config, flushes, fin)."""
+    flushes: list = []
+    tracer = ChunkingTracer(
+        emit_flush=flushes.append, chunk_calls=chunk_calls,
+        timing_mode="lossy" if lossy else "aggregate",
+        memory_watermark=watermark)
+    make(family, nprocs).run(seed=seed, tracer=tracer, noise=0.05)
+    return (tracer.config(), flushes,
+            [rc.streamed_calls for rc in tracer.ranks])
+
+
+_cached_one_shot = functools.lru_cache(maxsize=None)(_one_shot)
+
+
+def _regroup(partials: list, sizes: list) -> list:
+    """Cut a partial stream into chunks of the drawn sizes (cycled),
+    and earlier wherever the next partial's rank would not ascend — the
+    one thing the format forbids inside a chunk."""
+    chunks, want = [[]], 0
+    for p in partials:
+        last = chunks[-1]
+        if last and (len(last) >= sizes[want % len(sizes)]
+                     or p.rank <= last[-1].rank):
+            want += 1
+            chunks.append(last := [])
+        last.append(p)
+    return chunks
+
+
+class TestChunkRegrouping:
+    """The wire unit is a flush, but the fold must not care: any
+    regrouping of a recorded partial stream into chunks — one partial
+    each (what the parent sent) up to every partial of an ascending run
+    of ranks — folds to the one-shot trace."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.sampled_from([1, 2]),
+           chunk_calls=st.sampled_from([1, 9, 64, 10 ** 9]),
+           timing=st.sampled_from([(False, None), (True, None), (True, 7)]),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    def test_any_regrouping_folds_byte_identical(self, family, seed,
+                                                 chunk_calls, timing, sizes):
+        lossy, watermark = timing
+        ref = _cached_one_shot(family, 4, seed, lossy=lossy,
+                               watermark=watermark)
+        config, flushes, fin = _recorded(
+            family, 4, seed, chunk_calls=chunk_calls, lossy=lossy,
+            watermark=watermark)
+        partials = [p for flush in flushes for p in flush]
+        agg = Aggregator()
+        agg.start("t", 4, config)
+        dec = proto.FrameDecoder()
+        for seq, chunk in enumerate(_regroup(partials, sizes)):
+            dec.feed(proto.encode_chunk(
+                seq, b"".join(p.to_bytes(compress=False) for p in chunk),
+                compress=True))
+            [(kind, payload)] = dec.frames()
+            got_seq, blob = proto.parse_chunk(payload)
+            assert (kind, got_seq) == (proto.CHUNK, seq)
+            assert len(agg.absorb("t", blob)) == len(chunk)
+        assert agg.tenants["t"].partials_absorbed == len(partials)
+        assert agg.finish("t", fin) == ref
+
+    def test_regroup_reaches_both_ends(self):
+        _, flushes, _ = _recorded("stencil2d", 4, 1, chunk_calls=64)
+        partials = [p for flush in flushes for p in flush]
+        assert all(len(c) == 1 for c in _regroup(partials, [1]))
+        whole = _regroup(partials, [4])
+        assert max(map(len, whole)) == 4 and len(whole) < len(partials) / 2
+        assert [p for c in whole for p in c] == partials
+
+
 class TestSocketEndToEnd:
     def test_push_matches_in_process(self):
         ref = repro.trace("stencil2d", 4, seed=5,
@@ -97,7 +177,54 @@ class TestSocketEndToEnd:
                        chunk_calls=32)
         assert res.trace_bytes == ref
         assert res.chunks_sent > 10
+        # a flush carries every rank's partial: 4 ranks, one CHUNK
+        assert res.chunks_sent < res.partials_sent <= 4 * res.chunks_sent
         assert res.total_calls == sum(res.per_rank_calls)
+
+    def test_one_send_and_one_ack_per_flush(self):
+        """The transport shape: a push of F flushes performs F CHUNK
+        ``sendall``s (plus HELLO and FIN) and receives F ACKs, while the
+        fold absorbs exactly the partials per-rank streaming would."""
+        kinds = []
+
+        class Counting(IngestClient):
+            def _read_frame(self):
+                kind, payload = super()._read_frame()
+                kinds.append(kind)
+                return kind, payload
+
+        reg = MetricsRegistry()
+        flushes = []
+        with serve_in_thread(metrics=reg) as srv:
+            client = Counting("127.0.0.1", srv.port, "t")
+
+            def emit_flush(partials):
+                flushes.append(len(partials))
+                client.send_partials(partials)
+
+            tracer = ChunkingTracer(emit_flush=emit_flush, chunk_calls=64)
+            client.connect(4, tracer.config())
+            make("stencil2d", 4).run(seed=5, tracer=tracer, noise=0.05)
+            blob = client.finish([rc.streamed_calls for rc in tracer.ranks])
+        assert blob == repro.trace("stencil2d", 4, seed=5).trace_bytes
+        n_flushes = len(flushes)
+        assert n_flushes > 5 and max(flushes) == 4
+        assert client.chunks_sent == n_flushes
+        assert client.sendalls == n_flushes + 2
+        assert kinds.count(proto.ACK) == n_flushes
+        assert kinds == ([proto.HELLO_ACK] + [proto.ACK] * n_flushes
+                         + [proto.RESULT])
+        counters = reg.snapshot()["counters"]
+        assert counters["ingest.server.chunks"] == n_flushes
+        assert counters["ingest.partials"] == sum(flushes) \
+            == client.partials_sent
+        per_rank_stream = []
+        make("stencil2d", 4).run(
+            seed=5, noise=0.05,
+            tracer=ChunkingTracer(per_rank_stream.append, chunk_calls=64))
+        assert len(per_rank_stream) == sum(flushes)
+        assert counters["ingest.calls"] == sum(
+            p.n_calls for p in per_rank_stream)
 
     def test_concurrent_tenants_are_isolated(self):
         jobs = [("t0", "stencil2d", 1), ("t1", "osu_latency", 2),
@@ -178,6 +305,109 @@ class TestSocketEndToEnd:
         assert client.reconnects >= 2
         assert blob == ref
 
+    def test_reconnects_between_and_inside_flushes_are_exactly_once(
+            self, monkeypatch):
+        """A frame bound just above the largest single partial splits
+        the big early flushes over several CHUNKs; the transport is
+        severed once before the first CHUNK of a flush and once before a
+        later CHUNK of one."""
+        ref = repro.trace("stencil2d", 4, seed=11).trace_bytes
+        _, recorded, _ = _recorded("stencil2d", 4, 11, chunk_calls=64)
+        bound = 16 + max(len(ref), *(len(p.to_bytes(compress=False))
+                                     for flush in recorded for p in flush))
+        monkeypatch.setattr(proto, "MAX_FRAME_PAYLOAD", bound)
+        reg = MetricsRegistry()
+        cuts = []
+        with serve_in_thread(metrics=reg) as srv:
+            client = IngestClient("127.0.0.1", srv.port, "t")
+            send_chunk = client._send_chunk
+            flush_starts = []
+
+            def cutting(blobs):
+                where = ("between" if client.chunks_sent in flush_starts
+                         else "inside")
+                if client.chunks_sent and where not in cuts:
+                    cuts.append(where)
+                    client._sock.close()
+                    time.sleep(0.05)
+                send_chunk(blobs)
+
+            def emit_flush(partials):
+                flush_starts.append(client.chunks_sent)
+                client.send_partials(partials)
+
+            client._send_chunk = cutting
+            tracer = ChunkingTracer(emit_flush=emit_flush, chunk_calls=64)
+            client.connect(4, tracer.config())
+            make("stencil2d", 4).run(seed=11, tracer=tracer, noise=0.05)
+            blob = client.finish(
+                [rc.streamed_calls for rc in tracer.ranks])
+        assert sorted(cuts) == ["between", "inside"]
+        assert client.reconnects >= 2
+        assert client.chunks_sent > len(flush_starts)    # flushes split
+        assert blob == ref
+        counters = reg.snapshot()["counters"]
+        assert counters["ingest.server.chunks"] == client.chunks_sent
+        assert counters["ingest.partials"] == client.partials_sent
+        assert counters["ingest.calls"] == sum(
+            rc.streamed_calls for rc in tracer.ranks)
+
+    def test_refused_chunk_then_resumed_session_folds_byte_identical(self):
+        """Bugfix regression, through a live server: a chunk whose second
+        partial cannot be absorbed is refused whole with an ERROR frame,
+        the tenant's fold and ``next_seq`` stay where the last ACK put
+        them, and a ``resume=True`` session that resends the good stream
+        from there folds the in-process trace."""
+        ref = repro.trace("stencil2d", 4, seed=5).trace_bytes
+        config, flushes, fin = _recorded("stencil2d", 4, 5, chunk_calls=64)
+        assert len(flushes) > 4 and len(flushes[3]) == 4
+
+        def chunk(seq, partials):
+            return proto.encode_chunk(seq, b"".join(
+                p.to_bytes(compress=False) for p in partials), compress=True)
+
+        def session(port, frames, *, resume):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(proto.encode_hello("t", 4, config,
+                                                resume=resume))
+                sock.sendall(b"".join(frames))
+                dec = proto.FrameDecoder()
+                while data := sock.recv(65536):
+                    dec.feed(data)
+                return list(dec.frames())
+
+        bad = list(flushes[3])
+        bad[1] = replace(bad[1], idx=[5000], d_counts=[1], d_dur_ns=[1])
+        expected = TenantFold("t", 4, config)
+        for flush in flushes[:3]:
+            for p in flush:
+                expected.absorb(p)
+
+        def fold_state(fold):
+            return (fold.partials_absorbed,
+                    {r: (f.sigs, f.counts, f.dur_ns, f.calls, len(f.parts))
+                     for r, f in fold.ranks.items()})
+
+        with serve_in_thread() as srv:
+            got = session(srv.port, [chunk(i, f) for i, f in
+                                     enumerate(flushes[:3])] + [chunk(3, bad)],
+                          resume=False)
+            assert [k for k, _ in got] == [
+                proto.HELLO_ACK, proto.ACK, proto.ACK, proto.ACK, proto.ERROR]
+            code, detail = proto.parse_error(got[-1][1])
+            assert code == "FoldError" and "signature 5000" in detail
+            assert srv.server.registry.get("t").next_seq == 3
+            assert fold_state(srv.server.aggregator.tenants["t"]) \
+                == fold_state(expected)
+            got = session(srv.port, [chunk(i, f) for i, f in
+                                     enumerate(flushes) if i >= 3]
+                          + [proto.encode_fin(fin)], resume=True)
+        assert got[0] == (proto.HELLO_ACK, b"\x03")
+        assert [k for k, _ in got[1:]] == \
+            [proto.ACK] * (len(flushes) - 3) + [proto.RESULT]
+        assert got[-1][1] == ref
+
     def test_conservation_mismatch_is_refused(self):
         with serve_in_thread() as srv:
             client = IngestClient("127.0.0.1", srv.port, "t")
@@ -243,6 +473,49 @@ class TestSatelliteGuards:
                             f"{mod} (layer {level}) imports {leaf} "
                             f"(layer {order[leaf]}): dependencies must "
                             f"flow upward only")
+
+    def test_one_chunk_writer_and_one_chunk_absorb_routine(self):
+        """No second path: ``src/`` frames CHUNKs in one function and
+        absorbs them in one routine, whatever the number of partials."""
+        import repro as pkg
+        root = os.path.dirname(pkg.__file__)
+        src = {}
+        for base, _, names in os.walk(root):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(base, name)
+                    with open(path) as fh:
+                        src[os.path.relpath(path, root)] = fh.read()
+
+        def users(needle):
+            return sorted(rel for rel, text in src.items() if needle in text)
+
+        # the writer: protocol.encode_chunk; the client calls it from one
+        # place and has one socket write; the fuzzer records its corpus
+        # with it (and hand-frames one hostile CHUNK whose sequence
+        # number is not a number)
+        assert users("def encode_chunk(") == ["ingest/protocol.py"]
+        assert users("encode_chunk(") == [
+            "ingest/client.py", "ingest/fuzz.py", "ingest/protocol.py"]
+        assert users("encode_frame(CHUNK") == ["ingest/protocol.py"]
+        assert users("encode_frame(proto.CHUNK") == ["ingest/fuzz.py"]
+        client = src["ingest/client.py"]
+        assert client.count("encode_chunk(") == 1
+        assert client.count(".sendall(") == 1
+        # the absorb routine: read_partials -> TenantFold.absorb_blob ->
+        # Aggregator.absorb, called once by the server's consumer
+        assert users("ShardPartial.read_from(") == ["ingest/aggregator.py"]
+        assert users("read_partials(") == ["ingest/aggregator.py",
+                                           "ingest/fuzz.py"]
+        assert users("absorb_blob(") == ["ingest/aggregator.py"]
+        assert src["ingest/aggregator.py"].count("absorb_blob(") == 2
+        assert src["ingest/server.py"].count(".absorb(") == 1
+
+    def test_chunking_tracer_takes_one_sink(self):
+        with pytest.raises(TypeError, match="exactly one"):
+            ChunkingTracer()
+        with pytest.raises(TypeError, match="exactly one"):
+            ChunkingTracer(lambda p: None, emit_flush=lambda ps: None)
 
     def test_facade_exports(self):
         assert callable(repro.serve)

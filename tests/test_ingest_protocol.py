@@ -11,14 +11,20 @@ checkpoints): a checkpoint round-trip reproduces the exact final trace.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
-from repro.core.errors import (ChecksumError, FrameFormatError,
-                               TraceFormatError, TruncatedTraceError,
-                               UnsupportedVersionError)
+from repro.core.errors import (ChecksumError, CorruptTraceError,
+                               FrameFormatError, TraceFormatError,
+                               TruncatedTraceError, UnsupportedVersionError)
+from repro.core.grammar import Grammar
+from repro.core.packing import Reader
 from repro.core.shard import ShardPartial
 from repro.ingest import protocol as proto
-from repro.ingest.aggregator import Aggregator, TenantFold
+from repro.ingest.aggregator import (Aggregator, FoldError, TenantFold,
+                                     read_partials)
 from repro.ingest.client import ChunkingTracer
 from repro.ingest.fuzz import build_frame_corpus, run_frame_fuzz
 from repro.ingest.session import (SEQ_DUPLICATE, SEQ_NEW, SequenceError,
@@ -128,6 +134,127 @@ class TestFraming:
             proto.parse_fin(bytes(payload))
 
 
+def _partial(rank: int = 3, *, timing: bool = True) -> ShardPartial:
+    return ShardPartial(
+        rank=rank, n_calls=5,
+        new_sigs=[("MPI_Send", 0, 1), ("MPI_Recv", -1)],
+        idx=[0, 1], d_counts=[3, 2], d_dur_ns=[1500, -700],
+        parts=[Grammar((((0, 3), (1, 2)),))],
+        timing_duration=Grammar((((4, 5),),)) if timing else None,
+        timing_interval=Grammar((((7, 5),),)) if timing else None)
+
+
+class TestChunkIsAFlush:
+    """A CHUNK carries one or more partials back to back; the parent's
+    one-partial CHUNK is the N = 1 case, byte for byte."""
+
+    #: ``encode_chunk(3, _partial().to_bytes(compress=False))`` as the
+    #: parent commit (one partial per CHUNK) wrote it
+    PARENT_CHUNK = bytes.fromhex(
+        "50494746010300596256dcff0350505254010103051f6dd11eb202030302084d"
+        "50495f53656e6401000102030202084d50495f526563760101094582eb8b0200"
+        "06b8170104f70a07280985b20102040006020404efa0c5a00202080a0469079f"
+        "f602020e0a")
+
+    def test_one_partial_chunk_is_what_the_parent_wrote(self):
+        assert proto.encode_chunk(
+            3, _partial().to_bytes(compress=False)) == self.PARENT_CHUNK
+        # with the partial's default (compressed) sections the bytes
+        # depend on the zlib build, so pin the layout instead: magic,
+        # version, kind, no flags, then one v2 section of seq + partial
+        blob = _partial().to_bytes()
+        payload = b"\x03" + blob
+        assert len(payload) < 0x80
+        assert proto.encode_chunk(3, blob) == (
+            b"PIGF" + bytes((proto.FRAME_VERSION, proto.CHUNK, 0,
+                             len(payload)))
+            + struct.pack("<I", zlib.crc32(payload)) + payload)
+
+    def test_parent_chunk_parses_as_a_batch_of_one(self):
+        [(kind, payload)] = _decode_all(self.PARENT_CHUNK)
+        seq, blob = proto.parse_chunk(payload)
+        assert (kind, seq) == (proto.CHUNK, 3)
+        assert read_partials(blob) == [_partial()]
+        cfg = proto.IngestConfig(lossy_timing=True)
+        fold = TenantFold("t", 4, cfg)
+        assert fold.absorb_blob(blob) == [_partial()]
+        assert (fold.partials_absorbed, fold.total_calls) == (1, 5)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_flush_roundtrip(self, compress):
+        partials = [_partial(r) for r in (0, 2, 5)]
+        frame = proto.encode_chunk(
+            9, b"".join(p.to_bytes(compress=False) for p in partials),
+            compress=compress)
+        [(kind, payload)] = _decode_all(frame)
+        seq, blob = proto.parse_chunk(payload)
+        assert (kind, seq) == (proto.CHUNK, 9)
+        assert read_partials(blob) == partials
+
+    def test_read_from_leaves_the_reader_after_the_partial(self):
+        a, b = _partial(0).to_bytes(), _partial(1, timing=False).to_bytes()
+        r = Reader(a + b + b"tail")
+        assert ShardPartial.read_from(r) == _partial(0)
+        assert r.pos == len(a)
+        assert ShardPartial.read_from(r) == _partial(1, timing=False)
+        assert r.remaining() == 4
+        with pytest.raises(CorruptTraceError, match="trailing"):
+            ShardPartial.from_bytes(a + b)
+
+    def test_malformed_chunks_are_structured(self):
+        good = _partial(0).to_bytes()
+        with pytest.raises(TruncatedTraceError):
+            read_partials(b"")
+        with pytest.raises(TruncatedTraceError):
+            read_partials(good + _partial(1).to_bytes()[:-3])
+        with pytest.raises(TraceFormatError):
+            read_partials(good + b"trailing-bytes")
+        for second in (0, 0), (2, 1):
+            with pytest.raises(CorruptTraceError, match="ascending"):
+                read_partials(b"".join(
+                    _partial(r).to_bytes() for r in second))
+
+    def test_a_refused_chunk_leaves_the_fold_untouched(self):
+        """Regression: ``RankFold.absorb`` used to extend the signature
+        table before it validated the delta indices, so a refused
+        partial left an orphan zero-count signature behind."""
+        cfg = proto.IngestConfig(lossy_timing=True)
+        fold = TenantFold("t", 4, cfg)
+        fold.absorb(_partial(0))
+
+        def state():
+            return (fold.partials_absorbed, fold.bytes_absorbed,
+                    sorted(fold.ranks),
+                    [(f.sigs, f.counts, f.dur_ns, f.parts, f.calls,
+                      f.timing_dur_parts)
+                     for f in map(fold.ranks.get, sorted(fold.ranks))])
+
+        before = repr(state())
+        bad = _partial(1)
+        bad.new_sigs, bad.idx, bad.d_counts, bad.d_dur_ns = \
+            [("MPI_Wait",)], [5], [1], [1]
+        # rank 0 and rank 2 are fine; rank 1 targets a signature nobody
+        # knows: nothing of the chunk may land, rank 0's share included
+        chunk = b"".join(p.to_bytes() for p in
+                         (_partial(0), bad, _partial(2)))
+        with pytest.raises(FoldError, match="signature 5"):
+            fold.absorb_blob(chunk)
+        assert repr(state()) == before
+        with pytest.raises(FoldError, match="signature 5"):
+            fold.absorb(bad)
+        assert repr(state()) == before
+        with pytest.raises(FoldError, match="outside"):
+            fold.absorb_blob(_partial(0).to_bytes() + _partial(7).to_bytes())
+        with pytest.raises(FoldError, match="timing"):
+            fold.absorb_blob(_partial(0).to_bytes()
+                             + _partial(1, timing=False).to_bytes())
+        with pytest.raises(TraceFormatError):
+            fold.absorb_blob(_partial(0).to_bytes() + b"PPRT")
+        assert repr(state()) == before
+        fold.absorb_blob(_partial(0).to_bytes() + _partial(2).to_bytes())
+        assert fold.partials_absorbed == 3 and sorted(fold.ranks) == [0, 2]
+
+
 class TestFrameFuzz:
     """Satellite: corrupt/truncated frames through the shared fuzz
     harness — structured errors only, never a crash, never a silently
@@ -143,6 +270,20 @@ class TestFrameFuzz:
         # truncation paths, not just bounce off the magic check
         assert report.by_error.get("ChecksumError", 0) > 0
         assert report.by_error.get("TruncatedTraceError", 0) > 0
+
+    def test_corpus_records_flushes_and_hostile_chunks(self):
+        from repro.ingest.fuzz import corpus_frame_mutations, decode_stream
+        blob = build_frame_corpus("stencil2d", 4, seed=3, chunk_calls=64)
+        chunks = [f for k, f in decode_stream(blob) if k == proto.CHUNK]
+        # (seq, partial, partial, ...): a flush of 64 calls over 4 ranks
+        assert max(len(c) - 1 for c in chunks) == 4
+        assert [c[0] for c in chunks] == list(range(len(chunks)))
+        hostile = dict(corpus_frame_mutations(blob))
+        for needle in ("second partial is truncated", "trail",
+                       "rank 0 twice", "second partial: a value nests"):
+            [desc] = [d for d in hostile if needle in d]
+            with pytest.raises(TraceFormatError):
+                decode_stream(hostile[desc])
 
 
 class TestSession:
