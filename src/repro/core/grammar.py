@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptTraceError
 from .packing import Reader, read_varints, write_varints
@@ -22,6 +22,16 @@ from .sequitur import Sequitur
 
 Token = tuple[int, int]
 Rule = tuple[Token, ...]
+
+
+class TermLog(list):
+    """A plain terminal log with a live :class:`Sequitur`'s feed surface:
+    what a streaming rank appends to.  It leaves as a :meth:`Grammar.flat`
+    part and the stream's consumer compresses (:meth:`Grammar.refeed`)."""
+
+    __slots__ = ()
+    append_array = list.extend
+    n_input = property(list.__len__)
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,38 @@ class Grammar:
                     body.append((value, exp))
             rules[idx] = tuple(body)
         return cls(tuple(rules))
+
+    @classmethod
+    def flat(cls, terms: Iterable[int]) -> "Grammar":
+        """*terms* as one run-length rule that references no other: one
+        pass to build, and a :class:`Grammar` like any other to every
+        reader (``expand()`` gives *terms* back)."""
+        body: list[Token] = []
+        last, run = -1, 0
+        for v in terms:
+            if v == last:
+                run += 1
+                continue
+            if run:
+                body.append((last, run))
+            if v < 0:
+                raise ValueError(f"terminals must be non-negative, got {v}")
+            last, run = v, 1
+        if run:
+            body.append((last, run))
+        return cls((tuple(body),))
+
+    @classmethod
+    def refeed(cls, parts: Iterable["Grammar"],
+               loop_detection: bool = True) -> "Grammar":
+        """Expand frozen *parts* in order through one fresh Sequitur and
+        freeze it.  That Sequitur sees the stream an uncut run would have
+        fed it, so watermark spills, streamed parts, fold consolidation
+        and checkpoints are all invisible in the final bytes."""
+        seq = Sequitur(loop_detection=loop_detection)
+        for part in parts:
+            seq.append_array(part.expand())
+        return cls.freeze(seq)
 
     # -- queries ---------------------------------------------------------------------
 

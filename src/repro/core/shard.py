@@ -42,7 +42,7 @@ from .cst import CST, MergedCST
 from .encoder import PerRankEncoder
 from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
                      UnsupportedVersionError)
-from .grammar import Grammar
+from .grammar import Grammar, TermLog
 from .packing import (Reader, read_value, read_varints, unzigzag,
                       write_uvarint, write_value, write_varints, zigzag)
 from .sequitur import Sequitur
@@ -380,17 +380,20 @@ _PARTIAL_FLAG_COMPRESSED = 2
 
 @dataclass
 class ShardPartial:
-    """A mid-run snapshot of one rank's *new* compression state since the
-    previous snapshot — the unit the streaming-ingest client ships.
+    """A mid-run snapshot of one rank's *new* state since the previous
+    snapshot — the unit the streaming-ingest client ships.
 
     Unlike :class:`RankShard` (a complete rank), a partial carries only
     deltas: the signatures interned since the last flush (the CST is
     append-only, so a slice suffices), sparse per-signature count and
-    integer-nanosecond duration increments, the grammar continuation
-    parts rotated out of the live Sequitur (the watermark-spill
-    mechanism), and the rotated timing-bin grammars.  A consumer that
-    re-expands every part of every partial in order and re-feeds the
-    terminal stream through one fresh Sequitur reconstructs exactly the
+    integer-nanosecond duration increments for the entries that moved,
+    and the terminals observed since the last flush as grammar *parts*:
+    the rank's log as one :meth:`~repro.core.grammar.Grammar.flat` part
+    (one run-length rule, a grammar like any other on the wire) behind
+    any parts a ``memory_watermark`` crossing compressed early; the
+    timing bin logs likewise.  A consumer that expands every part of
+    every partial in order through one fresh Sequitur
+    (:meth:`~repro.core.grammar.Grammar.refeed`) gets exactly the
     grammar a one-shot run would freeze — the byte-identity invariant
     the ingest service is built on.
 
@@ -548,8 +551,10 @@ class RankCompressor:
                  "memory_watermark", "_spill_parts", "_spill_input",
                  "watermark_spills", "batch_size", "_batch_n",
                  "_b_sigs", "_b_fnames", "_b_durs", "_b_t0", "_b_t1",
-                 "_b_terms", "_bufs", "streamed_calls", "partial_flushes",
-                 "_sent_sigs_n", "_sent_counts", "_sent_dur_ns")
+                 "_b_terms", "_bufs")
+
+    #: a streaming rank (and its timing compressor) only logs terminals
+    streaming = False
 
     def __init__(self, rank: int, comm_space, *, win_space=None,
                  relative_ranks: bool = True,
@@ -574,7 +579,8 @@ class RankCompressor:
             signature_cache=signature_cache)
         self.cst = CST(fast_path=signature_cache)
         self.loop_detection = loop_detection
-        self.grammar = Sequitur(loop_detection=loop_detection)
+        self.grammar = TermLog() if self.streaming \
+            else Sequitur(loop_detection=loop_detection)
         self.timing = timing
         self.keep_raw = keep_raw
         self.raw_terms: list[int] = []
@@ -589,16 +595,6 @@ class RankCompressor:
         self._spill_input = 0
         #: how many times the watermark fired (observability/tests)
         self.watermark_spills = 0
-        #: calls already handed off via :meth:`flush_partial`; a rank
-        #: that streamed anything must be folded by the stream's
-        #: consumer, never frozen locally (see the ``freeze`` guard)
-        self.streamed_calls = 0
-        self.partial_flushes = 0
-        #: CST high-water marks of the previous partial flush, for
-        #: computing append-only signature slices and sparse deltas
-        self._sent_sigs_n = 0
-        self._sent_counts: list[int] = []
-        self._sent_dur_ns: list[int] = []
         #: columnar call buffer (``batch_size > 1``): the symbolic encode
         #: stays synchronous per call — request/status objects mutate
         #: after the hook returns — while CST intern, grammar append and
@@ -755,69 +751,6 @@ class RankCompressor:
         self.watermark_spills += 1
         self.grammar = Sequitur(loop_detection=self.loop_detection)
 
-    def flush_partial(self) -> Optional[ShardPartial]:
-        """Streaming produce path: package everything observed since the
-        previous flush into a :class:`ShardPartial` and rotate the live
-        state, generalizing the watermark spill.
-
-        The live grammar is frozen into a continuation part exactly as
-        :meth:`spill` does (any watermark parts accumulated since the
-        last flush ride along first, in order); the timing compressor
-        rotates its two bin grammars; the CST — which stays live and
-        append-only — contributes a signature slice plus sparse integer
-        count/nanosecond deltas.  A consumer replaying the partials in
-        sequence rebuilds the exact one-shot state; see
-        :class:`ShardPartial` for the invariant.
-
-        Returns ``None`` when nothing was observed since the last flush.
-        """
-        self.flush_batch()
-        if self.grammar.n_input:
-            # same rotation as spill(), but not a *watermark* event
-            self._spill_parts.append(Grammar.freeze(self.grammar))
-            self._spill_input += self.grammar.n_input
-            self.grammar = Sequitur(loop_detection=self.loop_detection)
-        n_calls = self._spill_input - self.streamed_calls
-        if n_calls == 0:
-            return None
-        parts = self._spill_parts
-        self._spill_parts = []
-        self.streamed_calls = self._spill_input
-
-        cst = self.cst
-        sigs = cst.sigs
-        new_sigs = list(sigs[self._sent_sigs_n:])
-        counts_now = list(cst.counts)
-        ns_now = [_dur_to_ns(d) for d in cst.dur_sums]
-        sent_c, sent_ns = self._sent_counts, self._sent_dur_ns
-        n_sent = len(sent_c)
-        idx: list[int] = []
-        d_counts: list[int] = []
-        d_dur_ns: list[int] = []
-        for i in range(len(sigs)):
-            pc = sent_c[i] if i < n_sent else 0
-            pns = sent_ns[i] if i < n_sent else 0
-            c = counts_now[i]
-            ns = ns_now[i]
-            if c != pc or ns != pns:
-                idx.append(i)
-                d_counts.append(c - pc)
-                d_dur_ns.append(ns - pns)
-        self._sent_sigs_n = len(sigs)
-        self._sent_counts = counts_now
-        self._sent_dur_ns = ns_now
-
-        td = ti = None
-        if self.timing is not None:
-            rotated = self.timing.rotate()
-            if rotated is not None:
-                td, ti = rotated
-        self.partial_flushes += 1
-        return ShardPartial(rank=self.rank, n_calls=n_calls,
-                            new_sigs=new_sigs, idx=idx, d_counts=d_counts,
-                            d_dur_ns=d_dur_ns, parts=parts,
-                            timing_duration=td, timing_interval=ti)
-
     def freeze(self) -> RankShard:
         """Snapshot this rank into a self-contained single-rank shard.
         Terminals in the frozen grammar are this rank's local CST
@@ -828,38 +761,97 @@ class RankCompressor:
         after tracing ends and must never ride along when a compressor
         or its shard is serialized for the parallel reduction.
 
-        If the memory watermark spilled continuation parts during the
-        run, they are re-expanded (terminals are stable CST indices)
-        and re-fed through one fresh Sequitur pass here.  The re-run
-        consumes the exact terminal stream an unsplit run would have,
-        so the frozen grammar — and the final trace — is byte-identical
-        to a run that never spilled."""
-        if self.streamed_calls:
-            raise RuntimeError(
-                f"rank {self.rank} has streamed {self.streamed_calls} "
-                f"calls via flush_partial(); the stream's consumer owns "
-                f"the fold — freeze() here would produce a shard missing "
-                f"the already-streamed prefix")
+        Parts the memory watermark spilled go back through one
+        Sequitur with the live tail (:meth:`Grammar.refeed`), so the
+        final trace is byte-identical to a run that never spilled."""
         self.flush_batch()
         self.encoder.reset_cache()
         self.cst.reset_cache()
-        if self._spill_parts:
-            seq = Sequitur(loop_detection=self.loop_detection)
-            for part in self._spill_parts:
-                seq.append_array(part.expand())
-            seq.append_array(self.grammar.expand())
-            self.grammar = seq
-            self._spill_parts = []
-            self._spill_input = 0
         g = Grammar.freeze(self.grammar)
+        if self._spill_parts:
+            g = Grammar.refeed([*self._spill_parts, g], self.loop_detection)
         shard = RankShard(
             base_rank=self.rank, nranks=1,
             sigs=list(self.cst.sigs), counts=list(self.cst.counts),
             dur_ns=[_dur_to_ns(d) for d in self.cst.dur_sums],
             cfg=GrammarSet.single(g),
-            calls=[self.grammar.n_input])
+            calls=[self._spill_input + self.grammar.n_input])
         if self.timing is not None:
             d, i = self.timing.freeze()
             shard.timing_duration = GrammarSet.single(d)
             shard.timing_interval = GrammarSet.single(i)
         return shard
+
+
+class StreamingRankCompressor(RankCompressor):
+    """A rank whose state leaves mid-run, one :class:`ShardPartial` per
+    flush, for the stream's consumer to fold: encode + CST only.  Its
+    terminals go to a :class:`TermLog`, not a live Sequitur; only a
+    ``memory_watermark`` crossing compresses, to bound the log."""
+
+    __slots__ = ("streamed_calls", "_sent_counts", "_sent_dur_ns")
+    streaming = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: calls already handed off via :meth:`flush_partial`
+        self.streamed_calls = 0
+        #: per CST entry, the count and rounded nanoseconds already sent
+        self._sent_counts: list[int] = []
+        self._sent_dur_ns: list[int] = []
+
+    def spill(self) -> None:
+        """Watermark crossing: the one time a streaming rank compresses."""
+        log = self.grammar
+        if log:
+            self._spill_parts.append(Grammar.refeed(
+                [Grammar.flat(log)], self.loop_detection))
+            self._spill_input += len(log)
+            self.watermark_spills += 1
+            log.clear()
+
+    def flush_partial(self) -> Optional[ShardPartial]:
+        """Package everything observed since the previous flush into a
+        :class:`ShardPartial`, at a cost proportional to what changed.
+
+        The log leaves as a flat part behind any watermark parts, the
+        timing bin logs likewise.  Their terminals are exactly the CST
+        entries that moved, so the deltas are built from those alone; a
+        rank that saw nothing returns ``None`` without touching the CST."""
+        self.flush_batch()
+        log, parts = self.grammar, self._spill_parts
+        if not log and not parts:
+            return None
+        dirty = set(log)
+        for part in parts:
+            dirty.update(part.iter_terminals())
+        if log:
+            parts.append(Grammar.flat(log))
+            self._spill_input += len(log)
+            log.clear()
+        self._spill_parts = []
+        n_calls = self._spill_input - self.streamed_calls
+        self.streamed_calls = self._spill_input
+
+        counts, dur_sums = self.cst.counts, self.cst.dur_sums
+        sent_c, sent_ns = self._sent_counts, self._sent_dur_ns
+        new_sigs = self.cst.sigs[len(sent_c):]
+        sent_c.extend([0] * len(new_sigs))
+        sent_ns.extend([0] * len(new_sigs))
+        idx = sorted(dirty)
+        d_counts = [counts[i] - sent_c[i] for i in idx]
+        d_dur_ns = [_dur_to_ns(dur_sums[i]) - sent_ns[i] for i in idx]
+        for i, dc, dns in zip(idx, d_counts, d_dur_ns):
+            sent_c[i] += dc
+            sent_ns[i] += dns
+        td, ti = self.timing.rotate() if self.timing is not None \
+            else (None, None)
+        return ShardPartial(rank=self.rank, n_calls=n_calls,
+                            new_sigs=new_sigs, idx=idx, d_counts=d_counts,
+                            d_dur_ns=d_dur_ns, parts=parts,
+                            timing_duration=td, timing_interval=ti)
+
+    def freeze(self) -> RankShard:
+        raise RuntimeError(
+            f"rank {self.rank} streams: its calls leave via "
+            f"flush_partial() and the stream's consumer owns the fold")

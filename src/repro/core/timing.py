@@ -13,7 +13,8 @@ Two modes:
   post-processing stay within the same relative error bound.
 
 The resulting bin streams are fed to two more Sequitur grammars (one for
-durations, one for intervals), exactly as the paper does.
+durations, one for intervals), exactly as the paper does (a streaming
+rank only logs the bins and the stream's consumer feeds the grammars).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import CorruptTraceError
-from .grammar import Grammar
+from .grammar import Grammar, TermLog
 from .packing import Reader, read_value, write_value
 from .sequitur import Sequitur
 
@@ -137,15 +138,17 @@ class TimingCompressor:
 
     def __init__(self, base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
-                 loop_detection: bool = True):
+                 loop_detection: bool = True, streaming: bool = False):
         if base <= 1.0:
             raise ValueError("binning base must exceed 1.0")
         self.base = base
         #: §3.2: the base is user-tunable per function
         self.per_function_base = per_function_base or {}
-        self.loop_detection = loop_detection
-        self.duration_grammar = Sequitur(loop_detection=loop_detection)
-        self.interval_grammar = Sequitur(loop_detection=loop_detection)
+        #: live grammars (:meth:`freeze`), or plain bin logs when the
+        #: rank streams (:meth:`rotate`)
+        feed = TermLog if streaming \
+            else lambda: Sequitur(loop_detection=loop_detection)
+        self.duration_grammar, self.interval_grammar = feed(), feed()
         #: per-signature-terminal reconstructed clock (sum of b^bin)
         self._recon: dict[int, float] = {}
         self.n_calls = 0
@@ -230,24 +233,16 @@ class TimingCompressor:
         return (Grammar.freeze(self.duration_grammar),
                 Grammar.freeze(self.interval_grammar))
 
-    def rotate(self) -> Optional[tuple[Grammar, Grammar]]:
-        """Freeze the two bin grammars into a continuation part and
-        restart them (the streaming-ingest produce path, mirroring
-        :meth:`RankCompressor.spill <repro.core.shard.RankCompressor.
-        spill>` for the main grammar).
-
-        Only the *grammars* rotate — the reconstructed clocks, the bin
-        memo, and the clamp counter stay live, so the bin streams across
-        rotations concatenate to exactly the stream an unrotated run
-        would have fed Sequitur.  Returns ``None`` when no calls were
-        recorded since the previous rotation.
-        """
-        if self.duration_grammar.n_input == 0:
-            return None
-        parts = (Grammar.freeze(self.duration_grammar),
-                 Grammar.freeze(self.interval_grammar))
-        self.duration_grammar = Sequitur(loop_detection=self.loop_detection)
-        self.interval_grammar = Sequitur(loop_detection=self.loop_detection)
+    def rotate(self) -> tuple[Grammar, Grammar]:
+        """Streaming produce path: hand over the two bin logs as flat
+        parts and empty them.  Only the *logs* rotate — the reconstructed
+        clocks, the bin memo and the clamp counter stay live, so the bin
+        streams across rotations concatenate to exactly the stream an
+        unrotated run would have fed Sequitur."""
+        parts = (Grammar.flat(self.duration_grammar),
+                 Grammar.flat(self.interval_grammar))
+        self.duration_grammar.clear()
+        self.interval_grammar.clear()
         return parts
 
 

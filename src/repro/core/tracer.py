@@ -40,7 +40,6 @@ from ..resilience.salvage import SalvageReport
 from .cst import CST
 from .encoder import CommIdSpace, PerRankEncoder, WinIdSpace
 from .pipeline import TracePipeline
-from .sequitur import Sequitur
 from .shard import RankCompressor
 from .timing import TimingCompressor, TimingMeta
 from .trace_format import TraceFile
@@ -115,6 +114,9 @@ class PilgrimResult:
 class PilgrimTracer(TracerHooks):
     """Near-lossless tracing with CST+CFG compression."""
 
+    #: per-rank state; a tracer that streams builds the streaming kind
+    rank_class = RankCompressor
+
     def __init__(self, *,
                  relative_ranks: bool = True,
                  per_signature_request_pools: bool = True,
@@ -180,9 +182,8 @@ class PilgrimTracer(TracerHooks):
         #: spans) and the pipeline (merge-task spans, worker batches)
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
-        # the fine per-call path appends through alias lists captured at
-        # run start; a watermark spill swaps rc.grammar mid-run, so the
-        # aliases would go stale — watermark runs use the coarse path.
+        # the fine per-call path stamps each stage itself and does not
+        # check the watermark — watermark runs use the coarse path.
         # Batched runs defer the cst/sequitur/timing stages into flushes,
         # so per-call stage attribution is only meaningful unbatched.
         self._fine = self.profiler.fine and memory_watermark is None \
@@ -206,11 +207,9 @@ class PilgrimTracer(TracerHooks):
         #: per-rank bound observe methods (observe / observe_batched),
         #: captured at run start so on_call skips the dispatch
         self._observe: list = []
-        #: aliases into self.ranks, kept for the hot path and for
-        #: existing consumers (verify, tests, benchmarks) — same objects
+        #: aliases into self.ranks for consumers (verify, tests, benchmarks)
         self.encoders: list[PerRankEncoder] = []
         self.csts: list[CST] = []
-        self.grammars: list[Sequitur] = []
         self.timing: list[TimingCompressor] = []
         #: per-rank local-terminal streams, kept for lossless verification
         self.raw_terms: list[list[int]] = []
@@ -228,9 +227,10 @@ class PilgrimTracer(TracerHooks):
         for r in range(sim.nprocs):
             timing = TimingCompressor(
                 self.timing_base, self.per_function_base,
-                loop_detection=self.loop_detection) \
+                loop_detection=self.loop_detection,
+                streaming=self.rank_class.streaming) \
                 if self.timing_mode == TIMING_LOSSY else None
-            rc = RankCompressor(
+            rc = self.rank_class(
                 r, self.comm_space, win_space=self.win_space,
                 relative_ranks=self.relative_ranks,
                 per_signature_request_pools=self.per_signature_request_pools,
@@ -245,7 +245,6 @@ class PilgrimTracer(TracerHooks):
                          else rc.observe for rc in self.ranks]
         self.encoders = [rc.encoder for rc in self.ranks]
         self.csts = [rc.cst for rc in self.ranks]
-        self.grammars = [rc.grammar for rc in self.ranks]
         self.timing = [rc.timing for rc in self.ranks] \
             if self.timing_mode == TIMING_LOSSY else []
         self.raw_terms = [rc.raw_terms for rc in self.ranks] \
@@ -258,23 +257,24 @@ class PilgrimTracer(TracerHooks):
             # profiled path: stamp each pipeline stage.  The stamps are
             # shared between adjacent stages, so the stage deltas sum to
             # the intra-process total exactly.
+            rc = self.ranks[rank]
             tick = _time.perf_counter()
-            sig = self.encoders[rank].encode_call(fname, args)
+            sig = rc.encoder.encode_call(fname, args)
             tb = _time.perf_counter()
-            term = self.csts[rank].intern(sig, t1 - t0)
+            term = rc.cst.intern(sig, t1 - t0)
             tc = _time.perf_counter()
-            self.grammars[rank].append(term)
+            rc.grammar.append(term)
             end = _time.perf_counter()
             self._ph_encode += tb - tick
             self._ph_cst += tc - tb
             self._ph_seq += end - tc
-            if self.timing:
-                self.timing[rank].record(term, fname, t0, t1)
+            if rc.timing is not None:
+                rc.timing.record(term, fname, t0, t1)
                 te = _time.perf_counter()
                 self._ph_timing += te - end
                 end = te
             if self.keep_raw:
-                self.raw_terms[rank].append(term)
+                rc.raw_terms.append(term)
             self.total_calls += 1
             self.time_intra += end - tick
             return
@@ -298,26 +298,6 @@ class PilgrimTracer(TracerHooks):
         this automatically."""
         for rc in self.ranks:
             rc.flush_batch()
-
-    def flush_partials(self) -> list:
-        """Streaming produce path: drain every rank's buffered calls and
-        package what was observed since the previous call into one
-        :class:`~repro.core.shard.ShardPartial` per rank (ranks with
-        nothing new are skipped).
-
-        A tracer that has flushed partials can no longer ``finalize()``
-        locally — the consumer of the partial stream owns the fold (see
-        :meth:`RankCompressor.flush_partial
-        <repro.core.shard.RankCompressor.flush_partial>`).  The ingest
-        client's :class:`~repro.ingest.client.ChunkingTracer` drives
-        this between simulator steps.
-        """
-        out = []
-        for rc in self.ranks:
-            p = rc.flush_partial()
-            if p is not None:
-                out.append(p)
-        return out
 
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:

@@ -8,12 +8,13 @@ the same point:
 * the CST rebuilt from append-only signature slices plus sparse integer
   count/nanosecond deltas (integer addition is associative, so any
   chunking sums to the same totals);
-* the grammar as an ordered list of frozen continuation parts — exactly
-  the watermark-spill representation, bounded by periodic
-  *consolidation* (re-feed the concatenated terminal stream through one
-  fresh Sequitur and keep the single frozen result, which preserves the
-  stream and therefore the final bytes);
-* the lossy-timing bin grammars, likewise as rotated parts.
+* the grammar as an ordered list of frozen parts (a streaming client's
+  flat terminal runs, its watermark spills, earlier consolidations —
+  the fold treats them alike), bounded by periodic *consolidation*
+  through :meth:`~repro.core.grammar.Grammar.refeed` — the one Sequitur
+  a streamed trace goes through, and it preserves the terminal stream
+  and therefore the final bytes;
+* the lossy-timing bin streams, likewise as parts.
 
 ``finish()`` turns the accumulators into single-rank
 :class:`~repro.core.shard.RankShard` objects and runs the *existing*
@@ -47,7 +48,6 @@ from ..core.errors import CorruptTraceError, TraceFormatError
 from ..core.grammar import Grammar
 from ..core.packing import Reader, read_value, write_uvarint, write_value
 from ..core.pipeline import TracePipeline, tree_reduce
-from ..core.sequitur import Sequitur
 from ..core.shard import (GrammarSet, RankShard, ShardPartial, merge_shards)
 from ..core.timing import TimingMeta
 from ..obs import NULL_RECORDER, NULL_REGISTRY
@@ -137,41 +137,28 @@ class RankFold:
         if len(self.parts) > CONSOLIDATE_AFTER:
             self._consolidate(loop_detection)
 
-    @staticmethod
-    def _refeed(parts: list[Grammar], loop_detection: bool) -> Grammar:
-        """Expand *parts* in order and feed the concatenated terminal
-        stream through one fresh Sequitur — the same splice
-        :meth:`RankCompressor.freeze` performs for watermark spills, so
-        the result is what an unchunked run would have frozen."""
-        seq = Sequitur(loop_detection=loop_detection)
-        for part in parts:
-            seq.append_array(part.expand())
-        return Grammar.freeze(seq)
-
     def _consolidate(self, loop_detection: bool) -> None:
-        self.parts = [self._refeed(self.parts, loop_detection)]
-        if self.timing_dur_parts:
-            self.timing_dur_parts = [
-                self._refeed(self.timing_dur_parts, loop_detection)]
-            self.timing_int_parts = [
-                self._refeed(self.timing_int_parts, loop_detection)]
+        for parts in (self.parts, self.timing_dur_parts,
+                      self.timing_int_parts):
+            if parts:
+                parts[:] = [Grammar.refeed(parts, loop_detection)]
         self.consolidations += 1
 
     def to_shard(self, config: IngestConfig) -> RankShard:
         """Freeze the fold into the single-rank shard a one-shot
         ``RankCompressor.freeze()`` would have produced."""
         ld = config.loop_detection
-        g = self._refeed(self.parts, ld)
         shard = RankShard(
             base_rank=self.rank, nranks=1,
             sigs=list(self.sigs), counts=list(self.counts),
             dur_ns=list(self.dur_ns),
-            cfg=GrammarSet.single(g), calls=[self.calls])
+            cfg=GrammarSet.single(Grammar.refeed(self.parts, ld)),
+            calls=[self.calls])
         if config.lossy_timing:
             shard.timing_duration = GrammarSet.single(
-                self._refeed(self.timing_dur_parts, ld))
+                Grammar.refeed(self.timing_dur_parts, ld))
             shard.timing_interval = GrammarSet.single(
-                self._refeed(self.timing_int_parts, ld))
+                Grammar.refeed(self.timing_int_parts, ld))
         return shard
 
     def to_partial(self) -> ShardPartial:
@@ -185,10 +172,8 @@ class RankFold:
         if self.timing_dur_parts:
             # a checkpoint must hold at most one timing pair per rank so
             # the restore absorb sees a well-formed partial
-            td = self._refeed(self.timing_dur_parts, True) \
-                if len(self.timing_dur_parts) > 1 else self.timing_dur_parts[0]
-            ti = self._refeed(self.timing_int_parts, True) \
-                if len(self.timing_int_parts) > 1 else self.timing_int_parts[0]
+            td = Grammar.refeed(self.timing_dur_parts)
+            ti = Grammar.refeed(self.timing_int_parts)
         return ShardPartial(
             rank=self.rank, n_calls=self.calls, new_sigs=list(self.sigs),
             idx=idx, d_counts=[self.counts[i] for i in idx],

@@ -1,11 +1,11 @@
 """Ingest client — layer 4 (the ``repro push`` produce side).
 
 :class:`ChunkingTracer` subclasses :class:`~repro.core.tracer.
-PilgrimTracer` and, every *chunk_calls* traced calls, drains each rank's
-new state into one :class:`~repro.core.shard.ShardPartial` per rank
-(:meth:`flush_partials`) and hands that flush to an emit callback
-instead of folding locally — ``on_run_end`` deliberately skips
-``finalize()``, the server owns the fold.
+PilgrimTracer`, builds streaming ranks (encode + CST, no Sequitur) and,
+every *chunk_calls* traced calls, drains each rank's new state into one
+:class:`~repro.core.shard.ShardPartial` per rank and hands that flush to
+an emit callback instead of folding locally — ``on_run_end`` skips
+``finalize()``: the server owns the fold and all the grammar work.
 
 :class:`IngestClient` speaks the frame protocol over a plain blocking
 socket: HELLO/HELLO_ACK handshake, one CHUNK per flush
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from ..core.backends import TracerOptions
 from ..core.errors import TraceFormatError
-from ..core.shard import ShardPartial
+from ..core.shard import ShardPartial, StreamingRankCompressor
 from ..core.tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
 from ..resilience.retry import RetryPolicy, TaskSupervisor
 from ..workloads import make as _make_workload
@@ -59,13 +59,16 @@ class ChunkingTracer(PilgrimTracer):
 
     A *flush* drains every rank with something new into one
     :class:`~repro.core.shard.ShardPartial` each, in ascending rank
-    order.  *emit_flush* receives each flush whole, as a list — the unit
+    order, at a cost proportional to what the ranks saw since the last
+    one.  *emit_flush* receives each flush whole, as a list — the unit
     the wire carries (:meth:`IngestClient.send_partials`); *emit*
     receives the same partials one at a time, for callers that record or
     time them individually.  ``chunk_calls`` is the flush period in
     traced calls across all ranks; 1 streams after every call, huge
     values degenerate to one whole-run chunk.
     """
+
+    rank_class = StreamingRankCompressor
 
     def __init__(self, emit: Optional[Callable[[ShardPartial], None]] = None,
                  *, emit_flush: Optional[
@@ -97,8 +100,11 @@ class ChunkingTracer(PilgrimTracer):
             self.flush_now()
 
     def flush_now(self) -> None:
+        """Emit one partial per rank that observed anything since the
+        previous flush (buffered batch calls are drained first)."""
         self._unflushed = 0
-        partials = self.flush_partials()
+        flushed = (rc.flush_partial() for rc in self.ranks)
+        partials = [p for p in flushed if p is not None]
         if partials:
             self._emit_flush(partials)
 
