@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from conftest import once, save_results
 from repro.analysis import print_table, run_experiment
+from repro.core.backends import TracerOptions
 
 CODES = {
     "flash_sedov": dict(iters=40),
@@ -36,7 +37,9 @@ def test_fig8_overhead_decomposition(benchmark):
     # numbers, so figure and CLI can never drift apart
     def run():
         return {code: run_experiment(code, NPROCS, scalatrace=False,
-                                     baseline=False, profile=True, **kw)
+                                     baseline=False,
+                                     options=TracerOptions(profile=True),
+                                     **kw)
                 for code, kw in CODES.items()}
 
     rows = once(benchmark, run)

@@ -9,7 +9,6 @@ and Pilgrim's overhead decomposition.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -53,11 +52,6 @@ class ExperimentRow:
         return (self.scalatrace_seconds - self.app_seconds) / self.app_seconds
 
 
-#: run_experiment keywords that moved onto TracerOptions; honored for
-#: one release with a DeprecationWarning
-_LEGACY_KEYS = ("profile", "jobs", "metrics")
-
-
 def run_experiment(workload: str, nprocs: int, *, seed: int = 1,
                    pilgrim: bool = True, scalatrace: bool = True,
                    baseline: bool = True,
@@ -74,18 +68,9 @@ def run_experiment(workload: str, nprocs: int, *, seed: int = 1,
     the fine-grained phase decomposition (Fig 8) lands in
     ``row.phases``; ``options.metrics`` accumulates across rows;
     ``options.jobs > 1`` parallelizes Pilgrim's finalize tree
-    reduction.  The historical loose keywords (``profile=``, ``jobs=``,
-    ``metrics=``) still work for one release with a
-    DeprecationWarning."""
+    reduction.  Extra keywords are workload parameters."""
     from .. import api  # late import: repro.api sits above repro.analysis
-    legacy = {k: params.pop(k) for k in _LEGACY_KEYS if k in params}
     opts = options if options is not None else TracerOptions()
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)} to run_experiment() as loose "
-            f"keywords is deprecated; set them on TracerOptions(...) and "
-            f"pass options=", DeprecationWarning, stacklevel=2)
-        opts = replace(opts, **legacy)
     # one registry shared by both tracers (profile=True on the options
     # would otherwise mint a fresh registry per tracer)
     opts = replace(opts, metrics=resolve_metrics(opts), profile=False)

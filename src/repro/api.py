@@ -35,17 +35,14 @@ its signatures are pinned by ``tests/test_api_surface.py`` against a
 checked-in snapshot, so accidental breaks fail CI.
 
 Tracer configuration lives in one place —
-:class:`~repro.core.backends.TracerOptions`.  The historical loose
-keywords (``lossy_timing=``, ``jobs=``, ``metrics=``, ...) are still
-accepted for one release and folded into the options object with a
-:class:`DeprecationWarning`.
+:class:`~repro.core.backends.TracerOptions`; replay configuration in
+:class:`~repro.replay.ReplayOptions`.
 """
 
 from __future__ import annotations
 
 import os
 import time as _time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
@@ -62,41 +59,6 @@ __all__ = [
     "bench", "compare", "decode", "push", "replay", "serve", "store",
     "trace", "verify",
 ]
-
-#: TracerOptions fields that used to travel as loose keyword arguments;
-#: still honored (folded into the options object) with a
-#: DeprecationWarning, removed next release
-_LEGACY_OPTION_KEYS = frozenset({
-    "lossy_timing", "keep_raw", "jobs", "signature_cache", "metrics",
-    "profile", "retry", "memory_watermark", "fault_plan",
-})
-
-
-def _resolve_options(options: Optional[TracerOptions], legacy: dict,
-                     *, where: str) -> TracerOptions:
-    """One TracerOptions from the explicit object plus any deprecated
-    loose keywords (which win, matching the historical call sites)."""
-    opts = options if options is not None else TracerOptions()
-    if not legacy:
-        return opts
-    unknown = sorted(set(legacy) - _LEGACY_OPTION_KEYS)
-    if unknown:
-        raise TypeError(f"{where}() got unexpected keyword argument(s) "
-                        f"{unknown}")
-    warnings.warn(
-        f"passing {sorted(legacy)} to repro.api.{where}() as loose "
-        f"keywords is deprecated; set them on TracerOptions(...) and "
-        f"pass options=",
-        DeprecationWarning, stacklevel=3)
-    return replace(opts, **legacy)
-
-
-def _split_legacy(params: dict) -> dict:
-    """Pop the deprecated tracer keywords out of a workload-params dict
-    (the two namespaces used to share one ``**kwargs``)."""
-    return {k: params.pop(k) for k in list(params)
-            if k in _LEGACY_OPTION_KEYS}
-
 
 @dataclass
 class TraceResult:
@@ -256,8 +218,7 @@ def trace(workload: str, nprocs: int = 16, *,
           params: Optional[dict] = None,
           noise: float = 0.05,
           events: Any = None,
-          fault_plan: Any = None,
-          **legacy) -> TraceResult:
+          fault_plan: Any = None) -> TraceResult:
     """Run registered *workload* on *nprocs* simulated ranks under the
     *backend* tracer and finalize the trace.
 
@@ -268,7 +229,7 @@ def trace(workload: str, nprocs: int = 16, *,
     ``times=`` budgets are global to the run.  Without a plan every
     injection point is a no-op ``None`` check.
     """
-    opts = _resolve_options(options, legacy, where="trace")
+    opts = options if options is not None else TracerOptions()
     if fault_plan is not None:
         opts = replace(opts, fault_plan=fault_plan)
     if isinstance(opts.fault_plan, str):
@@ -313,15 +274,13 @@ def verify(workload: str, nprocs: int = 16, *, seed: int = 1,
     """Trace *workload* with raw streams retained and differentially
     verify the lossless round-trip (the ``repro verify`` entry point).
 
-    Extra keywords are workload parameters; the deprecated tracer
-    keywords (``lossy_timing=``, ``jobs=``, ...) are still recognized
-    and folded into *options* with a warning.  With ``fault_plan`` and
+    Extra keywords are workload parameters; tracer configuration
+    travels in *options*.  With ``fault_plan`` and
     ``allow_degraded=True`` this verifies the *survivors* of a degraded
     trace and audits the salvage report's call accounting.
     """
-    legacy = _split_legacy(params)
-    opts = _resolve_options(options, legacy, where="verify")
-    opts = replace(opts, keep_raw=True)
+    opts = replace(options if options is not None else TracerOptions(),
+                   keep_raw=True)
     tr = trace(workload, nprocs, backend="pilgrim", options=opts,
                seed=seed, params=params, fault_plan=fault_plan)
     return verify_roundtrip(tr.tracer, allow_degraded=allow_degraded)
@@ -409,18 +368,8 @@ def push(workload: str, nprocs: int = 8, *,
                  params=params, noise=noise)
 
 
-#: ReplayOptions fields that used to travel as loose keyword arguments
-#: to the internal replay helpers; honored here for one release with a
-#: DeprecationWarning, then removed
-_LEGACY_REPLAY_KEYS = frozenset({
-    "seed", "noise", "net", "fault_plan", "fault_seed",
-    "extrapolate_ranks", "node_size", "spans",
-})
-
-
 def replay(trace: Union[bytes, str, os.PathLike], *,
-           options: Optional[ReplayOptions] = None,
-           **legacy) -> ReplayResult:
+           options: Optional[ReplayOptions] = None) -> ReplayResult:
     """Re-execute a trace blob (or file) and report divergences.
 
     With default :class:`~repro.replay.ReplayOptions` the replay is
@@ -430,23 +379,7 @@ def replay(trace: Union[bytes, str, os.PathLike], *,
     engine: relaxed replay under the modified conditions, with the
     lockstep comparator reporting the first call per rank whose outcome
     left the record.  See :func:`repro.replay.run_divergence`.
-
-    The historical loose keywords (``seed=``, ``net=``, ...) are still
-    accepted and folded into the options object with a
-    :class:`DeprecationWarning`; unknown keywords raise ``TypeError``.
     """
-    if legacy:
-        unknown = sorted(set(legacy) - _LEGACY_REPLAY_KEYS)
-        if unknown:
-            raise TypeError(f"replay() got unexpected keyword "
-                            f"argument(s) {unknown}")
-        warnings.warn(
-            f"passing {sorted(legacy)} to repro.api.replay() as loose "
-            f"keywords is deprecated; set them on ReplayOptions(...) "
-            f"and pass options=",
-            DeprecationWarning, stacklevel=2)
-        base = options if options is not None else ReplayOptions()
-        options = replace(base, **legacy)
     if isinstance(trace, (str, os.PathLike)):
         with open(trace, "rb") as fh:
             trace = fh.read()

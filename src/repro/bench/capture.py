@@ -124,118 +124,6 @@ class CapturedRun:
         if finish:
             tracer.on_run_end(self.sim)
 
-    def _batched_ops(self, batch_size: int) -> list[tuple]:
-        """Per-rank column batches for :meth:`replay_batched`.
-
-        Real deployments batch per process, where every call shares one
-        rank; the global interleaving in ``events`` is an artifact of
-        simulating all ranks in one process.  Grouping per rank keeps
-        each rank's call order exact.  A batch's snapshot restores all
-        run before the batch dispatches, so a batch must never hold two
-        snapshots of one object in different states (an Isend and the
-        Wait that consumes its request, say) — such an event starts a
-        new batch.  Memory events flush the batch and dispatch singly.
-
-        The grouping is pure (it only reads ``events``), so it is cached
-        per batch size — benchmarks replay the same run many times.
-        """
-        cache = getattr(self, "_ops_cache", None)
-        if cache is None:
-            cache = {}
-            self._ops_cache = cache
-        got = cache.get(batch_size)
-        if got is not None:
-            return got
-        per_rank: dict[int, list[tuple]] = {}
-        for ev in self.events:
-            per_rank.setdefault(ev[1], []).append(ev)
-        ops: list[tuple] = []
-        for rank in sorted(per_rank):
-            batch: list[tuple] = []
-            seen: dict[int, tuple] = {}
-
-            def flush(rank=rank, batch=batch, seen=seen):
-                if batch:
-                    ops.append(("b", rank,
-                                [ev[6] for ev in batch if ev[6]],
-                                [ev[2] for ev in batch],
-                                [ev[3] for ev in batch],
-                                [ev[4] for ev in batch],
-                                [ev[5] for ev in batch]))
-                    batch.clear()
-                    seen.clear()
-
-            for ev in per_rank[rank]:
-                if ev[0] != _CALL:
-                    flush()
-                    ops.append(("m", ev))
-                    continue
-                snaps = ev[6]
-                if snaps and any(
-                        seen.get(id(s[1]), s[2:]) != s[2:] for s in snaps):
-                    flush()
-                batch.append(ev)
-                for s in snaps:
-                    seen[id(s[1])] = s[2:]
-                if len(batch) >= batch_size:
-                    flush()
-            flush()
-        cache[batch_size] = ops
-        return ops
-
-    def replay_batched(self, tracer: TracerHooks, *,
-                       batch_size: int = 256, finish: bool = False) -> None:
-        """Feed the stream through the tracer's ``record_batch`` array
-        entry point, batching each rank's calls into columns (see
-        :meth:`_batched_ops`).  For SPMD workloads the result is
-        byte-identical to :meth:`replay` — every rank touches shared id
-        spaces in the same order — and the batched-hotpath tests assert
-        exactly that per family."""
-        tracer.on_run_start(self.sim)
-        for op in self._batched_ops(batch_size):
-            if op[0] == "b":
-                for snaps in op[2]:
-                    _restore(snaps)
-                tracer.record_batch(op[1], op[3], op[4], op[5], op[6])
-            else:
-                ev = op[1]
-                if ev[6]:
-                    _restore(ev[6])
-                tracer.on_mem(ev[1], ev[2], ev[3], ev[4], ev[5])
-        if finish:
-            tracer.on_run_end(self.sim)
-
-    def timed_replay_batched(self, tracer: TracerHooks, *,
-                             batch_size: int = 256) -> float:
-        """Wall seconds spent inside the batched hooks only (column
-        assembly and snapshot restores excluded) — the array-entry
-        counterpart of :meth:`timed_replay`."""
-        ops = self._batched_ops(batch_size)
-        tracer.on_run_start(self.sim)
-        record_batch, on_mem = tracer.record_batch, tracer.on_mem
-        total = 0.0
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for op in ops:
-                if op[0] == "b":
-                    for snaps in op[2]:
-                        _restore(snaps)
-                    start = perf_counter()
-                    record_batch(op[1], op[3], op[4], op[5], op[6])
-                    total += perf_counter() - start
-                else:
-                    ev = op[1]
-                    if ev[6]:
-                        _restore(ev[6])
-                    start = perf_counter()
-                    on_mem(ev[1], ev[2], ev[3], ev[4], ev[5])
-                    total += perf_counter() - start
-        finally:
-            if was_enabled:
-                gc.enable()
-        return total
-
     def timed_replay(self, tracer: TracerHooks) -> float:
         """Replay and return wall seconds spent in the hook loop only
         (``on_run_start`` setup and snapshot restores excluded) — the

@@ -44,9 +44,6 @@ class TracerOptions:
     keep_raw: bool = False
     #: worker processes for a parallelizable finalize (1 = serial)
     jobs: int = 1
-    #: hot-path signature/CST memoization (False = the uncached
-    #: benchmark baseline; traces are byte-identical either way)
-    signature_cache: bool = True
     #: columnar hot path: buffer this many calls per rank and run the
     #: CST/Sequitur/timing stages a whole batch at a time (byte-identical
     #: to per-call operation; 1 = the classic per-call path)
@@ -143,7 +140,6 @@ def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
     return PilgrimTracer(
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
         keep_raw=opts.keep_raw, jobs=opts.jobs,
-        signature_cache=opts.signature_cache,
         batch_size=opts.batch_size,
         metrics=resolve_metrics(opts),
         fault_plan=opts.fault_plan, retry=opts.retry,

@@ -30,22 +30,20 @@ class CST:
     strong reference to its signature object (a live object's ``id`` is
     never reused).  The memoizing encoder returns canonical signature
     objects, so repeating call sites hit these paths; the fallback is the
-    ordinary hash probe, byte-identical either way.  ``fast_path=False``
-    disables both levels (for the cache-ablation property tests)."""
+    ordinary hash probe, byte-identical either way."""
 
     __slots__ = ("_table", "sigs", "counts", "dur_sums",
-                 "_fast", "_last_sig", "_last_term", "_by_id")
+                 "_last_sig", "_last_term", "_by_id")
 
     #: id-map entries beyond this are churn from non-canonical callers;
     #: drop the map rather than track eviction order
     _BY_ID_CAP = 1 << 16
 
-    def __init__(self, fast_path: bool = True) -> None:
+    def __init__(self) -> None:
         self._table: dict[tuple, int] = {}
         self.sigs: list[tuple] = []
         self.counts: list[int] = []
         self.dur_sums: list[float] = []
-        self._fast = fast_path
         self._last_sig: Optional[tuple] = None
         self._last_term = -1
         #: id(sig) -> (sig, term); the stored sig both verifies identity
@@ -54,20 +52,19 @@ class CST:
 
     def intern(self, sig: tuple, duration: float) -> int:
         """Terminal symbol of *sig*, creating an entry on first sight."""
-        if self._fast:
-            if sig is self._last_sig:
-                term = self._last_term
-                self.counts[term] += 1
-                self.dur_sums[term] += duration
-                return term
-            hit = self._by_id.get(id(sig))
-            if hit is not None and hit[0] is sig:
-                term = hit[1]
-                self.counts[term] += 1
-                self.dur_sums[term] += duration
-                self._last_sig = sig
-                self._last_term = term
-                return term
+        if sig is self._last_sig:
+            term = self._last_term
+            self.counts[term] += 1
+            self.dur_sums[term] += duration
+            return term
+        hit = self._by_id.get(id(sig))
+        if hit is not None and hit[0] is sig:
+            term = hit[1]
+            self.counts[term] += 1
+            self.dur_sums[term] += duration
+            self._last_sig = sig
+            self._last_term = term
+            return term
         term = self._table.get(sig)
         if term is None:
             term = len(self.sigs)
@@ -78,13 +75,12 @@ class CST:
         else:
             self.counts[term] += 1
             self.dur_sums[term] += duration
-        if self._fast:
-            self._last_sig = sig
-            self._last_term = term
-            by_id = self._by_id
-            if len(by_id) >= self._BY_ID_CAP:
-                by_id.clear()
-            by_id[id(sig)] = (sig, term)
+        self._last_sig = sig
+        self._last_term = term
+        by_id = self._by_id
+        if len(by_id) >= self._BY_ID_CAP:
+            by_id.clear()
+        by_id[id(sig)] = (sig, term)
         return term
 
     def intern_batch(self, sigs: list, durations, n: int,
@@ -104,29 +100,27 @@ class CST:
         all_sigs = self.sigs
         counts = self.counts
         dur_sums = self.dur_sums
-        fast = self._fast
-        by_id = self._by_id if fast else None
+        by_id = self._by_id
         last_sig = self._last_sig
         last_term = self._last_term
         for i in range(n):
             sig = sigs[i]
             duration = durations[i]
-            if fast:
-                if sig is last_sig:
-                    term = last_term
-                    counts[term] += 1
-                    dur_sums[term] += duration
-                    out[i] = term
-                    continue
-                hit = by_id.get(id(sig))
-                if hit is not None and hit[0] is sig:
-                    term = hit[1]
-                    counts[term] += 1
-                    dur_sums[term] += duration
-                    last_sig = sig
-                    last_term = term
-                    out[i] = term
-                    continue
+            if sig is last_sig:
+                term = last_term
+                counts[term] += 1
+                dur_sums[term] += duration
+                out[i] = term
+                continue
+            hit = by_id.get(id(sig))
+            if hit is not None and hit[0] is sig:
+                term = hit[1]
+                counts[term] += 1
+                dur_sums[term] += duration
+                last_sig = sig
+                last_term = term
+                out[i] = term
+                continue
             term = table.get(sig)
             if term is None:
                 term = len(all_sigs)
@@ -137,16 +131,14 @@ class CST:
             else:
                 counts[term] += 1
                 dur_sums[term] += duration
-            if fast:
-                last_sig = sig
-                last_term = term
-                if len(by_id) >= self._BY_ID_CAP:
-                    by_id.clear()
-                by_id[id(sig)] = (sig, term)
+            last_sig = sig
+            last_term = term
+            if len(by_id) >= self._BY_ID_CAP:
+                by_id.clear()
+            by_id[id(sig)] = (sig, term)
             out[i] = term
-        if fast:
-            self._last_sig = last_sig
-            self._last_term = last_term
+        self._last_sig = last_sig
+        self._last_term = last_term
         return out
 
     def reset_cache(self) -> None:
@@ -160,15 +152,13 @@ class CST:
         # fast-path state is a pure accelerator keyed on object ids,
         # which are meaningless in another process: never pickle it
         return {"_table": self._table, "sigs": self.sigs,
-                "counts": self.counts, "dur_sums": self.dur_sums,
-                "_fast": self._fast}
+                "counts": self.counts, "dur_sums": self.dur_sums}
 
     def __setstate__(self, state: dict) -> None:
         self._table = state["_table"]
         self.sigs = state["sigs"]
         self.counts = state["counts"]
         self.dur_sums = state["dur_sums"]
-        self._fast = state.get("_fast", True)
         self._last_sig = None
         self._last_term = -1
         self._by_id = {}

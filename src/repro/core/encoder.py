@@ -164,55 +164,90 @@ _RELEASING = frozenset((
 #: ``_post_call`` and invalidate the signature cache
 _LIFECYCLE_EXTRA = frozenset(("MPI_Type_free", "MPI_Group_free"))
 
-# static-key categories: how a raw argument is resolved into the hashable
-# cache key.  Everything the *static* encoding depends on must flow into
-# the key (object identities for handle-keyed tables, raw addresses for
-# the memory table — the latter additionally guarded by MemoryTable.epoch).
-_C_RAW = 0      # hashable scalar, stored verbatim
-_C_PTR = 1      # raw address (memory-epoch guarded)
-_C_CID = 2      # communicator -> cid
-_C_WID = 3      # window -> wid
-_C_HANDLE = 4   # datatype -> handle (handles are never reused)
-_C_GID = 5      # group -> id(obj), pinned alive via _group_refs
-_C_OP = 6       # op -> handle
-_C_FLAG = 7     # coerced to bool
-_C_TUPLE = 8    # int array -> tuple
+#: the *dynamic* kinds: re-encoded on every call because their values
+#: depend on per-call allocator/runtime state (``_resolve_dynamic``);
+#: every other kind is static per call site (``_build_entry``)
+DYNAMIC_KINDS = frozenset((F.K_REQUEST, F.K_REQUESTV,
+                           F.K_STATUS, F.K_STATUSV))
 
-_KEY_CATS = {
-    F.K_PTR: _C_PTR,
-    F.K_COMM: _C_CID, F.K_NEWCOMM: _C_CID,
-    F.K_WIN: _C_WID, F.K_NEWWIN: _C_WID,
-    F.K_DATATYPE: _C_HANDLE, F.K_NEWTYPE: _C_HANDLE,
-    F.K_GROUP: _C_GID,
-    F.K_OP: _C_OP,
-    F.K_FLAG: _C_FLAG,
-    F.K_INTV: _C_TUPLE, F.K_INDEXV: _C_TUPLE,
+
+# -- the static kinds: how each is keyed and how it is encoded ---------------------
+#
+# Per static parameter kind, the cache-key expression over the raw
+# argument ``{g}`` and the encoder ``(enc, value, ctx_rank, comm, name)
+# -> encoded`` that ``PerRankEncoder._build_entry`` walks a function's
+# registry parameters through.  Everything an encoding depends on must
+# flow into its key: object identities for handle-keyed tables, raw
+# addresses for the memory table (the latter additionally guarded by
+# MemoryTable.epoch).  A kind in ``repro.mpisim.funcs`` that is neither
+# here nor in ``DYNAMIC_KINDS`` fails tests/test_registry.py instead of
+# silently going verbatim.
+
+def _s_verbatim(enc, v, ctx_rank, comm, name):
+    return v
+
+
+def _s_rankish(enc, v, ctx_rank, comm, name):
+    # usually-constant rank-correlated values: relative only on exact
+    # match (a constant root=0 must stay absolute)
+    return encode_rankish(v, ctx_rank, enabled=enc.relative_ranks)
+
+
+def _s_intv(enc, v, ctx_rank, comm, name):
+    if v is None:
+        return None
+    if enc.relative_ranks and name == "coords" \
+            and isinstance(comm, Comm) and comm.topo is not None:
+        # Cartesian coordinates are rank-derived: store them relative to
+        # the caller's own coordinates so identical grid code yields
+        # identical signatures on every rank
+        mine = comm.topo.coords_of(ctx_rank)
+        return tuple(x - m for x, m in zip(v, mine))
+    return tuple(v)
+
+
+_RAW = ("{g}", _s_verbatim)         # hashable scalar, keyed and stored verbatim
+_RANKISH = ("{g}", _s_rankish)
+_COMM = ("(None if (v := {g}) is None else v.cid)",
+         lambda enc, v, *_: enc._enc_comm(v))
+_WIN = ("(None if (v := {g}) is None else v.wid)",
+        lambda enc, v, *_: -1 if v is None else enc.win_space.sym_for(v))
+# datatype handles are never reused
+_TYPE = ("(None if (v := {g}) is None else v.handle)",
+         lambda enc, v, *_: enc._enc_datatype(v))
+_INTV = ("(None if (v := {g}) is None else tuple(v))", _s_intv)
+
+STATIC_KINDS = {
+    F.K_COUNT: _RAW, F.K_INT: _RAW, F.K_STR: _RAW,
+    F.K_PTR: ("({g} or 0)",
+              lambda enc, v, *_: enc.memory.encode_ptr(v or 0)),
+    F.K_COMM: _COMM, F.K_NEWCOMM: _COMM,
+    F.K_WIN: _WIN, F.K_NEWWIN: _WIN,
+    F.K_DATATYPE: _TYPE, F.K_NEWTYPE: _TYPE,
+    # a group keys by id(obj), pinned alive via _group_refs
+    F.K_GROUP: ("(None if (v := {g}) is None else _id(v))",
+                lambda enc, v, *_: enc._enc_group(v)),
+    F.K_RANK: ("{g}", lambda enc, v, ctx_rank, *_:
+               encode_rank(v, ctx_rank, enabled=enc.relative_ranks)),
+    F.K_ROOT: _RANKISH, F.K_TAG: _RANKISH,
+    F.K_COLOR: _RANKISH, F.K_KEY: _RANKISH,
+    F.K_OP: ("(None if (v := {g}) is None else "
+             "(v.handle if isinstance(v, _Op) else v))",
+             lambda enc, v, *_: v.handle if isinstance(v, Op) else v),
+    F.K_INTV: _INTV, F.K_INDEXV: _INTV,
+    F.K_FLAG: ("(None if (v := {g}) is None else bool(v))",
+               lambda enc, v, *_: bool(v)),
 }
 
-_KEY_EXPRS = {
-    _C_RAW: "{g}",
-    _C_PTR: "({g} or 0)",
-    _C_CID: "(None if (v := {g}) is None else v.cid)",
-    _C_WID: "(None if (v := {g}) is None else v.wid)",
-    _C_HANDLE: "(None if (v := {g}) is None else v.handle)",
-    _C_GID: "(None if (v := {g}) is None else _id(v))",
-    _C_OP: "(None if (v := {g}) is None else "
-           "(v.handle if isinstance(v, _Op) else v))",
-    _C_FLAG: "(None if (v := {g}) is None else bool(v))",
-    _C_TUPLE: "(None if (v := {g}) is None else tuple(v))",
-}
 
-
-def _compile_key_fn(fid: int, key_plan):
+def _compile_key_fn(fid: int, key_params):
     """Compile a plan's static-key recipe into one flat tuple expression
-    over ``args.get`` — the per-call interpretation loop
-    (:meth:`PerRankEncoder._static_key`, kept as the reference
-    implementation) costs more than the extraction itself.  The caller
-    handles ``TypeError``/``AttributeError`` exactly like the loop's
-    bail-to-``None``."""
+    over ``args.get`` (a per-call interpretation loop costs more than
+    the extraction itself).  The caller treats ``TypeError`` /
+    ``AttributeError`` as "this argument shape cannot be keyed"."""
     exprs = [str(fid)]
-    for name, cat in key_plan:
-        exprs.append(_KEY_EXPRS[cat].format(g=f"g({name!r})"))
+    for name, kind in key_params:
+        exprs.append(STATIC_KINDS[kind][0].format(g=f"g({name!r})"))
     src = "def key_fn(g):\n    return (" + ", ".join(exprs) + ",)"
     ns = {"_id": id, "_Op": Op, "isinstance": isinstance,
           "bool": bool, "tuple": tuple}
@@ -222,12 +257,12 @@ def _compile_key_fn(fid: int, key_plan):
 
 class _CallPlan:
     """Precomputed per-function encoding plan: parameter walk order, the
-    static-key extraction recipe, and the positions of the *dynamic*
+    compiled static-key extraction, and the positions of the *dynamic*
     parameters (requests and statuses) that must be re-encoded on every
     call because they depend on per-call allocator/runtime state."""
 
-    __slots__ = ("fname", "fid", "params", "key_plan", "dyn_status",
-                 "dyn_req", "req_skip", "lifecycle", "cacheable", "is_any",
+    __slots__ = ("fname", "fid", "params", "dyn_status", "dyn_req",
+                 "req_skip", "lifecycle", "cacheable", "is_any",
                  "idx_mode", "fast_req", "key_fn")
 
     def __init__(self, fname: str):
@@ -235,7 +270,7 @@ class _CallPlan:
         self.fname = fname
         self.fid = spec.fid
         self.params = tuple((p.name, p.kind) for p in spec.params)
-        key_plan = []
+        key_params = []
         dyn_status = []
         dyn_req = []
         for i, (name, kind) in enumerate(self.params):
@@ -249,14 +284,13 @@ class _CallPlan:
             elif kind == F.K_REQUESTV:
                 dyn_req.append((pos, name, True))
             else:
-                key_plan.append((name, _KEY_CATS.get(kind, _C_RAW)))
-        self.key_plan = tuple(key_plan)
+                key_params.append((name, kind))
         self.dyn_status = tuple(dyn_status)
         self.dyn_req = tuple(dyn_req)
         self.req_skip = frozenset(pos for pos, _, _ in dyn_req)
         self.lifecycle = fname in _RELEASING or fname in _LIFECYCLE_EXTRA
         # Type_free/Group_free clear the cache right after encoding, so
-        # caching their signatures would be wasted work
+        # storing their entries would be wasted work
         self.cacheable = fname not in _LIFECYCLE_EXTRA
         self.is_any = fname in ("MPI_Waitany", "MPI_Testany")
         # statuses[i] -> request-index mapping, precomputed so the hot
@@ -272,7 +306,7 @@ class _CallPlan:
         self.fast_req = (self.dyn_req[0][0], self.dyn_req[0][1]) \
             if (not self.dyn_status and len(self.dyn_req) == 1
                 and not self.dyn_req[0][2]) else None
-        self.key_fn = _compile_key_fn(self.fid, self.key_plan)
+        self.key_fn = _compile_key_fn(self.fid, key_params)
 
 
 _PLANS: dict[str, _CallPlan] = {}
@@ -295,21 +329,21 @@ _SIG_MEMO_CAP = 512
 class PerRankEncoder:
     """One rank's symbolic state + signature construction.
 
-    ``signature_cache=True`` (the default) memoizes signature
-    construction per call site: the cache key is ``(fid, resolved static
-    args)`` and the cached value is the finished signature (or, for calls
-    carrying requests/statuses, a template whose dynamic slots are
-    re-encoded per call).  Hits skip the registry walk, AVL pointer
-    lookups, and relative-rank re-encoding.  The cache is a pure
-    accelerator: it is invalidated on memory-table mutations and
+    Signature construction is memoized per call site: the cache key is
+    ``(fid, resolved static args)`` and the entry is the finished
+    signature or, for calls carrying requests/statuses, a template whose
+    dynamic slots are re-encoded per call.  A hit skips the registry
+    walk, AVL pointer lookups and relative-rank re-encoding; a miss
+    builds the entry and then takes the same path.  The cache is a pure
+    accelerator: invalidated on memory-table mutations and
     object-lifecycle calls, excluded from pickles, and byte-identical to
-    the uncached path (property-tested across all workload families)."""
+    the uncached walk kept as the oracle in
+    ``tests/test_encoder_oracle.py``."""
 
     def __init__(self, rank: int, comm_space: CommIdSpace, *,
                  win_space: Optional[WinIdSpace] = None,
                  relative_ranks: bool = True,
-                 per_signature_request_pools: bool = True,
-                 signature_cache: bool = True):
+                 per_signature_request_pools: bool = True):
         self.rank = rank
         self.comm_space = comm_space
         self.win_space = win_space
@@ -320,8 +354,9 @@ class PerRankEncoder:
         self._group_refs: dict[int, Group] = {}
         self.requests = RequestIdAllocator()
         self.memory = MemoryTable()
-        #: (fid, static args) -> signature/template; None = disabled
-        self._sig_cache: Optional[dict] = {} if signature_cache else None
+        #: (fid, static args) -> (signature | template, context rank,
+        #: static request-creation base, memo)
+        self._sig_cache: dict = {}
         self._mem_epoch = 0
 
     # -- helpers per kind ------------------------------------------------------------
@@ -377,95 +412,73 @@ class PerRankEncoder:
     # -- main entry --------------------------------------------------------------------
 
     def encode_call(self, fname: str, args: dict[str, Any]) -> tuple:
+        """The call's signature: look up or build the call site's entry,
+        then fill its dynamic slots — the same flow on hit and miss."""
         plan = _PLANS.get(fname)
         if plan is None:
             plan = _plan_for(fname)
         cache = self._sig_cache
-        if cache is not None and plan.cacheable:
-            mem_epoch = self.memory.epoch
-            if mem_epoch != self._mem_epoch:
-                # heap segments changed: raw addresses may now resolve to
-                # different (segment, displacement) encodings
-                cache.clear()
-                self._mem_epoch = mem_epoch
-            try:
-                key = plan.key_fn(args.get)
-                entry = cache.get(key)
-            except (TypeError, AttributeError):
-                # unkeyable argument shape or unhashable key: bypass
-                entry = None
-                key = None
-            if key is not None:
-                if entry is not None:
-                    if entry[3] is None:   # fully static signature
-                        sig = entry[0]
-                    else:
-                        sig = self._resolve_dynamic(plan, entry, args)
-                    if plan.lifecycle:
-                        self._post_call(fname, args)
-                    return sig
-                sig, parts, ctx_rank, base = self._encode_walk(plan, args)
+        mem_epoch = self.memory.epoch
+        if mem_epoch != self._mem_epoch:
+            # heap segments changed: raw addresses may now resolve to
+            # different (segment, displacement) encodings
+            cache.clear()
+            self._mem_epoch = mem_epoch
+        try:
+            key = plan.key_fn(args.get)
+            entry = cache.get(key)
+        except (TypeError, AttributeError):
+            # unkeyable argument shape or unhashable key: same flow, the
+            # entry is just not stored
+            key = entry = None
+        if entry is None:
+            entry = self._build_entry(plan, args)
+            if key is not None and plan.cacheable:
                 if len(cache) >= _SIG_CACHE_CAP:
                     cache.clear()
-                if plan.dyn_status or plan.dyn_req:
-                    template = list(parts)
-                    for pos, _n, _v in plan.dyn_status:
-                        template[pos] = None
-                    for pos, _n, _v in plan.dyn_req:
-                        template[pos] = None
-                    # the request-creation base is static only when no
-                    # per-call status values feed into it
-                    cache[key] = (template, ctx_rank,
-                                  base if not plan.dyn_status else None, {})
-                else:
-                    cache[key] = (sig, ctx_rank, None, None)
-                if plan.lifecycle:
-                    self._post_call(fname, args)
-                return sig
-        sig, _parts, _ctx, _base = self._encode_walk(plan, args)
+                cache[key] = entry
+        sig = entry[0] if entry[3] is None \
+            else self._resolve_dynamic(plan, entry, args)
         if plan.lifecycle:
             self._post_call(fname, args)
         return sig
 
-    def _static_key(self, plan: _CallPlan, args: dict[str, Any]):
-        """The cache key: fid plus each static argument resolved to the
-        stable primitive its encoding depends on.  Returns None when an
-        argument cannot be keyed (unknown shape), forcing the slow path."""
-        key: list[Any] = [plan.fid]
-        append = key.append
+    def _build_entry(self, plan: _CallPlan, args: dict[str, Any]) -> tuple:
+        """The static walk: encode every parameter *except* requests and
+        statuses.  Returns the call site's cache entry — ``(signature,
+        ctx_rank, None, None)`` when nothing is dynamic, else
+        ``(template, ctx_rank, static request-creation base, memo)``
+        with ``None`` in the template's dynamic slots."""
+        # caller's rank within the call's communicator, for relative ranks
+        comm = args.get("comm") or args.get("comm_old") \
+            or args.get("local_comm") or args.get("intercomm")
+        ctx_rank = my_rank = self.rank
+        if isinstance(comm, Comm):
+            cr = comm.group.rank_of(my_rank)
+            if cr == C.UNDEFINED and comm.remote_group is not None:
+                cr = comm.remote_group.rank_of(my_rank)
+            if cr != C.UNDEFINED:
+                ctx_rank = cr
         get = args.get
-        try:
-            for name, cat in plan.key_plan:
-                v = get(name)
-                if cat == 0:
-                    append(v)
-                elif cat == 1:
-                    append(v or 0)
-                elif v is None:
-                    append(None)
-                elif cat == 2:
-                    append(v.cid)
-                elif cat == 3:
-                    append(v.wid)
-                elif cat == 4:
-                    append(v.handle)
-                elif cat == 5:
-                    append(id(v))
-                elif cat == 6:
-                    append(v.handle if isinstance(v, Op) else v)
-                elif cat == 7:
-                    append(bool(v))
-                else:
-                    append(tuple(v))
-        except (TypeError, AttributeError):
-            return None
-        return tuple(key)
+        parts: list[Any] = [plan.fid]
+        for name, kind in plan.params:
+            parts.append(None if kind in DYNAMIC_KINDS else
+                         STATIC_KINDS[kind][1](self, get(name), ctx_rank,
+                                               comm, name))
+        if not (plan.dyn_status or plan.dyn_req):
+            return (tuple(parts), ctx_rank, None, None)
+        # a request's creation signature excludes the request itself; it
+        # is static only when no per-call status values feed into it
+        base = None if plan.dyn_status else tuple(
+            x for i, x in enumerate(parts) if i not in plan.req_skip)
+        return (parts, ctx_rank, base, {})
 
     def _resolve_dynamic(self, plan: _CallPlan, entry: tuple,
                          args: dict[str, Any]) -> tuple:
-        """Cache hit for a call with request/status parameters: copy the
-        static template and re-encode only the dynamic slots (whose
-        values depend on per-call allocator and runtime state)."""
+        """Fill a call site's request/status slots: copy the static
+        template and encode only the dynamic parameters, whose values
+        depend on per-call allocator and runtime state.  The one place
+        request and status kinds are handled."""
         template, ctx_rank, static_base, memo = entry
         fast = plan.fast_req
         if fast is not None:
@@ -498,8 +511,7 @@ class PerRankEncoder:
                         enc = self._enc_status_vec(v, req_list, args,
                                                    ctx_rank)
                     else:
-                        idxs = self._completed_indices(plan.fname, args,
-                                                       len(v))
+                        idxs = self._completed_indices(plan.fname, args)
                         enc = tuple([
                             enc_status(st, status_ctx(
                                 args, req_list, ctx_rank,
@@ -541,185 +553,26 @@ class PerRankEncoder:
             memo[memo_key] = sig
         return sig
 
-    def encode_batch(self, fnames, argses, n: int,
-                     out: Optional[list] = None) -> list:
-        """Encode *n* calls from columns, writing signatures into *out*
-        (preallocated by the caller when given; first *n* slots).
-
-        Byte-identical to *n* :meth:`encode_call` invocations in order.
-        The signature-cache hit path — the overwhelmingly common case —
-        is inlined with its lookups hoisted out of the loop; anything
-        else (plan miss, cold cache entry, unhashable key, memory-epoch
-        change) falls back to :meth:`encode_call` for that element, which
-        performs the identical slow path including cache fills.
-        """
-        if out is None:
-            out = [None] * n
-        plans = _PLANS
-        cache = self._sig_cache
-        encode_call = self.encode_call
-        resolve_dynamic = self._resolve_dynamic
-        post_call = self._post_call
-        mem = self.memory
-        for i in range(n):
-            fname = fnames[i]
-            args = argses[i]
-            plan = plans.get(fname)
-            if plan is None or cache is None or not plan.cacheable \
-                    or mem.epoch != self._mem_epoch:
-                out[i] = encode_call(fname, args)
-                continue
-            try:
-                entry = cache.get(plan.key_fn(args.get))
-            except (TypeError, AttributeError):
-                # unkeyable argument shape or unhashable key: bypass
-                entry = None
-            if entry is None:
-                out[i] = encode_call(fname, args)
-                continue
-            if entry[3] is None:   # fully static signature
-                sig = entry[0]
-            else:
-                sig = resolve_dynamic(plan, entry, args)
-            if plan.lifecycle:
-                post_call(fname, args)
-            out[i] = sig
-        return out
-
     def reset_cache(self) -> None:
         """Drop the signature cache (called at shard-freeze time; the
         cache never outlives the tracing phase it accelerated)."""
-        if self._sig_cache is not None:
-            self._sig_cache = {}
+        self._sig_cache = {}
         self._mem_epoch = self.memory.epoch
 
     @property
-    def cache_enabled(self) -> bool:
-        return self._sig_cache is not None
-
-    @property
     def cache_size(self) -> int:
-        return len(self._sig_cache) if self._sig_cache is not None else 0
+        return len(self._sig_cache)
 
     def __getstate__(self) -> dict:
         # the signature cache is a pure accelerator: shards and pickled
         # compressors must never carry it across process boundaries
         state = self.__dict__.copy()
-        if state.get("_sig_cache") is not None:
-            state["_sig_cache"] = {}
+        state["_sig_cache"] = {}
         state["_mem_epoch"] = -1   # force a resync on first use
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-
-    def _encode_walk(self, plan: _CallPlan, args: dict[str, Any]):
-        """The full (uncached) signature construction walk.  Returns the
-        signature plus the raw parts, context rank, and request-creation
-        base the caller needs to build a cache entry."""
-        fname = plan.fname
-        fid = plan.fid
-        param_info = plan.params
-        my_rank = self.rank
-        rel = self.relative_ranks
-        # caller's rank within the call's communicator, for relative ranks
-        comm = args.get("comm") or args.get("comm_old") \
-            or args.get("local_comm") or args.get("intercomm")
-        ctx_rank = my_rank
-        if isinstance(comm, Comm):
-            cr = comm.group.rank_of(my_rank)
-            if cr == C.UNDEFINED and comm.remote_group is not None:
-                cr = comm.remote_group.rank_of(my_rank)
-            if cr != C.UNDEFINED:
-                ctx_rank = cr
-        # completion calls: per-status context from the matching request
-        req_list = args.get("array_of_requests")
-
-        parts: list[Any] = [fid]
-        deferred_requests: list[tuple[int, Any]] = []
-        for name, kind in param_info:
-            v = args.get(name)
-            if kind == F.K_COUNT or kind == F.K_INT:
-                parts.append(v)
-            elif kind == F.K_PTR:
-                parts.append(self.memory.encode_ptr(v or 0))
-            elif kind == F.K_COMM or kind == F.K_NEWCOMM:
-                parts.append(self._enc_comm(v))
-            elif kind == F.K_WIN or kind == F.K_NEWWIN:
-                parts.append(-1 if v is None
-                             else self.win_space.sym_for(v))
-            elif kind == F.K_DATATYPE or kind == F.K_NEWTYPE:
-                parts.append(self._enc_datatype(v))
-            elif kind == F.K_GROUP:
-                parts.append(self._enc_group(v))
-            elif kind == F.K_RANK:
-                parts.append(encode_rank(v, ctx_rank, enabled=rel))
-            elif kind in (F.K_ROOT, F.K_TAG, F.K_COLOR, F.K_KEY):
-                # usually-constant rank-correlated values: relative only on
-                # exact match (a constant root=0 must stay absolute)
-                parts.append(encode_rankish(v, ctx_rank, enabled=rel))
-            elif kind == F.K_REQUEST:
-                # creation signature excludes the request itself; defer
-                deferred_requests.append((len(parts), v))
-                parts.append(None)
-            elif kind == F.K_REQUESTV:
-                deferred_requests.append((len(parts), list(v or ())))
-                parts.append(None)
-            elif kind == F.K_STATUS:
-                # Waitany/Testany: the single status describes request
-                # [index]; other calls carry their request (or comm) inline
-                ridx = None
-                if fname in ("MPI_Waitany", "MPI_Testany"):
-                    idx = args.get("index")
-                    if isinstance(idx, int) and idx >= 0:
-                        ridx = idx
-                parts.append(self._enc_status(v, self._status_ctx(
-                    args, req_list, ctx_rank, ridx)))
-            elif kind == F.K_STATUSV:
-                if v is None:
-                    parts.append(None)
-                else:
-                    idxs = self._completed_indices(fname, args, len(v))
-                    parts.append(tuple(
-                        self._enc_status(st, self._status_ctx(
-                            args, req_list, ctx_rank,
-                            idxs[i] if idxs is not None and i < len(idxs)
-                            else None))
-                        for i, st in enumerate(v)))
-            elif kind == F.K_OP:
-                parts.append(v.handle if isinstance(v, Op) else v)
-            elif kind in (F.K_INTV, F.K_INDEXV):
-                if v is not None and rel and name == "coords" \
-                        and isinstance(comm, Comm) and comm.topo is not None:
-                    # Cartesian coordinates are rank-derived: store them
-                    # relative to the caller's own coordinates so identical
-                    # grid code yields identical signatures on every rank
-                    mine = comm.topo.coords_of(ctx_rank)
-                    parts.append(tuple(x - m for x, m in zip(v, mine)))
-                else:
-                    parts.append(tuple(v) if v is not None else None)
-            elif kind == F.K_FLAG:
-                parts.append(bool(v))
-            else:  # K_COUNT, K_INT, K_STR and anything scalar
-                parts.append(v)
-
-        # resolve deferred request encodings with the creation signature
-        base = None
-        if deferred_requests:
-            if len(deferred_requests) == 1:
-                pos = deferred_requests[0][0]
-                base = tuple(parts[:pos]) + tuple(parts[pos + 1:])
-            else:
-                skip = {pos for pos, _ in deferred_requests}
-                base = tuple(x for i, x in enumerate(parts)
-                             if i not in skip)
-            for pos, v in deferred_requests:
-                if isinstance(v, list):
-                    parts[pos] = tuple(self._enc_request(r, base) for r in v)
-                else:
-                    parts[pos] = self._enc_request(v, base)
-
-        return tuple(parts), parts, ctx_rank, base
 
     def _enc_status_vec(self, statuses, req_list, args,
                         ctx_rank: int) -> tuple:
@@ -783,16 +636,14 @@ class PerRankEncoder:
         return default_ctx
 
     @staticmethod
-    def _completed_indices(fname: str, args: dict,
-                           nstatuses: int) -> Optional[list[int]]:
-        """Map statuses[i] to the request index it describes."""
+    def _completed_indices(fname: str, args: dict) -> Optional[list[int]]:
+        """Map statuses[i] to the request index it describes (aligned
+        Waitall/Testall vectors go through ``_enc_status_vec``)."""
         if fname in ("MPI_Waitsome", "MPI_Testsome"):
             idxs = args.get("array_of_indices")
             return list(idxs) if idxs is not None else None
-        if fname in ("MPI_Waitany", "MPI_Testany"):
-            idx = args.get("index")
-            return [idx] if isinstance(idx, int) and idx >= 0 else None
-        return list(range(nstatuses))  # Waitall/Testall align 1:1
+        idx = args.get("index")
+        return [idx] if isinstance(idx, int) and idx >= 0 else None
 
     # wired by the tracer: cid -> Comm (default: unresolved)
     @staticmethod
@@ -804,10 +655,6 @@ class PerRankEncoder:
         self._comm_resolver = fn
 
     # -- lifecycle ------------------------------------------------------------------------
-
-    #: kept as a class attribute for introspection/back-compat; the
-    #: authoritative set lives at module level so _CallPlan can use it
-    _RELEASING = _RELEASING
 
     def _release_request(self, req: Request) -> None:
         """Release one completed/freed non-persistent request's id."""
@@ -822,7 +669,7 @@ class PerRankEncoder:
                 self.comm_space.sym_for(req.value)
 
     def _post_call(self, fname: str, args: dict[str, Any]) -> None:
-        if fname in self._RELEASING:
+        if fname in _RELEASING:
             req = args.get("request")
             if req is not None:
                 self._release_request(req)
@@ -838,10 +685,9 @@ class PerRankEncoder:
             if dt is not None and dt.handle >= 0 \
                     and self.type_ids.lookup(dt.handle) is not None:
                 self.type_ids.release(dt.handle)
-            if self._sig_cache:
-                # released symbolic ids may be re-handed to new handles;
-                # cached signatures must not outlive the assignment
-                self._sig_cache.clear()
+            # released symbolic ids may be re-handed to new handles;
+            # cached signatures must not outlive the assignment
+            self._sig_cache.clear()
             return
         if fname == "MPI_Group_free":
             grp = args.get("group")
@@ -849,8 +695,7 @@ class PerRankEncoder:
             if grp is not None and self.group_ids.lookup(key) is not None:
                 self.group_ids.release(key)
                 self._group_refs.pop(key, None)
-            if self._sig_cache:
-                # the freed group may be garbage-collected and its id()
-                # reused by a new Group object
-                self._sig_cache.clear()
+            # the freed group may be garbage-collected and its id()
+            # reused by a new Group object
+            self._sig_cache.clear()
             return

@@ -547,7 +547,7 @@ class RankCompressor:
     every other rank (the paper's embarrassingly parallel stage)."""
 
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
-                 "raw_terms", "keep_raw", "n_calls", "loop_detection",
+                 "raw_terms", "keep_raw", "loop_detection",
                  "memory_watermark", "_spill_parts", "_spill_input",
                  "watermark_spills", "batch_size", "_batch_n",
                  "_b_sigs", "_b_fnames", "_b_durs", "_b_t0", "_b_t1",
@@ -563,7 +563,6 @@ class RankCompressor:
                  timing: Optional[TimingCompressor] = None,
                  keep_raw: bool = False,
                  encoder: Optional[PerRankEncoder] = None,
-                 signature_cache: bool = True,
                  memory_watermark: Optional[int] = None,
                  batch_size: int = 1):
         if memory_watermark is not None and memory_watermark < 1:
@@ -575,16 +574,14 @@ class RankCompressor:
         self.encoder = encoder if encoder is not None else PerRankEncoder(
             rank, comm_space, win_space=win_space,
             relative_ranks=relative_ranks,
-            per_signature_request_pools=per_signature_request_pools,
-            signature_cache=signature_cache)
-        self.cst = CST(fast_path=signature_cache)
+            per_signature_request_pools=per_signature_request_pools)
+        self.cst = CST()
         self.loop_detection = loop_detection
         self.grammar = TermLog() if self.streaming \
             else Sequitur(loop_detection=loop_detection)
         self.timing = timing
         self.keep_raw = keep_raw
         self.raw_terms: list[int] = []
-        self.n_calls = 0
         #: soft memory watermark (degraded-mode tracing): when the live
         #: grammar has buffered this many input terminals, it is frozen
         #: early into a continuation part and a fresh Sequitur takes
@@ -633,7 +630,6 @@ class RankCompressor:
             self.timing.record(term, fname, t0, t1)
         if self.keep_raw:
             self.raw_terms.append(term)
-        self.n_calls += 1
         if self.memory_watermark is not None \
                 and self.grammar.n_input >= self.memory_watermark:
             self.spill()
@@ -676,65 +672,9 @@ class RankCompressor:
                                      self._b_t0, self._b_t1, n)
         if self.keep_raw:
             self.raw_terms.extend(terms)
-        self.n_calls += n
         if self.memory_watermark is not None \
                 and self.grammar.n_input >= self.memory_watermark:
             self.spill()
-
-    def observe_array(self, fnames, argses, t0s, t1s) -> int:
-        """Array entry point (``record_batch``): run whole columns of
-        calls through the batched pipeline.  With ``batch_size > 1`` the
-        columns feed the same persistent buffer the scalar path uses, so
-        downstream flushes stay at ``batch_size`` granularity no matter
-        how the feeder chunks its calls (and mixing scalar and array
-        feeds preserves call order for free).  Returns the number of
-        calls consumed."""
-        n = len(fnames)
-        if not n:
-            return 0
-        bs = self.batch_size
-        if bs == 1:
-            # unbuffered: one whole-column pass per stage
-            sigs = self.encoder.encode_batch(fnames, argses, n)
-            durs = [t1s[i] - t0s[i] for i in range(n)]
-            terms = self.cst.intern_batch(sigs, durs, n)
-            self.grammar.append_array(terms)
-            if self.timing is not None:
-                self.timing.record_batch(terms, fnames, t0s, t1s, n)
-            if self.keep_raw:
-                self.raw_terms.extend(terms)
-            self.n_calls += n
-            if self.memory_watermark is not None \
-                    and self.grammar.n_input >= self.memory_watermark:
-                self.spill()
-            return n
-        sig_col, fn_col, dur_col, t0_col, t1_col = self._bufs
-        encode_batch = self.encoder.encode_batch
-        bn = self._batch_n
-        i = 0
-        while i < n:
-            take = bs - bn
-            if take > n - i:
-                take = n - i
-            end = i + take
-            sig_col[bn:bn + take] = encode_batch(
-                fnames[i:end], argses[i:end], take)
-            fn_col[bn:bn + take] = fnames[i:end]
-            for j in range(take):
-                t0 = t0s[i + j]
-                t1 = t1s[i + j]
-                k = bn + j
-                dur_col[k] = t1 - t0
-                t0_col[k] = t0
-                t1_col[k] = t1
-            bn += take
-            i = end
-            if bn == bs:
-                self._batch_n = bn
-                self.flush_batch()
-                bn = 0
-        self._batch_n = bn
-        return n
 
     def spill(self) -> None:
         """Watermark crossing: freeze the live grammar into a frozen

@@ -127,7 +127,6 @@ class PilgrimTracer(TracerHooks):
                  per_function_base: Optional[dict[str, float]] = None,
                  keep_raw: bool = False,
                  jobs: int = 1,
-                 signature_cache: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  fault_plan=None,
                  retry: Optional[RetryPolicy] = None,
@@ -150,10 +149,6 @@ class PilgrimTracer(TracerHooks):
         self.timing_base = timing_base
         self.per_function_base = per_function_base
         self.keep_raw = keep_raw
-        #: hot-path memoization (encoder signature cache + CST identity
-        #: fast path); byte-identical traces either way — False is the
-        #: ablation/benchmark baseline
-        self.signature_cache = signature_cache
         #: worker processes for the finalize tree reduction (1 = serial)
         self.jobs = jobs
         #: armed fault injector (None when no plan is given: every
@@ -236,7 +231,6 @@ class PilgrimTracer(TracerHooks):
                 per_signature_request_pools=self.per_signature_request_pools,
                 loop_detection=self.loop_detection,
                 timing=timing, keep_raw=self.keep_raw,
-                signature_cache=self.signature_cache,
                 memory_watermark=self.memory_watermark,
                 batch_size=self.batch_size)
             rc.encoder.set_comm_resolver(sim.comm_by_cid)
@@ -281,15 +275,6 @@ class PilgrimTracer(TracerHooks):
         tick = _pc()
         self._observe[rank](fname, args, t0, t1)
         self.total_calls += 1
-        self.time_intra += _pc() - tick
-
-    def record_batch(self, rank: int, fnames, argses, t0s, t1s) -> None:
-        """Array entry point: trace whole columns of completed calls for
-        one rank in one hook invocation (the batched counterpart of
-        :meth:`on_call`; byte-identical output)."""
-        tick = _pc()
-        self.total_calls += self.ranks[rank].observe_array(
-            fnames, argses, t0s, t1s)
         self.time_intra += _pc() - tick
 
     def flush_batches(self) -> None:

@@ -223,8 +223,7 @@ def verify_workload(name: str, nprocs: int, *, seed: int = 1,
 
     This is a thin wrapper over :func:`repro.api.verify` — tracer
     configuration belongs in *options* (a :class:`~repro.core.backends.
-    TracerOptions`); the historical loose kwargs (``lossy_timing=``,
-    ``jobs=``) still work for one release with a DeprecationWarning.
+    TracerOptions`); extra keywords are workload parameters.
     """
     from .. import api  # late import: repro.api sits above repro.core
     return api.verify(name, nprocs, seed=seed, options=options,

@@ -92,13 +92,6 @@ class ChunkingTracer(PilgrimTracer):
         if self._unflushed >= self.chunk_calls:
             self.flush_now()
 
-    def record_batch(self, rank, fnames, argses, t0s, t1s) -> None:
-        before = self.total_calls
-        super().record_batch(rank, fnames, argses, t0s, t1s)
-        self._unflushed += self.total_calls - before
-        if self._unflushed >= self.chunk_calls:
-            self.flush_now()
-
     def flush_now(self) -> None:
         """Emit one partial per rank that observed anything since the
         previous flush (buffered batch calls are drained first)."""
@@ -349,7 +342,6 @@ def push(workload: str, nprocs: int = 8, *,
     tracer = ChunkingTracer(
         emit_flush=client.send_partials, chunk_calls=chunk_calls,
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
-        signature_cache=opts.signature_cache,
         batch_size=opts.batch_size,
         memory_watermark=opts.memory_watermark,
         **opts.extra)

@@ -24,16 +24,6 @@ class TracerHooks:
         """One MPI call on one rank: *args* holds every parameter (inputs
         and outputs; direction metadata lives in ``repro.mpisim.funcs``)."""
 
-    def record_batch(self, rank: int, fnames, argses, t0s, t1s) -> None:
-        """Many completed MPI calls on one rank, as parallel columns
-        (``fnames[i]``, ``argses[i]``, ``t0s[i]``, ``t1s[i]`` describe
-        call *i*).  Batching feeders use this to amortize hook dispatch;
-        the default unrolls to :meth:`on_call`, so tracers without a
-        native batch path keep working unchanged."""
-        on_call = self.on_call
-        for i in range(len(fnames)):
-            on_call(rank, fnames[i], argses[i], t0s[i], t1s[i])
-
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:
         """A memory-management interception (malloc/free/cudaMalloc/...)."""

@@ -82,15 +82,6 @@ def test_facade_is_reexported_from_package_root():
     assert "VerifyReport" in repro.__all__
 
 
-def test_legacy_kwargs_warn_but_work():
-    import warnings
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = repro.verify("stencil2d", 2, iters=2, jobs=1)
-    assert report.ok
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
 def test_unknown_loose_kwarg_is_rejected():
     import pytest
     with pytest.raises(TypeError):
@@ -117,16 +108,8 @@ def test_every_api_verb_has_a_cli_subcommand():
         f"(CLI has {sorted(subcommands)})")
 
 
-def test_replay_legacy_kwargs_warn_but_work(tmp_path):
-    import warnings
+def test_replay_accepts_a_path(tmp_path):
     blob = repro.trace("stencil2d", 2, params={"iters": 2}).trace_bytes
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = repro.replay(blob, seed=3)
-    assert not res.diverged
-    assert res.options.seed == 3
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    # path form reads the file
     path = tmp_path / "t.pilgrim"
     path.write_bytes(blob)
     assert not repro.replay(path).diverged

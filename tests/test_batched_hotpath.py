@@ -1,10 +1,10 @@
 """The batched columnar hot path is a pure accelerator.
 
-``TracerOptions.batch_size`` and the ``record_batch`` array entry must
-be invisible everywhere except the clock: byte-identical traces against
-the classic per-call path across workload families, process counts,
-timing modes, the parallel finalize, and mid-batch memory-watermark
-spills.  Plus the bench plumbing that measures the batched path.
+``TracerOptions.batch_size`` must be invisible everywhere except the
+clock: byte-identical traces against the classic per-call path across
+workload families, process counts, timing modes, the parallel finalize,
+and mid-batch memory-watermark spills.  Plus the bench plumbing that
+measures the batched path.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import run_benchmark
 from repro.bench.capture import CapturedRun
+from repro.bench.hotpath import timed_trace
 from repro.core.backends import TracerOptions, make_tracer
-from repro.mpisim.hooks import TracerHooks
 from repro.workloads import make
 
 FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
@@ -72,22 +72,19 @@ class TestBatchedByteIdentity:
 
 
 class TestRecordBatchEntry:
+    """The captured-stream replay the hot-path bench times, under the
+    batched entry (the class predates the ``record_batch`` array
+    entry's removal; a capture now has the one ``on_call`` feed)."""
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_replay_batched_matches_replay(self, family):
         cap = CapturedRun.record(family, 4, seed=2)
         scalar = make_tracer("pilgrim", TracerOptions())
         cap.replay(scalar)
         batched = make_tracer("pilgrim", TracerOptions(batch_size=256))
-        cap.replay_batched(batched, batch_size=256)
+        cap.replay(batched)
         assert batched.finalize().trace_bytes == \
             scalar.finalize().trace_bytes
-
-    def test_record_batch_counts_calls(self):
-        cap = CapturedRun.record("osu_latency", 2, seed=3)
-        tracer = make_tracer("pilgrim", TracerOptions(batch_size=32))
-        cap.replay_batched(tracer, batch_size=32)
-        tracer.finalize()
-        assert tracer.total_calls == cap.n_calls
 
     def test_partial_tail_flushed_by_finalize(self):
         # fewer calls than batch_size: everything still lands via the
@@ -95,47 +92,32 @@ class TestRecordBatchEntry:
         cap = CapturedRun.record("osu_latency", 2, seed=3)
         tracer = make_tracer("pilgrim", TracerOptions(
             batch_size=1 << 20))
-        cap.replay_batched(tracer, batch_size=64)
+        cap.replay(tracer)
         assert any(rc._batch_n > 0 for rc in tracer.ranks)
         plain = make_tracer("pilgrim", TracerOptions())
         cap.replay(plain)
         assert tracer.finalize().trace_bytes == \
             plain.finalize().trace_bytes
-
-    def test_default_hook_unrolls_to_on_call(self):
-        # a hooks subclass that only implements on_call gets the array
-        # entry for free via the base-class unroll
-        calls: list[tuple] = []
-
-        class Recorder(TracerHooks):
-            def on_call(self, rank, fname, args, t0, t1):
-                calls.append((rank, fname, t0, t1))
-
-        Recorder().record_batch(3, ["MPI_Send", "MPI_Recv"],
-                                [{"a": 1}, {"b": 2}],
-                                [0.5, 1.5], [1.0, 2.0])
-        assert calls == [(3, "MPI_Send", 0.5, 1.0),
-                         (3, "MPI_Recv", 1.5, 2.0)]
-
-    def test_batched_ops_preserve_per_rank_order(self):
-        cap = CapturedRun.record("stencil2d", 4, seed=1)
-        per_rank: dict[int, list[str]] = {}
-        for ev in cap.events:
-            if ev[0] == 0:
-                per_rank.setdefault(ev[1], []).append(ev[2])
-        replayed: dict[int, list[str]] = {}
-        for op in cap._batched_ops(64):
-            if op[0] == "b":
-                replayed.setdefault(op[1], []).extend(op[3])
-        assert replayed == per_rank
+        assert tracer.total_calls == cap.n_calls
 
 
 class TestBenchPlumbing:
     def test_hotpath_bench_emits_batched_metrics(self):
         doc = run_benchmark("hotpath", repeats=1, warmup=0, params={
             "families": ["osu_latency"], "nprocs": 2, "batch_size": 8})
-        m = doc["metrics"]
-        assert "osu_latency.batched_us_per_call" in m
-        assert "osu_latency.batched_over_cached" in m
-        assert m["osu_latency.batched_us_per_call"] > 0
+        assert set(doc["metrics"]) == {
+            f"osu_latency.{m}" for m in (
+                "us_per_call", "batched_us_per_call", "hot_over_null",
+                "batched_over_percall")}
+        assert all(v > 0 for v in doc["metrics"].values())
         assert doc["params"]["batch_size"] == 8
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bench_batched_replay_drains_the_tail(self, family):
+        # the timed region must cover every call's CST/Sequitur work:
+        # nothing may be left in a rank's batch buffer when it closes
+        cap = CapturedRun.record(family, 8, seed=1)
+        _, tracer = timed_trace(cap, TracerOptions(batch_size=256))
+        assert all(rc._batch_n == 0 for rc in tracer.ranks)
+        assert sum(rc.grammar.n_input + rc._spill_input
+                   for rc in tracer.ranks) == cap.n_calls

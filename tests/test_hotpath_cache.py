@@ -1,10 +1,11 @@
 """The hot-path caches are pure accelerators.
 
 The encoder signature cache and the CST identity fast path must be
-invisible everywhere except the clock: byte-identical traces with the
-caches on or off (across workload families, timing modes and the
-parallel finalize), reset at shard-freeze time, and never serialized.
-Plus the regression gate of ``repro bench --compare``.
+invisible everywhere except the clock: byte-identical traces against
+the uncached walk (the oracle of ``test_encoder_oracle.py``) across
+workload families, timing modes and the parallel finalize, reset at
+shard-freeze time, and never serialized.  Plus the regression gate of
+``repro bench --compare``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from repro.bench import Benchmark, compare_results, run_benchmark
 from repro.bench.capture import CapturedRun
 from repro.cli import main as cli_main
 from repro.core.backends import TracerOptions, make_tracer
+from repro.core.tracer import TIMING_AGGREGATE, TIMING_LOSSY
 from repro.workloads import make
+from test_encoder_oracle import OracleTracer
 
 FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
             "milc_su3_rmd")
@@ -29,8 +32,13 @@ FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
 def _trace_bytes(family: str, nprocs: int, seed: int, *,
                  cached: bool, lossy: bool = False,
                  jobs: int = 1) -> bytes:
-    tracer = make_tracer("pilgrim", TracerOptions(
-        lossy_timing=lossy, jobs=jobs, signature_cache=cached))
+    if cached:
+        tracer = make_tracer("pilgrim", TracerOptions(
+            lossy_timing=lossy, jobs=jobs))
+    else:
+        tracer = OracleTracer(
+            timing_mode=TIMING_LOSSY if lossy else TIMING_AGGREGATE,
+            jobs=jobs)
     make(family, nprocs).run(seed=seed, tracer=tracer)
     return tracer.result.trace_bytes
 
@@ -52,15 +60,6 @@ class TestCacheIsInvisible:
         a = _trace_bytes(family, 4, 7, cached=True, jobs=2)
         b = _trace_bytes(family, 4, 7, cached=False, jobs=1)
         assert a == b
-
-    def test_flag_reaches_encoder_and_cst(self):
-        on = make_tracer("pilgrim", TracerOptions(signature_cache=True))
-        off = make_tracer("pilgrim", TracerOptions(signature_cache=False))
-        make("osu_latency", 2).run(seed=1, tracer=on)
-        make("osu_latency", 2).run(seed=1, tracer=off)
-        assert all(rc.encoder.cache_enabled for rc in on.ranks)
-        assert all(not rc.encoder.cache_enabled for rc in off.ranks)
-        assert all(not rc.cst._fast for rc in off.ranks)
 
 
 class TestCacheLifecycle:
@@ -94,7 +93,6 @@ class TestCacheLifecycle:
         clone = pickle.loads(pickle.dumps(cst))
         assert clone._last_sig is None
         assert clone._by_id == {}
-        assert clone._fast == cst._fast
         assert clone.sigs == cst.sigs
         assert clone.counts == cst.counts
         # the clone still interns correctly after losing the fast path

@@ -16,7 +16,7 @@ from repro.core import (NullTracer, PilgrimTracer, RankShard, RawTracer,
                         TracePipeline, TracerOptions, available_backends,
                         make_tracer, merge_shards, register_backend,
                         tree_reduce, verify_workload)
-from repro.core.backends import _BACKENDS
+from repro.core.backends import _BACKENDS, TracerOptions
 from repro.core.errors import TraceFormatError
 from repro.mpisim import SimMPI
 from repro.obs import EventLog, MetricsRegistry, PhaseProfiler
@@ -118,7 +118,8 @@ class TestMergeAssociativity:
         assert sum(final.counts) == tracer.total_calls
 
     def test_parallel_verify_workload(self):
-        report = verify_workload("stencil2d", 8, jobs=2)
+        report = verify_workload("stencil2d", 8,
+                                 options=TracerOptions(jobs=2))
         assert report.ok, report.mismatches
 
 

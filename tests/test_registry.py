@@ -4,6 +4,7 @@ paper's "wrappers generated from the standard" completeness guarantee."""
 import pytest
 
 from conftest import run_program
+from repro.core.encoder import DYNAMIC_KINDS, STATIC_KINDS, _plan_for
 from repro.mpisim import funcs as F
 from repro.mpisim.errors import MpiSimError, RankProgramError
 from repro.mpisim.runtime import RankAPI
@@ -63,6 +64,28 @@ class TestRegistryShape:
     def test_naming_convention(self):
         for fname in F.all_names():
             assert fname.startswith("MPI_")
+
+
+class TestEncoderCoversTheRegistry:
+    """"Generated from the standard": a parameter kind the encoder does
+    not know must fail here, not be traced as a verbatim scalar."""
+
+    def test_every_kind_is_static_or_dynamic(self):
+        assert not DYNAMIC_KINDS & set(STATIC_KINDS)
+        assert DYNAMIC_KINDS == {F.K_REQUEST, F.K_REQUESTV,
+                                 F.K_STATUS, F.K_STATUSV}
+        for spec in F.FUNCS.values():
+            for p in spec.params:
+                assert p.kind in STATIC_KINDS or p.kind in DYNAMIC_KINDS, \
+                    (spec.name, p.name, p.kind)
+
+    def test_key_fn_keys_exactly_the_static_parameters(self):
+        for fname, spec in F.FUNCS.items():
+            asked: list[str] = []
+            key = _plan_for(fname).key_fn(asked.append)
+            assert asked == [p.name for p in spec.params
+                             if p.kind not in DYNAMIC_KINDS], fname
+            assert key[0] == spec.fid and len(key) == 1 + len(asked)
 
 
 class TestAbort:

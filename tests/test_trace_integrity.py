@@ -8,6 +8,7 @@ from repro.core import (ChecksumError, CorruptTraceError, PilgrimTracer,
                         TraceDecoder, TraceFile, TraceFormatError,
                         TruncatedTraceError, UnsupportedVersionError,
                         run_fuzz, verify_roundtrip, verify_workload)
+from repro.core.backends import TracerOptions
 from repro.core.fuzz import iter_mutations
 from repro.core.grammar import Grammar
 from repro.workloads import REGISTRY, make
@@ -118,7 +119,8 @@ class TestVerifier:
         assert sum(report.per_rank_calls) == report.total_calls
 
     def test_verify_lossy_timing(self):
-        report = verify_workload("stencil2d", 4, iters=4, lossy_timing=True)
+        report = verify_workload("stencil2d", 4, iters=4,
+                                 options=TracerOptions(lossy_timing=True))
         assert report.ok, report.mismatches[:3]
 
     def test_verify_catches_dropped_call(self):
