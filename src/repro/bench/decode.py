@@ -12,8 +12,9 @@ per sample, on the same runner, each family is also run once under the
 * ``<family>.parse_ms`` / ``expand_ms`` / ``decode_ms`` (their sum) /
   ``store_get_ms`` — absolute times, for humans (``BENCH_decode.json``);
 * ``<family>.decode_over_null`` / ``decode_over_null`` — decode time over
-  the untraced run that produced the calls (and summed over families).
-  Machine-independent, so this is what CI gates.
+  the untraced run that produced the calls (and summed over families) —
+  and ``<family>.trace_bytes``, the size of the blob being parsed, an
+  exact count.  Machine-independent, so these are what CI gates.
 
 The regular :data:`~repro.bench.hotpath.DEFAULT_FAMILIES` compress to a
 few hundred bytes and decode in about a millisecond whatever the codec
@@ -71,6 +72,7 @@ def _decode(params: dict):
             make(fam, nprocs).run(seed=seed, tracer=make_tracer("null"))
             null_ms = (perf_counter() - got) * 1e3
             ms = (done - start) * 1e3
+            out[f"{fam}.trace_bytes"] = len(blob)
             out[f"{fam}.parse_ms"] = (parsed - start) * 1e3
             out[f"{fam}.expand_ms"] = (done - parsed) * 1e3
             out[f"{fam}.decode_ms"] = ms

@@ -14,10 +14,22 @@ so each process can rewrite its grammar's terminals (Fig 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import sub
 from typing import Optional
 
 from .errors import CorruptTraceError
-from .packing import Reader, read_value, write_uvarint, write_value
+from .packing import (COLUMN_SAME, Reader, read_column, read_varints,
+                      write_column, write_uvarint, write_varints, zigzag)
+
+#: duration sums travel as integer nanoseconds (integer addition is
+#: associative, so any reduction tree yields the same sums); 1 ns is far
+#: below the simulator's clock resolution
+NS_PER_SECOND = 1_000_000_000
+
+
+def _dur_to_ns(seconds: float) -> int:
+    return int(round(seconds * NS_PER_SECOND))
 
 
 class CST:
@@ -186,18 +198,63 @@ class MergedCST:
     dur_sums: list[float]
     #: per-rank terminal renumbering: remaps[r][local_term] == global_term
     remaps: list[list[int]]
+    #: ``dur_sums`` as the integer nanoseconds the pipeline carries and
+    #: the trace stores; rounded from ``dur_sums`` when a caller has
+    #: only seconds
+    dur_ns: list[int] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.dur_ns is None:
+            self.dur_ns = list(map(_dur_to_ns, self.dur_sums))
+
+    @classmethod
+    def from_ns(cls, sigs: list[tuple], counts: list[int],
+                dur_ns: list[int]) -> "MergedCST":
+        """A table from integer-nanosecond sums: the division is exact
+        and deterministic, so seconds never depend on who derives them."""
+        return cls(sigs, counts, [ns / NS_PER_SECOND for ns in dur_ns],
+                   remaps=[], dur_ns=dur_ns)
 
     def __len__(self) -> int:
         return len(self.sigs)
 
-    # -- serialization -----------------------------------------------------------
+    # -- serialization (the trace's CST section, see trace_format) ---------------
 
     def write_to(self, out: bytearray) -> None:
-        write_uvarint(out, len(self.sigs))
-        for sig, count, dur in zip(self.sigs, self.counts, self.dur_sums):
-            write_value(out, sig)
-            write_uvarint(out, count)
-            write_value(out, dur)
+        """The table by columns: counts, nanoseconds, then per (function
+        id, signature length), in first-appearance order, that group's
+        terminals and one column per parameter.  A signature with no int
+        at its head (only malformed tables have one) goes to a width-0
+        group whose single column holds whole signatures."""
+        sigs = self.sigs
+        base = len(out)
+        write_uvarint(out, len(sigs))
+        write_varints(out, self.counts, signed=False)
+        write_varints(out, self.dur_ns, signed=False)
+        groups: dict = {}
+        for term, sig in enumerate(sigs):
+            key = (len(sig), sig[0]) if sig and type(sig[0]) is int else (0,)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = ([], [])
+            group[0].append(term)
+            group[1].append(sig)
+        for (width, *fid), (terms, rows) in groups.items():
+            write_varints(out, [width, *map(zigzag, fid), len(terms), terms[0],
+                                *map(sub, terms[1:], terms)], signed=False)
+            seen: dict[bytes, int] = {}
+            # the function id is the group's key, not one of its columns
+            for j, column in enumerate(islice(zip(*rows), 1, None)
+                                       if width else (rows,)):
+                start = len(out)
+                write_column(out, column)
+                first = seen.setdefault(bytes(out[start:]), j)
+                # an equal earlier column is referenced, not repeated, once
+                # the section has a byte per field of the group: the bound
+                # that keeps a reader's rows no larger than its input
+                if first != j and len(terms) * width <= start - base:
+                    del out[start:]
+                    write_varints(out, [COLUMN_SAME, first], signed=False)
 
     @classmethod
     def read_from(cls, r: Reader) -> "MergedCST":
@@ -206,22 +263,54 @@ class MergedCST:
             raise CorruptTraceError(
                 f"CST claims {n} signatures but only {r.remaining()} "
                 f"bytes remain")
-        sigs, counts, durs = [], [], []
-        for i in range(n):
-            sig = read_value(r)
-            if not isinstance(sig, tuple):
+        counts = read_varints(r, n, signed=False)
+        dur_ns = read_varints(r, n, signed=False)
+        sigs: list = [None] * n
+        left = n
+        while left:
+            width = r.read_uvarint()
+            fid = r.read_varint() if width else None
+            m = r.read_uvarint()
+            if not 0 < m <= left:
                 raise CorruptTraceError(
-                    f"CST entry {i} is a {type(sig).__name__}, "
-                    f"not a signature tuple")
-            sigs.append(sig)
-            counts.append(r.read_uvarint())
-            dur = read_value(r)
-            if isinstance(dur, bool) or not isinstance(dur, (int, float)):
+                    f"CST group at offset {r.pos} claims {m} of the "
+                    f"{left} signatures still unassigned")
+            if m * width > len(r.data):
                 raise CorruptTraceError(
-                    f"CST entry {i} duration is {type(dur).__name__}, "
-                    f"not a number")
-            durs.append(dur)
-        return cls(sigs, counts, durs, remaps=[])
+                    f"CST group at offset {r.pos} claims {m} x {width} "
+                    f"fields in a {len(r.data)}-byte section")
+            gaps = read_varints(r, m, signed=False)
+            if 0 in gaps[1:]:
+                raise CorruptTraceError(
+                    f"CST group before offset {r.pos} lists its "
+                    f"terminals out of ascending order")
+            terms = list(accumulate(gaps))
+            if terms[-1] >= n:
+                raise CorruptTraceError(
+                    f"CST group names terminal {terms[-1]} but the table "
+                    f"has {n}")
+            columns: list = []
+            for _ in range(width - 1 if width else 1):
+                columns.append(read_column(r, m, earlier=columns))
+            if width:
+                rows = zip(repeat(fid, m), *columns)
+            else:
+                rows = columns[0]
+                if set(map(type, rows)) != {tuple}:
+                    raise CorruptTraceError(
+                        f"CST group before offset {r.pos} holds a value "
+                        f"that is not a signature tuple")
+            for term, row in zip(terms, rows):
+                sigs[term] = row
+            left -= m
+        if None in sigs:
+            raise CorruptTraceError(
+                f"CST terminal {sigs.index(None)} is never assigned a "
+                f"signature (another is assigned twice)")
+        if not r.exhausted:
+            raise CorruptTraceError(
+                f"{r.remaining()} trailing bytes after the last CST group")
+        return cls.from_ns(sigs, counts, dur_ns)
 
 
 def merge_csts(csts: list[CST]) -> MergedCST:

@@ -12,9 +12,9 @@ seeded, reproducible mutation set and classifies every outcome:
 * **truncations** at every boundary, one byte either side of it, and at
   seeded random lengths.
 
-Because every section is checksummed (format v2), any surviving mutation
-is a bug in either the format or the fuzzer — the CI smoke job and the
-tier-1 tests assert zero crashes and zero silent successes.
+Because every section is checksummed (since format v2), any surviving
+mutation is a bug in either the format or the fuzzer — the CI smoke job
+and the tier-1 tests assert zero crashes and zero silent successes.
 """
 
 from __future__ import annotations
@@ -158,21 +158,78 @@ def _cst_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
         cst.sigs[0] = sig
         yield desc, trace.to_bytes(compress)
     cst.sigs[0] = first
-    for column in (cst.sigs, cst.counts, cst.dur_sums):
+    for column in (cst.sigs, cst.counts, cst.dur_sums, cst.dur_ns):
         column.pop()
     yield ("the grammars reference a terminal past the end of the CST",
            trace.to_bytes(compress))
 
 
-def _bomb_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
-    """Each of :data:`CODEC_BOMBS` as the one signature of the CST
-    section of an otherwise intact trace, every CRC valid."""
+def _table(groups: bytes, n: int = 2) -> bytes:
+    """A CST payload of *n* entries (each counted once, zero
+    nanoseconds) whose signatures *groups* is to supply."""
+    return bytes([n]) + b"\x01" * n + b"\x00" * n + groups
+
+
+def _group(column: bytes, gaps: bytes = b"\x00\x01") -> bytes:
+    """Function 0's two one-parameter signatures: the group's width,
+    function id and member count, the members' terminal *gaps*, and the
+    parameter *column*."""
+    return b"\x02\x00\x02" + gaps + column
+
+
+_INTS = b"\x00\x02\x04"         # an INT column: 1, 2
+_ONE = b"\x02\x00\x01\x00\x00\x02"  # terminal 0 alone in a group, column: 1
+_HUGE = b"\x80\x80\x80\x80\x80\x20"  # the uvarint 2**40
+
+#: CST payloads only the columnar layout (format v3) makes possible:
+#: each a two-entry table with one defect the reader must refuse in
+#: bounded time, before allocating what a count merely claims
+HOSTILE_TABLES = (
+    ("a group names terminal 2 of a 2-entry table",
+     _table(_group(_INTS, gaps=b"\x00\x02"))),
+    ("terminal 0 is assigned twice", _table(_ONE + _ONE)),
+    ("terminal 1 is never assigned", _table(_ONE)),
+    ("a group's terminals do not ascend",
+     _table(_group(_INTS, gaps=b"\x01\x00"))),
+    ("unknown column tag", _table(_group(b"\x09\x02\x04"))),
+    ("TUPLE column of width 0", _table(_group(b"\x01\x00" + _INTS))),
+    ("LIST lengths sum past the buffer",
+     _table(_group(b"\x02\x7f\x7f" + _INTS))),
+    ("columns nest 65 deep", _table(_group(b"\x01\x01" * 65 + _INTS))),
+    ("a column is the SAME as itself", _table(_group(b"\x04\x00"))),
+    ("a nested column is the SAME as a column of its group",
+     _table(b"\x03\x00\x02\x00\x01" + _INTS + b"\x01\x01\x04\x00")),
+    ("the table claims 2**40 entries", _HUGE + b"\x01\x00"),
+    ("a group claims 2**40 parameter columns",
+     _table(_HUGE + b"\x00\x02\x00\x01" + _INTS)),
+    ("a group claims more fields than the section has bytes",
+     # four rows, twelve wide: one real column and ten references to it
+     _table(b"\x0c\x00\x04\x00\x01\x01\x01" + b"\x00\x02\x04\x06\x08"
+            + b"\x04\x00" * 10, n=4)),
+    ("a group claims 2**40 members", _table(b"\x02\x00" + _HUGE + _INTS)),
+    ("a TUPLE column claims 2**40 positions",
+     _table(_group(b"\x01" + _HUGE + _INTS))),
+    ("a LIST row claims 2**40 elements",
+     _table(_group(b"\x02\x00" + _HUGE + _INTS))),
+)
+
+
+def _table_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
+    """Hand-built CST sections in an otherwise intact trace, every CRC
+    valid: each of :data:`CODEC_BOMBS` as the one signature of a
+    one-entry table, then each of :data:`HOSTILE_TABLES`."""
     header, sections = split_sections(blob)
-    for desc, value in CODEC_BOMBS:
+    tables = [(f"codec bomb in the signature table: {desc}",
+               # the whole-signature group: width 0, terminal 0, VALUES
+               _table(b"\x00\x01\x00\x03" + value, n=1))
+              for desc, value in CODEC_BOMBS]
+    tables += [(f"hostile table: {desc}", payload)
+               for desc, payload in HOSTILE_TABLES]
+    for desc, payload in tables:
         out = bytearray(header)
-        emit_section(out, b"\x01" + value, bool(blob[5] & FLAG_COMPRESSED))
+        emit_section(out, payload, bool(blob[5] & FLAG_COMPRESSED))
         out += b"".join(sec for _, sec in sections[1:])
-        yield f"codec bomb in the signature table: {desc}", bytes(out)
+        yield desc, bytes(out)
 
 
 def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
@@ -185,12 +242,12 @@ def corpus_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     salvage parsing must recover the covered ranks and answer requests
     for the others with :class:`~repro.core.errors.MissingRankError`,
     never a bare ``IndexError``/``KeyError``.  The CST cases
-    (:func:`_cst_mutations`) and the codec bombs
-    (:func:`_bomb_mutations`) ride the same corpus."""
+    (:func:`_cst_mutations`) and the hand-built tables
+    (:func:`_table_mutations`) ride the same corpus."""
     if len(blob) <= HEADER_FIXED:
         return
     yield from _cst_mutations(blob)
-    yield from _bomb_mutations(blob)
+    yield from _table_mutations(blob)
     nprocs = blob[HEADER_FIXED]
     if nprocs >= 0x7f:  # multi-byte varint; the single-byte edits below
         return          # would change its meaning, not its value

@@ -16,6 +16,7 @@ refuses to produce such bytes).
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from struct import Struct, error as StructError
 from typing import Any, Sequence
 
@@ -61,14 +62,27 @@ def write_varint(out: bytearray, n: int) -> None:
 def write_varints(out: bytearray, ints: Sequence[int],
                   signed: bool = True) -> None:
     """Append *ints* as varints (zigzag-coded if *signed*) — one C-speed
-    ``extend`` when each fits a single byte, as grammar arrays mostly do."""
+    ``extend`` when each fits a single byte, as grammar arrays mostly do,
+    one loop with no call per value otherwise."""
+    if not ints:
+        return
     if signed:
         ints = [-2 * n - 1 if n < 0 else 2 * n for n in ints]
-    if ints and 0 <= min(ints) and max(ints) < 0x80:
+    top = max(ints)
+    if min(ints) < 0:
+        raise ValueError(f"uvarint of negative {min(ints)}")
+    if top < 0x80:
         out.extend(ints)
-    else:
-        for n in ints:
-            write_uvarint(out, n)
+        return
+    if top >> 7 * MAX_VARINT_BYTES:
+        raise ValueError(f"{top.bit_length()}-bit integer exceeds a "
+                         f"{MAX_VARINT_BYTES}-byte varint")
+    append = out.append
+    for n in ints:
+        while n >= 0x80:
+            append(n & 0x7F | 0x80)
+            n >>= 7
+        append(n)
 
 
 def _uvarint_tail(data: bytes, pos: int, z: int) -> tuple[int, int]:
@@ -287,3 +301,96 @@ def pack_value(v: Any) -> bytes:
     out = bytearray()
     write_value(out, v)
     return bytes(out)
+
+
+# -- columns ---------------------------------------------------------------------
+#
+# One table column (the values one parameter takes down a group of
+# signatures), stored by shape so that like sits next to like and int
+# data takes the bulk varint path:
+#
+#   INT     n signed varints
+#   TUPLE   k, then k sub-columns of n values: row i is (c0[i], ..., ck-1[i])
+#   LIST    a lengths column (n uvarints), then one sub-column holding the
+#           rows' elements end to end
+#   VALUES  n tagged values — whatever is not uniformly ints or tuples
+#   SAME    j: the column equals the j-th of those written before it for
+#           the same rows (the writer of the rows decides when; deflate
+#           cannot see that far once columns outgrow its window)
+
+_C_INT = 0
+_C_TUPLE = 1
+_C_LIST = 2
+_C_VALUES = 3
+COLUMN_SAME = 4
+
+_INT_ONLY = frozenset((int,))
+_TUPLE_ONLY = frozenset((tuple,))
+#: equal-width tuples up to this wide are records, stored by position
+#: (the encoder's widest is a device pointer); wider ones are vectors
+#: that happen to agree on a length
+_MAX_RECORD = 4
+
+
+def write_column(out: bytearray, values: Sequence, depth: int = 0) -> None:
+    """Serialize one column of *values*, choosing its shape from one type
+    scan per level."""
+    kinds = set(map(type, values))
+    if kinds <= _INT_ONLY:          # bools are not ``int`` here; empty is
+        out.append(_C_INT)
+        write_varints(out, values)
+    elif kinds == _TUPLE_ONLY:
+        if depth >= MAX_VALUE_DEPTH:
+            raise ValueError(f"column nests past {MAX_VALUE_DEPTH} levels")
+        widths = set(map(len, values))
+        if len(widths) == 1 and 0 < min(widths) <= _MAX_RECORD:
+            out.append(_C_TUPLE)
+            write_uvarint(out, min(widths))
+            for sub in zip(*values):
+                write_column(out, sub, depth + 1)
+        else:
+            out.append(_C_LIST)
+            write_varints(out, list(map(len, values)), signed=False)
+            write_column(out, list(chain.from_iterable(values)), depth + 1)
+    else:
+        out.append(_C_VALUES)
+        for v in values:
+            write_value(out, v)
+
+
+def read_column(r: Reader, n: int, depth: int = 0,
+                earlier: Sequence = ()) -> Sequence:
+    """The next column of *n* values; *earlier* are the columns a SAME
+    may refer to.  Every value of every other shape costs at least one
+    byte, so a count the buffer cannot hold is refused before anything
+    is allocated."""
+    tag = r.read_uvarint()
+    if tag == COLUMN_SAME:
+        j = r.read_uvarint()
+        if j >= len(earlier):
+            raise CorruptTraceError(
+                f"column before offset {r.pos} refers to column {j} with "
+                f"{len(earlier)} before it")
+        return earlier[j]
+    if n > r.remaining():
+        raise CorruptTraceError(f"column claims {n} values but only "
+                                f"{r.remaining()} bytes remain")
+    if tag == _C_INT:
+        return read_varints(r, n)
+    if tag == _C_VALUES:
+        return [read_value(r) for _ in range(n)]
+    if tag != _C_TUPLE and tag != _C_LIST:
+        raise CorruptTraceError(f"unknown column tag {tag} at offset "
+                                f"{r.pos - 1}")
+    if depth >= MAX_VALUE_DEPTH:
+        raise CorruptTraceError(f"column at offset {r.pos} nests past "
+                                f"{MAX_VALUE_DEPTH} levels")
+    if tag == _C_TUPLE:
+        k = r.read_uvarint()
+        if not 0 < k <= r.remaining():
+            raise CorruptTraceError(f"tuple column claims {k} positions "
+                                    f"with {r.remaining()} bytes left")
+        return list(zip(*[read_column(r, n, depth + 1) for _ in range(k)]))
+    lens = read_varints(r, n, signed=False)
+    flat = iter(read_column(r, sum(lens), depth + 1))
+    return [tuple(islice(flat, k)) for k in lens]

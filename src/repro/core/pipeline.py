@@ -10,7 +10,7 @@ reduction — serially by default or in parallel over a
 the merge is associative (see :mod:`repro.core.shard`), every tree shape
 and every ``jobs`` setting yields byte-identical traces.  Stage 3
 (**serialize**) runs the final CFG dedup/merge/Sequitur pass over the
-reduced shard's per-rank grammars and emits the v2 on-disk format.
+reduced shard's per-rank grammars and emits the on-disk trace format.
 
 **Resilience** (``faults=`` / ``retry=``): every freeze, pair-merge, and
 the final serialize runs under a :class:`~repro.resilience.retry.

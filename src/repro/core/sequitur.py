@@ -24,29 +24,10 @@ Terminals are non-negative ints; rule references are negative ints
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-#: digram-index key: packed int in the common range, tuple fallback outside
-DigramKey = Union[int, tuple[int, int, int, int]]
-
-_PACK_LIM = 1 << 32   # exponents must stay below this for the packed form
-_PACK_OFF = 1 << 31   # value bias so rule refs (negative) pack too
-
-
-def _digram_key(v1: int, e1: int, v2: int, e2: int) -> DigramKey:
-    """Flat-dict key for the token digram ``(v1^e1, v2^e2)``.
-
-    The common case packs both tokens into one int — ``(a << 32) | b``
-    per token, tokens concatenated — which hashes and compares faster
-    than a 4-tuple and allocates no container.  Out-of-range fields
-    (exponents >= 2**32, values outside +/-2**31) fall back to the tuple
-    form; int and tuple keys can never collide in the same dict.
-    """
-    if e1 < _PACK_LIM and e2 < _PACK_LIM \
-            and -_PACK_OFF <= v1 < _PACK_OFF and -_PACK_OFF <= v2 < _PACK_OFF:
-        return ((((v1 + _PACK_OFF) << 32) | e1) << 64) \
-            | (((v2 + _PACK_OFF) << 32) | e2)
-    return (v1, e1, v2, e2)
+#: digram-index key ``(v1, e1, v2, e2)`` for the token pair ``v1^e1 v2^e2``
+DigramKey = tuple[int, int, int, int]
 
 
 class Symbol:
@@ -122,8 +103,7 @@ class Sequitur:
     def __init__(self, loop_detection: bool = True) -> None:
         self.rules: dict[int, Rule] = {}
         self._next_rid = self.START_RID
-        #: digram index: packed token pair (see :func:`_digram_key`) ->
-        #: left Symbol of the occurrence
+        #: digram index: token pair -> left Symbol of the occurrence
         self._digrams: dict[DigramKey, Symbol] = {}
         #: rules whose refcount dropped to 1, pending a P2 utility pass
         self._pending_underused: list[Rule] = []
@@ -155,7 +135,7 @@ class Sequitur:
     @staticmethod
     def _key(left: Symbol) -> DigramKey:
         right = left.next
-        return _digram_key(left.value, left.exp, right.value, right.exp)
+        return (left.value, left.exp, right.value, right.exp)
 
     def _delete_digram_at(self, left: Symbol) -> None:
         """Forget the digram starting at *left*, if indexed as such."""
@@ -164,7 +144,7 @@ class Sequitur:
         right = left.next
         if right.rule_of is not None:
             return
-        key = _digram_key(left.value, left.exp, right.value, right.exp)
+        key = (left.value, left.exp, right.value, right.exp)
         digrams = self._digrams
         if digrams.get(key) is left:
             del digrams[key]
@@ -218,7 +198,7 @@ class Sequitur:
             if not self._check(left.prev):
                 self._check(left)
             return True
-        key = _digram_key(left.value, left.exp, right.value, right.exp)
+        key = (left.value, left.exp, right.value, right.exp)
         digrams = self._digrams
         found = digrams.get(key)
         if found is None:

@@ -38,7 +38,7 @@ from itertools import chain
 from typing import Optional
 
 from ..resilience.salvage import SalvageReport
-from .cst import CST, MergedCST
+from .cst import CST, MergedCST, _dur_to_ns
 from .encoder import PerRankEncoder
 from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
                      UnsupportedVersionError)
@@ -55,15 +55,6 @@ _SHARD_FLAG_COMPRESSED = 2
 
 PARTIAL_MAGIC = b"PPRT"
 PARTIAL_VERSION = 1
-
-#: durations are carried through the reduction as integer nanoseconds so
-#: that merging is exactly associative; 1 ns is far below the simulator's
-#: clock resolution
-NS_PER_SECOND = 1_000_000_000
-
-
-def _dur_to_ns(seconds: float) -> int:
-    return int(round(seconds * NS_PER_SECOND))
 
 
 @dataclass
@@ -184,12 +175,11 @@ class RankShard:
         return shard
 
     def merged_cst(self) -> MergedCST:
-        """The shard's CST as a :class:`MergedCST` (durations back in
-        seconds — the exact division ``ns / 1e9`` is deterministic, so
-        the serialized bytes do not depend on the reduction tree)."""
-        return MergedCST(sigs=list(self.sigs), counts=list(self.counts),
-                         dur_sums=[ns / NS_PER_SECOND for ns in self.dur_ns],
-                         remaps=[])
+        """The shard's CST as a :class:`MergedCST`: its own integer
+        nanoseconds are what the trace stores, so the serialized bytes
+        do not depend on the reduction tree."""
+        return MergedCST.from_ns(list(self.sigs), list(self.counts),
+                                 list(self.dur_ns))
 
     # -- serialization ---------------------------------------------------------------
 

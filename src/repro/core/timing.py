@@ -133,9 +133,6 @@ class TimingMeta:
 class TimingCompressor:
     """Per-rank lossy duration/interval compression."""
 
-    #: bin memo entries beyond this are churn; drop rather than track LRU
-    _MEMO_CAP = 1 << 16
-
     def __init__(self, base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
                  loop_detection: bool = True, streaming: bool = False):
@@ -153,11 +150,8 @@ class TimingCompressor:
         self._recon: dict[int, float] = {}
         self.n_calls = 0
         #: clamp events observed while binning (each out-of-range call
-        #: counts; clamped values are never memoized, keeping this exact)
+        #: counts)
         self.n_clamped = 0
-        #: (value, base) -> bin memo; binning is pure, so memo hits are
-        #: byte-identical to recomputation
-        self._bin_memo: dict[tuple[float, float], int] = {}
         #: raw streams kept only when verification asks for them
         self.keep_raw = False
         self.raw_durations: list[float] = []
@@ -168,20 +162,13 @@ class TimingCompressor:
                           per_function_base=dict(self.per_function_base))
 
     def _bin(self, x: float, base: float) -> int:
-        key = (x, base)
-        memo = self._bin_memo
-        b = memo.get(key)
-        if b is not None:
-            return b
+        """:func:`bin_value`, counting the clamps."""
         b = _raw_bin(x, base)
-        if b < -BIN_OFFSET or b > BIN_OFFSET:
-            self.n_clamped += 1
-            _warn_clamp(b, base)
-            return -BIN_OFFSET if b < 0 else BIN_OFFSET
-        if len(memo) >= self._MEMO_CAP:
-            memo.clear()
-        memo[key] = b
-        return b
+        if -BIN_OFFSET <= b <= BIN_OFFSET:
+            return b
+        self.n_clamped += 1
+        _warn_clamp(b, base)
+        return -BIN_OFFSET if b < 0 else BIN_OFFSET
 
     def record(self, term: int, fname: str, t0: float, t1: float) -> None:
         base = self.per_function_base.get(fname, self.base)
@@ -236,7 +223,7 @@ class TimingCompressor:
     def rotate(self) -> tuple[Grammar, Grammar]:
         """Streaming produce path: hand over the two bin logs as flat
         parts and empty them.  Only the *logs* rotate — the reconstructed
-        clocks, the bin memo and the clamp counter stay live, so the bin
+        clocks and the clamp counter stay live, so the bin
         streams across rotations concatenate to exactly the stream an
         unrotated run would have fed Sequitur."""
         parts = (Grammar.flat(self.duration_grammar),

@@ -3,7 +3,7 @@
 Layout (all integers are varints, see :mod:`repro.core.packing`)::
 
     magic  b"PILG"            4 bytes
-    version                   1 byte   (currently 2)
+    version                   1 byte   (currently 3)
     flags                     1 byte   (bit0: lossy timing sections present;
                                         bit1: sections are zlib-compressed)
     nprocs
@@ -12,7 +12,7 @@ Layout (all integers are varints, see :mod:`repro.core.packing`)::
     crc32 of the payload      4 bytes little-endian
     payload
     -- section order --
-    CST:  n_signatures, then per entry: signature value, count, duration sum
+    CST:  the signature table, by columns (below)
     CFG:  n_top_rules          (rules [0, n_top) are the merged top level)
           n_unique_grammars, then per grammar: its rule count
           final grammar        (rule array, see Grammar.write_to; the rank ->
@@ -25,6 +25,43 @@ Layout (all integers are varints, see :mod:`repro.core.packing`)::
           plus the per-function overrides), see TimingMeta — without
           them reconstruction cannot honour per-function bases
 
+The CST section (:meth:`MergedCST.write_to`) is a table of ``n``
+entries, terminal ``t`` being row ``t``::
+
+    n
+    counts        n uvarints: calls per signature
+    dur_ns        n uvarints: summed duration per signature, in integer
+                  nanoseconds (seconds are derived, ``ns / 1e9``)
+    group*        until every terminal has its signature
+    group  := width fid m gap*m column*(width-1)   width >= 1: the m
+                  signatures ``(fid, p1, .., p[width-1])`` of one function
+                  (fid zigzag-coded), one column per parameter position
+            | 0 m gap*m column                     signatures with no int
+                  at their head (malformed tables only), whole, as one
+                  column of tuples
+    gap*m        the group's terminals, ascending: the first, then each
+                  one's distance from the one before
+    column := 0 value*m          INT: signed varints
+            | 1 k column*k       TUPLE: row i is (c0[i], .., c[k-1][i])
+            | 2 length*m column  LIST: row i is the next length[i] values
+                                 of the one sub-column
+            | 3 tagged value*m   VALUES: see packing.write_value
+            | 4 j                SAME: equal to parameter column j of this
+                                 group, j below this column's own position
+                                 (a group's own columns only, not nested
+                                 ones: Alltoallv's send and receive counts)
+
+Groups appear in order of their first terminal, so equal tables have
+equal bytes.  The reader's bounds are part of the format: ``n``, ``m``,
+``k`` and every column's value count are checked against the bytes left
+before anything is allocated (every value of every shape but SAME costs
+at least one byte), a group's ``m * width`` fields may not outnumber the
+section's bytes (so SAME cannot make rows larger than the input; the
+writer repeats a column rather than break this), columns nest at most
+``MAX_VALUE_DEPTH`` deep, a terminal is below ``n`` and belongs to
+exactly one group, and nothing follows the last group —
+:class:`CorruptTraceError` or :class:`TruncatedTraceError` otherwise.
+
 Sections are individually deflate-compressed by default (length-prefixed),
 mirroring the generic final-compression pass real trace formats apply —
 without it, the per-rank Alltoallv count arrays of IS alone would dwarf
@@ -32,11 +69,13 @@ the paper's reported sizes (58KB at 1024 ranks).  All size figures the
 benchmarks report are ``len()`` of these bytes — honest on-disk sizes,
 including the checksum overhead (4 bytes per section).
 
-Version 2 makes "lossless" a *checked* property: every section carries a
-CRC32 over its stored bytes, the reader verifies it before parsing, and
-every failure mode raises a structured :class:`TraceFormatError` subclass
-(see :mod:`repro.core.errors`) — never a raw ``IndexError`` and never a
-silently wrong record.
+Since version 2 "lossless" is a *checked* property: every section
+carries a CRC32 over its stored bytes, the reader verifies it before
+parsing, and every failure mode raises a structured
+:class:`TraceFormatError` subclass (see :mod:`repro.core.errors`) —
+never a raw ``IndexError`` and never a silently wrong record.  Version 3
+changed the CST section from a list of tagged values to the table
+above; a version 2 blob is an :class:`UnsupportedVersionError`.
 """
 
 from __future__ import annotations
@@ -56,7 +95,7 @@ from .packing import Reader, read_varints, write_uvarint, write_varints
 from .timing import TimingMeta
 
 MAGIC = b"PILG"
-VERSION = 2
+VERSION = 3
 HEADER_FIXED = 6  # magic + version + flags; nprocs follows as a varint
 
 FLAG_TIMING = 1
@@ -434,7 +473,7 @@ def section_spans(data: bytes) -> dict[str, tuple[int, int]]:
 
 
 def split_sections(data: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
-    """Split a v2 blob into ``(header_bytes, [(name, section_bytes)])``
+    """Split a trace blob into ``(header_bytes, [(name, section_bytes)])``
     where each section's bytes cover its length prefix, CRC, and
     payload — concatenating the header with the sections reproduces
     *data* exactly (the trace store's reassembly invariant).
@@ -459,7 +498,7 @@ def split_sections(data: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
 
 
 def section_hashes(data: bytes) -> dict[str, str]:
-    """SHA-256 content hash per section of a valid v2 blob — the free
+    """SHA-256 content hash per section of a valid trace blob — the free
     content addresses the trace store keys its blobs on (section bytes
     are deterministic, so identical runs hash identically)."""
     import hashlib

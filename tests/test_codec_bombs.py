@@ -20,8 +20,10 @@ from time import perf_counter
 import pytest
 
 import repro
-from repro.core.errors import CorruptTraceError, StoreFormatError
-from repro.core.fuzz import CODEC_BOMBS, corpus_mutations, run_fuzz
+from repro.core.errors import (CorruptTraceError, StoreFormatError,
+                               TraceFormatError)
+from repro.core.fuzz import (CODEC_BOMBS, HOSTILE_TABLES, corpus_mutations,
+                             run_fuzz)
 from repro.core.trace_format import TraceFile, emit_section
 from repro.ingest import protocol as proto, push, serve_in_thread
 from repro.ingest.aggregator import read_partials
@@ -81,6 +83,21 @@ class TestStructuredAndBounded:
             # salvage drops the CST (so every rank) instead of crashing
             salvaged = TraceFile.from_bytes(blob, salvage=True)
             assert "CST" in salvaged.salvage.lost_sections
+
+    def test_hostile_tables(self, trace_blob):
+        # what only the columnar CST makes possible: terminals out of
+        # range, order or number, bad column shapes and references, and
+        # counts that claim 2**40 of something or more fields than the
+        # section has bytes — refused before they are allocated
+        tables = [(d, b) for d, b in corpus_mutations(trace_blob)
+                  if d.startswith("hostile table")]
+        assert len(tables) == len(HOSTILE_TABLES) >= 16
+        assert sum("2**40" in d for d, _ in tables) == 5
+        for desc, blob in tables:
+            assert _refused(TraceFile.from_bytes, blob,
+                            TraceFormatError) < BOUND_S, desc
+            salvaged = TraceFile.from_bytes(blob, salvage=True)
+            assert "CST" in salvaged.salvage.lost_sections, desc
 
     def test_depth_bomb_does_not_depend_on_the_callers_stack(self,
                                                               trace_bombs):

@@ -192,7 +192,10 @@ def oracle_codec():
         mp.setattr(Reader, "read_varint", o_read_varint)
         mp.setattr(Grammar, "from_reader", classmethod(o_grammar_from_reader))
         mp.setattr(Grammar, "write_to", o_grammar_write_to)
-        for mod in (cst_mod, shard_mod, timing_mod, tf_mod, grammar_mod):
+        # ``packing`` itself too: its column pair (the CST's table) sits
+        # on the same kernels
+        for mod in (packing, cst_mod, shard_mod, timing_mod, tf_mod,
+                    grammar_mod):
             for name, fn in (("read_value", o_read_value),
                              ("write_value", o_write_value),
                              ("read_varints", o_read_varints),
@@ -426,23 +429,24 @@ class TestOnePass:
             calls["scalar"] += 1
             return scalar(self)
 
-        monkeypatch.setattr(cst_mod, "read_value", counting_read_value)
+        monkeypatch.setattr(packing, "read_value", counting_read_value)
         monkeypatch.setattr(timing_mod, "read_value", counting_read_value)
         monkeypatch.setattr(Reader, "read_uvarint", counting_uvarint)
         decoder = TraceDecoder.from_bytes(blob)
         assert decoder.trace == trace
         # the call-per-byte entry point is gone, not merely unused
         assert not hasattr(Reader, "read_byte")
-        # one read_value call per top-level value — a CST entry is a
-        # signature and a duration sum, the timing meta one tuple — and
-        # none per nested element (the signatures hold thousands)
-        assert calls["read_value"] == 2 * n_entries + 1
-        # scalar varints: one count per CST entry and one token count
-        # per grammar rule, plus per-section framing; never one per
-        # grammar token
+        # one read_value call for the timing meta's one tuple and none
+        # for the CST: since format v3 it is read by columns, and this
+        # table's are all ints (tests/test_cst_table_oracle.py counts
+        # its scalar varints per column)
+        assert calls["read_value"] == 1
+        # scalar varints: a few per CST column and one token count per
+        # grammar rule, plus per-section framing; never one per CST
+        # entry or per grammar token
         n_tokens = sum(c.final.n_tokens for c in (
             trace.cfg, trace.timing_duration, trace.timing_interval))
-        assert calls["scalar"] <= n_entries + n_rules + 32
+        assert calls["scalar"] <= n_entries // 2 + n_rules
         assert n_tokens > 8 * n_rules
 
     def test_decoder_expands_what_the_oracle_parsed(self, amr_trace):
@@ -458,37 +462,45 @@ class TestDecodeBench:
         from pathlib import Path
         from repro.bench import run_benchmark
         from repro.bench.decode import LOSSY_FAMILIES
-        doc = run_benchmark("decode", repeats=1, warmup=0, params={
+        doc = run_benchmark("decode", repeats=2, warmup=0, params={
             "families": ["stencil2d", "flash_cellular"], "nprocs": 4})
         metrics = doc["metrics"]
         for fam in ("stencil2d", "flash_cellular"):
             assert metrics[f"{fam}.decode_ms"] == pytest.approx(
                 metrics[f"{fam}.parse_ms"] + metrics[f"{fam}.expand_ms"])
+            # the size of what was parsed: an exact count, IQR zero
+            assert metrics[f"{fam}.trace_bytes"] > 100
+            assert doc["stats"][f"{fam}.trace_bytes"]["iqr"] == 0
         ratios = [metrics[f"{fam}.decode_over_null"]
                   for fam in ("stencil2d", "flash_cellular")]
         assert 0 < min(ratios) <= metrics["decode_over_null"] <= max(ratios)
-        # CI gates ratios only: no absolute-millisecond metric in the
-        # checked-in baseline, every gated metric is one the default
-        # run emits, and the irregular family is among them
+        # CI gates same-runner ratios and exact byte counts only: no
+        # absolute-millisecond metric in the checked-in baseline, every
+        # gated metric is one the default run emits, and the irregular
+        # family is among them
         baseline = json.loads(
             (Path(__file__).parent.parent / "benchmarks" / "baselines"
              / "decode-ci.json").read_text())["metrics"]
-        assert baseline and all(name.endswith("decode_over_null")
-                                for name in baseline)
+        assert baseline and all(
+            name.endswith(("decode_over_null", ".trace_bytes"))
+            for name in baseline)
         full = run_benchmark("decode", repeats=1, warmup=0,
                              params={"nprocs": 2})["metrics"]
         assert set(baseline) <= set(full)
         assert all(f"{fam}.decode_over_null" in baseline
+                   and f"{fam}.trace_bytes" in baseline
                    for fam in LOSSY_FAMILIES)
 
 
 def test_packing_has_one_reader_and_one_writer():
     """No second code path: the module exports exactly one value reader,
-    one value writer and one varint reader family."""
+    one value writer, one varint reader family and — the only entry
+    points format v3 added — one column writer and one column reader."""
     public = {n for n in vars(packing) if not n.startswith("_")
               and callable(getattr(packing, n))
               and getattr(getattr(packing, n), "__module__", "")
               == packing.__name__}
     assert public == {"zigzag", "unzigzag", "write_uvarint", "write_varint",
                       "write_varints", "Reader", "read_varints",
-                      "write_value", "read_value", "pack_value"}
+                      "write_value", "read_value", "pack_value",
+                      "write_column", "read_column"}

@@ -235,9 +235,10 @@ class TestBatchAppend:
         assert a.expand() == b.expand() == [1] * 3 + [2] + [1] * 4
 
     def test_huge_exponent_falls_back_to_tuple_key(self):
-        # exponents >= 2**32 exceed the packed digram-key range; the
-        # tuple fallback must keep the grammar lossless (loop detection
-        # off: arming a prediction would materialize the 2**40 run)
+        # exponents >= 2**32 were outside the range the digram key packed
+        # into one int, when it did; the tuple it is now must keep the
+        # grammar lossless all the same (loop detection off: arming a
+        # prediction would materialize the 2**40 run)
         s = Sequitur(loop_detection=False)
         big = 1 << 40
         s.append(1, exp=big)
@@ -261,3 +262,111 @@ class TestBatchAppend:
             Grammar.freeze(scalar).expand()
         batched.flush()
         batched.check_invariants()
+
+
+# -- the digram key: the parent's packed int, kept verbatim as the oracle --------------
+
+_PACK_LIM = 1 << 32   # exponents must stay below this for the packed form
+_PACK_OFF = 1 << 31   # value bias so rule refs (negative) pack too
+
+
+def _digram_key(v1, e1, v2, e2):
+    """Flat-dict key for the token digram ``(v1^e1, v2^e2)``: both tokens
+    packed into one int in the common range, the tuple outside it."""
+    if e1 < _PACK_LIM and e2 < _PACK_LIM \
+            and -_PACK_OFF <= v1 < _PACK_OFF and -_PACK_OFF <= v2 < _PACK_OFF:
+        return ((((v1 + _PACK_OFF) << 32) | e1) << 64) \
+            | (((v2 + _PACK_OFF) << 32) | e2)
+    return (v1, e1, v2, e2)
+
+
+class PackedKeySequitur(Sequitur):
+    """The three places that build a digram key, as the parent had them."""
+
+    @staticmethod
+    def _key(left):
+        right = left.next
+        return _digram_key(left.value, left.exp, right.value, right.exp)
+
+    def _delete_digram_at(self, left) -> None:
+        if left is None or left.rule_of is not None:
+            return
+        right = left.next
+        if right.rule_of is not None:
+            return
+        key = _digram_key(left.value, left.exp, right.value, right.exp)
+        digrams = self._digrams
+        if digrams.get(key) is left:
+            del digrams[key]
+
+    def _check(self, left) -> bool:
+        if left is None or left.rule_of is not None:
+            return False
+        right = left.next
+        if right.rule_of is not None:
+            return False
+        if left.value == right.value:
+            self._delete_digram_at(left.prev)
+            self._delete_digram_at(right)
+            self._delete_digram_at(left)
+            left.exp += right.exp
+            self._unlink_merged(right)
+            if not self._check(left.prev):
+                self._check(left)
+            return True
+        key = _digram_key(left.value, left.exp, right.value, right.exp)
+        digrams = self._digrams
+        found = digrams.get(key)
+        if found is None:
+            digrams[key] = left
+            return False
+        if found is left:
+            return False
+        if found.next is left or left.next is found:
+            return False
+        self._match(left, found, key)
+        return True
+
+
+#: small alphabets, noisy loops and run-heavy streams — what CST
+#: terminals and timing bins look like
+_streams = st.one_of(
+    st.lists(st.integers(0, 4), max_size=120),
+    st.builds(lambda body, reps, noise: [
+        v for i in range(reps) for v in (body + noise[i % len(noise):][:1])],
+        st.lists(st.integers(0, 9), min_size=1, max_size=6),
+        st.integers(1, 30), st.lists(st.integers(10, 12), min_size=1,
+                                     max_size=5)),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9)), max_size=40)
+    .map(lambda runs: [v for v, n in runs for _ in range(n)]))
+
+
+class TestTupleKeyIsInvisible:
+    @settings(max_examples=300, deadline=None)
+    @given(_streams, st.booleans(), st.data())
+    def test_same_grammar_as_the_packed_key(self, seq, ld, data):
+        got, want = Sequitur(loop_detection=ld), \
+            PackedKeySequitur(loop_detection=ld)
+        i = 0
+        while i < len(seq):     # a random mix of append and append_array
+            n = data.draw(st.integers(0, 12))
+            for s in (got, want):
+                if n:
+                    s.append_array(seq[i:i + n])
+                else:
+                    s.append(seq[i])
+            i += n or 1
+        assert Grammar.freeze(got) == Grammar.freeze(want)
+        assert got.expand() == seq
+
+    def test_beyond_the_packed_range(self):
+        frozen = []
+        for s in (Sequitur(loop_detection=False),
+                  PackedKeySequitur(loop_detection=False)):
+            for _ in range(3):
+                s.append(1, exp=1 << 40)
+                s.append(2)
+            s.flush()
+            s.check_invariants()
+            frozen.append(Grammar.freeze(s))
+        assert frozen[0] == frozen[1]

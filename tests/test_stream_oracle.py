@@ -26,6 +26,7 @@ from repro.core.sequitur import Sequitur
 from repro.core.shard import (RankCompressor, ShardPartial,
                               StreamingRankCompressor, _dur_to_ns)
 from repro.core.timing import TimingCompressor
+from repro.core.trace_format import TraceFile
 from repro.core.encoder import CommIdSpace
 from repro.ingest import ChunkingTracer, protocol as proto
 from repro.ingest.aggregator import (CONSOLIDATE_AFTER, TenantFold,
@@ -33,6 +34,8 @@ from repro.ingest.aggregator import (CONSOLIDATE_AFTER, TenantFold,
 from repro.ingest.session import TenantState
 from repro.obs import MetricsRegistry
 from repro.workloads import make
+
+from test_cst_table_oracle import read_v2_trace
 
 # -- the oracle: the freeze-a-Sequitur-per-flush producer, kept verbatim ----------------
 
@@ -470,7 +473,14 @@ class TestCrossVersion:
     producer emits for the same run; the parent's
     ``ShardPartial.read_from`` + fold was run over it once, by hand, at
     recording time and gave the same trace, and the test below holds the
-    producer to exactly those partials."""
+    producer to exactly those partials.
+
+    The pinned trace is a format-v2 blob and stays one: the wire and the
+    checkpoint did not change when the trace's CST section went columnar
+    (v3), so the recorded CHUNKs are still compared byte for byte, and
+    what they fold to is compared as *tables* — signatures, counts,
+    nanoseconds, CFG, timing — with the v2 blob as the oracle's reader
+    (``tests/test_cst_table_oracle.py``) parses it."""
 
     @pytest.fixture(scope="class")
     def pinned(self):
@@ -481,6 +491,8 @@ class TestCrossVersion:
             doc[key] = [bytes.fromhex(h) for h in doc[key]]
         for key in ("parent_checkpoint", "trace"):
             doc[key] = bytes.fromhex(doc[key])
+        doc["tables"] = read_v2_trace(doc["trace"])
+        assert len(doc["tables"].cst) > 10 and doc["tables"].timing_meta
         return doc
 
     def test_parent_chunks_fold_to_the_parent_trace(self, pinned):
@@ -489,14 +501,16 @@ class TestCrossVersion:
                  for p in fold.absorb_blob(blob) for g in p.parts]
         # the parent shipped every part as a frozen Sequitur
         assert sum(g.n_rules > 1 for g in parts) > len(parts) // 2
-        assert fold.finish(pinned["fin"]) == pinned["trace"]
+        assert TraceFile.from_bytes(
+            fold.finish(pinned["fin"])) == pinned["tables"]
 
     def test_parent_checkpoint_resumes_to_the_parent_trace(self, pinned):
         fold, state = TenantFold.from_bytes(pinned["parent_checkpoint"])
         assert state.next_seq == pinned["checkpoint_after"]
         for blob in pinned["parent_chunks"][state.next_seq:]:
             fold.absorb_blob(blob)
-        assert fold.finish(pinned["fin"]) == pinned["trace"]
+        assert TraceFile.from_bytes(
+            fold.finish(pinned["fin"])) == pinned["tables"]
 
     def test_todays_producer_emits_what_the_parent_parsed(self, pinned):
         flushes, config, fin, _ = _stream(
@@ -504,8 +518,12 @@ class TestCrossVersion:
             watermark=23)
         assert (config, fin) == (pinned["config"], pinned["fin"])
         assert flushes == [read_partials(b) for b in pinned["new_chunks"]]
-        assert _fold(flushes, config, fin) == pinned["trace"] == \
-            _one_shot("stencil2d", lossy=True).result.trace_bytes
+        # the wire did not change: the recorded CHUNK payloads, byte for byte
+        assert [b"".join(p.to_bytes() for p in flush)
+                for flush in flushes] == pinned["new_chunks"]
+        folded = _fold(flushes, config, fin)
+        assert folded == _one_shot("stencil2d", lossy=True).result.trace_bytes
+        assert TraceFile.from_bytes(folded) == pinned["tables"]
 
 
 def _tuplify(x):
