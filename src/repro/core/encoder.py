@@ -218,12 +218,16 @@ _TYPE = ("(None if (v := {g}) is None else v.handle)",
 _INTV = ("(None if (v := {g}) is None else tuple(v))", _s_intv)
 
 STATIC_KINDS = {
-    F.K_COUNT: _RAW, F.K_INT: _RAW, F.K_STR: _RAW,
+    F.K_COUNT: _RAW, F.K_INT: _RAW, F.K_STR: _RAW, F.K_INDEX: _RAW,
     F.K_PTR: ("({g} or 0)",
               lambda enc, v, *_: enc.memory.encode_ptr(v or 0)),
     F.K_COMM: _COMM, F.K_NEWCOMM: _COMM,
     F.K_WIN: _WIN, F.K_NEWWIN: _WIN,
     F.K_DATATYPE: _TYPE, F.K_NEWTYPE: _TYPE,
+    F.K_DATATYPEV: ("(None if (v := {g}) is None else "
+                    "tuple([None if t is None else t.handle for t in v]))",
+                    lambda enc, v, *_: None if v is None else
+                    tuple([enc._enc_datatype(t) for t in v])),
     # a group keys by id(obj), pinned alive via _group_refs
     F.K_GROUP: ("(None if (v := {g}) is None else _id(v))",
                 lambda enc, v, *_: enc._enc_group(v)),
@@ -261,14 +265,15 @@ class _CallPlan:
     parameters (requests and statuses) that must be re-encoded on every
     call because they depend on per-call allocator/runtime state."""
 
-    __slots__ = ("fname", "fid", "params", "dyn_status", "dyn_req",
-                 "req_skip", "lifecycle", "cacheable", "is_any",
-                 "idx_mode", "fast_req", "key_fn")
+    __slots__ = ("fname", "fid", "params", "ctx_comm", "dyn_status",
+                 "dyn_req", "req_skip", "lifecycle", "cacheable", "picks",
+                 "fast_req", "key_fn")
 
     def __init__(self, fname: str):
         spec = F.FUNCS[fname]
         self.fname = fname
         self.fid = spec.fid
+        self.ctx_comm = spec.ctx_comm
         self.params = tuple((p.name, p.kind) for p in spec.params)
         key_params = []
         dyn_status = []
@@ -292,15 +297,9 @@ class _CallPlan:
         # Type_free/Group_free clear the cache right after encoding, so
         # storing their entries would be wasted work
         self.cacheable = fname not in _LIFECYCLE_EXTRA
-        self.is_any = fname in ("MPI_Waitany", "MPI_Testany")
-        # statuses[i] -> request-index mapping, precomputed so the hot
-        # resolve path skips the per-call fname string compares
-        if fname in ("MPI_Waitsome", "MPI_Testsome"):
-            self.idx_mode = 1    # args["array_of_indices"]
-        elif self.is_any:
-            self.idx_mode = 2    # args["index"]
-        else:
-            self.idx_mode = 0    # aligned 1:1 (Waitall/Testall)
+        # statuses[i] -> request-index mapping (``FuncSpec.status_picks``),
+        # precomputed so the hot resolve path skips the registry
+        self.picks = spec.status_picks
         # the dominant dynamic shape — one scalar request, no statuses
         # (Isend/Irecv/\*_init) — gets a dedicated resolve fast path
         self.fast_req = (self.dyn_req[0][0], self.dyn_req[0][1]) \
@@ -450,16 +449,9 @@ class PerRankEncoder:
         ``(template, ctx_rank, static request-creation base, memo)``
         with ``None`` in the template's dynamic slots."""
         # caller's rank within the call's communicator, for relative ranks
-        comm = args.get("comm") or args.get("comm_old") \
-            or args.get("local_comm") or args.get("intercomm")
-        ctx_rank = my_rank = self.rank
-        if isinstance(comm, Comm):
-            cr = comm.group.rank_of(my_rank)
-            if cr == C.UNDEFINED and comm.remote_group is not None:
-                cr = comm.remote_group.rank_of(my_rank)
-            if cr != C.UNDEFINED:
-                ctx_rank = cr
         get = args.get
+        comm = get(plan.ctx_comm)
+        ctx_rank = F.context_rank(comm, self.rank)
         parts: list[Any] = [plan.fid]
         for name, kind in plan.params:
             parts.append(None if kind in DYNAMIC_KINDS else
@@ -501,17 +493,18 @@ class PerRankEncoder:
             req_list = get("array_of_requests")
             enc_status = self._enc_status
             status_ctx = self._status_ctx
+            picks = plan.picks
             for pos, name, is_vec in plan.dyn_status:
                 v = get(name)
                 if is_vec:
                     if v is None:
                         enc = None
-                    elif plan.idx_mode == 0:
+                    elif picks is None:
                         # Waitall/Testall: statuses align 1:1 with requests
                         enc = self._enc_status_vec(v, req_list, args,
                                                    ctx_rank)
                     else:
-                        idxs = self._completed_indices(plan.fname, args)
+                        idxs = self._completed_indices(picks, args)
                         enc = tuple([
                             enc_status(st, status_ctx(
                                 args, req_list, ctx_rank,
@@ -520,8 +513,8 @@ class PerRankEncoder:
                             for i, st in enumerate(v)])
                 else:
                     ridx = None
-                    if plan.is_any:
-                        idx = get("index")
+                    if picks is not None:
+                        idx = get(picks.name)
                         if isinstance(idx, int) and idx >= 0:
                             ridx = idx
                     enc = enc_status(v, status_ctx(
@@ -636,14 +629,14 @@ class PerRankEncoder:
         return default_ctx
 
     @staticmethod
-    def _completed_indices(fname: str, args: dict) -> Optional[list[int]]:
-        """Map statuses[i] to the request index it describes (aligned
+    def _completed_indices(picks: F.Param, args: dict) -> Optional[list[int]]:
+        """Map statuses[i] to the request index it describes, through
+        the call's ``FuncSpec.status_picks`` parameter (aligned
         Waitall/Testall vectors go through ``_enc_status_vec``)."""
-        if fname in ("MPI_Waitsome", "MPI_Testsome"):
-            idxs = args.get("array_of_indices")
-            return list(idxs) if idxs is not None else None
-        idx = args.get("index")
-        return [idx] if isinstance(idx, int) and idx >= 0 else None
+        v = args.get(picks.name)
+        if picks.kind == F.K_INDEXV:
+            return list(v) if v is not None else None
+        return [v] if isinstance(v, int) and v >= 0 else None
 
     # wired by the tracer: cid -> Comm (default: unresolved)
     @staticmethod

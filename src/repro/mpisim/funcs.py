@@ -16,7 +16,10 @@ Table 1 reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Optional
+
+from . import constants as C
 
 # Directions
 IN = "in"
@@ -27,6 +30,7 @@ INOUT = "inout"
 K_COMM = "comm"            # MPI_Comm handle
 K_GROUP = "group"          # MPI_Group handle
 K_DATATYPE = "datatype"    # MPI_Datatype handle
+K_DATATYPEV = "datatype[]" # array of datatype handles
 K_REQUEST = "request"      # single MPI_Request handle
 K_REQUESTV = "request[]"   # array of request handles
 K_OP = "op"                # MPI_Op
@@ -44,6 +48,7 @@ K_FLAG = "flag"            # boolean out-flag
 K_STR = "str"              # string
 K_STATUS = "status"        # MPI_Status out
 K_STATUSV = "status[]"     # array of statuses
+K_INDEX = "index"          # completion index (Waitany/Testany)
 K_INDEXV = "index[]"       # completion index arrays (Waitsome/Testsome)
 K_NEWCOMM = "newcomm"      # created communicator (out)
 K_NEWTYPE = "newtype"      # created datatype (out)
@@ -69,6 +74,43 @@ class FuncSpec:
             if p.name == name:
                 return p
         raise KeyError(name)
+
+    @cached_property
+    def ctx_comm(self) -> Optional[str]:
+        """The parameter whose communicator gives the call's *context
+        rank* — what its rank-valued arguments are encoded relative to
+        (§3.4.2).  None (RMA, group and datatype calls): the world rank.
+        The one statement of the rule; the encoders and replay read it."""
+        for name in ("comm", "comm_old", "local_comm", "intercomm"):
+            if any(p.name == name for p in self.params):
+                return name
+        return None
+
+    @cached_property
+    def status_picks(self) -> Optional[Param]:
+        """Which request each returned status describes, by parameter
+        kind: the ``K_INDEX`` parameter (the one status is
+        ``requests[index]``'s — Waitany/Testany), the ``K_INDEXV``
+        parameter (``statuses[i]`` is ``requests[indices[i]]``'s —
+        Waitsome/Testsome), or None: aligned, status with request and
+        ``statuses[i]`` with ``requests[i]``."""
+        for p in self.params:
+            if p.kind in (K_INDEX, K_INDEXV):
+                return p
+        return None
+
+
+def context_rank(comm, world_rank: int) -> int:
+    """*world_rank*'s rank in *comm* (its own side of an
+    inter-communicator); the world rank itself for no communicator or a
+    non-member."""
+    group = getattr(comm, "group", None)
+    if group is None:
+        return world_rank
+    cr = group.rank_of(world_rank)
+    if cr == C.UNDEFINED and comm.remote_group is not None:
+        cr = comm.remote_group.rank_of(world_rank)
+    return world_rank if cr == C.UNDEFINED else cr
 
 
 def _p(name: str, direction: str, kind: str) -> Param:
@@ -210,7 +252,7 @@ _SPECS: list[tuple[str, list[Param]]] = [
                      _p("array_of_statuses", OUT, K_STATUSV)]),
     ("MPI_Waitany", [_p("count", IN, K_COUNT),
                      _p("array_of_requests", INOUT, K_REQUESTV),
-                     _p("index", OUT, K_INT),
+                     _p("index", OUT, K_INDEX),
                      _p("status", OUT, K_STATUS)]),
     ("MPI_Waitsome", [_p("incount", IN, K_COUNT),
                       _p("array_of_requests", INOUT, K_REQUESTV),
@@ -225,7 +267,7 @@ _SPECS: list[tuple[str, list[Param]]] = [
                      _p("array_of_statuses", OUT, K_STATUSV)]),
     ("MPI_Testany", [_p("count", IN, K_COUNT),
                      _p("array_of_requests", INOUT, K_REQUESTV),
-                     _p("index", OUT, K_INT), _p("flag", OUT, K_FLAG),
+                     _p("index", OUT, K_INDEX), _p("flag", OUT, K_FLAG),
                      _p("status", OUT, K_STATUS)]),
     ("MPI_Testsome", [_p("incount", IN, K_COUNT),
                       _p("array_of_requests", INOUT, K_REQUESTV),
@@ -340,7 +382,7 @@ _SPECS: list[tuple[str, list[Param]]] = [
     ("MPI_Type_create_struct", [_p("count", IN, K_COUNT),
                                 _p("array_of_blocklengths", IN, K_INTV),
                                 _p("array_of_displacements", IN, K_INTV),
-                                _p("array_of_types", IN, K_INTV),
+                                _p("array_of_types", IN, K_DATATYPEV),
                                 _p("newtype", OUT, K_NEWTYPE)]),
     ("MPI_Type_commit", [_p("datatype", INOUT, K_DATATYPE)]),
     ("MPI_Type_free", [_p("datatype", INOUT, K_DATATYPE)]),

@@ -21,11 +21,10 @@ holds on every rank::
 
     matched + skipped + mismatched + unchecked == recorded
 
-``skipped`` counts recorded calls the engine deliberately does not
-re-issue (``MPI_Get_count`` and friends — local queries with no
-communication side effects), mirroring the salvage report's
-call-deficit accounting: every recorded call is accounted for exactly
-once.
+``skipped`` counts recorded calls the engine does not re-issue
+(``engine.NOT_REISSUED``: ``MPI_Get_count``, whose status argument the
+trace cannot rebuild), mirroring the salvage report's call-deficit
+accounting: every recorded call is accounted for exactly once.
 
 Caveat: completion-source comparison decodes ``MARK_REL`` sources
 against the caller's *world* rank, so it is skipped for calls recorded
@@ -43,16 +42,10 @@ from ..core.decoder import RankStream
 from ..core.records import DecodedCall
 from ..core.relative import MARK_REL, decode as rel_decode
 from ..mpisim.hooks import TracerHooks
+from .engine import NOT_REISSUED
 
 #: schema tag stamped on divergence-report JSON documents
 DIVERGENCE_SCHEMA = "repro.divergence/v1"
-
-#: recorded calls the engine re-issues nothing for (local queries whose
-#: outputs bind no replay state; see ``engine._replay_query``)
-NOT_REISSUED = frozenset((
-    "MPI_Get_count", "MPI_Request_get_status", "MPI_Comm_compare",
-    "MPI_Group_compare", "MPI_Group_translate_ranks",
-))
 
 #: JSON schema for ``DivergenceReport.as_dict()`` (the ``--json`` form)
 DIVERGENCE_REPORT_SCHEMA: dict = {

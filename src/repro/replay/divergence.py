@@ -31,7 +31,7 @@ Phases are span-instrumented (``ReplayOptions(spans=True)``) so ``repro
 stats --spans`` can show where a replay spends its time: ``decode`` →
 ``build`` → ``execute`` → ``compare``.  ``build`` is all of set-up (the
 per-terminal tables, segment extents, wildcard bookkeeping), ``execute``
-the simulator and the handlers alone.
+the simulator and the compiled per-function bodies alone.
 """
 
 from __future__ import annotations

@@ -10,6 +10,15 @@ its recorded arguments — communicator construction included — and
 complete non-blocking operations in the *recorded* order (directed
 replay of Waitany/Waitsome/Testsome indices).
 
+Replay is the registry (:mod:`repro.mpisim.funcs`) read backwards.  The
+encoder walks a function's parameters kind by kind to write a signature;
+replay compiles, per function, the inverse walk: each simulator argument
+is the recorded value put through its kind's *resolver*
+(``_RESOLVERS``), each created object is bound under its recorded id by
+its kind's *binder* (``_BINDERS``), and every recorded non-deterministic
+outcome is pinned through ``_DIRECTED``.  Nothing is enumerated per
+function except where the paper itself special-cases (``_SPECIAL``).
+
 Replay maintains the symbolic↔live object bindings the tracer created:
 
 * communicator ids are re-derived with the same group-max algorithm and
@@ -17,24 +26,29 @@ Replay maintains the symbolic↔live object bindings the tracer created:
   the replayed construction order diverged — an internal error);
 * datatypes are rebuilt from their recorded recipes;
 * request ids ``(pool, slot)`` bind at creation and release at the
-  completing call, mirroring §3.4.3;
+  completing call by the encoder's own rule, mirroring §3.4.3;
 * buffers are materialized lazily per recorded segment id, preserving
   displacements.
 
 The fixed point property — tracing a replay yields the original trace's
 call content, signature for signature (:func:`structurally_equal`) —
 holds for programs whose non-deterministic choices are fully directed by
-the trace (no empty Test* polls); ``tests/test_replay.py`` asserts it.
+the trace (no empty Test* polls); ``tests/test_replay.py`` and the API
+tour in ``tests/test_replay_registry.py`` assert it.
 Timing statistics necessarily differ (a replay has its own clock), which
 is why the comparison is structural rather than byte-wise.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from contextlib import contextmanager
+from types import GeneratorType
 from typing import Any, Callable, NamedTuple, Optional
 
 from ..mpisim import constants as C
+from ..mpisim import funcs as F
 from ..mpisim.comm import Comm
 from ..mpisim.datatypes import BUILTINS, Datatype
 from ..mpisim.errors import MpiSimError, RankProgramError
@@ -43,22 +57,20 @@ from ..mpisim.ops import ALL_OPS
 from ..mpisim.runtime import RankAPI, SimMPI
 from ..core.decoder import RankStream, TraceDecoder
 from ..core.errors import ReplayFormatError, TraceFormatError
-from ..core.encoder import (CommIdSpace, PTR_DEVICE, PTR_HEAP, PTR_NULL,
-                            PTR_STACK, WinIdSpace)
-from ..core.relative import decode as rel_decode
+from ..core.encoder import (_RELEASING, CommIdSpace, PTR_DEVICE, PTR_HEAP,
+                            PTR_NULL, PTR_STACK, WinIdSpace)
+from ..core.relative import MARK_REL
 
 _OPS_BY_HANDLE = {op.handle: op for op in ALL_OPS}
 
-#: calls replay re-issues structurally but whose outputs need no binding
-_QUERY_CALLS = frozenset((
-    "MPI_Comm_size", "MPI_Comm_rank", "MPI_Comm_remote_size",
-    "MPI_Comm_test_inter", "MPI_Comm_compare", "MPI_Comm_get_name",
-    "MPI_Group_size", "MPI_Group_rank", "MPI_Group_compare",
-    "MPI_Group_translate_ranks", "MPI_Type_size", "MPI_Type_get_extent",
-    "MPI_Cart_coords", "MPI_Cart_rank", "MPI_Cart_shift",
-    "MPI_Dims_create", "MPI_Initialized", "MPI_Get_processor_name",
-    "MPI_Get_count", "MPI_Request_get_status", "MPI_Iprobe",
-))
+#: recorded calls replay cannot re-derive an argument of, so re-issues
+#: nothing for (the comparator skips them with accounting):
+#: ``MPI_Get_count``'s status input kept its source and tag, not its count
+NOT_REISSUED = frozenset(("MPI_Get_count",))
+#: calls a replay cannot survive: they fail where they are reached
+NOT_REPLAYABLE = frozenset(("MPI_Abort",))
+#: pseudo-calls the runtime emits itself around every rank program
+RUNTIME_EMITTED = frozenset(("MPI_Init", "MPI_Finalize"))
 
 
 class ReplayState:
@@ -80,19 +92,230 @@ class ReplayState:
 
 
 # ---------------------------------------------------------------------------------
-# the per-terminal table
+# the registry read backwards: kind -> resolver, kind -> binder, outcome -> pin
 # ---------------------------------------------------------------------------------
 
 _ANY_SOURCE_ENC = (0, C.ANY_SOURCE)  # (MARK_SPECIAL, ANY_SOURCE)
 
 
+def _abs(v, ctx: int):
+    """A recorded rank/tag/colour/key against the caller's context rank
+    (``core.relative.decode``, lenient to an already-absolute int)."""
+    if v.__class__ is tuple:
+        return v[1] + ctx if v[0] == MARK_REL else v[1]
+    return v
+
+
+def _status_source(st, ctx: int) -> Optional[int]:
+    """Recorded completion source (directed replay of ANY_SOURCE)."""
+    return None if st is None else _abs(st[0], ctx)
+
+
+#: per parameter kind, the expression turning the recorded value ``{v}``
+#: into the live argument (``r`` the replayer, ``m`` the rank's API,
+#: ``ctx`` the context rank).  ``tests/test_replay_registry.py`` fails on
+#: a registry kind that is neither here nor a binder.
+_RESOLVERS = {
+    F.K_COMM: "r.comm({v})",
+    F.K_WIN: "r.win({v})",
+    F.K_GROUP: "r.group_map[{v}]",
+    F.K_DATATYPE: "r._datatype({v})",
+    F.K_DATATYPEV: "[r._datatype(t) for t in {v}]",
+    F.K_REQUEST: "r.req_map.get({v})",
+    F.K_REQUESTV: "[r.req_map.get(s) for s in {v}]",
+    F.K_OP: "_OPS_BY_HANDLE[{v}]",
+    F.K_PTR: "r._buffer(m, {v})",
+    F.K_RANK: "_abs({v}, ctx)", F.K_ROOT: "_abs({v}, ctx)",
+    F.K_TAG: "_abs({v}, ctx)", F.K_COLOR: "_abs({v}, ctx)",
+    F.K_KEY: "_abs({v}, ctx)",
+    # MPI_STATUS(ES)_IGNORE is recorded as None; anything else asks
+    F.K_STATUS: "(None if {v} is None else True)",
+    F.K_STATUSV: "(None if {v} is None else True)",
+}
+#: kinds passed as recorded
+_RESOLVERS.update(dict.fromkeys(
+    (F.K_COUNT, F.K_INT, F.K_STR, F.K_FLAG, F.K_INTV, F.K_INDEX,
+     F.K_INDEXV), "{v}"))
+
+#: per OUT kind, the statement binding the call's result ``ret`` under
+#: the recorded id ``{v}``.  A call that returns a request binds only
+#: that: whatever else it creates is delivered by the completing call
+#: (``MPI_Comm_idup``, §3.3.1 — :meth:`RankReplayer._release`).
+_BINDERS = {
+    F.K_NEWCOMM: "r.bind_comm({v}, ret)",
+    F.K_NEWWIN: "r.bind_win({v}, ret)",
+    F.K_NEWTYPE: "r.type_map[{v}] = ret",
+    F.K_GROUP: "r.group_map[{v}] = ret",
+    F.K_REQUEST: "r.req_map[{v}] = ret",
+}
+
+#: recorded non-determinism, pinned: simulator keyword -> (the kind
+#: whose recorded value it takes, expression over it).  What-if replay
+#: (``directed=False``) leaves wildcard matching and the *blocking*
+#: picks (Waitany/Waitsome) to the live simulator; Test* polls stay
+#: pinned even then, so the call count is conserved and an empty poll
+#: cannot livelock.
+_DIRECTED = {
+    "directed_index": (F.K_INDEX, "{v}"),
+    "directed_indices": (F.K_INDEXV, "{v}"),
+    "directed_flag": (F.K_FLAG, "bool({v})"),
+    "directed_source": (F.K_STATUS, "_status_source({v}, ctx)"),
+}
+
+#: simulator parameters spelled differently from the registry's
+_ALIASES = {
+    "name": ("comm_name", "win_name"), "ranks": ("ranks1",),
+    "requests": ("array_of_requests",),
+    "statuses": ("array_of_statuses",),
+    "blocklengths": ("array_of_blocklengths",),
+    "displacements": ("array_of_displacements",),
+    "types": ("array_of_types",), "assert_": ("assert",),
+    "target_rank": ("rank",), "comm": ("comm_old",),
+}
+#: simulator parameters with no registry counterpart, never passed
+#: (message payloads: a trace records communication, not data)
+_REPLAY_ONLY = frozenset(("data",))
+
+
+class _Special(NamedTuple):
+    #: simulator argument -> expression replacing its resolver
+    args: dict = {}
+    #: statement run after the call, before the binders
+    post: str = ""
+    #: null entries of the request parameter are not re-issued
+    null_guard: bool = False
+
+
+#: explicit code, only where the paper itself special-cases
+_SPECIAL = {
+    # §3.3.2: a wildcard irecv's source is recorded by the call that
+    # completes it — matched by request id and occurrence
+    "MPI_Irecv": _Special(args={
+        "directed_source": "(r._wildcard_source(p, ctx) "
+                           "if p['source'] == _ANY_SOURCE_ENC else None)"}),
+    # §3.4.2: Cartesian coordinates are recorded relative to the caller's
+    "MPI_Cart_rank": _Special(args={
+        "coords": "r._abs_coords(comm, ctx, p['coords'])"}),
+    # §3.3.3: the call allocates the segment its recorded id names
+    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(p, ret)"),
+    # released ids are re-handed to the next object created
+    "MPI_Type_free": _Special(post="r.type_map.pop(p['datatype'], None)"),
+    "MPI_Group_free": _Special(post="r.group_map.pop(p['group'], None)"),
+    # a request recorded as MPI_REQUEST_NULL has nothing to act on
+    "MPI_Start": _Special(null_guard=True),
+    "MPI_Startall": _Special(null_guard=True),
+    "MPI_Cancel": _Special(null_guard=True),
+    "MPI_Request_free": _Special(null_guard=True),
+}
+
+
+def _compile_runner(fname: str) -> Callable:
+    """Generate ``run(r, m, p)`` for one registry function: the inverse
+    of the encoder's walk, its arguments unrolled by kind (what
+    ``_compile_key_fn`` does for the encoder, and ``wrap.py`` for PMPI —
+    interpreting the tables per call costs more than the call)."""
+    if fname in NOT_REPLAYABLE:
+        def run(r, m, p):  # fails where the call is reached
+            raise ReplayFormatError(f"replay has no handler for {fname}")
+            yield  # pragma: no cover - make this a generator
+        return run
+    spec = F.FUNCS[fname]
+    method = fname[4:].lower()
+    special = _SPECIAL.get(fname, _Special())
+    params = {prm.name: prm for prm in spec.params}
+    by_kind = {prm.kind: prm for prm in spec.params}
+    body = []
+    call_args = []
+    held = []  # request parameters resolved into locals, released after
+    by_keyword = False
+    sim_params = list(inspect.signature(
+        getattr(RankAPI, method)).parameters.values())[1:]
+    for sp in sim_params:
+        if sp.name in _REPLAY_ONLY:
+            by_keyword = True  # skipped: what follows goes by name
+            continue
+        if sp.name in special.args:
+            expr = special.args[sp.name]
+        elif sp.name in _DIRECTED:
+            kind, template = _DIRECTED[sp.name]
+            expr = template.format(v=f"p[{by_kind[kind].name!r}]")
+            if sp.name == "directed_source" or fname.startswith("MPI_Wait"):
+                expr = f"({expr} if r.directed else None)"
+        else:
+            prm = next((params[n] for n in (sp.name, *_ALIASES.get(
+                sp.name, ())) if n in params), None)
+            if prm is None:
+                raise KeyError(f"{fname}: simulator parameter {sp.name!r} "
+                               f"has no registry counterpart")
+            expr = _RESOLVERS[prm.kind].format(v=f"p[{prm.name!r}]")
+            if prm.name == spec.ctx_comm:
+                expr = "comm"
+            elif prm.kind in (F.K_REQUEST, F.K_REQUESTV):
+                body.append(f"{prm.name} = {expr}")
+                held.append(prm)
+                expr = prm.name
+                if special.null_guard and prm.kind == F.K_REQUEST:
+                    body.append(f"if {expr} is None: return")
+                elif special.null_guard:
+                    body.append(f"{expr} = [q for q in {expr} "
+                                f"if q is not None]")
+        if by_keyword or sp.kind is sp.KEYWORD_ONLY:
+            expr = f"{sp.name}={expr}"
+        call_args.append(expr)
+    body += [f"ret = m.{method}({', '.join(call_args)})",
+             # send/ssend/bsend/rsend *return* a generator without being
+             # generator functions: test the result, not the method
+             "if ret.__class__ is _GeneratorType: ret = yield from ret"]
+    if special.post:
+        body.append(special.post)
+    outs = [prm for prm in spec.params
+            if prm.direction == F.OUT and prm.kind in _BINDERS]
+    if any(prm.kind == F.K_REQUEST for prm in outs):
+        outs = [prm for prm in outs if prm.kind == F.K_REQUEST]
+    for prm in outs:
+        body.append(_BINDERS[prm.kind].format(v=f"p[{prm.name!r}]"))
+    if fname in _RELEASING:
+        for prm in held:
+            if prm.kind == F.K_REQUEST:
+                body.append(f"r._release(p[{prm.name!r}], {prm.name})")
+            else:
+                body += [f"for sym, req in zip(p[{prm.name!r}], {prm.name}):",
+                         "    r._release(sym, req)"]
+    if any("ctx" in line for line in body):
+        # the context rank, by the registry's one rule (FuncSpec.ctx_comm)
+        body.insert(0, "ctx = r.rank" if spec.ctx_comm is None
+                    else "ctx = _context_rank(comm, r.rank)")
+    if spec.ctx_comm is not None:
+        body.insert(0, f"comm = r.comm(p[{spec.ctx_comm!r}])")
+    src = "def run(r, m, p):\n    " + "\n    ".join(body) + "\n"
+    ns = {"_abs": _abs, "_status_source": _status_source,
+          "_context_rank": F.context_rank, "_OPS_BY_HANDLE": _OPS_BY_HANDLE,
+          "_ANY_SOURCE_ENC": _ANY_SOURCE_ENC,
+          "_GeneratorType": GeneratorType}
+    exec(compile(src, f"<replay {fname}>", "exec"), ns)
+    return ns["run"]
+
+
+@functools.cache
+def _runner(fname: str) -> Optional[Callable]:
+    """The compiled generator for *fname*; None for what replay does not
+    re-issue (``NOT_REISSUED``) or the runtime emits itself."""
+    if fname in NOT_REISSUED or fname in RUNTIME_EMITTED:
+        return None
+    return _compile_runner(fname)
+
+
+# ---------------------------------------------------------------------------------
+# the per-terminal table
+# ---------------------------------------------------------------------------------
+
 class TermPlan(NamedTuple):
     """What replay derives from one signature, once, however many calls
-    and ranks share it.  (Handler *bodies* still resolve their arguments
-    per call; a registry-derived kind -> resolver table attaches here.)"""
+    and ranks share it."""
 
-    #: generator(replayer, api, params); None for MPI_Init/MPI_Finalize,
-    #: which the runtime emits itself
+    #: generator(replayer, api, params), compiled per *function* from its
+    #: registry entry; None for MPI_Init/MPI_Finalize, which the runtime
+    #: emits itself, and for ``NOT_REISSUED``
     run: Optional[Callable]
     params: dict
     #: every heap/device segment mention: (sid, device or -1, offset)
@@ -103,13 +326,6 @@ class TermPlan(NamedTuple):
 
 def _plan_terminal(call) -> TermPlan:
     fname, p = call.fname, call.params
-    run = _HANDLERS.get(fname)
-    if run is None and fname in _QUERY_CALLS:
-        def run(r, m, p):
-            return r._replay_query(m, fname, p)
-    elif run is None and fname not in ("MPI_Init", "MPI_Finalize"):
-        def run(r, m, p):  # fails where the call is reached, not here
-            raise ReplayFormatError(f"replay has no handler for {fname}")
     segments = []
     for v in p.values():
         if not (isinstance(v, tuple) and v):
@@ -123,7 +339,41 @@ def _plan_terminal(call) -> TermPlan:
         bp = p.get("baseptr")
         if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
             win_sid = bp[1]
-    return TermPlan(run, p, tuple(segments), win_sid)
+    return TermPlan(_runner(fname), p, tuple(segments), win_sid)
+
+
+def _reported(call) -> tuple:
+    """``(request id, recorded status)`` for every request a completion
+    call reports on, paired by parameter kind through the registry's
+    ``FuncSpec.status_picks`` — so every completion call is covered by
+    construction.  A false flag reports on nothing."""
+    spec, p = F.FUNCS[call.fname], call.params
+    syms = statuses = None
+    for prm in spec.params:
+        v = p[prm.name]
+        if prm.kind == F.K_FLAG and not v:
+            return ()
+        if prm.kind == F.K_REQUEST:
+            syms = (v,)
+        elif prm.kind == F.K_REQUESTV:
+            syms = v
+        elif prm.kind == F.K_STATUS:
+            statuses = (v,)
+        elif prm.kind == F.K_STATUSV:
+            statuses = v
+    if syms is None or statuses is None:
+        return ()
+    picks = spec.status_picks
+    if picks is not None:
+        idxs = p[picks.name]
+        if picks.kind == F.K_INDEX:
+            idxs = (idxs,)
+        if idxs is None:
+            return ()
+        syms = [syms[i] if isinstance(i, int) and 0 <= i < len(syms)
+                else None for i in idxs]
+    return tuple((sym, st) for sym, st in zip(syms, statuses)
+                 if sym is not None)
 
 
 class RankReplayer:
@@ -136,7 +386,7 @@ class RankReplayer:
     segments to materialize in ascending symbolic-id order (preserving
     the tracer's id assignment and hence the fixed-point property) and
     the recorded source of every wildcard irecv.  Per call that leaves
-    one table lookup and the handler itself.
+    one table lookup and the function's compiled body.
 
     ``directed=True`` (the default) pins every nondeterministic choice —
     Wait*/Test* completion picks and wildcard receive sources — to the
@@ -252,54 +502,27 @@ class RankReplayer:
         that needs call order: the stream is walked only when one of its
         terminals is an ``ANY_SOURCE`` ``MPI_Irecv``."""
         found: dict[tuple, Any] = {}
-        if not any(call.fname == "MPI_Irecv"
-                   and call.params.get("source") == _ANY_SOURCE_ENC
-                   for call in self.stream.table.values()):
+        table = self.stream.table
+        posts = {term: call.params["request"]
+                 for term, call in table.items()
+                 if call.fname == "MPI_Irecv"
+                 and call.params.get("source") == _ANY_SOURCE_ENC}
+        if not posts:
             return found
+        reports = {term: _reported(call) for term, call in table.items()
+                   if call.fname in _RELEASING}
         occ_next: dict[tuple, int] = {}
         occ_active: dict[tuple, int] = {}
-
-        def note_completion(syms, statuses, idxs=None):
-            if statuses is None:
-                return
-            pairs = zip(idxs, statuses) if idxs is not None \
-                else enumerate(statuses)
-            for i, st in pairs:
-                if i is None or i < 0 or i >= len(syms):
-                    continue
-                sym = syms[i]
-                if sym is None:
-                    continue
-                key = tuple(sym)
+        for term in self.stream.terms:
+            key = posts.get(term)
+            if key is not None:
+                occ = occ_active[key] = occ_next.get(key, 0)
+                occ_next[key] = occ + 1
+                continue
+            for key, st in reports.get(term, ()):
                 occ = occ_active.pop(key, None)
                 if occ is not None and st is not None:
                     found[(key, occ)] = st[0]
-
-        for call in self.stream:
-            p = call.params
-            if call.fname == "MPI_Irecv" \
-                    and p.get("source") == _ANY_SOURCE_ENC:
-                key = tuple(p["request"])
-                occ = occ_next.get(key, 0)
-                occ_next[key] = occ + 1
-                occ_active[key] = occ
-            elif call.fname == "MPI_Wait":
-                sym = p.get("request")
-                if sym is not None:
-                    note_completion([sym], [p.get("status")], [0])
-            elif call.fname in ("MPI_Waitall", "MPI_Testall"):
-                note_completion(p.get("array_of_requests") or (),
-                                p.get("array_of_statuses"))
-            elif call.fname in ("MPI_Waitany", "MPI_Testany"):
-                idx = p.get("index")
-                if isinstance(idx, int) and idx >= 0:
-                    note_completion(p.get("array_of_requests") or (),
-                                    [p.get("status")], [idx])
-            elif call.fname in ("MPI_Waitsome", "MPI_Testsome"):
-                idxs = p.get("array_of_indices")
-                if idxs:
-                    note_completion(p.get("array_of_requests") or (),
-                                    p.get("array_of_statuses"), list(idxs))
         return found
 
     def _materialize_segments(self, m: RankAPI) -> None:
@@ -317,18 +540,7 @@ class RankReplayer:
 
     # -- argument materialization ----------------------------------------------------
 
-    def _ctx_rank(self, comm: Optional[Comm]) -> int:
-        if comm is None:
-            return self.rank
-        cr = comm.group.rank_of(self.rank)
-        if cr == C.UNDEFINED and comm.remote_group is not None:
-            cr = comm.remote_group.rank_of(self.rank)
-        return cr if cr != C.UNDEFINED else self.rank
-
-    def _rankval(self, v, ctx: int) -> int:
-        return rel_decode(v, ctx) if isinstance(v, tuple) else v
-
-    def _datatype(self, m: RankAPI, sym: int) -> Datatype:
+    def _datatype(self, sym: int) -> Datatype:
         if sym < 0:
             try:
                 return BUILTINS[sym]
@@ -340,7 +552,7 @@ class RankReplayer:
             raise ReplayFormatError(
                 f"replay references unknown datatype {sym}")
 
-    def _buffer(self, m: RankAPI, enc: tuple, nbytes: int) -> int:
+    def _buffer(self, m: RankAPI, enc: tuple) -> int:
         """Materialize a recorded pointer encoding as a live address."""
         kind = enc[0]
         if kind == PTR_NULL:
@@ -365,36 +577,49 @@ class RankReplayer:
             return self.stack_base + enc[1] * 16
         raise ReplayFormatError(f"unknown pointer encoding {enc!r}")
 
-    def _status_source(self, st_enc, ctx: int) -> Optional[int]:
-        """Recorded completion source (directed replay of ANY_SOURCE)."""
-        if st_enc is None:
+    # -- the explicit cases (``_SPECIAL``) ---------------------------------------------
+
+    def _wildcard_source(self, p: dict, ctx: int) -> Optional[int]:
+        """The source this occurrence of a wildcard irecv was recorded
+        completing from; None leaves the match to the live simulator."""
+        if not self.directed:
             return None
-        src_enc, _tag = st_enc
-        return self._rankval(src_enc, ctx)
+        key = p["request"]
+        occ = self._any_occ.get(key, 0)
+        self._any_occ[key] = occ + 1
+        rec = self._any_sources.get((key, occ))
+        return None if rec is None else _abs(rec, ctx)
 
-    # -- request bookkeeping ----------------------------------------------------------
+    @staticmethod
+    def _abs_coords(comm: Optional[Comm], ctx: int, coords) -> list[int]:
+        """Undo the encoder's caller-relative Cartesian coordinates."""
+        if comm is None or comm.topo is None:
+            return list(coords)
+        return [c + o for c, o in zip(coords, comm.topo.coords_of(ctx))]
 
-    def _bind_req(self, sym, req) -> None:
-        if sym is not None:
-            self.req_map[tuple(sym)] = req
+    def _bind_allocated(self, p: dict, ret):
+        """``MPI_Win_allocate`` returns the memory with the window: the
+        recorded segment id now names that allocation."""
+        base, win = ret
+        bp = p["baseptr"]
+        if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
+            self.seg_map[bp[1]] = (base, max(p["size"], 1) + self._SEG_PAD)
+        return win
 
-    def _take_req(self, sym):
-        if sym is None:
-            return None
-        return self.req_map.get(tuple(sym))
-
-    def _release_req(self, sym, persistent=False) -> None:
-        if sym is not None and not persistent:
-            self.req_map.pop(tuple(sym), None)
-
-    def _after_complete(self, req) -> None:
-        """Mirror the tracer's §3.3.1 wait-time step: a completed
-        ``MPI_Comm_idup`` delivers its communicator (and id) here."""
-        if req is not None and getattr(req, "kind", "") == "comm_idup" \
-                and isinstance(req.value, Comm):
-            sym = self.state.comm_space.sym_for(req.value)
-            if sym not in self.comm_map:
-                self.comm_map[sym] = req.value
+    def _release(self, sym, req) -> None:
+        """Release a request id by the encoder's own rule
+        (``PerRankEncoder._release_request``): a non-persistent request
+        the call consumed or freed.  Mirrors its §3.3.1 wait-time step
+        too: a completed ``MPI_Comm_idup`` delivers its communicator
+        (and id) here."""
+        if req is None or req.persistent \
+                or not (req.consumed or req.freed):
+            return
+        if req.kind == "comm_idup" and isinstance(req.value, Comm):
+            new = self.state.comm_space.sym_for(req.value)
+            if new not in self.comm_map:
+                self.comm_map[new] = req.value
+        self.req_map.pop(sym, None)
 
     # -- the interpreter --------------------------------------------------------------------
 
@@ -407,846 +632,6 @@ class RankReplayer:
             entry = plan[term]
             if entry.run is not None:
                 yield from entry.run(self, m, entry.params)
-
-    def _replay_query(self, m: RankAPI, fname: str, p: dict):
-        """Local queries: re-issue for trace fidelity, ignore results."""
-        comm = self.comm(p["comm"]) if "comm" in p else None
-        if fname == "MPI_Comm_size":
-            m.comm_size(comm)
-        elif fname == "MPI_Comm_rank":
-            m.comm_rank(comm)
-        elif fname == "MPI_Comm_remote_size":
-            m.comm_remote_size(comm)
-        elif fname == "MPI_Comm_test_inter":
-            m.comm_test_inter(comm)
-        elif fname == "MPI_Comm_get_name":
-            m.comm_get_name(comm)
-        elif fname == "MPI_Group_size":
-            m.group_size(self.group_map[p["group"]])
-        elif fname == "MPI_Group_rank":
-            m.group_rank(self.group_map[p["group"]])
-        elif fname == "MPI_Type_size":
-            m.type_size(self._datatype(m, p["datatype"]))
-        elif fname == "MPI_Type_get_extent":
-            m.type_get_extent(self._datatype(m, p["datatype"]))
-        elif fname == "MPI_Cart_coords":
-            ctx = self._ctx_rank(comm)
-            m.cart_coords(comm, self._rankval(p["rank"], ctx))
-        elif fname == "MPI_Cart_shift":
-            m.cart_shift(comm, p["direction"], p["disp"])
-        elif fname == "MPI_Cart_rank":
-            ctx = self._ctx_rank(comm)
-            mine = comm.topo.coords_of(ctx)
-            coords = [c + o for c, o in zip(p["coords"], mine)] \
-                if comm.topo is not None else list(p["coords"])
-            m.cart_rank(comm, coords)
-        elif fname == "MPI_Dims_create":
-            m.dims_create(p["nnodes"], p["ndims"])
-        elif fname == "MPI_Initialized":
-            m.initialized()
-        elif fname == "MPI_Get_processor_name":
-            m.get_processor_name()
-        elif fname == "MPI_Iprobe":
-            ctx = self._ctx_rank(comm)
-            m.iprobe(self._rankval(p["source"], ctx),
-                     self._rankval(p["tag"], ctx), comm)
-        # MPI_Get_count / Request_get_status / others: no comm side
-        # effects; trace fidelity for them is secondary
-        return
-        yield  # pragma: no cover - make this a generator
-
-
-# ---------------------------------------------------------------------------
-# handlers: fname -> generator(replayer, api, params)
-# ---------------------------------------------------------------------------
-
-def _h_p2p_send(blocking_fname, api_name, nb_api_name):
-    def handler(r: RankReplayer, m: RankAPI, p: dict):
-        comm = r.comm(p["comm"])
-        ctx = r._ctx_rank(comm)
-        dtype = r._datatype(m, p["datatype"])
-        nbytes = p["count"] * dtype.size
-        buf = r._buffer(m, p["buf"], nbytes)
-        dest = r._rankval(p["dest"], ctx)
-        tag = r._rankval(p["tag"], ctx)
-        if "request" in p:
-            req = getattr(m, nb_api_name)(buf, p["count"], dtype, dest,
-                                          tag, comm)
-            r._bind_req(p["request"], req)
-        else:
-            yield from getattr(m, api_name)(buf, p["count"], dtype, dest,
-                                            tag, comm)
-    return handler
-
-
-def _h_recv(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    dtype = r._datatype(m, p["datatype"])
-    buf = r._buffer(m, p["buf"], p["count"] * dtype.size)
-    src = r._rankval(p["source"], ctx)
-    tag = r._rankval(p["tag"], ctx)
-    directed = None
-    if src == C.ANY_SOURCE and r.directed:
-        # directed replay: receive from the recorded completion source
-        directed = r._status_source(p.get("status"), ctx)
-    status = True if p.get("status") is not None else None
-    yield from m.recv(buf, p["count"], dtype, src, tag, comm, status=status,
-                      directed_source=directed)
-
-
-def _h_irecv(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    dtype = r._datatype(m, p["datatype"])
-    buf = r._buffer(m, p["buf"], p["count"] * dtype.size)
-    src = r._rankval(p["source"], ctx)
-    tag = r._rankval(p["tag"], ctx)
-    directed = None
-    if p["source"] == _ANY_SOURCE_ENC and r.directed:
-        key = tuple(p["request"])
-        occ = r._any_occ.get(key, 0)
-        r._any_occ[key] = occ + 1
-        rec = r._any_sources.get((key, occ))
-        if rec is not None:
-            directed = r._rankval(rec, ctx)
-    req = m.irecv(buf, p["count"], dtype, src, tag, comm,
-                  directed_source=directed)
-    r._bind_req(p["request"], req)
-    return
-    yield  # pragma: no cover
-
-
-def _h_sendrecv(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    stype = r._datatype(m, p["sendtype"])
-    rtype = r._datatype(m, p["recvtype"])
-    sbuf = r._buffer(m, p["sendbuf"], p["sendcount"] * stype.size)
-    rbuf = r._buffer(m, p["recvbuf"], p["recvcount"] * rtype.size)
-    src = r._rankval(p["source"], ctx)
-    directed = None
-    if src == C.ANY_SOURCE and r.directed:
-        directed = r._status_source(p.get("status"), ctx)
-    status = True if p.get("status") is not None else None
-    yield from m.sendrecv(
-        sbuf, p["sendcount"], stype, r._rankval(p["dest"], ctx),
-        r._rankval(p["sendtag"], ctx),
-        rbuf, p["recvcount"], rtype, src, r._rankval(p["recvtag"], ctx),
-        comm, status=status, directed_source=directed)
-
-
-def _h_probe(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    src = r._rankval(p["source"], ctx)
-    directed = None
-    if src == C.ANY_SOURCE and r.directed:
-        directed = r._status_source(p.get("status"), ctx)
-    yield from m.probe(src, r._rankval(p["tag"], ctx), comm,
-                       directed_source=directed)
-
-
-def _h_wait(r, m, p):
-    req = r._take_req(p["request"])
-    status = True if p.get("status") is not None else None
-    yield from m.wait(req, status=status)
-    r._after_complete(req)
-    if req is not None and not req.persistent:
-        r._release_req(p["request"])
-
-
-def _h_waitall(r, m, p):
-    reqs = [r._take_req(sym) for sym in (p["array_of_requests"] or ())]
-    statuses = True if p.get("array_of_statuses") is not None else None
-    yield from m.waitall(reqs, statuses=statuses)
-    for sym, req in zip(p["array_of_requests"] or (), reqs):
-        r._after_complete(req)
-        if req is not None and not req.persistent:
-            r._release_req(sym)
-
-
-def _h_waitany(r, m, p):
-    """Directed: complete the *recorded* entry, via a real MPI_Waitany.
-    Relaxed: let the live runtime pick, then release what it picked."""
-    idx = p["index"]
-    syms = p["array_of_requests"] or ()
-    reqs = [r._take_req(sym) for sym in syms]
-    status = True if p.get("status") is not None else None
-    if not r.directed:
-        got = yield from m.waitany(reqs if reqs else [None], status=status)
-        live_idx = got[0] if isinstance(got, tuple) else got
-        if isinstance(live_idx, int) and 0 <= live_idx < len(reqs):
-            req = reqs[live_idx]
-            r._after_complete(req)
-            if req is not None and not req.persistent:
-                r._release_req(syms[live_idx])
-        return
-    if idx == C.UNDEFINED or idx is None or idx < 0:
-        yield from m.waitany(reqs if reqs else [None], status=status)
-        return
-    yield from m.waitany(reqs, status=status, directed_index=idx)
-    req = reqs[idx]
-    r._after_complete(req)
-    if req is not None and not req.persistent:
-        r._release_req(syms[idx])
-
-
-def _h_waitsome(r, m, p):
-    idxs = p.get("array_of_indices")
-    syms = p["array_of_requests"] or ()
-    reqs = [r._take_req(sym) for sym in syms]
-    statuses = True if p.get("array_of_statuses") is not None else None
-    if not r.directed:
-        got = yield from m.waitsome(reqs if reqs else [None],
-                                    statuses=statuses)
-        live_idxs = got[0] if isinstance(got, tuple) else got
-        for idx in live_idxs or ():
-            if not (isinstance(idx, int) and 0 <= idx < len(reqs)):
-                continue
-            req = reqs[idx]
-            r._after_complete(req)
-            if req is not None and not req.persistent:
-                r._release_req(syms[idx])
-        return
-    if idxs is None:
-        # recorded outcount == MPI_UNDEFINED: every entry was null
-        yield from m.waitsome(reqs if reqs else [None], statuses=statuses)
-        return
-    yield from m.waitsome(reqs, statuses=statuses,
-                          directed_indices=list(idxs))
-    for idx in idxs:
-        req = reqs[idx]
-        r._after_complete(req)
-        if req is not None and not req.persistent:
-            r._release_req(syms[idx])
-
-
-def _h_test(r, m, p):
-    sym = p.get("request")
-    req = r._take_req(sym)
-    flag = bool(p.get("flag"))
-    status = True if p.get("status") is not None else None
-    yield from m.test(req, status=status, directed_flag=flag)
-    if flag:
-        r._after_complete(req)
-        if req is not None and not req.persistent:
-            r._release_req(sym)
-
-
-def _h_testall(r, m, p):
-    syms = p.get("array_of_requests") or ()
-    reqs = [r._take_req(sym) for sym in syms]
-    flag = bool(p.get("flag"))
-    statuses = True if p.get("array_of_statuses") is not None else None
-    yield from m.testall(reqs, statuses=statuses, directed_flag=flag)
-    if flag:
-        for sym, req in zip(syms, reqs):
-            r._after_complete(req)
-            if req is not None and not req.persistent:
-                r._release_req(sym)
-
-
-def _h_testany(r, m, p):
-    syms = p.get("array_of_requests") or ()
-    reqs = [r._take_req(sym) for sym in syms]
-    flag = bool(p.get("flag"))
-    idx = p.get("index")
-    status = True if p.get("status") is not None else None
-    if not flag:
-        yield from m.testany(reqs, status=status, directed_flag=False)
-        return
-    if not (isinstance(idx, int) and idx >= 0):
-        yield from m.testany(reqs if reqs else [None], status=status)
-        return
-    yield from m.testany(reqs, status=status, directed_index=idx)
-    req = reqs[idx]
-    r._after_complete(req)
-    if req is not None and not req.persistent:
-        r._release_req(syms[idx])
-
-
-def _h_testsome(r, m, p):
-    syms = p.get("array_of_requests") or ()
-    reqs = [r._take_req(sym) for sym in syms]
-    idxs = p.get("array_of_indices")
-    statuses = True if p.get("array_of_statuses") is not None else None
-    if idxs is None:
-        yield from m.testsome(reqs if reqs else [None], statuses=statuses)
-        return
-    yield from m.testsome(reqs, statuses=statuses,
-                          directed_indices=list(idxs))
-    for idx in idxs:
-        req = reqs[idx]
-        r._after_complete(req)
-        if req is not None and not req.persistent:
-            r._release_req(syms[idx])
-
-
-def _h_request_free(r, m, p):
-    req = r._take_req(p["request"])
-    if req is not None:
-        m.request_free(req)
-    r._release_req(p["request"], persistent=False)
-    return
-    yield  # pragma: no cover
-
-
-def _h_cancel(r, m, p):
-    req = r._take_req(p["request"])
-    if req is not None:
-        m.cancel(req)
-    return
-    yield  # pragma: no cover
-
-
-def _coll_bufs(r, m, p, scount, stype_key, rcount, rtype_key):
-    stype = r._datatype(m, p[stype_key]) if stype_key in p else None
-    rtype = r._datatype(m, p[rtype_key]) if rtype_key in p else None
-    sbuf = r._buffer(m, p["sendbuf"], (scount or 1) * (stype.size if stype
-                                                       else 8)) \
-        if "sendbuf" in p else 0
-    rbuf = r._buffer(m, p["recvbuf"], (rcount or 1) * (rtype.size if rtype
-                                                       else 8)) \
-        if "recvbuf" in p else 0
-    return sbuf, stype, rbuf, rtype
-
-
-def _h_barrier(r, m, p):
-    yield from m.barrier(r.comm(p["comm"]))
-
-
-def _h_bcast(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    dtype = r._datatype(m, p["datatype"])
-    buf = r._buffer(m, p["buffer"], p["count"] * dtype.size)
-    yield from m.bcast(buf, p["count"], dtype,
-                       r._rankval(p["root"], ctx), comm)
-
-
-def _h_reduce(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    dtype = r._datatype(m, p["datatype"])
-    sbuf, _, rbuf, _ = _coll_bufs(r, m, p, p["count"], "datatype",
-                                  p["count"], "datatype")
-    yield from m.reduce(sbuf, rbuf, p["count"], dtype,
-                        _OPS_BY_HANDLE[p["op"]],
-                        r._rankval(p["root"], ctx), comm)
-
-
-def _h_allreduce(r, m, p):
-    comm = r.comm(p["comm"])
-    dtype = r._datatype(m, p["datatype"])
-    sbuf, _, rbuf, _ = _coll_bufs(r, m, p, p["count"], "datatype",
-                                  p["count"], "datatype")
-    if "request" in p:
-        req = m.iallreduce(sbuf, rbuf, p["count"], dtype,
-                           _OPS_BY_HANDLE[p["op"]], comm)
-        r._bind_req(p["request"], req)
-    else:
-        yield from m.allreduce(sbuf, rbuf, p["count"], dtype,
-                               _OPS_BY_HANDLE[p["op"]], comm)
-
-
-def _h_gather_like(api_name, rooted=True):
-    def handler(r: RankReplayer, m: RankAPI, p: dict):
-        comm = r.comm(p["comm"])
-        ctx = r._ctx_rank(comm)
-        stype = r._datatype(m, p["sendtype"])
-        rtype = r._datatype(m, p["recvtype"])
-        scount = p.get("sendcount", 1)
-        rcount = p.get("recvcount", 1)
-        sbuf = r._buffer(m, p["sendbuf"], scount * stype.size)
-        rbuf = r._buffer(m, p["recvbuf"], max(rcount, 1) * rtype.size)
-        args = [sbuf, scount, stype, rbuf]
-        if api_name in ("gatherv", "allgatherv"):
-            args.extend((list(p["recvcounts"] or ()) or None,
-                         list(p["displs"] or ()) or None, rtype))
-        else:
-            args.extend((rcount, rtype))
-        if rooted:
-            args.append(r._rankval(p["root"], ctx))
-        args.append(comm)
-        yield from getattr(m, api_name)(*args)
-    return handler
-
-
-def _h_scatterv(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    stype = r._datatype(m, p["sendtype"])
-    rtype = r._datatype(m, p["recvtype"])
-    sbuf = r._buffer(m, p["sendbuf"], 8)
-    rbuf = r._buffer(m, p["recvbuf"], max(p["recvcount"], 1) * rtype.size)
-    yield from m.scatterv(sbuf, list(p["sendcounts"] or ()) or None,
-                          list(p["displs"] or ()) or None, stype, rbuf,
-                          p["recvcount"], rtype,
-                          r._rankval(p["root"], ctx), comm)
-
-
-def _h_alltoall(r, m, p):
-    comm = r.comm(p["comm"])
-    stype = r._datatype(m, p["sendtype"])
-    rtype = r._datatype(m, p["recvtype"])
-    sbuf = r._buffer(m, p["sendbuf"], p["sendcount"] * stype.size)
-    rbuf = r._buffer(m, p["recvbuf"], p["recvcount"] * rtype.size)
-    if "request" in p:
-        req = m.ialltoall(sbuf, p["sendcount"], stype, rbuf, p["recvcount"],
-                          rtype, comm)
-        r._bind_req(p["request"], req)
-    else:
-        yield from m.alltoall(sbuf, p["sendcount"], stype, rbuf,
-                              p["recvcount"], rtype, comm)
-
-
-def _h_alltoallv(r, m, p):
-    comm = r.comm(p["comm"])
-    stype = r._datatype(m, p["sendtype"])
-    rtype = r._datatype(m, p["recvtype"])
-    scounts = list(p["sendcounts"])
-    rcounts = list(p["recvcounts"])
-    sbuf = r._buffer(m, p["sendbuf"], sum(scounts) * stype.size)
-    rbuf = r._buffer(m, p["recvbuf"], sum(rcounts) * rtype.size)
-    yield from m.alltoallv(sbuf, scounts, list(p["sdispls"]), stype,
-                           rbuf, rcounts, list(p["rdispls"]), rtype, comm)
-
-
-def _h_reduce_scatter(r, m, p):
-    comm = r.comm(p["comm"])
-    dtype = r._datatype(m, p["datatype"])
-    counts = list(p["recvcounts"])
-    sbuf = r._buffer(m, p["sendbuf"], sum(counts) * dtype.size)
-    rbuf = r._buffer(m, p["recvbuf"], max(counts) * dtype.size
-                     if counts else 8)
-    yield from m.reduce_scatter(sbuf, rbuf, counts, dtype,
-                                _OPS_BY_HANDLE[p["op"]], comm)
-
-
-def _h_reduce_scatter_block(r, m, p):
-    comm = r.comm(p["comm"])
-    dtype = r._datatype(m, p["datatype"])
-    sbuf, _, rbuf, _ = _coll_bufs(r, m, p, p["recvcount"], "datatype",
-                                  p["recvcount"], "datatype")
-    yield from m.reduce_scatter_block(sbuf, rbuf, p["recvcount"], dtype,
-                                      _OPS_BY_HANDLE[p["op"]], comm)
-
-
-def _h_scan(api_name):
-    def handler(r: RankReplayer, m: RankAPI, p: dict):
-        comm = r.comm(p["comm"])
-        dtype = r._datatype(m, p["datatype"])
-        sbuf, _, rbuf, _ = _coll_bufs(r, m, p, p["count"], "datatype",
-                                      p["count"], "datatype")
-        yield from getattr(m, api_name)(sbuf, rbuf, p["count"], dtype,
-                                        _OPS_BY_HANDLE[p["op"]], comm)
-    return handler
-
-
-def _h_ibarrier(r, m, p):
-    req = m.ibarrier(r.comm(p["comm"]))
-    r._bind_req(p["request"], req)
-    return
-    yield  # pragma: no cover
-
-
-def _h_ibcast(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    dtype = r._datatype(m, p["datatype"])
-    buf = r._buffer(m, p["buffer"], p["count"] * dtype.size)
-    req = m.ibcast(buf, p["count"], dtype, r._rankval(p["root"], ctx), comm)
-    r._bind_req(p["request"], req)
-    return
-    yield  # pragma: no cover
-
-
-def _h_iallgather(r, m, p):
-    comm = r.comm(p["comm"])
-    stype = r._datatype(m, p["sendtype"])
-    rtype = r._datatype(m, p["recvtype"])
-    sbuf = r._buffer(m, p["sendbuf"], p["sendcount"] * stype.size)
-    rbuf = r._buffer(m, p["recvbuf"], p["recvcount"] * rtype.size)
-    req = m.iallgather(sbuf, p["sendcount"], stype, rbuf, p["recvcount"],
-                       rtype, comm)
-    r._bind_req(p["request"], req)
-    return
-    yield  # pragma: no cover
-
-
-# -- communicator / group / datatype construction ---------------------------------
-
-def _h_comm_dup(r, m, p):
-    newcomm = yield from m.comm_dup(r.comm(p["comm"]))
-    r.bind_comm(p["newcomm"], newcomm)
-
-
-def _h_comm_idup(r, m, p):
-    req = m.comm_idup(r.comm(p["comm"]))
-    r._bind_req(p["request"], req)
-    return
-    yield  # pragma: no cover
-
-
-def _h_comm_split(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    color = r._rankval(p["color"], ctx)
-    key = r._rankval(p["key"], ctx)
-    newcomm = yield from m.comm_split(comm, color, key)
-    if newcomm is not None:
-        r.bind_comm(p["newcomm"], newcomm)
-
-
-def _h_comm_split_type(r, m, p):
-    comm = r.comm(p["comm"])
-    ctx = r._ctx_rank(comm)
-    newcomm = yield from m.comm_split_type(
-        comm, p["split_type"], r._rankval(p["key"], ctx))
-    if newcomm is not None:
-        r.bind_comm(p["newcomm"], newcomm)
-
-
-def _h_comm_create(r, m, p):
-    comm = r.comm(p["comm"])
-    group = r.group_map[p["group"]]
-    newcomm = yield from m.comm_create(comm, group)
-    if newcomm is not None:
-        r.bind_comm(p["newcomm"], newcomm)
-
-
-def _h_comm_free(r, m, p):
-    m.comm_free(r.comm(p["comm"]))
-    return
-    yield  # pragma: no cover
-
-
-def _h_comm_set_name(r, m, p):
-    m.comm_set_name(r.comm(p["comm"]), p["comm_name"])
-    return
-    yield  # pragma: no cover
-
-
-def _h_intercomm_create(r, m, p):
-    local = r.comm(p["local_comm"])
-    peer = r.comm(p["peer_comm"])
-    ctx = r._ctx_rank(local)
-    newcomm = yield from m.intercomm_create(
-        local, r._rankval(p["local_leader"], ctx), peer,
-        p["remote_leader"], r._rankval(p["tag"], ctx))
-    r.bind_comm(p["newintercomm"], newcomm)
-
-
-def _h_intercomm_merge(r, m, p):
-    inter = r.comm(p["intercomm"])
-    newcomm = yield from m.intercomm_merge(inter, bool(p["high"]))
-    r.bind_comm(p["newintracomm"], newcomm)
-
-
-def _h_cart_create(r, m, p):
-    comm = r.comm(p["comm_old"])
-    newcomm = yield from m.cart_create(comm, p["dims"],
-                                       [bool(x) for x in p["periods"]],
-                                       bool(p["reorder"]))
-    if newcomm is not None:
-        r.bind_comm(p["comm_cart"], newcomm)
-
-
-def _h_cart_sub(r, m, p):
-    comm = r.comm(p["comm"])
-    newcomm = yield from m.cart_sub(comm,
-                                    [bool(x) for x in p["remain_dims"]])
-    if newcomm is not None:
-        r.bind_comm(p["newcomm"], newcomm)
-
-
-def _h_group(fn):
-    def handler(r: RankReplayer, m: RankAPI, p: dict):
-        fn(r, m, p)
-        return
-        yield  # pragma: no cover
-    return handler
-
-
-def _g_comm_group(r, m, p):
-    r.group_map[p["group"]] = m.comm_group(r.comm(p["comm"]))
-
-
-def _g_incl(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_incl(r.group_map[p["group"]],
-                                              list(p["ranks"]))
-
-
-def _g_excl(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_excl(r.group_map[p["group"]],
-                                              list(p["ranks"]))
-
-
-def _g_union(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_union(r.group_map[p["group1"]],
-                                               r.group_map[p["group2"]])
-
-
-def _g_inter(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_intersection(
-        r.group_map[p["group1"]], r.group_map[p["group2"]])
-
-
-def _g_diff(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_difference(
-        r.group_map[p["group1"]], r.group_map[p["group2"]])
-
-
-def _g_range_incl(r, m, p):
-    r.group_map[p["newgroup"]] = m.group_range_incl(
-        r.group_map[p["group"]], [tuple(x) for x in p["ranges"]])
-
-
-def _g_free(r, m, p):
-    grp = r.group_map.pop(p["group"], None)
-    if grp is not None:
-        m.group_free(grp)
-
-
-def _h_type_contiguous(r, m, p):
-    r.type_map[p["newtype"]] = m.type_contiguous(
-        p["count"], r._datatype(m, p["oldtype"]))
-    return
-    yield  # pragma: no cover
-
-
-def _h_type_vector(r, m, p):
-    r.type_map[p["newtype"]] = m.type_vector(
-        p["count"], p["blocklength"], p["stride"],
-        r._datatype(m, p["oldtype"]))
-    return
-    yield  # pragma: no cover
-
-
-def _h_type_indexed(r, m, p):
-    r.type_map[p["newtype"]] = m.type_indexed(
-        list(p["array_of_blocklengths"]), list(p["array_of_displacements"]),
-        r._datatype(m, p["oldtype"]))
-    return
-    yield  # pragma: no cover
-
-
-def _h_type_struct(r, m, p):
-    types = [r._datatype(m, sym) for sym in p["array_of_types"]]
-    r.type_map[p["newtype"]] = m.type_create_struct(
-        list(p["array_of_blocklengths"]), list(p["array_of_displacements"]),
-        types)
-    return
-    yield  # pragma: no cover
-
-
-def _h_type_commit(r, m, p):
-    m.type_commit(r._datatype(m, p["datatype"]))
-    return
-    yield  # pragma: no cover
-
-
-def _h_type_free(r, m, p):
-    sym = p["datatype"]
-    m.type_free(r._datatype(m, sym))
-    r.type_map.pop(sym, None)
-    return
-    yield  # pragma: no cover
-
-
-def _h_persistent_init(api_name):
-    def handler(r: RankReplayer, m: RankAPI, p: dict):
-        comm = r.comm(p["comm"])
-        ctx = r._ctx_rank(comm)
-        dtype = r._datatype(m, p["datatype"])
-        buf = r._buffer(m, p["buf"], p["count"] * dtype.size)
-        peer_key = "dest" if api_name == "send_init" else "source"
-        req = getattr(m, api_name)(buf, p["count"], dtype,
-                                   r._rankval(p[peer_key], ctx),
-                                   r._rankval(p["tag"], ctx), comm)
-        r._bind_req(p["request"], req)
-        return
-        yield  # pragma: no cover
-    return handler
-
-
-def _h_start(r, m, p):
-    req = r._take_req(p["request"])
-    if req is not None:
-        m.start(req)
-    return
-    yield  # pragma: no cover
-
-
-def _h_startall(r, m, p):
-    reqs = [r._take_req(sym) for sym in (p["array_of_requests"] or ())]
-    m.startall([q for q in reqs if q is not None])
-    return
-    yield  # pragma: no cover
-
-
-def _h_win_create(r, m, p):
-    comm = r.comm(p["comm"])
-    base = r._buffer(m, p["base"], max(p["size"], 1))
-    win = yield from m.win_create(base, p["size"], p["disp_unit"], comm)
-    r.bind_win(p["win"], win)
-
-
-def _h_win_allocate(r, m, p):
-    comm = r.comm(p["comm"])
-    base, win = yield from m.win_allocate(p["size"], p["disp_unit"], comm)
-    r.bind_win(p["win"], win)
-    bp = p.get("baseptr")
-    if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
-        r.seg_map[bp[1]] = (base, max(p["size"], 1) + r._SEG_PAD)
-
-
-def _h_win_free(r, m, p):
-    yield from m.win_free(r.win(p["win"]))
-
-
-def _h_win_set_name(r, m, p):
-    m.win_set_name(r.win(p["win"]), p["win_name"])
-    return
-    yield  # pragma: no cover
-
-
-def _h_win_fence(r, m, p):
-    yield from m.win_fence(r.win(p["win"]), p["assert"])
-
-
-def _rma_args(r, m, p, key="origin_addr"):
-    win = r.win(p["win"])
-    ctx = r._ctx_rank(win.comm)
-    odt = r._datatype(m, p["origin_datatype"])
-    tdt = r._datatype(m, p["target_datatype"])
-    obuf = r._buffer(m, p[key], p["origin_count"] * odt.size)
-    target = r._rankval(p["target_rank"], ctx)
-    return win, odt, tdt, obuf, target
-
-
-def _h_put(r, m, p):
-    win, odt, tdt, obuf, target = _rma_args(r, m, p)
-    m.put(obuf, p["origin_count"], odt, target, p["target_disp"],
-          p["target_count"], tdt, win)
-    return
-    yield  # pragma: no cover
-
-
-def _h_get(r, m, p):
-    win, odt, tdt, obuf, target = _rma_args(r, m, p)
-    m.get(obuf, p["origin_count"], odt, target, p["target_disp"],
-          p["target_count"], tdt, win)
-    return
-    yield  # pragma: no cover
-
-
-def _h_accumulate(r, m, p):
-    win, odt, tdt, obuf, target = _rma_args(r, m, p)
-    m.accumulate(obuf, p["origin_count"], odt, target, p["target_disp"],
-                 p["target_count"], tdt, _OPS_BY_HANDLE[p["op"]], win)
-    return
-    yield  # pragma: no cover
-
-
-def _h_win_lock(r, m, p):
-    win = r.win(p["win"])
-    ctx = r._ctx_rank(win.comm)
-    yield from m.win_lock(p["lock_type"], r._rankval(p["rank"], ctx), win,
-                          p["assert"])
-
-
-def _h_win_unlock(r, m, p):
-    win = r.win(p["win"])
-    ctx = r._ctx_rank(win.comm)
-    m.win_unlock(r._rankval(p["rank"], ctx), win)
-    return
-    yield  # pragma: no cover
-
-
-_HANDLERS = {
-    "MPI_Send": _h_p2p_send("MPI_Send", "send", None),
-    "MPI_Ssend": _h_p2p_send("MPI_Ssend", "ssend", None),
-    "MPI_Bsend": _h_p2p_send("MPI_Bsend", "bsend", None),
-    "MPI_Rsend": _h_p2p_send("MPI_Rsend", "rsend", None),
-    "MPI_Isend": _h_p2p_send("MPI_Isend", None, "isend"),
-    "MPI_Issend": _h_p2p_send("MPI_Issend", None, "issend"),
-    "MPI_Recv": _h_recv,
-    "MPI_Irecv": _h_irecv,
-    "MPI_Sendrecv": _h_sendrecv,
-    "MPI_Probe": _h_probe,
-    "MPI_Wait": _h_wait,
-    "MPI_Waitall": _h_waitall,
-    "MPI_Waitany": _h_waitany,
-    "MPI_Waitsome": _h_waitsome,
-    "MPI_Test": _h_test,
-    "MPI_Testall": _h_testall,
-    "MPI_Testany": _h_testany,
-    "MPI_Testsome": _h_testsome,
-    "MPI_Request_free": _h_request_free,
-    "MPI_Cancel": _h_cancel,
-    "MPI_Barrier": _h_barrier,
-    "MPI_Bcast": _h_bcast,
-    "MPI_Reduce": _h_reduce,
-    "MPI_Allreduce": _h_allreduce,
-    "MPI_Iallreduce": _h_allreduce,
-    "MPI_Gather": _h_gather_like("gather"),
-    "MPI_Gatherv": _h_gather_like("gatherv"),
-    "MPI_Scatter": _h_gather_like("scatter"),
-    "MPI_Scatterv": _h_scatterv,
-    "MPI_Allgather": _h_gather_like("allgather", rooted=False),
-    "MPI_Allgatherv": _h_gather_like("allgatherv", rooted=False),
-    "MPI_Alltoall": _h_alltoall,
-    "MPI_Ialltoall": _h_alltoall,
-    "MPI_Alltoallv": _h_alltoallv,
-    "MPI_Reduce_scatter": _h_reduce_scatter,
-    "MPI_Reduce_scatter_block": _h_reduce_scatter_block,
-    "MPI_Scan": _h_scan("scan"),
-    "MPI_Exscan": _h_scan("exscan"),
-    "MPI_Ibarrier": _h_ibarrier,
-    "MPI_Ibcast": _h_ibcast,
-    "MPI_Iallgather": _h_iallgather,
-    "MPI_Comm_dup": _h_comm_dup,
-    "MPI_Comm_idup": _h_comm_idup,
-    "MPI_Comm_split": _h_comm_split,
-    "MPI_Comm_split_type": _h_comm_split_type,
-    "MPI_Comm_create": _h_comm_create,
-    "MPI_Comm_free": _h_comm_free,
-    "MPI_Comm_set_name": _h_comm_set_name,
-    "MPI_Intercomm_create": _h_intercomm_create,
-    "MPI_Intercomm_merge": _h_intercomm_merge,
-    "MPI_Cart_create": _h_cart_create,
-    "MPI_Cart_sub": _h_cart_sub,
-    "MPI_Comm_group": _h_group(_g_comm_group),
-    "MPI_Group_incl": _h_group(_g_incl),
-    "MPI_Group_excl": _h_group(_g_excl),
-    "MPI_Group_union": _h_group(_g_union),
-    "MPI_Group_intersection": _h_group(_g_inter),
-    "MPI_Group_difference": _h_group(_g_diff),
-    "MPI_Group_range_incl": _h_group(_g_range_incl),
-    "MPI_Group_free": _h_group(_g_free),
-    "MPI_Type_contiguous": _h_type_contiguous,
-    "MPI_Type_vector": _h_type_vector,
-    "MPI_Type_indexed": _h_type_indexed,
-    "MPI_Type_create_struct": _h_type_struct,
-    "MPI_Type_commit": _h_type_commit,
-    "MPI_Type_free": _h_type_free,
-    "MPI_Send_init": _h_persistent_init("send_init"),
-    "MPI_Recv_init": _h_persistent_init("recv_init"),
-    "MPI_Start": _h_start,
-    "MPI_Startall": _h_startall,
-    "MPI_Win_create": _h_win_create,
-    "MPI_Win_allocate": _h_win_allocate,
-    "MPI_Win_free": _h_win_free,
-    "MPI_Win_set_name": _h_win_set_name,
-    "MPI_Win_fence": _h_win_fence,
-    "MPI_Put": _h_put,
-    "MPI_Get": _h_get,
-    "MPI_Accumulate": _h_accumulate,
-    "MPI_Win_lock": _h_win_lock,
-    "MPI_Win_unlock": _h_win_unlock,
-}
 
 
 # ---------------------------------------------------------------------------------

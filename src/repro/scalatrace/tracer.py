@@ -179,13 +179,7 @@ class ScalaTraceTracer(TracerHooks):
 
     def _encode(self, rank: int, fname: str, args: dict[str, Any]) -> tuple:
         spec = F.FUNCS[fname]
-        comm = args.get("comm") or args.get("comm_old") \
-            or args.get("local_comm") or args.get("intercomm")
-        ctx = rank
-        if isinstance(comm, Comm):
-            cr = comm.group.rank_of(rank)
-            if cr != C.UNDEFINED:
-                ctx = cr
+        ctx = F.context_rank(args.get(spec.ctx_comm), rank)
         parts: list[Any] = [spec.fid]
         for p in spec.params:
             v = args.get(p.name)
@@ -196,6 +190,8 @@ class ScalaTraceTracer(TracerHooks):
                 parts.append(v.cid if isinstance(v, Comm) else -1)
             elif kind in (F.K_DATATYPE, F.K_NEWTYPE):
                 parts.append(v.handle if isinstance(v, Datatype) else -1)
+            elif kind == F.K_DATATYPEV:
+                parts.append(tuple(t.handle for t in v))
             elif kind == F.K_GROUP:
                 parts.append(tuple(v.ranks) if isinstance(v, Group) else None)
             elif kind == F.K_RANK:

@@ -10,10 +10,11 @@ from repro.mpisim.errors import MpiSimError, RankProgramError
 from repro.mpisim.runtime import RankAPI
 
 VALID_KINDS = {
-    F.K_COMM, F.K_GROUP, F.K_DATATYPE, F.K_REQUEST, F.K_REQUESTV, F.K_OP,
-    F.K_RANK, F.K_ROOT, F.K_TAG, F.K_COLOR, F.K_KEY, F.K_PTR, F.K_COUNT,
-    F.K_INT, F.K_INTV, F.K_FLAG, F.K_STR, F.K_STATUS, F.K_STATUSV,
-    F.K_INDEXV, F.K_NEWCOMM, F.K_NEWTYPE, F.K_WIN, F.K_NEWWIN,
+    F.K_COMM, F.K_GROUP, F.K_DATATYPE, F.K_DATATYPEV, F.K_REQUEST,
+    F.K_REQUESTV, F.K_OP, F.K_RANK, F.K_ROOT, F.K_TAG, F.K_COLOR, F.K_KEY,
+    F.K_PTR, F.K_COUNT, F.K_INT, F.K_INTV, F.K_FLAG, F.K_STR, F.K_STATUS,
+    F.K_STATUSV, F.K_INDEX, F.K_INDEXV, F.K_NEWCOMM, F.K_NEWTYPE, F.K_WIN,
+    F.K_NEWWIN,
 }
 VALID_DIRECTIONS = {F.IN, F.OUT, F.INOUT}
 

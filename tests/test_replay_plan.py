@@ -92,7 +92,8 @@ def oracle_prescan(calls):
             occ = occ_next.get(key, 0)
             occ_next[key] = occ + 1
             occ_active[key] = occ
-        elif call.fname == "MPI_Wait":
+        elif call.fname == "MPI_Wait" \
+                or call.fname == "MPI_Test" and p.get("flag"):
             sym = p.get("request")
             if sym is not None:
                 note_completion([sym], [p.get("status")], [0])
