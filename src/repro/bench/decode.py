@@ -10,7 +10,9 @@ per sample, on the same runner, each family is also run once under the
 ``null`` backend, so two kinds of metric come out:
 
 * ``<family>.parse_ms`` / ``expand_ms`` / ``decode_ms`` (their sum) /
-  ``store_get_ms`` — absolute times, for humans (``BENCH_decode.json``);
+  ``store_get_ms`` — absolute times, for humans (``BENCH_decode.json``),
+  and ``null_us_per_call``, the denominator of the ratio below per
+  decoded call: when the ratio moves the JSON says which side did;
 * ``<family>.decode_over_null`` / ``decode_over_null`` — decode time over
   the untraced run that produced the calls (and summed over families) —
   and ``<family>.trace_bytes``, the size of the blob being parsed, an
@@ -47,11 +49,13 @@ def _decode(params: dict):
     nprocs = int(params.setdefault("nprocs", 8))
     seed = int(params.setdefault("seed", 1))
     blobs = []
+    total_calls = 0
     for fam in families:
         tracer = make_tracer("pilgrim", TracerOptions(
             lossy_timing=fam in LOSSY_FAMILIES))
         make(fam, nprocs).run(seed=seed, tracer=tracer)
         blobs.append((fam, tracer.result.trace_bytes))
+        total_calls += tracer.result.total_calls
     # held in the sample closure so the store outlives setup; cleaned
     # up by the TemporaryDirectory finalizer on release
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
@@ -81,6 +85,7 @@ def _decode(params: dict):
             total_ms += ms
             total_null_ms += null_ms
         out["decode_over_null"] = total_ms / total_null_ms
+        out["null_us_per_call"] = 1e3 * total_null_ms / max(total_calls, 1)
         return out
 
     return sample

@@ -11,7 +11,9 @@ also run once under the ``null`` backend, so two kinds of metric come
 out per family:
 
 * ``<family>.us_per_call`` / ``batched_us_per_call`` — absolute times,
-  for humans (``BENCH_hotpath.json``);
+  for humans (``BENCH_hotpath.json``), with ``<family>.null_us_per_call``,
+  the denominator of the ratio below, beside them: when a ratio moves
+  the JSON says which side did;
 * ``<family>.hot_over_null`` — per-call tracing time over the untraced
   run that produced the calls, and ``<family>.batched_over_percall`` —
   the two entries against each other.  Machine-independent, so these
@@ -65,6 +67,7 @@ def _hotpath(params: dict):
             make(fam, nprocs).run(seed=seed, tracer=make_tracer("null"))
             t_null = perf_counter() - start
             out[f"{fam}.us_per_call"] = t_percall * per_call_us
+            out[f"{fam}.null_us_per_call"] = t_null * per_call_us
             out[f"{fam}.batched_us_per_call"] = t_batched * per_call_us
             out[f"{fam}.hot_over_null"] = t_percall / t_null
             out[f"{fam}.batched_over_percall"] = t_batched / t_percall

@@ -9,7 +9,9 @@ workload in-process.  The pushed trace must equal the in-process one
 byte for byte, or the sample raises.  Three kinds of metric come out:
 
 * ``<family>.push_ms`` / ``trace_ms`` — absolute times, for humans
-  (``BENCH_ingest.json``);
+  (``BENCH_ingest.json``), and ``trace_us_per_call``, the denominator of
+  the ratio below per traced call: when the ratio moves the JSON says
+  which side did;
 * ``<family>.push_over_trace`` / ``push_over_trace`` — push time over
   the in-process trace of the same family (and summed over families):
   what streaming the trace out costs on top of producing it.
@@ -84,6 +86,7 @@ def _ingest(params: dict):
             wire += client.bytes_sent
             writes += client.sendalls
         out["push_over_trace"] = push_s / trace_s
+        out["trace_us_per_call"] = 1e6 * trace_s / calls
         out["wire_bytes_per_call"] = wire / calls
         out["sendalls_per_kcall"] = 1e3 * writes / calls
         return out

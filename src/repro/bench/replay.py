@@ -10,7 +10,9 @@ come out:
 
 * ``<family>.replay_ms`` / ``replay_ms_per_call`` — absolute times, for
   humans (``BENCH_replay.json``); per recorded call so the headline
-  stays comparable as family call counts evolve;
+  stays comparable as family call counts evolve — and
+  ``null_us_per_call``, the denominator of the ratio below per recorded
+  call: when the ratio moves the JSON says which side did;
 * ``<family>.replay_over_null`` / ``replay_over_null`` — replay time over
   the untraced run of the same family (and summed over families): what
   re-execution costs on top of the simulation it has to do anyway.
@@ -63,6 +65,7 @@ def _replay(params: dict):
             total_ms += ms
             total_null_ms += null_ms
         out["replay_ms_per_call"] = total_ms / max(total_calls, 1)
+        out["null_us_per_call"] = 1e3 * total_null_ms / max(total_calls, 1)
         out["replay_over_null"] = total_ms / total_null_ms
         return out
 

@@ -28,7 +28,7 @@ from ..mpisim.comm import Comm
 from ..mpisim.datatypes import Datatype
 from ..mpisim.group import Group
 from ..mpisim.ops import Op
-from ..mpisim.request import Request
+from ..mpisim.request import KIND_IDUP, Request
 from ..mpisim.status import Status
 from .avl import IntervalTree
 from .relative import encode_rank, encode_rankish
@@ -655,7 +655,7 @@ class PerRankEncoder:
             return
         if req.consumed or req.freed:
             sym = self.requests.on_release(id(req))
-            if sym is not None and req.kind == "comm_idup" \
+            if sym is not None and req.kind == KIND_IDUP \
                     and isinstance(req.value, Comm):
                 # §3.3.1: the symbolic id of an idup'ed communicator is
                 # agreed when the completing Wait/Test observes it

@@ -16,8 +16,6 @@ helpers here.  Conventions:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import constants as C
 from . import datatypes as dt
 from .comm import Comm
@@ -28,10 +26,53 @@ from .request import Request
 LOCAL_OP_COST = 5.0e-8
 
 
-class ApiBase:
-    """State and helpers common to all API mixins."""
+class CommView:
+    """What one rank knows about one communicator that no call can change
+    — resolved once per (rank, communicator) pair, not per message."""
 
-    def __init__(self, rt, rank: int):
+    __slots__ = ("local", "peer", "rank", "posted", "unexpected")
+
+    def __init__(self, comm: Comm, world_rank: int):
+        local, peer = comm.group, comm.remote_group
+        if peer is None:
+            peer = local
+        elif not local.contains(world_rank):
+            local, peer = peer, local
+        #: the group the caller is a member of
+        self.local = local
+        #: the group src/dest arguments are interpreted against (the
+        #: remote one on an inter-communicator)
+        self.peer = peer
+        #: the caller's rank in the communicator
+        self.rank = local.rank_of(world_rank)
+        #: the caller's receive queues
+        self.posted = comm.posted_queue(world_rank)
+        self.unexpected = comm.unexpected_queue(world_rank)
+
+
+class _Views(dict):
+    """``views[comm]``: one rank's :class:`CommView` of each communicator
+    it has used, resolved on first use."""
+
+    def __init__(self, world_rank: int):
+        self.world_rank = world_rank
+
+    def __missing__(self, comm: Comm) -> CommView:
+        view = self[comm] = CommView(comm, self.world_rank)
+        return view
+
+
+class ApiBase:
+    """State and helpers common to all API mixins.
+
+    The success path pays only for what changes per call: whatever a run
+    cannot change after ``SimMPI.__init__`` (the network model, the event
+    log, the scheduler) is read once here, diagnostics are built by whoever
+    reports a failure, and validation is in-line flag and range tests with
+    the ``check_*`` helpers as the failure branch.
+    """
+
+    def __init__(self, rt, rank: int, ctx):
         self.rt = rt
         self.rank = rank                    # world rank
         self.clock = rt.clocks[rank]
@@ -42,55 +83,55 @@ class ApiBase:
         hook = rt.tracer.on_call if rt.tracer is not None else None
         self._hook = hook
         self._mem_hook = rt.tracer.on_mem if rt.tracer is not None else None
-        #: this rank's scheduler context (wired by SimMPI.run); _rec keeps
-        #: its last_call current so deadlock/livelock diagnostics can name
-        #: the MPI call each rank is parked in
-        self._ctx = None
+        #: this rank's scheduler context; _rec and the blocking primitives
+        #: keep its last_call current so deadlock/livelock diagnostics can
+        #: name the MPI call each rank is parked in
+        self._ctx = ctx
+        self._sched = rt.scheduler
+        self._events = rt.events
+        self._net = rt.net
+        #: the fixed software cost of an MPI call, as the clock charges it
+        self._overhead = max(rt.net.overhead, 0.0)
+        self._views = _Views(rank)
 
     # -- tracer plumbing -----------------------------------------------------
 
     def _rec(self, fname: str, t0: float, args: dict) -> None:
-        if self._ctx is not None:
-            self._ctx.last_call = fname
+        self._ctx.last_call = fname
         if self._hook is not None:
             self._hook(self.rank, fname, args, t0, self.clock.now)
-
-    def _mark(self, fname: str) -> None:
-        """Note the MPI call being *entered*.  Blocking primitives call
-        this before parking so that, if the rank never progresses, the
-        deadlock/livelock diagnostics name the call it is stuck in
-        (``_rec`` only fires on completion, which never comes)."""
-        if self._ctx is not None:
-            self._ctx.last_call = fname
 
     # -- request plumbing -----------------------------------------------------
 
     def _new_request(self, kind: str, **kw) -> Request:
+        """A request under the next handle.  (The per-message posters
+        spell this out, positionally.)"""
         req = Request(kind, self.rank, self._next_req_handle, **kw)
         self._next_req_handle += 1
         return req
 
-    @staticmethod
-    def _live(req: Optional[Request]) -> bool:
-        """Is this array entry a request that still needs completion?"""
-        return req is not None and not req.freed
-
     # -- argument validation ----------------------------------------------------
 
     def _check_p2p_args(self, comm: Comm, peer: int, count: int,
-                        datatype: dt.Datatype, tag: int, *,
-                        is_recv: bool) -> None:
-        comm.check_usable()
-        datatype.check_usable()
+                        datatype: dt.Datatype, tag: int,
+                        is_recv: bool) -> CommView:
+        """Validate a point-to-point call; returns the caller's view of
+        *comm*.  Straight-line when everything is in order; a failed test
+        hands over to the helper that owns the message, and the tests run
+        in the order the errors have always been reported."""
+        if comm.freed:
+            comm.check_usable()
+        if datatype.freed or not datatype.committed:
+            datatype.check_usable()
         if count < 0:
             raise InvalidArgumentError(f"negative count {count}")
-        if is_recv:
-            if tag != C.ANY_TAG and not 0 <= tag <= C.TAG_UB:
-                raise InvalidArgumentError(f"invalid recv tag {tag}")
-        else:
-            if not 0 <= tag <= C.TAG_UB:
-                raise InvalidArgumentError(f"invalid send tag {tag}")
-        self._check_peer(comm, peer, wildcard_ok=is_recv)
+        if not 0 <= tag <= C.TAG_UB and not (is_recv and tag == C.ANY_TAG):
+            raise InvalidArgumentError(
+                f"invalid {'recv' if is_recv else 'send'} tag {tag}")
+        view = self._views[comm]
+        if not 0 <= peer < view.peer.size and peer != C.PROC_NULL:
+            self._check_peer(comm, peer, wildcard_ok=is_recv)
+        return view
 
     def _check_peer(self, comm: Comm, peer: int, *,
                     wildcard_ok: bool = False) -> None:
@@ -98,36 +139,19 @@ class ApiBase:
             return
         if wildcard_ok and peer == C.ANY_SOURCE:
             return
-        size = self._peer_group(comm).size
+        size = self._views[comm].peer.size
         if not 0 <= peer < size:
             raise InvalidArgumentError(
                 f"peer rank {peer} out of range for {comm.name} (size {size})")
 
-    # -- group resolution (intra vs inter) -----------------------------------------
-
-    def _local_group(self, comm: Comm):
-        if comm.remote_group is None:
-            return comm.group
-        if comm.group.contains(self.rank):
-            return comm.group
-        return comm.remote_group
-
-    def _peer_group(self, comm: Comm):
-        if comm.remote_group is None:
-            return comm.group
-        if comm.group.contains(self.rank):
-            return comm.remote_group
-        return comm.group
-
-    def _comm_rank(self, comm: Comm) -> int:
-        return self._local_group(comm).rank_of(self.rank)
-
     # -- misc ------------------------------------------------------------------
 
     def _tick(self) -> float:
-        """Charge the fixed software cost of an MPI call; returns entry time."""
-        t0 = self.clock.now
-        self.clock.advance_exact(self.rt.net.overhead)
+        """Charge the fixed software cost of an MPI call; returns entry
+        time.  (The per-message calls spell these two statements out.)"""
+        clock = self.clock
+        t0 = clock.now
+        clock.now = t0 + self._overhead
         return t0
 
     def compute(self, seconds: float) -> float:

@@ -23,7 +23,77 @@ from .errors import InvalidArgumentError
 from .future import Future
 from .ops import Op, reduce_payloads
 from .request import Request
-from .status import Status
+from .status import EMPTY, Status
+
+
+# -- result computations: compute(g, comm, *cargs) -> {world rank: result} ---
+
+def _ordered(g, comm: Comm) -> list:
+    return [g.arrived[w][0] for w in comm.group.ranks]
+
+
+def _c_bcast(g, comm, root: int):
+    val = g.arrived[comm.group.world_rank(root)][0]
+    return {w: val for w in g.arrived}
+
+
+def _c_reduce(g, comm, op: Op, root: int):
+    return {comm.group.world_rank(root):
+            reduce_payloads(op, _ordered(g, comm))}
+
+
+def _c_allreduce(g, comm, op: Op):
+    res = reduce_payloads(op, _ordered(g, comm))
+    return {w: res for w in g.arrived}
+
+
+def _c_gather(g, comm, root: int):
+    return {comm.group.world_rank(root): _ordered(g, comm)}
+
+
+def _c_allgather(g, comm):
+    vals = _ordered(g, comm)
+    return {w: vals for w in g.arrived}
+
+
+def _c_scatter(g, comm, root: int):
+    vals = g.arrived[comm.group.world_rank(root)][0]
+    return {w: None if vals is None else vals[i]
+            for i, w in enumerate(comm.group.ranks)}
+
+
+def _c_alltoall(g, comm):
+    rows = _ordered(g, comm)
+    if all(r is None for r in rows):
+        return {w: None for w in comm.group.ranks}
+    return {w: [None if r is None else r[i] for r in rows]
+            for i, w in enumerate(comm.group.ranks)}
+
+
+def _c_scan(g, comm, op: Op, exclusive: bool):
+    vals = _ordered(g, comm)
+    out = {}
+    for i, w in enumerate(comm.group.ranks):
+        upto = vals[:i] if exclusive else vals[:i + 1]
+        out[w] = reduce_payloads(op, upto) if upto else None
+    return out
+
+
+def _c_reduce_scatter_block(g, comm, op: Op):
+    folded = reduce_payloads(op, _ordered(g, comm))
+    return {w: None if folded is None else folded[i]
+            for i, w in enumerate(comm.group.ranks)}
+
+
+def _c_reduce_scatter(g, comm, op: Op, recvcounts: Sequence[int]):
+    folded = reduce_payloads(op, _ordered(g, comm))
+    out = {}
+    off = 0
+    for i, w in enumerate(comm.group.ranks):
+        n = recvcounts[i]
+        out[w] = None if folded is None else list(folded[off:off + n])
+        off += n
+    return out
 
 
 class ApiColl(ApiBase):
@@ -31,53 +101,57 @@ class ApiColl(ApiBase):
 
     # -- rendezvous scaffolding ------------------------------------------------
 
-    def _finalize_fn(self, op_name: str, nbytes: int, compute):
-        rt = self.rt
-
-        def fin(g, comm: Comm) -> None:
-            tmax = g.max_arrival()
-            nprocs = comm.group.size + (comm.remote_group.size
-                                        if comm.remote_group else 0)
-            tdone = tmax + rt.net.coll_time(op_name, nprocs, nbytes)
-            results = compute(g, comm) if compute is not None else None
-            if rt.events is not None:
-                rt.events.emit("coll.complete", op=op_name,
-                               comm=comm.cid, nprocs=nprocs,
-                               bytes=nbytes, vtime=tdone)
-            for wr, fut in g.futures.items():
-                val = results.get(wr) if results is not None else None
-                if isinstance(fut, Request):
-                    rt.scheduler_complete(fut, Status.empty(), tdone,
-                                          value=val)
-                else:
-                    rt.scheduler.resolve(fut, (val, tdone))
-
-        return fin
+    def _finalize(self, g, comm: Comm) -> None:
+        """The last arrival completes the gathering: results, completion
+        time (max arrival + LogP-style cost), everyone released."""
+        tdone = g.tmax + self._net.coll_time(g.op, comm.nmembers, g.nbytes)
+        results = g.compute(g, comm, *g.cargs) \
+            if g.compute is not None else None
+        if self._events is not None:
+            self._events.emit("coll.complete", op=g.op, comm=comm.cid,
+                              nprocs=comm.nmembers, bytes=g.nbytes,
+                              vtime=tdone)
+        sched, clocks = self._sched, self.rt.clocks
+        for wr, fut in g.futures.items():
+            val = results.get(wr) if results is not None else None
+            if isinstance(fut, Request):
+                sched.complete_request(fut, Status(*EMPTY), tdone, val)
+            else:
+                # a rank parked in a blocking collective resumes at tdone
+                clock = clocks[wr]
+                if tdone > clock.now:
+                    clock.now = tdone
+                sched.resolve(fut, val)
 
     def _coll(self, op_name: str, comm: Comm, payload: Any, nbytes: int,
-              compute, check_args: Any = None):
-        """Blocking collective: generator returning this rank's result."""
-        comm.check_usable()
-        self._mark(f"MPI_{op_name.capitalize()}")
-        fut = Future(f"{op_name}@{comm.name} rank={self.rank}")
-        comm.join_collective(self.rank, op_name,
-                             self._finalize_fn(op_name, nbytes, compute),
-                             payload, self.clock.now, fut, check_args)
-        val, tdone = yield fut
-        self.clock.sync_to(tdone)
-        return val
+              compute, check_args: Any = None, cargs: tuple = ()) -> Future:
+        """Blocking collective: the caller yields the returned future and
+        is resumed with this rank's result, its clock at completion time.
+        *compute* and *cargs* are read off the first arriver only."""
+        if comm.freed:
+            comm.check_usable()
+        self._ctx.last_call = op_name  # scheduler.call_name spells it out
+        fut = Future(("%s@%s rank=%s", op_name, comm.name, self.rank))
+        g = comm.join_collective(self.rank, op_name, nbytes, compute, cargs,
+                                 payload, self.clock.now, fut, check_args)
+        if g is not None:
+            self._finalize(g, comm)
+        return fut
 
     def _coll_nb(self, op_name: str, comm: Comm, payload: Any, nbytes: int,
-                 compute, check_args: Any = None) -> Request:
+                 compute, check_args: Any = None,
+                 cargs: tuple = ()) -> Request:
         """Non-blocking collective: returns a request whose ``value`` will
         hold this rank's result on completion."""
-        comm.check_usable()
+        if comm.freed:
+            comm.check_usable()
+        now = self.clock.now
         req = self._new_request("icoll:" + op_name, comm_cid=comm.cid,
-                                nbytes=nbytes)
-        req.post_time = self.clock.now
-        comm.join_collective(self.rank, op_name,
-                             self._finalize_fn(op_name, nbytes, compute),
-                             payload, self.clock.now, req, check_args)
+                                nbytes=nbytes, post_time=now)
+        g = comm.join_collective(self.rank, op_name, nbytes, compute, cargs,
+                                 payload, now, req, check_args)
+        if g is not None:
+            self._finalize(g, comm)
         return req
 
     @staticmethod
@@ -93,104 +167,12 @@ class ApiColl(ApiBase):
                 f"root {root} out of range for {comm.name}")
         return comm.group.world_rank(root)
 
-    # -- result computations ------------------------------------------------------
-
-    @staticmethod
-    def _ordered(g, comm: Comm) -> list:
-        return [g.arrived[w][0] for w in comm.group.ranks]
-
-    def _c_bcast(self, root: int):
-        def compute(g, comm):
-            rootw = comm.group.world_rank(root)
-            val = g.arrived[rootw][0]
-            return {w: val for w in g.arrived}
-        return compute
-
-    def _c_reduce(self, op: Op, root: int):
-        def compute(g, comm):
-            res = reduce_payloads(op, self._ordered(g, comm))
-            return {comm.group.world_rank(root): res}
-        return compute
-
-    def _c_allreduce(self, op: Op):
-        def compute(g, comm):
-            res = reduce_payloads(op, self._ordered(g, comm))
-            return {w: res for w in g.arrived}
-        return compute
-
-    def _c_gather(self, root: int):
-        def compute(g, comm):
-            return {comm.group.world_rank(root): self._ordered(g, comm)}
-        return compute
-
-    def _c_allgather(self):
-        def compute(g, comm):
-            vals = self._ordered(g, comm)
-            return {w: vals for w in g.arrived}
-        return compute
-
-    def _c_scatter(self, root: int):
-        def compute(g, comm):
-            rootw = comm.group.world_rank(root)
-            vals = g.arrived[rootw][0]
-            out = {}
-            for i, w in enumerate(comm.group.ranks):
-                out[w] = None if vals is None else vals[i]
-            return out
-        return compute
-
-    def _c_alltoall(self):
-        def compute(g, comm):
-            ranks = comm.group.ranks
-            rows = [g.arrived[w][0] for w in ranks]
-            out = {}
-            for i, w in enumerate(ranks):
-                if all(r is None for r in rows):
-                    out[w] = None
-                else:
-                    out[w] = [None if r is None else r[i] for r in rows]
-            return out
-        return compute
-
-    def _c_scan(self, op: Op, *, exclusive: bool):
-        def compute(g, comm):
-            vals = self._ordered(g, comm)
-            out = {}
-            for i, w in enumerate(comm.group.ranks):
-                upto = vals[:i] if exclusive else vals[:i + 1]
-                out[w] = reduce_payloads(op, upto) if upto else None
-            return out
-        return compute
-
-    def _c_reduce_scatter_block(self, op: Op):
-        def compute(g, comm):
-            vals = self._ordered(g, comm)
-            folded = reduce_payloads(op, vals)
-            out = {}
-            for i, w in enumerate(comm.group.ranks):
-                out[w] = None if folded is None else folded[i]
-            return out
-        return compute
-
-    def _c_reduce_scatter(self, op: Op, recvcounts: Sequence[int]):
-        def compute(g, comm):
-            vals = self._ordered(g, comm)
-            folded = reduce_payloads(op, vals)
-            out = {}
-            off = 0
-            for i, w in enumerate(comm.group.ranks):
-                n = recvcounts[i]
-                out[w] = None if folded is None else list(folded[off:off + n])
-                off += n
-            return out
-        return compute
-
     # -- blocking collectives -------------------------------------------------------
 
     def barrier(self, comm: Optional[Comm] = None):
         comm = comm or self.world
         t0 = self._tick()
-        yield from self._coll("barrier", comm, None, 0, None)
+        yield self._coll("barrier", comm, None, 0, None)
         self._rec("MPI_Barrier", t0, {"comm": comm})
 
     def bcast(self, buffer: int, count: int, datatype: dt.Datatype,
@@ -198,11 +180,11 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Bcast")
         self._root_world(comm, root)
-        datatype.check_usable()
+        if datatype.freed or not datatype.committed:
+            datatype.check_usable()
         t0 = self._tick()
-        val = yield from self._coll("bcast", comm, data,
-                                    count * datatype.size,
-                                    self._c_bcast(root), ("bcast", root))
+        val = yield self._coll("bcast", comm, data, count * datatype.size,
+                               _c_bcast, ("bcast", root), (root,))
         self._rec("MPI_Bcast", t0, {
             "buffer": buffer, "count": count, "datatype": datatype,
             "root": root, "comm": comm})
@@ -214,12 +196,12 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Reduce")
         self._root_world(comm, root)
-        datatype.check_usable()
+        if datatype.freed or not datatype.committed:
+            datatype.check_usable()
         t0 = self._tick()
-        val = yield from self._coll("reduce", comm, data,
-                                    count * datatype.size,
-                                    self._c_reduce(op, root),
-                                    ("reduce", root, op.name))
+        val = yield self._coll("reduce", comm, data, count * datatype.size,
+                               _c_reduce, ("reduce", root, op.name),
+                               (op, root))
         self._rec("MPI_Reduce", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
             "datatype": datatype, "op": op, "root": root, "comm": comm})
@@ -230,12 +212,11 @@ class ApiColl(ApiBase):
                   comm: Optional[Comm] = None, data: Any = None):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Allreduce")
-        datatype.check_usable()
+        if datatype.freed or not datatype.committed:
+            datatype.check_usable()
         t0 = self._tick()
-        val = yield from self._coll("allreduce", comm, data,
-                                    count * datatype.size,
-                                    self._c_allreduce(op),
-                                    ("allreduce", op.name))
+        val = yield self._coll("allreduce", comm, data, count * datatype.size,
+                               _c_allreduce, ("allreduce", op.name), (op,))
         self._rec("MPI_Allreduce", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
             "datatype": datatype, "op": op, "comm": comm})
@@ -247,9 +228,8 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Gather")
         t0 = self._tick()
-        val = yield from self._coll("gather", comm, data,
-                                    sendcount * sendtype.size,
-                                    self._c_gather(root), ("gather", root))
+        val = yield self._coll("gather", comm, data, sendcount * sendtype.size,
+                               _c_gather, ("gather", root), (root,))
         self._rec("MPI_Gather", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
@@ -263,9 +243,8 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Gatherv")
         t0 = self._tick()
-        val = yield from self._coll("gather", comm, data,
-                                    sendcount * sendtype.size,
-                                    self._c_gather(root), ("gatherv", root))
+        val = yield self._coll("gather", comm, data, sendcount * sendtype.size,
+                               _c_gather, ("gatherv", root), (root,))
         self._rec("MPI_Gatherv", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf,
@@ -280,9 +259,9 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Scatter")
         t0 = self._tick()
-        val = yield from self._coll("scatter", comm, data,
-                                    recvcount * recvtype.size,
-                                    self._c_scatter(root), ("scatter", root))
+        val = yield self._coll("scatter", comm, data,
+                               recvcount * recvtype.size, _c_scatter,
+                               ("scatter", root), (root,))
         self._rec("MPI_Scatter", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
@@ -296,9 +275,9 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Scatterv")
         t0 = self._tick()
-        val = yield from self._coll("scatter", comm, data,
-                                    recvcount * recvtype.size,
-                                    self._c_scatter(root), ("scatterv", root))
+        val = yield self._coll("scatter", comm, data,
+                               recvcount * recvtype.size, _c_scatter,
+                               ("scatterv", root), (root,))
         self._rec("MPI_Scatterv", t0, {
             "sendbuf": sendbuf,
             "sendcounts": tuple(sendcounts) if sendcounts else None,
@@ -314,9 +293,9 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Allgather")
         t0 = self._tick()
-        val = yield from self._coll("allgather", comm, data,
-                                    sendcount * sendtype.size,
-                                    self._c_allgather(), ("allgather",))
+        val = yield self._coll("allgather", comm, data,
+                               sendcount * sendtype.size, _c_allgather,
+                               ("allgather",))
         self._rec("MPI_Allgather", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
@@ -330,9 +309,9 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Allgatherv")
         t0 = self._tick()
-        val = yield from self._coll("allgather", comm, data,
-                                    sendcount * sendtype.size,
-                                    self._c_allgather(), ("allgatherv",))
+        val = yield self._coll("allgather", comm, data,
+                               sendcount * sendtype.size, _c_allgather,
+                               ("allgatherv",))
         self._rec("MPI_Allgatherv", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf,
@@ -347,9 +326,9 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Alltoall")
         t0 = self._tick()
-        val = yield from self._coll("alltoall", comm, data,
-                                    sendcount * sendtype.size * comm.size,
-                                    self._c_alltoall(), ("alltoall",))
+        val = yield self._coll("alltoall", comm, data,
+                               sendcount * sendtype.size * comm.size,
+                               _c_alltoall, ("alltoall",))
         self._rec("MPI_Alltoall", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
@@ -365,8 +344,8 @@ class ApiColl(ApiBase):
         self._require_intra(comm, "MPI_Alltoallv")
         t0 = self._tick()
         nbytes = sum(sendcounts) * sendtype.size
-        val = yield from self._coll("alltoallv", comm, data, nbytes,
-                                    self._c_alltoall(), ("alltoallv",))
+        val = yield self._coll("alltoallv", comm, data, nbytes, _c_alltoall,
+                               ("alltoallv",))
         self._rec("MPI_Alltoallv", t0, {
             "sendbuf": sendbuf, "sendcounts": tuple(sendcounts),
             "sdispls": tuple(sdispls), "sendtype": sendtype,
@@ -383,9 +362,9 @@ class ApiColl(ApiBase):
             raise InvalidArgumentError("recvcounts length != comm size")
         t0 = self._tick()
         nbytes = sum(recvcounts) * datatype.size
-        val = yield from self._coll("reduce_scatter", comm, data, nbytes,
-                                    self._c_reduce_scatter(op, recvcounts),
-                                    ("reduce_scatter", op.name))
+        val = yield self._coll("reduce_scatter", comm, data, nbytes,
+                               _c_reduce_scatter, ("reduce_scatter", op.name),
+                               (op, recvcounts))
         self._rec("MPI_Reduce_scatter", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf,
             "recvcounts": tuple(recvcounts), "datatype": datatype,
@@ -399,9 +378,9 @@ class ApiColl(ApiBase):
         self._require_intra(comm, "MPI_Reduce_scatter_block")
         t0 = self._tick()
         nbytes = recvcount * datatype.size * comm.size
-        val = yield from self._coll("reduce_scatter", comm, data, nbytes,
-                                    self._c_reduce_scatter_block(op),
-                                    ("reduce_scatter_block", op.name))
+        val = yield self._coll("reduce_scatter", comm, data, nbytes,
+                               _c_reduce_scatter_block,
+                               ("reduce_scatter_block", op.name), (op,))
         self._rec("MPI_Reduce_scatter_block", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "recvcount": recvcount,
             "datatype": datatype, "op": op, "comm": comm})
@@ -413,10 +392,8 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Scan")
         t0 = self._tick()
-        val = yield from self._coll("scan", comm, data,
-                                    count * datatype.size,
-                                    self._c_scan(op, exclusive=False),
-                                    ("scan", op.name))
+        val = yield self._coll("scan", comm, data, count * datatype.size,
+                               _c_scan, ("scan", op.name), (op, False))
         self._rec("MPI_Scan", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
             "datatype": datatype, "op": op, "comm": comm})
@@ -428,10 +405,8 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         self._require_intra(comm, "MPI_Exscan")
         t0 = self._tick()
-        val = yield from self._coll("scan", comm, data,
-                                    count * datatype.size,
-                                    self._c_scan(op, exclusive=True),
-                                    ("exscan", op.name))
+        val = yield self._coll("scan", comm, data, count * datatype.size,
+                               _c_scan, ("exscan", op.name), (op, True))
         self._rec("MPI_Exscan", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
             "datatype": datatype, "op": op, "comm": comm})
@@ -453,7 +428,7 @@ class ApiColl(ApiBase):
         self._require_intra(comm, "MPI_Ibcast")
         t0 = self._tick()
         req = self._coll_nb("bcast", comm, data, count * datatype.size,
-                            self._c_bcast(root), ("bcast", root))
+                            _c_bcast, ("bcast", root), (root,))
         self._rec("MPI_Ibcast", t0, {
             "buffer": buffer, "count": count, "datatype": datatype,
             "root": root, "comm": comm, "request": req})
@@ -466,7 +441,7 @@ class ApiColl(ApiBase):
         self._require_intra(comm, "MPI_Iallreduce")
         t0 = self._tick()
         req = self._coll_nb("allreduce", comm, data, count * datatype.size,
-                            self._c_allreduce(op), ("allreduce", op.name))
+                            _c_allreduce, ("allreduce", op.name), (op,))
         self._rec("MPI_Iallreduce", t0, {
             "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
             "datatype": datatype, "op": op, "comm": comm, "request": req})
@@ -480,7 +455,7 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("allgather", comm, data,
                             sendcount * sendtype.size,
-                            self._c_allgather(), ("allgather",))
+                            _c_allgather, ("allgather",))
         self._rec("MPI_Iallgather", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
@@ -495,7 +470,7 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("alltoall", comm, data,
                             sendcount * sendtype.size * comm.size,
-                            self._c_alltoall(), ("alltoall",))
+                            _c_alltoall, ("alltoall",))
         self._rec("MPI_Ialltoall", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,

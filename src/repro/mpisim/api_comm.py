@@ -31,7 +31,7 @@ class ApiComm(ApiBase):
         comm = comm or self.world
         comm.check_usable()
         t0 = self._tick()
-        size = self._local_group(comm).size
+        size = self._views[comm].local.size
         self._rec("MPI_Comm_size", t0, {"comm": comm, "size": size})
         return size
 
@@ -39,7 +39,7 @@ class ApiComm(ApiBase):
         comm = comm or self.world
         comm.check_usable()
         t0 = self._tick()
-        rank = self._comm_rank(comm)
+        rank = self._views[comm].rank
         self._rec("MPI_Comm_rank", t0, {"comm": comm, "rank": rank})
         return rank
 
@@ -49,7 +49,7 @@ class ApiComm(ApiBase):
             raise InvalidArgumentError(
                 "MPI_Comm_remote_size on an intra-communicator")
         t0 = self._tick()
-        size = self._peer_group(comm).size
+        size = self._views[comm].peer.size
         self._rec("MPI_Comm_remote_size", t0, {"comm": comm, "size": size})
         return size
 
@@ -74,11 +74,12 @@ class ApiComm(ApiBase):
             "comm1": comm1, "comm2": comm2, "result": result})
         return result
 
-    def comm_set_name(self, comm: Comm, name: str) -> None:
+    def comm_set_name(self, comm: Comm, comm_name: str) -> None:
         comm.check_usable()
         t0 = self._tick()
-        comm.name = name[:C.MAX_OBJECT_NAME]
-        self._rec("MPI_Comm_set_name", t0, {"comm": comm, "comm_name": name})
+        comm.name = comm_name[:C.MAX_OBJECT_NAME]
+        self._rec("MPI_Comm_set_name", t0, {
+            "comm": comm, "comm_name": comm_name})
 
     def comm_get_name(self, comm: Comm) -> str:
         comm.check_usable()
@@ -92,7 +93,7 @@ class ApiComm(ApiBase):
         comm = comm or self.world
         comm.check_usable()
         t0 = self._tick()
-        grp = self._local_group(comm)
+        grp = self._views[comm].local
         self._rec("MPI_Comm_group", t0, {"comm": comm, "group": grp})
         return grp
 
@@ -107,8 +108,8 @@ class ApiComm(ApiBase):
             return {w: newc for w in g.arrived}
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_dup", comm, None, 0, compute,
-                                        ("comm_dup",))
+        newcomm = yield self._coll("comm_dup", comm, None, 0, compute,
+                                   ("comm_dup",))
         self._rec("MPI_Comm_dup", t0, {"comm": comm, "newcomm": newcomm})
         return newcomm
 
@@ -125,7 +126,6 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("comm_dup", comm, None, 0, compute,
                             ("comm_idup",))
-        req.kind = "comm_idup"
         self._rec("MPI_Comm_idup", t0, {
             "comm": comm, "newcomm": None, "request": req})
         return req
@@ -151,8 +151,8 @@ class ApiComm(ApiBase):
             return out
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_split", comm, (color, key), 0,
-                                        compute)
+        newcomm = yield self._coll("comm_split", comm, (color, key), 0,
+                                   compute)
         self._rec("MPI_Comm_split", t0, {
             "comm": comm, "color": color, "key": key, "newcomm": newcomm})
         return newcomm
@@ -180,8 +180,8 @@ class ApiComm(ApiBase):
             return out
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_split", comm, (node, key), 0,
-                                        compute)
+        newcomm = yield self._coll("comm_split", comm, (node, key), 0,
+                                   compute)
         self._rec("MPI_Comm_split_type", t0, {
             "comm": comm, "split_type": split_type, "key": key,
             "newcomm": newcomm})
@@ -198,9 +198,8 @@ class ApiComm(ApiBase):
                     for w in g.arrived}
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_create", comm, None, 0,
-                                        compute,
-                                        ("comm_create", tuple(group.ranks)))
+        newcomm = yield self._coll("comm_create", comm, None, 0, compute,
+                                   ("comm_create", tuple(group.ranks)))
         self._rec("MPI_Comm_create", t0, {
             "comm": comm, "group": group, "newcomm": newcomm})
         return newcomm
@@ -212,9 +211,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         n = comm.attrs.get("_free_count", 0) + 1
         comm.attrs["_free_count"] = n
-        members = comm.group.size + (comm.remote_group.size
-                                     if comm.remote_group else 0)
-        if n == members:
+        if n == comm.nmembers:
             comm.freed = True
         self._rec("MPI_Comm_free", t0, {"comm": comm})
 
@@ -269,8 +266,8 @@ class ApiComm(ApiBase):
             return {w: newc for w in g.arrived}
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_merge", intercomm, high, 0,
-                                        compute)
+        newcomm = yield self._coll("comm_merge", intercomm, high, 0,
+                                   compute)
         self._rec("MPI_Intercomm_merge", t0, {
             "intercomm": intercomm, "high": int(high),
             "newintracomm": newcomm})
@@ -336,12 +333,12 @@ class ApiComm(ApiBase):
             "ranges": tuple(tuple(r) for r in ranges), "newgroup": newgroup})
         return newgroup
 
-    def group_translate_ranks(self, group1: Group, ranks: Sequence[int],
+    def group_translate_ranks(self, group1: Group, ranks1: Sequence[int],
                               group2: Group) -> list[int]:
         t0 = self._tick()
-        out = group1.translate_ranks(ranks, group2)
+        out = group1.translate_ranks(ranks1, group2)
         self._rec("MPI_Group_translate_ranks", t0, {
-            "group1": group1, "n": len(ranks), "ranks1": tuple(ranks),
+            "group1": group1, "n": len(ranks1), "ranks1": tuple(ranks1),
             "group2": group2, "ranks2": tuple(out)})
         return out
 

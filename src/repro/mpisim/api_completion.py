@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 from . import constants as C
 from .api_base import ApiBase
-from .future import Future
+from .future import _UNSET, Future
 from .request import Request
-from .status import Status
+from .status import EMPTY, Status
 
 
 class ApiCompletion(ApiBase):
@@ -33,123 +33,145 @@ class ApiCompletion(ApiBase):
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
-    def _is_null(req: Optional[Request]) -> bool:
-        """Entries that complete immediately with an empty status."""
+    def _target(req: Optional[Request]) -> Optional[Request]:
+        """The operation a completion call acts on for one array entry;
+        None where the entry behaves like ``MPI_REQUEST_NULL`` (absent,
+        consumed, freed, or an inactive persistent request) and completes
+        immediately with an empty status.  Only the owner's own calls
+        change the answer, so a call classifies each entry once."""
         if req is None or req.consumed or req.freed:
-            return True
-        if req.persistent and (req.current is None):
-            return True  # inactive persistent request
-        return False
+            return None
+        return req.current if req.persistent else req
 
-    @staticmethod
-    def _target(req: Request) -> Request:
-        return req.wait_target()
-
-    def _consume(self, req: Request) -> Status:
+    def _consume(self, req: Request, target: Request) -> Status:
         """Extract the status of a completed request and deactivate it."""
-        target = req.wait_target()
-        st = target.status if target.status is not None else Status.empty()
         if req.persistent:
             req.current = None
             req.active = False
         else:
             req.consumed = True
-        self.clock.sync_to(target.complete_time)
-        return st
+        if target.complete_time > self.clock.now:
+            self.clock.now = target.complete_time
+        return target.status
 
-    def _wait_any_future(self, pending: list[Request]) -> Future:
-        """A future resolved as soon as any of *pending* completes."""
-        agg = Future(f"wait-any({len(pending)} reqs) rank={self.rank}")
-        sched = self.rt.scheduler
+    def _wait_any_future(self, targets: list[Request]) -> Future:
+        """A future resolved as soon as any of *targets* (all pending)
+        completes; it then takes its callback back off the others, so a
+        request that outlives many blocked calls carries none of them."""
+        agg = Future(("wait-any(%s reqs) rank=%s", len(targets), self.rank))
+        sched = self._sched
 
-        def on_done(_fut, agg=agg, sched=sched):
-            if not agg.done:
+        def on_done(fut):
+            if agg._value is _UNSET:
+                for target in targets:
+                    if target is not fut:
+                        target.callbacks.remove(on_done)
                 sched.resolve(agg, None)
 
-        for req in pending:
-            req.wait_target().add_callback(on_done)
+        for target in targets:
+            target.callbacks.append(on_done)
         return agg
 
     # -- wait family --------------------------------------------------------------
 
     def wait(self, request: Optional[Request], status=True):
-        t0 = self._tick()
-        self._mark("MPI_Wait")
-        if self._is_null(request):
-            st = Status.empty()
+        t0 = self.clock.now
+        self.clock.now = t0 + self._overhead
+        self._ctx.last_call = "MPI_Wait"
+        target = self._target(request)
+        if target is None:
+            st = Status(*EMPTY)
         else:
-            target = request.wait_target()
-            if not target.done:
+            if target._value is _UNSET:
                 yield target
-            st = self._consume(request)
+            st = self._consume(request, target)
         out_st = st if status is not None else None
         self._rec("MPI_Wait", t0, {"request": request, "status": out_st})
         return out_st
 
-    def waitall(self, requests: Sequence[Optional[Request]], statuses=True):
-        t0 = self._tick()
-        self._mark("MPI_Waitall")
-        reqs = list(requests)
-        for req in reqs:
-            if self._is_null(req):
-                continue
-            target = req.wait_target()
-            if not target.done:
-                yield target
+    def waitall(self, array_of_requests: Sequence[Optional[Request]],
+                array_of_statuses=True):
+        clock = self.clock
+        t0 = clock.now
+        clock.now = t0 + self._overhead
+        self._ctx.last_call = "MPI_Waitall"
+        reqs = list(array_of_requests)
         sts = []
+        # one pass, _target and _consume spelled out: an entry is
+        # classified, waited for and consumed before the next is looked at
+        # (so one listed twice reads as null the second time)
         for req in reqs:
-            if self._is_null(req):
-                sts.append(Status.empty())
+            if req is None or req.consumed or req.freed:
+                target = None
             else:
-                sts.append(self._consume(req))
-        out = sts if statuses is not None else None
+                target = req.current if req.persistent else req
+            if target is None:
+                sts.append(Status(*EMPTY))
+                continue
+            if target._value is _UNSET:
+                yield target
+            if req.persistent:
+                req.current = None
+                req.active = False
+            else:
+                req.consumed = True
+            if target.complete_time > clock.now:
+                clock.now = target.complete_time
+            sts.append(target.status)
+        out = sts if array_of_statuses is not None else None
         self._rec("MPI_Waitall", t0, {
             "count": len(reqs), "array_of_requests": reqs,
             "array_of_statuses": out})
         return out
 
-    def waitany(self, requests: Sequence[Optional[Request]], status=True,
-                *, directed_index: Optional[int] = None):
+    def waitany(self, array_of_requests: Sequence[Optional[Request]],
+                status=True, *, directed_index: Optional[int] = None):
         """Returns ``(index, status)``; index is UNDEFINED if all null.
 
         ``directed_index`` (replay support): complete exactly that entry —
         a legal Waitany outcome — instead of an RNG pick."""
         t0 = self._tick()
-        self._mark("MPI_Waitany")
-        reqs = list(requests)
-        if directed_index is not None and directed_index >= 0:
-            req = reqs[directed_index]
-            if not self._is_null(req):
-                target = req.wait_target()
-                if not target.done:
-                    yield target
-                st = self._consume(req)
-                out_st = st if status is not None else None
-                self._rec("MPI_Waitany", t0, {
-                    "count": len(reqs), "array_of_requests": reqs,
-                    "index": directed_index, "status": out_st})
-                return directed_index, out_st
-        while True:
-            live = [i for i, r in enumerate(reqs) if not self._is_null(r)]
-            if not live:
-                st = Status.empty() if status is not None else None
-                self._rec("MPI_Waitany", t0, {
-                    "count": len(reqs), "array_of_requests": reqs,
-                    "index": C.UNDEFINED, "status": st})
-                return C.UNDEFINED, st
-            done = [i for i in live if reqs[i].wait_target().done]
+        self._ctx.last_call = "MPI_Waitany"
+        reqs = list(array_of_requests)
+        targets = [self._target(r) for r in reqs]
+        if directed_index is not None and directed_index >= 0 \
+                and targets[directed_index] is not None:
+            live = [directed_index]
+            if targets[directed_index]._value is _UNSET:
+                yield targets[directed_index]
+        else:
+            live = [i for i, t in enumerate(targets) if t is not None]
+        while live:
+            done = [i for i in live if targets[i]._value is not _UNSET]
             if done:
                 idx = done[self.rt.rng.randrange(len(done))] \
                     if len(done) > 1 else done[0]
-                st = self._consume(reqs[idx])
+                st = self._consume(reqs[idx], targets[idx])
                 out_st = st if status is not None else None
                 self._rec("MPI_Waitany", t0, {
                     "count": len(reqs), "array_of_requests": reqs,
                     "index": idx, "status": out_st})
                 return idx, out_st
-            yield self._wait_any_future([reqs[i] for i in live])
+            yield self._wait_any_future([targets[i] for i in live])
+        st = Status(*EMPTY) if status is not None else None
+        self._rec("MPI_Waitany", t0, {
+            "count": len(reqs), "array_of_requests": reqs,
+            "index": C.UNDEFINED, "status": st})
+        return C.UNDEFINED, st
 
-    def waitsome(self, requests: Sequence[Optional[Request]], statuses=True,
+    def _rec_some(self, fname: str, t0: float, reqs: list, indices,
+                  sts: list, array_of_statuses):
+        """Record a Waitsome/Testsome that completed *indices*, in that
+        order; returns what the call returns."""
+        out = sts if array_of_statuses is not None else None
+        self._rec(fname, t0, {
+            "incount": len(reqs), "array_of_requests": reqs,
+            "outcount": len(indices), "array_of_indices": list(indices),
+            "array_of_statuses": out})
+        return list(indices), out
+
+    def waitsome(self, array_of_requests: Sequence[Optional[Request]],
+                 array_of_statuses=True,
                  *, directed_indices: Optional[Sequence[int]] = None):
         """Returns ``(indices, statuses)``; indices is None if all null
         (MPI returns outcount=MPI_UNDEFINED in that case).
@@ -157,44 +179,34 @@ class ApiCompletion(ApiBase):
         ``directed_indices`` (replay support): complete exactly those
         entries, in that order."""
         t0 = self._tick()
-        self._mark("MPI_Waitsome")
-        reqs = list(requests)
+        self._ctx.last_call = "MPI_Waitsome"
+        reqs = list(array_of_requests)
         if directed_indices is not None:
             sts = []
             for idx in directed_indices:
-                req = reqs[idx]
-                target = req.wait_target()
-                if not target.done:
+                target = reqs[idx].wait_target()
+                if target._value is _UNSET:
                     yield target
-                sts.append(self._consume(req))
-            out = sts if statuses is not None else None
-            self._rec("MPI_Waitsome", t0, {
-                "incount": len(reqs), "array_of_requests": reqs,
-                "outcount": len(directed_indices),
-                "array_of_indices": list(directed_indices),
-                "array_of_statuses": out})
-            return list(directed_indices), out
-        while True:
-            live = [i for i, r in enumerate(reqs) if not self._is_null(r)]
-            if not live:
-                self._rec("MPI_Waitsome", t0, {
-                    "incount": len(reqs), "array_of_requests": reqs,
-                    "outcount": C.UNDEFINED, "array_of_indices": None,
-                    "array_of_statuses": None})
-                return None, None
-            done = [i for i in live if reqs[i].wait_target().done]
+                sts.append(self._consume(reqs[idx], target))
+            return self._rec_some("MPI_Waitsome", t0, reqs, directed_indices,
+                                  sts, array_of_statuses)
+        targets = [self._target(r) for r in reqs]
+        live = [i for i, t in enumerate(targets) if t is not None]
+        while live:
+            done = [i for i in live if targets[i]._value is not _UNSET]
             if done:
                 # Completion order is non-deterministic: report completed
                 # entries in a seeded-random order, as a real NIC would.
                 self.rt.rng.shuffle(done)
-                sts = [self._consume(reqs[i]) for i in done]
-                out = sts if statuses is not None else None
-                self._rec("MPI_Waitsome", t0, {
-                    "incount": len(reqs), "array_of_requests": reqs,
-                    "outcount": len(done), "array_of_indices": list(done),
-                    "array_of_statuses": out})
-                return list(done), out
-            yield self._wait_any_future([reqs[i] for i in live])
+                sts = [self._consume(reqs[i], targets[i]) for i in done]
+                return self._rec_some("MPI_Waitsome", t0, reqs, done, sts,
+                                      array_of_statuses)
+            yield self._wait_any_future([targets[i] for i in live])
+        self._rec("MPI_Waitsome", t0, {
+            "incount": len(reqs), "array_of_requests": reqs,
+            "outcount": C.UNDEFINED, "array_of_indices": None,
+            "array_of_statuses": None})
+        return None, None
 
     # -- test family -----------------------------------------------------------------
 
@@ -206,129 +218,102 @@ class ApiCompletion(ApiBase):
             self._rec("MPI_Test", t0, {
                 "request": request, "flag": False, "status": None})
             return False, None
-        if directed_flag is True and not self._is_null(request):
-            target = request.wait_target()
-            if not target.done:
-                yield target
-        if self._is_null(request):
-            flag, st = True, Status.empty()
-        elif request.wait_target().done:
-            flag, st = True, self._consume(request)
+        target = self._target(request)
+        if target is None:
+            flag, st = True, Status(*EMPTY)
         else:
-            flag, st = False, None
+            if directed_flag is True and target._value is _UNSET:
+                yield target
+            if target._value is not _UNSET:
+                flag, st = True, self._consume(request, target)
+            else:
+                flag, st = False, None
         out_st = st if status is not None else None
         self._rec("MPI_Test", t0, {
             "request": request, "flag": flag, "status": out_st})
         return flag, out_st
 
-    def testall(self, requests: Sequence[Optional[Request]], statuses=True,
+    def testall(self, array_of_requests: Sequence[Optional[Request]],
+                array_of_statuses=True,
                 *, directed_flag: Optional[bool] = None):
         t0 = self._tick()
         yield None
-        reqs = list(requests)
-        if directed_flag is False:
-            self._rec("MPI_Testall", t0, {
-                "count": len(reqs), "array_of_requests": reqs,
-                "flag": False, "array_of_statuses": None})
-            return False, None
-        if directed_flag is True:
-            for r in reqs:
-                if not self._is_null(r):
-                    target = r.wait_target()
-                    if not target.done:
+        reqs = list(array_of_requests)
+        if directed_flag is not False:
+            targets = [self._target(r) for r in reqs]
+            if directed_flag is True:
+                for target in targets:
+                    if target is not None and target._value is _UNSET:
                         yield target
-        all_done = all(self._is_null(r) or r.wait_target().done for r in reqs)
-        if all_done:
-            sts = [Status.empty() if self._is_null(r) else self._consume(r)
-                   for r in reqs]
-            out = sts if statuses is not None else None
-            self._rec("MPI_Testall", t0, {
-                "count": len(reqs), "array_of_requests": reqs, "flag": True,
-                "array_of_statuses": out})
-            return True, out
+            if all(t is None or t._value is not _UNSET for t in targets):
+                # classified again as each is consumed: an entry listed
+                # twice reads as null the second time
+                sts = [Status(*EMPTY) if (t := self._target(r)) is None
+                       else self._consume(r, t) for r in reqs]
+                out = sts if array_of_statuses is not None else None
+                self._rec("MPI_Testall", t0, {
+                    "count": len(reqs), "array_of_requests": reqs,
+                    "flag": True, "array_of_statuses": out})
+                return True, out
         self._rec("MPI_Testall", t0, {
             "count": len(reqs), "array_of_requests": reqs, "flag": False,
             "array_of_statuses": None})
         return False, None
 
-    def testany(self, requests: Sequence[Optional[Request]], status=True,
-                *, directed_index: Optional[int] = None,
+    def testany(self, array_of_requests: Sequence[Optional[Request]],
+                status=True, *, directed_index: Optional[int] = None,
                 directed_flag: Optional[bool] = None):
         t0 = self._tick()
         yield None
-        reqs = list(requests)
-        if directed_flag is False:
-            self._rec("MPI_Testany", t0, {
-                "count": len(reqs), "array_of_requests": reqs,
-                "index": C.UNDEFINED, "flag": False, "status": None})
-            return False, C.UNDEFINED, None
-        if directed_index is not None and directed_index >= 0 \
-                and not self._is_null(reqs[directed_index]):
-            req = reqs[directed_index]
-            target = req.wait_target()
-            if not target.done:
-                yield target
-            st = self._consume(req)
-            out_st = st if status is not None else None
-            self._rec("MPI_Testany", t0, {
-                "count": len(reqs), "array_of_requests": reqs,
-                "index": directed_index, "flag": True, "status": out_st})
-            return True, directed_index, out_st
-        live = [i for i, r in enumerate(reqs) if not self._is_null(r)]
-        if not live:
-            st = Status.empty() if status is not None else None
-            self._rec("MPI_Testany", t0, {
-                "count": len(reqs), "array_of_requests": reqs,
-                "index": C.UNDEFINED, "flag": True, "status": st})
-            return True, C.UNDEFINED, st
-        done = [i for i in live if reqs[i].wait_target().done]
-        if done:
-            idx = done[self.rt.rng.randrange(len(done))] \
-                if len(done) > 1 else done[0]
-            st = self._consume(reqs[idx])
-            out_st = st if status is not None else None
-            self._rec("MPI_Testany", t0, {
-                "count": len(reqs), "array_of_requests": reqs, "index": idx,
-                "flag": True, "status": out_st})
-            return True, idx, out_st
+        reqs = list(array_of_requests)
+        flag, idx, st = False, C.UNDEFINED, None
+        if directed_flag is not False:
+            targets = [self._target(r) for r in reqs]
+            if directed_index is not None and directed_index >= 0 \
+                    and targets[directed_index] is not None:
+                done = [directed_index]
+                if targets[directed_index]._value is _UNSET:
+                    yield targets[directed_index]
+            else:
+                done = [i for i, t in enumerate(targets)
+                        if t is not None and t._value is not _UNSET]
+            if done:
+                idx = done[self.rt.rng.randrange(len(done))] \
+                    if len(done) > 1 else done[0]
+                flag, st = True, self._consume(reqs[idx], targets[idx])
+            elif not any(targets):  # all null
+                flag, st = True, Status(*EMPTY)
+        out_st = st if status is not None else None
         self._rec("MPI_Testany", t0, {
-            "count": len(reqs), "array_of_requests": reqs,
-            "index": C.UNDEFINED, "flag": False, "status": None})
-        return False, C.UNDEFINED, None
+            "count": len(reqs), "array_of_requests": reqs, "index": idx,
+            "flag": flag, "status": out_st})
+        return flag, idx, out_st
 
-    def testsome(self, requests: Sequence[Optional[Request]], statuses=True,
+    def testsome(self, array_of_requests: Sequence[Optional[Request]],
+                 array_of_statuses=True,
                  *, directed_indices: Optional[Sequence[int]] = None):
         t0 = self._tick()
         yield None
-        reqs = list(requests)
+        reqs = list(array_of_requests)
         if directed_indices is not None:
             sts = []
             for idx in directed_indices:
-                req = reqs[idx]
-                target = req.wait_target()
-                if not target.done:
+                target = reqs[idx].wait_target()
+                if target._value is _UNSET:
                     yield target
-                sts.append(self._consume(req))
-            out = sts if statuses is not None else None
-            self._rec("MPI_Testsome", t0, {
-                "incount": len(reqs), "array_of_requests": reqs,
-                "outcount": len(directed_indices),
-                "array_of_indices": list(directed_indices),
-                "array_of_statuses": out})
-            return list(directed_indices), out
-        live = [i for i, r in enumerate(reqs) if not self._is_null(r)]
-        if not live:
+                sts.append(self._consume(reqs[idx], target))
+            return self._rec_some("MPI_Testsome", t0, reqs, directed_indices,
+                                  sts, array_of_statuses)
+        targets = [self._target(r) for r in reqs]
+        if not any(targets):  # all null
             self._rec("MPI_Testsome", t0, {
                 "incount": len(reqs), "array_of_requests": reqs,
                 "outcount": C.UNDEFINED, "array_of_indices": None,
                 "array_of_statuses": None})
             return None, None
-        done = [i for i in live if reqs[i].wait_target().done]
+        done = [i for i, t in enumerate(targets)
+                if t is not None and t._value is not _UNSET]
         self.rt.rng.shuffle(done)
-        sts = [self._consume(reqs[i]) for i in done]
-        out = sts if statuses is not None else None
-        self._rec("MPI_Testsome", t0, {
-            "incount": len(reqs), "array_of_requests": reqs,
-            "outcount": len(done), "array_of_indices": list(done),
-            "array_of_statuses": out})
-        return list(done), out
+        sts = [self._consume(reqs[i], targets[i]) for i in done]
+        return self._rec_some("MPI_Testsome", t0, reqs, done, sts,
+                              array_of_statuses)

@@ -18,29 +18,27 @@ from typing import Any, Optional
 
 from . import constants as C
 from . import datatypes as dt
-from .api_base import ApiBase
+from .api_base import ApiBase, CommView
 from .comm import Comm, MessageEnvelope
 from .errors import InvalidArgumentError, TruncationError
-from .future import Future
+from .future import _UNSET, Future
 from .request import Request
-from .status import Status
+from .status import EMPTY, Status
+
+_ANY_SOURCE, _ANY_TAG, _PROC_NULL = C.ANY_SOURCE, C.ANY_TAG, C.PROC_NULL
 
 
 class ProbeEntry:
-    """A pending blocking probe parked in the posted queue."""
+    """A pending blocking probe parked in the posted queue (``peer`` and
+    ``tag`` as on a posted receive request, so one test matches both)."""
 
-    __slots__ = ("src", "tag", "future", "post_time")
+    __slots__ = ("peer", "tag", "future", "post_time")
 
-    def __init__(self, src: int, tag: int, future: Future, post_time: float):
-        self.src = src
+    def __init__(self, peer: int, tag: int, future: Future, post_time: float):
+        self.peer = peer
         self.tag = tag
         self.future = future
         self.post_time = post_time
-
-
-def _matches(want_src: int, want_tag: int, env: MessageEnvelope) -> bool:
-    return ((want_src == C.ANY_SOURCE or want_src == env.src)
-            and (want_tag == C.ANY_TAG or want_tag == env.tag))
 
 
 class ApiP2P(ApiBase):
@@ -48,100 +46,121 @@ class ApiP2P(ApiBase):
 
     # -- delivery engine -----------------------------------------------------------
 
-    def _inject(self, comm: Comm, dest: int, tag: int, nbytes: int,
-                data: Any, send_req: Optional[Request]) -> None:
-        """Deliver an envelope to *dest* (a peer-group rank) on *comm*."""
-        peer_group = self._peer_group(comm)
-        dst_world = peer_group.world_rank(dest)
-        src_crank = self._comm_rank(comm)
-        env = MessageEnvelope(src_crank, tag, nbytes, data,
-                              send_time=self.clock.now,
-                              seq=self.rt.next_seq(), send_req=send_req)
-        posted = comm.posted_queue(dst_world)
-        i = 0
-        while i < len(posted):
-            entry = posted[i]
-            if isinstance(entry, ProbeEntry):
-                if _matches(entry.src, entry.tag, env):
-                    st = Status(count=env.nbytes, MPI_SOURCE=env.src,
-                                MPI_TAG=env.tag)
-                    t = max(entry.post_time,
-                            env.send_time + self.rt.net.p2p_time(env.nbytes))
-                    del posted[i]
-                    self.rt.scheduler.resolve(entry.future, (st, t))
-                    continue  # a probe does not consume the message
+    def _inject(self, view: CommView, comm: Comm, dest: int, tag: int,
+                nbytes: int, data: Any, send_req: Optional[Request]) -> None:
+        """Deliver a message to *dest* (a peer-group rank) on *comm*: to
+        the first matching posted receive, else to the unexpected queue."""
+        dst_world = view.peer.ranks[dest]
+        src = view.rank
+        now = self.clock.now
+        posted = comm._posted.get(dst_world)
+        if posted:
+            i = 0
+            while i < len(posted):
+                entry = posted[i]
+                if (entry.peer == src or entry.peer == _ANY_SOURCE) \
+                        and (entry.tag == tag or entry.tag == _ANY_TAG):
+                    if entry.__class__ is ProbeEntry:
+                        net = self._net
+                        arrive = now + (net.alpha + net.beta * nbytes)
+                        del posted[i]
+                        self._sched.resolve(entry.future, (
+                            Status(nbytes, False, src, tag),
+                            arrive if arrive > entry.post_time
+                            else entry.post_time))
+                        continue  # a probe does not consume the message
+                    if not entry.freed:
+                        del posted[i]
+                        self._complete_recv(entry, src, tag, nbytes, data,
+                                            now, send_req)
+                        return
                 i += 1
-            else:  # a posted receive request
-                if not entry.freed and _matches(entry.peer, entry.tag, env):
-                    del posted[i]
-                    self._complete_recv(entry, env)
-                    return
-                i += 1
-        comm.unexpected_queue(dst_world).append(env)
+        unexpected = comm._unexpected.get(dst_world)
+        if unexpected is None:
+            unexpected = comm.unexpected_queue(dst_world)
+        unexpected.append(
+            MessageEnvelope(src, tag, nbytes, data, now, send_req))
 
-    def _complete_recv(self, rreq: Request, env: MessageEnvelope) -> None:
-        if env.nbytes > rreq.nbytes:
+    def _complete_recv(self, rreq: Request, src: int, tag: int, nbytes: int,
+                       data: Any, send_time: float,
+                       send_req: Optional[Request]) -> None:
+        if nbytes > rreq.nbytes:
             raise TruncationError(
-                f"rank {rreq.owner}: message of {env.nbytes} bytes "
-                f"(src={env.src}, tag={env.tag}) truncates a "
+                f"rank {rreq.owner}: message of {nbytes} bytes "
+                f"(src={src}, tag={tag}) truncates a "
                 f"{rreq.nbytes}-byte receive")
-        t = max(rreq.post_time,
-                env.send_time + self.rt.net.p2p_time(env.nbytes))
-        st = Status(count=env.nbytes, MPI_SOURCE=env.src, MPI_TAG=env.tag)
-        events = self.rt.events
+        net = self._net  # NetworkModel.p2p_time, in line
+        t = send_time + (net.alpha + net.beta * nbytes)
+        if rreq.post_time > t:
+            t = rreq.post_time
+        events = self._events
         if events is not None:
-            wildcard = rreq.peer == C.ANY_SOURCE
-            events.emit("p2p.match", dst=rreq.owner, src=env.src,
-                        tag=env.tag, bytes=env.nbytes, comm=rreq.comm_cid,
+            wildcard = rreq.peer == _ANY_SOURCE
+            events.emit("p2p.match", dst=rreq.owner, src=src,
+                        tag=tag, bytes=nbytes, comm=rreq.comm_cid,
                         wildcard=wildcard, vtime=t)
             if wildcard:
                 # a wildcard receive resolved to a concrete source — the
                 # non-determinism Pilgrim must record to stay lossless
                 events.emit("p2p.wildcard", dst=rreq.owner,
-                            resolved_src=env.src, tag=env.tag,
-                            comm=rreq.comm_cid)
-        if env.send_req is not None and not env.send_req.done:
+                            resolved_src=src, tag=tag, comm=rreq.comm_cid)
+        if send_req is not None and send_req._value is _UNSET:
             # synchronous-mode send completes at matching time
-            self.rt.scheduler_complete(env.send_req, Status.empty(), t)
-        self.rt.scheduler_complete(rreq, st, t, value=env.data)
+            self._sched.complete_request(send_req, Status(*EMPTY), t)
+        self._sched.complete_request(rreq, Status(nbytes, False, src, tag),
+                                     t, data)
 
-    def _post_recv(self, comm: Comm, source: int, tag: int, nbytes: int,
-                   buf: int, datatype: dt.Datatype) -> Request:
-        rreq = self._new_request("irecv", comm_cid=comm.cid, peer=source,
-                                 tag=tag, nbytes=nbytes,
-                                 datatype_handle=datatype.handle,
-                                 buf_addr=buf)
-        rreq.post_time = self.clock.now
-        if source == C.PROC_NULL:
-            rreq.complete(Status.empty(), self.clock.now)
+    def _post_recv(self, view: CommView, comm: Comm, source: int, tag: int,
+                   nbytes: int, buf: int, datatype: dt.Datatype) -> Request:
+        now = self.clock.now
+        handle = self._next_req_handle
+        self._next_req_handle = handle + 1
+        rreq = Request("irecv", self.rank, handle, comm.cid, source, tag,
+                       nbytes, datatype.handle, buf, now)
+        if source == _PROC_NULL:
+            # complete on the spot: nobody can be waiting on it yet
+            rreq.status = Status(*EMPTY)
+            rreq.complete_time = now
+            rreq.active = False
+            rreq._value = None
             return rreq
         # try unexpected messages first, in arrival order
-        unexpected = comm.unexpected_queue(self.rank)
-        for i, env in enumerate(unexpected):
-            if _matches(source, tag, env):
-                del unexpected[i]
-                self._complete_recv(rreq, env)
-                return rreq
-        comm.posted_queue(self.rank).append(rreq)
+        unexpected = view.unexpected
+        if unexpected:
+            for i, env in enumerate(unexpected):
+                if (source == env.src or source == _ANY_SOURCE) \
+                        and (tag == env.tag or tag == _ANY_TAG):
+                    del unexpected[i]
+                    self._complete_recv(rreq, env.src, env.tag, env.nbytes,
+                                        env.data, env.send_time,
+                                        env.send_req)
+                    return rreq
+        view.posted.append(rreq)
         return rreq
 
-    def _post_send(self, kind: str, comm: Comm, dest: int, tag: int,
-                   nbytes: int, buf: int, datatype: dt.Datatype,
+    def _post_send(self, kind: str, view: CommView, comm: Comm, dest: int,
+                   tag: int, nbytes: int, buf: int, datatype: dt.Datatype,
                    data: Any) -> Request:
-        sreq = self._new_request(kind, comm_cid=comm.cid, peer=dest,
-                                 tag=tag, nbytes=nbytes,
-                                 datatype_handle=datatype.handle,
-                                 buf_addr=buf)
-        sreq.post_time = self.clock.now
-        if dest == C.PROC_NULL:
-            sreq.complete(Status.empty(), self.clock.now)
-            return sreq
-        synchronous = kind == "issend"
-        self.clock.advance_exact(self.rt.net.send_overhead(nbytes))
-        self._inject(comm, dest, tag, nbytes, data,
-                     sreq if synchronous else None)
-        if not synchronous and not sreq.done:
-            sreq.complete(Status.empty(), self.clock.now)
+        clock = self.clock
+        handle = self._next_req_handle
+        self._next_req_handle = handle + 1
+        sreq = Request(kind, self.rank, handle, comm.cid, dest, tag, nbytes,
+                       datatype.handle, buf, clock.now)
+        if dest != _PROC_NULL:
+            net = self._net  # NetworkModel.send_overhead, in line
+            cost = net.overhead + net.beta * (
+                nbytes if nbytes < 8192 else 8192)
+            if cost > 0:
+                clock.now += cost
+            if kind == "issend":  # completes when a receive matches it
+                self._inject(view, comm, dest, tag, nbytes, data, sreq)
+                return sreq
+            self._inject(view, comm, dest, tag, nbytes, data, None)
+        # eager (or to nobody): complete on the spot, nobody waits on it yet
+        sreq.status = Status(*EMPTY)
+        sreq.complete_time = clock.now
+        sreq.active = False
+        sreq._value = None
         return sreq
 
     # -- non-blocking user calls -------------------------------------------------
@@ -150,9 +169,10 @@ class ApiP2P(ApiBase):
               tag: int = 0, comm: Optional[Comm] = None,
               data: Any = None) -> Request:
         comm = comm or self.world
-        self._check_p2p_args(comm, dest, count, datatype, tag, is_recv=False)
-        t0 = self._tick()
-        req = self._post_send("isend", comm, dest, tag,
+        view = self._check_p2p_args(comm, dest, count, datatype, tag, False)
+        t0 = self.clock.now
+        self.clock.now = t0 + self._overhead
+        req = self._post_send("isend", view, comm, dest, tag,
                               count * datatype.size, buf, datatype, data)
         self._rec("MPI_Isend", t0, {
             "buf": buf, "count": count, "datatype": datatype, "dest": dest,
@@ -163,9 +183,10 @@ class ApiP2P(ApiBase):
                tag: int = 0, comm: Optional[Comm] = None,
                data: Any = None) -> Request:
         comm = comm or self.world
-        self._check_p2p_args(comm, dest, count, datatype, tag, is_recv=False)
-        t0 = self._tick()
-        req = self._post_send("issend", comm, dest, tag,
+        view = self._check_p2p_args(comm, dest, count, datatype, tag, False)
+        t0 = self.clock.now
+        self.clock.now = t0 + self._overhead
+        req = self._post_send("issend", view, comm, dest, tag,
                               count * datatype.size, buf, datatype, data)
         self._rec("MPI_Issend", t0, {
             "buf": buf, "count": count, "datatype": datatype, "dest": dest,
@@ -179,13 +200,14 @@ class ApiP2P(ApiBase):
         that concrete source while recording the original wildcard — the
         directed outcome is one MPI could legally have produced."""
         comm = comm or self.world
-        self._check_p2p_args(comm, source, count, datatype, tag, is_recv=True)
-        t0 = self._tick()
-        match_src = directed_source if (source == C.ANY_SOURCE and
+        view = self._check_p2p_args(comm, source, count, datatype, tag, True)
+        t0 = self.clock.now
+        self.clock.now = t0 + self._overhead
+        match_src = directed_source if (source == _ANY_SOURCE and
                                         directed_source is not None) \
             else source
-        req = self._post_recv(comm, match_src, tag, count * datatype.size,
-                              buf, datatype)
+        req = self._post_recv(view, comm, match_src, tag,
+                              count * datatype.size, buf, datatype)
         self._rec("MPI_Irecv", t0, {
             "buf": buf, "count": count, "datatype": datatype,
             "source": source, "tag": tag, "comm": comm, "request": req})
@@ -197,14 +219,17 @@ class ApiP2P(ApiBase):
                        datatype: dt.Datatype, dest: int, tag: int,
                        comm: Optional[Comm], data: Any):
         comm = comm or self.world
-        self._check_p2p_args(comm, dest, count, datatype, tag, is_recv=False)
-        t0 = self._tick()
-        self._mark(fname)
-        req = self._post_send(kind, comm, dest, tag, count * datatype.size,
-                              buf, datatype, data)
-        if not req.done:
+        view = self._check_p2p_args(comm, dest, count, datatype, tag, False)
+        clock = self.clock
+        t0 = clock.now
+        clock.now = t0 + self._overhead
+        self._ctx.last_call = fname
+        req = self._post_send(kind, view, comm, dest, tag,
+                              count * datatype.size, buf, datatype, data)
+        if req._value is _UNSET:
             yield req
-        self.clock.sync_to(req.complete_time)
+        if req.complete_time > clock.now:
+            clock.now = req.complete_time
         self._rec(fname, t0, {
             "buf": buf, "count": count, "datatype": datatype, "dest": dest,
             "tag": tag, "comm": comm})
@@ -237,22 +262,25 @@ class ApiP2P(ApiBase):
         ``status=None`` (MPI_STATUS_IGNORE) to skip status recording.
         ``directed_source`` pins a wildcard receive for replay."""
         comm = comm or self.world
-        self._check_p2p_args(comm, source, count, datatype, tag, is_recv=True)
-        t0 = self._tick()
-        self._mark("MPI_Recv")
-        match_src = directed_source if (source == C.ANY_SOURCE and
+        view = self._check_p2p_args(comm, source, count, datatype, tag, True)
+        clock = self.clock
+        t0 = clock.now
+        clock.now = t0 + self._overhead
+        self._ctx.last_call = "MPI_Recv"
+        match_src = directed_source if (source == _ANY_SOURCE and
                                         directed_source is not None) \
             else source
-        req = self._post_recv(comm, match_src, tag, count * datatype.size,
-                              buf, datatype)
-        if not req.done:
+        req = self._post_recv(view, comm, match_src, tag,
+                              count * datatype.size, buf, datatype)
+        if req._value is _UNSET:
             yield req
-        self.clock.sync_to(req.complete_time)
+        if req.complete_time > clock.now:
+            clock.now = req.complete_time
         st = req.status if status is not None else None
         self._rec("MPI_Recv", t0, {
             "buf": buf, "count": count, "datatype": datatype,
             "source": source, "tag": tag, "comm": comm, "status": st})
-        return req.value, (req.status if status is not None else None)
+        return req._value, st
 
     def sendrecv(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
                  dest: int, sendtag: int,
@@ -262,32 +290,35 @@ class ApiP2P(ApiBase):
                  data: Any = None, *,
                  directed_source: Optional[int] = None):
         comm = comm or self.world
-        self._check_p2p_args(comm, dest, sendcount, sendtype, sendtag,
-                             is_recv=False)
-        self._check_p2p_args(comm, source, recvcount, recvtype, recvtag,
-                             is_recv=True)
-        t0 = self._tick()
-        self._mark("MPI_Sendrecv")
-        match_src = directed_source if (source == C.ANY_SOURCE and
+        self._check_p2p_args(comm, dest, sendcount, sendtype, sendtag, False)
+        view = self._check_p2p_args(comm, source, recvcount, recvtype,
+                                    recvtag, True)
+        clock = self.clock
+        t0 = clock.now
+        clock.now = t0 + self._overhead
+        self._ctx.last_call = "MPI_Sendrecv"
+        match_src = directed_source if (source == _ANY_SOURCE and
                                         directed_source is not None) \
             else source
-        rreq = self._post_recv(comm, match_src, recvtag,
+        rreq = self._post_recv(view, comm, match_src, recvtag,
                                recvcount * recvtype.size, recvbuf, recvtype)
-        sreq = self._post_send("isend", comm, dest, sendtag,
+        sreq = self._post_send("isend", view, comm, dest, sendtag,
                                sendcount * sendtype.size, sendbuf, sendtype,
                                data)
-        if not sreq.done:
+        if sreq._value is _UNSET:
             yield sreq
-        if not rreq.done:
+        if rreq._value is _UNSET:
             yield rreq
-        self.clock.sync_to(max(sreq.complete_time, rreq.complete_time))
+        done = max(sreq.complete_time, rreq.complete_time)
+        if done > clock.now:
+            clock.now = done
         st = rreq.status if status is not None else None
         self._rec("MPI_Sendrecv", t0, {
             "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
             "dest": dest, "sendtag": sendtag,
             "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
             "source": source, "recvtag": recvtag, "comm": comm, "status": st})
-        return rreq.value, st
+        return rreq._value, st
 
     # -- probes ---------------------------------------------------------------------
 
@@ -297,17 +328,18 @@ class ApiP2P(ApiBase):
         comm = comm or self.world
         comm.check_usable()
         self._check_peer(comm, source, wildcard_ok=True)
+        view = self._views[comm]
         t0 = self._tick()
-        self._mark("MPI_Probe")
-        match_src = directed_source if (source == C.ANY_SOURCE and
+        self._ctx.last_call = "MPI_Probe"
+        match_src = directed_source if (source == _ANY_SOURCE and
                                         directed_source is not None) \
             else source
-        st = self._scan_unexpected(comm, match_src, tag)
+        st = self._scan_unexpected(view, match_src, tag)
         if st is None:
-            fut = Future(f"probe(src={source},tag={tag})@{comm.name} "
-                         f"rank={self.rank}")
-            entry = ProbeEntry(match_src, tag, fut, self.clock.now)
-            comm.posted_queue(self.rank).append(entry)
+            fut = Future(("probe(src=%s,tag=%s)@%s rank=%s", source, tag,
+                          comm.name, self.rank))
+            view.posted.append(
+                ProbeEntry(match_src, tag, fut, self.clock.now))
             st, t = yield fut
             self.clock.sync_to(t)
         self._rec("MPI_Probe", t0, {
@@ -320,19 +352,20 @@ class ApiP2P(ApiBase):
         comm.check_usable()
         self._check_peer(comm, source, wildcard_ok=True)
         t0 = self._tick()
-        st = self._scan_unexpected(comm, source, tag)
+        st = self._scan_unexpected(self._views[comm], source, tag)
         flag = st is not None
         self._rec("MPI_Iprobe", t0, {
             "source": source, "tag": tag, "comm": comm, "flag": flag,
             "status": st})
         return flag, st
 
-    def _scan_unexpected(self, comm: Comm, source: int,
+    @staticmethod
+    def _scan_unexpected(view: CommView, source: int,
                          tag: int) -> Optional[Status]:
-        for env in comm.unexpected_queue(self.rank):
-            if _matches(source, tag, env):
-                return Status(count=env.nbytes, MPI_SOURCE=env.src,
-                              MPI_TAG=env.tag)
+        for env in view.unexpected:
+            if (source == env.src or source == _ANY_SOURCE) \
+                    and (tag == env.tag or tag == _ANY_TAG):
+                return Status(env.nbytes, False, env.src, env.tag)
         return None
 
     # -- persistent requests ---------------------------------------------------------
@@ -341,7 +374,7 @@ class ApiP2P(ApiBase):
                   dest: int, tag: int = 0, comm: Optional[Comm] = None,
                   data: Any = None) -> Request:
         comm = comm or self.world
-        self._check_p2p_args(comm, dest, count, datatype, tag, is_recv=False)
+        view = self._check_p2p_args(comm, dest, count, datatype, tag, False)
         t0 = self._tick()
         req = self._new_request("send_init", comm_cid=comm.cid, peer=dest,
                                 tag=tag, nbytes=count * datatype.size,
@@ -349,8 +382,8 @@ class ApiP2P(ApiBase):
         req.persistent = True
         req.active = False
         req._persistent_start = lambda: self._post_send(
-            "isend", comm, dest, tag, count * datatype.size, buf, datatype,
-            data)
+            "isend", view, comm, dest, tag, count * datatype.size, buf,
+            datatype, data)
         self._rec("MPI_Send_init", t0, {
             "buf": buf, "count": count, "datatype": datatype, "dest": dest,
             "tag": tag, "comm": comm, "request": req})
@@ -360,7 +393,7 @@ class ApiP2P(ApiBase):
                   source: int, tag: int = C.ANY_TAG,
                   comm: Optional[Comm] = None) -> Request:
         comm = comm or self.world
-        self._check_p2p_args(comm, source, count, datatype, tag, is_recv=True)
+        view = self._check_p2p_args(comm, source, count, datatype, tag, True)
         t0 = self._tick()
         req = self._new_request("recv_init", comm_cid=comm.cid, peer=source,
                                 tag=tag, nbytes=count * datatype.size,
@@ -368,7 +401,7 @@ class ApiP2P(ApiBase):
         req.persistent = True
         req.active = False
         req._persistent_start = lambda: self._post_recv(
-            comm, source, tag, count * datatype.size, buf, datatype)
+            view, comm, source, tag, count * datatype.size, buf, datatype)
         self._rec("MPI_Recv_init", t0, {
             "buf": buf, "count": count, "datatype": datatype,
             "source": source, "tag": tag, "comm": comm, "request": req})
@@ -385,16 +418,17 @@ class ApiP2P(ApiBase):
         request.active = True
         self._rec("MPI_Start", t0, {"request": request})
 
-    def startall(self, requests: list[Request]) -> None:
+    def startall(self, array_of_requests: list[Request]) -> None:
         t0 = self._tick()
-        for req in requests:
+        for req in array_of_requests:
             req.check_usable()
             if not req.persistent or req.active:
                 raise InvalidArgumentError("MPI_Startall on unstartable request")
             req.current = req._persistent_start()
             req.active = True
         self._rec("MPI_Startall", t0, {
-            "count": len(requests), "array_of_requests": list(requests)})
+            "count": len(array_of_requests),
+            "array_of_requests": list(array_of_requests)})
 
     # -- cancel / free -------------------------------------------------------------
 
@@ -414,7 +448,7 @@ class ApiP2P(ApiBase):
                     target.cancelled = True
                     st = Status(cancelled=True, MPI_SOURCE=C.ANY_SOURCE,
                                 MPI_TAG=C.ANY_TAG)
-                    self.rt.scheduler_complete(target, st, self.clock.now)
+                    self._sched.complete_request(target, st, self.clock.now)
                     break
         self._rec("MPI_Cancel", t0, {"request": request})
 

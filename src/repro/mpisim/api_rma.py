@@ -19,6 +19,21 @@ from .ops import Op
 from .win import LOCK_EXCLUSIVE, LOCK_SHARED, Win
 
 
+def _c_win_create(g, c, rt):
+    bases, sizes, units = {}, {}, {}
+    for i, w in enumerate(c.group.ranks):
+        bases[i], sizes[i], units[i] = g.arrived[w][0]
+    win = Win(rt.next_win_id(), c, bases, sizes, units)
+    win.sync_comm = rt.make_comm(type(c.group)(c.group.ranks),
+                                 name=f"{win.name}-sync")
+    return {w: win for w in g.arrived}
+
+
+def _c_win_fence(g, c, win: Win):
+    win.apply_effects()
+    win.fence_count += 1
+
+
 class ApiRMA(ApiBase):
     """RMA mixin."""
 
@@ -30,21 +45,9 @@ class ApiRMA(ApiBase):
         comm = comm or self.world
         if size < 0 or disp_unit <= 0:
             raise InvalidArgumentError("bad win size/disp_unit")
-        rt = self.rt
-
-        def compute(g, c):
-            bases, sizes, units = {}, {}, {}
-            for i, w in enumerate(c.group.ranks):
-                b, s, d = g.arrived[w][0]
-                bases[i], sizes[i], units[i] = b, s, d
-            win = Win(rt.next_win_id(), c, bases, sizes, units)
-            win.sync_comm = rt.make_comm(type(c.group)(c.group.ranks),
-                                         name=f"{win.name}-sync")
-            return {w: win for w in g.arrived}
-
         t0 = self._tick()
-        win = yield from self._coll("win_create", comm,
-                                    (base, size, disp_unit), 0, compute)
+        win = yield self._coll("win_create", comm, (base, size, disp_unit), 0,
+                               _c_win_create, None, (self.rt,))
         self._rec("MPI_Win_create", t0, {
             "base": base, "size": size, "disp_unit": disp_unit,
             "comm": comm, "win": win})
@@ -56,21 +59,9 @@ class ApiRMA(ApiBase):
         backing buffer (intercepted) and creates the window."""
         comm = comm or self.world
         base = self.malloc(max(size, 1))
-        rt = self.rt
-
-        def compute(g, c):
-            bases, sizes, units = {}, {}, {}
-            for i, w in enumerate(c.group.ranks):
-                b, s, d = g.arrived[w][0]
-                bases[i], sizes[i], units[i] = b, s, d
-            win = Win(rt.next_win_id(), c, bases, sizes, units)
-            win.sync_comm = rt.make_comm(type(c.group)(c.group.ranks),
-                                         name=f"{win.name}-sync")
-            return {w: win for w in g.arrived}
-
         t0 = self._tick()
-        win = yield from self._coll("win_create", comm,
-                                    (base, size, disp_unit), 0, compute)
+        win = yield self._coll("win_create", comm, (base, size, disp_unit), 0,
+                               _c_win_create, None, (self.rt,))
         self._rec("MPI_Win_allocate", t0, {
             "size": size, "disp_unit": disp_unit, "comm": comm,
             "baseptr": base, "win": win})
@@ -79,47 +70,53 @@ class ApiRMA(ApiBase):
     def win_free(self, win: Win):
         """Collective window destruction (synchronising, per standard)."""
         win.check_usable()
-
-        def compute(g, c):
-            return None
-
         t0 = self._tick()
-        yield from self._coll("win_free", win.sync_comm, None, 0, compute)
+        yield self._coll("win_free", win.sync_comm, None, 0, None)
         win.freed = True
         self._rec("MPI_Win_free", t0, {"win": win})
 
-    def win_set_name(self, win: Win, name: str) -> None:
+    def win_set_name(self, win: Win, win_name: str) -> None:
         win.check_usable()
         t0 = self._tick()
-        win.name = name[:C.MAX_OBJECT_NAME]
-        self._rec("MPI_Win_set_name", t0, {"win": win, "win_name": name})
+        win.name = win_name[:C.MAX_OBJECT_NAME]
+        self._rec("MPI_Win_set_name", t0, {"win": win, "win_name": win_name})
 
     # -- active target synchronisation -----------------------------------------------
 
     def win_fence(self, win: Win, assert_: int = 0):
         """Collective fence: closes the current epoch (queued RMA effects
         land in window memory) and opens the next."""
-        win.check_usable()
-
-        def compute(g, c):
-            win.apply_effects()
-            win.fence_count += 1
-            return None
-
+        if win.freed:
+            win.check_usable()
         t0 = self._tick()
-        yield from self._coll("win_fence", win.sync_comm, None, 0, compute,
-                              ("win_fence", win.wid))
+        yield self._coll("win_fence", win.sync_comm, None, 0, _c_win_fence,
+                         ("win_fence", win.wid), (win,))
         self._rec("MPI_Win_fence", t0, {"assert": assert_, "win": win})
 
     # -- RMA operations ---------------------------------------------------------------
 
     def _rma_common(self, win: Win, target_rank: int, target_count: int,
                     target_datatype: dt.Datatype) -> int:
-        win.check_usable()
-        win.check_target(target_rank)
-        target_datatype.check_usable()
-        nbytes = target_count * target_datatype.size
-        return nbytes
+        """Validate an RMA call (helpers as the failure branch, in the
+        order they have always run); returns the bytes it moves."""
+        if win.freed:
+            win.check_usable()
+        if target_rank not in win.bases:
+            win.check_target(target_rank)
+        if target_datatype.freed or not target_datatype.committed:
+            target_datatype.check_usable()
+        return target_count * target_datatype.size
+
+    def _queue_effect(self, win: Win, op: str, target_rank: int,
+                      target_disp: int, nbytes: int, data: Any) -> None:
+        """Charge the injection cost of a Put/Accumulate and queue its
+        effect for the closing synchronisation."""
+        net = self._net  # NetworkModel.send_overhead, in line
+        cost = net.overhead + net.beta * min(max(nbytes, 0), 8192)
+        if cost > 0:
+            self.clock.now += cost
+        win.queue_effect(target_rank, (self._views[win.comm].rank, op,
+                                       target_disp, data))
 
     def put(self, origin_addr: int, origin_count: int,
             origin_datatype: dt.Datatype, target_rank: int,
@@ -129,10 +126,7 @@ class ApiRMA(ApiBase):
         nbytes = self._rma_common(win, target_rank, target_count,
                                   target_datatype)
         t0 = self._tick()
-        self.clock.advance_exact(self.rt.net.send_overhead(nbytes))
-        win.queue_effect(target_rank,
-                         (self._comm_rank(win.comm), "put", target_disp,
-                          data))
+        self._queue_effect(win, "put", target_rank, target_disp, nbytes, data)
         self._rec("MPI_Put", t0, {
             "origin_addr": origin_addr, "origin_count": origin_count,
             "origin_datatype": origin_datatype, "target_rank": target_rank,
@@ -148,7 +142,10 @@ class ApiRMA(ApiBase):
         nbytes = self._rma_common(win, target_rank, target_count,
                                   target_datatype)
         t0 = self._tick()
-        self.clock.advance_exact(self.rt.net.p2p_time(nbytes))
+        net = self._net  # NetworkModel.p2p_time, in line
+        cost = net.alpha + net.beta * max(nbytes, 0)
+        if cost > 0:
+            self.clock.now += cost
         value = win.memory[target_rank].get(target_disp)
         self._rec("MPI_Get", t0, {
             "origin_addr": origin_addr, "origin_count": origin_count,
@@ -165,10 +162,7 @@ class ApiRMA(ApiBase):
         nbytes = self._rma_common(win, target_rank, target_count,
                                   target_datatype)
         t0 = self._tick()
-        self.clock.advance_exact(self.rt.net.send_overhead(nbytes))
-        win.queue_effect(target_rank,
-                         (self._comm_rank(win.comm), "acc", target_disp,
-                          data))
+        self._queue_effect(win, "acc", target_rank, target_disp, nbytes, data)
         self._rec("MPI_Accumulate", t0, {
             "origin_addr": origin_addr, "origin_count": origin_count,
             "origin_datatype": origin_datatype, "target_rank": target_rank,
@@ -177,16 +171,16 @@ class ApiRMA(ApiBase):
 
     # -- passive target synchronisation ------------------------------------------------
 
-    def win_lock(self, lock_type: int, target_rank: int, win: Win,
+    def win_lock(self, lock_type: int, rank: int, win: Win,
                  assert_: int = 0):
-        """Acquire a shared/exclusive lock on *target_rank*'s window
+        """Acquire a shared/exclusive lock on rank *rank*'s window
         portion; blocks while an incompatible holder exists."""
         win.check_usable()
-        win.check_target(target_rank)
+        win.check_target(rank)
         if lock_type not in (LOCK_EXCLUSIVE, LOCK_SHARED):
             raise InvalidArgumentError(f"bad lock type {lock_type}")
         t0 = self._tick()
-        st = win.lock_state(target_rank)
+        st = win.lock_state(rank)
         me = self.rank
         while True:
             holders, mode = st["holders"], st["mode"]
@@ -196,27 +190,27 @@ class ApiRMA(ApiBase):
                 st["holders"].add(me)
                 st["mode"] = lock_type
                 break
-            fut = Future(f"win_lock({win.name},target={target_rank}) "
-                         f"rank={me}")
+            fut = Future(("win_lock(%s,target=%s) rank=%s", win.name,
+                          rank, me))
             st["waiters"].append(fut)
             yield fut
         self._rec("MPI_Win_lock", t0, {
-            "lock_type": lock_type, "rank": target_rank,
+            "lock_type": lock_type, "rank": rank,
             "assert": assert_, "win": win})
 
-    def win_unlock(self, target_rank: int, win: Win) -> None:
+    def win_unlock(self, rank: int, win: Win) -> None:
         """Release the lock; queued effects on that target land now."""
         win.check_usable()
         t0 = self._tick()
-        st = win.lock_state(target_rank)
+        st = win.lock_state(rank)
         if self.rank not in st["holders"]:
             raise InvalidArgumentError(
                 f"rank {self.rank} does not hold the lock on "
-                f"{win.name}[{target_rank}]")
-        win.apply_effects(target_rank)
+                f"{win.name}[{rank}]")
+        win.apply_effects(rank)
         st["holders"].discard(self.rank)
         if not st["holders"]:
             st["mode"] = 0
             while st["waiters"]:
-                self.rt.scheduler.resolve(st["waiters"].popleft(), None)
-        self._rec("MPI_Win_unlock", t0, {"rank": target_rank, "win": win})
+                self._sched.resolve(st["waiters"].popleft(), None)
+        self._rec("MPI_Win_unlock", t0, {"rank": rank, "win": win})

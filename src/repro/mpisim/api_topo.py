@@ -36,9 +36,9 @@ class ApiTopo(ApiBase):
             "nnodes": nnodes, "ndims": ndims, "dims": out})
         return out
 
-    def cart_create(self, comm: Optional[Comm], dims: Sequence[int],
+    def cart_create(self, comm_old: Optional[Comm], dims: Sequence[int],
                     periods: Sequence[bool], reorder: bool = False):
-        comm = comm or self.world
+        comm = comm_old or self.world
         dims = tuple(int(d) for d in dims)
         periods = tuple(bool(p) for p in periods)
         if len(dims) != len(periods):
@@ -59,9 +59,8 @@ class ApiTopo(ApiBase):
             return {w: (newc if w in members else None) for w in g.arrived}
 
         t0 = self._tick()
-        newcomm = yield from self._coll(
-            "comm_create", comm, None, 0, compute,
-            ("cart_create", dims, periods))
+        newcomm = yield self._coll("comm_create", comm, None, 0, compute,
+                                   ("cart_create", dims, periods))
         self._rec("MPI_Cart_create", t0, {
             "comm_old": comm, "ndims": len(dims), "dims": dims,
             "periods": tuple(int(p) for p in periods),
@@ -92,7 +91,7 @@ class ApiTopo(ApiBase):
         comm.check_usable()
         topo = _cart(comm)
         t0 = self._tick()
-        me = self._comm_rank(comm)
+        me = self._views[comm].rank
         src, dest = topo.shift(me, direction, disp)
         self._rec("MPI_Cart_shift", t0, {
             "comm": comm, "direction": direction, "disp": disp,
@@ -126,8 +125,8 @@ class ApiTopo(ApiBase):
             return out
 
         t0 = self._tick()
-        newcomm = yield from self._coll("comm_split", comm, None, 0, compute,
-                                        ("cart_sub", remain))
+        newcomm = yield self._coll("comm_split", comm, None, 0, compute,
+                                   ("cart_sub", remain))
         self._rec("MPI_Cart_sub", t0, {
             "comm": comm, "remain_dims": tuple(int(r) for r in remain),
             "newcomm": newcomm})

@@ -34,28 +34,31 @@ class ApiType(ApiBase):
             "oldtype": oldtype, "newtype": newtype})
         return newtype
 
-    def type_indexed(self, blocklengths: Sequence[int],
-                     displacements: Sequence[int],
+    def type_indexed(self, array_of_blocklengths: Sequence[int],
+                     array_of_displacements: Sequence[int],
                      oldtype: dt.Datatype) -> dt.Datatype:
         t0 = self._tick()
-        newtype = self.types.indexed(blocklengths, displacements, oldtype)
+        newtype = self.types.indexed(array_of_blocklengths,
+                                     array_of_displacements, oldtype)
         self._rec("MPI_Type_indexed", t0, {
-            "count": len(blocklengths),
-            "array_of_blocklengths": tuple(blocklengths),
-            "array_of_displacements": tuple(displacements),
+            "count": len(array_of_blocklengths),
+            "array_of_blocklengths": tuple(array_of_blocklengths),
+            "array_of_displacements": tuple(array_of_displacements),
             "oldtype": oldtype, "newtype": newtype})
         return newtype
 
-    def type_create_struct(self, blocklengths: Sequence[int],
-                           displacements: Sequence[int],
-                           types: Sequence[dt.Datatype]) -> dt.Datatype:
+    def type_create_struct(self, array_of_blocklengths: Sequence[int],
+                           array_of_displacements: Sequence[int],
+                           array_of_types: Sequence[dt.Datatype]
+                           ) -> dt.Datatype:
         t0 = self._tick()
-        newtype = self.types.struct(blocklengths, displacements, types)
+        newtype = self.types.struct(array_of_blocklengths,
+                                    array_of_displacements, array_of_types)
         self._rec("MPI_Type_create_struct", t0, {
-            "count": len(blocklengths),
-            "array_of_blocklengths": tuple(blocklengths),
-            "array_of_displacements": tuple(displacements),
-            "array_of_types": tuple(types), "newtype": newtype})
+            "count": len(array_of_blocklengths),
+            "array_of_blocklengths": tuple(array_of_blocklengths),
+            "array_of_displacements": tuple(array_of_displacements),
+            "array_of_types": tuple(array_of_types), "newtype": newtype})
         return newtype
 
     def type_commit(self, datatype: dt.Datatype) -> None:

@@ -11,6 +11,7 @@ but pattern-bearing sequences.
 from __future__ import annotations
 
 import random
+from math import exp
 
 
 class RankClock:
@@ -30,16 +31,10 @@ class RankClock:
         if seconds < 0:
             seconds = 0.0
         if self.noise > 0.0 and seconds > 0.0:
-            factor = self._rng.lognormvariate(0.0, self.noise)
-            seconds *= factor
+            # lognormvariate(0, noise), minus its pass-through frame
+            seconds *= exp(self._rng.normalvariate(0.0, self.noise))
         self.now += seconds
         return seconds
-
-    def advance_exact(self, seconds: float) -> float:
-        """Advance without noise (used for fixed per-call software overheads)."""
-        if seconds > 0:
-            self.now += seconds
-        return max(seconds, 0.0)
 
     def sync_to(self, t: float) -> None:
         """Move forward to *t* if it is in the future (never backwards)."""

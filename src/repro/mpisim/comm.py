@@ -20,57 +20,59 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from . import constants as C
-from .errors import (CollectiveMismatchError, InvalidArgumentError,
-                     InvalidHandleError)
+from .errors import CollectiveMismatchError, InvalidHandleError
 from .future import Future
 from .group import Group
 
 
 class MessageEnvelope:
-    """An in-flight point-to-point message (metadata + optional payload)."""
+    """A point-to-point message no receive was posted for yet (metadata +
+    optional payload), parked in arrival order on the receiver's
+    unexpected queue."""
 
-    __slots__ = ("src", "tag", "nbytes", "data", "send_time", "seq",
-                 "send_req")
+    __slots__ = ("src", "tag", "nbytes", "data", "send_time", "send_req")
 
     def __init__(self, src: int, tag: int, nbytes: int, data: Any,
-                 send_time: float, seq: int, send_req=None):
+                 send_time: float, send_req=None):
         self.src = src              # comm rank of the sender (in sender's group)
         self.tag = tag
         self.nbytes = nbytes
         self.data = data
         self.send_time = send_time
-        self.seq = seq              # global arrival sequence, for FIFO order
         self.send_req = send_req
 
 
 class CollGathering:
-    """State of one in-progress collective on a communicator."""
+    """State of one in-progress collective on a communicator.  What the
+    *first* arriver passed describes it; later arrivals add a payload
+    and a future."""
 
-    __slots__ = ("op", "arrived", "futures", "finalize", "check_args")
+    __slots__ = ("op", "nbytes", "compute", "cargs", "check_args",
+                 "arrived", "futures", "tmax")
 
-    def __init__(self, op: str,
-                 finalize: Callable[["CollGathering", "Comm"], None],
-                 check_args: Any = None):
+    def __init__(self, op: str, nbytes: int, compute: Optional[Callable],
+                 cargs: tuple, check_args: Any, arrive_time: float):
         self.op = op
-        #: world rank -> (payload, arrival virtual time)
-        self.arrived: dict[int, tuple[Any, float]] = {}
-        #: world rank -> future resolved with (result, completion time)
-        self.futures: dict[int, Future] = {}
-        self.finalize = finalize
+        self.nbytes = nbytes
+        #: ``compute(gathering, comm, *cargs) -> {world rank: result}``
+        self.compute = compute
+        self.cargs = cargs
         #: signature-relevant args of the first arriver (mismatch check)
         self.check_args = check_args
-
-    def max_arrival(self) -> float:
-        return max(t for _, t in self.arrived.values())
+        #: world rank -> (payload, arrival virtual time)
+        self.arrived: dict[int, tuple[Any, float]] = {}
+        #: world rank -> future resolved with the rank's result
+        self.futures: dict[int, Future] = {}
+        #: latest arrival so far
+        self.tmax = arrive_time
 
 
 class Comm:
     """An intra- or inter-communicator."""
 
-    __slots__ = ("cid", "kind", "group", "remote_group", "name", "topo",
-                 "freed", "_posted", "_unexpected", "_coll_seq", "_colls",
-                 "attrs")
+    __slots__ = ("cid", "kind", "group", "remote_group", "nmembers", "name",
+                 "topo", "freed", "_posted", "_unexpected", "_coll_seq",
+                 "_colls", "attrs")
 
     def __init__(self, cid: int, group: Group,
                  remote_group: Optional[Group] = None,
@@ -79,6 +81,10 @@ class Comm:
         self.kind = "inter" if remote_group is not None else "intra"
         self.group = group                  # local group
         self.remote_group = remote_group    # None for intra-comms
+        #: ranks a collective gathers (an inter-communicator's involve
+        #: both groups)
+        self.nmembers = group.size + (remote_group.size
+                                      if remote_group is not None else 0)
         self.name = name or f"comm#{cid}"
         self.topo = None                    # set by cart_create
         self.freed = False
@@ -107,23 +113,9 @@ class Comm:
     def rank_of_world(self, world_rank: int) -> int:
         return self.group.rank_of(world_rank)
 
-    def peer_group(self) -> Group:
-        """Group against which src/dest arguments are interpreted."""
-        return self.remote_group if self.remote_group is not None else self.group
-
     def check_usable(self) -> None:
         if self.freed:
             raise InvalidHandleError(f"communicator {self.name} was freed")
-
-    def check_peer(self, peer: int, *, wildcard_ok: bool = False) -> None:
-        if peer == C.PROC_NULL:
-            return
-        if wildcard_ok and peer == C.ANY_SOURCE:
-            return
-        if not 0 <= peer < self.peer_group().size:
-            raise InvalidArgumentError(
-                f"peer rank {peer} out of range for {self.name} "
-                f"(size {self.peer_group().size})")
 
     # -- p2p queues ---------------------------------------------------------
 
@@ -141,21 +133,21 @@ class Comm:
 
     # -- collective sequencing ----------------------------------------------
 
-    def join_collective(self, world_rank: int, op: str,
-                        finalize: Callable[[CollGathering, "Comm"], None],
-                        payload: Any, arrive_time: float,
-                        future: Future,
-                        check_args: Any = None) -> CollGathering:
+    def join_collective(self, world_rank: int, op: str, nbytes: int,
+                        compute: Optional[Callable], cargs: tuple,
+                        payload: Any, arrive_time: float, future: Future,
+                        check_args: Any = None) -> Optional[CollGathering]:
         """Register *world_rank*'s participation in its next collective.
 
-        Returns the gathering; when the last member joins, ``finalize`` is
-        invoked (by this call) to compute results and resolve all futures.
+        Returns the gathering when this arrival completed it — the caller
+        then computes the results and resolves every future — else None.
         """
         idx = self._coll_seq.get(world_rank, 0)
         self._coll_seq[world_rank] = idx + 1
         g = self._colls.get(idx)
         if g is None:
-            g = self._colls[idx] = CollGathering(op, finalize, check_args)
+            g = self._colls[idx] = CollGathering(op, nbytes, compute, cargs,
+                                                 check_args, arrive_time)
         else:
             if g.op != op:
                 raise CollectiveMismatchError(
@@ -166,15 +158,13 @@ class Comm:
                 raise CollectiveMismatchError(
                     f"{self.name}: mismatched arguments in collective {op} "
                     f"#{idx}: {g.check_args!r} vs {check_args!r}")
+            if arrive_time > g.tmax:
+                g.tmax = arrive_time
         g.arrived[world_rank] = (payload, arrive_time)
         g.futures[world_rank] = future
-        expected = self.group.size
-        if self.remote_group is not None:
-            # Inter-communicator collectives involve both groups.
-            expected += self.remote_group.size
-        if len(g.arrived) == expected:
-            del self._colls[idx]
-            g.finalize(g, self)
+        if len(g.arrived) < self.nmembers:
+            return None
+        del self._colls[idx]
         return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

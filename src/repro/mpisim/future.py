@@ -4,6 +4,8 @@ A rank program is a Python generator.  Whenever it must block it yields a
 :class:`Future`; the scheduler parks the rank until the future resolves and
 then resumes the generator with the future's value.  Everything blocking in
 the simulator — receives, waits, collectives — bottoms out in a future.
+Resolution is the scheduler's (:meth:`Scheduler.resolve`): it owns the
+ready queue the waiters go back to.
 """
 
 from __future__ import annotations
@@ -16,16 +18,22 @@ _UNSET = object()
 class Future:
     """A one-shot resolvable value with waiters and callbacks."""
 
-    __slots__ = ("_value", "waiters", "callbacks", "desc")
+    __slots__ = ("_value", "waiters", "callbacks", "_desc")
 
-    def __init__(self, desc: str = "?"):
+    def __init__(self, desc: tuple = ("?",)):
         self._value: Any = _UNSET
         #: rank contexts parked on this future (managed by the scheduler)
         self.waiters: list = []
         #: callbacks fired on resolution, e.g. wait-any aggregation
         self.callbacks: list[Callable[["Future"], None]] = []
-        #: human-readable description, surfaced in deadlock reports
-        self.desc = desc
+        #: ``(template, *args)`` of the description below: a future is
+        #: made per blocking call, its text only read by a deadlock report
+        self._desc = desc
+
+    @property
+    def desc(self) -> str:
+        """Human-readable description, surfaced in deadlock reports."""
+        return self._desc[0] % self._desc[1:]
 
     @property
     def done(self) -> bool:
@@ -35,23 +43,6 @@ class Future:
     def value(self) -> Any:
         assert self._value is not _UNSET, "future read before resolution"
         return self._value
-
-    def resolve(self, value: Any = None) -> list:
-        """Resolve and return the rank contexts to wake (scheduler enqueues)."""
-        assert self._value is _UNSET, f"double resolve of future {self.desc}"
-        self._value = value
-        woken = self.waiters
-        self.waiters = []
-        for cb in self.callbacks:
-            cb(self)
-        self.callbacks = []
-        return woken
-
-    def add_callback(self, cb: Callable[["Future"], None]) -> None:
-        if self.done:
-            cb(self)
-        else:
-            self.callbacks.append(cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else f"pending({len(self.waiters)} waiters)"

@@ -14,20 +14,17 @@ class Group:
     Group rank *i* is the process whose world rank is ``ranks[i]``.
     """
 
-    __slots__ = ("ranks", "_index")
+    __slots__ = ("ranks", "size", "_index")
 
     def __init__(self, ranks: Sequence[int]):
         ranks = tuple(ranks)
         if len(set(ranks)) != len(ranks):
             raise InvalidArgumentError(f"duplicate ranks in group: {ranks}")
         self.ranks = ranks
+        self.size = len(ranks)
         self._index = {w: i for i, w in enumerate(ranks)}
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
 
     def rank_of(self, world_rank: int) -> int:
         """Group rank of a world rank, or ``UNDEFINED`` if not a member."""

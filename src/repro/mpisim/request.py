@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidHandleError
-from .future import Future
+from .future import _UNSET, Future
 from .status import Status
 
 
@@ -25,12 +25,16 @@ class Request(Future):
                  "active", "post_time", "consumed", "_persistent_start",
                  "current")
 
-    def __init__(self, kind: str, owner: int, handle: int, *,
+    def __init__(self, kind: str, owner: int, handle: int,
                  comm_cid: int = -1, peer: int = -1, tag: int = -1,
                  nbytes: int = 0, datatype_handle: int = 0,
-                 buf_addr: int = 0):
-        super().__init__(desc=f"{kind} req#{handle} rank={owner}")
-        self.kind = kind              # "isend" | "irecv" | "icoll" | "comm_idup" | ...
+                 buf_addr: int = 0, post_time: float = 0.0):
+        # one per isend/irecv: every slot set here, positionally, with no
+        # chained Future.__init__ and no description built (see ``desc``)
+        self._value = _UNSET
+        self.waiters = []
+        self.callbacks = []
+        self.kind = kind              # "isend" | "irecv" | "icoll:<op>" | ...
         self.owner = owner            # world rank that created the request
         self.handle = handle          # rank-local handle integer
         self.comm_cid = comm_cid
@@ -41,7 +45,7 @@ class Request(Future):
         self.buf_addr = buf_addr
         self.status: Optional[Status] = None
         self.complete_time: float = 0.0
-        self.post_time: float = 0.0
+        self.post_time = post_time
         self.freed = False
         self.cancelled = False
         self.persistent = False
@@ -52,6 +56,10 @@ class Request(Future):
         self._persistent_start = None  # callable restarting a persistent op
         #: for persistent requests: the in-flight operation of this round
         self.current: Optional["Request"] = None
+
+    @property
+    def desc(self) -> str:
+        return "%s req#%s rank=%s" % (self.kind, self.handle, self.owner)
 
     def wait_target(self) -> "Request":
         """The future a completion call must wait on (persistent requests
@@ -64,16 +72,12 @@ class Request(Future):
         if self.freed:
             raise InvalidHandleError(f"request {self.desc} was freed")
 
-    def complete(self, status: Optional[Status], when: float, value=None) -> list:
-        """Mark complete at virtual time *when*; returns rank contexts to wake."""
-        self.status = status
-        self.complete_time = when
-        self.active = False
-        return self.resolve(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         st = "done" if self.done else "pending"
         return f"<Request {self.kind}#{self.handle} rank={self.owner} {st}>"
 
 
 REQUEST_NULL = None  # completed-and-freed requests become None in user arrays
+#: ``kind`` of the request ``MPI_Comm_idup`` returns: its ``value`` is the
+#: new communicator, delivered by the completing Wait/Test (§3.3.1)
+KIND_IDUP = "icoll:comm_dup"

@@ -44,9 +44,7 @@ from .group import Group
 from .hooks import TracerHooks
 from .memory import RankHeap
 from .netmodel import NetworkModel
-from .request import Request
 from .scheduler import RankContext, Scheduler
-from .status import Status
 
 
 class RankAPI(ApiP2P, ApiCompletion, ApiColl, ApiComm, ApiType,
@@ -133,7 +131,6 @@ class SimMPI:
             faults=self.faults
             if self.faults is not None and self.faults.wants_sched
             else None)
-        self._seq = 0
         self._next_wid = 0
         self._bridges: dict = {}
         self._ran = False
@@ -141,10 +138,6 @@ class SimMPI:
         self.apis: list[RankAPI] = []
 
     # -- registry ----------------------------------------------------------------
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def next_win_id(self) -> int:
         wid = self._next_wid
@@ -162,15 +155,11 @@ class SimMPI:
     def comm_by_cid(self, cid: int) -> Comm:
         return self._comms[cid]
 
-    def scheduler_complete(self, req: Request, status: Optional[Status],
-                           when: float, value=None) -> None:
-        self.scheduler.complete_request(req, status, when, value)
-
     # -- inter-communicator creation rendezvous ----------------------------------------
 
     def join_intercomm_create(self, key, local_comm: Comm, world_rank: int,
                               now: float) -> Future:
-        fut = Future(f"intercomm_create{key} rank={world_rank}")
+        fut = Future(("intercomm_create%s rank=%s", key, world_rank))
         st = self._bridges.setdefault(key, {})
         side = st.setdefault(local_comm.cid, {"comm": local_comm,
                                               "arrived": {}})
@@ -198,9 +187,7 @@ class SimMPI:
 
     def _rank_main(self, api: RankAPI,
                    program: Callable[[RankAPI], object]):
-        t0 = api.clock.now
-        api.clock.advance_exact(self.net.overhead)
-        api._rec("MPI_Init", t0, {})
+        api._rec("MPI_Init", api._tick(), {})
         gen = program(api)
         if inspect.isgenerator(gen):
             yield from gen
@@ -211,7 +198,7 @@ class SimMPI:
                 "return None)")
         # MPI_Finalize synchronises in practice; model it as a barrier.
         t0 = api.clock.now
-        yield from api._coll("barrier", self.world, None, 0, None)
+        yield api._coll("barrier", self.world, None, 0, None)
         api._rec("MPI_Finalize", t0, {})
 
     def run(self, program: Callable[[RankAPI], object]) -> RunResult:
@@ -222,12 +209,12 @@ class SimMPI:
         self._ran = True
         if self.tracer is not None:
             self.tracer.on_run_start(self)
-        self.apis = [RankAPI(self, r) for r in range(self.nprocs)]
         for r in range(self.nprocs):
-            ctx = RankContext(r, self._rank_main(self.apis[r], program),
-                              self.clocks[r])
-            # let the API update the rank's call trail for diagnostics
-            self.apis[r]._ctx = ctx
+            ctx = RankContext(r, None, self.clocks[r])
+            # the API keeps the context's call trail current (diagnostics)
+            api = RankAPI(self, r, ctx)
+            ctx.gen = self._rank_main(api, program)
+            self.apis.append(api)
             self.scheduler.add_rank(ctx)
         self.scheduler.run()
         self.finished = True

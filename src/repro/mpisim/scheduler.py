@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from .clock import RankClock
 from .errors import DeadlockError, RankProgramError
-from .future import Future
+from .future import _UNSET, Future
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import EventLog
@@ -42,8 +42,15 @@ class RankContext:
         self.finished = False
         self.clock = clock
         self.waiting_on: Optional[Future] = None
-        #: name of the last MPI call this rank recorded (diagnostics)
+        #: the MPI call this rank last entered or completed (diagnostics,
+        #: read through :func:`call_name`): a function name, or the bare
+        #: operation a collective rendezvous parked the rank under
         self.last_call: Optional[str] = None
+
+
+def call_name(mark: str) -> str:
+    """The MPI function a ``RankContext.last_call`` mark stands for."""
+    return mark if mark.startswith("MPI_") else f"MPI_{mark.capitalize()}"
 
 
 class Scheduler:
@@ -85,18 +92,30 @@ class Scheduler:
         self._ready.append((ctx, None))
 
     def resolve(self, future: Future, value=None) -> None:
-        """Resolve a future and make its waiters runnable."""
+        """Resolve a future: fire its callbacks, then make its waiters
+        runnable (in that order — a callback may wake a wait-any)."""
+        assert future._value is _UNSET, \
+            f"double resolve of future {future.desc}"
         self._last_progress = self.steps
-        for ctx in future.resolve(value):
-            ctx.waiting_on = None
-            self._ready.append((ctx, future.value))
+        future._value = value
+        callbacks = future.callbacks
+        if callbacks:
+            future.callbacks = []
+            for cb in callbacks:
+                cb(future)
+        waiters = future.waiters
+        if waiters:
+            future.waiters = []
+            for ctx in waiters:
+                ctx.waiting_on = None
+                self._ready.append((ctx, value))
 
     def complete_request(self, req, status, when: float, value=None) -> None:
-        """Complete a request (see Request.complete) and wake its waiters."""
-        self._last_progress = self.steps
-        for ctx in req.complete(status, when, value):
-            ctx.waiting_on = None
-            self._ready.append((ctx, req.value))
+        """Complete a request at virtual time *when* and wake its waiters."""
+        req.status = status
+        req.complete_time = when
+        req.active = False
+        self.resolve(req, value)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -135,7 +154,7 @@ class Scheduler:
                 desc = (c.waiting_on.desc if c.waiting_on is not None
                         else "<not scheduled>")
                 if c.last_call is not None:
-                    desc += f" (last MPI call: {c.last_call})"
+                    desc += f" (last MPI call: {call_name(c.last_call)})"
                 blocked[c.rank] = desc
             if events is not None:
                 events.emit("sched.deadlock", blocked=dict(blocked),
@@ -149,7 +168,8 @@ class Scheduler:
         for c in self.contexts:
             if c.finished:
                 continue
-            where = c.last_call or "<no MPI call recorded>"
+            where = call_name(c.last_call) if c.last_call \
+                else "<no MPI call recorded>"
             if c.waiting_on is not None:
                 blocked[c.rank] = (f"{c.waiting_on.desc} "
                                    f"(last MPI call: {where})")
@@ -189,8 +209,8 @@ class Scheduler:
                 # the tail so every other runnable rank gets a turn first.
                 self._ready.append((ctx, None))
                 return
-            if fut.done:
-                value = fut.value
+            value = fut._value
+            if value is not _UNSET:
                 continue
             fut.waiters.append(ctx)
             ctx.waiting_on = fut

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from . import constants as C
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
-    """Completion information for a receive (or other completed operation)."""
+    """Completion information for a receive (or other completed operation).
+
+    Built positionally where calls complete: ``Status(nbytes, False, src,
+    tag)``, ``Status(*EMPTY)``."""
 
     count: int = 0          # number of received *bytes* (MPI: typed entries)
     cancelled: bool = False
@@ -31,13 +34,12 @@ class Status:
             return C.UNDEFINED
         return self.count // datatype_size
 
-    @classmethod
-    def empty(cls) -> "Status":
-        """Status of an operation on ``MPI_PROC_NULL`` (the standard's
-        'empty' status: source=PROC_NULL, tag=ANY_TAG, count=0)."""
-        return cls(count=0, cancelled=False, MPI_SOURCE=C.PROC_NULL,
-                   MPI_TAG=C.ANY_TAG, MPI_ERROR=C.SUCCESS)
-
     def as_tuple(self) -> tuple:
         return (self.count, self.cancelled, self.MPI_SOURCE, self.MPI_TAG,
                 self.MPI_ERROR)
+
+
+#: ``Status(*EMPTY)``: the status of an operation on ``MPI_PROC_NULL`` or
+#: a null request (the standard's 'empty' status: source=PROC_NULL,
+#: tag=ANY_TAG, count=0), its fields in constructor order
+EMPTY = (0, False, C.PROC_NULL, C.ANY_TAG, C.SUCCESS)

@@ -54,6 +54,7 @@ from ..mpisim.datatypes import BUILTINS, Datatype
 from ..mpisim.errors import MpiSimError, RankProgramError
 from ..mpisim.group import Group
 from ..mpisim.ops import ALL_OPS
+from ..mpisim.request import KIND_IDUP
 from ..mpisim.runtime import RankAPI, SimMPI
 from ..core.decoder import RankStream, TraceDecoder
 from ..core.errors import ReplayFormatError, TraceFormatError
@@ -162,16 +163,9 @@ _DIRECTED = {
     "directed_source": (F.K_STATUS, "_status_source({v}, ctx)"),
 }
 
-#: simulator parameters spelled differently from the registry's
-_ALIASES = {
-    "name": ("comm_name", "win_name"), "ranks": ("ranks1",),
-    "requests": ("array_of_requests",),
-    "statuses": ("array_of_statuses",),
-    "blocklengths": ("array_of_blocklengths",),
-    "displacements": ("array_of_displacements",),
-    "types": ("array_of_types",), "assert_": ("assert",),
-    "target_rank": ("rank",), "comm": ("comm_old",),
-}
+#: the one simulator parameter that cannot be spelled as the registry
+#: spells it (``assert`` is a keyword)
+_ALIASES = {"assert_": ("assert",)}
 #: simulator parameters with no registry counterpart, never passed
 #: (message payloads: a trace records communication, not data)
 _REPLAY_ONLY = frozenset(("data",))
@@ -615,7 +609,7 @@ class RankReplayer:
         if req is None or req.persistent \
                 or not (req.consumed or req.freed):
             return
-        if req.kind == "comm_idup" and isinstance(req.value, Comm):
+        if req.kind == KIND_IDUP and isinstance(req.value, Comm):
             new = self.state.comm_space.sym_for(req.value)
             if new not in self.comm_map:
                 self.comm_map[new] = req.value

@@ -146,6 +146,74 @@ class TestWaitany:
         assert runs[0] == runs[1]
 
 
+class TestBlockedWaitLeavesNoCallbackBehind:
+    """Master/worker with a "shutdown" receive that stays pending across
+    every blocked Waitany/Waitsome: each blocked call hung one more
+    callback (holding a dead aggregate future) on it, all fired at its
+    completion — 500 after 500 calls."""
+
+    ROUNDS = 500
+
+    def _master_worker(self, wait, seen):
+        def prog(m):
+            buf = m.malloc(256)
+            if m.rank == 0:
+                slow = m.irecv(buf, 1, dt.INT, source=2, tag=99)
+                for _ in range(self.ROUNDS):
+                    yield from m.send(buf + 64, 1, dt.INT, dest=1, tag=1)
+                    fast = m.irecv(buf + 128, 1, dt.INT, source=1, tag=2)
+                    picked = yield from wait(m, [slow, fast])
+                    assert picked == 1  # blocked, then the worker's reply
+                    seen.append(len(slow.callbacks))
+                yield from m.send(buf + 64, 1, dt.INT, dest=2, tag=3)
+                yield from m.wait(slow)
+                seen.append(len(slow.callbacks))
+            elif m.rank == 1:
+                for _ in range(self.ROUNDS):
+                    yield from m.recv(buf, 1, dt.INT, source=0, tag=1)
+                    yield from m.send(buf + 64, 1, dt.INT, dest=0, tag=2)
+            else:
+                yield from m.recv(buf, 1, dt.INT, source=0, tag=3)
+                yield from m.send(buf + 64, 1, dt.INT, dest=0, tag=99)
+        return prog
+
+    def test_waitany(self):
+        def wait(m, reqs):
+            idx, _st = yield from m.waitany(reqs)
+            return idx
+
+        seen = []
+        _sim, res = run_program(3, self._master_worker(wait, seen))
+        assert len(seen) == self.ROUNDS + 1 and max(seen) <= 1
+        assert res.steps > 2 * self.ROUNDS  # the calls did block
+
+    def test_waitsome(self):
+        def wait(m, reqs):
+            idxs, _sts = yield from m.waitsome(reqs)
+            assert len(idxs) == 1
+            return idxs[0]
+
+        seen = []
+        run_program(3, self._master_worker(wait, seen))
+        assert len(seen) == self.ROUNDS + 1 and max(seen) <= 1
+
+    def test_an_entry_listed_twice_is_cleared_too(self):
+        def prog(m):
+            buf = m.malloc(64)
+            if m.rank == 0:
+                slow = m.irecv(buf, 1, dt.INT, source=1, tag=9)
+                fast = m.irecv(buf + 32, 1, dt.INT, source=1, tag=1)
+                idx, _st = yield from m.waitany([slow, slow, fast, fast])
+                assert idx in (2, 3) and slow.callbacks == []
+                yield from m.send(buf, 1, dt.INT, dest=1, tag=2)
+                yield from m.wait(slow)
+            else:
+                yield from m.send(buf, 1, dt.INT, dest=0, tag=1)
+                yield from m.recv(buf, 1, dt.INT, source=0, tag=2)
+                yield from m.send(buf, 1, dt.INT, dest=0, tag=9)
+        run_program(2, prog)
+
+
 class TestWaitsome:
     def test_returns_all_completed(self):
         def prog(m):

@@ -77,8 +77,10 @@ class TestCompleteness:
                 assert inspect.isgeneratorfunction(run), fname
 
     def test_every_simulator_parameter_resolves(self, monkeypatch):
-        """By name, through the alias table, or as a declared
-        replay-only keyword — what ``_compile_runner`` raises on."""
+        """By the registry's own name (``assert`` is a keyword: the one
+        alias), or as a declared replay-only keyword — what
+        ``_compile_runner`` raises on."""
+        assert engine._ALIASES == {"assert_": ("assert",)}
         for fname, spec in F.FUNCS.items():
             if fname in engine.RUNTIME_EMITTED:
                 continue
@@ -89,9 +91,9 @@ class TestCompleteness:
                     continue
                 assert names & {sp, *engine._ALIASES.get(sp, ())}, \
                     (fname, sp)
-        monkeypatch.delitem(engine._ALIASES, "ranks")
+        monkeypatch.delitem(engine._ALIASES, "assert_")
         with pytest.raises(KeyError, match="no registry counterpart"):
-            engine._compile_runner("MPI_Group_translate_ranks")
+            engine._compile_runner("MPI_Win_fence")
 
     def test_every_kind_has_a_resolver_or_a_binder(self):
         for spec in F.FUNCS.values():
@@ -180,7 +182,7 @@ def completion_polls(m):
         flag, _idx, _st = yield from m.testany(reqs[1:3])
     done = 0
     while done < 2:
-        idxs, _sts = yield from m.testsome(reqs[3:], statuses=None)
+        idxs, _sts = yield from m.testsome(reqs[3:], array_of_statuses=None)
         done += len(idxs)
     flag = False
     while not flag:  # the consumed entries are MPI_REQUEST_NULL by now
@@ -255,7 +257,7 @@ def nonblocking_collectives(m):
             m.iallreduce(buf, rbuf, 1, dt.DOUBLE, ops.SUM),
             m.iallgather(buf, 1, dt.INT, rbuf, 1, dt.INT),
             m.ialltoall(buf, 1, dt.INT, rbuf, 1, dt.INT)]
-    yield from m.waitall(reqs[:2], statuses=None)
+    yield from m.waitall(reqs[:2], array_of_statuses=None)
     for _ in range(3):
         yield from m.waitany(reqs)
 
