@@ -46,9 +46,9 @@ def _synthetic_shards(nprocs: int) -> list:
         t = 0.0
         for i in range(CALLS_PER_RANK):
             peer = (rank + 1 + (i % (1 + rank % 4))) % nprocs
-            args = {"comm": world, "dest": peer,
-                    "count": 64 + 8 * (i % 3), "tag": i % 5}
-            rc.observe("MPI_Send", args, t, t + 1e-6)
+            # buf, count, datatype, dest, tag, comm
+            values = (None, 64 + 8 * (i % 3), None, peer, i % 5, world)
+            rc.observe("MPI_Send", values, t, t + 1e-6)
             t += 2e-6
         shards.append(rc.freeze())
     return shards

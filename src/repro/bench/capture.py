@@ -10,9 +10,9 @@ Replay must reproduce what the tracer *saw at hook time*, and two
 things keep mutating after the hook returns: request/status objects
 (a request is ``consumed`` by its completion call; a reused status is
 refilled by the next receive) and the user's request arrays (completed
-entries become ``None``).  So the recorder shallow-copies every args
-dict (and its list values) and snapshots the mutable request/status
-fields per event; replay restores each snapshot before dispatching.
+entries become ``None``).  So the recorder copies every list among a
+call's values and snapshots the mutable request/status fields per
+event, by position; replay restores each snapshot before dispatching.
 With that, a replayed tracer produces a trace byte-identical to the
 live run's.
 """
@@ -43,12 +43,12 @@ def _snap_obj(obj: Any, out: list) -> None:
                     obj.MPI_TAG, obj.MPI_ERROR))
 
 
-def _capture_args(args: dict) -> tuple[dict, tuple]:
-    """Shallow-copy *args* (lists included, so later ``arr[i] = None``
-    nulling is invisible) and snapshot every request/status in it."""
-    copied: dict = {}
+def _capture_values(values: tuple) -> tuple[tuple, tuple]:
+    """Copy the lists among *values* (so later ``arr[i] = None`` nulling
+    is invisible) and snapshot every request/status in it."""
+    copied: list = []
     snaps: list = []
-    for k, v in args.items():
+    for v in values:
         if isinstance(v, list):
             v = list(v)
             for item in v:
@@ -58,8 +58,8 @@ def _capture_args(args: dict) -> tuple[dict, tuple]:
                 _snap_obj(item, snaps)
         else:
             _snap_obj(v, snaps)
-        copied[k] = v
-    return copied, tuple(snaps)
+        copied.append(v)
+    return tuple(copied), tuple(snaps)
 
 
 def _restore(snaps: tuple) -> None:
@@ -83,8 +83,8 @@ class _RecordingHooks(TracerHooks):
     def on_run_start(self, sim) -> None:
         self.sim = sim
 
-    def on_call(self, rank, fname, args, t0, t1) -> None:
-        copied, snaps = _capture_args(args)
+    def on_call(self, rank, fname, values, t0, t1) -> None:
+        copied, snaps = _capture_values(values)
         self.events.append((_CALL, rank, fname, copied, t0, t1, snaps))
 
     def on_mem(self, rank, fname, args, result, t) -> None:

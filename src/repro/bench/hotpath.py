@@ -13,7 +13,9 @@ out per family:
 * ``<family>.us_per_call`` / ``batched_us_per_call`` — absolute times,
   for humans (``BENCH_hotpath.json``), with ``<family>.null_us_per_call``,
   the denominator of the ratio below, beside them: when a ratio moves
-  the JSON says which side did;
+  the JSON says which side did; and ``<family>.encode_us_per_call``, the
+  same stream through the encode stage alone (the per-function closures
+  of ``repro.core.encoder``), the largest stage of ``us_per_call``;
 * ``<family>.hot_over_null`` — per-call tracing time over the untraced
   run that produced the calls, and ``<family>.batched_over_percall`` —
   the two entries against each other.  Machine-independent, so these
@@ -25,12 +27,20 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..core.backends import TracerOptions, make_tracer
+from ..core.tracer import PilgrimTracer
 from ..workloads import make
 from . import register
 from .capture import CapturedRun
 
 DEFAULT_FAMILIES = ("stencil2d", "osu_latency", "npb_mg",
                     "flash_sedov", "milc_su3_rmd")
+
+
+class _EncodeOnly(PilgrimTracer):
+    """The Pilgrim hooks with everything after encode cut off."""
+
+    def on_call(self, rank, fname, values, t0, t1) -> None:
+        self.encoders[rank].encode_call(fname, values)
 
 
 def timed_trace(cap: CapturedRun, options: TracerOptions):
@@ -67,6 +77,8 @@ def _hotpath(params: dict):
             make(fam, nprocs).run(seed=seed, tracer=make_tracer("null"))
             t_null = perf_counter() - start
             out[f"{fam}.us_per_call"] = t_percall * per_call_us
+            out[f"{fam}.encode_us_per_call"] = \
+                cap.timed_replay(_EncodeOnly()) * per_call_us
             out[f"{fam}.null_us_per_call"] = t_null * per_call_us
             out[f"{fam}.batched_us_per_call"] = t_batched * per_call_us
             out[f"{fam}.hot_over_null"] = t_percall / t_null

@@ -179,10 +179,11 @@ class NullTracer(TracerHooks):
 
     def on_run_start(self, sim) -> None:
         self.nprocs = sim.nprocs
+        self.total_calls = 0
         self.per_rank_calls = [0] * sim.nprocs
         self.result = None
 
-    def on_call(self, rank, fname, args, t0, t1) -> None:
+    def on_call(self, rank, fname, values, t0, t1) -> None:
         self.total_calls += 1
         self.per_rank_calls[rank] += 1
 
@@ -225,10 +226,12 @@ class RawTracer(TracerHooks):
             enc.set_comm_resolver(sim.comm_by_cid)
             self.encoders.append(enc)
         self.streams = [[] for _ in range(sim.nprocs)]
+        self.total_calls = 0
         self.result = None
 
-    def on_call(self, rank, fname, args, t0, t1) -> None:
-        self.streams[rank].append(self.encoders[rank].encode_call(fname, args))
+    def on_call(self, rank, fname, values, t0, t1) -> None:
+        self.streams[rank].append(
+            self.encoders[rank].encode_call(fname, values))
         self.total_calls += 1
 
     def on_run_end(self, sim) -> None:

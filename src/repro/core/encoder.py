@@ -1,8 +1,8 @@
 """Registry-driven call-signature encoding (§3.3).
 
-The encoder turns a traced call's ``(fname, args)`` into a flat hashable
-*call signature* tuple ``(fid, v1, v2, ...)`` in registry parameter
-order.  Every opaque value goes symbolic:
+The encoder turns a traced call's ``(fname, values)`` — the arguments in
+registry parameter order — into a flat hashable *call signature* tuple
+``(fid, v1, v2, ...)`` in the same order.  Every opaque value goes symbolic:
 
 * communicators — globally agreed ids via :class:`CommIdSpace`
   (the §3.3.1 group-wide max algorithm, including the non-blocking
@@ -20,6 +20,8 @@ non-determinism the paper insists on preserving) is stored verbatim.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from textwrap import indent
 from typing import Any, Optional
 
 from ..mpisim import constants as C
@@ -29,9 +31,9 @@ from ..mpisim.datatypes import Datatype
 from ..mpisim.group import Group
 from ..mpisim.ops import Op
 from ..mpisim.request import KIND_IDUP, Request
-from ..mpisim.status import Status
 from .avl import IntervalTree
-from .relative import encode_rank, encode_rankish
+from .relative import (_SPECIALS, MARK_ABS, MARK_REL, MARK_SPECIAL,
+                       encode_rank, encode_rankish)
 from .symbolic import IdPool, ObjectIdTable, RequestIdAllocator
 
 # pointer encodings (first element of the tuple)
@@ -153,20 +155,21 @@ class MemoryTable:
 
 # -- signature-construction plans (shared, immutable per function) -----------------
 
-#: completion calls that release request ids in ``_post_call``
+#: completion calls that release the request ids they consumed
 _RELEASING = frozenset((
     "MPI_Wait", "MPI_Waitall", "MPI_Waitany", "MPI_Waitsome",
     "MPI_Test", "MPI_Testall", "MPI_Testany", "MPI_Testsome",
     "MPI_Request_free",
 ))
 
-#: lifecycle calls that mutate symbolic tables and must both run
-#: ``_post_call`` and invalidate the signature cache
+#: lifecycle calls that release a symbolic id and so invalidate the
+#: signature cache
 _LIFECYCLE_EXTRA = frozenset(("MPI_Type_free", "MPI_Group_free"))
 
 #: the *dynamic* kinds: re-encoded on every call because their values
-#: depend on per-call allocator/runtime state (``_resolve_dynamic``);
-#: every other kind is static per call site (``_build_entry``)
+#: depend on per-call allocator/runtime state (the tail of a plan's
+#: generated ``encode``); every other kind is static per call site
+#: (``_build_entry``)
 DYNAMIC_KINDS = frozenset((F.K_REQUEST, F.K_REQUESTV,
                            F.K_STATUS, F.K_STATUSV))
 
@@ -208,14 +211,14 @@ def _s_intv(enc, v, ctx_rank, comm, name):
 
 _RAW = ("{g}", _s_verbatim)         # hashable scalar, keyed and stored verbatim
 _RANKISH = ("{g}", _s_rankish)
-_COMM = ("(None if (v := {g}) is None else v.cid)",
+_COMM = ("(None if {g} is None else {g}.cid)",
          lambda enc, v, *_: enc._enc_comm(v))
-_WIN = ("(None if (v := {g}) is None else v.wid)",
+_WIN = ("(None if {g} is None else {g}.wid)",
         lambda enc, v, *_: -1 if v is None else enc.win_space.sym_for(v))
 # datatype handles are never reused
-_TYPE = ("(None if (v := {g}) is None else v.handle)",
+_TYPE = ("(None if {g} is None else {g}.handle)",
          lambda enc, v, *_: enc._enc_datatype(v))
-_INTV = ("(None if (v := {g}) is None else tuple(v))", _s_intv)
+_INTV = ("(None if {g} is None else tuple({g}))", _s_intv)
 
 STATIC_KINDS = {
     F.K_COUNT: _RAW, F.K_INT: _RAW, F.K_STR: _RAW, F.K_INDEX: _RAW,
@@ -224,105 +227,301 @@ STATIC_KINDS = {
     F.K_COMM: _COMM, F.K_NEWCOMM: _COMM,
     F.K_WIN: _WIN, F.K_NEWWIN: _WIN,
     F.K_DATATYPE: _TYPE, F.K_NEWTYPE: _TYPE,
-    F.K_DATATYPEV: ("(None if (v := {g}) is None else "
-                    "tuple([None if t is None else t.handle for t in v]))",
+    F.K_DATATYPEV: ("(None if {g} is None else "
+                    "tuple([None if t is None else t.handle for t in {g}]))",
                     lambda enc, v, *_: None if v is None else
                     tuple([enc._enc_datatype(t) for t in v])),
     # a group keys by id(obj), pinned alive via _group_refs
-    F.K_GROUP: ("(None if (v := {g}) is None else _id(v))",
+    F.K_GROUP: ("(None if {g} is None else id({g}))",
                 lambda enc, v, *_: enc._enc_group(v)),
     F.K_RANK: ("{g}", lambda enc, v, ctx_rank, *_:
                encode_rank(v, ctx_rank, enabled=enc.relative_ranks)),
     F.K_ROOT: _RANKISH, F.K_TAG: _RANKISH,
     F.K_COLOR: _RANKISH, F.K_KEY: _RANKISH,
-    F.K_OP: ("(None if (v := {g}) is None else "
-             "(v.handle if isinstance(v, _Op) else v))",
+    F.K_OP: ("(None if {g} is None else "
+             "{g}.handle if isinstance({g}, Op) else {g})",
              lambda enc, v, *_: v.handle if isinstance(v, Op) else v),
     F.K_INTV: _INTV, F.K_INDEXV: _INTV,
-    F.K_FLAG: ("(None if (v := {g}) is None else bool(v))",
+    F.K_FLAG: ("(None if {g} is None else bool({g}))",
                lambda enc, v, *_: bool(v)),
 }
-
-
-def _compile_key_fn(fid: int, key_params):
-    """Compile a plan's static-key recipe into one flat tuple expression
-    over ``args.get`` (a per-call interpretation loop costs more than
-    the extraction itself).  The caller treats ``TypeError`` /
-    ``AttributeError`` as "this argument shape cannot be keyed"."""
-    exprs = [str(fid)]
-    for name, kind in key_params:
-        exprs.append(STATIC_KINDS[kind][0].format(g=f"g({name!r})"))
-    src = "def key_fn(g):\n    return (" + ", ".join(exprs) + ",)"
-    ns = {"_id": id, "_Op": Op, "isinstance": isinstance,
-          "bool": bool, "tuple": tuple}
-    exec(compile(src, "<keyplan>", "exec"), ns)
-    return ns["key_fn"]
-
-
-class _CallPlan:
-    """Precomputed per-function encoding plan: parameter walk order, the
-    compiled static-key extraction, and the positions of the *dynamic*
-    parameters (requests and statuses) that must be re-encoded on every
-    call because they depend on per-call allocator/runtime state."""
-
-    __slots__ = ("fname", "fid", "params", "ctx_comm", "dyn_status",
-                 "dyn_req", "req_skip", "lifecycle", "cacheable", "picks",
-                 "fast_req", "key_fn")
-
-    def __init__(self, fname: str):
-        spec = F.FUNCS[fname]
-        self.fname = fname
-        self.fid = spec.fid
-        self.ctx_comm = spec.ctx_comm
-        self.params = tuple((p.name, p.kind) for p in spec.params)
-        key_params = []
-        dyn_status = []
-        dyn_req = []
-        for i, (name, kind) in enumerate(self.params):
-            pos = i + 1  # parts[0] is the fid
-            if kind == F.K_STATUS:
-                dyn_status.append((pos, name, False))
-            elif kind == F.K_STATUSV:
-                dyn_status.append((pos, name, True))
-            elif kind == F.K_REQUEST:
-                dyn_req.append((pos, name, False))
-            elif kind == F.K_REQUESTV:
-                dyn_req.append((pos, name, True))
-            else:
-                key_params.append((name, kind))
-        self.dyn_status = tuple(dyn_status)
-        self.dyn_req = tuple(dyn_req)
-        self.req_skip = frozenset(pos for pos, _, _ in dyn_req)
-        self.lifecycle = fname in _RELEASING or fname in _LIFECYCLE_EXTRA
-        # Type_free/Group_free clear the cache right after encoding, so
-        # storing their entries would be wasted work
-        self.cacheable = fname not in _LIFECYCLE_EXTRA
-        # statuses[i] -> request-index mapping (``FuncSpec.status_picks``),
-        # precomputed so the hot resolve path skips the registry
-        self.picks = spec.status_picks
-        # the dominant dynamic shape — one scalar request, no statuses
-        # (Isend/Irecv/\*_init) — gets a dedicated resolve fast path
-        self.fast_req = (self.dyn_req[0][0], self.dyn_req[0][1]) \
-            if (not self.dyn_status and len(self.dyn_req) == 1
-                and not self.dyn_req[0][2]) else None
-        self.key_fn = _compile_key_fn(self.fid, key_params)
-
-
-_PLANS: dict[str, _CallPlan] = {}
-
-
-def _plan_for(fname: str) -> _CallPlan:
-    plan = _PLANS.get(fname)
-    if plan is None:
-        plan = _PLANS[fname] = _CallPlan(fname)
-    return plan
-
 
 #: entries beyond this are assumed to be churn (e.g. per-call varying
 #: out-params); the whole cache is dropped rather than evicted piecemeal
 _SIG_CACHE_CAP = 8192
 #: per-entry bound on memoized dynamic-value combinations
 _SIG_MEMO_CAP = 512
+
+
+def _memoize(memo: dict, key, sig: tuple) -> tuple:
+    """*sig* as the canonical signature object for its dynamic values
+    (the CST's identity fast path feeds on it)."""
+    if len(memo) >= _SIG_MEMO_CAP:
+        memo.clear()
+    memo[key] = sig
+    return sig
+
+
+# -- the generated encoder: one closure per function --------------------------------
+#
+# ``encode(enc, values)`` is source text put together from a function's
+# registry entry on its first use (``_CallPlan``), so a call pays for no
+# plan interpretation: the arguments are locals bound by one tuple
+# unpack, the cache key is one tuple display over ``STATIC_KINDS``' key
+# expressions, and what follows the cache probe is chosen by the
+# function's *shape* — which dynamic kinds it carries, whether they are
+# arrays, and which request each status describes.  Locals: ``aN`` the
+# N-th argument, ``entry`` the call site's cache entry, ``s`` / ``q`` the
+# encoded status(es) / request(s), ``d`` the request a status describes.
+
+_PROBE = """\
+def encode(enc, values):
+    cache = enc._sig_cache
+    if enc.memory.epoch != enc._mem_epoch:
+        # heap segments changed: raw addresses may now resolve to
+        # different (segment, displacement) encodings
+        cache.clear()
+        enc._mem_epoch = enc.memory.epoch
+    {unpack}
+    try:
+        key = ({key},)
+        entry = cache.get(key)
+    except (TypeError, AttributeError):
+        # unkeyable argument shape or unhashable key: same flow, the
+        # entry is just not stored
+        key = entry = None
+    if entry is None:
+        entry = enc._build_entry(plan, values, key)
+"""
+
+#: the request behind a recorded completion index, when it names one
+_PICKED = ("reqs[{i}] if isinstance({i}, int) and 0 <= {i} < len(reqs) "
+           "else None")
+
+#: (request kind, status kind, ``FuncSpec.status_picks`` kind) → the
+#: request(s) the status(es) describe: none; the call's own; the one a
+#: completion index picked; ``statuses[i]`` with ``requests[i]``; or with
+#: ``requests[indices[i]]``.  A function of another shape has no encoder.
+_DESCRIBED = {
+    (None, F.K_STATUS, None): "None",
+    (F.K_REQUEST, F.K_STATUS, None): "{req}",
+    (F.K_REQUESTV, F.K_STATUS, F.K_INDEX): _PICKED.format(i="{pick}"),
+    (F.K_REQUESTV, F.K_STATUSV, None): "reqs",
+    (F.K_REQUESTV, F.K_STATUSV, F.K_INDEXV):
+        "[" + _PICKED.format(i="i") + " for i in {pick} or ()]",
+}
+
+#: a status is relative to the caller's rank in the communicator of the
+#: request ``d`` it describes — the call's own context rank when there
+#: is none, or none with a communicator; a run of statuses on one
+#: communicator resolves that rank once
+_CONTEXT = """\
+if isinstance(d, Request) and d.comm_cid >= 0:
+    if d.comm_cid != cid:
+        cid, cid_rank = d.comm_cid, ctx
+        comm = enc._comm_resolver(cid)
+        if comm is not None:
+            cr = comm.group.rank_of(enc.rank)
+            if cr != C.UNDEFINED:
+                cid_rank = cr
+    c = cid_rank
+"""
+
+#: one status ``st`` → ``(MPI_SOURCE, MPI_TAG)`` (§3.3.2), the source as
+#: ``relative.encode_rank`` spells it
+_STATUS = """\
+c = ctx
+{context}src = st.MPI_SOURCE
+{put}((MARK_SPECIAL, src) if src in _SPECIALS
+     else (MARK_REL, src - c) if rel
+     else (MARK_ABS, src), st.MPI_TAG){close}
+"""
+
+_ONE_STATUS = """\
+st = {st}
+if st is None:
+    s = None
+else:
+    d = {described}
+    ctx, rel, cid = entry[1], enc.relative_ranks, None
+{status}"""
+
+_STATUSES = """\
+if {st} is None:
+    s = None
+else:
+    ds = {described}
+    if len(ds) < len({st}):
+        ds = chain(ds, repeat(None))
+    s = []
+    put = s.append
+    ctx, rel, cid = entry[1], enc.relative_ranks, None
+    for st, d in zip({st}, ds):
+        if st is None:
+            put(None)
+            continue
+{status}    s = tuple(s)
+"""
+
+#: a request's id is the live map's; one not there is new — unless a
+#: completion call already consumed it (MPI_REQUEST_NULL by now)
+_NEW = "({x}.persistent or not ({x}.consumed or {x}.freed))"
+
+_ONE_REQUEST = """\
+if {x} is None:
+    q = None
+else:
+    q = enc.requests._active.get(id({x}))
+    if q is None and """ + _NEW + """:
+        q = {create}
+"""
+
+_REQUESTS = """\
+live = enc.requests._active.get
+q = list(map(live, map(id, reqs)))
+if not all(q):
+    # null, consumed or new entries: in order, and a request listed
+    # twice is created once
+    for i, x in enumerate(reqs):
+        if q[i] is None and x is not None and """ + _NEW + """:
+            q[i] = live(id(x)) or {create}
+q = tuple(q)
+"""
+
+_FINISH = """\
+sig = entry[3].get({memo})
+if sig is None:
+    t = entry[0]
+    sig = _memoize(entry[3], {memo}, {sig})
+"""
+
+#: completed or freed non-persistent requests give their ids back —
+#: after *all* of the call's requests are encoded; §3.3.1: the id of an
+#: idup'ed communicator is agreed when the completing Wait/Test sees it
+_RELEASE = """\
+release = enc.requests.on_release
+for x in {reqs}:
+    if x is not None and not x.persistent and (x.consumed or x.freed):
+        if (release(id(x)) is not None and x.kind == KIND_IDUP
+                and isinstance(x.value, Comm)):
+            enc.comm_space.sym_for(x.value)
+"""
+
+#: what a ``_LIFECYCLE_EXTRA`` call frees, by its parameter's kind
+_FREES = {F.K_DATATYPE: "_free_type", F.K_GROUP: "_free_group"}
+
+#: every name the generated text uses (besides ``plan`` and builtins)
+_NAMES = {"C": C, "Comm": Comm, "KIND_IDUP": KIND_IDUP, "Op": Op,
+          "Request": Request, "chain": chain, "repeat": repeat,
+          "MARK_ABS": MARK_ABS, "MARK_REL": MARK_REL,
+          "MARK_SPECIAL": MARK_SPECIAL, "_SPECIALS": _SPECIALS,
+          "_memoize": _memoize}
+
+
+class _CallPlan:
+    """One function's encoding plan: what ``_build_entry`` needs of its
+    registry entry, and the ``encode(enc, values)`` generated from it."""
+
+    __slots__ = ("spec", "ctx_pos", "req", "st", "encode")
+
+    def __init__(self, fname: str):
+        self.spec = spec = F.FUNCS[fname]
+        self.ctx_pos = spec.pos.get(spec.ctx_comm)
+        #: positions of the request and of the status parameter
+        self.req = self._only(F.K_REQUEST, F.K_REQUESTV)
+        self.st = self._only(F.K_STATUS, F.K_STATUSV)
+        ns = dict(_NAMES, plan=self)
+        exec(compile(self._source(), f"<encode {fname}>", "exec"), ns)
+        self.encode = ns["encode"]
+
+    def _only(self, *kinds: str) -> Optional[int]:
+        at = [i for i, p in enumerate(self.spec.params) if p.kind in kinds]
+        if len(at) > 1:
+            raise NotImplementedError(
+                f"{self.spec.name}: no encoder shape for {len(at)} "
+                f"{kinds[0]} parameters")
+        return at[0] if at else None
+
+    def _source(self) -> str:
+        spec, req, st = self.spec, self.req, self.st
+        kinds = [p.kind for p in spec.params]
+        a = [f"a{i}" for i in range(len(kinds))]
+        src = _PROBE.format(
+            unpack=", ".join(a) + ", = values" if a else "pass",
+            key=", ".join([str(spec.fid)] + [
+                STATIC_KINDS[k][0].format(g=g)
+                for g, k in zip(a, kinds) if k not in DYNAMIC_KINDS]))
+        if req is None and st is None:
+            body = "sig = entry[0]\n"
+        else:
+            body = (f"reqs = {a[req]} or ()\n"
+                    if F.K_REQUESTV in kinds else "") \
+                + self._status_source(a, kinds) \
+                + self._request_source(a, kinds) + _FINISH.format(
+                    memo="q" if st is None else "s" if req is None
+                    else "(s, q)", sig=self._sig("t"))
+        if spec.name in _RELEASING:
+            body += _RELEASE.format(
+                reqs="reqs" if kinds[req] == F.K_REQUESTV else f"({a[req]},)")
+        elif spec.name in _LIFECYCLE_EXTRA:
+            body += "".join(f"enc.{_FREES[k]}({g})\n"
+                            for g, k in zip(a, kinds))
+        return src + indent(body + "return sig\n", "    ")
+
+    def _sig(self, t: str, skip: Optional[int] = None) -> str:
+        """The signature as a tuple display over the entry's template
+        *t* with ``q`` / ``s`` in the dynamic slots (slot 0 is the fid),
+        parameter *skip* left out."""
+        return "(%s,)" % ", ".join(
+            "q" if i == self.req else "s" if i == self.st else f"{t}[{i + 1}]"
+            for i in range(-1, len(self.spec.params)) if i != skip)
+
+    def _status_source(self, a: list, kinds: list) -> str:
+        spec, req, st = self.spec, self.req, self.st
+        if st is None:
+            return ""
+        pick = spec.status_picks
+        shape = (None if req is None else kinds[req], kinds[st],
+                 pick and pick.kind)
+        if shape not in _DESCRIBED:
+            raise NotImplementedError(
+                f"{spec.name}: no encoder shape for {shape}")
+        described = _DESCRIBED[shape].format(
+            req=None if req is None else a[req],
+            pick=None if pick is None else a[spec.pos[pick.name]])
+        one = kinds[st] == F.K_STATUS
+        status = _STATUS.format(context="" if req is None else _CONTEXT,
+                                put="s = " if one else "put(",
+                                close="" if one else ")")
+        return (_ONE_STATUS if one else _STATUSES).format(
+            st=a[st], described=described,
+            status=indent(status, "    " if one else "        "))
+
+    def _request_source(self, a: list, kinds: list) -> str:
+        req, st = self.req, self.st
+        if req is None:
+            return ""
+        one = kinds[req] == F.K_REQUEST
+        x = a[req] if one else "x"
+        # a creation's signature is the call's without the request itself:
+        # static per call site, its pool looked up once per entry, unless
+        # a status feeds into it
+        create = (f"(enc.requests.create(entry[4], id({x}), {x}) "
+                  f"if entry[4] is not None "
+                  f"else enc._new_request({x}, entry))") if st is None else \
+            f"enc._new_request({x}, entry, {self._sig('entry[0]', req)})"
+        return (_ONE_REQUEST if one else _REQUESTS).format(x=x, create=create)
+
+
+class _Plans(dict):
+    """``PLANS[fname]``: each function's plan, made on its first use."""
+
+    def __missing__(self, fname: str) -> _CallPlan:
+        plan = self[fname] = _CallPlan(fname)
+        return plan
+
+
+PLANS = _Plans()
 
 
 class PerRankEncoder:
@@ -353,8 +552,8 @@ class PerRankEncoder:
         self._group_refs: dict[int, Group] = {}
         self.requests = RequestIdAllocator()
         self.memory = MemoryTable()
-        #: (fid, static args) -> (signature | template, context rank,
-        #: static request-creation base, memo)
+        #: (fid, static args) -> (signature, context rank) or [template,
+        #: context rank, static request-creation base, memo, its pool]
         self._sig_cache: dict = {}
         self._mem_epoch = 0
 
@@ -379,172 +578,57 @@ class PerRankEncoder:
         self._group_refs[key] = group
         return self.group_ids.lookup_or_assign(key)
 
-    def _enc_request(self, req: Optional[Request],
-                     creation_sig: Optional[tuple]) -> Any:
-        if req is None:
-            return None
-        key = id(req)
-        # hot path: reach straight into the allocator's live map (the
-        # bound-method lookup() costs a call frame per request)
-        sym = self.requests._active.get(key)
-        if sym is not None:
-            return sym
-        if not req.persistent and (req.consumed or req.freed):
-            # a request already consumed by an earlier completion call:
-            # the user's handle would be MPI_REQUEST_NULL by now
-            return None
-        if creation_sig is None:
-            # a request we never saw created (shouldn't happen; keep a
-            # distinguishable encoding rather than crash)
-            creation_sig = ("?",)
+    def _new_request(self, req: Request, entry: list,
+                     base: Optional[tuple] = None) -> tuple[int, int]:
+        """The id of a live request seen for the first time, from the
+        pool of its creation signature: *base*, or the entry's static
+        one, whose pool is looked up here once — at the entry's first
+        creation and no earlier, pool indices being first-appearance
+        order."""
+        sig = entry[2] if base is None else base
         if not self.per_signature_request_pools:
-            creation_sig = ("*",)  # ablation: one global pool
-        return self.requests.on_create(key, creation_sig, ref=req)
-
-    def _enc_status(self, st: Optional[Status], ctx_rank: int) -> Any:
-        if st is None:
-            return None  # MPI_STATUS_IGNORE
-        src = st.MPI_SOURCE
-        return (encode_rank(src, ctx_rank, enabled=self.relative_ranks),
-                st.MPI_TAG)
+            sig = ("*",)  # ablation: one global pool
+        idx = self.requests.pool_of(sig)
+        if base is None:
+            entry[4] = idx
+        return self.requests.create(idx, id(req), req)
 
     # -- main entry --------------------------------------------------------------------
 
-    def encode_call(self, fname: str, args: dict[str, Any]) -> tuple:
-        """The call's signature: look up or build the call site's entry,
-        then fill its dynamic slots — the same flow on hit and miss."""
-        plan = _PLANS.get(fname)
-        if plan is None:
-            plan = _plan_for(fname)
-        cache = self._sig_cache
-        mem_epoch = self.memory.epoch
-        if mem_epoch != self._mem_epoch:
-            # heap segments changed: raw addresses may now resolve to
-            # different (segment, displacement) encodings
-            cache.clear()
-            self._mem_epoch = mem_epoch
-        try:
-            key = plan.key_fn(args.get)
-            entry = cache.get(key)
-        except (TypeError, AttributeError):
-            # unkeyable argument shape or unhashable key: same flow, the
-            # entry is just not stored
-            key = entry = None
-        if entry is None:
-            entry = self._build_entry(plan, args)
-            if key is not None and plan.cacheable:
-                if len(cache) >= _SIG_CACHE_CAP:
-                    cache.clear()
-                cache[key] = entry
-        sig = entry[0] if entry[3] is None \
-            else self._resolve_dynamic(plan, entry, args)
-        if plan.lifecycle:
-            self._post_call(fname, args)
-        return sig
+    def encode_call(self, fname: str, values: tuple) -> tuple:
+        """The call's signature, from its arguments in registry order:
+        look up or build the call site's entry, then fill its dynamic
+        slots — the same flow on hit and miss (``_CallPlan``)."""
+        return PLANS[fname].encode(self, values)
 
-    def _build_entry(self, plan: _CallPlan, args: dict[str, Any]) -> tuple:
+    def _build_entry(self, plan: _CallPlan, values: tuple, key) -> Any:
         """The static walk: encode every parameter *except* requests and
         statuses.  Returns the call site's cache entry — ``(signature,
-        ctx_rank, None, None)`` when nothing is dynamic, else
-        ``(template, ctx_rank, static request-creation base, memo)``
-        with ``None`` in the template's dynamic slots."""
+        ctx_rank)`` when nothing is dynamic, else ``[template, ctx_rank,
+        static request-creation base, memo, None]`` with ``None`` in the
+        template's dynamic slots — stored under *key* if there is one."""
         # caller's rank within the call's communicator, for relative ranks
-        get = args.get
-        comm = get(plan.ctx_comm)
+        comm = None if plan.ctx_pos is None else values[plan.ctx_pos]
         ctx_rank = F.context_rank(comm, self.rank)
-        parts: list[Any] = [plan.fid]
-        for name, kind in plan.params:
-            parts.append(None if kind in DYNAMIC_KINDS else
-                         STATIC_KINDS[kind][1](self, get(name), ctx_rank,
-                                               comm, name))
-        if not (plan.dyn_status or plan.dyn_req):
-            return (tuple(parts), ctx_rank, None, None)
-        # a request's creation signature excludes the request itself; it
-        # is static only when no per-call status values feed into it
-        base = None if plan.dyn_status else tuple(
-            x for i, x in enumerate(parts) if i not in plan.req_skip)
-        return (parts, ctx_rank, base, {})
-
-    def _resolve_dynamic(self, plan: _CallPlan, entry: tuple,
-                         args: dict[str, Any]) -> tuple:
-        """Fill a call site's request/status slots: copy the static
-        template and encode only the dynamic parameters, whose values
-        depend on per-call allocator and runtime state.  The one place
-        request and status kinds are handled."""
-        template, ctx_rank, static_base, memo = entry
-        fast = plan.fast_req
-        if fast is not None:
-            # one scalar request, no statuses: the creation base is
-            # static by construction and the encoding is the memo key
-            enc = self._enc_request(args.get(fast[1]), static_base)
-            sig = memo.get(enc)
-            if sig is None:
-                parts = template.copy()
-                parts[fast[0]] = enc
-                sig = tuple(parts)
-                if len(memo) >= _SIG_MEMO_CAP:
-                    memo.clear()
-                memo[enc] = sig
-            return sig
-        get = args.get
-        parts = template.copy()
-        vals: list[Any] = []
-        if plan.dyn_status:
-            req_list = get("array_of_requests")
-            enc_status = self._enc_status
-            status_ctx = self._status_ctx
-            picks = plan.picks
-            for pos, name, is_vec in plan.dyn_status:
-                v = get(name)
-                if is_vec:
-                    if v is None:
-                        enc = None
-                    elif picks is None:
-                        # Waitall/Testall: statuses align 1:1 with requests
-                        enc = self._enc_status_vec(v, req_list, args,
-                                                   ctx_rank)
-                    else:
-                        idxs = self._completed_indices(picks, args)
-                        enc = tuple([
-                            enc_status(st, status_ctx(
-                                args, req_list, ctx_rank,
-                                idxs[i] if idxs is not None and i < len(idxs)
-                                else None))
-                            for i, st in enumerate(v)])
-                else:
-                    ridx = None
-                    if picks is not None:
-                        idx = get(picks.name)
-                        if isinstance(idx, int) and idx >= 0:
-                            ridx = idx
-                    enc = enc_status(v, status_ctx(
-                        args, req_list, ctx_rank, ridx))
-                parts[pos] = enc
-                vals.append(enc)
-        if plan.dyn_req:
-            base = static_base
-            if base is None:
-                skip = plan.req_skip
-                base = tuple(x for i, x in enumerate(parts)
-                             if i not in skip)
-            enc_request = self._enc_request
-            for pos, name, is_vec in plan.dyn_req:
-                v = get(name)
-                if is_vec:
-                    enc = tuple([enc_request(r, base) for r in v]) \
-                        if v else ()
-                else:
-                    enc = enc_request(v, base)
-                parts[pos] = enc
-                vals.append(enc)
-        memo_key = tuple(vals)
-        sig = memo.get(memo_key)
-        if sig is None:
-            sig = tuple(parts)
-            if len(memo) >= _SIG_MEMO_CAP:
-                memo.clear()
-            memo[memo_key] = sig
-        return sig
+        parts: list[Any] = [plan.spec.fid]
+        for p, v in zip(plan.spec.params, values):
+            parts.append(None if p.kind in DYNAMIC_KINDS else
+                         STATIC_KINDS[p.kind][1](self, v, ctx_rank, comm,
+                                                 p.name))
+        if plan.req is None and plan.st is None:
+            entry = (tuple(parts), ctx_rank)
+        else:
+            # a request's creation signature excludes the request itself;
+            # it is static only when no per-call status feeds into it
+            base = None if plan.req is None or plan.st is not None else \
+                tuple(parts[:plan.req + 1] + parts[plan.req + 2:])
+            entry = [tuple(parts), ctx_rank, base, {}, None]
+        if key is not None and plan.spec.name not in _LIFECYCLE_EXTRA:
+            # (Type_free/Group_free clear the cache right after encoding)
+            if len(self._sig_cache) >= _SIG_CACHE_CAP:
+                self._sig_cache.clear()
+            self._sig_cache[key] = entry
+        return entry
 
     def reset_cache(self) -> None:
         """Drop the signature cache (called at shard-freeze time; the
@@ -567,77 +651,6 @@ class PerRankEncoder:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    def _enc_status_vec(self, statuses, req_list, args,
-                        ctx_rank: int) -> tuple:
-        """Aligned vector statuses (Waitall/Testall): element-for-element
-        equivalent to ``_enc_status(st, _status_ctx(args, req_list,
-        ctx_rank, i))``, with the cid → caller-rank resolution memoized
-        across elements (deterministic for the call's duration)."""
-        rel = self.relative_ranks
-        my_rank = self.rank
-        resolver = self._comm_resolver
-        out: list = []
-        append = out.append
-        if not req_list:
-            # no request array: every element resolves against the same
-            # scalar "request" arg (or none), so the context is uniform
-            ctx = self._status_ctx(args, req_list, ctx_rank, 0)
-            for st in statuses:
-                append(None if st is None else
-                       (encode_rank(st.MPI_SOURCE, ctx, enabled=rel),
-                        st.MPI_TAG))
-            return tuple(out)
-        nreq = len(req_list)
-        cid_ctx: dict[int, int] = {}
-        for i, st in enumerate(statuses):
-            if st is None:
-                append(None)
-                continue
-            req = req_list[i] if i < nreq else None
-            ctx = ctx_rank
-            if isinstance(req, Request) and req.comm_cid >= 0:
-                cid = req.comm_cid
-                got = cid_ctx.get(cid)
-                if got is None:
-                    got = ctx_rank
-                    comm = resolver(cid)
-                    if comm is not None:
-                        cr = comm.group.rank_of(my_rank)
-                        if cr != C.UNDEFINED:
-                            got = cr
-                    cid_ctx[cid] = got
-                ctx = got
-            append((encode_rank(st.MPI_SOURCE, ctx, enabled=rel),
-                    st.MPI_TAG))
-        return tuple(out)
-
-    def _status_ctx(self, args, req_list, default_ctx: int,
-                    req_index: Optional[int]) -> int:
-        """Caller's comm rank in the communicator relevant to a status."""
-        req = None
-        if req_index is not None and req_list:
-            if 0 <= req_index < len(req_list):
-                req = req_list[req_index]
-        elif args.get("request") is not None:
-            req = args["request"]
-        if isinstance(req, Request) and req.comm_cid >= 0:
-            comm = self._comm_resolver(req.comm_cid)
-            if comm is not None:
-                cr = comm.group.rank_of(self.rank)
-                if cr != C.UNDEFINED:
-                    return cr
-        return default_ctx
-
-    @staticmethod
-    def _completed_indices(picks: F.Param, args: dict) -> Optional[list[int]]:
-        """Map statuses[i] to the request index it describes, through
-        the call's ``FuncSpec.status_picks`` parameter (aligned
-        Waitall/Testall vectors go through ``_enc_status_vec``)."""
-        v = args.get(picks.name)
-        if picks.kind == F.K_INDEXV:
-            return list(v) if v is not None else None
-        return [v] if isinstance(v, int) and v >= 0 else None
-
     # wired by the tracer: cid -> Comm (default: unresolved)
     @staticmethod
     def _comm_resolver(cid: int):
@@ -649,46 +662,19 @@ class PerRankEncoder:
 
     # -- lifecycle ------------------------------------------------------------------------
 
-    def _release_request(self, req: Request) -> None:
-        """Release one completed/freed non-persistent request's id."""
-        if req.persistent:
-            return
-        if req.consumed or req.freed:
-            sym = self.requests.on_release(id(req))
-            if sym is not None and req.kind == KIND_IDUP \
-                    and isinstance(req.value, Comm):
-                # §3.3.1: the symbolic id of an idup'ed communicator is
-                # agreed when the completing Wait/Test observes it
-                self.comm_space.sym_for(req.value)
+    def _free_type(self, dt: Optional[Datatype]) -> None:
+        if dt is not None and dt.handle >= 0 \
+                and self.type_ids.lookup(dt.handle) is not None:
+            self.type_ids.release(dt.handle)
+        # released symbolic ids may be re-handed to new handles;
+        # cached signatures must not outlive the assignment
+        self._sig_cache.clear()
 
-    def _post_call(self, fname: str, args: dict[str, Any]) -> None:
-        if fname in _RELEASING:
-            req = args.get("request")
-            if req is not None:
-                self._release_request(req)
-            arr = args.get("array_of_requests")
-            if arr:
-                release = self._release_request
-                for req in arr:
-                    if req is not None:
-                        release(req)
-            return
-        if fname == "MPI_Type_free":
-            dt = args.get("datatype")
-            if dt is not None and dt.handle >= 0 \
-                    and self.type_ids.lookup(dt.handle) is not None:
-                self.type_ids.release(dt.handle)
-            # released symbolic ids may be re-handed to new handles;
-            # cached signatures must not outlive the assignment
-            self._sig_cache.clear()
-            return
-        if fname == "MPI_Group_free":
-            grp = args.get("group")
-            key = id(grp)
-            if grp is not None and self.group_ids.lookup(key) is not None:
-                self.group_ids.release(key)
-                self._group_refs.pop(key, None)
-            # the freed group may be garbage-collected and its id()
-            # reused by a new Group object
-            self._sig_cache.clear()
-            return
+    def _free_group(self, grp: Optional[Group]) -> None:
+        key = id(grp)
+        if grp is not None and self.group_ids.lookup(key) is not None:
+            self.group_ids.release(key)
+            self._group_refs.pop(key, None)
+        # the freed group may be garbage-collected and its id()
+        # reused by a new Group object
+        self._sig_cache.clear()

@@ -39,7 +39,7 @@ from typing import Optional
 
 from ..resilience.salvage import SalvageReport
 from .cst import CST, MergedCST, _dur_to_ns
-from .encoder import PerRankEncoder
+from .encoder import PLANS, PerRankEncoder
 from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
                      UnsupportedVersionError)
 from .grammar import Grammar, TermLog
@@ -610,10 +610,11 @@ class RankCompressor:
         ``grammar`` directly)."""
         return self._spill_input + self.grammar.n_input + self._batch_n
 
-    def observe(self, fname: str, args: dict, t0: float, t1: float) -> int:
+    def observe(self, fname: str, values: tuple, t0: float,
+                t1: float) -> int:
         """Run one call through the intra-process pipeline (Fig 2):
         symbolic encode → CST intern → grammar append → timing."""
-        sig = self.encoder.encode_call(fname, args)
+        sig = PLANS[fname].encode(self.encoder, values)
         term = self.cst.intern(sig, t1 - t0)
         self.grammar.append(term)
         if self.timing is not None:
@@ -625,7 +626,7 @@ class RankCompressor:
             self.spill()
         return term
 
-    def observe_batched(self, fname: str, args: dict, t0: float,
+    def observe_batched(self, fname: str, values: tuple, t0: float,
                         t1: float) -> None:
         """Columnar variant of :meth:`observe` for ``batch_size > 1``:
         encode now, defer intern/append/timing until the buffer fills.
@@ -635,7 +636,7 @@ class RankCompressor:
         byte-invisible either way (``freeze`` re-feeds the parts)."""
         n = self._batch_n
         b = self._bufs
-        b[0][n] = self.encoder.encode_call(fname, args)
+        b[0][n] = PLANS[fname].encode(self.encoder, values)
         b[1][n] = fname
         b[2][n] = t1 - t0
         b[3][n] = t0

@@ -114,14 +114,19 @@ class RequestIdAllocator:
         #: the same address alias its symbolic id
         self._refs: dict[int, object] = {}
 
-    def on_create(self, request_key: int, creation_sig: tuple,
-                  ref: object = None) -> tuple[int, int]:
-        """Assign an id when a request-producing call is recorded."""
+    def pool_of(self, creation_sig: tuple) -> int:
+        """The dense index of *creation_sig*'s pool, opened on first sight
+        (so indices follow first *creation*, not first mention)."""
         idx = self._pool_index.get(creation_sig)
         if idx is None:
-            idx = len(self._pools)
-            self._pool_index[creation_sig] = idx
+            idx = self._pool_index[creation_sig] = len(self._pools)
             self._pools.append(IdPool())
+        return idx
+
+    def create(self, idx: int, request_key: int,
+               ref: object = None) -> tuple[int, int]:
+        """Assign an id from pool *idx* when a request-producing call is
+        recorded."""
         pool = self._pools[idx]
         # inlined IdPool.acquire — request creation is on the tracing
         # hot path and the extra call frame is measurable there
@@ -135,6 +140,11 @@ class RequestIdAllocator:
         if ref is not None:
             self._refs[request_key] = ref
         return sym
+
+    def on_create(self, request_key: int, creation_sig: tuple,
+                  ref: object = None) -> tuple[int, int]:
+        """:meth:`create` in the pool of *creation_sig*."""
+        return self.create(self.pool_of(creation_sig), request_key, ref)
 
     def lookup(self, request_key: int) -> Optional[tuple[int, int]]:
         return self._active.get(request_key)

@@ -215,6 +215,13 @@ class PilgrimTracer(TracerHooks):
     # -- hooks -------------------------------------------------------------------------
 
     def on_run_start(self, sim) -> None:
+        # everything a run accumulates starts over where the run starts
+        self.recorder = SpanRecorder(enabled=self.obs.enabled)
+        self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
+        self._ph_encode = self._ph_cst = self._ph_seq = 0.0
+        self._ph_timing = self._ph_mem = 0.0
+        self.total_calls = 0
+        self.time_intra = 0.0
         self.nprocs = sim.nprocs
         self.comm_space = CommIdSpace(sim.nprocs)
         self.win_space = WinIdSpace(sim.nprocs)
@@ -245,7 +252,7 @@ class PilgrimTracer(TracerHooks):
             if self.keep_raw else []
         self.result = None
 
-    def on_call(self, rank: int, fname: str, args: dict[str, Any],
+    def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
         if self._fine:
             # profiled path: stamp each pipeline stage.  The stamps are
@@ -253,7 +260,7 @@ class PilgrimTracer(TracerHooks):
             # the intra-process total exactly.
             rc = self.ranks[rank]
             tick = _time.perf_counter()
-            sig = rc.encoder.encode_call(fname, args)
+            sig = rc.encoder.encode_call(fname, values)
             tb = _time.perf_counter()
             term = rc.cst.intern(sig, t1 - t0)
             tc = _time.perf_counter()
@@ -273,7 +280,7 @@ class PilgrimTracer(TracerHooks):
             self.time_intra += end - tick
             return
         tick = _pc()
-        self._observe[rank](fname, args, t0, t1)
+        self._observe[rank](fname, values, t0, t1)
         self.total_calls += 1
         self.time_intra += _pc() - tick
 

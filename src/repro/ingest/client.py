@@ -86,8 +86,8 @@ class ChunkingTracer(PilgrimTracer):
         self.chunk_calls = chunk_calls
         self._unflushed = 0
 
-    def on_call(self, rank, fname, args, t0, t1) -> None:
-        super().on_call(rank, fname, args, t0, t1)
+    def on_call(self, rank, fname, values, t0, t1) -> None:
+        super().on_call(rank, fname, values, t0, t1)
         self._unflushed += 1
         if self._unflushed >= self.chunk_calls:
             self.flush_now()

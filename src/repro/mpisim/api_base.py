@@ -8,9 +8,9 @@ helpers here.  Conventions:
   them as ``result = yield from m.recv(...)``.
 * **Non-blocking / local** operations are plain methods.
 * Every operation reports itself to the attached tracer through
-  :meth:`_rec`, passing a dict of *all* parameters (inputs and outputs,
-  direction information lives in :mod:`repro.mpisim.funcs`) plus the
-  virtual entry/exit timestamps — exactly the information a PMPI
+  :meth:`_rec`, passing a tuple of *all* parameters (inputs and outputs)
+  in the order :mod:`repro.mpisim.funcs` declares them, plus the virtual
+  entry/exit timestamps — exactly the information a PMPI
   prologue/epilogue pair observes (§3.1).
 """
 
@@ -96,10 +96,10 @@ class ApiBase:
 
     # -- tracer plumbing -----------------------------------------------------
 
-    def _rec(self, fname: str, t0: float, args: dict) -> None:
+    def _rec(self, fname: str, t0: float, values: tuple) -> None:
         self._ctx.last_call = fname
         if self._hook is not None:
-            self._hook(self.rank, fname, args, t0, self.clock.now)
+            self._hook(self.rank, fname, values, t0, self.clock.now)
 
     # -- request plumbing -----------------------------------------------------
 

@@ -173,7 +173,7 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         t0 = self._tick()
         yield self._coll("barrier", comm, None, 0, None)
-        self._rec("MPI_Barrier", t0, {"comm": comm})
+        self._rec("MPI_Barrier", t0, (comm,))
 
     def bcast(self, buffer: int, count: int, datatype: dt.Datatype,
               root: int, comm: Optional[Comm] = None, data: Any = None):
@@ -185,9 +185,7 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("bcast", comm, data, count * datatype.size,
                                _c_bcast, ("bcast", root), (root,))
-        self._rec("MPI_Bcast", t0, {
-            "buffer": buffer, "count": count, "datatype": datatype,
-            "root": root, "comm": comm})
+        self._rec("MPI_Bcast", t0, (buffer, count, datatype, root, comm))
         return val
 
     def reduce(self, sendbuf: int, recvbuf: int, count: int,
@@ -202,9 +200,8 @@ class ApiColl(ApiBase):
         val = yield self._coll("reduce", comm, data, count * datatype.size,
                                _c_reduce, ("reduce", root, op.name),
                                (op, root))
-        self._rec("MPI_Reduce", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
-            "datatype": datatype, "op": op, "root": root, "comm": comm})
+        self._rec("MPI_Reduce", t0, (
+            sendbuf, recvbuf, count, datatype, op, root, comm))
         return val
 
     def allreduce(self, sendbuf: int, recvbuf: int, count: int,
@@ -217,9 +214,8 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("allreduce", comm, data, count * datatype.size,
                                _c_allreduce, ("allreduce", op.name), (op,))
-        self._rec("MPI_Allreduce", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
-            "datatype": datatype, "op": op, "comm": comm})
+        self._rec("MPI_Allreduce", t0, (
+            sendbuf, recvbuf, count, datatype, op, comm))
         return val
 
     def gather(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -230,10 +226,9 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("gather", comm, data, sendcount * sendtype.size,
                                _c_gather, ("gather", root), (root,))
-        self._rec("MPI_Gather", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "root": root, "comm": comm})
+        self._rec("MPI_Gather", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root,
+            comm))
         return val
 
     def gatherv(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -245,12 +240,10 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("gather", comm, data, sendcount * sendtype.size,
                                _c_gather, ("gatherv", root), (root,))
-        self._rec("MPI_Gatherv", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf,
-            "recvcounts": tuple(recvcounts) if recvcounts else None,
-            "displs": tuple(displs) if displs else None,
-            "recvtype": recvtype, "root": root, "comm": comm})
+        self._rec("MPI_Gatherv", t0, (
+            sendbuf, sendcount, sendtype, recvbuf,
+            tuple(recvcounts) if recvcounts else None,
+            tuple(displs) if displs else None, recvtype, root, comm))
         return val
 
     def scatter(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -262,10 +255,9 @@ class ApiColl(ApiBase):
         val = yield self._coll("scatter", comm, data,
                                recvcount * recvtype.size, _c_scatter,
                                ("scatter", root), (root,))
-        self._rec("MPI_Scatter", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "root": root, "comm": comm})
+        self._rec("MPI_Scatter", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root,
+            comm))
         return val
 
     def scatterv(self, sendbuf: int, sendcounts: Optional[Sequence[int]],
@@ -278,13 +270,10 @@ class ApiColl(ApiBase):
         val = yield self._coll("scatter", comm, data,
                                recvcount * recvtype.size, _c_scatter,
                                ("scatterv", root), (root,))
-        self._rec("MPI_Scatterv", t0, {
-            "sendbuf": sendbuf,
-            "sendcounts": tuple(sendcounts) if sendcounts else None,
-            "displs": tuple(displs) if displs else None,
-            "sendtype": sendtype, "recvbuf": recvbuf,
-            "recvcount": recvcount, "recvtype": recvtype, "root": root,
-            "comm": comm})
+        self._rec("MPI_Scatterv", t0, (
+            sendbuf, tuple(sendcounts) if sendcounts else None,
+            tuple(displs) if displs else None, sendtype, recvbuf, recvcount,
+            recvtype, root, comm))
         return val
 
     def allgather(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -296,10 +285,8 @@ class ApiColl(ApiBase):
         val = yield self._coll("allgather", comm, data,
                                sendcount * sendtype.size, _c_allgather,
                                ("allgather",))
-        self._rec("MPI_Allgather", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "comm": comm})
+        self._rec("MPI_Allgather", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm))
         return val
 
     def allgatherv(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -312,12 +299,10 @@ class ApiColl(ApiBase):
         val = yield self._coll("allgather", comm, data,
                                sendcount * sendtype.size, _c_allgather,
                                ("allgatherv",))
-        self._rec("MPI_Allgatherv", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf,
-            "recvcounts": tuple(recvcounts) if recvcounts else None,
-            "displs": tuple(displs) if displs else None,
-            "recvtype": recvtype, "comm": comm})
+        self._rec("MPI_Allgatherv", t0, (
+            sendbuf, sendcount, sendtype, recvbuf,
+            tuple(recvcounts) if recvcounts else None,
+            tuple(displs) if displs else None, recvtype, comm))
         return val
 
     def alltoall(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -329,10 +314,8 @@ class ApiColl(ApiBase):
         val = yield self._coll("alltoall", comm, data,
                                sendcount * sendtype.size * comm.size,
                                _c_alltoall, ("alltoall",))
-        self._rec("MPI_Alltoall", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "comm": comm})
+        self._rec("MPI_Alltoall", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm))
         return val
 
     def alltoallv(self, sendbuf: int, sendcounts: Sequence[int],
@@ -346,11 +329,9 @@ class ApiColl(ApiBase):
         nbytes = sum(sendcounts) * sendtype.size
         val = yield self._coll("alltoallv", comm, data, nbytes, _c_alltoall,
                                ("alltoallv",))
-        self._rec("MPI_Alltoallv", t0, {
-            "sendbuf": sendbuf, "sendcounts": tuple(sendcounts),
-            "sdispls": tuple(sdispls), "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcounts": tuple(recvcounts),
-            "rdispls": tuple(rdispls), "recvtype": recvtype, "comm": comm})
+        self._rec("MPI_Alltoallv", t0, (
+            sendbuf, tuple(sendcounts), tuple(sdispls), sendtype, recvbuf,
+            tuple(recvcounts), tuple(rdispls), recvtype, comm))
         return val
 
     def reduce_scatter(self, sendbuf: int, recvbuf: int,
@@ -365,10 +346,8 @@ class ApiColl(ApiBase):
         val = yield self._coll("reduce_scatter", comm, data, nbytes,
                                _c_reduce_scatter, ("reduce_scatter", op.name),
                                (op, recvcounts))
-        self._rec("MPI_Reduce_scatter", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf,
-            "recvcounts": tuple(recvcounts), "datatype": datatype,
-            "op": op, "comm": comm})
+        self._rec("MPI_Reduce_scatter", t0, (
+            sendbuf, recvbuf, tuple(recvcounts), datatype, op, comm))
         return val
 
     def reduce_scatter_block(self, sendbuf: int, recvbuf: int,
@@ -381,9 +360,8 @@ class ApiColl(ApiBase):
         val = yield self._coll("reduce_scatter", comm, data, nbytes,
                                _c_reduce_scatter_block,
                                ("reduce_scatter_block", op.name), (op,))
-        self._rec("MPI_Reduce_scatter_block", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "recvcount": recvcount,
-            "datatype": datatype, "op": op, "comm": comm})
+        self._rec("MPI_Reduce_scatter_block", t0, (
+            sendbuf, recvbuf, recvcount, datatype, op, comm))
         return val
 
     def scan(self, sendbuf: int, recvbuf: int, count: int,
@@ -394,9 +372,8 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("scan", comm, data, count * datatype.size,
                                _c_scan, ("scan", op.name), (op, False))
-        self._rec("MPI_Scan", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
-            "datatype": datatype, "op": op, "comm": comm})
+        self._rec("MPI_Scan", t0, (
+            sendbuf, recvbuf, count, datatype, op, comm))
         return val
 
     def exscan(self, sendbuf: int, recvbuf: int, count: int,
@@ -407,9 +384,8 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         val = yield self._coll("scan", comm, data, count * datatype.size,
                                _c_scan, ("exscan", op.name), (op, True))
-        self._rec("MPI_Exscan", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
-            "datatype": datatype, "op": op, "comm": comm})
+        self._rec("MPI_Exscan", t0, (
+            sendbuf, recvbuf, count, datatype, op, comm))
         return val
 
     # -- non-blocking collectives -------------------------------------------------------
@@ -418,7 +394,7 @@ class ApiColl(ApiBase):
         comm = comm or self.world
         t0 = self._tick()
         req = self._coll_nb("barrier", comm, None, 0, None)
-        self._rec("MPI_Ibarrier", t0, {"comm": comm, "request": req})
+        self._rec("MPI_Ibarrier", t0, (comm, req))
         return req
 
     def ibcast(self, buffer: int, count: int, datatype: dt.Datatype,
@@ -429,9 +405,7 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("bcast", comm, data, count * datatype.size,
                             _c_bcast, ("bcast", root), (root,))
-        self._rec("MPI_Ibcast", t0, {
-            "buffer": buffer, "count": count, "datatype": datatype,
-            "root": root, "comm": comm, "request": req})
+        self._rec("MPI_Ibcast", t0, (buffer, count, datatype, root, comm, req))
         return req
 
     def iallreduce(self, sendbuf: int, recvbuf: int, count: int,
@@ -442,9 +416,8 @@ class ApiColl(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("allreduce", comm, data, count * datatype.size,
                             _c_allreduce, ("allreduce", op.name), (op,))
-        self._rec("MPI_Iallreduce", t0, {
-            "sendbuf": sendbuf, "recvbuf": recvbuf, "count": count,
-            "datatype": datatype, "op": op, "comm": comm, "request": req})
+        self._rec("MPI_Iallreduce", t0, (
+            sendbuf, recvbuf, count, datatype, op, comm, req))
         return req
 
     def iallgather(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -456,10 +429,9 @@ class ApiColl(ApiBase):
         req = self._coll_nb("allgather", comm, data,
                             sendcount * sendtype.size,
                             _c_allgather, ("allgather",))
-        self._rec("MPI_Iallgather", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "comm": comm, "request": req})
+        self._rec("MPI_Iallgather", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+            req))
         return req
 
     def ialltoall(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -471,8 +443,7 @@ class ApiColl(ApiBase):
         req = self._coll_nb("alltoall", comm, data,
                             sendcount * sendtype.size * comm.size,
                             _c_alltoall, ("alltoall",))
-        self._rec("MPI_Ialltoall", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "comm": comm, "request": req})
+        self._rec("MPI_Ialltoall", t0, (
+            sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, comm,
+            req))
         return req

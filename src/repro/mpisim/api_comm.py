@@ -32,7 +32,7 @@ class ApiComm(ApiBase):
         comm.check_usable()
         t0 = self._tick()
         size = self._views[comm].local.size
-        self._rec("MPI_Comm_size", t0, {"comm": comm, "size": size})
+        self._rec("MPI_Comm_size", t0, (comm, size))
         return size
 
     def comm_rank(self, comm: Optional[Comm] = None) -> int:
@@ -40,7 +40,7 @@ class ApiComm(ApiBase):
         comm.check_usable()
         t0 = self._tick()
         rank = self._views[comm].rank
-        self._rec("MPI_Comm_rank", t0, {"comm": comm, "rank": rank})
+        self._rec("MPI_Comm_rank", t0, (comm, rank))
         return rank
 
     def comm_remote_size(self, comm: Comm) -> int:
@@ -50,14 +50,14 @@ class ApiComm(ApiBase):
                 "MPI_Comm_remote_size on an intra-communicator")
         t0 = self._tick()
         size = self._views[comm].peer.size
-        self._rec("MPI_Comm_remote_size", t0, {"comm": comm, "size": size})
+        self._rec("MPI_Comm_remote_size", t0, (comm, size))
         return size
 
     def comm_test_inter(self, comm: Comm) -> bool:
         comm.check_usable()
         t0 = self._tick()
         flag = comm.remote_group is not None
-        self._rec("MPI_Comm_test_inter", t0, {"comm": comm, "flag": flag})
+        self._rec("MPI_Comm_test_inter", t0, (comm, flag))
         return flag
 
     def comm_compare(self, comm1: Comm, comm2: Comm) -> int:
@@ -70,23 +70,20 @@ class ApiComm(ApiBase):
             result = comm1.group.compare(comm2.group)
             if result == C.IDENT:
                 result = C.CONGRUENT
-        self._rec("MPI_Comm_compare", t0, {
-            "comm1": comm1, "comm2": comm2, "result": result})
+        self._rec("MPI_Comm_compare", t0, (comm1, comm2, result))
         return result
 
     def comm_set_name(self, comm: Comm, comm_name: str) -> None:
         comm.check_usable()
         t0 = self._tick()
         comm.name = comm_name[:C.MAX_OBJECT_NAME]
-        self._rec("MPI_Comm_set_name", t0, {
-            "comm": comm, "comm_name": comm_name})
+        self._rec("MPI_Comm_set_name", t0, (comm, comm_name))
 
     def comm_get_name(self, comm: Comm) -> str:
         comm.check_usable()
         t0 = self._tick()
         name = comm.name
-        self._rec("MPI_Comm_get_name", t0, {
-            "comm": comm, "comm_name": name, "resultlen": len(name)})
+        self._rec("MPI_Comm_get_name", t0, (comm, name, len(name)))
         return name
 
     def comm_group(self, comm: Optional[Comm] = None) -> Group:
@@ -94,7 +91,7 @@ class ApiComm(ApiBase):
         comm.check_usable()
         t0 = self._tick()
         grp = self._views[comm].local
-        self._rec("MPI_Comm_group", t0, {"comm": comm, "group": grp})
+        self._rec("MPI_Comm_group", t0, (comm, grp))
         return grp
 
     # -- creation collectives ---------------------------------------------------------
@@ -110,7 +107,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_dup", comm, None, 0, compute,
                                    ("comm_dup",))
-        self._rec("MPI_Comm_dup", t0, {"comm": comm, "newcomm": newcomm})
+        self._rec("MPI_Comm_dup", t0, (comm, newcomm))
         return newcomm
 
     def comm_idup(self, comm: Optional[Comm] = None) -> Request:
@@ -126,8 +123,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         req = self._coll_nb("comm_dup", comm, None, 0, compute,
                             ("comm_idup",))
-        self._rec("MPI_Comm_idup", t0, {
-            "comm": comm, "newcomm": None, "request": req})
+        self._rec("MPI_Comm_idup", t0, (comm, None, req))
         return req
 
     def comm_split(self, comm: Optional[Comm] = None, color: int = 0,
@@ -153,8 +149,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_split", comm, (color, key), 0,
                                    compute)
-        self._rec("MPI_Comm_split", t0, {
-            "comm": comm, "color": color, "key": key, "newcomm": newcomm})
+        self._rec("MPI_Comm_split", t0, (comm, color, key, newcomm))
         return newcomm
 
     def comm_split_type(self, comm: Optional[Comm] = None,
@@ -182,9 +177,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_split", comm, (node, key), 0,
                                    compute)
-        self._rec("MPI_Comm_split_type", t0, {
-            "comm": comm, "split_type": split_type, "key": key,
-            "newcomm": newcomm})
+        self._rec("MPI_Comm_split_type", t0, (comm, split_type, key, newcomm))
         return newcomm
 
     def comm_create(self, comm: Comm, group: Group):
@@ -200,8 +193,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_create", comm, None, 0, compute,
                                    ("comm_create", tuple(group.ranks)))
-        self._rec("MPI_Comm_create", t0, {
-            "comm": comm, "group": group, "newcomm": newcomm})
+        self._rec("MPI_Comm_create", t0, (comm, group, newcomm))
         return newcomm
 
     def comm_free(self, comm: Comm) -> None:
@@ -213,7 +205,7 @@ class ApiComm(ApiBase):
         comm.attrs["_free_count"] = n
         if n == comm.nmembers:
             comm.freed = True
-        self._rec("MPI_Comm_free", t0, {"comm": comm})
+        self._rec("MPI_Comm_free", t0, (comm,))
 
     # -- inter-communicators -------------------------------------------------------------
 
@@ -232,10 +224,8 @@ class ApiComm(ApiBase):
             key, local_comm, self.rank, self.clock.now)
         newcomm, tdone = yield fut
         self.clock.sync_to(tdone)
-        self._rec("MPI_Intercomm_create", t0, {
-            "local_comm": local_comm, "local_leader": local_leader,
-            "peer_comm": peer_comm, "remote_leader": remote_leader,
-            "tag": tag, "newintercomm": newcomm})
+        self._rec("MPI_Intercomm_create", t0, (
+            local_comm, local_leader, peer_comm, remote_leader, tag, newcomm))
         return newcomm
 
     def intercomm_merge(self, intercomm: Comm, high: bool = False):
@@ -268,9 +258,7 @@ class ApiComm(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_merge", intercomm, high, 0,
                                    compute)
-        self._rec("MPI_Intercomm_merge", t0, {
-            "intercomm": intercomm, "high": int(high),
-            "newintracomm": newcomm})
+        self._rec("MPI_Intercomm_merge", t0, (intercomm, int(high), newcomm))
         return newcomm
 
     # -- groups (all local) -----------------------------------------------------------------
@@ -278,77 +266,69 @@ class ApiComm(ApiBase):
     def group_size(self, group: Group) -> int:
         t0 = self._tick()
         size = group.size
-        self._rec("MPI_Group_size", t0, {"group": group, "size": size})
+        self._rec("MPI_Group_size", t0, (group, size))
         return size
 
     def group_rank(self, group: Group) -> int:
         t0 = self._tick()
         rank = group.rank_of(self.rank)
-        self._rec("MPI_Group_rank", t0, {"group": group, "rank": rank})
+        self._rec("MPI_Group_rank", t0, (group, rank))
         return rank
 
     def group_incl(self, group: Group, ranks: Sequence[int]) -> Group:
         t0 = self._tick()
         newgroup = group.incl(ranks)
-        self._rec("MPI_Group_incl", t0, {
-            "group": group, "n": len(ranks), "ranks": tuple(ranks),
-            "newgroup": newgroup})
+        self._rec("MPI_Group_incl", t0, (
+            group, len(ranks), tuple(ranks), newgroup))
         return newgroup
 
     def group_excl(self, group: Group, ranks: Sequence[int]) -> Group:
         t0 = self._tick()
         newgroup = group.excl(ranks)
-        self._rec("MPI_Group_excl", t0, {
-            "group": group, "n": len(ranks), "ranks": tuple(ranks),
-            "newgroup": newgroup})
+        self._rec("MPI_Group_excl", t0, (
+            group, len(ranks), tuple(ranks), newgroup))
         return newgroup
 
     def group_union(self, group1: Group, group2: Group) -> Group:
         t0 = self._tick()
         newgroup = group1.union(group2)
-        self._rec("MPI_Group_union", t0, {
-            "group1": group1, "group2": group2, "newgroup": newgroup})
+        self._rec("MPI_Group_union", t0, (group1, group2, newgroup))
         return newgroup
 
     def group_intersection(self, group1: Group, group2: Group) -> Group:
         t0 = self._tick()
         newgroup = group1.intersection(group2)
-        self._rec("MPI_Group_intersection", t0, {
-            "group1": group1, "group2": group2, "newgroup": newgroup})
+        self._rec("MPI_Group_intersection", t0, (group1, group2, newgroup))
         return newgroup
 
     def group_difference(self, group1: Group, group2: Group) -> Group:
         t0 = self._tick()
         newgroup = group1.difference(group2)
-        self._rec("MPI_Group_difference", t0, {
-            "group1": group1, "group2": group2, "newgroup": newgroup})
+        self._rec("MPI_Group_difference", t0, (group1, group2, newgroup))
         return newgroup
 
     def group_range_incl(self, group: Group,
                          ranges: Sequence[tuple[int, int, int]]) -> Group:
         t0 = self._tick()
         newgroup = group.range_incl(ranges)
-        self._rec("MPI_Group_range_incl", t0, {
-            "group": group, "n": len(ranges),
-            "ranges": tuple(tuple(r) for r in ranges), "newgroup": newgroup})
+        self._rec("MPI_Group_range_incl", t0, (
+            group, len(ranges), tuple(tuple(r) for r in ranges), newgroup))
         return newgroup
 
     def group_translate_ranks(self, group1: Group, ranks1: Sequence[int],
                               group2: Group) -> list[int]:
         t0 = self._tick()
         out = group1.translate_ranks(ranks1, group2)
-        self._rec("MPI_Group_translate_ranks", t0, {
-            "group1": group1, "n": len(ranks1), "ranks1": tuple(ranks1),
-            "group2": group2, "ranks2": tuple(out)})
+        self._rec("MPI_Group_translate_ranks", t0, (
+            group1, len(ranks1), tuple(ranks1), group2, tuple(out)))
         return out
 
     def group_compare(self, group1: Group, group2: Group) -> int:
         t0 = self._tick()
         result = group1.compare(group2)
-        self._rec("MPI_Group_compare", t0, {
-            "group1": group1, "group2": group2, "result": result})
+        self._rec("MPI_Group_compare", t0, (group1, group2, result))
         return result
 
     def group_free(self, group: Group) -> None:
         t0 = self._tick()
-        self._rec("MPI_Group_free", t0, {"group": group})
+        self._rec("MPI_Group_free", t0, (group,))

@@ -86,7 +86,7 @@ class ApiCompletion(ApiBase):
                 yield target
             st = self._consume(request, target)
         out_st = st if status is not None else None
-        self._rec("MPI_Wait", t0, {"request": request, "status": out_st})
+        self._rec("MPI_Wait", t0, (request, out_st))
         return out_st
 
     def waitall(self, array_of_requests: Sequence[Optional[Request]],
@@ -119,9 +119,7 @@ class ApiCompletion(ApiBase):
                 clock.now = target.complete_time
             sts.append(target.status)
         out = sts if array_of_statuses is not None else None
-        self._rec("MPI_Waitall", t0, {
-            "count": len(reqs), "array_of_requests": reqs,
-            "array_of_statuses": out})
+        self._rec("MPI_Waitall", t0, (len(reqs), reqs, out))
         return out
 
     def waitany(self, array_of_requests: Sequence[Optional[Request]],
@@ -148,15 +146,11 @@ class ApiCompletion(ApiBase):
                     if len(done) > 1 else done[0]
                 st = self._consume(reqs[idx], targets[idx])
                 out_st = st if status is not None else None
-                self._rec("MPI_Waitany", t0, {
-                    "count": len(reqs), "array_of_requests": reqs,
-                    "index": idx, "status": out_st})
+                self._rec("MPI_Waitany", t0, (len(reqs), reqs, idx, out_st))
                 return idx, out_st
             yield self._wait_any_future([targets[i] for i in live])
         st = Status(*EMPTY) if status is not None else None
-        self._rec("MPI_Waitany", t0, {
-            "count": len(reqs), "array_of_requests": reqs,
-            "index": C.UNDEFINED, "status": st})
+        self._rec("MPI_Waitany", t0, (len(reqs), reqs, C.UNDEFINED, st))
         return C.UNDEFINED, st
 
     def _rec_some(self, fname: str, t0: float, reqs: list, indices,
@@ -164,10 +158,8 @@ class ApiCompletion(ApiBase):
         """Record a Waitsome/Testsome that completed *indices*, in that
         order; returns what the call returns."""
         out = sts if array_of_statuses is not None else None
-        self._rec(fname, t0, {
-            "incount": len(reqs), "array_of_requests": reqs,
-            "outcount": len(indices), "array_of_indices": list(indices),
-            "array_of_statuses": out})
+        self._rec(fname, t0, (
+            len(reqs), reqs, len(indices), list(indices), out))
         return list(indices), out
 
     def waitsome(self, array_of_requests: Sequence[Optional[Request]],
@@ -202,10 +194,8 @@ class ApiCompletion(ApiBase):
                 return self._rec_some("MPI_Waitsome", t0, reqs, done, sts,
                                       array_of_statuses)
             yield self._wait_any_future([targets[i] for i in live])
-        self._rec("MPI_Waitsome", t0, {
-            "incount": len(reqs), "array_of_requests": reqs,
-            "outcount": C.UNDEFINED, "array_of_indices": None,
-            "array_of_statuses": None})
+        self._rec("MPI_Waitsome", t0, (
+            len(reqs), reqs, C.UNDEFINED, None, None))
         return None, None
 
     # -- test family -----------------------------------------------------------------
@@ -215,8 +205,7 @@ class ApiCompletion(ApiBase):
         t0 = self._tick()
         yield None  # cooperative progress
         if directed_flag is False:
-            self._rec("MPI_Test", t0, {
-                "request": request, "flag": False, "status": None})
+            self._rec("MPI_Test", t0, (request, False, None))
             return False, None
         target = self._target(request)
         if target is None:
@@ -229,8 +218,7 @@ class ApiCompletion(ApiBase):
             else:
                 flag, st = False, None
         out_st = st if status is not None else None
-        self._rec("MPI_Test", t0, {
-            "request": request, "flag": flag, "status": out_st})
+        self._rec("MPI_Test", t0, (request, flag, out_st))
         return flag, out_st
 
     def testall(self, array_of_requests: Sequence[Optional[Request]],
@@ -251,13 +239,9 @@ class ApiCompletion(ApiBase):
                 sts = [Status(*EMPTY) if (t := self._target(r)) is None
                        else self._consume(r, t) for r in reqs]
                 out = sts if array_of_statuses is not None else None
-                self._rec("MPI_Testall", t0, {
-                    "count": len(reqs), "array_of_requests": reqs,
-                    "flag": True, "array_of_statuses": out})
+                self._rec("MPI_Testall", t0, (len(reqs), reqs, True, out))
                 return True, out
-        self._rec("MPI_Testall", t0, {
-            "count": len(reqs), "array_of_requests": reqs, "flag": False,
-            "array_of_statuses": None})
+        self._rec("MPI_Testall", t0, (len(reqs), reqs, False, None))
         return False, None
 
     def testany(self, array_of_requests: Sequence[Optional[Request]],
@@ -284,9 +268,7 @@ class ApiCompletion(ApiBase):
             elif not any(targets):  # all null
                 flag, st = True, Status(*EMPTY)
         out_st = st if status is not None else None
-        self._rec("MPI_Testany", t0, {
-            "count": len(reqs), "array_of_requests": reqs, "index": idx,
-            "flag": flag, "status": out_st})
+        self._rec("MPI_Testany", t0, (len(reqs), reqs, idx, flag, out_st))
         return flag, idx, out_st
 
     def testsome(self, array_of_requests: Sequence[Optional[Request]],
@@ -306,10 +288,8 @@ class ApiCompletion(ApiBase):
                                   sts, array_of_statuses)
         targets = [self._target(r) for r in reqs]
         if not any(targets):  # all null
-            self._rec("MPI_Testsome", t0, {
-                "incount": len(reqs), "array_of_requests": reqs,
-                "outcount": C.UNDEFINED, "array_of_indices": None,
-                "array_of_statuses": None})
+            self._rec("MPI_Testsome", t0, (
+                len(reqs), reqs, C.UNDEFINED, None, None))
             return None, None
         done = [i for i, t in enumerate(targets)
                 if t is not None and t._value is not _UNSET]

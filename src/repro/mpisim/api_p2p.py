@@ -174,9 +174,8 @@ class ApiP2P(ApiBase):
         self.clock.now = t0 + self._overhead
         req = self._post_send("isend", view, comm, dest, tag,
                               count * datatype.size, buf, datatype, data)
-        self._rec("MPI_Isend", t0, {
-            "buf": buf, "count": count, "datatype": datatype, "dest": dest,
-            "tag": tag, "comm": comm, "request": req})
+        self._rec("MPI_Isend", t0, (
+            buf, count, datatype, dest, tag, comm, req))
         return req
 
     def issend(self, buf: int, count: int, datatype: dt.Datatype, dest: int,
@@ -188,9 +187,8 @@ class ApiP2P(ApiBase):
         self.clock.now = t0 + self._overhead
         req = self._post_send("issend", view, comm, dest, tag,
                               count * datatype.size, buf, datatype, data)
-        self._rec("MPI_Issend", t0, {
-            "buf": buf, "count": count, "datatype": datatype, "dest": dest,
-            "tag": tag, "comm": comm, "request": req})
+        self._rec("MPI_Issend", t0, (
+            buf, count, datatype, dest, tag, comm, req))
         return req
 
     def irecv(self, buf: int, count: int, datatype: dt.Datatype, source: int,
@@ -208,9 +206,8 @@ class ApiP2P(ApiBase):
             else source
         req = self._post_recv(view, comm, match_src, tag,
                               count * datatype.size, buf, datatype)
-        self._rec("MPI_Irecv", t0, {
-            "buf": buf, "count": count, "datatype": datatype,
-            "source": source, "tag": tag, "comm": comm, "request": req})
+        self._rec("MPI_Irecv", t0, (
+            buf, count, datatype, source, tag, comm, req))
         return req
 
     # -- blocking user calls ---------------------------------------------------------
@@ -230,9 +227,7 @@ class ApiP2P(ApiBase):
             yield req
         if req.complete_time > clock.now:
             clock.now = req.complete_time
-        self._rec(fname, t0, {
-            "buf": buf, "count": count, "datatype": datatype, "dest": dest,
-            "tag": tag, "comm": comm})
+        self._rec(fname, t0, (buf, count, datatype, dest, tag, comm))
         return None
 
     def send(self, buf: int, count: int, datatype: dt.Datatype, dest: int,
@@ -277,9 +272,8 @@ class ApiP2P(ApiBase):
         if req.complete_time > clock.now:
             clock.now = req.complete_time
         st = req.status if status is not None else None
-        self._rec("MPI_Recv", t0, {
-            "buf": buf, "count": count, "datatype": datatype,
-            "source": source, "tag": tag, "comm": comm, "status": st})
+        self._rec("MPI_Recv", t0, (
+            buf, count, datatype, source, tag, comm, st))
         return req._value, st
 
     def sendrecv(self, sendbuf: int, sendcount: int, sendtype: dt.Datatype,
@@ -313,11 +307,9 @@ class ApiP2P(ApiBase):
         if done > clock.now:
             clock.now = done
         st = rreq.status if status is not None else None
-        self._rec("MPI_Sendrecv", t0, {
-            "sendbuf": sendbuf, "sendcount": sendcount, "sendtype": sendtype,
-            "dest": dest, "sendtag": sendtag,
-            "recvbuf": recvbuf, "recvcount": recvcount, "recvtype": recvtype,
-            "source": source, "recvtag": recvtag, "comm": comm, "status": st})
+        self._rec("MPI_Sendrecv", t0, (
+            sendbuf, sendcount, sendtype, dest, sendtag, recvbuf, recvcount,
+            recvtype, source, recvtag, comm, st))
         return rreq._value, st
 
     # -- probes ---------------------------------------------------------------------
@@ -342,8 +334,7 @@ class ApiP2P(ApiBase):
                 ProbeEntry(match_src, tag, fut, self.clock.now))
             st, t = yield fut
             self.clock.sync_to(t)
-        self._rec("MPI_Probe", t0, {
-            "source": source, "tag": tag, "comm": comm, "status": st})
+        self._rec("MPI_Probe", t0, (source, tag, comm, st))
         return st
 
     def iprobe(self, source: int, tag: int = C.ANY_TAG,
@@ -354,9 +345,7 @@ class ApiP2P(ApiBase):
         t0 = self._tick()
         st = self._scan_unexpected(self._views[comm], source, tag)
         flag = st is not None
-        self._rec("MPI_Iprobe", t0, {
-            "source": source, "tag": tag, "comm": comm, "flag": flag,
-            "status": st})
+        self._rec("MPI_Iprobe", t0, (source, tag, comm, flag, st))
         return flag, st
 
     @staticmethod
@@ -384,9 +373,8 @@ class ApiP2P(ApiBase):
         req._persistent_start = lambda: self._post_send(
             "isend", view, comm, dest, tag, count * datatype.size, buf,
             datatype, data)
-        self._rec("MPI_Send_init", t0, {
-            "buf": buf, "count": count, "datatype": datatype, "dest": dest,
-            "tag": tag, "comm": comm, "request": req})
+        self._rec("MPI_Send_init", t0, (
+            buf, count, datatype, dest, tag, comm, req))
         return req
 
     def recv_init(self, buf: int, count: int, datatype: dt.Datatype,
@@ -402,9 +390,8 @@ class ApiP2P(ApiBase):
         req.active = False
         req._persistent_start = lambda: self._post_recv(
             view, comm, source, tag, count * datatype.size, buf, datatype)
-        self._rec("MPI_Recv_init", t0, {
-            "buf": buf, "count": count, "datatype": datatype,
-            "source": source, "tag": tag, "comm": comm, "request": req})
+        self._rec("MPI_Recv_init", t0, (
+            buf, count, datatype, source, tag, comm, req))
         return req
 
     def start(self, request: Request) -> None:
@@ -416,7 +403,7 @@ class ApiP2P(ApiBase):
         t0 = self._tick()
         request.current = request._persistent_start()
         request.active = True
-        self._rec("MPI_Start", t0, {"request": request})
+        self._rec("MPI_Start", t0, (request,))
 
     def startall(self, array_of_requests: list[Request]) -> None:
         t0 = self._tick()
@@ -426,9 +413,8 @@ class ApiP2P(ApiBase):
                 raise InvalidArgumentError("MPI_Startall on unstartable request")
             req.current = req._persistent_start()
             req.active = True
-        self._rec("MPI_Startall", t0, {
-            "count": len(array_of_requests),
-            "array_of_requests": list(array_of_requests)})
+        self._rec("MPI_Startall", t0, (
+            len(array_of_requests), list(array_of_requests)))
 
     # -- cancel / free -------------------------------------------------------------
 
@@ -450,13 +436,13 @@ class ApiP2P(ApiBase):
                                 MPI_TAG=C.ANY_TAG)
                     self._sched.complete_request(target, st, self.clock.now)
                     break
-        self._rec("MPI_Cancel", t0, {"request": request})
+        self._rec("MPI_Cancel", t0, (request,))
 
     def request_free(self, request: Request) -> None:
         request.check_usable()
         t0 = self._tick()
         request.freed = True
-        self._rec("MPI_Request_free", t0, {"request": request})
+        self._rec("MPI_Request_free", t0, (request,))
 
     def request_get_status(self, request: Request):
         request.check_usable()
@@ -464,6 +450,5 @@ class ApiP2P(ApiBase):
         target = request.wait_target()
         flag = target.done
         st = target.status if flag else None
-        self._rec("MPI_Request_get_status", t0, {
-            "request": request, "flag": flag, "status": st})
+        self._rec("MPI_Request_get_status", t0, (request, flag, st))
         return flag, st

@@ -48,9 +48,7 @@ class ApiRMA(ApiBase):
         t0 = self._tick()
         win = yield self._coll("win_create", comm, (base, size, disp_unit), 0,
                                _c_win_create, None, (self.rt,))
-        self._rec("MPI_Win_create", t0, {
-            "base": base, "size": size, "disp_unit": disp_unit,
-            "comm": comm, "win": win})
+        self._rec("MPI_Win_create", t0, (base, size, disp_unit, comm, win))
         return win
 
     def win_allocate(self, size: int, disp_unit: int = 1,
@@ -62,9 +60,7 @@ class ApiRMA(ApiBase):
         t0 = self._tick()
         win = yield self._coll("win_create", comm, (base, size, disp_unit), 0,
                                _c_win_create, None, (self.rt,))
-        self._rec("MPI_Win_allocate", t0, {
-            "size": size, "disp_unit": disp_unit, "comm": comm,
-            "baseptr": base, "win": win})
+        self._rec("MPI_Win_allocate", t0, (size, disp_unit, comm, base, win))
         return base, win
 
     def win_free(self, win: Win):
@@ -73,13 +69,13 @@ class ApiRMA(ApiBase):
         t0 = self._tick()
         yield self._coll("win_free", win.sync_comm, None, 0, None)
         win.freed = True
-        self._rec("MPI_Win_free", t0, {"win": win})
+        self._rec("MPI_Win_free", t0, (win,))
 
     def win_set_name(self, win: Win, win_name: str) -> None:
         win.check_usable()
         t0 = self._tick()
         win.name = win_name[:C.MAX_OBJECT_NAME]
-        self._rec("MPI_Win_set_name", t0, {"win": win, "win_name": win_name})
+        self._rec("MPI_Win_set_name", t0, (win, win_name))
 
     # -- active target synchronisation -----------------------------------------------
 
@@ -91,7 +87,7 @@ class ApiRMA(ApiBase):
         t0 = self._tick()
         yield self._coll("win_fence", win.sync_comm, None, 0, _c_win_fence,
                          ("win_fence", win.wid), (win,))
-        self._rec("MPI_Win_fence", t0, {"assert": assert_, "win": win})
+        self._rec("MPI_Win_fence", t0, (assert_, win))
 
     # -- RMA operations ---------------------------------------------------------------
 
@@ -127,11 +123,9 @@ class ApiRMA(ApiBase):
                                   target_datatype)
         t0 = self._tick()
         self._queue_effect(win, "put", target_rank, target_disp, nbytes, data)
-        self._rec("MPI_Put", t0, {
-            "origin_addr": origin_addr, "origin_count": origin_count,
-            "origin_datatype": origin_datatype, "target_rank": target_rank,
-            "target_disp": target_disp, "target_count": target_count,
-            "target_datatype": target_datatype, "win": win})
+        self._rec("MPI_Put", t0, (
+            origin_addr, origin_count, origin_datatype, target_rank,
+            target_disp, target_count, target_datatype, win))
 
     def get(self, origin_addr: int, origin_count: int,
             origin_datatype: dt.Datatype, target_rank: int,
@@ -147,11 +141,9 @@ class ApiRMA(ApiBase):
         if cost > 0:
             self.clock.now += cost
         value = win.memory[target_rank].get(target_disp)
-        self._rec("MPI_Get", t0, {
-            "origin_addr": origin_addr, "origin_count": origin_count,
-            "origin_datatype": origin_datatype, "target_rank": target_rank,
-            "target_disp": target_disp, "target_count": target_count,
-            "target_datatype": target_datatype, "win": win})
+        self._rec("MPI_Get", t0, (
+            origin_addr, origin_count, origin_datatype, target_rank,
+            target_disp, target_count, target_datatype, win))
         return value
 
     def accumulate(self, origin_addr: int, origin_count: int,
@@ -163,11 +155,9 @@ class ApiRMA(ApiBase):
                                   target_datatype)
         t0 = self._tick()
         self._queue_effect(win, "acc", target_rank, target_disp, nbytes, data)
-        self._rec("MPI_Accumulate", t0, {
-            "origin_addr": origin_addr, "origin_count": origin_count,
-            "origin_datatype": origin_datatype, "target_rank": target_rank,
-            "target_disp": target_disp, "target_count": target_count,
-            "target_datatype": target_datatype, "op": op, "win": win})
+        self._rec("MPI_Accumulate", t0, (
+            origin_addr, origin_count, origin_datatype, target_rank,
+            target_disp, target_count, target_datatype, op, win))
 
     # -- passive target synchronisation ------------------------------------------------
 
@@ -194,9 +184,7 @@ class ApiRMA(ApiBase):
                           rank, me))
             st["waiters"].append(fut)
             yield fut
-        self._rec("MPI_Win_lock", t0, {
-            "lock_type": lock_type, "rank": rank,
-            "assert": assert_, "win": win})
+        self._rec("MPI_Win_lock", t0, (lock_type, rank, assert_, win))
 
     def win_unlock(self, rank: int, win: Win) -> None:
         """Release the lock; queued effects on that target land now."""
@@ -213,4 +201,4 @@ class ApiRMA(ApiBase):
             st["mode"] = 0
             while st["waiters"]:
                 self._sched.resolve(st["waiters"].popleft(), None)
-        self._rec("MPI_Win_unlock", t0, {"rank": rank, "win": win})
+        self._rec("MPI_Win_unlock", t0, (rank, win))

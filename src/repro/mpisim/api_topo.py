@@ -32,8 +32,7 @@ class ApiTopo(ApiBase):
                     dims: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         t0 = self._tick()
         out = dims_create(nnodes, ndims, dims)
-        self._rec("MPI_Dims_create", t0, {
-            "nnodes": nnodes, "ndims": ndims, "dims": out})
+        self._rec("MPI_Dims_create", t0, (nnodes, ndims, out))
         return out
 
     def cart_create(self, comm_old: Optional[Comm], dims: Sequence[int],
@@ -61,10 +60,9 @@ class ApiTopo(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_create", comm, None, 0, compute,
                                    ("cart_create", dims, periods))
-        self._rec("MPI_Cart_create", t0, {
-            "comm_old": comm, "ndims": len(dims), "dims": dims,
-            "periods": tuple(int(p) for p in periods),
-            "reorder": int(reorder), "comm_cart": newcomm})
+        self._rec("MPI_Cart_create", t0, (
+            comm, len(dims), dims, tuple(int(p) for p in periods),
+            int(reorder), newcomm))
         return newcomm
 
     def cart_coords(self, comm: Comm, rank: int) -> tuple[int, ...]:
@@ -72,9 +70,7 @@ class ApiTopo(ApiBase):
         topo = _cart(comm)
         t0 = self._tick()
         coords = topo.coords_of(rank)
-        self._rec("MPI_Cart_coords", t0, {
-            "comm": comm, "rank": rank, "maxdims": topo.ndims,
-            "coords": coords})
+        self._rec("MPI_Cart_coords", t0, (comm, rank, topo.ndims, coords))
         return coords
 
     def cart_rank(self, comm: Comm, coords: Sequence[int]) -> int:
@@ -82,8 +78,7 @@ class ApiTopo(ApiBase):
         topo = _cart(comm)
         t0 = self._tick()
         rank = topo.rank_of(coords)
-        self._rec("MPI_Cart_rank", t0, {
-            "comm": comm, "coords": tuple(coords), "rank": rank})
+        self._rec("MPI_Cart_rank", t0, (comm, tuple(coords), rank))
         return rank
 
     def cart_shift(self, comm: Comm, direction: int,
@@ -93,9 +88,7 @@ class ApiTopo(ApiBase):
         t0 = self._tick()
         me = self._views[comm].rank
         src, dest = topo.shift(me, direction, disp)
-        self._rec("MPI_Cart_shift", t0, {
-            "comm": comm, "direction": direction, "disp": disp,
-            "rank_source": src, "rank_dest": dest})
+        self._rec("MPI_Cart_shift", t0, (comm, direction, disp, src, dest))
         return src, dest
 
     def cart_sub(self, comm: Comm, remain_dims: Sequence[bool]):
@@ -127,7 +120,6 @@ class ApiTopo(ApiBase):
         t0 = self._tick()
         newcomm = yield self._coll("comm_split", comm, None, 0, compute,
                                    ("cart_sub", remain))
-        self._rec("MPI_Cart_sub", t0, {
-            "comm": comm, "remain_dims": tuple(int(r) for r in remain),
-            "newcomm": newcomm})
+        self._rec("MPI_Cart_sub", t0, (
+            comm, tuple(int(r) for r in remain), newcomm))
         return newcomm

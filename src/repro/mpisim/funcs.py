@@ -69,11 +69,14 @@ class FuncSpec:
     fid: int
     params: tuple[Param, ...]
 
+    @cached_property
+    def pos(self) -> dict[str, int]:
+        """Parameter name → position, in ``params`` and so in the
+        ``values`` tuple every ``TracerHooks.on_call`` carries."""
+        return {p.name: i for i, p in enumerate(self.params)}
+
     def param(self, name: str) -> Param:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self.params[self.pos[name]]
 
     @cached_property
     def ctx_comm(self) -> Optional[str]:

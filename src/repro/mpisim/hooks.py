@@ -19,10 +19,15 @@ class TracerHooks:
     def on_run_start(self, sim) -> None:
         """Called once before any rank executes (MPI_Init time)."""
 
-    def on_call(self, rank: int, fname: str, args: dict[str, Any],
+    def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
-        """One MPI call on one rank: *args* holds every parameter (inputs
-        and outputs; direction metadata lives in ``repro.mpisim.funcs``)."""
+        """One MPI call on one rank: *values* holds every parameter
+        (inputs and outputs), positionally, in the order of
+        ``repro.mpisim.funcs.FUNCS[fname].params`` — names, directions
+        and kinds live there (``FuncSpec.pos`` maps a name to its
+        position).  The values are *live*: requests, statuses and request
+        arrays keep mutating after the hook returns, so take what you
+        need before returning."""
 
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:

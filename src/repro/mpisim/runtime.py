@@ -187,7 +187,7 @@ class SimMPI:
 
     def _rank_main(self, api: RankAPI,
                    program: Callable[[RankAPI], object]):
-        api._rec("MPI_Init", api._tick(), {})
+        api._rec("MPI_Init", api._tick(), ())
         gen = program(api)
         if inspect.isgenerator(gen):
             yield from gen
@@ -199,7 +199,7 @@ class SimMPI:
         # MPI_Finalize synchronises in practice; model it as a barrier.
         t0 = api.clock.now
         yield api._coll("barrier", self.world, None, 0, None)
-        api._rec("MPI_Finalize", t0, {})
+        api._rec("MPI_Finalize", t0, ())
 
     def run(self, program: Callable[[RankAPI], object]) -> RunResult:
         """Execute *program* on every rank to completion."""

@@ -3,7 +3,7 @@
 The comparator is a :class:`~repro.mpisim.hooks.TracerHooks` — it rides
 the replay simulator exactly where a tracer would, so *every* re-issued
 MPI call flows through :meth:`LockstepComparator.on_call` with its live
-arguments and virtual entry/exit times.  Each rank keeps a cursor into
+argument values and virtual entry/exit times.  Each rank keeps a cursor into
 the recorded (decoded) call stream and checks, call by call:
 
 * the function name matches the record;
@@ -41,6 +41,7 @@ from typing import Any, Optional
 from ..core.decoder import RankStream
 from ..core.records import DecodedCall
 from ..core.relative import MARK_REL, decode as rel_decode
+from ..mpisim.funcs import FUNCS
 from ..mpisim.hooks import TracerHooks
 from .engine import NOT_REISSUED
 
@@ -209,7 +210,7 @@ class LockstepComparator(TracerHooks):
 
     # -- the hook ----------------------------------------------------------------
 
-    def on_call(self, rank: int, fname: str, args: dict[str, Any],
+    def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
         cur = self._cursors[rank]
         cur.replayed += 1
@@ -234,7 +235,7 @@ class LockstepComparator(TracerHooks):
         delta = (t1 - t0) - rec.avg_duration
         cur.timing_abs += abs(delta)
         cur.timing_max = max(cur.timing_max, abs(delta))
-        mismatch = self._compare_outcome(rank, rec, args) \
+        mismatch = self._compare_outcome(rank, rec, values) \
             if term in self._with_outcome else None
         if mismatch is not None:
             field_name, rec_v, live_v = mismatch
@@ -265,8 +266,11 @@ class LockstepComparator(TracerHooks):
     # -- outcome comparison ------------------------------------------------------
 
     def _compare_outcome(self, rank: int, rec: DecodedCall,
-                         args: dict[str, Any]):
+                         values: tuple):
         p = rec.params
+        # by name, like the record: only calls that recorded an outcome
+        # get here
+        args = dict(zip(FUNCS[rec.fname].pos, values))
         # completion picks: Waitany/Testany index
         rec_idx = p.get("index")
         if isinstance(rec_idx, int) and "index" in args \

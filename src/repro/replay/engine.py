@@ -206,7 +206,7 @@ _SPECIAL = {
 def _compile_runner(fname: str) -> Callable:
     """Generate ``run(r, m, p)`` for one registry function: the inverse
     of the encoder's walk, its arguments unrolled by kind (what
-    ``_compile_key_fn`` does for the encoder, and ``wrap.py`` for PMPI —
+    ``_CallPlan`` does for the encoder, and ``wrap.py`` for PMPI —
     interpreting the tables per call costs more than the call)."""
     if fname in NOT_REPLAYABLE:
         def run(r, m, p):  # fails where the call is reached
@@ -602,7 +602,7 @@ class RankReplayer:
 
     def _release(self, sym, req) -> None:
         """Release a request id by the encoder's own rule
-        (``PerRankEncoder._release_request``): a non-persistent request
+        (``core.encoder._RELEASE``): a non-persistent request
         the call consumed or freed.  Mirrors its §3.3.1 wait-time step
         too: a completed ``MPI_Comm_idup`` delivers its communicator
         (and id) here."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from ..core.packing import write_uvarint, write_value
 from ..mpisim.hooks import TracerHooks
@@ -57,6 +57,8 @@ class RecorderTracer(TracerHooks):
 
     def on_run_start(self, sim) -> None:
         self.nprocs = sim.nprocs
+        self.total_calls = 0
+        self.time_intra = 0.0
         self._windows = [deque(maxlen=self.window)
                          for _ in range(sim.nprocs)]
         self._tokens = [[] for _ in range(sim.nprocs)]
@@ -64,13 +66,13 @@ class RecorderTracer(TracerHooks):
         self._encoder = ScalaTraceTracer()
         self._encoder.on_run_start(sim)
 
-    def on_call(self, rank: int, fname: str, args: dict[str, Any],
+    def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
         self.total_calls += 1
         tick = _time.perf_counter()
-        sig = self._encoder._encode(rank, fname, args)
+        sig = self._encoder._encode(rank, fname, values)
         if fname in self._encoder._WAIT_FNAMES:
-            self._encoder._release_consumed(rank, args)
+            self._encoder._release_consumed(rank, fname, values)
         win = self._windows[rank]
         try:
             # most-recent-first search, as Recorder's window match does

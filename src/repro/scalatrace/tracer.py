@@ -107,6 +107,9 @@ class ScalaTraceTracer(TracerHooks):
 
     def on_run_start(self, sim) -> None:
         self.nprocs = sim.nprocs
+        self.profiler = PhaseProfiler(self.obs)
+        self.total_calls = self.recorded_calls = 0
+        self.time_intra = 0.0
         self.compressors = [RSDCompressor(self.max_window)
                             for _ in range(sim.nprocs)]
         # ONE id pool per rank for all requests (no per-signature pools)
@@ -114,7 +117,7 @@ class ScalaTraceTracer(TracerHooks):
         self._req_active = [{} for _ in range(sim.nprocs)]
         self._req_pool = [IdPool() for _ in range(sim.nprocs)]
 
-    def on_call(self, rank: int, fname: str, args: dict[str, Any],
+    def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
         self.total_calls += 1
         if fname in UNRECORDED:
@@ -122,10 +125,10 @@ class ScalaTraceTracer(TracerHooks):
         if fname == "MPI_Waitall" and not self.record_waitall:
             return
         tick = _time.perf_counter()
-        sig = self._encode(rank, fname, args)
+        sig = self._encode(rank, fname, values)
         self.compressors[rank].append(sig)
         if fname in self._WAIT_FNAMES:
-            self._release_consumed(rank, args)
+            self._release_consumed(rank, fname, values)
         self.recorded_calls += 1
         self.time_intra += _time.perf_counter() - tick
 
@@ -163,11 +166,14 @@ class ScalaTraceTracer(TracerHooks):
             return (("d", src - ctx), st.MPI_TAG)
         return (src, st.MPI_TAG)
 
-    def _release_consumed(self, rank: int, args: dict[str, Any]) -> None:
+    def _release_consumed(self, rank: int, fname: str,
+                          values: tuple) -> None:
         reqs: list[Optional[Request]] = []
-        if args.get("request") is not None:
-            reqs.append(args["request"])
-        reqs.extend(args.get("array_of_requests") or ())
+        for p, v in zip(F.FUNCS[fname].params, values):
+            if p.kind == F.K_REQUEST:
+                reqs.append(v)
+            elif p.kind == F.K_REQUESTV:
+                reqs.extend(v or ())
         table = self._req_active[rank]
         for req in reqs:
             if req is None or req.persistent:
@@ -177,12 +183,13 @@ class ScalaTraceTracer(TracerHooks):
                 if got is not None:
                     self._req_pool[rank].release(got[0])
 
-    def _encode(self, rank: int, fname: str, args: dict[str, Any]) -> tuple:
+    def _encode(self, rank: int, fname: str, values: tuple) -> tuple:
         spec = F.FUNCS[fname]
-        ctx = F.context_rank(args.get(spec.ctx_comm), rank)
+        comm_at = spec.pos.get(spec.ctx_comm)
+        ctx = F.context_rank(
+            None if comm_at is None else values[comm_at], rank)
         parts: list[Any] = [spec.fid]
-        for p in spec.params:
-            v = args.get(p.name)
+        for p, v in zip(spec.params, values):
             kind = p.kind
             if kind == F.K_PTR:
                 continue  # memory pointers are not collected (Table 1)

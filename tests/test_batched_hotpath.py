@@ -107,8 +107,9 @@ class TestBenchPlumbing:
             "families": ["osu_latency"], "nprocs": 2, "batch_size": 8})
         assert set(doc["metrics"]) == {
             f"osu_latency.{m}" for m in (
-                "us_per_call", "batched_us_per_call", "null_us_per_call",
-                "hot_over_null", "batched_over_percall")}
+                "us_per_call", "encode_us_per_call", "batched_us_per_call",
+                "null_us_per_call", "hot_over_null",
+                "batched_over_percall")}
         assert all(v > 0 for v in doc["metrics"].values())
         assert doc["params"]["batch_size"] == 8
 

@@ -1,13 +1,20 @@
-"""Differential tests: the one-flow encoder against the walk it replaced.
+"""Differential tests: the generated per-function encoder against the
+dict walk it replaced.
 
-Until PR 17 ``PerRankEncoder`` built signatures two ways: a full walk
-over a call's registry parameters that encoded requests and statuses
-inline (``_encode_walk``, the whole product path under
-``signature_cache=False``), and the cached template + per-call dynamic
-slots.  The walk left ``src/`` when the cached flow became the only one
-(a miss builds the entry, then takes the hit's path); it lives on here,
-verbatim, as the oracle — no cache, no template, no memo.  Trace by
-trace and signature by signature the product must agree with it.
+``PerRankEncoder`` has built signatures three ways.  Until PR 17, a full
+walk over a call's registry parameters that encoded requests and
+statuses inline (``_encode_walk``); until PR 22, one interpreted flow
+over a ``{name: value}`` dict (a cached template whose request/status
+slots ``_resolve_dynamic`` filled per call, then ``_post_call``); now one
+generated closure per function over the positional ``values`` tuple.
+The walk — no cache, no template, no memo — lives on here as the oracle,
+**verbatim**: ``_encode_walk`` and ``_completed_indices`` as they left
+``src/`` in PR 17, and the request / status / release helpers they call
+(``_enc_request``, ``_enc_status``, ``_status_ctx``, ``_release_request``,
+``_post_call``) copied from ``src/repro/core/encoder.py`` at commit
+8e2c515, the last to have them.  The oracle still reads by name: it is
+fed ``dict(zip(names, values))``.  Trace by trace and signature by
+signature the product must agree with it.
 """
 
 from __future__ import annotations
@@ -21,15 +28,17 @@ from repro.bench.capture import (_CALL, CapturedRun, _RecordingHooks,
                                  _restore)
 from repro.core import encoder as encoder_mod
 from repro.core.backends import TracerOptions, make_tracer
-from repro.core.encoder import (PTR_HEAP, PTR_STACK, PerRankEncoder,
-                                _plan_for)
+from repro.core.encoder import PTR_HEAP, PTR_STACK, PerRankEncoder
 from repro.core.relative import encode_rank, encode_rankish
 from repro.core.shard import RankCompressor
 from repro.core.tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
 from repro.mpisim import SimMPI, constants as C, datatypes as dt, funcs as F
 from repro.mpisim.comm import Comm
 from repro.mpisim.ops import Op
+from repro.mpisim.request import KIND_IDUP, Request
+from repro.mpisim.status import Status
 from repro.workloads import REGISTRY, make
+from test_replay_registry import TOUR
 
 BENCH_FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
                   "milc_su3_rmd")
@@ -38,11 +47,32 @@ BENCH_FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
 # -- the oracle: the parent's full uncached walk, kept verbatim -------------------------
 
 
-class OracleEncoder(PerRankEncoder):
-    """``encode_call`` is the parent's walk, then ``_post_call``."""
+#: completion calls that release request ids in ``_post_call``
+_RELEASING = frozenset((
+    "MPI_Wait", "MPI_Waitall", "MPI_Waitany", "MPI_Waitsome",
+    "MPI_Test", "MPI_Testall", "MPI_Testany", "MPI_Testsome",
+    "MPI_Request_free",
+))
 
-    def encode_call(self, fname: str, args: dict[str, Any]) -> tuple:
-        sig = self._encode_walk(_plan_for(fname), args)[0]
+
+class _Plan:
+    """What the walk reads of a function's registry entry."""
+
+    def __init__(self, fname: str):
+        spec = F.FUNCS[fname]
+        self.fname, self.fid = fname, spec.fid
+        self.params = tuple((p.name, p.kind) for p in spec.params)
+
+
+class OracleEncoder(PerRankEncoder):
+    """``encode_call`` is the parent's walk, then ``_post_call`` — over
+    the by-name view of *values*.  Only the symbolic tables
+    (communicators, datatypes, groups, memory, the request allocator)
+    are the product's."""
+
+    def encode_call(self, fname: str, values: tuple) -> tuple:
+        args = dict(zip(F.FUNCS[fname].pos, values))
+        sig = self._encode_walk(_Plan(fname), args)[0]
         self._post_call(fname, args)
         return sig
 
@@ -169,10 +199,100 @@ class OracleEncoder(PerRankEncoder):
             return [idx] if isinstance(idx, int) and idx >= 0 else None
         return list(range(nstatuses))  # Waitall/Testall align 1:1
 
+    def _enc_request(self, req: Optional[Request],
+                     creation_sig: Optional[tuple]) -> Any:
+        if req is None:
+            return None
+        key = id(req)
+        # hot path: reach straight into the allocator's live map (the
+        # bound-method lookup() costs a call frame per request)
+        sym = self.requests._active.get(key)
+        if sym is not None:
+            return sym
+        if not req.persistent and (req.consumed or req.freed):
+            # a request already consumed by an earlier completion call:
+            # the user's handle would be MPI_REQUEST_NULL by now
+            return None
+        if creation_sig is None:
+            # a request we never saw created (shouldn't happen; keep a
+            # distinguishable encoding rather than crash)
+            creation_sig = ("?",)
+        if not self.per_signature_request_pools:
+            creation_sig = ("*",)  # ablation: one global pool
+        return self.requests.on_create(key, creation_sig, ref=req)
+
+    def _enc_status(self, st: Optional[Status], ctx_rank: int) -> Any:
+        if st is None:
+            return None  # MPI_STATUS_IGNORE
+        src = st.MPI_SOURCE
+        return (encode_rank(src, ctx_rank, enabled=self.relative_ranks),
+                st.MPI_TAG)
+
+    def _status_ctx(self, args, req_list, default_ctx: int,
+                    req_index: Optional[int]) -> int:
+        """Caller's comm rank in the communicator relevant to a status."""
+        req = None
+        if req_index is not None and req_list:
+            if 0 <= req_index < len(req_list):
+                req = req_list[req_index]
+        elif args.get("request") is not None:
+            req = args["request"]
+        if isinstance(req, Request) and req.comm_cid >= 0:
+            comm = self._comm_resolver(req.comm_cid)
+            if comm is not None:
+                cr = comm.group.rank_of(self.rank)
+                if cr != C.UNDEFINED:
+                    return cr
+        return default_ctx
+
+    def _release_request(self, req: Request) -> None:
+        """Release one completed/freed non-persistent request's id."""
+        if req.persistent:
+            return
+        if req.consumed or req.freed:
+            sym = self.requests.on_release(id(req))
+            if sym is not None and req.kind == KIND_IDUP \
+                    and isinstance(req.value, Comm):
+                # §3.3.1: the symbolic id of an idup'ed communicator is
+                # agreed when the completing Wait/Test observes it
+                self.comm_space.sym_for(req.value)
+
+    def _post_call(self, fname: str, args: dict[str, Any]) -> None:
+        if fname in _RELEASING:
+            req = args.get("request")
+            if req is not None:
+                self._release_request(req)
+            arr = args.get("array_of_requests")
+            if arr:
+                release = self._release_request
+                for req in arr:
+                    if req is not None:
+                        release(req)
+            return
+        if fname == "MPI_Type_free":
+            dt = args.get("datatype")
+            if dt is not None and dt.handle >= 0 \
+                    and self.type_ids.lookup(dt.handle) is not None:
+                self.type_ids.release(dt.handle)
+            # released symbolic ids may be re-handed to new handles;
+            # cached signatures must not outlive the assignment
+            self._sig_cache.clear()
+            return
+        if fname == "MPI_Group_free":
+            grp = args.get("group")
+            key = id(grp)
+            if grp is not None and self.group_ids.lookup(key) is not None:
+                self.group_ids.release(key)
+                self._group_refs.pop(key, None)
+            # the freed group may be garbage-collected and its id()
+            # reused by a new Group object
+            self._sig_cache.clear()
+            return
+
 
 class OracleRank(RankCompressor):
-    """A rank whose encoder is the oracle, plugged in through the
-    ``encoder=`` parameter the product leaves for exactly this."""
+    """A rank whose encoder is the oracle (the ``encoder=`` parameter),
+    called where the product calls its generated closure."""
 
     def __init__(self, rank, comm_space, *, win_space=None,
                  relative_ranks=True, per_signature_request_pools=True,
@@ -182,6 +302,15 @@ class OracleRank(RankCompressor):
             relative_ranks=relative_ranks,
             per_signature_request_pools=per_signature_request_pools),
             **kwargs)
+
+    def observe(self, fname, values, t0, t1):
+        # the oracle tracer runs at the defaults: per call, no watermark
+        term = self.cst.intern(self.encoder.encode_call(fname, values),
+                               t1 - t0)
+        self.grammar.append(term)
+        if self.timing is not None:
+            self.timing.record(term, fname, t0, t1)
+        return term
 
 
 class OracleTracer(PilgrimTracer):
@@ -267,17 +396,27 @@ def tiny_caps(monkeypatch):
     monkeypatch.setattr(encoder_mod, "_SIG_MEMO_CAP", 2)
 
 
-def _pair(cap: CapturedRun):
+def _capture(nprocs: int, program, seed: int = 1) -> CapturedRun:
+    rec = _RecordingHooks()
+    SimMPI(nprocs, seed=seed, tracer=rec).run(program)
+    return CapturedRun(family=program.__name__, nprocs=nprocs, sim=rec.sim,
+                       events=rec.events,
+                       n_calls=sum(ev[0] == _CALL for ev in rec.events))
+
+
+def _pair(cap: CapturedRun, **options):
     """A product and an oracle tracer, started on the captured run."""
-    tracers = PilgrimTracer(), OracleTracer()
+    tracers = PilgrimTracer(**options), OracleTracer(**options)
     for tracer in tracers:
         tracer.on_run_start(cap.sim)
     return tracers
 
 
-def _compare(cap: CapturedRun, prod, oracle, before_event=None) -> int:
+def _compare(cap: CapturedRun, prod, oracle, before_event=None,
+             skip=frozenset()) -> int:
     """Feed the stream to both; every signature must be equal.  Returns
-    the number of signatures compared."""
+    the number of signatures compared.  Calls to a function in *skip*
+    reach neither."""
     compared = 0
     for i, ev in enumerate(cap.events):
         if before_event is not None:
@@ -288,11 +427,18 @@ def _compare(cap: CapturedRun, prod, oracle, before_event=None) -> int:
             for tracer in (prod, oracle):
                 tracer.on_mem(ev[1], ev[2], ev[3], ev[4], ev[5])
             continue
-        rank, fname, args = ev[1], ev[2], ev[3]
-        got = prod.encoders[rank].encode_call(fname, args)
-        want = oracle.encoders[rank].encode_call(fname, args)
+        rank, fname, values = ev[1], ev[2], ev[3]
+        if fname in skip:
+            continue
+        got = prod.encoders[rank].encode_call(fname, values)
+        want = oracle.encoders[rank].encode_call(fname, values)
         assert got == want, (i, rank, fname)
         compared += 1
+    for got, want in zip(prod.encoders, oracle.encoders):
+        # the same ids live and the same pools open, on every rank
+        assert got.requests._active == want.requests._active
+        assert got.requests._pool_index == want.requests._pool_index
+    assert prod.comm_space._sym == oracle.comm_space._sym
     return compared
 
 
@@ -318,8 +464,7 @@ def test_signatures_match_across_a_memory_epoch_bump():
         if freed or i < len(cap.events) // 2 or ev[0] != _CALL:
             return
         mem = prod.encoders[ev[1]].memory
-        for p in F.FUNCS[ev[2]].params:
-            addr = ev[3].get(p.name)
+        for p, addr in zip(F.FUNCS[ev[2]].params, ev[3]):
             node = mem.tree.find_containing(addr) \
                 if p.kind == F.K_PTR and addr else None
             if node is not None:
@@ -336,13 +481,9 @@ def test_signatures_match_across_a_memory_epoch_bump():
 
 
 def test_signatures_match_across_type_and_group_id_reuse(tiny_caps):
-    rec = _RecordingHooks()
-    SimMPI(3, seed=1, tracer=rec).run(_lifecycle_program)
-    n_calls = sum(ev[0] == _CALL for ev in rec.events)
-    cap = CapturedRun(family="lifecycle", nprocs=3, sim=rec.sim,
-                      events=rec.events, n_calls=n_calls)
+    cap = _capture(3, _lifecycle_program)
     prod, oracle = _pair(cap)
-    assert _compare(cap, prod, oracle) == n_calls
+    assert _compare(cap, prod, oracle) == cap.n_calls
     freed = [ev for ev in cap.events if ev[2] in ("MPI_Type_free",
                                                    "MPI_Group_free")]
     assert len(freed) == 3 * 4 * 2
@@ -356,10 +497,152 @@ def test_signatures_match_across_type_and_group_id_reuse(tiny_caps):
 def test_unhashable_argument_takes_the_same_flow():
     cap = CapturedRun.record("osu_latency", 2, seed=1)
     prod, oracle = _pair(cap)
-    args = {"lock_type": [1, 2], "rank": 1, "assert": 0, "win": None}
+    values = ([1, 2], 1, 0, None)  # lock_type, rank, assert, win
     for _ in range(2):
-        got = prod.encoders[0].encode_call("MPI_Win_lock", args)
-        assert got == oracle.encoders[0].encode_call("MPI_Win_lock", args)
+        got = prod.encoders[0].encode_call("MPI_Win_lock", values)
+        assert got == oracle.encoders[0].encode_call("MPI_Win_lock", values)
         assert got[1] == [1, 2]
         # the key cannot be hashed, so the entry is built and not stored
         assert prod.encoders[0].cache_size == 0
+
+
+# -- (c) the shapes a fused completion loop can get wrong ----------------------------------
+
+
+def listed_twice_and_null(m):
+    """One request twice in a Waitall, MPI_REQUEST_NULL entries, an empty
+    array, MPI_STATUSES_IGNORE — and the ids come back for the second
+    round."""
+    peer = 1 - m.rank
+    buf = m.malloc(512)
+    for _round in range(2):
+        r = m.irecv(buf, 1, dt.INT, peer, 1)
+        s = m.isend(buf + 64, 1, dt.INT, peer, 1)
+        yield from m.waitall([r, None, r, s])
+        yield from m.waitall([r, s])  # consumed: MPI_REQUEST_NULL by now
+        yield from m.waitall([None, None])
+        yield from m.waitall([])
+        r = m.irecv(buf, 1, dt.INT, peer, 2)
+        s = m.isend(buf + 64, 1, dt.INT, peer, 2)
+        yield from m.waitall([s, r, s], array_of_statuses=None)
+        r = m.irecv(buf, 1, dt.INT, peer, 3)
+        flag, _sts = yield from m.testall([r, None, r])  # pending, on one
+        yield from m.send(buf + 64, 1, dt.INT, peer, 3)
+        while not flag:
+            flag, _sts = yield from m.testall([r, None, r])
+
+
+def idup_completed_by_waitall_and_test(m):
+    """The idup'ed communicator's id is agreed when the completing call
+    releases the request: by Waitall, by Test, and by a Testall that
+    first reports the request pending."""
+    req = m.comm_idup()
+    yield from m.waitall([req], array_of_statuses=None)
+    yield from m.barrier(req.value)
+    req = m.comm_idup(req.value)
+    flag = False
+    while not flag:
+        flag, _st = yield from m.test(req)
+    other = m.comm_idup()
+    flag = False
+    while not flag:
+        flag, _sts = yield from m.testall([other, None])
+    yield from m.barrier(other.value)
+    yield from m.barrier(req.value)
+
+
+def any_and_some_off_world(m):
+    """Waitany / Testsome / Waitsome over wildcard receives on a
+    sub-communicator and on an inter-communicator: a status is relative
+    to the caller's rank in *its request's* communicator, and these
+    calls name none."""
+    side = m.rank // 2
+    local = yield from m.comm_split(color=side, key=m.rank)
+    inter = yield from m.intercomm_create(local, 0, m.world,
+                                          2 * (1 - side), tag=5)
+    buf = m.malloc(1024)
+    for comm in (local, inter):
+        me = m.comm_rank(comm)
+        peer = 1 - me if comm is local else me
+        for poll in (False, True):
+            reqs = [m.irecv(buf + 64 * i, 1, dt.INT, C.ANY_SOURCE, i, comm)
+                    for i in range(3)]
+            # one on the world communicator in the same array
+            reqs.append(m.irecv(buf + 256, 1, dt.INT, C.ANY_SOURCE, 9))
+            for i in range(3):
+                yield from m.send(buf + 512, 1, dt.INT, peer, i, comm)
+            yield from m.send(buf + 512, 1, dt.INT, m.rank ^ 1, 9)
+            yield from m.waitany(reqs)
+            done = 1
+            while done < 4:
+                idxs, _sts = yield from (m.testsome(reqs) if poll
+                                         else m.waitsome(reqs))
+                done += len(idxs or ())
+    flag, _idx, _st = yield from m.testany(reqs)
+    assert flag
+
+
+ARMS = dict(TOUR,
+            listed_twice_and_null=(2, listed_twice_and_null),
+            idup_completed_by_waitall_and_test=(
+                3, idup_completed_by_waitall_and_test),
+            any_and_some_off_world=(4, any_and_some_off_world))
+
+#: every function that hands the tracer a request it has not seen before
+CREATES_A_REQUEST = frozenset(
+    fname for fname, spec in F.FUNCS.items()
+    if any(p.kind == F.K_REQUEST and p.direction == F.OUT
+           for p in spec.params))
+
+
+@pytest.mark.parametrize("pools", [True, False], ids=["pools", "one-pool"])
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_every_shape_matches_call_by_call(arm, pools, monkeypatch):
+    nprocs, program = ARMS[arm]
+    cap = _capture(nprocs, program)
+    options = {"per_signature_request_pools": pools}
+    assert _compare(cap, *_pair(cap, **options)) == cap.n_calls
+    # a request the tracer never saw created: its id is drawn where it
+    # is first met — Start, Cancel, a poll that leaves it pending, a
+    # completion of a persistent one — under that call's signature
+    unseen = sum(ev[2] not in CREATES_A_REQUEST for ev in cap.events
+                 if ev[0] == _CALL)
+    assert _compare(cap, *_pair(cap, **options),
+                    skip=CREATES_A_REQUEST) == unseen
+    # and with every cache and memo cleared every other call
+    monkeypatch.setattr(encoder_mod, "_SIG_CACHE_CAP", 2)
+    monkeypatch.setattr(encoder_mod, "_SIG_MEMO_CAP", 2)
+    assert _compare(cap, *_pair(cap, **options)) == cap.n_calls
+
+
+def test_the_arms_reach_the_shapes_they_name():
+    def calls(arm, fname):
+        nprocs, program = ARMS[arm]
+        return [ev for ev in _capture(nprocs, program).events
+                if ev[0] == _CALL and ev[2] == fname]
+
+    waitalls = calls("listed_twice_and_null", "MPI_Waitall")
+    assert any(len(v[1]) > len(set(map(id, v[1]))) > 1 and None in v[1]
+               for _, _, _, v, *_ in waitalls)
+    assert any(v[1] == [] for _, _, _, v, *_ in waitalls)
+    assert any(v[2] is None and v[1] for _, _, _, v, *_ in waitalls)
+    assert CREATES_A_REQUEST >= {"MPI_Isend", "MPI_Recv_init",
+                                 "MPI_Comm_idup", "MPI_Ibarrier"}
+    assert not CREATES_A_REQUEST & {"MPI_Start", "MPI_Wait", "MPI_Cancel"}
+    # off-world: statuses whose request is on a communicator the caller's
+    # rank differs in, through an index and through an index array
+    cap = _capture(*ARMS["any_and_some_off_world"])
+    cids = {fname: set() for fname in ("MPI_Waitany", "MPI_Testsome",
+                                       "MPI_Waitsome")}
+    for ev in cap.events:
+        if ev[0] == _CALL and ev[2] in cids:
+            cids[ev[2]] |= {r.comm_cid for r in ev[3][1]}
+    inter = {c.cid for c in cap.sim._comms.values()
+             if c.remote_group is not None}
+    assert inter and all(len(seen) >= 3 and seen & inter
+                         for seen in cids.values())
+    # the idup'ed communicators got their ids at release: three per rank
+    cap = _capture(*ARMS["idup_completed_by_waitall_and_test"])
+    prod, oracle = _pair(cap)
+    _compare(cap, prod, oracle)
+    assert prod.comm_space.count == 1 + 3

@@ -10,6 +10,9 @@ enable anywhere.
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 from repro.core import (NullTracer, PilgrimTracer, RankShard, RawTracer,
@@ -271,6 +274,34 @@ class TestFinalizeIdempotence:
         tracer.finalize()
         assert tracer.profiler.phases() == phases
         assert tracer.profiler.count("encode") == encode_count
+
+
+class TestARunStartsOver:
+    """``on_run_start`` begins a run: whatever the previous run on the
+    same tracer accumulated is gone.  (A second ``stencil2d``/4 run used
+    to return ``total_calls`` 248 over ``per_rank_calls`` summing to 124,
+    on every backend, and the first run's seconds in its phases.)"""
+
+    @pytest.mark.parametrize("backend",
+                             ["pilgrim", "scalatrace", "raw", "null"])
+    def test_a_second_run_reads_like_the_first(self, backend, monkeypatch):
+        # a clock that ticks once per read: every timing a result carries
+        # is exact, so the two results can be compared whole
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        tracer = make_tracer(backend, TracerOptions(profile=True))
+        runs = []
+        for _ in range(2):
+            make("stencil2d", 4, iters=3).run(seed=1, tracer=tracer)
+            runs.append({k: v for k, v in vars(tracer.result).items()
+                         if k not in ("trace", "spans")})
+        first, second = runs
+        assert first["total_calls"] == 124
+        assert second == first
+        if "per_rank_calls" in first:
+            assert sum(second["per_rank_calls"]) == second["total_calls"]
+        if "phases" in first:  # one tick per stage per call
+            assert second["phases"]["encode"] == second["total_calls"]
 
 
 class TestEventLogNormalization:

@@ -133,7 +133,7 @@ class OracleComparator(LockstepComparator):
         self._cursors = [_RankCursor(recorded=streams[rank_sources[r]])
                          for r in range(n)]
 
-    def on_call(self, rank, fname, args, t0, t1):
+    def on_call(self, rank, fname, values, t0, t1):
         cur = self._cursors[rank]
         cur.replayed += 1
         if cur.point is not None:
@@ -156,7 +156,7 @@ class OracleComparator(LockstepComparator):
         delta = (t1 - t0) - rec.avg_duration
         cur.timing_abs += abs(delta)
         cur.timing_max = max(cur.timing_max, abs(delta))
-        mismatch = self._compare_outcome(rank, rec, args)
+        mismatch = self._compare_outcome(rank, rec, values)
         if mismatch is not None:
             field_name, rec_v, live_v = mismatch
             cur.point = DivergencePoint(
@@ -350,7 +350,7 @@ class _CallLog(TracerHooks):
     def __init__(self):
         self.calls = []
 
-    def on_call(self, rank, fname, args, t0, t1):
+    def on_call(self, rank, fname, values, t0, t1):
         self.calls.append(fname)
 
 
