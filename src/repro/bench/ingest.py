@@ -6,7 +6,7 @@ Times the shipping side: a workload traced by a
 a thread of the same process — what ``repro push`` / ``api.push`` does —
 and, on the same runner right after it, ``api.trace`` of the same
 workload in-process.  The pushed trace must equal the in-process one
-byte for byte, or the sample raises.  Three kinds of metric come out:
+byte for byte, or the sample raises.  Four kinds of metric come out:
 
 * ``<family>.push_ms`` / ``trace_ms`` — absolute times, for humans
   (``BENCH_ingest.json``), and ``trace_us_per_call``, the denominator of
@@ -19,7 +19,11 @@ byte for byte, or the sample raises.  Three kinds of metric come out:
 * ``wire_bytes_per_call`` / ``sendalls_per_kcall`` — what the client
   wrote to its socket (every frame: HELLO, CHUNKs, FIN) per traced call
   and socket writes per thousand calls.  Exact counts, not timings: they
-  repeat on every sample and move only when the wire shape does.
+  repeat on every sample and move only when the wire shape does;
+* ``codec_write_us_per_partial`` / ``codec_read_us_per_partial`` — the
+  flush record's writer and reader alone, over every flush of every
+  family (captured once, outside the timing), per partial carried: the
+  phase of ``push - trace`` that is the codec, once on each side.
 
 16 ranks and ``chunk_calls=256`` (the ``repro push`` default) make a
 flush cover many ranks, which is the case the one-CHUNK-per-flush wire
@@ -43,11 +47,18 @@ FAMILIES = ("stencil2d", "flash_sedov", "milc_su3_rmd")
                     "in-process trace of the same workload, plus wire "
                     "bytes and socket writes per call")
 def _ingest(params: dict):
+    from ..core.shard import write_flush
     from ..ingest import ChunkingTracer, IngestClient, serve_in_thread
+    from ..ingest.aggregator import read_partials
     families = list(params.setdefault("families", list(FAMILIES)))
     nprocs = int(params.setdefault("nprocs", 16))
     seed = int(params.setdefault("seed", 1))
     chunk_calls = int(params.setdefault("chunk_calls", 256))
+    flushes: list = []
+    for fam in families:
+        make(fam, nprocs).run(seed=seed, noise=0.05, tracer=ChunkingTracer(
+            emit_flush=flushes.append, chunk_calls=chunk_calls))
+    n_partials = sum(map(len, flushes))
     server = serve_in_thread()
 
     def push(fam: str) -> tuple[bytes, int, IngestClient]:
@@ -89,6 +100,15 @@ def _ingest(params: dict):
         out["trace_us_per_call"] = 1e6 * trace_s / calls
         out["wire_bytes_per_call"] = wire / calls
         out["sendalls_per_kcall"] = 1e3 * writes / calls
+        start = perf_counter()
+        records = [write_flush(flush, compress=False) for flush in flushes]
+        written = perf_counter()
+        for record in records:
+            read_partials(record)
+        out["codec_write_us_per_partial"] = \
+            1e6 * (written - start) / n_partials
+        out["codec_read_us_per_partial"] = \
+            1e6 * (perf_counter() - written) / n_partials
         return out
 
     weakref.finalize(sample, server.stop)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorruptTraceError
+from .errors import CorruptTraceError, TruncatedTraceError
 from .packing import Reader, read_varints, write_varints
 from .sequitur import Sequitur
 
@@ -99,8 +99,8 @@ class Grammar:
         fed it, so watermark spills, streamed parts, fold consolidation
         and checkpoints are all invisible in the final bytes."""
         seq = Sequitur(loop_detection=loop_detection)
-        for part in parts:
-            seq.append_array(part.expand())
+        seq.append_array(list(chain.from_iterable(
+            part.expand() for part in parts)))
         return cls.freeze(seq)
 
     # -- queries ---------------------------------------------------------------------
@@ -187,11 +187,45 @@ class Grammar:
         """Flat int-array encoding (Pilgrim stores grammars this way):
         ``[nrules, len(rule0), v,e,v,e,..., len(rule1), ...]``, packed
         as one array of varints."""
-        ints = [len(self.rules)]
+        ints: list[int] = []
+        self._write_ints(ints)
+        write_varints(out, ints)
+
+    def _write_ints(self, ints: list[int]) -> None:
+        """Append the flat int array to *ints*: a writer with many
+        grammars to store packs them all as one column."""
+        ints.append(len(self.rules))
         for rule in self.rules:
             ints.append(len(rule))
             ints.extend(chain.from_iterable(rule))
-        write_varints(out, ints)
+
+    @classmethod
+    def _read_ints(cls, ints: list[int], pos: int) -> tuple["Grammar", int]:
+        """The grammar whose flat int array starts at ``ints[pos]``, and
+        the position just past it."""
+        try:
+            nrules = ints[pos]
+            if nrules < 0:
+                raise CorruptTraceError(
+                    f"negative grammar rule count {nrules}")
+            pos += 1
+            rules = []
+            for i in range(nrules):
+                ntok = ints[pos]
+                if ntok < 0:
+                    raise CorruptTraceError(
+                        f"negative token count {ntok} in rule {i}")
+                end = pos + 1 + 2 * ntok
+                if end > len(ints):
+                    raise IndexError
+                rules.append(tuple(zip(ints[pos + 1:end:2],
+                                       ints[pos + 2:end:2])))
+                pos = end
+        except IndexError:
+            raise TruncatedTraceError(
+                f"grammar runs past the end of its {len(ints)}-int "
+                f"column") from None
+        return cls(tuple(rules)), pos
 
     @classmethod
     def from_reader(cls, r: Reader) -> "Grammar":

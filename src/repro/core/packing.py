@@ -150,20 +150,34 @@ class Reader:
 
 def read_varints(r: Reader, n: int, signed: bool = True) -> list[int]:
     """The next *n* varints in one call (zigzag-decoded if *signed*) — a
-    C-speed slice when every one of them is a single byte."""
+    C-speed slice when every one of them is a single byte, else one loop
+    with the two- and three-byte forms in line (nanosecond deltas are all
+    of those) and a call only for what is longer."""
     data, pos = r.data, r.pos
     out = data[pos:pos + n]
     if len(out) == n and (not n or max(out) < 0x80):
         pos += n
     else:
         out = []
+        append = out.append
         try:
             for _ in range(n):
                 z = data[pos]
-                pos += 1
-                if z >= 0x80:
-                    z, pos = _uvarint_tail(data, pos, z)
-                out.append(z)
+                if z < 0x80:
+                    pos += 1
+                else:
+                    b = data[pos + 1]
+                    if b < 0x80:
+                        z += (b << 7) - 0x80
+                        pos += 2
+                    else:
+                        c = data[pos + 2]
+                        if c < 0x80:
+                            z += (b << 7) + (c << 14) - 0x4080
+                            pos += 3
+                        else:
+                            z, pos = _uvarint_tail(data, pos + 1, z)
+                append(z)
         except IndexError:
             raise _truncated(f"{n}-varint array", r.pos, data) from None
     r.pos = pos

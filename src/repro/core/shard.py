@@ -34,8 +34,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..resilience.salvage import SalvageReport
 from .cst import CST, MergedCST, _dur_to_ns
@@ -43,10 +42,11 @@ from .encoder import PLANS, PerRankEncoder
 from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
                      UnsupportedVersionError)
 from .grammar import Grammar, TermLog
-from .packing import (Reader, read_value, read_varints, unzigzag,
-                      write_uvarint, write_value, write_varints, zigzag)
+from .packing import (Reader, read_value, read_varints, write_uvarint,
+                      write_value, write_varints)
 from .sequitur import Sequitur
 from .timing import TimingCompressor
+from .trace_format import emit_section, take_section
 
 SHARD_MAGIC = b"PSHD"
 SHARD_VERSION = 1
@@ -54,7 +54,7 @@ _SHARD_FLAG_TIMING = 1
 _SHARD_FLAG_COMPRESSED = 2
 
 PARTIAL_MAGIC = b"PPRT"
-PARTIAL_VERSION = 1
+PARTIAL_VERSION = 2
 
 
 @dataclass
@@ -187,8 +187,6 @@ class RankShard:
         """Serialize through the trace-format v2 section writers (length
         prefix + CRC32 per section), so shards on disk are integrity-
         checked exactly like finished traces."""
-        from .trace_format import emit_section
-
         out = bytearray()
         out.extend(SHARD_MAGIC)
         out.append(SHARD_VERSION)
@@ -237,8 +235,6 @@ class RankShard:
         header and the required sections (CST, calls, CFG) must still be
         intact — without them there is no shard to salvage.
         """
-        from .trace_format import take_section
-
         report = SalvageReport() if salvage else None
         if len(data) < 6:
             raise TruncatedTraceError(
@@ -407,128 +403,186 @@ class ShardPartial:
     timing_duration: Optional[Grammar] = None
     timing_interval: Optional[Grammar] = None
 
-    # -- serialization ---------------------------------------------------------------
+    # -- serialization: the N = 1 spelling of the flush record -----------------------
 
     def to_bytes(self, compress: bool = True) -> bytes:
-        """Serialize through the v2 section writers, like
-        :meth:`RankShard.to_bytes` — partials on the wire get the same
-        per-section CRC32 integrity checks as shards on disk."""
-        from .trace_format import emit_section
-
-        out = bytearray()
-        out.extend(PARTIAL_MAGIC)
-        out.append(PARTIAL_VERSION)
-        flags = (_PARTIAL_FLAG_TIMING if self.timing_duration is not None
-                 else 0) | (_PARTIAL_FLAG_COMPRESSED if compress else 0)
-        out.append(flags)
-        write_uvarint(out, self.rank)
-        write_uvarint(out, self.n_calls)
-
-        sigs_b = bytearray()
-        write_uvarint(sigs_b, len(self.new_sigs))
-        for sig in self.new_sigs:
-            write_value(sigs_b, sig)
-        delta_b = bytearray()
-        write_varints(delta_b, [len(self.idx), *chain.from_iterable(zip(
-            self.idx, map(zigzag, self.d_counts),
-            map(zigzag, self.d_dur_ns)))], signed=False)
-        parts_b = bytearray()
-        write_uvarint(parts_b, len(self.parts))
-        for g in self.parts:
-            g.write_to(parts_b)
-        payloads = [bytes(sigs_b), bytes(delta_b), bytes(parts_b)]
-        if self.timing_duration is not None:
-            d = bytearray()
-            self.timing_duration.write_to(d)
-            i_b = bytearray()
-            self.timing_interval.write_to(i_b)
-            payloads.extend((bytes(d), bytes(i_b)))
-        for payload in payloads:
-            emit_section(out, payload, compress)
-        return bytes(out)
+        return write_flush([self], compress)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardPartial":
-        """Exactly one partial: :meth:`read_from`, and nothing after it."""
-        r = Reader(data)
-        partial = cls.read_from(r)
-        if not r.exhausted:
-            raise CorruptTraceError(
-                f"{len(data) - r.pos} trailing bytes after the last "
-                f"shard-partial section")
-        return partial
+        return _only(read_flush(data))
 
     @classmethod
     def read_from(cls, r: Reader) -> "ShardPartial":
-        """Read one partial at the reader's position and leave the reader
-        just past it.  A partial is self-delimiting (a fixed header, then
-        length-prefixed sections whose number the flags give), so partials
-        can sit back to back — one ingest CHUNK carries a whole flush."""
-        from .trace_format import take_section
+        """Read a record of one partial at the reader's position and
+        leave the reader just past it."""
+        return _only(_read_record(r))
 
-        left = r.remaining()
-        if left < 6:
-            raise TruncatedTraceError(
-                f"shard partial of {left} bytes is shorter than the header")
-        head = r.read_bytes(6)
-        if head[:4] != PARTIAL_MAGIC:
-            raise TraceFormatError("not a Pilgrim shard partial (bad magic)")
-        if head[4] != PARTIAL_VERSION:
-            raise UnsupportedVersionError(head[4], PARTIAL_VERSION)
-        flags = head[5]
-        if flags & ~(_PARTIAL_FLAG_TIMING | _PARTIAL_FLAG_COMPRESSED):
+
+def _only(partials: list[ShardPartial]) -> ShardPartial:
+    if len(partials) != 1:
+        raise CorruptTraceError(
+            f"flush record holds {len(partials)} partials where exactly "
+            f"one was expected")
+    return partials[0]
+
+
+def write_flush(partials: Sequence[ShardPartial],
+                compress: bool = True) -> bytes:
+    """One flush — each rank's partial, ranks ascending — as one record:
+    ``PARTIAL_MAGIC``, ``PARTIAL_VERSION``, a flags byte, then a single
+    section (length prefix + CRC32, like a shard's on disk) of
+    whole-flush columns (DESIGN.md §7 draws them): a head column, the
+    flush's distinct new signatures back to back — the ranks of an SPMD
+    code meet the same ones in the same flush — and which of them each
+    partial's are, ``idx`` / ``d_counts`` / ``d_dur_ns``, and every
+    grammar as one int column.  What a flush costs to write and to read
+    is per record, not per rank."""
+    timing = bool(partials) and partials[0].timing_duration is not None
+    head = [len(partials)]
+    distinct: dict[tuple, int] = {}
+    sig_refs = [distinct.setdefault(sig, len(distinct))
+                for p in partials for sig in p.new_sigs]
+    grammars: list[int] = []
+    for p in partials:
+        if (p.timing_duration is not None) != timing \
+                or (p.timing_interval is not None) != timing:
+            raise ValueError(
+                f"rank {p.rank}: the partials of one flush carry timing "
+                f"grammars all or none")
+        if not len(p.idx) == len(p.d_counts) == len(p.d_dur_ns):
+            raise ValueError(
+                f"rank {p.rank}: ragged CST delta arrays "
+                f"({len(p.idx)}/{len(p.d_counts)}/{len(p.d_dur_ns)})")
+        head += (p.rank, p.n_calls, len(p.new_sigs), len(p.idx),
+                 len(p.parts))
+        for g in p.parts:
+            g._write_ints(grammars)
+        if timing:
+            p.timing_duration._write_ints(grammars)
+            p.timing_interval._write_ints(grammars)
+    body = bytearray()
+    write_varints(body, head, signed=False)
+    write_uvarint(body, len(distinct))
+    for sig in distinct:
+        write_value(body, sig)
+    write_varints(body, sig_refs, signed=False)
+    write_varints(body, [i for p in partials for i in p.idx], signed=False)
+    write_varints(body, [c for p in partials for c in p.d_counts])
+    write_varints(body, [ns for p in partials for ns in p.d_dur_ns])
+    write_uvarint(body, len(grammars))
+    write_varints(body, grammars)
+    out = bytearray(PARTIAL_MAGIC)
+    out.append(PARTIAL_VERSION)
+    out.append((_PARTIAL_FLAG_TIMING if timing else 0)
+               | (_PARTIAL_FLAG_COMPRESSED if compress else 0))
+    emit_section(out, bytes(body), compress)
+    return bytes(out)
+
+
+def read_flush(data: bytes) -> list[ShardPartial]:
+    """The partials of exactly one :func:`write_flush` record, and
+    nothing after it."""
+    r = Reader(data)
+    partials = _read_record(r)
+    if not r.exhausted:
+        raise CorruptTraceError(
+            f"{len(data) - r.pos} trailing bytes after the flush record")
+    return partials
+
+
+def _read_record(r: Reader) -> list[ShardPartial]:
+    left = r.remaining()
+    if left < 6:
+        raise TruncatedTraceError(
+            f"flush record of {left} bytes is shorter than the header")
+    head = r.read_bytes(6)
+    if head[:4] != PARTIAL_MAGIC:
+        raise TraceFormatError("not a Pilgrim flush record (bad magic)")
+    if head[4] != PARTIAL_VERSION:
+        raise UnsupportedVersionError(head[4], PARTIAL_VERSION)
+    flags = head[5]
+    if flags & ~(_PARTIAL_FLAG_TIMING | _PARTIAL_FLAG_COMPRESSED):
+        raise CorruptTraceError(
+            f"unknown flush-record flag bits in {flags:#04x}")
+    try:
+        return _read_columns(
+            take_section(r, bool(flags & _PARTIAL_FLAG_COMPRESSED), "flush"),
+            bool(flags & _PARTIAL_FLAG_TIMING))
+    except TraceFormatError:
+        raise
+    except (IndexError, KeyError, ValueError, OverflowError,
+            RecursionError, MemoryError, struct.error) as e:
+        raise CorruptTraceError(
+            f"malformed flush record ({type(e).__name__}: {e})") from e
+
+
+def _read_columns(r: Reader, timing: bool) -> list[ShardPartial]:
+    """Every count is checked against the bytes still unread before
+    anything its size is allocated: each value of each column costs at
+    least one byte."""
+
+    def bounded(n: int, what: str) -> int:
+        if n > r.remaining():
             raise CorruptTraceError(
-                f"unknown shard-partial flag bits in {flags:#04x}")
-        compressed = bool(flags & _PARTIAL_FLAG_COMPRESSED)
-        try:
-            rank = r.read_uvarint()
-            n_calls = r.read_uvarint()
-            sr = take_section(r, compressed, "partial-sigs")
-            n = sr.read_uvarint()
-            if n > sr.remaining():
-                raise CorruptTraceError(
-                    f"shard partial claims {n} new signatures but only "
-                    f"{sr.remaining()} bytes remain")
-            new_sigs = []
-            for i in range(n):
-                sig = read_value(sr)
-                if not isinstance(sig, tuple):
-                    raise CorruptTraceError(
-                        f"shard-partial signature {i} is a "
-                        f"{type(sig).__name__}, not a signature tuple")
-                new_sigs.append(sig)
-            dr = take_section(r, compressed, "partial-deltas")
-            n = dr.read_uvarint()
-            if n > dr.remaining():
-                raise CorruptTraceError(
-                    f"shard partial claims {n} CST deltas but only "
-                    f"{dr.remaining()} bytes remain")
-            delta = read_varints(dr, 3 * n, signed=False)
-            idx = delta[0::3]
-            d_counts = list(map(unzigzag, delta[1::3]))
-            d_dur_ns = list(map(unzigzag, delta[2::3]))
-            pr = take_section(r, compressed, "partial-parts")
-            n = pr.read_uvarint()
-            if n > pr.remaining():
-                raise CorruptTraceError(
-                    f"shard partial claims {n} grammar parts but only "
-                    f"{pr.remaining()} bytes remain")
-            parts = [Grammar.from_reader(pr) for _ in range(n)]
-            td = ti = None
-            if flags & _PARTIAL_FLAG_TIMING:
-                td = Grammar.from_reader(
-                    take_section(r, compressed, "partial-timing-duration"))
-                ti = Grammar.from_reader(
-                    take_section(r, compressed, "partial-timing-interval"))
-        except TraceFormatError:
-            raise
-        except (IndexError, KeyError, ValueError, OverflowError,
-                RecursionError, MemoryError, struct.error) as e:
+                f"flush record claims {n} {what} but only "
+                f"{r.remaining()} bytes remain")
+        return n
+
+    n = r.read_uvarint()
+    head = read_varints(r, bounded(5 * n, "head-column values"),
+                        signed=False)
+    ranks = head[0::5]
+    if any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise CorruptTraceError(
+            f"flush record ranks {ranks} are not strictly ascending: a "
+            f"flush holds each rank at most once, in order")
+    distinct = []
+    for i in range(bounded(r.read_uvarint(), "distinct new signatures")):
+        sig = read_value(r)
+        if not isinstance(sig, tuple):
             raise CorruptTraceError(
-                f"malformed shard partial ({type(e).__name__}: {e})") from e
-        return cls(rank=rank, n_calls=n_calls, new_sigs=new_sigs, idx=idx,
-                   d_counts=d_counts, d_dur_ns=d_dur_ns, parts=parts,
-                   timing_duration=td, timing_interval=ti)
+                f"flush-record signature {i} is a {type(sig).__name__}, "
+                f"not a signature tuple")
+        distinct.append(sig)
+    sig_refs = read_varints(r, bounded(sum(head[2::5]), "new signatures"),
+                            signed=False)
+    if set(sig_refs) != set(range(len(distinct))):
+        raise CorruptTraceError(
+            f"flush record's {len(sig_refs)} new signatures do not name "
+            f"each of its {len(distinct)} distinct ones")
+    sigs = [distinct[i] for i in sig_refs]
+    n_deltas = bounded(3 * sum(head[3::5]), "CST delta values") // 3
+    idx = read_varints(r, n_deltas, signed=False)
+    d_counts = read_varints(r, n_deltas)
+    d_dur_ns = read_varints(r, n_deltas)
+    ints = read_varints(r, bounded(r.read_uvarint(), "grammar ints"))
+    if not r.exhausted:
+        raise CorruptTraceError(
+            f"{r.remaining()} trailing bytes after the flush record's "
+            f"last column")
+    partials = []
+    take = Grammar._read_ints
+    s = d = g = 0
+    for rank, n_calls, n_sigs, n_idx, n_parts in zip(*[iter(head)] * 5):
+        parts = []
+        for _ in range(n_parts):
+            part, g = take(ints, g)
+            parts.append(part)
+        td = ti = None
+        if timing:
+            td, g = take(ints, g)
+            ti, g = take(ints, g)
+        partials.append(ShardPartial(
+            rank, n_calls, sigs[s:s + n_sigs], idx[d:d + n_idx],
+            d_counts[d:d + n_idx], d_dur_ns[d:d + n_idx], parts, td, ti))
+        s += n_sigs
+        d += n_idx
+    if g != len(ints):
+        raise CorruptTraceError(
+            f"{len(ints) - g} grammar ints left over after the flush "
+            f"record's last partial")
+    return partials
 
 
 class RankCompressor:

@@ -24,9 +24,10 @@ to the one-shot in-process run (the invariant
 ``tests/test_ingest.py::test_chunked_fold_byte_identity`` pins across
 workload families and chunk sizes).
 
-A CHUNK (one flush: one or more partials, :func:`read_partials`) is
-absorbed all-or-nothing: every partial is parsed, then every partial is
-checked against the fold, and only then is any of them applied — a
+A CHUNK (one flush record, :func:`read_partials`) is absorbed
+all-or-nothing: the record is parsed, then every partial is checked
+against the fold — what it says of itself must add up
+(:meth:`RankFold.check`) — and only then is any of them applied: a
 refused chunk leaves the fold exactly as it found it, so the session can
 be resumed and the good stream resent.
 
@@ -42,20 +43,23 @@ Imports: ``repro.core``, :mod:`repro.ingest.protocol`, and
 from __future__ import annotations
 
 import os
+from operator import lt
 from typing import Optional
 
-from ..core.errors import CorruptTraceError, TraceFormatError
+from ..core.errors import (CorruptTraceError, TraceFormatError,
+                           UnsupportedVersionError)
 from ..core.grammar import Grammar
-from ..core.packing import Reader, read_value, write_uvarint, write_value
+from ..core.packing import Reader, read_value, write_value
 from ..core.pipeline import TracePipeline, tree_reduce
-from ..core.shard import (GrammarSet, RankShard, ShardPartial, merge_shards)
+from ..core.shard import (GrammarSet, RankShard, ShardPartial, merge_shards,
+                          read_flush, write_flush)
 from ..core.timing import TimingMeta
 from ..obs import NULL_RECORDER, NULL_REGISTRY
 from .protocol import IngestConfig, validate_tenant
 from .session import TenantState
 
 CHECKPOINT_MAGIC = b"PICK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: consolidate a rank's part list once it holds this many frozen
 #: grammars (memory bound; byte-invisible — see module docstring)
@@ -69,19 +73,34 @@ class FoldError(RuntimeError):
 
 def read_partials(blob: bytes) -> list[ShardPartial]:
     """Every partial of one CHUNK (the blob after its sequence number):
-    one or more, back to back, ranks strictly ascending — what one flush
-    of a tracer produces, and nothing else."""
-    r = Reader(blob)
-    partials = [ShardPartial.read_from(r)]
-    while not r.exhausted:
-        p = ShardPartial.read_from(r)
-        if p.rank <= partials[-1].rank:
-            raise CorruptTraceError(
-                f"chunk partial {len(partials)} is for rank {p.rank} after "
-                f"rank {partials[-1].rank}: a chunk holds each rank at "
-                f"most once, in ascending order")
-        partials.append(p)
+    one flush record of one or more partials, ranks strictly ascending —
+    what one flush of a tracer produces, and nothing else."""
+    partials = read_flush(blob)
+    if not partials:
+        raise CorruptTraceError("chunk's flush record holds no partial")
     return partials
+
+
+def _terminals(grammars) -> tuple[int, int]:
+    """How many terminals *grammars* expand to in all, and the largest
+    any of them names (-1 if none).  A flat part — nearly every one —
+    costs four C-speed passes over its rule.  ``ValueError`` for a token
+    repeated fewer than one time or a rule that reaches itself,
+    ``IndexError`` for a reference to a rule that is not there."""
+    total, top = 0, -1
+    for g in grammars:
+        rules = g.rules
+        if len(rules) == 1 and rules[0]:
+            values, exps = zip(*rules[0])
+            if min(values) >= 0 and min(exps) > 0:
+                total += sum(exps)
+                top = max(top, max(values))
+                continue
+        if any(e < 1 for rule in rules for _v, e in rule):
+            raise ValueError("a token repeats fewer than one time")
+        total += g.expanded_length()
+        top = max(top, max(g.iter_terminals(), default=-1))
+    return total, top
 
 
 class RankFold:
@@ -113,11 +132,35 @@ class RankFold:
                 f"rank {p.rank}: ragged CST delta arrays "
                 f"({len(p.idx)}/{len(p.d_counts)}/{len(p.d_dur_ns)})")
         known = len(self.sigs) + len(p.new_sigs)
-        if p.idx and not (0 <= min(p.idx) and max(p.idx) < known):
-            bad = next(i for i in p.idx if not 0 <= i < known)
+        if not all(map(lt, p.idx, p.idx[1:])):
             raise FoldError(
-                f"rank {p.rank}: CST delta targets signature {bad} but "
-                f"the fold knows {known}")
+                f"rank {p.rank}: CST delta indices are not strictly "
+                f"ascending")
+        if p.idx and not 0 <= p.idx[0] <= p.idx[-1] < known:
+            raise FoldError(
+                f"rank {p.rank}: CST delta targets signature "
+                f"{p.idx[0] if p.idx[0] < 0 else p.idx[-1]} but the fold "
+                f"knows {known}")
+        # conservation, per partial: FIN only compares totals, which a
+        # partial wrong about itself two ways at once would still meet
+        try:
+            n, top = _terminals(p.parts)
+            expanded = (n,) if p.timing_duration is None else (
+                n, _terminals((p.timing_duration,))[0],
+                _terminals((p.timing_interval,))[0])
+        except (ValueError, IndexError, RecursionError) as e:
+            raise FoldError(
+                f"rank {p.rank}: a grammar of the partial does not "
+                f"expand ({e})") from e
+        if sum(p.d_counts) != p.n_calls or set(expanded) != {p.n_calls}:
+            raise FoldError(
+                f"rank {p.rank}: partial declares {p.n_calls} calls but "
+                f"its count deltas sum to {sum(p.d_counts)} and its parts "
+                f"(and timing logs) expand to {expanded} terminals")
+        if top >= known:
+            raise FoldError(
+                f"rank {p.rank}: a grammar part names terminal {top} but "
+                f"the fold knows {known} signatures")
 
     def apply(self, p: ShardPartial, *, loop_detection: bool) -> None:
         """Fold in a partial that :meth:`check` has passed."""
@@ -273,12 +316,8 @@ class TenantFold:
         out.append(CHECKPOINT_VERSION)
         write_value(out, (self.tenant, self.nprocs, state.next_seq,
                           state.finished, self.config.to_tuple()))
-        live = sorted(self.ranks)
-        write_uvarint(out, len(live))
-        for r in live:
-            blob = self.ranks[r].to_partial().to_bytes()
-            write_uvarint(out, len(blob))
-            out.extend(blob)
+        out.extend(write_flush(
+            [self.ranks[r].to_partial() for r in sorted(self.ranks)]))
         return bytes(out)
 
     @classmethod
@@ -287,8 +326,7 @@ class TenantFold:
             raise CorruptTraceError(
                 "not an ingest checkpoint (bad magic)")
         if data[4] != CHECKPOINT_VERSION:
-            raise CorruptTraceError(
-                f"unsupported checkpoint version {data[4]}")
+            raise UnsupportedVersionError(data[4], CHECKPOINT_VERSION)
         r = Reader(data, 5)
         head = read_value(r)
         if (not isinstance(head, tuple) or len(head) != 5
@@ -304,13 +342,7 @@ class TenantFold:
             raise CorruptTraceError(
                 f"malformed checkpoint config ({e})") from e
         fold = cls(tenant, nprocs, config)
-        n = r.read_uvarint()
-        if n > nprocs:
-            raise CorruptTraceError(
-                f"checkpoint claims {n} rank folds for {nprocs} ranks")
-        for _ in range(n):
-            blob = r.read_bytes(r.read_uvarint())
-            fold.absorb(ShardPartial.from_bytes(blob))
+        fold._absorb_all(read_flush(data[r.pos:]))
         state = TenantState(tenant=tenant, nprocs=nprocs, config=config,
                             next_seq=next_seq, finished=finished)
         return fold, state

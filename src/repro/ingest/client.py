@@ -9,11 +9,12 @@ an emit callback instead of folding locally — ``on_run_end`` skips
 
 :class:`IngestClient` speaks the frame protocol over a plain blocking
 socket: HELLO/HELLO_ACK handshake, one CHUNK per flush
-(:meth:`IngestClient.send_partials`: every rank's partial in one frame,
-compressed once, written once, ACKed once), a bounded window of unACKed
-CHUNKs (mirroring the server's bounded queue — the client blocks on ACKs
-when the window fills), FIN with per-rank call counts for the conservation
-check, then RESULT with the folded trace.  Reconnects ride
+(:meth:`IngestClient.send_partials`: every rank's partial in one record
+in one frame, compressed once, written once, ACKed once), a bounded
+window of unACKed CHUNKs (mirroring the server's bounded queue — the
+client blocks on ACKs when the window fills), FIN with per-rank call
+counts for the conservation check, then RESULT with the folded trace.
+Reconnects ride
 :class:`~repro.resilience.retry.TaskSupervisor`: on a connection
 failure the client redials with backoff, re-HELLOs with ``resume=True``,
 learns the server's durable ``next_seq``, drops everything already
@@ -32,7 +33,8 @@ from typing import Callable, Optional
 
 from ..core.backends import TracerOptions
 from ..core.errors import TraceFormatError
-from ..core.shard import ShardPartial, StreamingRankCompressor
+from ..core.shard import (ShardPartial, StreamingRankCompressor,
+                          write_flush)
 from ..core.tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
 from ..resilience.retry import RetryPolicy, TaskSupervisor
 from ..workloads import make as _make_workload
@@ -224,31 +226,27 @@ class IngestClient:
         self.send_partials([partial])
 
     def send_partials(self, partials: list[ShardPartial]) -> None:
-        """One flush (ascending ranks) as one CHUNK: the partials' sections
-        go uncompressed and the frame is compressed and CRC'd once — one
-        ``sendall``, one resend-buffer entry, one sequence number, one
-        window slot.  Only a flush whose blobs would overflow
-        ``MAX_FRAME_PAYLOAD`` is split over consecutive CHUNKs."""
-        budget = proto.MAX_FRAME_PAYLOAD - 10   # room for the seq varint
-        blobs: list[bytes] = []
-        size = 0
-        for p in partials:
-            blob = p.to_bytes(compress=False)
-            if blobs and size + len(blob) > budget:
-                self._send_chunk(blobs)
-                blobs, size = [], 0
-            blobs.append(blob)
-            size += len(blob)
-        if blobs:
-            self._send_chunk(blobs)
+        """One flush (ascending ranks) as one CHUNK: one record, written
+        uncompressed by one call, in a frame compressed and CRC'd once —
+        one ``sendall``, one resend-buffer entry, one sequence number, one
+        window slot.  Only a flush whose record would overflow
+        ``MAX_FRAME_PAYLOAD`` is halved into consecutive CHUNKs."""
+        record = write_flush(partials, compress=False)
+        # 10 bytes of room for the seq varint
+        if len(record) > proto.MAX_FRAME_PAYLOAD - 10 and len(partials) > 1:
+            mid = len(partials) // 2
+            self.send_partials(partials[:mid])
+            self.send_partials(partials[mid:])
+        else:
+            self._send_chunk(record, len(partials))
 
-    def _send_chunk(self, blobs: list[bytes]) -> None:
+    def _send_chunk(self, record: bytes, n_partials: int) -> None:
         seq = self._next_seq
         self._next_seq += 1
-        frame = proto.encode_chunk(seq, b"".join(blobs), compress=True)
+        frame = proto.encode_chunk(seq, record, compress=True)
         self._unacked[seq] = frame
         self.chunks_sent += 1
-        self.partials_sent += len(blobs)
+        self.partials_sent += n_partials
         while True:
             try:
                 self._send(frame)

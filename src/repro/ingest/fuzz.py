@@ -15,9 +15,9 @@ at frame boundaries via :func:`~repro.ingest.protocol.frame_spans`.
 
 Deep decode goes all the way down: frame framing → per-kind payload
 parse → :func:`~repro.ingest.aggregator.read_partials` for every CHUNK
-(every partial of the flush it carries, and the ascending-rank rule
-between them) → EOF check, so lazily-materialized corruption inside a
-partial cannot hide behind an intact frame header.
+(every column of the flush record it carries, and the ascending-rank
+rule between its partials) → EOF check, so lazily-materialized corruption
+inside a record cannot hide behind an intact frame header.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Iterator, Optional
 from ..core.errors import TraceFormatError
 from ..core.fuzz import (CODEC_BOMBS, CRASH, SILENT, STRUCTURED, FuzzOutcome,
                          FuzzReport, iter_blob_mutations)
-from ..core.packing import pack_value
-from ..core.shard import PARTIAL_MAGIC, PARTIAL_VERSION, ShardPartial
+from ..core.packing import pack_value, write_varints
+from ..core.shard import (PARTIAL_MAGIC, PARTIAL_VERSION, ShardPartial,
+                          write_flush)
 from ..core.trace_format import emit_section
 from . import protocol as proto
 from .aggregator import read_partials
@@ -40,8 +41,8 @@ def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
                        lossy_timing: bool = True) -> bytes:
     """Record a real client session as one contiguous byte stream:
     HELLO, every CHUNK a small traced run produces — one per flush, every
-    rank's partial inside, framed as the client frames it — FIN.  This
-    is the known-good blob the fuzzer mutates — real partials, real
+    rank's partial in its record, framed as the client frames it — FIN.
+    This is the known-good blob the fuzzer mutates — real partials, real
     grammars, real CRCs."""
     from ..workloads import make as make_workload
     from .client import ChunkingTracer
@@ -51,8 +52,7 @@ def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
 
     def emit_flush(partials: list[ShardPartial]) -> None:
         frames.extend(proto.encode_chunk(
-            seq[0], b"".join(p.to_bytes(compress=False) for p in partials),
-            compress=True))
+            seq[0], write_flush(partials, compress=False), compress=True))
         seq[0] += 1
 
     tracer = ChunkingTracer(
@@ -67,43 +67,90 @@ def build_frame_corpus(workload: str = "stencil2d", nprocs: int = 2, *,
 
 #: the packed signature of a well-formed minimal partial
 _PLAIN_SIG = pack_value(("MPI_Barrier", 0))
+#: ``Grammar.flat([0])`` as the signed ints of the grammar column
+_ONE_CALL = b"\x02\x02\x00\x02"
+_HUGE = 2 ** 60
 
 
-def _raw_partial(rank: int, sig: bytes = _PLAIN_SIG) -> bytes:
-    """A minimal partial for *rank* — one call, no deltas, no grammar
-    parts, sections uncompressed — whose one new signature is the packed
-    value *sig*, taken as raw bytes so it can be a codec bomb."""
-    partial = bytearray(PARTIAL_MAGIC + bytes((PARTIAL_VERSION, 0, rank, 1)))
-    for section in (b"\x01" + sig, b"\x00", b"\x00"):
-        emit_section(partial, section, compress=False)
-    return bytes(partial)
+def _raw_record(ranks=(0, 1), *, head=None, sigs=None, idx=None,
+                d_counts=None, d_dur_ns=None, grammars=None,
+                inside: bytes = b"", flags: int = 0) -> bytes:
+    """A flush record put together column by column — section
+    uncompressed, CRC honest — so that each column can be wrong on its
+    own.  Left alone it is well formed: one call per rank of *ranks*,
+    one new signature (the same for all), one delta, one flat part."""
+    n = len(ranks)
+    body = bytearray()
+    write_varints(body, [n, *chain.from_iterable(
+        (r, 1, 1, 1, 1) for r in ranks)] if head is None else head,
+        signed=False)
+    for column, default in ((sigs, b"\x01" + _PLAIN_SIG + b"\x00" * n),
+                            (idx, b"\x00" * n),
+                            (d_counts, b"\x02" * n), (d_dur_ns, b"\x00" * n),
+                            (grammars, bytes((4 * n,)) + _ONE_CALL * n)):
+        body += default if column is None else column
+    record = bytearray(PARTIAL_MAGIC + bytes((PARTIAL_VERSION, flags)))
+    emit_section(record, bytes(body + inside), compress=False)
+    return bytes(record)
 
 
 def corpus_frame_mutations(blob: bytes) -> Iterator[tuple[str, bytes]]:
     """Sessions a hostile client could send that every CRC accepts: the
     recorded HELLO, then one CHUNK that is wrong *inside* — a codec bomb
-    as the frame's own sequence number or as a partial's one new
-    signature (first partial of the chunk, and second), and the ways a
-    multi-partial chunk can be malformed: its second partial cut short,
-    bytes left over after its last, one rank in it twice."""
+    as the frame's own sequence number or as a new signature (first
+    partial of the record, and second), a count bomb in the head column
+    and in each column's length, and the ways a record of several
+    partials can be malformed: ranks out of order or repeated, a
+    signature nobody names or a name for none, a column cut short, bytes
+    left over inside the section or after it, timing grammars for one
+    partial and not the next."""
     hello = blob[:proto.frame_spans(blob)["frame0.HELLO.payload"][1]]
     yield ("CHUNK sequence number is 320 KB of continuation bytes",
            hello + proto.encode_frame(proto.CHUNK, b"\xff" * 320_000 + b"\x00"))
+    records = []
     for desc, value in CODEC_BOMBS:
-        yield (f"codec bomb as CHUNK 0's new signature: {desc}",
-               hello + proto.encode_chunk(0, _raw_partial(0, value)))
-        yield (f"codec bomb as the new signature of CHUNK 0's second "
-               f"partial: {desc}",
-               hello + proto.encode_chunk(
-                   0, _raw_partial(0) + _raw_partial(1, value)))
-    for desc, partials in (
-            ("CHUNK 0's second partial is truncated mid-section",
-             _raw_partial(0) + _raw_partial(1)[:-2]),
-            ("three bytes trail CHUNK 0's last partial",
-             _raw_partial(0) + _raw_partial(1) + b"\x00\x01\x02"),
-            ("CHUNK 0 carries rank 0 twice",
-             _raw_partial(0) + _raw_partial(0))):
-        yield desc, hello + proto.encode_chunk(0, partials)
+        records += [
+            (f"codec bomb as CHUNK 0's new signature: {desc}",
+             _raw_record((0,), sigs=b"\x01" + value + b"\x00")),
+            (f"codec bomb as the new signature of CHUNK 0's second "
+             f"partial: {desc}",
+             _raw_record(sigs=b"\x02" + _PLAIN_SIG + value + b"\x00\x01"))]
+    records += [
+        (f"count bomb: CHUNK 0's record claims 2**60 {what}",
+         _raw_record((0,), **column))
+        for what, column in (
+            ("partials", {"head": [_HUGE]}),
+            ("new signatures", {"head": [1, 0, 1, _HUGE, 1, 1]}),
+            ("distinct signatures", {"sigs": b"\x80" * 8 + b"\x10"}),
+            ("CST deltas", {"head": [1, 0, 1, 1, _HUGE, 1]}),
+            ("grammar parts", {"head": [1, 0, 1, 1, 1, _HUGE]}),
+            ("grammar ints", {"grammars": b"\x80" * 8 + b"\x10"}),
+            ("rules in one grammar",
+             {"grammars": b"\x01" + b"\x80" * 8 + b"\x20"}))]
+    records += [
+        ("CHUNK 0's ranks descend", _raw_record((1, 0))),
+        ("CHUNK 0 carries rank 0 twice", _raw_record((0, 0))),
+        ("CHUNK 0's second partial names a signature the record has not",
+         _raw_record(sigs=b"\x01" + _PLAIN_SIG + b"\x00\x05")),
+        ("CHUNK 0's record holds a signature no partial names",
+         _raw_record(sigs=b"\x02" + _PLAIN_SIG * 2 + b"\x00\x00")),
+        ("CHUNK 0's d_dur_ns column is one value short",
+         _raw_record(d_dur_ns=b"\x00")),
+        ("CHUNK 0's grammar column ends inside its second partial's part",
+         _raw_record(grammars=b"\x06" + _ONE_CALL + b"\x02\x02")),
+        ("CHUNK 0's grammar column holds one grammar too many",
+         _raw_record(grammars=b"\x0c" + _ONE_CALL * 3)),
+        ("three bytes trail the last column of CHUNK 0's record",
+         _raw_record(inside=b"\x00\x01\x02")),
+        ("three bytes trail CHUNK 0's record",
+         _raw_record() + b"\x00\x01\x02"),
+        ("CHUNK 0 is flagged timing but only its first partial has the "
+         "timing pair", _raw_record(
+             flags=1, grammars=b"\x10" + _ONE_CALL * 4)),
+        ("CHUNK 0's record holds no partial",
+         _raw_record((), sigs=b"\x00"))]
+    for desc, record in records:
+        yield desc, hello + proto.encode_chunk(0, record)
 
 
 def decode_stream(blob: bytes) -> list[tuple[int, tuple]]:

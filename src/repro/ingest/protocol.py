@@ -15,13 +15,13 @@ trace section on disk, and the corruption fuzzer
 (:mod:`repro.ingest.fuzz`) can aim the same boundary attacks at it.
 
 A CHUNK is one *flush* of the client's tracer, not one rank's share of
-it: its payload is ``uvarint seq`` followed by one or more
-:class:`~repro.core.shard.ShardPartial` blobs back to back, in strictly
-ascending rank order.  Partials are self-delimiting, so the payload needs
-no count and no per-partial length; the producing client writes their
-sections uncompressed and compresses the whole frame once (flag bit 0),
-so a flush costs one ``zlib`` call, one frame CRC, one write and one ACK
-however many ranks it covers.  The server absorbs a CHUNK all-or-nothing
+it: its payload is ``uvarint seq`` followed by one flush record
+(:func:`repro.core.shard.write_flush`: every rank's
+:class:`~repro.core.shard.ShardPartial`, in strictly ascending rank
+order, as whole-flush columns).  The producing client writes the record
+uncompressed and compresses the whole frame once (flag bit 0), so a
+flush costs one record, one ``zlib`` call, one write and one ACK however
+many ranks it covers.  The server absorbs a CHUNK all-or-nothing
 (:func:`repro.ingest.aggregator.read_partials`).
 
 The decoder is sans-io: :class:`FrameDecoder` is fed raw bytes from
@@ -53,8 +53,8 @@ _FLAG_COMPRESSED = 1
 #: frame kinds
 HELLO = 1        # client -> server: open/resume a tenant session
 HELLO_ACK = 2    # server -> client: session accepted, next expected seq
-CHUNK = 3        # client -> server: uvarint seq + one flush's ShardPartial
-#                  blobs back to back (>= 1, ascending ranks)
+CHUNK = 3        # client -> server: uvarint seq + one flush record
+#                  (>= 1 ShardPartial, ascending ranks)
 ACK = 4          # server -> client: uvarint seq absorbed into the fold
 FIN = 5          # client -> server: stream complete + per-rank call counts
 RESULT = 6       # server -> client: the folded trace blob
@@ -281,9 +281,10 @@ def parse_hello_ack(payload: bytes) -> int:
 
 def encode_chunk(seq: int, partials_blob: bytes, *,
                  compress: bool = False) -> bytes:
-    """The only CHUNK writer: *partials_blob* is one partial's bytes, or
-    several concatenated.  *compress* is the frame-level flag — worth it
-    when the partials' own sections were written uncompressed."""
+    """The only CHUNK writer: *partials_blob* is one flush record (one
+    partial's ``to_bytes()`` is the record of a flush of one).  *compress*
+    is the frame-level flag — worth it when the record's own section was
+    written uncompressed."""
     out = bytearray()
     write_uvarint(out, seq)
     out.extend(partials_blob)

@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.backends import TracerOptions, make_tracer
+from repro.core.grammar import Grammar
+from repro.core.shard import write_flush
 from repro.ingest import (ChunkingTracer, IngestClient, IngestError,
                           protocol as proto, push, serve_in_thread)
 from repro.ingest.aggregator import Aggregator, TenantFold
@@ -148,8 +150,7 @@ class TestChunkRegrouping:
         dec = proto.FrameDecoder()
         for seq, chunk in enumerate(_regroup(partials, sizes)):
             dec.feed(proto.encode_chunk(
-                seq, b"".join(p.to_bytes(compress=False) for p in chunk),
-                compress=True))
+                seq, write_flush(chunk, compress=False), compress=True))
             [(kind, payload)] = dec.frames()
             got_seq, blob = proto.parse_chunk(payload)
             assert (kind, got_seq) == (proto.CHUNK, seq)
@@ -323,14 +324,14 @@ class TestSocketEndToEnd:
             send_chunk = client._send_chunk
             flush_starts = []
 
-            def cutting(blobs):
+            def cutting(record, n_partials):
                 where = ("between" if client.chunks_sent in flush_starts
                          else "inside")
                 if client.chunks_sent and where not in cuts:
                     cuts.append(where)
                     client._sock.close()
                     time.sleep(0.05)
-                send_chunk(blobs)
+                send_chunk(record, n_partials)
 
             def emit_flush(partials):
                 flush_starts.append(client.chunks_sent)
@@ -352,19 +353,20 @@ class TestSocketEndToEnd:
         assert counters["ingest.calls"] == sum(
             rc.streamed_calls for rc in tracer.ranks)
 
-    def test_refused_chunk_then_resumed_session_folds_byte_identical(self):
-        """Bugfix regression, through a live server: a chunk whose second
-        partial cannot be absorbed is refused whole with an ERROR frame,
-        the tenant's fold and ``next_seq`` stay where the last ACK put
-        them, and a ``resume=True`` session that resends the good stream
-        from there folds the in-process trace."""
+    def _refused_then_resumed(self, spoil, code_and_detail):
+        """A live server is sent three good flushes and a fourth whose
+        second partial *spoil* made unabsorbable: the chunk is refused
+        whole with an ERROR frame, the tenant's fold and ``next_seq``
+        stay where the last ACK put them, and a ``resume=True`` session
+        that resends the good stream from there folds the in-process
+        trace."""
         ref = repro.trace("stencil2d", 4, seed=5).trace_bytes
         config, flushes, fin = _recorded("stencil2d", 4, 5, chunk_calls=64)
         assert len(flushes) > 4 and len(flushes[3]) == 4
 
         def chunk(seq, partials):
-            return proto.encode_chunk(seq, b"".join(
-                p.to_bytes(compress=False) for p in partials), compress=True)
+            return proto.encode_chunk(
+                seq, write_flush(partials, compress=False), compress=True)
 
         def session(port, frames, *, resume):
             with socket.create_connection(("127.0.0.1", port),
@@ -378,7 +380,7 @@ class TestSocketEndToEnd:
                 return list(dec.frames())
 
         bad = list(flushes[3])
-        bad[1] = replace(bad[1], idx=[5000], d_counts=[1], d_dur_ns=[1])
+        bad[1] = spoil(bad[1])
         expected = TenantFold("t", 4, config)
         for flush in flushes[:3]:
             for p in flush:
@@ -396,7 +398,7 @@ class TestSocketEndToEnd:
             assert [k for k, _ in got] == [
                 proto.HELLO_ACK, proto.ACK, proto.ACK, proto.ACK, proto.ERROR]
             code, detail = proto.parse_error(got[-1][1])
-            assert code == "FoldError" and "signature 5000" in detail
+            assert code == code_and_detail[0] and code_and_detail[1] in detail
             assert srv.server.registry.get("t").next_seq == 3
             assert fold_state(srv.server.aggregator.tenants["t"]) \
                 == fold_state(expected)
@@ -407,6 +409,25 @@ class TestSocketEndToEnd:
         assert [k for k, _ in got[1:]] == \
             [proto.ACK] * (len(flushes) - 3) + [proto.RESULT]
         assert got[-1][1] == ref
+
+    def test_refused_chunk_then_resumed_session_folds_byte_identical(self):
+        """Bugfix regression (PR 15): a delta aimed at a signature nobody
+        knows."""
+        self._refused_then_resumed(
+            lambda p: replace(p, idx=[5000], d_counts=[1], d_dur_ns=[1]),
+            ("FoldError", "signature 5000"))
+
+    def test_a_partial_that_does_not_add_up_is_refused_then_resent(self):
+        """Bugfix regression: the fold used to take a partial declaring
+        five calls whose counts summed to two and whose part expanded to
+        three terminals, one of them unknown to the CST — and a FIN
+        declaring the same five then passed the conservation check over
+        a trace whose grammar, counts and call total disagreed."""
+        self._refused_then_resumed(
+            lambda p: replace(p, n_calls=5, idx=[0], d_counts=[2],
+                              d_dur_ns=[1],
+                              parts=[Grammar((((0, 2), (10 ** 6, 1)),))]),
+            ("FoldError", "count deltas sum to 2"))
 
     def test_conservation_mismatch_is_refused(self):
         with serve_in_thread() as srv:
@@ -502,11 +523,20 @@ class TestSatelliteGuards:
         client = src["ingest/client.py"]
         assert client.count("encode_chunk(") == 1
         assert client.count(".sendall(") == 1
+        # one codec under both: the flush record's writer (the client's
+        # CHUNKs, the checkpoint, the fuzzer's corpus) and its reader
+        assert users("def write_flush(") == users("def read_flush(") \
+            == ["core/shard.py"]
+        assert users("write_flush(") == [
+            "bench/ingest.py", "core/shard.py", "ingest/aggregator.py",
+            "ingest/client.py", "ingest/fuzz.py"]
+        assert users("read_flush(") == ["core/shard.py",
+                                        "ingest/aggregator.py"]
+        assert client.count("write_flush(") == 1
         # the absorb routine: read_partials -> TenantFold.absorb_blob ->
         # Aggregator.absorb, called once by the server's consumer
-        assert users("ShardPartial.read_from(") == ["ingest/aggregator.py"]
-        assert users("read_partials(") == ["ingest/aggregator.py",
-                                           "ingest/fuzz.py"]
+        assert users("read_partials(") == [
+            "bench/ingest.py", "ingest/aggregator.py", "ingest/fuzz.py"]
         assert users("absorb_blob(") == ["ingest/aggregator.py"]
         assert src["ingest/aggregator.py"].count("absorb_blob(") == 2
         assert src["ingest/server.py"].count(".absorb(") == 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -21,15 +22,18 @@ from repro.core.errors import (ChecksumError, CorruptTraceError,
                                TruncatedTraceError, UnsupportedVersionError)
 from repro.core.grammar import Grammar
 from repro.core.packing import Reader
-from repro.core.shard import ShardPartial
+from repro.core.shard import ShardPartial, write_flush
 from repro.ingest import protocol as proto
 from repro.ingest.aggregator import (Aggregator, FoldError, TenantFold,
                                      read_partials)
 from repro.ingest.client import ChunkingTracer
-from repro.ingest.fuzz import build_frame_corpus, run_frame_fuzz
+from repro.ingest.fuzz import (_raw_record, build_frame_corpus,
+                               run_frame_fuzz)
 from repro.ingest.session import (SEQ_DUPLICATE, SEQ_NEW, SequenceError,
                                   Session, SessionError, SessionRegistry)
 from repro.workloads import make
+
+from test_flush_record_oracle import v1_read_partials
 
 CFG = proto.IngestConfig()
 
@@ -145,23 +149,31 @@ def _partial(rank: int = 3, *, timing: bool = True) -> ShardPartial:
 
 
 class TestChunkIsAFlush:
-    """A CHUNK carries one or more partials back to back; the parent's
-    one-partial CHUNK is the N = 1 case, byte for byte."""
+    """A CHUNK carries one flush record of one or more partials; the
+    one-partial CHUNK is the record of a flush of one."""
 
     #: ``encode_chunk(3, _partial().to_bytes(compress=False))`` as the
-    #: parent commit (one partial per CHUNK) wrote it
+    #: parent commit (``PARTIAL_VERSION`` 1: a header and five CRC'd
+    #: sections per partial) wrote it
     PARENT_CHUNK = bytes.fromhex(
         "50494746010300596256dcff0350505254010103051f6dd11eb202030302084d"
         "50495f53656e6401000102030202084d50495f526563760101094582eb8b0200"
         "06b8170104f70a07280985b20102040006020404efa0c5a00202080a0469079f"
         "f602020e0a")
+    #: the same call today: one section, whole-flush columns
+    CHUNK = bytes.fromhex(
+        "504947460103004a114b4a13035050525402013e9a7098cb0103050202010203"
+        "0302084d50495f53656e6401000102030202084d50495f526563760101000100"
+        "010604b817f70a0e0204000602040202080a02020e0a")
 
-    def test_one_partial_chunk_is_what_the_parent_wrote(self):
-        assert proto.encode_chunk(
-            3, _partial().to_bytes(compress=False)) == self.PARENT_CHUNK
-        # with the partial's default (compressed) sections the bytes
+    def test_one_partial_chunk_is_the_record_of_a_flush_of_one(self):
+        blob = _partial().to_bytes(compress=False)
+        assert blob == write_flush([_partial()], compress=False)
+        assert proto.encode_chunk(3, blob) == self.CHUNK
+        assert len(self.CHUNK) < len(self.PARENT_CHUNK)
+        # with the record's default (compressed) section the bytes
         # depend on the zlib build, so pin the layout instead: magic,
-        # version, kind, no flags, then one v2 section of seq + partial
+        # version, kind, no flags, then one v2 section of seq + record
         blob = _partial().to_bytes()
         payload = b"\x03" + blob
         assert len(payload) < 0x80
@@ -170,22 +182,26 @@ class TestChunkIsAFlush:
                              len(payload)))
             + struct.pack("<I", zlib.crc32(payload)) + payload)
 
-    def test_parent_chunk_parses_as_a_batch_of_one(self):
-        [(kind, payload)] = _decode_all(self.PARENT_CHUNK)
-        seq, blob = proto.parse_chunk(payload)
-        assert (kind, seq) == (proto.CHUNK, 3)
-        assert read_partials(blob) == [_partial()]
+    def test_parent_chunk_is_refused_by_version_and_read_by_the_oracle(self):
+        for frame, parse in ((self.CHUNK, read_partials),
+                             (self.PARENT_CHUNK, v1_read_partials)):
+            [(kind, payload)] = _decode_all(frame)
+            seq, blob = proto.parse_chunk(payload)
+            assert (kind, seq) == (proto.CHUNK, 3)
+            assert parse(blob) == [_partial()]
         cfg = proto.IngestConfig(lossy_timing=True)
         fold = TenantFold("t", 4, cfg)
-        assert fold.absorb_blob(blob) == [_partial()]
+        with pytest.raises(UnsupportedVersionError):
+            fold.absorb_blob(blob)
+        assert fold.partials_absorbed == 0
+        assert fold.absorb_blob(_partial().to_bytes()) == [_partial()]
         assert (fold.partials_absorbed, fold.total_calls) == (1, 5)
 
     @pytest.mark.parametrize("compress", [False, True])
     def test_flush_roundtrip(self, compress):
         partials = [_partial(r) for r in (0, 2, 5)]
         frame = proto.encode_chunk(
-            9, b"".join(p.to_bytes(compress=False) for p in partials),
-            compress=compress)
+            9, write_flush(partials, compress=False), compress=compress)
         [(kind, payload)] = _decode_all(frame)
         seq, blob = proto.parse_chunk(payload)
         assert (kind, seq) == (proto.CHUNK, 9)
@@ -198,28 +214,56 @@ class TestChunkIsAFlush:
         assert r.pos == len(a)
         assert ShardPartial.read_from(r) == _partial(1, timing=False)
         assert r.remaining() == 4
-        with pytest.raises(CorruptTraceError, match="trailing"):
-            ShardPartial.from_bytes(a + b)
+        # a CHUNK is one record: a second one behind it is trailing bytes
+        for parse in ShardPartial.from_bytes, read_partials:
+            with pytest.raises(CorruptTraceError, match="trailing"):
+                parse(a + b)
 
     def test_malformed_chunks_are_structured(self):
-        good = _partial(0).to_bytes()
+        good = write_flush([_partial(0), _partial(1)])
         with pytest.raises(TruncatedTraceError):
             read_partials(b"")
         with pytest.raises(TruncatedTraceError):
-            read_partials(good + _partial(1).to_bytes()[:-3])
+            read_partials(good[:-3])
         with pytest.raises(TraceFormatError):
             read_partials(good + b"trailing-bytes")
-        for second in (0, 0), (2, 1):
+        with pytest.raises(CorruptTraceError, match="no partial"):
+            read_partials(write_flush([]))
+        for ranks in (0, 0), (2, 1):
             with pytest.raises(CorruptTraceError, match="ascending"):
-                read_partials(b"".join(
-                    _partial(r).to_bytes() for r in second))
+                read_partials(_raw_record(ranks))
 
     def test_a_refused_chunk_leaves_the_fold_untouched(self):
         """Regression: ``RankFold.absorb`` used to extend the signature
         table before it validated the delta indices, so a refused
         partial left an orphan zero-count signature behind."""
-        cfg = proto.IngestConfig(lossy_timing=True)
-        fold = TenantFold("t", 4, cfg)
+        fold, state = self._fold_and_state()
+        before = repr(state())
+        bad = _partial(1)
+        bad.new_sigs, bad.idx, bad.d_counts, bad.d_dur_ns = \
+            [("MPI_Wait",)], [5], [1], [1]
+        # rank 0 and rank 2 are fine; rank 1 targets a signature nobody
+        # knows: nothing of the chunk may land, rank 0's share included
+        with pytest.raises(FoldError, match="signature 5"):
+            fold.absorb_blob(write_flush([_partial(0), bad, _partial(2)]))
+        assert repr(state()) == before
+        with pytest.raises(FoldError, match="signature 5"):
+            fold.absorb(bad)
+        assert repr(state()) == before
+        with pytest.raises(FoldError, match="outside"):
+            fold.absorb_blob(write_flush([_partial(0), _partial(7)]))
+        with pytest.raises(FoldError, match="timing"):
+            fold.absorb_blob(write_flush([_partial(0, timing=False),
+                                          _partial(1, timing=False)]))
+        with pytest.raises(TraceFormatError):
+            fold.absorb_blob(_partial(0).to_bytes() + b"PPRT")
+        assert repr(state()) == before
+        fold.absorb_blob(write_flush([_partial(0), _partial(2)]))
+        assert fold.partials_absorbed == 3 and sorted(fold.ranks) == [0, 2]
+
+    @staticmethod
+    def _fold_and_state():
+        fold = TenantFold("t", 4, proto.IngestConfig(lossy_timing=True))
         fold.absorb(_partial(0))
 
         def state():
@@ -229,30 +273,69 @@ class TestChunkIsAFlush:
                       f.timing_dur_parts)
                      for f in map(fold.ranks.get, sorted(fold.ranks))])
 
+        return fold, state
+
+    #: one way each for a partial to disagree with itself, and the
+    #: refusal's words; ``_partial`` declares 5 calls, counts 3 + 2, a
+    #: part of 3 + 2 terminals over its 2 signatures, timing logs of 5
+    INCONSISTENT = {
+        "the issue's: 5 calls, counts sum 2, part of 3 with one unknown":
+            (dict(idx=[0], d_counts=[2], d_dur_ns=[1],
+                  parts=[Grammar((((0, 2), (9, 1)),))]), "sum to 2"),
+        "more calls declared than counted":
+            (dict(n_calls=6), "sum to 5"),
+        "a part too short": (dict(parts=[Grammar.flat([0, 0, 1, 1])]),
+                             r"expand to \(4, 5, 5\)"),
+        "no part at all": (dict(parts=[]), r"expand to \(0, 5, 5\)"),
+        "two parts, too long together":
+            (dict(parts=[Grammar.flat([0] * 3), Grammar.flat([1] * 3)]),
+             r"expand to \(6, 5, 5\)"),
+        "a timing log too long":
+            (dict(timing_interval=Grammar.flat([7] * 6)),
+             r"expand to \(5, 5, 6\)"),
+        "a token repeated minus two times, made up for elsewhere":
+            (dict(parts=[Grammar((((0, 7), (1, -2)),))]), "does not expand"),
+        "a rule that reaches itself":
+            (dict(parts=[Grammar((((-1, 5),),))]), "does not expand"),
+        "a rule that is not there":
+            (dict(parts=[Grammar((((-3, 5),),))]), "does not expand"),
+        "delta indices out of order":
+            (dict(idx=[1, 0]), "strictly ascending"),
+        "a delta index twice":
+            (dict(idx=[1, 1]), "strictly ascending"),
+        "a multi-rule part naming a terminal the CST has not got":
+            (dict(parts=[Grammar((((-2, 2), (1, 1)), ((0, 1), (2, 1))))]),
+             "names terminal 2"),
+        "a flat part naming one":
+            (dict(parts=[Grammar.flat([0, 0, 0, 1, 4])]),
+             "names terminal 4"),
+    }
+
+    @pytest.mark.parametrize("case", INCONSISTENT)
+    def test_a_partial_that_does_not_add_up_is_refused(self, case):
+        """Bugfix: none of these was checked; FIN compares only totals,
+        which the first case (and any lie told twice) meets."""
+        changes, words = self.INCONSISTENT[case]
+        fold, state = self._fold_and_state()
         before = repr(state())
-        bad = _partial(1)
-        bad.new_sigs, bad.idx, bad.d_counts, bad.d_dur_ns = \
-            [("MPI_Wait",)], [5], [1], [1]
-        # rank 0 and rank 2 are fine; rank 1 targets a signature nobody
-        # knows: nothing of the chunk may land, rank 0's share included
-        chunk = b"".join(p.to_bytes() for p in
-                         (_partial(0), bad, _partial(2)))
-        with pytest.raises(FoldError, match="signature 5"):
-            fold.absorb_blob(chunk)
-        assert repr(state()) == before
-        with pytest.raises(FoldError, match="signature 5"):
-            fold.absorb(bad)
-        assert repr(state()) == before
-        with pytest.raises(FoldError, match="outside"):
-            fold.absorb_blob(_partial(0).to_bytes() + _partial(7).to_bytes())
-        with pytest.raises(FoldError, match="timing"):
-            fold.absorb_blob(_partial(0).to_bytes()
-                             + _partial(1, timing=False).to_bytes())
-        with pytest.raises(TraceFormatError):
-            fold.absorb_blob(_partial(0).to_bytes() + b"PPRT")
-        assert repr(state()) == before
-        fold.absorb_blob(_partial(0).to_bytes() + _partial(2).to_bytes())
-        assert fold.partials_absorbed == 3 and sorted(fold.ranks) == [0, 2]
+        bad = replace(_partial(1), **changes)
+        for absorb, arg in (
+                (fold.absorb, bad),
+                (fold.absorb_blob,
+                 write_flush([_partial(0), bad, _partial(2)]))):
+            with pytest.raises(FoldError, match=words):
+                absorb(arg)
+            assert repr(state()) == before
+        # the good stream, resent, folds to what it always did (a trace
+        # holds no negative total, so its deltas run the other way)
+        good = [replace(_partial(r), d_dur_ns=[1500, 700])
+                for r in (0, 1, 2)]
+        fold.absorb_blob(write_flush(good))
+        ref = TenantFold("t", 4, fold.config)
+        for p in (_partial(0), *good):
+            ref.absorb(p)
+        fin = [10, 5, 5, 0]
+        assert fold.finish(fin) == ref.finish(fin)
 
 
 class TestFrameFuzz:
@@ -279,11 +362,19 @@ class TestFrameFuzz:
         assert max(len(c) - 1 for c in chunks) == 4
         assert [c[0] for c in chunks] == list(range(len(chunks)))
         hostile = dict(corpus_frame_mutations(blob))
-        for needle in ("second partial is truncated", "trail",
-                       "rank 0 twice", "second partial: a value nests"):
-            [desc] = [d for d in hostile if needle in d]
+        for needle, count in (
+                ("count bomb", 7), ("ranks descend", 1), ("rank 0 twice", 1),
+                ("names a signature the record has not", 1),
+                ("a signature no partial names", 1),
+                ("one value short", 1), ("ends inside", 1),
+                ("one grammar too many", 1), ("trail", 2),
+                ("only its first partial has the timing pair", 1),
+                ("holds no partial", 1),
+                ("second partial: a value nests", 1)):
+            assert sum(needle in d for d in hostile) == count, needle
+        for desc, stream in hostile.items():
             with pytest.raises(TraceFormatError):
-                decode_stream(hostile[desc])
+                decode_stream(stream)
 
 
 class TestSession:

@@ -29,9 +29,10 @@ from repro.core.errors import (CorruptTraceError, TraceFormatError,
                                TruncatedTraceError)
 from repro.core.fuzz import iter_blob_mutations
 from repro.core.grammar import Grammar
-from repro.core.packing import (MAX_VALUE_DEPTH, Reader, pack_value,
-                                read_value, read_varints, write_varints)
-from repro.core.shard import ShardPartial
+from repro.core.packing import (MAX_VALUE_DEPTH, MAX_VARINT_BYTES, Reader,
+                                pack_value, read_value, read_varints,
+                                write_varints)
+from repro.core.shard import ShardPartial, read_flush, write_flush
 from repro.core.trace_format import TraceFile, emit_section, section_spans
 from repro.ingest import ChunkingTracer
 from repro.workloads import make
@@ -336,6 +337,94 @@ class TestValuesAgainstOracle:
                             len(ints), signed)[0] == "raise"
 
 
+class TestVarintKernel:
+    """The bulk reader's multi-byte loop (two- and three-byte forms in
+    line, a call only beyond) against one ``Reader.read_uvarint`` per
+    value, at every width the format allows."""
+
+    #: the smallest and the largest value of every encoded width
+    EDGES = [v for w in range(1, MAX_VARINT_BYTES + 1)
+             for v in ((1 << 7 * (w - 1)) if w > 1 else 0,
+                       (1 << 7 * w) - 1)]
+
+    @staticmethod
+    def _scalar(blob: bytes, n: int, signed: bool):
+        r = Reader(blob)
+        return [r.read_varint() if signed else r.read_uvarint()
+                for _ in range(n)], r.pos
+
+    def test_every_width_in_every_neighbourhood(self):
+        assert len(self.EDGES) == 2 * MAX_VARINT_BYTES
+        for v in self.EDGES:
+            # alone, and between one-, two- and three-byte neighbours
+            # (which also keeps the array off the all-single-byte slice)
+            for ints in ([v], [v, 300], [5, v, 70000], [70000, 300, v, v]):
+                out = bytearray()
+                write_varints(out, ints, signed=False)
+                assert len(out) == sum(
+                    max(1, -(-n.bit_length() // 7)) for n in ints)
+                blob = bytes(out)
+                for signed in (False, True):
+                    r = Reader(blob + b"\x07")
+                    got = read_varints(r, len(ints), signed)
+                    assert (got, r.pos) == self._scalar(blob, len(ints),
+                                                        signed)
+                    if not signed:
+                        assert got == ints
+                # every truncation point is a truncation, and says so
+                # for the same array the scalar reader gives up on
+                for cut in range(len(blob)):
+                    with pytest.raises(TruncatedTraceError):
+                        read_varints(Reader(blob[:cut]), len(ints),
+                                     signed=False)
+                    with pytest.raises(TruncatedTraceError):
+                        self._scalar(blob[:cut], len(ints), False)
+
+    @pytest.mark.parametrize("lead", [b"", b"\x05", b"\xac\x02",
+                                      b"\xf0\xa2\x04"])
+    def test_over_long_is_corrupt_not_truncated(self, lead):
+        """``MAX_VARINT_BYTES`` of continuation is refused as corruption
+        wherever it sits in the array; one byte fewer, then the end of
+        the buffer, is still a truncation."""
+        n = (1 if lead else 0) + 1
+        too_long = lead + b"\x80" * MAX_VARINT_BYTES + b"\x01"
+        for read in (lambda b: read_varints(Reader(b), n, signed=False),
+                     lambda b: self._scalar(b, n, False)):
+            with pytest.raises(CorruptTraceError, match="longer than"):
+                read(too_long)
+            with pytest.raises(TruncatedTraceError):
+                read(too_long[:-2])
+            with pytest.raises(TruncatedTraceError):
+                read(lead + b"\x80" * MAX_VARINT_BYTES)
+        longest = lead + b"\x80" * (MAX_VARINT_BYTES - 1) + b"\x01"
+        assert read_varints(Reader(longest), n, signed=False)[-1] == \
+            1 << 7 * (MAX_VARINT_BYTES - 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            write_varints(bytearray(), [300, 1 << 7 * MAX_VARINT_BYTES],
+                          signed=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2 ** 7), st.integers(2 ** 7 - 2, 2 ** 14 + 2),
+        st.integers(2 ** 14 - 2, 2 ** 21 + 2),
+        st.integers(0, 2 ** (7 * MAX_VARINT_BYTES) - 1)), min_size=1),
+        st.booleans(), st.data())
+    def test_differential_against_the_scalar_reader(self, ints, signed, data):
+        out = bytearray()
+        write_varints(out, ints, signed=False)
+        blob = bytes(out)
+        r = Reader(blob)
+        assert (read_varints(r, len(ints), signed), r.pos) == \
+            self._scalar(blob, len(ints), signed)
+        damaged = bytearray(blob[:data.draw(st.integers(0, len(blob)))])
+        if damaged and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(damaged) - 1))
+            damaged[at] ^= 1 << data.draw(st.integers(0, 7))
+        damaged = bytes(damaged)
+        assert _outcome(read_varints, Reader(damaged), len(ints), signed) \
+            == _outcome(lambda: self._scalar(damaged, len(ints), signed)[0])
+
+
 # -- whole sections ------------------------------------------------------------------
 
 
@@ -374,25 +463,25 @@ class TestSectionsAgainstOracle:
 
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     def test_mutated_partial_section_fails_alike(self, partials, index):
-        # sections: new signatures, CST deltas, grammar parts, timing
-        blob = max(partials, key=lambda p: len(p.new_sigs)) \
-            .to_bytes(compress=False)
-        r = Reader(blob, 6)
-        r.read_uvarint(), r.read_uvarint()
-        secs = _sections(blob, r.pos)
-        start, a, b = secs[index]
-        self._attack(blob, blob[a:b], ShardPartial.from_bytes,
-                     lambda mut: _resealed(
-                         blob, secs[0][0], [(s, e) for s, _, e in secs],
-                         index, mut))
+        # a flush record is one section; aim at a quarter of it at a
+        # time: head column and signatures first, grammar ints last
+        flush = sorted(partials, key=lambda p: len(p.new_sigs))[-3:]
+        blob = write_flush(sorted(flush, key=lambda p: p.rank),
+                           compress=False)
+        [(start, a, b)] = _sections(blob, 6)
+        quarter = (b - a) // 4
+        self._attack(blob, blob[a:b], read_flush,
+                     lambda mut: _resealed(blob, start, [(start, b)], 0, mut),
+                     (index * quarter, (index + 1) * quarter))
 
     @staticmethod
-    def _attack(blob, payload, parse, reseal):
+    def _attack(blob, payload, parse, reseal, middle=None):
         assert parse(reseal(payload)) == parse(blob)
         agreed = {"ok": 0, "raise": 0}
         for desc, mut in iter_blob_mutations(
                 payload, {"payload": (0, len(payload)),
-                          "middle": (len(payload) // 2, len(payload))},
+                          "middle": middle or (len(payload) // 2,
+                                               len(payload))},
                 seed=14, n_random=120):
             sealed = reseal(mut)
             got = _outcome(parse, sealed)

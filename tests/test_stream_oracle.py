@@ -24,10 +24,12 @@ from repro.core.grammar import Grammar, TermLog
 from repro.core.packing import Reader
 from repro.core.sequitur import Sequitur
 from repro.core.shard import (RankCompressor, ShardPartial,
-                              StreamingRankCompressor, _dur_to_ns)
+                              StreamingRankCompressor, _dur_to_ns,
+                              write_flush)
 from repro.core.timing import TimingCompressor
 from repro.core.trace_format import TraceFile
 from repro.core.encoder import CommIdSpace
+from repro.core.errors import UnsupportedVersionError
 from repro.ingest import ChunkingTracer, protocol as proto
 from repro.ingest.aggregator import (CONSOLIDATE_AFTER, TenantFold,
                                      read_partials)
@@ -36,6 +38,7 @@ from repro.obs import MetricsRegistry
 from repro.workloads import make
 
 from test_cst_table_oracle import read_v2_trace
+from test_flush_record_oracle import v1_read_partials, v1_restore
 
 # -- the oracle: the freeze-a-Sequitur-per-flush producer, kept verbatim ----------------
 
@@ -149,7 +152,7 @@ def _stream(tracer_cls, family: str, *, chunk_calls: int = 64,
 def _fold(flushes, config, fin) -> bytes:
     fold = TenantFold("t", NPROCS, config)
     for flush in flushes:
-        fold.absorb_blob(b"".join(p.to_bytes() for p in flush))
+        fold.absorb_blob(write_flush(flush))
     return fold.finish(fin)
 
 
@@ -425,7 +428,7 @@ class TestOneRefeedRoutine:
                 main.extend(p.parts)
                 dur.append(p.timing_duration)
                 ivl.append(p.timing_interval)
-            fold.absorb_blob(b"".join(p.to_bytes() for p in flush))
+            fold.absorb_blob(write_flush(flush))
         assert any(f.consolidations for f in fold.ranks.values())
         for rank, f in fold.ranks.items():
             assert len(f.parts) <= CONSOLIDATE_AFTER
@@ -443,7 +446,7 @@ class TestOneRefeedRoutine:
         cut = len(flushes) // 2
         fold = TenantFold("t", NPROCS, config)
         for flush in flushes[:cut]:
-            fold.absorb_blob(b"".join(p.to_bytes() for p in flush))
+            fold.absorb_blob(write_flush(flush))
         for f in fold.ranks.values():
             p = f.to_partial()
             assert p.timing_duration == o_refeed(f.timing_dur_parts)
@@ -454,7 +457,7 @@ class TestOneRefeedRoutine:
         restored, got_state = TenantFold.from_bytes(fold.to_bytes(state))
         assert got_state.next_seq == cut
         for flush in flushes[cut:]:
-            restored.absorb_blob(b"".join(p.to_bytes() for p in flush))
+            restored.absorb_blob(write_flush(flush))
         assert restored.finish(fin) == ref == \
             _one_shot("flash_sedov", lossy=True).result.trace_bytes
 
@@ -469,17 +472,19 @@ class TestCrossVersion:
     (stencil2d, 4 ranks, seed 11, lossy timing, watermark 23, 97 calls a
     chunk).  ``parent_*`` was recorded by the commit before PR 16 — its
     CHUNK payloads, a checkpoint taken after half of them, and the trace
-    its own server folded them to.  ``new_chunks`` is what this
-    producer emits for the same run; the parent's
-    ``ShardPartial.read_from`` + fold was run over it once, by hand, at
-    recording time and gave the same trace, and the test below holds the
-    producer to exactly those partials.
+    its own server folded them to — in ``PARTIAL_VERSION`` 1 and
+    ``CHECKPOINT_VERSION`` 1: the product refuses both by version, and
+    the reader that left ``src/`` with them
+    (``tests/test_flush_record_oracle.py``) still takes them to that
+    trace through today's fold.  ``new_chunks`` is what this producer
+    emits for the same run, one flush record a CHUNK, and
+    ``new_checkpoint`` the fold of the first half of them (re-recorded
+    in PR 23; the file's ``note`` says how they were checked against
+    the version-1 recording they replace).
 
-    The pinned trace is a format-v2 blob and stays one: the wire and the
-    checkpoint did not change when the trace's CST section went columnar
-    (v3), so the recorded CHUNKs are still compared byte for byte, and
-    what they fold to is compared as *tables* — signatures, counts,
-    nanoseconds, CFG, timing — with the v2 blob as the oracle's reader
+    The pinned trace is a format-v2 blob and stays one: what the streams
+    fold to is compared as *tables* — signatures, counts, nanoseconds,
+    CFG, timing — with the v2 blob as the oracle's reader
     (``tests/test_cst_table_oracle.py``) parses it."""
 
     @pytest.fixture(scope="class")
@@ -489,7 +494,7 @@ class TestCrossVersion:
             _tuplify(doc["config"]))
         for key in ("parent_chunks", "new_chunks"):
             doc[key] = [bytes.fromhex(h) for h in doc[key]]
-        for key in ("parent_checkpoint", "trace"):
+        for key in ("parent_checkpoint", "new_checkpoint", "trace"):
             doc[key] = bytes.fromhex(doc[key])
         doc["tables"] = read_v2_trace(doc["trace"])
         assert len(doc["tables"].cst) > 10 and doc["tables"].timing_meta
@@ -497,18 +502,26 @@ class TestCrossVersion:
 
     def test_parent_chunks_fold_to_the_parent_trace(self, pinned):
         fold = TenantFold("xv", NPROCS, pinned["config"])
-        parts = [g for blob in pinned["parent_chunks"]
-                 for p in fold.absorb_blob(blob) for g in p.parts]
+        parts = []
+        for blob in pinned["parent_chunks"]:
+            with pytest.raises(UnsupportedVersionError):
+                fold.absorb_blob(blob)
+            for p in v1_read_partials(blob):
+                fold.absorb(p)
+                parts += p.parts
         # the parent shipped every part as a frozen Sequitur
         assert sum(g.n_rules > 1 for g in parts) > len(parts) // 2
         assert TraceFile.from_bytes(
             fold.finish(pinned["fin"])) == pinned["tables"]
 
     def test_parent_checkpoint_resumes_to_the_parent_trace(self, pinned):
-        fold, state = TenantFold.from_bytes(pinned["parent_checkpoint"])
+        with pytest.raises(UnsupportedVersionError):
+            TenantFold.from_bytes(pinned["parent_checkpoint"])
+        fold, state = v1_restore(pinned["parent_checkpoint"])
         assert state.next_seq == pinned["checkpoint_after"]
         for blob in pinned["parent_chunks"][state.next_seq:]:
-            fold.absorb_blob(blob)
+            for p in v1_read_partials(blob):
+                fold.absorb(p)
         assert TraceFile.from_bytes(
             fold.finish(pinned["fin"])) == pinned["tables"]
 
@@ -518,12 +531,30 @@ class TestCrossVersion:
             watermark=23)
         assert (config, fin) == (pinned["config"], pinned["fin"])
         assert flushes == [read_partials(b) for b in pinned["new_chunks"]]
-        # the wire did not change: the recorded CHUNK payloads, byte for byte
-        assert [b"".join(p.to_bytes() for p in flush)
+        # the wire: the recorded CHUNK payloads, byte for byte
+        assert [write_flush(flush, compress=False)
                 for flush in flushes] == pinned["new_chunks"]
         folded = _fold(flushes, config, fin)
         assert folded == _one_shot("stencil2d", lossy=True).result.trace_bytes
         assert TraceFile.from_bytes(folded) == pinned["tables"]
+
+    def test_todays_checkpoint_resumes_to_the_parent_trace(self, pinned):
+        cut = pinned["checkpoint_after"]
+        fold = TenantFold("xv", NPROCS, pinned["config"])
+        for blob in pinned["new_chunks"][:cut]:
+            fold.absorb_blob(blob)
+        state = TenantState(tenant="xv", nprocs=NPROCS,
+                            config=pinned["config"], next_seq=cut)
+        # section for section (its bytes are zlib's), the recorded one
+        for blob in fold.to_bytes(state), pinned["new_checkpoint"]:
+            resumed, got = TenantFold.from_bytes(blob)
+            assert got.next_seq == cut
+            assert [f.to_partial() for f in resumed.ranks.values()] == \
+                [f.to_partial() for f in fold.ranks.values()]
+            for chunk in pinned["new_chunks"][cut:]:
+                resumed.absorb_blob(chunk)
+            assert TraceFile.from_bytes(
+                resumed.finish(pinned["fin"])) == pinned["tables"]
 
 
 def _tuplify(x):
