@@ -25,9 +25,10 @@ byte for byte, or the sample raises.  Four kinds of metric come out:
   family (captured once, outside the timing), per partial carried: the
   phase of ``push - trace`` that is the codec, once on each side.
 
-16 ranks and ``chunk_calls=256`` (the ``repro push`` default) make a
-flush cover many ranks, which is the case the one-CHUNK-per-flush wire
-unit exists for.
+``chunk_calls=256`` (the ``repro push`` default) over the 8 ranks
+``repro bench`` passes (``-n``; 16 when ``run_benchmark`` is called
+without ``nprocs``) makes a flush cover many ranks, which is the case
+the one-CHUNK-per-flush wire unit exists for.
 """
 
 from __future__ import annotations

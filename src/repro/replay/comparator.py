@@ -35,13 +35,14 @@ applies there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.decoder import RankStream
 from ..core.records import DecodedCall
 from ..core.relative import MARK_REL, decode as rel_decode
-from ..mpisim.funcs import FUNCS
+from ..mpisim import funcs as F
 from ..mpisim.hooks import TracerHooks
 from .engine import NOT_REISSUED
 
@@ -166,17 +167,29 @@ class _RankCursor:
     timing_max: float = 0.0
 
 
-def _records_outcome(rec: DecodedCall) -> bool:
-    """Does this signature record anything :meth:`LockstepComparator.
-    _compare_outcome` could disagree with?  Isend/irecv/collectives do
-    not, so their calls cost the comparator one branch."""
-    p = rec.params
-    st = p.get("status")
-    return (isinstance(p.get("index"), int)
-            or "array_of_indices" in p
-            or isinstance(p.get("outcount"), int)
-            or p.get("flag") is not None
-            or (isinstance(st, tuple) and len(st) == 2))
+#: the kinds ``engine._DIRECTED`` pins, in the order a mismatch is
+#: reported; ``K_INT`` is the count an index set comes with (``outcount``)
+_OUTCOME_KINDS = (F.K_INDEX, F.K_INDEXV, F.K_INT, F.K_FLAG, F.K_STATUS)
+
+
+@functools.cache
+def _outcome_fields(fname: str) -> tuple:
+    """``(kind, name, FuncSpec.pos)`` of *fname*'s outcome parameters."""
+    params = F.FUNCS[fname].params
+    counted = any(p.kind == F.K_INDEXV for p in params)
+    return tuple((kind, p.name, i) for kind in _OUTCOME_KINDS
+                 for i, p in enumerate(params) if p.kind == kind
+                 and (kind != F.K_INT or counted and p.direction == F.OUT))
+
+
+def _says_something(kind: str, v: Any) -> bool:
+    """Could a live value disagree with this recorded one?  (Isend,
+    irecv, collectives: never — the comparator spends one branch.)"""
+    if kind == F.K_STATUS:
+        return isinstance(v, tuple) and len(v) == 2
+    if kind == F.K_FLAG:
+        return v is not None
+    return kind == F.K_INDEXV or isinstance(v, int)
 
 
 class LockstepComparator(TracerHooks):
@@ -204,9 +217,13 @@ class LockstepComparator(TracerHooks):
         #: terminals the engine re-issues nothing for
         self._not_reissued = {term for term, rec in records.items()
                               if rec.fname in NOT_REISSUED}
-        #: terminals that record an outcome worth comparing
-        self._with_outcome = {term for term, rec in records.items()
-                              if _records_outcome(rec)}
+        #: terminal -> (function, recorded mean duration, the outcome
+        #: fields worth comparing or None)
+        self._verdicts = {
+            term: (rec.fname, rec.avg_duration, tuple(
+                f for f in _outcome_fields(rec.fname)
+                if _says_something(f[0], rec.params[f[1]])) or None)
+            for term, rec in records.items()}
 
     # -- the hook ----------------------------------------------------------------
 
@@ -216,32 +233,39 @@ class LockstepComparator(TracerHooks):
         cur.replayed += 1
         if cur.point is not None:
             return  # already diverged: count, don't compare
-        term = self._advance(cur, fname)
-        if term is None:
-            cur.extra += 1
-            cur.point = DivergencePoint(
-                rank=rank, call_index=len(cur.recorded), function=fname,
-                recorded_function="", field="stream", live=fname)
-            return
-        rec = cur.recorded.table[term]
-        if rec.fname != fname:
-            cur.point = DivergencePoint(
-                rank=rank, call_index=cur.ptr, function=fname,
-                recorded_function=rec.fname, field="function",
-                recorded=rec.fname, live=fname,
-                timing_delta_s=(t1 - t0) - rec.avg_duration)
-            cur.ptr += 1
-            return
-        delta = (t1 - t0) - rec.avg_duration
+        try:  # the common case: the next recorded entry is this call
+            rec_fname, avg, outcome = self._verdicts[
+                cur.recorded.terms[cur.ptr]]
+        except IndexError:
+            rec_fname = ""
+        if rec_fname != fname:  # a skip, a mismatch or the end of stream
+            term = self._advance(cur, fname)
+            if term is None:
+                cur.extra += 1
+                cur.point = DivergencePoint(
+                    rank=rank, call_index=len(cur.recorded), function=fname,
+                    recorded_function="", field="stream", live=fname)
+                return
+            rec_fname, avg, outcome = self._verdicts[term]
+            if rec_fname != fname:
+                cur.point = DivergencePoint(
+                    rank=rank, call_index=cur.ptr, function=fname,
+                    recorded_function=rec_fname, field="function",
+                    recorded=rec_fname, live=fname,
+                    timing_delta_s=(t1 - t0) - avg)
+                cur.ptr += 1
+                return
+        delta = (t1 - t0) - avg
         cur.timing_abs += abs(delta)
-        cur.timing_max = max(cur.timing_max, abs(delta))
-        mismatch = self._compare_outcome(rank, rec, values) \
-            if term in self._with_outcome else None
-        if mismatch is not None:
+        if abs(delta) > cur.timing_max:
+            cur.timing_max = abs(delta)
+        mismatch = outcome and self._compare_outcome(
+            rank, cur.recorded[cur.ptr], outcome, values)
+        if mismatch:
             field_name, rec_v, live_v = mismatch
             cur.point = DivergencePoint(
                 rank=rank, call_index=cur.ptr, function=fname,
-                recorded_function=rec.fname, field=field_name,
+                recorded_function=fname, field=field_name,
                 recorded=rec_v, live=live_v, timing_delta_s=delta)
         else:
             cur.matched += 1
@@ -256,7 +280,7 @@ class LockstepComparator(TracerHooks):
         while cur.ptr < len(terms):
             term = terms[cur.ptr]
             if term in self._not_reissued \
-                    and cur.recorded.table[term].fname != fname:
+                    and self._verdicts[term][0] != fname:
                 cur.skipped += 1
                 cur.ptr += 1
                 continue
@@ -265,51 +289,37 @@ class LockstepComparator(TracerHooks):
 
     # -- outcome comparison ------------------------------------------------------
 
-    def _compare_outcome(self, rank: int, rec: DecodedCall,
+    def _compare_outcome(self, rank: int, rec: DecodedCall, outcome: tuple,
                          values: tuple):
-        p = rec.params
-        # by name, like the record: only calls that recorded an outcome
-        # get here
-        args = dict(zip(FUNCS[rec.fname].pos, values))
-        # completion picks: Waitany/Testany index
-        rec_idx = p.get("index")
-        if isinstance(rec_idx, int) and "index" in args \
-                and isinstance(args["index"], int) \
-                and args["index"] != rec_idx:
-            return "index", rec_idx, args["index"]
-        # Waitsome/Testsome index sets
-        rec_idxs = p.get("array_of_indices")
-        live_idxs = args.get("array_of_indices")
-        if rec_idxs is not None or live_idxs is not None:
-            a = list(rec_idxs) if rec_idxs is not None else None
-            b = list(live_idxs) if live_idxs is not None else None
-            if a != b:
-                return "array_of_indices", a, b
-        rec_out = p.get("outcount")
-        if isinstance(rec_out, int) and isinstance(args.get("outcount"),
-                                                   int) \
-                and args["outcount"] != rec_out:
-            return "outcount", rec_out, args["outcount"]
-        # Test* flags
-        rec_flag = p.get("flag")
-        if rec_flag is not None and "flag" in args \
-                and args["flag"] is not None \
-                and int(bool(args["flag"])) != int(bool(rec_flag)):
-            return "flag", int(bool(rec_flag)), int(bool(args["flag"]))
-        # completion source (wildcard matching)
-        src = self._recorded_source(rank, rec)
-        if src is not None:
-            live_st = args.get("status")
-            live_src = getattr(live_st, "MPI_SOURCE", None)
-            if isinstance(live_src, int) and live_src >= 0 \
-                    and live_src != src:
-                return "status.source", src, live_src
+        """The first *outcome* field whose live value (by position, as
+        ``on_call`` carries it) left the record: completion picks and
+        index sets, Test* flags, the wildcard completion source."""
+        for kind, name, pos in outcome:
+            rec_v, live = rec.params[name], values[pos]
+            if kind == F.K_INDEXV:
+                a = list(rec_v) if rec_v is not None else None
+                b = list(live) if live is not None else None
+                if a != b:
+                    return name, a, b
+            elif kind == F.K_FLAG:
+                if live is not None and bool(live) != bool(rec_v):
+                    return name, int(bool(rec_v)), int(bool(live))
+            elif kind == F.K_STATUS:
+                src = self._recorded_source(rank, rec)
+                live_src = getattr(live, "MPI_SOURCE", None)
+                if src is not None and isinstance(live_src, int) \
+                        and 0 <= live_src != src:
+                    return name + ".source", src, live_src
+            elif isinstance(live, int) and live != rec_v:
+                return name, rec_v, live
         return None
 
     def _recorded_source(self, rank: int, rec: DecodedCall) -> Optional[int]:
         """The recorded completion source as a world rank, or None when
         it cannot be decoded safely (non-world communicator with a
-        relative encoding, no status recorded)."""
+        relative encoding, no status recorded).  Decoding against
+        ``FuncSpec.ctx_comm`` instead of refusing off-world is ROADMAP
+        2(f)'s, not this comparator's."""
         st = rec.params.get("status")
         if not (isinstance(st, tuple) and len(st) == 2):
             return None

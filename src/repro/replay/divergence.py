@@ -206,7 +206,8 @@ class ReplayResult:
     spans: list = field(default_factory=list)
     #: ``replay.plan.*``: distinct ``terminals`` planned, the ``calls``
     #: they stand for, ``grammars_shared`` (ranks served by a grammar
-    #: another rank had already expanded)
+    #: another rank had already expanded), ``binds`` (terminals bound,
+    #: summed over ranks) and ``rebinds`` (times a rank dropped them)
     counters: dict = field(default_factory=dict)
 
     @property
@@ -358,6 +359,8 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
         with recorder.span("execute", scope="replay",
                            directed=directed):
             run = run_replay(sim, program)
+        counters["replay.plan.binds"] = sum(r.binds for r in replayers)
+        counters["replay.plan.rebinds"] = sum(r.rebinds for r in replayers)
         with recorder.span("compare", scope="replay"):
             report = comparator.finish()
     return ReplayResult(

@@ -13,11 +13,12 @@ replay of Waitany/Waitsome/Testsome indices).
 Replay is the registry (:mod:`repro.mpisim.funcs`) read backwards.  The
 encoder walks a function's parameters kind by kind to write a signature;
 replay compiles, per function, the inverse walk: each simulator argument
-is the recorded value put through its kind's *resolver*
-(``_RESOLVERS``), each created object is bound under its recorded id by
-its kind's *binder* (``_BINDERS``), and every recorded non-deterministic
-outcome is pinned through ``_DIRECTED``.  Nothing is enumerated per
-function except where the paper itself special-cases (``_SPECIAL``).
+is the recorded value put through its kind's *resolver* (``_RESOLVERS``)
+— once per rank and terminal, like the encoder's call-site memo — each
+created object is bound under its recorded id by its kind's *binder*
+(``_BINDERS``), and every recorded non-deterministic outcome is pinned
+through ``_DIRECTED``.  Nothing is enumerated per function except where
+the paper itself special-cases (``_SPECIAL``).
 
 Replay maintains the symbolic↔live object bindings the tracer created:
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import re
 from contextlib import contextmanager
 from types import GeneratorType
 from typing import Any, Callable, NamedTuple, Optional
@@ -145,8 +147,8 @@ _RESOLVERS.update(dict.fromkeys(
 _BINDERS = {
     F.K_NEWCOMM: "r.bind_comm({v}, ret)",
     F.K_NEWWIN: "r.bind_win({v}, ret)",
-    F.K_NEWTYPE: "r.type_map[{v}] = ret",
-    F.K_GROUP: "r.group_map[{v}] = ret",
+    F.K_NEWTYPE: "r.type_map[{v}] = ret; r._rebound()",
+    F.K_GROUP: "r.group_map[{v}] = ret; r._rebound()",
     F.K_REQUEST: "r.req_map[{v}] = ret",
 }
 
@@ -180,21 +182,24 @@ class _Special(NamedTuple):
     null_guard: bool = False
 
 
-#: explicit code, only where the paper itself special-cases
+#: explicit code, only where the paper itself special-cases: it runs per
+#: call, its ``${...}`` parts bound once
 _SPECIAL = {
     # §3.3.2: a wildcard irecv's source is recorded by the call that
     # completes it — matched by request id and occurrence
     "MPI_Irecv": _Special(args={
-        "directed_source": "(r._wildcard_source(p, ctx) "
-                           "if p['source'] == _ANY_SOURCE_ENC else None)"}),
+        "directed_source": "(r._wildcard_source(${p}, ${ctx}) "
+                           "if ${p['source'] == _ANY_SOURCE_ENC} else None)"}),
     # §3.4.2: Cartesian coordinates are recorded relative to the caller's
     "MPI_Cart_rank": _Special(args={
-        "coords": "r._abs_coords(comm, ctx, p['coords'])"}),
+        "coords": "${r._abs_coords(comm, ctx, p['coords'])}"}),
     # §3.3.3: the call allocates the segment its recorded id names
-    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(p, ret)"),
+    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(${p}, ret)"),
     # released ids are re-handed to the next object created
-    "MPI_Type_free": _Special(post="r.type_map.pop(p['datatype'], None)"),
-    "MPI_Group_free": _Special(post="r.group_map.pop(p['group'], None)"),
+    "MPI_Type_free": _Special(
+        post="r.type_map.pop(${p['datatype']}, None); r._rebound()"),
+    "MPI_Group_free": _Special(
+        post="r.group_map.pop(${p['group']}, None); r._rebound()"),
     # a request recorded as MPI_REQUEST_NULL has nothing to act on
     "MPI_Start": _Special(null_guard=True),
     "MPI_Startall": _Special(null_guard=True),
@@ -203,25 +208,40 @@ _SPECIAL = {
 }
 
 
-def _compile_runner(fname: str) -> Callable:
-    """Generate ``run(r, m, p)`` for one registry function: the inverse
-    of the encoder's walk, its arguments unrolled by kind (what
-    ``_CallPlan`` does for the encoder, and ``wrap.py`` for PMPI —
-    interpreting the tables per call costs more than the call)."""
+def _compile_runner(fname: str) -> tuple[Callable, Callable]:
+    """Generate the inverse of the encoder's walk for one registry
+    function, in two halves: ``bind(r, m, p) -> (run, ...)`` resolves what
+    reads only the signature and the rank's bindings, ``run(r, m, a)``
+    keeps what a call can change — request lookups, the wildcard
+    occurrence count, the call, the binders, the release."""
     if fname in NOT_REPLAYABLE:
-        def run(r, m, p):  # fails where the call is reached
+        def run(r, m, a):  # fails where the call is reached
             raise ReplayFormatError(f"replay has no handler for {fname}")
             yield  # pragma: no cover - make this a generator
-        return run
+        return (lambda r, m, p: (run,)), run
     spec = F.FUNCS[fname]
     method = fname[4:].lower()
     special = _SPECIAL.get(fname, _Special())
     params = {prm.name: prm for prm in spec.params}
     by_kind = {prm.kind: prm for prm in spec.params}
-    body = []
+    bound = ["run"]  # what bind returns, in order
+    body = []  # what run does
     call_args = []
     held = []  # request parameters resolved into locals, released after
     by_keyword = False
+
+    def b(expr: str) -> str:
+        """Bind *expr* once; the local that carries it into ``run``."""
+        if expr not in bound:
+            bound.append(expr)
+        return f"a{bound.index(expr)}"
+
+    def live(code: str, v: str = "") -> str:
+        """Per-call *code*, its recorded value ``{v}`` and its
+        ``${...}`` parts bound."""
+        return re.sub(r"\$\{(.*?)\}", lambda mo: b(mo[1]),
+                      code.replace("{v}", v and b(v)))
+
     sim_params = list(inspect.signature(
         getattr(RankAPI, method)).parameters.values())[1:]
     for sp in sim_params:
@@ -229,23 +249,24 @@ def _compile_runner(fname: str) -> Callable:
             by_keyword = True  # skipped: what follows goes by name
             continue
         if sp.name in special.args:
-            expr = special.args[sp.name]
+            expr = live(special.args[sp.name])
         elif sp.name in _DIRECTED:
             kind, template = _DIRECTED[sp.name]
             expr = template.format(v=f"p[{by_kind[kind].name!r}]")
             if sp.name == "directed_source" or fname.startswith("MPI_Wait"):
                 expr = f"({expr} if r.directed else None)"
+            expr = b(expr)
         else:
             prm = next((params[n] for n in (sp.name, *_ALIASES.get(
                 sp.name, ())) if n in params), None)
             if prm is None:
                 raise KeyError(f"{fname}: simulator parameter {sp.name!r} "
                                f"has no registry counterpart")
-            expr = _RESOLVERS[prm.kind].format(v=f"p[{prm.name!r}]")
             if prm.name == spec.ctx_comm:
-                expr = "comm"
+                expr = b("comm")
             elif prm.kind in (F.K_REQUEST, F.K_REQUESTV):
-                body.append(f"{prm.name} = {expr}")
+                body.append(f"{prm.name} = "
+                            + live(_RESOLVERS[prm.kind], f"p[{prm.name!r}]"))
                 held.append(prm)
                 expr = prm.name
                 if special.null_guard and prm.kind == F.K_REQUEST:
@@ -253,6 +274,8 @@ def _compile_runner(fname: str) -> Callable:
                 elif special.null_guard:
                     body.append(f"{expr} = [q for q in {expr} "
                                 f"if q is not None]")
+            else:
+                expr = b(_RESOLVERS[prm.kind].format(v=f"p[{prm.name!r}]"))
         if by_keyword or sp.kind is sp.KEYWORD_ONLY:
             expr = f"{sp.name}={expr}"
         call_args.append(expr)
@@ -261,42 +284,45 @@ def _compile_runner(fname: str) -> Callable:
              # generator functions: test the result, not the method
              "if ret.__class__ is _GeneratorType: ret = yield from ret"]
     if special.post:
-        body.append(special.post)
+        body.append(live(special.post))
     outs = [prm for prm in spec.params
             if prm.direction == F.OUT and prm.kind in _BINDERS]
     if any(prm.kind == F.K_REQUEST for prm in outs):
         outs = [prm for prm in outs if prm.kind == F.K_REQUEST]
     for prm in outs:
-        body.append(_BINDERS[prm.kind].format(v=f"p[{prm.name!r}]"))
+        body.append(live(_BINDERS[prm.kind], f"p[{prm.name!r}]"))
     if fname in _RELEASING:
         for prm in held:
+            sym = b(f"p[{prm.name!r}]")
             if prm.kind == F.K_REQUEST:
-                body.append(f"r._release(p[{prm.name!r}], {prm.name})")
+                body.append(f"r._release({sym}, {prm.name})")
             else:
-                body += [f"for sym, req in zip(p[{prm.name!r}], {prm.name}):",
+                body += [f"for sym, req in zip({sym}, {prm.name}):",
                          "    r._release(sym, req)"]
-    if any("ctx" in line for line in body):
-        # the context rank, by the registry's one rule (FuncSpec.ctx_comm)
-        body.insert(0, "ctx = r.rank" if spec.ctx_comm is None
-                    else "ctx = _context_rank(comm, r.rank)")
-    if spec.ctx_comm is not None:
-        body.insert(0, f"comm = r.comm(p[{spec.ctx_comm!r}])")
-    src = "def run(r, m, p):\n    " + "\n    ".join(body) + "\n"
+    body.insert(0, f"{', '.join(f'a{i}' for i in range(len(bound)))}, = a")
+    # the context rank, by the registry's one rule (FuncSpec.ctx_comm);
+    # no communicator parameter is MPI_COMM_NULL (-1): the world rank
+    src = (f"def bind(r, m, p):\n"
+           f"    comm = r.comm(p.get({spec.ctx_comm!r}, -1))\n"
+           f"    ctx = _context_rank(comm, r.rank)\n"
+           f"    return ({', '.join(bound)},)\n"
+           f"def run(r, m, a):\n    " + "\n    ".join(body) + "\n")
     ns = {"_abs": _abs, "_status_source": _status_source,
           "_context_rank": F.context_rank, "_OPS_BY_HANDLE": _OPS_BY_HANDLE,
           "_ANY_SOURCE_ENC": _ANY_SOURCE_ENC,
           "_GeneratorType": GeneratorType}
     exec(compile(src, f"<replay {fname}>", "exec"), ns)
-    return ns["run"]
+    return ns["bind"], ns["run"]
 
 
 @functools.cache
 def _runner(fname: str) -> Optional[Callable]:
-    """The compiled generator for *fname*; None for what replay does not
-    re-issue (``NOT_REISSUED``) or the runtime emits itself."""
+    """The compiled ``bind`` for *fname* (what it returns starts with its
+    ``run``); None for what replay does not re-issue (``NOT_REISSUED``)
+    or the runtime emits itself."""
     if fname in NOT_REISSUED or fname in RUNTIME_EMITTED:
         return None
-    return _compile_runner(fname)
+    return _compile_runner(fname)[0]
 
 
 # ---------------------------------------------------------------------------------
@@ -307,10 +333,10 @@ class TermPlan(NamedTuple):
     """What replay derives from one signature, once, however many calls
     and ranks share it."""
 
-    #: generator(replayer, api, params), compiled per *function* from its
-    #: registry entry; None for MPI_Init/MPI_Finalize, which the runtime
-    #: emits itself, and for ``NOT_REISSUED``
-    run: Optional[Callable]
+    #: bind(replayer, api, params) -> (run, *bound arguments), compiled
+    #: per *function* from its registry entry; None for MPI_Init /
+    #: MPI_Finalize, which the runtime emits itself, and ``NOT_REISSUED``
+    bind: Optional[Callable]
     params: dict
     #: every heap/device segment mention: (sid, device or -1, offset)
     segments: tuple
@@ -379,8 +405,9 @@ class RankReplayer:
     entries), and construction folds those into the rank's set-up: the
     segments to materialize in ascending symbolic-id order (preserving
     the tracer's id assignment and hence the fixed-point property) and
-    the recorded source of every wildcard irecv.  Per call that leaves
-    one table lookup and the function's compiled body.
+    the recorded source of every wildcard irecv.  A terminal's arguments
+    are bound at its first call on the rank (``bound``), so per call that
+    leaves one table lookup and the function's ``run``.
 
     ``directed=True`` (the default) pins every nondeterministic choice —
     Wait*/Test* completion picks and wildcard receive sources — to the
@@ -419,12 +446,22 @@ class RankReplayer:
         #: communicators, e.g. the colour groups of one split)
         self.comm_map: dict[int, Optional[Comm]] = {}
         self.win_map: dict[int, Any] = {}
+        #: terminal -> what its ``bind`` returned, filled at the
+        #: terminal's first call and dropped whenever a symbol is rebound
+        self.bound: dict[int, tuple] = {}
+        self.binds = self.rebinds = 0
         #: segments to materialize, ascending sid: (sid, device, max_off)
         self._segments = self._fold_segments()
         #: (request sym, occurrence) -> recorded completion source enc
         self._any_sources = self._scan_wildcards()
 
     # -- symbolic object bindings (per rank) --------------------------------------
+
+    def _rebound(self) -> None:
+        """A symbol now names another live object: no bound argument may
+        outlive it (``PerRankEncoder._sig_cache``'s rule, backwards)."""
+        self.bound.clear()
+        self.rebinds += 1
 
     def bind_comm(self, sym: int, comm: Optional[Comm]) -> None:
         if comm is None:
@@ -436,6 +473,7 @@ class RankReplayer:
                     f"replay diverged: recorded comm id {sym} but the "
                     f"replayed construction order derives {derived}")
         self.comm_map[sym] = comm
+        self._rebound()
 
     def comm(self, sym: int) -> Optional[Comm]:
         if sym == -1:
@@ -456,6 +494,7 @@ class RankReplayer:
                     f"replay diverged: recorded win id {sym} but the "
                     f"replayed construction order derives {derived}")
         self.win_map[sym] = win
+        self._rebound()
 
     def win(self, sym: int):
         try:
@@ -598,6 +637,7 @@ class RankReplayer:
         bp = p["baseptr"]
         if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
             self.seg_map[bp[1]] = (base, max(p["size"], 1) + self._SEG_PAD)
+            self._rebound()
         return win
 
     def _release(self, sym, req) -> None:
@@ -611,7 +651,7 @@ class RankReplayer:
             return
         if req.kind == KIND_IDUP and isinstance(req.value, Comm):
             new = self.state.comm_space.sym_for(req.value)
-            if new not in self.comm_map:
+            if new not in self.comm_map:  # a first binding: nothing to drop
                 self.comm_map[new] = req.value
         self.req_map.pop(sym, None)
 
@@ -621,11 +661,16 @@ class RankReplayer:
         """Generator: re-issues every recorded call on the live runtime."""
         self.comm_map.setdefault(0, m.world)
         self._materialize_segments(m)
-        plan = self.plan
+        plan, bound = self.plan, self.bound
         for term in self.stream.terms:
-            entry = plan[term]
-            if entry.run is not None:
-                yield from entry.run(self, m, entry.params)
+            a = bound.get(term)
+            if a is None:
+                entry = plan[term]
+                if entry.bind is None:
+                    continue
+                a = bound[term] = entry.bind(self, m, entry.params)
+                self.binds += 1
+            yield from a[0](self, m, a)
 
 
 # ---------------------------------------------------------------------------------

@@ -1,20 +1,28 @@
 """Replay per signature, not per call (``repro.replay`` + ``TraceDecoder``).
 
-The product builds one table entry per CST terminal and walks terminals;
-the per-call walks it replaced live on *here* as differential oracles:
+The product builds one table entry per CST terminal, binds each
+terminal's arguments once per rank and walks terminals; the per-call
+walks it replaced live on *here* as differential oracles:
 
 * :func:`oracle_prescan` — the call-by-call segment/wildcard prescan;
 * :class:`OracleComparator` — a comparator that materialises every
-  rank's stream and probes every call's outcome.
+  rank's stream and probes every call's outcome;
+* :class:`ParentComparator` and :class:`OracleReplayer` — the comparator
+  hook and the generated per-call ``run(r, m, p)`` as they stood at
+  commit 6561f71 (PR 23), before a terminal was bound once.
 
-Across every workload family the two must agree on the materialised
-segments, the wildcard bookkeeping and, byte for byte, the divergence
-report.  A counting test pins the work bound itself: one grammar
-expansion per unique grammar, at most one decode per CST terminal.
+Across every workload family the two sides must agree on the
+materialised segments, the wildcard bookkeeping, the call log at the
+simulator boundary and, byte for byte, the divergence report.  A
+counting test pins the work bound itself: one grammar expansion per
+unique grammar, at most one decode per CST terminal.
 """
 
 import copy
+import inspect
 import json
+from types import GeneratorType
+from typing import Callable
 
 import pytest
 
@@ -22,16 +30,20 @@ import repro
 from repro.core import TraceDecoder, corpus_mutations
 from repro.core import decoder as decoder_mod
 from repro.core.decoder import RankStream
-from repro.core.encoder import PTR_DEVICE, PTR_HEAP
+from repro.core.encoder import _RELEASING, PTR_DEVICE, PTR_HEAP
 from repro.core.errors import CorruptTraceError, ReplayFormatError
 from repro.core.grammar import Grammar
 from repro.core.records import DecodedCall, sig_to_params
 from repro.mpisim import SimMPI, constants as C, funcs as F
 from repro.mpisim.hooks import TracerHooks
-from repro.replay import ReplayOptions, divergence, run_replay_fuzz
+from repro.mpisim.runtime import RankAPI
+from repro.replay import ReplayOptions, divergence, engine, run_replay_fuzz
 from repro.replay.comparator import (NOT_REISSUED, DivergencePoint,
                                      LockstepComparator, _RankCursor)
-from repro.replay.engine import (RankReplayer, ReplayState,
+from repro.replay.engine import (_ALIASES, _ANY_SOURCE_ENC, _DIRECTED,
+                                 _OPS_BY_HANDLE, _REPLAY_ONLY, _RESOLVERS,
+                                 NOT_REPLAYABLE, RankReplayer, ReplayState,
+                                 _abs, _Special, _status_source,
                                  build_rank_programs, run_replay)
 from repro.workloads import REGISTRY
 
@@ -115,10 +127,126 @@ def oracle_prescan(calls):
     return segments, any_sources
 
 
-class OracleComparator(LockstepComparator):
+def _records_outcome(rec):
+    """(6561f71, verbatim) Does this signature record anything
+    ``_compare_outcome`` could disagree with?"""
+    p = rec.params
+    st = p.get("status")
+    return (isinstance(p.get("index"), int)
+            or "array_of_indices" in p
+            or isinstance(p.get("outcount"), int)
+            or p.get("flag") is not None
+            or (isinstance(st, tuple) and len(st) == 2))
+
+
+class ParentComparator(LockstepComparator):
+    """The comparator hook as it stood at 6561f71, verbatim: the cursor
+    goes through ``_advance`` on every call, outcomes are compared *by
+    name* over a ``dict(zip(FuncSpec.pos, values))`` under five
+    hand-written field names.  Only ``finish`` and ``_recorded_source``
+    are the product's."""
+
+    def __init__(self, decoder, **kw):
+        super().__init__(decoder, **kw)
+        records = {}
+        for cur in self._cursors:
+            records.update(cur.recorded.table)
+        self._with_outcome = {term for term, rec in records.items()
+                              if _records_outcome(rec)}
+
+    def on_call(self, rank, fname, values, t0, t1):
+        cur = self._cursors[rank]
+        cur.replayed += 1
+        if cur.point is not None:
+            return  # already diverged: count, don't compare
+        term = self._advance(cur, fname)
+        if term is None:
+            cur.extra += 1
+            cur.point = DivergencePoint(
+                rank=rank, call_index=len(cur.recorded), function=fname,
+                recorded_function="", field="stream", live=fname)
+            return
+        rec = cur.recorded.table[term]
+        if rec.fname != fname:
+            cur.point = DivergencePoint(
+                rank=rank, call_index=cur.ptr, function=fname,
+                recorded_function=rec.fname, field="function",
+                recorded=rec.fname, live=fname,
+                timing_delta_s=(t1 - t0) - rec.avg_duration)
+            cur.ptr += 1
+            return
+        delta = (t1 - t0) - rec.avg_duration
+        cur.timing_abs += abs(delta)
+        cur.timing_max = max(cur.timing_max, abs(delta))
+        mismatch = self._compare_outcome(rank, rec, values) \
+            if term in self._with_outcome else None
+        if mismatch is not None:
+            field_name, rec_v, live_v = mismatch
+            cur.point = DivergencePoint(
+                rank=rank, call_index=cur.ptr, function=fname,
+                recorded_function=rec.fname, field=field_name,
+                recorded=rec_v, live=live_v, timing_delta_s=delta)
+        else:
+            cur.matched += 1
+        cur.ptr += 1
+
+    def _advance(self, cur, fname):
+        terms = cur.recorded.terms
+        while cur.ptr < len(terms):
+            term = terms[cur.ptr]
+            if term in self._not_reissued \
+                    and cur.recorded.table[term].fname != fname:
+                cur.skipped += 1
+                cur.ptr += 1
+                continue
+            return term
+        return None
+
+    def _compare_outcome(self, rank, rec, values):
+        p = rec.params
+        # by name, like the record: only calls that recorded an outcome
+        # get here
+        args = dict(zip(F.FUNCS[rec.fname].pos, values))
+        # completion picks: Waitany/Testany index
+        rec_idx = p.get("index")
+        if isinstance(rec_idx, int) and "index" in args \
+                and isinstance(args["index"], int) \
+                and args["index"] != rec_idx:
+            return "index", rec_idx, args["index"]
+        # Waitsome/Testsome index sets
+        rec_idxs = p.get("array_of_indices")
+        live_idxs = args.get("array_of_indices")
+        if rec_idxs is not None or live_idxs is not None:
+            a = list(rec_idxs) if rec_idxs is not None else None
+            b = list(live_idxs) if live_idxs is not None else None
+            if a != b:
+                return "array_of_indices", a, b
+        rec_out = p.get("outcount")
+        if isinstance(rec_out, int) and isinstance(args.get("outcount"),
+                                                   int) \
+                and args["outcount"] != rec_out:
+            return "outcount", rec_out, args["outcount"]
+        # Test* flags
+        rec_flag = p.get("flag")
+        if rec_flag is not None and "flag" in args \
+                and args["flag"] is not None \
+                and int(bool(args["flag"])) != int(bool(rec_flag)):
+            return "flag", int(bool(rec_flag)), int(bool(args["flag"]))
+        # completion source (wildcard matching)
+        src = self._recorded_source(rank, rec)
+        if src is not None:
+            live_st = args.get("status")
+            live_src = getattr(live_st, "MPI_SOURCE", None)
+            if isinstance(live_src, int) and live_src >= 0 \
+                    and live_src != src:
+                return "status.source", src, live_src
+        return None
+
+
+class OracleComparator(ParentComparator):
     """The per-call comparator: private per-rank lists of records,
-    ``NOT_REISSUED`` membership and the full outcome probe on every
-    call.  Only ``finish`` and ``_compare_outcome`` are the product's."""
+    ``NOT_REISSUED`` membership and the full by-name outcome probe on
+    every call.  Only ``finish`` is the product's."""
 
     def __init__(self, decoder, *, nprocs=None, rank_sources=None):
         n = decoder.nprocs if nprocs is None else nprocs
@@ -179,6 +307,158 @@ class OracleComparator(LockstepComparator):
         return None
 
 
+# -- the per-call engine, as it stood at 6561f71 -----------------------------------
+#
+# ``_BINDERS``, ``_SPECIAL`` and ``_compile_runner`` below are copied
+# verbatim from ``src/repro/replay/engine.py`` at commit 6561f71 (PR 23):
+# one generated ``run(r, m, p)`` per function that resolves every argument
+# on every call.  The kind tables it reads (``_RESOLVERS``, ``_DIRECTED``,
+# ``_ALIASES``, ``_REPLAY_ONLY``) are the product's: they are the shared
+# statement of the inverse walk, the generator is what is under test.
+
+#: per OUT kind, the statement binding the call's result ``ret`` under
+#: the recorded id ``{v}``.  A call that returns a request binds only
+#: that: whatever else it creates is delivered by the completing call
+#: (``MPI_Comm_idup``, §3.3.1 — :meth:`RankReplayer._release`).
+_BINDERS = {
+    F.K_NEWCOMM: "r.bind_comm({v}, ret)",
+    F.K_NEWWIN: "r.bind_win({v}, ret)",
+    F.K_NEWTYPE: "r.type_map[{v}] = ret",
+    F.K_GROUP: "r.group_map[{v}] = ret",
+    F.K_REQUEST: "r.req_map[{v}] = ret",
+}
+
+#: explicit code, only where the paper itself special-cases
+_SPECIAL = {
+    # §3.3.2: a wildcard irecv's source is recorded by the call that
+    # completes it — matched by request id and occurrence
+    "MPI_Irecv": _Special(args={
+        "directed_source": "(r._wildcard_source(p, ctx) "
+                           "if p['source'] == _ANY_SOURCE_ENC else None)"}),
+    # §3.4.2: Cartesian coordinates are recorded relative to the caller's
+    "MPI_Cart_rank": _Special(args={
+        "coords": "r._abs_coords(comm, ctx, p['coords'])"}),
+    # §3.3.3: the call allocates the segment its recorded id names
+    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(p, ret)"),
+    # released ids are re-handed to the next object created
+    "MPI_Type_free": _Special(post="r.type_map.pop(p['datatype'], None)"),
+    "MPI_Group_free": _Special(post="r.group_map.pop(p['group'], None)"),
+    # a request recorded as MPI_REQUEST_NULL has nothing to act on
+    "MPI_Start": _Special(null_guard=True),
+    "MPI_Startall": _Special(null_guard=True),
+    "MPI_Cancel": _Special(null_guard=True),
+    "MPI_Request_free": _Special(null_guard=True),
+}
+
+
+def _compile_runner(fname: str) -> Callable:
+    """Generate ``run(r, m, p)`` for one registry function: the inverse
+    of the encoder's walk, its arguments unrolled by kind (what
+    ``_CallPlan`` does for the encoder, and ``wrap.py`` for PMPI —
+    interpreting the tables per call costs more than the call)."""
+    if fname in NOT_REPLAYABLE:
+        def run(r, m, p):  # fails where the call is reached
+            raise ReplayFormatError(f"replay has no handler for {fname}")
+            yield  # pragma: no cover - make this a generator
+        return run
+    spec = F.FUNCS[fname]
+    method = fname[4:].lower()
+    special = _SPECIAL.get(fname, _Special())
+    params = {prm.name: prm for prm in spec.params}
+    by_kind = {prm.kind: prm for prm in spec.params}
+    body = []
+    call_args = []
+    held = []  # request parameters resolved into locals, released after
+    by_keyword = False
+    sim_params = list(inspect.signature(
+        getattr(RankAPI, method)).parameters.values())[1:]
+    for sp in sim_params:
+        if sp.name in _REPLAY_ONLY:
+            by_keyword = True  # skipped: what follows goes by name
+            continue
+        if sp.name in special.args:
+            expr = special.args[sp.name]
+        elif sp.name in _DIRECTED:
+            kind, template = _DIRECTED[sp.name]
+            expr = template.format(v=f"p[{by_kind[kind].name!r}]")
+            if sp.name == "directed_source" or fname.startswith("MPI_Wait"):
+                expr = f"({expr} if r.directed else None)"
+        else:
+            prm = next((params[n] for n in (sp.name, *_ALIASES.get(
+                sp.name, ())) if n in params), None)
+            if prm is None:
+                raise KeyError(f"{fname}: simulator parameter {sp.name!r} "
+                               f"has no registry counterpart")
+            expr = _RESOLVERS[prm.kind].format(v=f"p[{prm.name!r}]")
+            if prm.name == spec.ctx_comm:
+                expr = "comm"
+            elif prm.kind in (F.K_REQUEST, F.K_REQUESTV):
+                body.append(f"{prm.name} = {expr}")
+                held.append(prm)
+                expr = prm.name
+                if special.null_guard and prm.kind == F.K_REQUEST:
+                    body.append(f"if {expr} is None: return")
+                elif special.null_guard:
+                    body.append(f"{expr} = [q for q in {expr} "
+                                f"if q is not None]")
+        if by_keyword or sp.kind is sp.KEYWORD_ONLY:
+            expr = f"{sp.name}={expr}"
+        call_args.append(expr)
+    body += [f"ret = m.{method}({', '.join(call_args)})",
+             # send/ssend/bsend/rsend *return* a generator without being
+             # generator functions: test the result, not the method
+             "if ret.__class__ is _GeneratorType: ret = yield from ret"]
+    if special.post:
+        body.append(special.post)
+    outs = [prm for prm in spec.params
+            if prm.direction == F.OUT and prm.kind in _BINDERS]
+    if any(prm.kind == F.K_REQUEST for prm in outs):
+        outs = [prm for prm in outs if prm.kind == F.K_REQUEST]
+    for prm in outs:
+        body.append(_BINDERS[prm.kind].format(v=f"p[{prm.name!r}]"))
+    if fname in _RELEASING:
+        for prm in held:
+            if prm.kind == F.K_REQUEST:
+                body.append(f"r._release(p[{prm.name!r}], {prm.name})")
+            else:
+                body += [f"for sym, req in zip(p[{prm.name!r}], {prm.name}):",
+                         "    r._release(sym, req)"]
+    if any("ctx" in line for line in body):
+        # the context rank, by the registry's one rule (FuncSpec.ctx_comm)
+        body.insert(0, "ctx = r.rank" if spec.ctx_comm is None
+                    else "ctx = _context_rank(comm, r.rank)")
+    if spec.ctx_comm is not None:
+        body.insert(0, f"comm = r.comm(p[{spec.ctx_comm!r}])")
+    src = "def run(r, m, p):\n    " + "\n    ".join(body) + "\n"
+    ns = {"_abs": _abs, "_status_source": _status_source,
+          "_context_rank": F.context_rank, "_OPS_BY_HANDLE": _OPS_BY_HANDLE,
+          "_ANY_SOURCE_ENC": _ANY_SOURCE_ENC,
+          "_GeneratorType": GeneratorType}
+    exec(compile(src, f"<replay {fname}>", "exec"), ns)
+    return ns["run"]
+
+
+_ORACLE_RUNNERS = {}
+
+
+class OracleReplayer(RankReplayer):
+    """``RankReplayer.program`` as it stood at 6561f71: one table lookup
+    and the function's per-call body, nothing bound."""
+
+    def program(self, m):
+        self.comm_map.setdefault(0, m.world)
+        self._materialize_segments(m)
+        for term in self.stream.terms:
+            entry = self.plan[term]
+            if entry.bind is None:
+                continue
+            fname = self.stream.table[term].fname
+            run = _ORACLE_RUNNERS.get(fname)
+            if run is None:
+                run = _ORACLE_RUNNERS[fname] = _compile_runner(fname)
+            yield from run(self, m, entry.params)
+
+
 class _RecordingAllocator:
     """Stands in for the RankAPI during segment materialisation."""
 
@@ -214,16 +494,79 @@ def assert_setup_matches_oracle(decoder, **build_kw):
         assert replayer._any_sources == any_sources
 
 
-def report_json(blob, options, monkeypatch, comparator) -> str:
-    monkeypatch.setattr(divergence, "LockstepComparator", comparator)
+def snapshot(v):
+    """A live hook value as plain data: scalars as they are, sequences
+    element-wise, an object as its class and scalar attributes."""
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    if isinstance(v, (list, tuple)):
+        return tuple(map(snapshot, v))
+    names = set(getattr(v, "__dict__", ()))
+    for klass in type(v).__mro__:
+        names.update(getattr(klass, "__slots__", ()))
+    return (type(v).__name__,) + tuple(
+        (n, getattr(v, n)) for n in sorted(names)
+        if isinstance(getattr(v, n, None), (bool, int, float, str)))
+
+
+class _Tee(TracerHooks):
+    """One replay, several observers: every comparator sees the same
+    calls, ``log`` keeps what crossed the simulator boundary."""
+
+    def __init__(self, *comparators):
+        self.comparators = comparators
+        self.log = []
+
+    def on_call(self, rank, fname, values, t0, t1):
+        self.log.append((rank, fname, snapshot(values), t0, t1))
+        for comparator in self.comparators:
+            comparator.on_call(rank, fname, values, t0, t1)
+
+    def finish(self):
+        self.reports = [c.finish() for c in self.comparators]
+        return self.reports[0]
+
+
+def replay_side(blob, options, monkeypatch, replayer, *comparators):
+    """One ``api.replay`` with *replayer* as the engine and every one of
+    *comparators* riding it: the call log, the replayers and one report
+    document per comparator."""
+    seen = {}
+
+    def tee(decoder, **kw):
+        seen["tee"] = _Tee(*(c(decoder, **kw) for c in comparators))
+        return seen["tee"]
+
+    def build(decoder, **kw):
+        seen["built"] = build_rank_programs(decoder, **kw)
+        return seen["built"]
+
+    monkeypatch.setattr(divergence, "LockstepComparator", tee)
+    monkeypatch.setattr(divergence, "build_rank_programs", build)
+    monkeypatch.setattr(engine, "RankReplayer", replayer)
     res = repro.replay(blob, options=options)
-    return json.dumps(res.report_dict(), indent=2, sort_keys=True)
+    docs = []
+    for report in seen["tee"].reports:
+        res.report = report
+        docs.append(json.dumps(res.report_dict(), indent=2, sort_keys=True))
+    return seen["tee"].log, seen["built"][1], docs
 
 
 def assert_reports_identical(blob, options, monkeypatch) -> dict:
-    got = report_json(blob, options, monkeypatch, LockstepComparator)
-    want = report_json(blob, options, monkeypatch, OracleComparator)
-    assert got == want
+    """The product (terminals bound once, positional comparator) against
+    the 6561f71 engine under both by-name comparators."""
+    log, replayers, (got,) = replay_side(
+        blob, options, monkeypatch, RankReplayer, LockstepComparator)
+    want_log, oracles, wants = replay_side(
+        blob, options, monkeypatch, OracleReplayer,
+        ParentComparator, OracleComparator)
+    assert log == want_log
+    assert [(r.seg_map, r.dev_seg_map) for r in replayers] \
+        == [(r.seg_map, r.dev_seg_map) for r in oracles]
+    assert wants == [got, got]
+    # the two sides really are two engines
+    assert all(r.binds for r in replayers)
+    assert not any(r.binds or r.bound for r in oracles)
     return json.loads(got)
 
 
@@ -333,6 +676,11 @@ class TestWorkCounts:
             "replay.plan.terminals": len(dec.trace.cst.sigs),
             "replay.plan.calls": dec.call_count(),
             "replay.plan.grammars_shared": 16 - len(dec.trace.cfg.unique),
+            # every re-issued terminal of every rank, bound exactly once:
+            # all but MPI_Init / MPI_Finalize, and nothing rebinds here
+            "replay.plan.binds": sum(
+                len(dec.rank_calls(r).table) - 2 for r in range(16)),
+            "replay.plan.rebinds": 0,
         }
         path = tmp_path / "spans.jsonl"
         res.write_spans(path)

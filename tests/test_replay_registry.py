@@ -30,7 +30,8 @@ from repro.mpisim.runtime import RankAPI
 from repro.mpisim.win import LOCK_EXCLUSIVE, LOCK_SHARED
 from repro.replay import replay_trace, run_replay_fuzz, structurally_equal
 from repro.replay import comparator, engine
-from test_replay_plan import assert_setup_matches_oracle
+from test_replay_plan import (assert_reports_identical,
+                              assert_setup_matches_oracle)
 
 
 def trace_of(nprocs, program, seed=1) -> bytes:
@@ -62,19 +63,44 @@ def assert_fixed_point(blob: bytes) -> None:
 
 
 class TestCompleteness:
-    def test_every_function_is_compiled_or_declared(self):
+    def test_every_function_is_compiled_or_declared(self, monkeypatch):
         declared = (engine.NOT_REISSUED | engine.NOT_REPLAYABLE
                     | engine.RUNTIME_EMITTED)
         assert declared <= set(F.FUNCS)
         assert engine.NOT_REISSUED == {"MPI_Get_count"}
         assert comparator.NOT_REISSUED is engine.NOT_REISSUED
-        for fname in F.FUNCS:
-            run = engine._runner(fname)
+        sources = []
+        monkeypatch.setattr(engine, "compile", lambda src, *a: (
+            sources.append(src), compile(src, *a))[1], raising=False)
+        for fname, spec in F.FUNCS.items():
             if fname in engine.NOT_REISSUED | engine.RUNTIME_EMITTED:
-                assert run is None, fname
-            else:
-                # compiled from the registry, not looked up in a table
-                assert inspect.isgeneratorfunction(run), fname
+                assert engine._runner(fname) is None, fname
+                continue
+            # compiled from the registry, not looked up in a table — in
+            # two halves: bound once per (rank, terminal), run per call
+            planned = engine._runner(fname)
+            sources.clear()
+            bind, run = engine._compile_runner(fname)
+            assert planned.__code__.co_code == bind.__code__.co_code, fname
+            assert inspect.isgeneratorfunction(run), fname
+            assert not inspect.isgeneratorfunction(bind), fname
+            if fname in engine.NOT_REPLAYABLE:
+                continue
+            (src,) = sources
+            bind_src, run_src = src.split("def run(r, m, a):")
+            # the per-call half never sees the signature ...
+            assert "p" not in run.__code__.co_varnames + run.__code__.co_names
+            # ... the bound half nothing a call can change
+            for per_call in ("req_map", "_wildcard_source", "_release",
+                             "yield", f"m.{fname[4:].lower()}("):
+                assert per_call not in bind_src, (fname, per_call)
+            # and no parameter kind is resolved in both (what follows
+            # the call binds results, it resolves nothing)
+            resolving = bind_src, run_src.split("if ret.__class__")[0]
+            for prm in spec.params:
+                stem = engine._RESOLVERS.get(prm.kind, "").split("{v}")[0]
+                assert not stem or not all(
+                    stem in half for half in resolving), (fname, prm)
 
     def test_every_simulator_parameter_resolves(self, monkeypatch):
         """By the registry's own name (``assert`` is a keyword: the one
@@ -492,6 +518,14 @@ class TestApiTour:
         """Segments and wildcard bookkeeping against PR 13's oracle."""
         assert_setup_matches_oracle(
             TraceDecoder.from_bytes(tour_traces[stop]))
+
+    @pytest.mark.parametrize("stop", sorted(TOUR))
+    def test_stop_matches_the_per_call_engine(self, stop, tour_traces,
+                                              monkeypatch):
+        """Call log, segments and report against the 6561f71 engine."""
+        doc = assert_reports_identical(
+            tour_traces[stop], repro.ReplayOptions(seed=5), monkeypatch)
+        assert not doc["diverged"]
 
     def test_seed_independent(self, tour_traces):
         """Every recorded choice is pinned: any replay seed will do."""
