@@ -66,9 +66,8 @@ def run_experiment(workload: str, nprocs: int, *, seed: int = 1,
     :class:`TracerOptions` shared by both tracers):
     ``options.profile`` attaches an enabled metrics registry to both so
     the fine-grained phase decomposition (Fig 8) lands in
-    ``row.phases``; ``options.metrics`` accumulates across rows;
-    ``options.jobs > 1`` parallelizes Pilgrim's finalize tree
-    reduction.  Extra keywords are workload parameters."""
+    ``row.phases``; ``options.metrics`` accumulates across rows.  Extra
+    keywords are workload parameters."""
     from .. import api  # late import: repro.api sits above repro.analysis
     opts = options if options is not None else TracerOptions()
     # one registry shared by both tracers (profile=True on the options

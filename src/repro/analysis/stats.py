@@ -124,8 +124,9 @@ def summarize_metrics(records: list[dict[str, Any]]) -> MetricsSummary:
 
 def render_spans(spans: list[dict[str, Any]]) -> None:
     """Render span records as an indented tree with total and *self*
-    wall time per span (the ``repro stats --spans`` view).  Spans
-    recorded by pooled workers are tagged with their pid."""
+    wall time per span (the ``repro stats --spans`` view).  A span
+    recorded by another process than the first root's is tagged with
+    its pid."""
     from ..obs import build_span_tree, span_self_ns
     if not spans:
         print("no span records found (trace with --metrics, or pass a "

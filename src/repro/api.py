@@ -120,9 +120,8 @@ class TraceResult:
 
     @property
     def spans(self) -> list:
-        """Exported span dicts for the whole run (one coherent tree,
-        pooled workers spliced in); empty when the tracer ran without
-        a metrics registry."""
+        """Exported span dicts for the whole run (one coherent tree);
+        empty when the tracer ran without a metrics registry."""
         return list(getattr(self.result, "spans", []))
 
     def manifest(self, *, command: str = "trace",

@@ -30,13 +30,12 @@ def _finalize(params: dict):
     families = list(params.setdefault("families", list(DEFAULT_FAMILIES)))
     nprocs = int(params.setdefault("nprocs", 8))
     seed = int(params.setdefault("seed", 1))
-    jobs = int(params.setdefault("jobs", 1))
     captures = [CapturedRun.record(f, nprocs, seed=seed) for f in families]
 
     def sample() -> dict:
         out: dict = {}
         for cap in captures:
-            tracer = make_tracer("pilgrim", TracerOptions(jobs=jobs))
+            tracer = make_tracer("pilgrim", TracerOptions())
             cap.replay(tracer)
             start = perf_counter()
             tracer.finalize()

@@ -80,7 +80,7 @@ def cmd_trace(args) -> int:
         fault_plan=_fault_plan_arg(args),
         options=TracerOptions(
             lossy_timing=args.lossy_timing, keep_raw=args.verify,
-            jobs=args.jobs, metrics=metrics,
+            metrics=metrics,
             memory_watermark=args.watermark))
     r = result.result
     result.write(args.output)
@@ -144,8 +144,7 @@ def cmd_verify(args) -> int:
     for name in args.workload:
         report = api.verify(name, args.procs, seed=args.seed,
                             options=TracerOptions(
-                                lossy_timing=args.lossy_timing,
-                                jobs=args.jobs),
+                                lossy_timing=args.lossy_timing),
                             fault_plan=_fault_plan_arg(args),
                             allow_degraded=args.allow_degraded,
                             **_parse_params(args.param))
@@ -570,8 +569,6 @@ def cmd_bench(args) -> int:
     params: dict = {"nprocs": args.procs, "seed": args.seed}
     if args.families:
         params["families"] = args.families
-    if args.jobs != 1:
-        params["jobs"] = args.jobs
     failed = False
     for name in names:
         doc = bench.run_benchmark(name, repeats=args.repeats,
@@ -608,8 +605,7 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     metrics = MetricsRegistry() if args.metrics else None
     rows = [run_experiment(args.workload, P, seed=args.seed, baseline=False,
-                           options=TracerOptions(metrics=metrics,
-                                                 jobs=args.jobs),
+                           options=TracerOptions(metrics=metrics),
                            **_parse_params(args.param))
             for P in args.procs]
     if metrics is not None:
@@ -736,12 +732,6 @@ def cmd_backends(args) -> int:
     return 0
 
 
-def _add_jobs_flag(p) -> None:
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the finalize tree "
-                        "reduction (byte-identical to serial; default 1)")
-
-
 def _add_fault_flags(p) -> None:
     p.add_argument("--fault-plan", metavar="PLAN",
                    help="inject faults: 'kind@site[*times][:key=val];...' "
@@ -772,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=available_backends(),
                    help="tracer backend from the repro.core.backends "
                         "registry (default: pilgrim)")
-    _add_jobs_flag(p)
     _add_fault_flags(p)
     p.add_argument("--watermark", type=int, default=None, metavar="CALLS",
                    help="soft per-rank memory watermark: spill the live "
@@ -803,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VALUE")
     p.add_argument("--lossy-timing", action="store_true")
-    _add_jobs_flag(p)
     _add_fault_flags(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -1049,7 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", nargs="+", metavar="NAME",
                    help="workload families (default: the 5-family "
                         "representative set)")
-    _add_jobs_flag(p)
     p.add_argument("--output-dir", default="benchmarks/results",
                    help="where <name>.json lands (default "
                         "benchmarks/results); BENCH_<name>.json is "
@@ -1078,7 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "as JSONL")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON rows instead of a table")
-    _add_jobs_flag(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("stats",

@@ -36,14 +36,13 @@ from .packing import write_uvarint, write_value
 @dataclass
 class TracerOptions:
     """The options every backend understands (backends ignore what they
-    cannot honor — e.g. ``jobs`` on a tracer with no merge stage)."""
+    cannot honor — e.g. ``lossy_timing`` on a tracer with no timing
+    stage)."""
 
     #: lossy per-call timing (Pilgrim §3.2) instead of aggregate stats
     lossy_timing: bool = False
     #: retain raw per-rank streams for lossless verification
     keep_raw: bool = False
-    #: worker processes for a parallelizable finalize (1 = serial)
-    jobs: int = 1
     #: columnar hot path: buffer this many calls per rank and run the
     #: CST/Sequitur/timing stages a whole batch at a time (byte-identical
     #: to per-call operation; 1 = the classic per-call path)
@@ -75,9 +74,6 @@ class TracerOptions:
             raise ValueError(
                 f"TracerOptions.batch_size must be >= 1, "
                 f"got {self.batch_size}")
-        if self.jobs < 1:
-            raise ValueError(
-                f"TracerOptions.jobs must be >= 1, got {self.jobs}")
         if self.memory_watermark is not None and self.memory_watermark < 1:
             raise ValueError(
                 f"TracerOptions.memory_watermark must be >= 1 (or None "
@@ -139,7 +135,7 @@ def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
     from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
     return PilgrimTracer(
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
-        keep_raw=opts.keep_raw, jobs=opts.jobs,
+        keep_raw=opts.keep_raw,
         batch_size=opts.batch_size,
         metrics=resolve_metrics(opts),
         fault_plan=opts.fault_plan, retry=opts.retry,

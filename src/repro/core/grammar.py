@@ -241,15 +241,3 @@ class Grammar:
             flat = read_varints(r, 2 * ntok)
             rules.append(tuple(zip(flat[::2], flat[1::2])))
         return cls(tuple(rules))
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        self.write_to(out)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Grammar":
-        return cls.from_reader(Reader(data))
-
-    def size_bytes(self) -> int:
-        return len(self.to_bytes())

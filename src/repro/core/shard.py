@@ -744,7 +744,7 @@ class RankCompressor:
         Freezing also drops the hot-path accelerator caches (encoder
         signature memo, CST identity fast path): they are meaningless
         after tracing ends and must never ride along when a compressor
-        or its shard is serialized for the parallel reduction.
+        or its shard is serialized.
 
         Parts the memory watermark spilled go back through one
         Sequitur with the live tail (:meth:`Grammar.refeed`), so the

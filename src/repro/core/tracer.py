@@ -15,9 +15,7 @@ terminal (optimized Sequitur) → optionally compress timing.  Each rank's
 state lives in a :class:`~repro.core.shard.RankCompressor`; at
 ``MPI_Finalize`` time the inter-process compression runs as the explicit
 shard → reduce → serialize pipeline of :mod:`repro.core.pipeline` — a
-ceil(log2 P) tree reduction over per-rank shards that runs serially by
-default and in parallel with ``jobs=N`` (byte-identical either way,
-because the shard merge is associative).
+ceil(log2 P) tree reduction over per-rank shards.
 
 All the paper's optimizations are individually toggleable for the
 ablation benchmarks: ``relative_ranks`` (§3.4.2),
@@ -80,8 +78,8 @@ class PilgrimResult:
     #: audit log of every injected fault that actually fired
     fired_faults: list[str] = field(default_factory=list)
     #: exported span dicts for the whole run — one coherent tree rooted
-    #: at the ``finalize`` span, with pooled workers' batches spliced in
-    #: (empty when the tracer ran without a metrics registry)
+    #: at the ``finalize`` span (empty when the tracer ran without a
+    #: metrics registry)
     spans: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -126,7 +124,6 @@ class PilgrimTracer(TracerHooks):
                  timing_base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
                  keep_raw: bool = False,
-                 jobs: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
                  fault_plan=None,
                  retry: Optional[RetryPolicy] = None,
@@ -134,8 +131,6 @@ class PilgrimTracer(TracerHooks):
                  batch_size: int = 1):
         if timing_mode not in (TIMING_AGGREGATE, TIMING_LOSSY):
             raise ValueError(f"unknown timing mode {timing_mode!r}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if memory_watermark is not None and memory_watermark < 1:
             raise ValueError(
                 f"memory_watermark must be >= 1, got {memory_watermark}")
@@ -149,8 +144,6 @@ class PilgrimTracer(TracerHooks):
         self.timing_base = timing_base
         self.per_function_base = per_function_base
         self.keep_raw = keep_raw
-        #: worker processes for the finalize tree reduction (1 = serial)
-        self.jobs = jobs
         #: armed fault injector (None when no plan is given: every
         #: injection point then reduces to a no-op None check).  An
         #: already-armed FaultInjector is accepted too, so the tracer
@@ -174,7 +167,7 @@ class PilgrimTracer(TracerHooks):
         self.obs = self.metrics.scope("pilgrim")
         #: span telemetry rides the same opt-in as the registry: one
         #: recorder for the whole run, shared by the profiler (phase
-        #: spans) and the pipeline (merge-task spans, worker batches)
+        #: spans) and the pipeline (merge-task spans)
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
         # the fine per-call path stamps each stage itself and does not
@@ -332,7 +325,7 @@ class PilgrimTracer(TracerHooks):
         # root opens *before* the per-call fold so the synthetic
         # encode/cst/sequitur spans nest under it too.
         with self.recorder.span("finalize", scope="pilgrim",
-                                nprocs=self.nprocs, jobs=self.jobs):
+                                nprocs=self.nprocs):
             # Fold the per-call accumulators into the profiler (fine mode
             # only — in coarse mode there is just the undivided intra
             # total).
@@ -348,15 +341,13 @@ class PilgrimTracer(TracerHooks):
 
             # Shard → reduce → serialize (see repro.core.pipeline).  The
             # reduce stage is the paper's log2 P tree over per-rank
-            # partials; jobs > 1 distributes each level over a process
-            # pool.
+            # partials.
             timing_meta = TimingMeta(
                 base=self.timing_base,
                 per_function_base=dict(self.per_function_base or {})) \
                 if self.timing_mode == TIMING_LOSSY else None
             pipeline = TracePipeline(loop_detection=self.loop_detection,
                                      cfg_dedup=self.cfg_dedup,
-                                     jobs=self.jobs,
                                      profiler=prof, faults=self.faults,
                                      retry=self.retry,
                                      scope=self.metrics.scope("pipeline"),
@@ -374,7 +365,6 @@ class PilgrimTracer(TracerHooks):
             self.obs.gauge("signatures").set(out.shard.n_signatures)
             self.obs.gauge("unique_grammars").set(cfg.n_unique)
             self.obs.gauge("trace_bytes").set(len(blob))
-            self.obs.gauge("merge_jobs").set(self.jobs)
             self.obs.timer("intra").add(self.time_intra,
                                         count=self.total_calls)
             self.obs.timer("total").add(self.time_intra + finalize_wall)

@@ -217,9 +217,7 @@ def verify_workload(name: str, nprocs: int, *, seed: int = 1,
                     options=None, allow_degraded: bool = False,
                     **params) -> VerifyReport:
     """Trace a registered workload with ``keep_raw=True`` and round-trip
-    verify it (the ``repro verify`` CLI entry point).  ``jobs > 1`` in
-    *options* exercises the parallel tree reduction, so CI proves the
-    parallel finalize path is lossless too.
+    verify it (the ``repro verify`` CLI entry point).
 
     This is a thin wrapper over :func:`repro.api.verify` — tracer
     configuration belongs in *options* (a :class:`~repro.core.backends.

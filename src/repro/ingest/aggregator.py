@@ -305,7 +305,7 @@ class TenantFold:
             per_function_base=dict(cfg.per_function_base)) \
             if cfg.lossy_timing else None
         pipeline = TracePipeline(loop_detection=cfg.loop_detection,
-                                 cfg_dedup=cfg.cfg_dedup, jobs=1,
+                                 cfg_dedup=cfg.cfg_dedup,
                                  timing_meta=timing_meta)
         return pipeline.serialize(final).trace_bytes
 

@@ -4,7 +4,7 @@ and per-run manifests.
 * :func:`to_chrome_trace` renders exported spans as a Chrome
   trace-event document (the ``{"traceEvents": [...]}`` object format)
   loadable in Perfetto / ``chrome://tracing`` — one track per recording
-  process, so parallel-merge workers show up as their own rows.
+  process.
 * :func:`write_spans_jsonl` dumps spans one JSON object per line with a
   schema header, the archival form ``repro timeline`` and
   ``repro stats --spans`` read back.

@@ -10,16 +10,11 @@ managers and keeps a stack so nested ``with`` blocks parent naturally::
         with rec.span("cst_merge"):
             ...                       # -> child of "finalize"
 
-Cross-process collection is explicit: a worker process builds its own
-recorder, exports its spans as plain dicts (picklable, JSON-able), and
-ships them back with its task result; the parent calls
-:meth:`SpanRecorder.splice` to re-identify the batch and graft it under
-the currently open span.  Process ids are preserved, so exporters can
-render one track per worker.
-
-Timestamps use ``time.time_ns()`` (wall epoch) rather than a monotonic
-clock precisely because spans from different processes must land on one
-shared timeline.
+Spans export as plain JSON-able dicts, the form the JSONL dump and the
+Chrome trace exporter read back.  Timestamps use ``time.time_ns()``
+(wall epoch) rather than a monotonic clock, so dumps recorded by
+different processes share one timeline; each span carries its
+recorder's process id, and exporters render one track per process.
 
 Disabled mode is a null object: :data:`NULL_RECORDER` hands out a shared
 inert block whose enter/exit do nothing, so instrumented code pays one
@@ -182,41 +177,13 @@ class SpanRecorder:
         self.spans.append(sp)
         return sp
 
-    # -- cross-process splice ------------------------------------------------------
-
-    def splice(self, batch: Iterable[dict[str, Any]], *,
-               parent_id: Optional[int] = None) -> int:
-        """Adopt a worker's exported span batch: re-identify every span
-        into this recorder's id space and graft the batch's roots under
-        *parent_id* (default: the innermost open span).  Worker process
-        ids are preserved.  Returns the number of spans adopted."""
-        if not self.enabled:
-            return 0
-        if parent_id is None:
-            parent_id = self.current_id
-        remap: dict[int, int] = {}
-        adopted: list[Span] = []
-        for rec in batch:
-            sp = Span.from_dict(rec)
-            remap[sp.span_id] = self._next_id
-            sp.span_id = self._next_id
-            self._next_id += 1
-            adopted.append(sp)
-        for sp in adopted:
-            if sp.parent_id is not None and sp.parent_id in remap:
-                sp.parent_id = remap[sp.parent_id]
-            else:
-                sp.parent_id = parent_id
-            self.spans.append(sp)
-        return len(adopted)
-
     # -- introspection -------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.spans)
 
     def export(self) -> list[dict[str, Any]]:
-        """All spans as JSON-able/picklable dicts, recording order."""
+        """All spans as JSON-able dicts, recording order."""
         return [sp.to_dict() for sp in self.spans]
 
 

@@ -9,8 +9,7 @@ crashing:
   the simulated-MPI scheduler.
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy` and
   :class:`TaskSupervisor`: bounded exponential backoff with seeded
-  jitter, per-task deadlines, and a circuit breaker that falls back to
-  serial merging after consecutive worker failures.
+  jitter, recomputing the failed task on every retry.
 - :mod:`repro.resilience.salvage` — :class:`SalvageReport`, the precise
   accounting (lost ranks, lost sections, call deficit) attached to any
   degraded result, plus the salvage read modes on

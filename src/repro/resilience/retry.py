@@ -1,11 +1,10 @@
-"""Retry, deadline, backoff and circuit-breaker machinery.
+"""Retry and backoff machinery.
 
 The compression pipeline treats every freeze/merge/serialize task as a
 *supervised* unit of work: run it, and on a retryable failure back off
 (bounded exponential with jitter from a seeded RNG — deterministic per
-run) and try again up to a budget.  After too many *consecutive*
-worker-style failures the breaker opens and the pipeline falls back to
-serial merging in the parent process, which cannot die or stall.
+run) and try again up to a budget.  The streaming ingest client runs its
+reconnects under the same supervisor.
 
 Nothing here imports ``repro.core`` — callers pass in the exception
 classes they consider retryable — so the core pipeline can depend on
@@ -31,19 +30,16 @@ class RetryPolicy:
     #: first backoff sleep, seconds; doubles each retry up to the cap
     backoff_base: float = 0.01
     backoff_cap: float = 0.25
-    #: per-task deadline, seconds (pool futures only; None = no deadline)
-    deadline: Optional[float] = 5.0
-    #: consecutive worker deaths/stalls before the breaker trips and the
-    #: pipeline abandons the process pool for serial merging
-    breaker_threshold: int = 3
     #: seed for backoff jitter (determinism: same run, same sleeps)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
+        # a negative sleep would surface only at the first retry, as
+        # time.sleep's bare "sleep length must be non-negative"
+        for name in ("max_retries", "backoff_base", "backoff_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"RetryPolicy.{name} must be >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -52,7 +48,6 @@ class SupervisorStats:
 
     retries: int = 0
     worker_deaths: int = 0
-    breaker_trips: int = 0
     gave_up: int = 0
     failures: list = field(default_factory=list)
 
@@ -86,31 +81,12 @@ class TaskSupervisor:
         self.recorder = recorder
         self.rng = random.Random(policy.seed ^ 0x5EED5EED)
         self.stats = SupervisorStats()
-        self._consecutive_worker_failures = 0
-        #: once True, pooled dispatch is abandoned for this run
-        self.broken = False
 
     # -- counters ------------------------------------------------------------------
 
     def _count(self, name: str) -> None:
         if self.scope is not None:
             self.scope.counter(name).inc()
-
-    def _note_worker_failure(self, exc: BaseException) -> None:
-        if isinstance(exc, WorkerDiedError):
-            self.stats.worker_deaths += 1
-            self._count("worker_deaths")
-            self._consecutive_worker_failures += 1
-            if (not self.broken and self._consecutive_worker_failures
-                    >= self.policy.breaker_threshold):
-                self.broken = True
-                self.stats.breaker_trips += 1
-                self._count("breaker_trips")
-        else:
-            self._consecutive_worker_failures = 0
-
-    def note_success(self) -> None:
-        self._consecutive_worker_failures = 0
 
     def backoff(self, attempt: int) -> float:
         """Sleep duration before retry *attempt* (1-based), jittered."""
@@ -126,9 +102,8 @@ class TaskSupervisor:
         """Run ``thunk(attempt)`` until it succeeds or the retry budget
         is spent.
 
-        ``thunk`` receives the attempt number (0-based) so callers can
-        switch strategy on retry — e.g. attempt 0 collects a pool
-        future, attempts >= 1 recompute serially in the parent.
+        ``thunk`` receives the attempt number (0-based), which callers
+        stamp on the telemetry of the attempt that succeeded.
 
         When the budget is exhausted: if ``on_exhausted`` is given, its
         return value becomes the task's result (degraded path);
@@ -152,9 +127,10 @@ class TaskSupervisor:
             except self.retryable as exc:
                 last = exc
                 self.stats.record_failure(site, exc)
-                self._note_worker_failure(exc)
+                if isinstance(exc, WorkerDiedError):
+                    self.stats.worker_deaths += 1
+                    self._count("worker_deaths")
                 continue
-            self.note_success()
             return result
         self.stats.gave_up += 1
         self._count("gave_up")

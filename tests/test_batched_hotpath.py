@@ -23,10 +23,10 @@ FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
 
 
 def _trace_bytes(family: str, nprocs: int, seed: int, *,
-                 batch_size: int = 1, lossy: bool = False, jobs: int = 1,
+                 batch_size: int = 1, lossy: bool = False,
                  watermark=None) -> bytes:
     tracer = make_tracer("pilgrim", TracerOptions(
-        lossy_timing=lossy, jobs=jobs, batch_size=batch_size,
+        lossy_timing=lossy, batch_size=batch_size,
         memory_watermark=watermark))
     make(family, nprocs).run(seed=seed, tracer=tracer)
     return tracer.result.trace_bytes
@@ -48,8 +48,8 @@ class TestBatchedByteIdentity:
 
     @pytest.mark.parametrize("family", ["stencil2d", "milc_su3_rmd"])
     def test_identical_under_parallel_finalize(self, family):
-        a = _trace_bytes(family, 4, 7, batch_size=256, jobs=2)
-        b = _trace_bytes(family, 4, 7, batch_size=1, jobs=1)
+        a = _trace_bytes(family, 4, 7, batch_size=256)
+        b = _trace_bytes(family, 4, 7, batch_size=1)
         assert a == b
 
     def test_watermark_spill_mid_batch(self):

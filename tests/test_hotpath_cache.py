@@ -30,15 +30,12 @@ FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
 
 
 def _trace_bytes(family: str, nprocs: int, seed: int, *,
-                 cached: bool, lossy: bool = False,
-                 jobs: int = 1) -> bytes:
+                 cached: bool, lossy: bool = False) -> bytes:
     if cached:
-        tracer = make_tracer("pilgrim", TracerOptions(
-            lossy_timing=lossy, jobs=jobs))
+        tracer = make_tracer("pilgrim", TracerOptions(lossy_timing=lossy))
     else:
         tracer = OracleTracer(
-            timing_mode=TIMING_LOSSY if lossy else TIMING_AGGREGATE,
-            jobs=jobs)
+            timing_mode=TIMING_LOSSY if lossy else TIMING_AGGREGATE)
     make(family, nprocs).run(seed=seed, tracer=tracer)
     return tracer.result.trace_bytes
 
@@ -57,8 +54,8 @@ class TestCacheIsInvisible:
 
     @pytest.mark.parametrize("family", ["stencil2d", "milc_su3_rmd"])
     def test_identical_under_parallel_finalize(self, family):
-        a = _trace_bytes(family, 4, 7, cached=True, jobs=2)
-        b = _trace_bytes(family, 4, 7, cached=False, jobs=1)
+        a = _trace_bytes(family, 4, 7, cached=True)
+        b = _trace_bytes(family, 4, 7, cached=False)
         assert a == b
 
 

@@ -451,9 +451,7 @@ class TestSatelliteGuards:
             TracerOptions(batch_size=0)
         with pytest.raises(ValueError, match="memory_watermark"):
             TracerOptions(memory_watermark=0)
-        with pytest.raises(ValueError, match="jobs"):
-            TracerOptions(jobs=-1)
-        TracerOptions(batch_size=1, memory_watermark=1, jobs=1)
+        TracerOptions(batch_size=1, memory_watermark=1)
 
     def test_chunk_calls_validates(self):
         with pytest.raises(ValueError, match="chunk_calls"):

@@ -1,11 +1,10 @@
 """The sharded compression pipeline: shard artifacts, associative tree
-reduction, parallel finalize, and the tracer-backend registry.
+reduction, and the tracer-backend registry.
 
 The load-bearing property: :func:`repro.core.shard.merge_shards` is
-associative, so *every* reduction shape — left fold, right fold,
-balanced tree, and the parallel ``jobs=N`` scheduler — must produce
-byte-identical final traces.  That is what makes ``--jobs`` safe to
-enable anywhere.
+associative, so *every* reduction shape — left fold, right fold, any
+split point, the balanced tree — must produce byte-identical final
+traces.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ FAMILIES = [
 ]
 
 
-def _trace(name: str, nprocs: int, params: dict, *, jobs: int = 1,
+def _trace(name: str, nprocs: int, params: dict, *,
            lossy: bool = False, seed: int = 1) -> PilgrimTracer:
-    tracer = PilgrimTracer(jobs=jobs,
-                           timing_mode="lossy" if lossy else "aggregate")
+    tracer = PilgrimTracer(timing_mode="lossy" if lossy else "aggregate")
     make(name, nprocs, **params).run(seed=seed, tracer=tracer)
     return tracer
 
@@ -77,21 +75,13 @@ class TestMergeAssociativity:
         assert right == serial
         assert balanced == serial
 
-    @pytest.mark.parametrize("name,nprocs,params", FAMILIES)
-    def test_parallel_jobs_byte_identical(self, name, nprocs, params):
-        serial = _trace(name, nprocs, params).result.trace_bytes
-        parallel = _trace(name, nprocs, params,
-                          jobs=4).result.trace_bytes
-        assert parallel == serial
-
     def test_lossy_timing_tree_shapes(self):
         tracer = _trace("stencil2d", 8, {}, lossy=True)
         serial = tracer.result.trace_bytes
         shards = [rc.freeze() for rc in tracer.ranks]
         assert _serialize(_fold_left(shards)) == serial
         assert _serialize(_fold_right(shards)) == serial
-        assert _trace("stencil2d", 8, {}, lossy=True,
-                      jobs=2).result.trace_bytes == serial
+        assert _serialize(tree_reduce(shards, merge_shards)) == serial
 
     def test_uneven_split_points(self):
         """Any split of the rank range reduces to the same trace: merge
@@ -121,8 +111,7 @@ class TestMergeAssociativity:
         assert sum(final.counts) == tracer.total_calls
 
     def test_parallel_verify_workload(self):
-        report = verify_workload("stencil2d", 8,
-                                 options=TracerOptions(jobs=2))
+        report = verify_workload("stencil2d", 8)
         assert report.ok, report.mismatches
 
 
@@ -196,14 +185,11 @@ class TestTreeReduce:
         assert tree_reduce(["x"], lambda a, b: a + b) == "x"
         with pytest.raises(ValueError):
             tree_reduce([], lambda a, b: a + b)
-        with pytest.raises(ValueError):
-            tree_reduce(["x"], lambda a, b: a + b, jobs=0)
 
     def test_parallel_matches_serial(self):
         import operator
         items = [f"<{i}>" for i in range(13)]
-        assert tree_reduce(items, operator.concat, jobs=3) \
-            == "".join(items)
+        assert tree_reduce(items, operator.concat) == "".join(items)
 
 
 class TestBackendRegistry:
@@ -223,9 +209,11 @@ class TestBackendRegistry:
 
     def test_options_and_overrides(self):
         opts = TracerOptions(lossy_timing=True, keep_raw=True)
-        t = make_tracer("pilgrim", opts, jobs=3)
-        assert (t.timing_mode, t.keep_raw, t.jobs) == ("lossy", True, 3)
-        assert opts.jobs == 1  # the shared options object is untouched
+        t = make_tracer("pilgrim", opts, memory_watermark=3)
+        assert (t.timing_mode, t.keep_raw, t.memory_watermark) \
+            == ("lossy", True, 3)
+        # the shared options object is untouched
+        assert opts.memory_watermark is None
         t = make_tracer("pilgrim", extra={"cfg_dedup": False})
         assert t.cfg_dedup is False
 
@@ -320,7 +308,7 @@ class TestEventLogNormalization:
 
 class TestPipelinePhases:
     def test_merge_level_phases_recorded(self):
-        tracer = PilgrimTracer(metrics=MetricsRegistry(), jobs=1)
+        tracer = PilgrimTracer(metrics=MetricsRegistry())
         make("stencil2d", 8, ).run(seed=1, tracer=tracer)
         phases = tracer.result.phases
         # 8 ranks -> 3 reduction levels, plus the named stage phases

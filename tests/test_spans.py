@@ -1,16 +1,13 @@
 """Tests for the span-telemetry subsystem: the recorder, the
-cross-process collection protocol, the Chrome-trace/JSONL/manifest
-exporters, and the surfacing through ``repro.api`` and the CLI.
+Chrome-trace/JSONL/manifest exporters, the finalize span tree, and the
+surfacing through ``repro.api`` and the CLI.
 
-Includes the regression tests this PR's satellites demand:
+Includes the regression tests for the merge-task telemetry:
 
-* parent-side metric parity — counters recorded in pooled workers must
-  reach the parent, so ``jobs=N`` totals equal serial-mode totals;
-* no duplicate spans from killed-and-retried workers under fault
-  injection;
-* a ``jobs=4`` run produces one merged span tree with at least one span
-  per worker process and a Chrome trace-event file that round-trips
-  through ``json.load``.
+* metric parity — the supervised merge (armed by a retry policy) and
+  the plain one report the same ``merge.tasks`` totals;
+* no duplicate spans from killed-and-retried merges under fault
+  injection.
 """
 
 import json
@@ -26,7 +23,7 @@ from repro.obs import (CHROME_TRACE_SCHEMA, MANIFEST_SCHEMA, NULL_RECORDER,
                        SpanRecorder, build_span_tree, read_spans_jsonl,
                        span_self_ns, to_chrome_trace, validate_json,
                        write_chrome_trace, write_spans_jsonl)
-from repro.resilience.faults import FaultPlan
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.workloads import make
 
 
@@ -58,25 +55,8 @@ class TestSpanRecorder:
         with rec.span("x"):
             pass
         assert rec.record("y", dur_s=1.0) is None
-        assert rec.splice([{"span_id": 1, "name": "z"}]) == 0
         assert rec.export() == [] and len(rec) == 0
         assert NULL_RECORDER.enabled is False
-
-    def test_splice_remaps_ids_and_grafts_roots(self):
-        worker = SpanRecorder(pid=4242)
-        with worker.span("task"):
-            with worker.span("sub"):
-                pass
-        parent = SpanRecorder()
-        with parent.span("level"):
-            n = parent.splice(worker.export())
-        assert n == 2
-        level, task, sub = parent.spans
-        assert task.parent_id == level.span_id  # root grafted
-        assert sub.parent_id == task.span_id    # interior edge kept
-        assert task.pid == 4242 and sub.pid == 4242
-        ids = [s.span_id for s in parent.spans]
-        assert len(set(ids)) == 3               # no id collisions
 
     def test_round_trip_dict(self):
         sp = Span(7, "n", parent_id=3, scope="s", start_ns=10,
@@ -110,15 +90,15 @@ class TestSpanRecorder:
 
 class TestExporters:
     def _spans(self):
+        """Spans from two processes: one track each in the exports."""
         rec = SpanRecorder(pid=100)
         with rec.span("finalize", scope="pilgrim"):
             with rec.span("merge", scope="phase"):
                 pass
-        worker = SpanRecorder(pid=200)
-        with worker.span("merge.task", scope="worker"):
+        other = SpanRecorder(pid=200)
+        with other.span("merge.task", scope="pipeline"):
             pass
-        rec.splice(worker.export())
-        return rec.export()
+        return rec.export() + other.export()
 
     def test_chrome_trace_shape_and_schema(self):
         doc = to_chrome_trace(self._spans())
@@ -163,7 +143,8 @@ class TestExporters:
 
     def test_manifest_write_and_load(self, tmp_path):
         m = RunManifest(command="trace", workload="w", nprocs=4,
-                        options={"jobs": 2}, totals={"calls": 10})
+                        options={"lossy_timing": True},
+                        totals={"calls": 10})
         path = RunManifest.default_path(str(tmp_path / "out.pilgrim"))
         m.write(path)
         doc = RunManifest.load(path)
@@ -200,9 +181,9 @@ class TestProfilerSpans:
         assert prof.recorder.export() == []
 
 
-def _run(nprocs=8, jobs=1, fault_plan=None, seed=1):
+def _run(nprocs=8, fault_plan=None, seed=1, retry=None):
     reg = MetricsRegistry()
-    opts = TracerOptions(metrics=reg, jobs=jobs, fault_plan=fault_plan)
+    opts = TracerOptions(metrics=reg, fault_plan=fault_plan, retry=retry)
     res = api.trace("stencil2d", nprocs, options=opts, seed=seed)
     return res, reg
 
@@ -215,86 +196,63 @@ def _merge_keys(spans):
 
 class TestCrossProcessCollection:
     def test_single_tree_with_worker_spans(self):
-        res, _ = _run(nprocs=8, jobs=2)
+        res, _ = _run(nprocs=8)
         spans = res.spans
         roots = build_span_tree(spans)
         assert len(roots) == 1
         assert roots[0]["span"]["name"] == "finalize"
-        pids = {s["pid"] for s in spans}
-        assert len(pids) >= 2  # parent + at least one pool worker
         # 8 shards -> 7 pair merges, each exactly one span
         assert sum(v for v in _merge_keys(spans).values()) == 7
 
-    def test_jobs4_acceptance(self, tmp_path):
-        """The issue's acceptance run: --jobs 4 yields one merged tree
-        with >= 1 span per worker process and a valid Chrome trace that
-        round-trips through json.load."""
-        res, _ = _run(nprocs=16, jobs=4)
-        spans = res.spans
-        assert len(build_span_tree(spans)) == 1
-        parent_pid = next(s["pid"] for s in spans
-                          if s["name"] == "finalize")
-        worker_pids = {s["pid"] for s in spans} - {parent_pid}
-        assert len(worker_pids) == 4
-        per_worker = Counter(s["pid"] for s in spans
-                             if s["pid"] != parent_pid)
-        assert all(n >= 1 for n in per_worker.values())
-        path = tmp_path / "timeline.json"
-        res.write_timeline(path)
-        doc = json.load(open(path))
-        validate_json(doc, CHROME_TRACE_SCHEMA)
-        tracks = {e["pid"] for e in doc["traceEvents"]}
-        assert tracks == {parent_pid, *worker_pids}
-
     def test_parallel_metric_parity_with_serial(self):
-        """Satellite regression: counters recorded inside pooled workers
-        (merge tasks) and retry counters must reach the parent registry,
-        so a --jobs N run reports the same totals as a serial run."""
-        _, reg1 = _run(nprocs=8, jobs=1)
-        _, reg2 = _run(nprocs=8, jobs=2)
+        """The supervised merge (armed here by a bare retry policy) and
+        the plain one report the same merge-task totals."""
+        plain, reg1 = _run(nprocs=8)
+        supervised, reg2 = _run(nprocs=8, retry=RetryPolicy())
+        assert supervised.trace_bytes == plain.trace_bytes
         s1, s2 = reg1.snapshot(), reg2.snapshot()
         assert s1["counters"] == s2["counters"]
         t1 = s1["timers"]["pipeline.merge.task_seconds"]
         t2 = s2["timers"]["pipeline.merge.task_seconds"]
         assert t1["count"] == t2["count"] == 7
+        assert _merge_keys(supervised.spans) == _merge_keys(plain.spans)
 
     def test_parity_under_fault_injection(self):
-        plan = "kill@merge*2"
-        _, reg1 = _run(nprocs=8, jobs=1, fault_plan=plan)
-        _, reg2 = _run(nprocs=8, jobs=2, fault_plan=plan)
-        s1, s2 = reg1.snapshot(), reg2.snapshot()
-        assert s1["counters"]["pipeline.retries"] == 2
-        assert s1["counters"] == s2["counters"]
+        _, clean = _run(nprocs=8)
+        _, reg = _run(nprocs=8, fault_plan="kill@merge*2")
+        counters = reg.snapshot()["counters"]
+        assert counters["pipeline.retries"] == 2
+        assert counters["pipeline.worker_deaths"] == 2
+        assert counters["pipeline.merge.tasks"] \
+            == clean.snapshot()["counters"]["pipeline.merge.tasks"]
 
     def test_no_duplicate_spans_from_killed_workers(self):
-        """Satellite regression: a killed-and-retried merge must appear
-        exactly once in the merged tree — the failed attempt's worker
-        report is discarded, the retry's recompute is what counts."""
-        for jobs in (1, 2):
-            res, reg = _run(nprocs=8, jobs=jobs,
-                            fault_plan=FaultPlan.parse("kill@merge*2",
-                                                       seed=7))
-            assert len(res.fired_faults) == 2
-            keys = _merge_keys(res.spans)
-            assert sum(keys.values()) == 7
-            dups = {k: v for k, v in keys.items() if v > 1}
-            assert not dups, f"jobs={jobs}: duplicated merges {dups}"
-            assert reg.snapshot()["counters"]["pipeline.merge.tasks"] == 7
+        """A killed-and-retried merge appears exactly once in the tree:
+        the failed attempt records nothing, the recompute is what
+        counts."""
+        res, reg = _run(nprocs=8,
+                        fault_plan=FaultPlan.parse("kill@merge*2", seed=7))
+        assert len(res.fired_faults) == 2
+        keys = _merge_keys(res.spans)
+        assert sum(keys.values()) == 7
+        dups = {k: v for k, v in keys.items() if v > 1}
+        assert not dups, f"duplicated merges {dups}"
+        assert reg.snapshot()["counters"]["pipeline.merge.tasks"] == 7
 
     def test_disabled_telemetry_records_nothing(self):
-        res = api.trace("stencil2d", 8, options=TracerOptions(jobs=2))
+        res = api.trace("stencil2d", 8, options=TracerOptions())
         assert res.spans == []
         assert res.tracer.recorder.enabled is False
 
     def test_spans_do_not_change_trace_bytes(self):
         plain = api.trace("stencil2d", 8, seed=3).trace_bytes
-        res, _ = _run(nprocs=8, jobs=2, seed=3)
+        res, _ = _run(nprocs=8, seed=3)
         assert res.trace_bytes == plain
 
 
 class TestApiSurfacing:
     def test_manifest_contents(self):
-        res, _ = _run(nprocs=8, jobs=2)
+        res, _ = _run(nprocs=8)
         m = res.manifest()
         doc = m.to_dict()
         assert doc["schema"] == MANIFEST_SCHEMA
@@ -305,7 +263,7 @@ class TestApiSurfacing:
         assert doc["totals"]["calls"] == res.total_calls
         assert doc["totals"]["spans"] == len(res.spans)
         assert doc["outputs"]["trace_bytes"] == res.trace_size
-        assert doc["options"]["jobs"] == 2
+        assert doc["options"]["lossy_timing"] is False
         json.dumps(doc)  # JSON-safe throughout
 
     def test_write_emits_manifest_sidecar(self, tmp_path):
@@ -335,7 +293,7 @@ class TestCli:
         out = tmp_path / "t.pilgrim"
         tl = tmp_path / "timeline.json"
         sp = tmp_path / "spans.jsonl"
-        rc = cli_main(["trace", "stencil2d", "-n", "8", "--jobs", "2",
+        rc = cli_main(["trace", "stencil2d", "-n", "8",
                        "-o", str(out), "--timeline", str(tl),
                        "--spans", str(sp)])
         assert rc == 0
@@ -368,7 +326,7 @@ class TestCli:
 
     def test_stats_spans_tree(self, tmp_path, capsys):
         sp = tmp_path / "spans.jsonl"
-        assert cli_main(["trace", "stencil2d", "-n", "8", "--jobs", "2",
+        assert cli_main(["trace", "stencil2d", "-n", "8",
                          "-o", str(tmp_path / "t.pilgrim"),
                          "--spans", str(sp)]) == 0
         capsys.readouterr()
