@@ -7,7 +7,8 @@ The workflows a downstream user actually runs:
   (``put``/``get``/``ls``/``diff``/``drift``/``pin``/``gc``/``stats``)
 * ``verify``   — differential lossless round-trip check on workload(s)
 * ``faults``   — describe fault plans / run the chaos recovery matrix
-* ``fuzz``     — corruption-fuzz the decoder (structured errors only)
+* ``fuzz``     — corruption-fuzz every container reader (structured
+  errors only)
 * ``info``     — summarize a trace file (sizes, signatures, grammars)
 * ``dump``     — decode a trace to flat text (or OTF-style events)
 * ``replay``   — re-execute a trace, as recorded or under what-if
@@ -35,7 +36,7 @@ import sys
 from . import api
 from .analysis import fmt_kb, print_table, run_experiment
 from .core import (TraceFormatError, TracerOptions, available_backends,
-                   make_tracer, run_fuzz, verify_roundtrip)
+                   make_tracer, verify_roundtrip)
 from .core.export import to_text, write_otf_text
 from .obs import EventLog, MetricsRegistry, write_metrics_jsonl
 from .replay import generate_miniapp, replay_trace, structurally_equal
@@ -197,69 +198,30 @@ def cmd_faults(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    """Corruption-fuzz the decoder against a freshly traced workload
-    (or, with ``--frames``, the ingest frame protocol against a
-    recorded client session stream)."""
-    if args.frames:
-        from .ingest.fuzz import build_frame_corpus, run_frame_fuzz
-        blob = build_frame_corpus(args.workload, args.procs,
-                                  seed=args.seed,
-                                  lossy_timing=args.lossy_timing)
-        report = run_frame_fuzz(blob, seed=args.fuzz_seed,
-                                n_random=args.mutations)
-        print(f"{args.workload} ({args.procs} ranks, {len(blob)} byte "
-              f"ingest stream)")
-        print(report.summary())
-        for failure in report.failures[:20]:
-            print(f"  {failure}")
-        return 0 if report.ok else 1
-    if args.store:
-        import shutil
-        import tempfile
+    """Corruption-fuzz every container reader (or the ``--target`` ones)
+    against a freshly traced workload."""
+    import tempfile
 
-        from .store import TraceStore
-        from .store.fuzz import run_store_fuzz
-        blob = api.trace(
-            args.workload, args.procs, seed=args.seed,
-            params=_parse_params(args.param),
-            options=TracerOptions(
-                lossy_timing=args.lossy_timing)).trace_bytes
-        root = tempfile.mkdtemp(prefix="repro-store-fuzz-")
-        try:
-            st = TraceStore(root)
-            put = st.put(blob, args.workload)
-            report = run_store_fuzz(st, put.run_id, seed=args.fuzz_seed,
-                                    n_random=args.mutations)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        print(f"{args.workload} ({args.procs} ranks, "
-              f"{len(put.record.to_bytes())} byte run manifest)")
-        print(report.summary())
-        for failure in report.failures[:20]:
-            print(f"  {failure}")
-        return 0 if report.ok else 1
-    blob = api.trace(
-        args.workload, args.procs, seed=args.seed,
-        params=_parse_params(args.param),
-        options=TracerOptions(lossy_timing=args.lossy_timing)).trace_bytes
-    if args.replay:
-        from .replay import run_replay_fuzz
-        report = run_replay_fuzz(blob, seed=args.fuzz_seed,
-                                 n_random=args.mutations)
-        print(f"{args.workload} ({args.procs} ranks, {len(blob)} byte "
-              f"trace, replay mode)")
-        print(report.summary())
-        for failure in report.failures[:20]:
-            print(f"  {failure}")
-        return 0 if report.ok else 1
-    report = run_fuzz(blob, seed=args.fuzz_seed, n_random=args.mutations,
-                      salvage=args.salvage)
-    print(f"{args.workload} ({args.procs} ranks, {len(blob)} byte trace"
-          + (", salvage mode" if args.salvage else "") + ")")
-    print(report.summary())
-    for failure in report.failures[:20]:
-        print(f"  {failure}")
-    return 0 if report.ok else 1
+    from .fuzz import TARGETS, build_targets, run
+    unknown = sorted(set(args.target or ()) - set(TARGETS))
+    if unknown:
+        raise SystemExit(f"repro fuzz: unknown target(s) {unknown}; choose "
+                         f"from {', '.join(TARGETS)}")
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as root:
+        targets = build_targets(args.workload, args.procs, root,
+                                seed=args.seed, lossy=args.lossy_timing,
+                                params=_parse_params(args.param))
+        for name in args.target or TARGETS:
+            report = run(targets[name], seed=args.fuzz_seed,
+                         n_random=args.mutations)
+            print(f"{args.workload} ({args.procs} ranks): {name}, "
+                  f"{len(targets[name].blob)} bytes")
+            print(report.summary())
+            for failure in report.failures[:20]:
+                print(f"  {failure}")
+            failed |= not report.ok
+    return 1 if failed else 0
 
 
 def cmd_serve(args) -> int:
@@ -818,8 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser("fuzz",
-                       help="corruption-fuzz the decoder (structured "
-                            "errors only, never crashes)")
+                       help="corruption-fuzz every container reader "
+                            "(structured errors only, never a crash or a "
+                            "silent difference)")
     p.add_argument("workload")
     p.add_argument("-n", "--procs", type=int, default=8)
     p.add_argument("--seed", type=int, default=1)
@@ -829,25 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VALUE")
     p.add_argument("--lossy-timing", action="store_true")
-    p.add_argument("--salvage", action="store_true",
-                   help="fuzz the best-effort salvage parser instead: "
-                        "every mutation must be recovered or rejected "
-                        "with a structured error, never crash")
-    p.add_argument("--frames", action="store_true",
-                   help="fuzz the ingest frame protocol instead: attack "
-                        "a recorded client session stream; the reader "
-                        "must raise structured errors, never crash")
-    p.add_argument("--store", action="store_true",
-                   help="fuzz the trace-store run manifests instead: "
-                        "corrupt hash refs and manifest fields against "
-                        "a live store; every failure must be a "
-                        "structured StoreFormatError, never a bare "
-                        "KeyError or FileNotFoundError")
-    p.add_argument("--replay", action="store_true",
-                   help="fuzz the replay engine instead: every mutated "
-                        "trace must either raise a structured "
-                        "TraceFormatError or replay cleanly, never "
-                        "crash the replayer")
+    p.add_argument("--target", action="append", metavar="NAME",
+                   help="fuzz only this reader (repeatable; default: "
+                        "every one of repro.fuzz.TARGETS)")
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("serve",

@@ -8,9 +8,11 @@ Public surface:
   decoder (decompression back to per-rank call records).
 * :func:`verify_roundtrip` / :func:`verify_workload` — the paper's
   lossless round-trip check, grown into a differential verifier.
-* :func:`run_fuzz` — deterministic trace-corruption fuzzer; together
-  with the :class:`TraceFormatError` hierarchy (:mod:`repro.core.errors`)
-  it makes "lossless" a checked property of the format.
+* :class:`Container` (:mod:`repro.core.container`) — the one
+  declaration every binary format is written and read through; with
+  the :class:`TraceFormatError` hierarchy (:mod:`repro.core.errors`)
+  and the corruption fuzzer (:mod:`repro.fuzz`) it makes "lossless" a
+  checked property of the format.
 * The sharded pipeline: :class:`RankShard` / :class:`RankCompressor` /
   :func:`merge_shards` (:mod:`repro.core.shard`), the tree-reduction
   scheduler :func:`tree_reduce` and :class:`TracePipeline`
@@ -27,6 +29,7 @@ Public surface:
 from .avl import IntervalTree
 from .backends import (NullTracer, RawTracer, TracerOptions,
                        available_backends, make_tracer, register_backend)
+from .container import Container, Section
 from .cst import CST, MergedCST, merge_csts
 from .decoder import TraceDecoder
 from .encoder import CommIdSpace, MemoryTable, PerRankEncoder
@@ -34,8 +37,6 @@ from .errors import (ChecksumError, CorruptTraceError, FrameFormatError,
                      MissingObjectError, MissingRankError, ReplayFormatError,
                      StoreFormatError, StoreIntegrityError, TraceFormatError,
                      TruncatedTraceError, UnsupportedVersionError)
-from .fuzz import (FuzzOutcome, FuzzReport, corpus_mutations,
-                   iter_blob_mutations, iter_mutations, run_fuzz)
 from .grammar import Grammar
 from .interproc import CFGMergeResult, expand_rank, merge_grammars
 from .pipeline import PipelineResult, TracePipeline, tree_reduce
@@ -46,31 +47,29 @@ from .shard import (GrammarSet, RankCompressor, RankShard, ShardPartial,
 from .symbolic import IdPool, ObjectIdTable, RequestIdAllocator
 from .timing import (BinClampWarning, TimingCompressor, TimingMeta,
                      bin_value, reconstruct_times, unbin_value)
-from .trace_format import (TraceFile, section_hashes, section_spans,
-                           split_sections)
+from .trace_format import TraceFile, section_hashes, split_sections
 from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimResult, PilgrimTracer
 from .verify import VerifyReport, verify_roundtrip, verify_workload
 
 __all__ = [
     "BinClampWarning",
-    "CFGMergeResult", "CST", "ChecksumError", "CommIdSpace",
-    "CorruptTraceError", "DecodedCall", "FrameFormatError", "FuzzOutcome",
-    "FuzzReport",
+    "CFGMergeResult", "CST", "ChecksumError", "CommIdSpace", "Container",
+    "CorruptTraceError", "DecodedCall", "FrameFormatError",
     "Grammar", "GrammarSet", "IdPool", "IntervalTree", "MemoryTable",
     "MergedCST", "MissingObjectError", "MissingRankError", "NullTracer",
     "ReplayFormatError",
     "ObjectIdTable", "PerRankEncoder",
     "PilgrimResult", "PilgrimTracer", "PipelineResult", "RankCompressor",
-    "RankShard", "RawTracer", "RequestIdAllocator", "Sequitur", "ShardPartial",
+    "RankShard", "RawTracer", "RequestIdAllocator", "Section", "Sequitur",
+    "ShardPartial",
     "StoreFormatError", "StoreIntegrityError",
     "TIMING_AGGREGATE", "TIMING_LOSSY", "TimingCompressor", "TimingMeta",
     "TraceDecoder",
     "TraceFile", "TraceFormatError", "TracePipeline", "TracerOptions",
     "TruncatedTraceError", "UnsupportedVersionError", "VerifyReport",
-    "available_backends", "bin_value", "corpus_mutations", "expand_rank",
-    "iter_blob_mutations", "iter_mutations",
+    "available_backends", "bin_value", "expand_rank",
     "make_tracer", "merge_csts", "merge_grammars", "merge_shards",
-    "reconstruct_times", "run_fuzz", "section_hashes", "section_spans",
+    "reconstruct_times", "section_hashes",
     "sig_to_params", "split_sections",
     "tree_reduce", "unbin_value", "verify_roundtrip", "verify_workload",
 ]

@@ -53,15 +53,16 @@ class CorruptTraceError(TraceFormatError):
 class FrameFormatError(TraceFormatError):
     """An ingest-protocol frame violates the wire-format contract (bad
     magic, unknown frame kind, failed CRC, truncated payload).  Lives in
-    the same hierarchy as the trace errors because the framing layer
-    reuses the v2 section writers — and because the server loop's
-    contract is the decoder's: structured errors only, never a crash."""
+    the same hierarchy as the trace errors because a frame is a
+    container like a trace (:mod:`repro.core.container`) — and because
+    the server loop's contract is the decoder's: structured errors only,
+    never a crash."""
 
 
 class StoreFormatError(TraceFormatError):
     """A trace-store artifact (run manifest, run index, refcount
     sidecar) violates its on-disk contract.  Lives in the trace-error
-    hierarchy because the store reuses the v2 section writers — and
+    hierarchy because the store's files are containers like a trace — and
     because the store's read paths inherit the decoder's contract:
     structured errors only, never a bare ``KeyError`` and never a
     leaked ``FileNotFoundError``."""

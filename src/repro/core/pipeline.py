@@ -50,7 +50,7 @@ from ..obs import PhaseProfiler, SpanRecorder
 from ..resilience.faults import FaultInjector, WorkerDiedError, arm
 from ..resilience.retry import RetryPolicy, TaskSupervisor
 from ..resilience.salvage import SalvageReport
-from .errors import CorruptTraceError, TraceFormatError
+from .errors import TraceFormatError
 from .interproc import CFGMergeResult, merge_grammars
 from .shard import GrammarSet, RankShard, merge_shards
 from .trace_format import TraceFile
@@ -225,13 +225,9 @@ class TracePipeline:
                 if damaged is not None:
                     # transmit through the serialized form, as a real
                     # distributed pipeline would: the shard's per-section
-                    # CRCs turn silent damage into a retryable error
-                    shard = RankShard.from_bytes(damaged)
-                    if shard.base_rank != rc.rank or shard.nranks != 1:
-                        raise CorruptTraceError(
-                            f"rank {rc.rank} shard came back claiming "
-                            f"ranks [{shard.base_rank}, "
-                            f"{shard.base_rank + shard.nranks})")
+                    # CRCs and the rank span it was sent for turn silent
+                    # damage into a retryable error
+                    shard = RankShard.from_bytes(damaged, span=(rc.rank, 1))
             return shard
 
         def on_exhausted(exc: BaseException) -> RankShard:
@@ -276,12 +272,8 @@ class TracePipeline:
             if inj is not None:
                 damaged = inj.corrupt_bytes(site, out.to_bytes())
                 if damaged is not None:
-                    out = RankShard.from_bytes(damaged)
-                    if out.base_rank != a.base_rank or \
-                            out.nranks != a.nranks + b.nranks:
-                        raise CorruptTraceError(
-                            f"merged shard at {site} came back with "
-                            f"the wrong rank span")
+                    out = RankShard.from_bytes(
+                        damaged, span=(a.base_rank, a.nranks + b.nranks))
             # only a result that survived every fault check is counted:
             # a killed or corrupted attempt is recomputed, and counting
             # it here (not in the attempt) keeps the merged tree free of

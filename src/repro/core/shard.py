@@ -24,37 +24,28 @@ parallel) produce byte-identical final traces.  It holds because
 * grammar dedup order is first appearance in rank order — the same
   ordered-union argument.
 
-Shard bytes round-trip through the v2 section writers of
-:mod:`repro.core.trace_format` (length prefix + CRC32 per section), so a
-shard on disk enjoys the same integrity checking as a finished trace.
+Shard bytes are the :data:`SHARD` container (length prefix + CRC32 per
+section, :mod:`repro.core.container`), so a shard on the wire enjoys the
+same integrity checking as a finished trace.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
-from ..resilience.salvage import SalvageReport
+from .container import Container, Parsed, Section
 from .cst import CST, MergedCST, _dur_to_ns
 from .encoder import PLANS, PerRankEncoder
-from .errors import (CorruptTraceError, TraceFormatError, TruncatedTraceError,
-                     UnsupportedVersionError)
+from .errors import CorruptTraceError
 from .grammar import Grammar, TermLog
 from .packing import (Reader, read_value, read_varints, write_uvarint,
                       write_value, write_varints)
 from .sequitur import Sequitur
 from .timing import TimingCompressor
-from .trace_format import emit_section, take_section
-
-SHARD_MAGIC = b"PSHD"
-SHARD_VERSION = 1
-_SHARD_FLAG_TIMING = 1
-_SHARD_FLAG_COMPRESSED = 2
-
-PARTIAL_MAGIC = b"PPRT"
-PARTIAL_VERSION = 2
+from .trace_format import FLAG_COMPRESSED, FLAG_TIMING
 
 
 @dataclass
@@ -140,11 +131,6 @@ class RankShard:
     calls: list[int] = field(default_factory=list)
     timing_duration: Optional[GrammarSet] = None
     timing_interval: Optional[GrammarSet] = None
-    #: set by ``from_bytes(salvage=True)`` when anything was dropped;
-    #: excluded from equality so a salvaged shard still compares equal
-    #: to an intact one when the surviving data matches
-    salvage: Optional[SalvageReport] = field(default=None, compare=False,
-                                             repr=False)
 
     @property
     def n_signatures(self) -> int:
@@ -184,18 +170,6 @@ class RankShard:
     # -- serialization ---------------------------------------------------------------
 
     def to_bytes(self, compress: bool = True) -> bytes:
-        """Serialize through the trace-format v2 section writers (length
-        prefix + CRC32 per section), so shards on disk are integrity-
-        checked exactly like finished traces."""
-        out = bytearray()
-        out.extend(SHARD_MAGIC)
-        out.append(SHARD_VERSION)
-        flags = (_SHARD_FLAG_TIMING if self.timing_duration is not None
-                 else 0) | (_SHARD_FLAG_COMPRESSED if compress else 0)
-        out.append(flags)
-        write_uvarint(out, self.base_rank)
-        write_uvarint(out, self.nranks)
-
         cst_b = bytearray()
         write_uvarint(cst_b, len(self.sigs))
         for sig, count, ns in zip(self.sigs, self.counts, self.dur_ns):
@@ -207,108 +181,72 @@ class RankShard:
         cfg_b = bytearray()
         self.cfg.write_to(cfg_b)
         payloads = [bytes(cst_b), bytes(calls_b), bytes(cfg_b)]
+        flags = FLAG_COMPRESSED if compress else 0
         if self.timing_duration is not None:
+            flags |= FLAG_TIMING
             d = bytearray()
             self.timing_duration.write_to(d)
             i = bytearray()
             self.timing_interval.write_to(i)
             payloads.extend((bytes(d), bytes(i)))
-        for payload in payloads:
-            emit_section(out, payload, compress)
-        return bytes(out)
-
-    def content_hash(self, compress: bool = True) -> str:
-        """SHA-256 of the serialized shard — the content address a
-        trace store (or a shard cache) would file this shard under.
-        Serialization is deterministic, so equal shards hash equal."""
-        import hashlib
-        return hashlib.sha256(self.to_bytes(compress)).hexdigest()
+        return SHARD.write(payloads, flags=flags,
+                           head=(self.base_rank, self.nranks))
 
     @classmethod
-    def from_bytes(cls, data: bytes, salvage: bool = False) -> "RankShard":
-        """Parse a shard blob.
-
-        With ``salvage=True``, optional sections that fail their CRC or
-        parse (the timing pair) are dropped instead of failing the whole
-        shard, and trailing garbage is tolerated; anything dropped is
-        recorded in the returned shard's ``salvage`` report.  The
-        header and the required sections (CST, calls, CFG) must still be
-        intact — without them there is no shard to salvage.
-        """
-        report = SalvageReport() if salvage else None
-        if len(data) < 6:
-            raise TruncatedTraceError(
-                f"shard of {len(data)} bytes is shorter than the header")
-        if data[:4] != SHARD_MAGIC:
-            raise TraceFormatError("not a Pilgrim rank shard (bad magic)")
-        if data[4] != SHARD_VERSION:
-            raise UnsupportedVersionError(data[4], SHARD_VERSION)
-        flags = data[5]
-        if flags & ~(_SHARD_FLAG_TIMING | _SHARD_FLAG_COMPRESSED):
+    def from_bytes(cls, data: bytes,
+                   span: Optional[tuple[int, int]] = None) -> "RankShard":
+        """Parse a shard; with *span* ``(base_rank, nranks)``, one that
+        covers other ranks is refused too — a shard sent for those
+        ranks that comes back claiming others is damaged, not moved."""
+        parsed = SHARD.read(data)
+        base_rank, nranks = parsed.head
+        if span is not None and (base_rank, nranks) != span:
             raise CorruptTraceError(
-                f"unknown shard flag bits in {flags:#04x}")
-        compressed = bool(flags & _SHARD_FLAG_COMPRESSED)
-        try:
-            r = Reader(data, 6)
-            base_rank = r.read_uvarint()
-            nranks = r.read_uvarint()
-            cr = take_section(r, compressed, "shard-CST")
-            n = cr.read_uvarint()
-            if n > cr.remaining():
-                raise CorruptTraceError(
-                    f"shard CST claims {n} signatures but only "
-                    f"{cr.remaining()} bytes remain")
-            sigs, counts, dur_ns = [], [], []
-            for i in range(n):
-                sig = read_value(cr)
-                if not isinstance(sig, tuple):
-                    raise CorruptTraceError(
-                        f"shard CST entry {i} is a {type(sig).__name__}, "
-                        f"not a signature tuple")
-                sigs.append(sig)
-                counts.append(cr.read_uvarint())
-                dur_ns.append(cr.read_uvarint())
-            lr = take_section(r, compressed, "shard-calls")
-            calls = read_varints(lr, lr.read_uvarint(), signed=False)
-            cfg = GrammarSet.read_from(
-                take_section(r, compressed, "shard-CFG"), "shard-CFG")
-            td = ti = None
-            if flags & _SHARD_FLAG_TIMING:
-                try:
-                    td = GrammarSet.read_from(
-                        take_section(r, compressed, "shard-timing-duration"),
-                        "shard-timing-duration")
-                    ti = GrammarSet.read_from(
-                        take_section(r, compressed, "shard-timing-interval"),
-                        "shard-timing-interval")
-                except TraceFormatError as e:
-                    if report is None:
-                        raise
-                    # timing is an optional enrichment: drop the pair
-                    # (the trace stays structurally valid without it)
-                    td = ti = None
-                    report.lose_section("shard-timing", str(e))
-            if not r.exhausted:
-                if report is None:
-                    raise CorruptTraceError(
-                        f"{len(data) - r.pos} trailing bytes after the "
-                        f"last shard section")
-                report.note(f"{len(data) - r.pos} trailing bytes ignored")
-        except TraceFormatError:
-            raise
-        except (IndexError, KeyError, ValueError, OverflowError,
-                RecursionError, MemoryError, struct.error) as e:
-            raise CorruptTraceError(
-                f"malformed shard ({type(e).__name__}: {e})") from e
+                f"shard claims ranks [{base_rank}, {base_rank + nranks}) "
+                f"but was sent for [{span[0]}, {span[0] + span[1]})")
+        (sigs, counts, dur_ns), calls, cfg, td, ti = parsed.values
         if len(calls) != nranks or len(cfg.uid) != nranks:
             raise CorruptTraceError(
                 f"shard covers {nranks} ranks but carries {len(calls)} "
                 f"call counts and {len(cfg.uid)} grammar assignments")
-        if report is not None and not (report.degraded or report.notes):
-            report = None
         return cls(base_rank=base_rank, nranks=nranks, sigs=sigs,
                    counts=counts, dur_ns=dur_ns, cfg=cfg, calls=calls,
-                   timing_duration=td, timing_interval=ti, salvage=report)
+                   timing_duration=td, timing_interval=ti)
+
+
+def _read_shard_cst(r: Reader) -> tuple[list, list, list]:
+    n = r.read_uvarint()
+    if n > r.remaining():
+        raise CorruptTraceError(
+            f"shard CST claims {n} signatures but only {r.remaining()} "
+            f"bytes remain")
+    sigs, counts, dur_ns = [], [], []
+    for i in range(n):
+        sig = read_value(r)
+        if not isinstance(sig, tuple):
+            raise CorruptTraceError(
+                f"shard CST entry {i} is a {type(sig).__name__}, not a "
+                f"signature tuple")
+        sigs.append(sig)
+        counts.append(r.read_uvarint())
+        dur_ns.append(r.read_uvarint())
+    return sigs, counts, dur_ns
+
+
+def _grammar_set(name: str, flag: int = 0) -> Section:
+    return Section(name, partial(GrammarSet.read_from, name=name), flag)
+
+
+SHARD = Container(
+    b"PSHD", 1, FLAG_TIMING | FLAG_COMPRESSED,
+    (Section("shard-CST", _read_shard_cst),
+     Section("shard-calls",
+             lambda r: read_varints(r, r.read_uvarint(), signed=False)),
+     _grammar_set("shard-CFG"),
+     _grammar_set("shard-timing-duration", FLAG_TIMING),
+     _grammar_set("shard-timing-interval", FLAG_TIMING)),
+    what="Pilgrim rank shard", head=("base_rank", "nranks"),
+    compressed=FLAG_COMPRESSED)
 
 
 def merge_shards(a: RankShard, b: RankShard) -> RankShard:
@@ -360,8 +298,6 @@ def merge_shards(a: RankShard, b: RankShard) -> RankShard:
     return merged
 
 
-_PARTIAL_FLAG_TIMING = 1
-_PARTIAL_FLAG_COMPRESSED = 2
 
 
 @dataclass
@@ -416,7 +352,10 @@ class ShardPartial:
     def read_from(cls, r: Reader) -> "ShardPartial":
         """Read a record of one partial at the reader's position and
         leave the reader just past it."""
-        return _only(_read_record(r))
+        end = max(end for _, end in FLUSH.spans(r.data, r.pos).values())
+        partial = cls.from_bytes(r.data[r.pos:end])
+        r.pos = end
+        return partial
 
 
 def _only(partials: list[ShardPartial]) -> ShardPartial:
@@ -427,11 +366,17 @@ def _only(partials: list[ShardPartial]) -> ShardPartial:
     return partials[0]
 
 
+#: one flush — every rank's partial — as one section of whole-flush
+#: columns (:func:`write_flush`)
+FLUSH = Container(b"PPRT", 2, FLAG_TIMING | FLAG_COMPRESSED,
+                  (Section("flush"),), what="Pilgrim flush record",
+                  compressed=FLAG_COMPRESSED)
+
+
 def write_flush(partials: Sequence[ShardPartial],
                 compress: bool = True) -> bytes:
-    """One flush — each rank's partial, ranks ascending — as one record:
-    ``PARTIAL_MAGIC``, ``PARTIAL_VERSION``, a flags byte, then a single
-    section (length prefix + CRC32, like a shard's on disk) of
+    """One flush — each rank's partial, ranks ascending — as one
+    :data:`FLUSH` record: its header, then a single section of
     whole-flush columns (DESIGN.md §7 draws them): a head column, the
     flush's distinct new signatures back to back — the ranks of an SPMD
     code meet the same ones in the same flush — and which of them each
@@ -472,49 +417,19 @@ def write_flush(partials: Sequence[ShardPartial],
     write_varints(body, [ns for p in partials for ns in p.d_dur_ns])
     write_uvarint(body, len(grammars))
     write_varints(body, grammars)
-    out = bytearray(PARTIAL_MAGIC)
-    out.append(PARTIAL_VERSION)
-    out.append((_PARTIAL_FLAG_TIMING if timing else 0)
-               | (_PARTIAL_FLAG_COMPRESSED if compress else 0))
-    emit_section(out, bytes(body), compress)
-    return bytes(out)
+    return FLUSH.write((bytes(body),), flags=(FLAG_TIMING if timing else 0)
+                       | (FLAG_COMPRESSED if compress else 0))
 
 
 def read_flush(data: bytes) -> list[ShardPartial]:
     """The partials of exactly one :func:`write_flush` record, and
     nothing after it."""
-    r = Reader(data)
-    partials = _read_record(r)
-    if not r.exhausted:
-        raise CorruptTraceError(
-            f"{len(data) - r.pos} trailing bytes after the flush record")
-    return partials
+    return FLUSH.read(data, then=_partials)
 
 
-def _read_record(r: Reader) -> list[ShardPartial]:
-    left = r.remaining()
-    if left < 6:
-        raise TruncatedTraceError(
-            f"flush record of {left} bytes is shorter than the header")
-    head = r.read_bytes(6)
-    if head[:4] != PARTIAL_MAGIC:
-        raise TraceFormatError("not a Pilgrim flush record (bad magic)")
-    if head[4] != PARTIAL_VERSION:
-        raise UnsupportedVersionError(head[4], PARTIAL_VERSION)
-    flags = head[5]
-    if flags & ~(_PARTIAL_FLAG_TIMING | _PARTIAL_FLAG_COMPRESSED):
-        raise CorruptTraceError(
-            f"unknown flush-record flag bits in {flags:#04x}")
-    try:
-        return _read_columns(
-            take_section(r, bool(flags & _PARTIAL_FLAG_COMPRESSED), "flush"),
-            bool(flags & _PARTIAL_FLAG_TIMING))
-    except TraceFormatError:
-        raise
-    except (IndexError, KeyError, ValueError, OverflowError,
-            RecursionError, MemoryError, struct.error) as e:
-        raise CorruptTraceError(
-            f"malformed flush record ({type(e).__name__}: {e})") from e
+def _partials(parsed: Parsed) -> list[ShardPartial]:
+    return _read_columns(Reader(parsed.values[0]),
+                         bool(parsed.flags & FLAG_TIMING))
 
 
 def _read_columns(r: Reader, timing: bool) -> list[ShardPartial]:

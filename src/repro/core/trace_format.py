@@ -1,17 +1,12 @@
 """Pilgrim's binary trace format (writer + reader).
 
-Layout (all integers are varints, see :mod:`repro.core.packing`)::
+The framing is the :data:`TRACE` declaration (:mod:`repro.core.container`,
+DESIGN.md § "Containers"): magic ``PILG``, version 3, a flags byte
+(bit0: lossy timing sections present; bit1: sections are
+zlib-compressed; bit2: a timing-meta section follows the pair), the
+``nprocs`` varint, then CRC'd sections (all integers are varints, see
+:mod:`repro.core.packing`)::
 
-    magic  b"PILG"            4 bytes
-    version                   1 byte   (currently 3)
-    flags                     1 byte   (bit0: lossy timing sections present;
-                                        bit1: sections are zlib-compressed)
-    nprocs
-    -- per section: --
-    payload length            varint
-    crc32 of the payload      4 bytes little-endian
-    payload
-    -- section order --
     CST:  the signature table, by columns (below)
     CFG:  n_top_rules          (rules [0, n_top) are the merged top level)
           n_unique_grammars, then per grammar: its rule count
@@ -62,41 +57,30 @@ writer repeats a column rather than break this), columns nest at most
 exactly one group, and nothing follows the last group —
 :class:`CorruptTraceError` or :class:`TruncatedTraceError` otherwise.
 
-Sections are individually deflate-compressed by default (length-prefixed),
-mirroring the generic final-compression pass real trace formats apply —
-without it, the per-rank Alltoallv count arrays of IS alone would dwarf
-the paper's reported sizes (58KB at 1024 ranks).  All size figures the
-benchmarks report are ``len()`` of these bytes — honest on-disk sizes,
-including the checksum overhead (4 bytes per section).
-
-Since version 2 "lossless" is a *checked* property: every section
-carries a CRC32 over its stored bytes, the reader verifies it before
-parsing, and every failure mode raises a structured
-:class:`TraceFormatError` subclass (see :mod:`repro.core.errors`) —
-never a raw ``IndexError`` and never a silently wrong record.  Version 3
-changed the CST section from a list of tagged values to the table
-above; a version 2 blob is an :class:`UnsupportedVersionError`.
+Sections are deflated by default, mirroring the generic final
+compression pass real trace formats apply — without it, the per-rank
+Alltoallv count arrays of IS alone would dwarf the paper's reported
+sizes (58KB at 1024 ranks).  All size figures the benchmarks report are
+``len()`` of these bytes, CRCs included.  Version 3 changed the CST
+section from a list of tagged values to the table above; a version 2
+blob is an :class:`UnsupportedVersionError`.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 from ..resilience.salvage import SalvageReport
+from .container import Container, Section
 from .cst import MergedCST
-from .errors import (ChecksumError, CorruptTraceError, TraceFormatError,
-                     TruncatedTraceError, UnsupportedVersionError)
+from .errors import CorruptTraceError
 from .grammar import Grammar
 from .interproc import CFGMergeResult
-from .packing import Reader, read_varints, write_uvarint, write_varints
+from .packing import Reader, read_varints, write_varints
 from .timing import TimingMeta
-
-MAGIC = b"PILG"
-VERSION = 3
-HEADER_FIXED = 6  # magic + version + flags; nprocs follows as a varint
 
 FLAG_TIMING = 1
 FLAG_COMPRESSED = 2
@@ -104,38 +88,12 @@ FLAG_COMPRESSED = 2
 #: traces always set it, older blobs without it reconstruct with the
 #: default base (the pre-fix behaviour)
 FLAG_TIMING_META = 4
-_KNOWN_FLAGS = FLAG_TIMING | FLAG_COMPRESSED | FLAG_TIMING_META
 
-#: zlib level used for section compression (balanced, like zstd defaults)
-ZLIB_LEVEL = 6
-
-#: bytes each section spends on its CRC32 (accounted in section_sizes)
-CRC_BYTES = 4
-
-
-def emit_section(out: bytearray, payload: bytes, compress: bool) -> None:
-    if compress:
-        payload = zlib.compress(payload, ZLIB_LEVEL)
-    write_uvarint(out, len(payload))
-    out.extend(struct.pack("<I", zlib.crc32(payload)))
-    out.extend(payload)
-
-
-def take_section(r: Reader, compressed: bool, name: str) -> Reader:
-    n = r.read_uvarint()
-    (stored,) = struct.unpack("<I", r.read_bytes(CRC_BYTES))
-    blob = r.read_bytes(n)
-    computed = zlib.crc32(blob)
-    if computed != stored:
-        raise ChecksumError(name, stored, computed)
-    if compressed:
-        try:
-            blob = zlib.decompress(blob)
-        except zlib.error as e:
-            raise CorruptTraceError(
-                f"{name} section passed its checksum but is not valid "
-                f"zlib data ({e})") from None
-    return Reader(blob)
+#: ranks a salvaged trace may report lost on its header's word alone
+#: (``nprocs`` is the one header field no CRC covers, and every lost
+#: rank costs the report an entry): a header claiming more ranks than
+#: its rank map by this much is refused, not enumerated
+MAX_ABSENT_RANKS = 1 << 20
 
 
 def _write_cfg_section(out: bytearray, merge: CFGMergeResult) -> None:
@@ -209,6 +167,22 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
     return CFGMergeResult(final=final, rank_uid=rank_uid, unique=unique)
 
 
+def _timing(name: str) -> Section:
+    return Section(name, partial(_read_cfg_section, name=name), FLAG_TIMING)
+
+
+#: every section is a salvage unit: a lost CST or CFG loses every rank,
+#: a lost timing section loses timing
+TRACE = Container(
+    b"PILG", 3, FLAG_TIMING | FLAG_COMPRESSED | FLAG_TIMING_META,
+    (Section("CST", MergedCST.read_from),
+     Section("CFG", _read_cfg_section),
+     _timing("timing-duration"), _timing("timing-interval"),
+     Section("timing-meta", TimingMeta.read_from,
+             FLAG_TIMING | FLAG_TIMING_META)),
+    what="Pilgrim trace", head=("nprocs",), compressed=FLAG_COMPRESSED)
+
+
 @dataclass
 class TraceFile:
     """A fully parsed Pilgrim trace."""
@@ -229,17 +203,11 @@ class TraceFile:
     # -- writing ---------------------------------------------------------------------
 
     def to_bytes(self, compress: bool = True) -> bytes:
-        out = bytearray()
-        out.extend(MAGIC)
-        out.append(VERSION)
         flags = (FLAG_COMPRESSED if compress else 0)
         if self.timing_duration is not None:
             flags |= FLAG_TIMING | FLAG_TIMING_META
-        out.append(flags)
-        write_uvarint(out, self.nprocs)
-        for payload in self._section_payloads():
-            emit_section(out, payload, compress)
-        return bytes(out)
+        return TRACE.write(self._section_payloads(), flags=flags,
+                           head=(self.nprocs,))
 
     def _section_payloads(self) -> list[bytes]:
         cst_b = bytearray()
@@ -267,149 +235,56 @@ class TraceFile:
         ``salvage`` :class:`~repro.resilience.salvage.SalvageReport`
         (a lost CFG or CST loses every rank; a lost timing pair only
         loses timing; a rank map shorter than ``nprocs`` loses the
-        missing ranks).  The header must still be intact — without it
-        there is nothing to salvage.
+        missing ranks, up to :data:`MAX_ABSENT_RANKS` of them).  The
+        header must still be intact — without it there is nothing to
+        salvage.
         """
-        if salvage:
-            return cls._salvage_from_bytes(data)
-        if len(data) < HEADER_FIXED:
-            raise TruncatedTraceError(
-                f"trace of {len(data)} bytes is shorter than the "
-                f"{HEADER_FIXED}-byte header")
-        if data[:4] != MAGIC:
-            raise TraceFormatError("not a Pilgrim trace (bad magic)")
-        if data[4] != VERSION:
-            raise UnsupportedVersionError(data[4], VERSION)
-        flags = data[5]
-        if flags & ~_KNOWN_FLAGS:
+        report = SalvageReport() if salvage else None
+        parsed = TRACE.read(data, salvage=report)
+        if parsed.flags & FLAG_TIMING_META and not parsed.flags & FLAG_TIMING:
             raise CorruptTraceError(
-                f"unknown flag bits in {flags:#04x} "
-                f"(known mask {_KNOWN_FLAGS:#04x})")
-        compressed = bool(flags & FLAG_COMPRESSED)
-        try:
-            r = Reader(data, HEADER_FIXED)
-            nprocs = r.read_uvarint()
-            cst = MergedCST.read_from(take_section(r, compressed, "CST"))
-            cfg = _read_cfg_section(take_section(r, compressed, "CFG"))
-            td = ti = tm = None
-            if flags & FLAG_TIMING_META and not flags & FLAG_TIMING:
+                "timing-meta flag set without timing sections")
+        (nprocs,) = parsed.head
+        cst, cfg, td, ti, tm = parsed.values
+        if report is None:
+            if len(cfg.rank_uid) != nprocs:
                 raise CorruptTraceError(
-                    "timing-meta flag set without timing sections")
-            if flags & FLAG_TIMING:
-                td = _read_cfg_section(
-                    take_section(r, compressed, "timing-duration"),
-                    "timing-duration")
-                ti = _read_cfg_section(
-                    take_section(r, compressed, "timing-interval"),
-                    "timing-interval")
-                if flags & FLAG_TIMING_META:
-                    tm = TimingMeta.read_from(
-                        take_section(r, compressed, "timing-meta"))
-            if not r.exhausted:
-                raise CorruptTraceError(
-                    f"{len(data) - r.pos} trailing bytes after the last "
-                    f"section")
-        except TraceFormatError:
-            raise
-        except (IndexError, KeyError, ValueError, OverflowError,
-                RecursionError, MemoryError, struct.error,
-                zlib.error) as e:
-            # safety net: no parsing accident may escape as a raw
-            # exception — the decoder's contract is structured errors only
-            raise CorruptTraceError(
-                f"malformed trace ({type(e).__name__}: {e})") from e
-        if len(cfg.rank_uid) != nprocs:
-            raise CorruptTraceError(
-                f"CFG rank map covers {len(cfg.rank_uid)} ranks but the "
-                f"header declares {nprocs}")
-        return cls(nprocs=nprocs, cst=cst, cfg=cfg,
-                   timing_duration=td, timing_interval=ti, timing_meta=tm)
-
-    @classmethod
-    def _salvage_from_bytes(cls, data: bytes) -> "TraceFile":
-        report = SalvageReport()
-        if len(data) < HEADER_FIXED:
-            raise TruncatedTraceError(
-                f"trace of {len(data)} bytes is shorter than the "
-                f"{HEADER_FIXED}-byte header — nothing to salvage")
-        if data[:4] != MAGIC:
-            raise TraceFormatError("not a Pilgrim trace (bad magic)")
-        if data[4] != VERSION:
-            raise UnsupportedVersionError(data[4], VERSION)
-        flags = data[5]
-        if flags & ~_KNOWN_FLAGS:
-            raise CorruptTraceError(
-                f"unknown flag bits in {flags:#04x} "
-                f"(known mask {_KNOWN_FLAGS:#04x})")
-        compressed = bool(flags & FLAG_COMPRESSED)
-        r = Reader(data, HEADER_FIXED)
-        try:
-            nprocs = r.read_uvarint()
-        except TraceFormatError:
-            raise
-        except (IndexError, ValueError) as e:
-            raise CorruptTraceError(
-                f"unreadable nprocs ({e}) — nothing to salvage") from e
-
-        truncated = False
-
-        def read_sec(name: str, parse: Callable[[Reader], object]):
-            nonlocal truncated
-            if truncated:
-                report.lose_section(name, "unreachable past truncation")
-                return None
-            try:
-                return parse(take_section(r, compressed, name))
-            except TruncatedTraceError as e:
-                truncated = True
-                report.lose_section(name, str(e))
-                return None
-            except (TraceFormatError, IndexError, KeyError, ValueError,
-                    OverflowError, RecursionError, MemoryError,
-                    struct.error, zlib.error) as e:
-                report.lose_section(name, f"{type(e).__name__}: {e}")
-                return None
-
-        cst = read_sec("CST", MergedCST.read_from)
-        cfg = read_sec("CFG", _read_cfg_section)
-        td = ti = tm = None
-        if flags & FLAG_TIMING:
-            td = read_sec("timing-duration",
-                          lambda rr: _read_cfg_section(rr, "timing-duration"))
-            ti = read_sec("timing-interval",
-                          lambda rr: _read_cfg_section(rr, "timing-interval"))
-            if flags & FLAG_TIMING_META:
-                tm = read_sec("timing-meta", TimingMeta.read_from)
-                if tm is None and (td is not None or ti is not None):
-                    # grammars survive; reconstruction falls back to the
-                    # default base (already reported by read_sec)
-                    report.note("timing-meta lost; reconstruction will "
-                                "use the default base")
-            if td is None or ti is None:
-                # the pair is only meaningful together
-                if td is not None or ti is not None:
-                    report.lose_section("timing", "half of the pair lost")
-                td = ti = None
-        if not truncated and not r.exhausted:
-            report.note(f"{len(data) - r.pos} trailing bytes ignored")
-
+                    f"CFG rank map covers {len(cfg.rank_uid)} ranks but "
+                    f"the header declares {nprocs}")
+            return cls(nprocs=nprocs, cst=cst, cfg=cfg, timing_duration=td,
+                       timing_interval=ti, timing_meta=tm)
+        if tm is None and parsed.flags & FLAG_TIMING_META \
+                and (td is not None or ti is not None):
+            # grammars survive; reconstruction falls back to the default
+            # base (the lost section is already reported)
+            report.note("timing-meta lost; reconstruction will use the "
+                        "default base")
+        if td is None or ti is None:
+            # the pair is only meaningful together
+            if td is not None or ti is not None:
+                report.lose_section("timing", "half of the pair lost")
+            td = ti = None
         if cst is None:
             # CFG terminals index the CST: without it nothing decodes
             cst = MergedCST(sigs=[], counts=[], dur_sums=[], remaps=[])
             cfg = None
-        if cfg is None:
+        if cfg is None:     # every rank is then absent from the rank map
             cfg = CFGMergeResult(final=Grammar(((),)), rank_uid=[],
                                  unique=[])
-            for rank in range(nprocs):
-                report.lose_rank(rank)
         if len(cfg.rank_uid) > nprocs:
             report.note(
                 f"rank map covers {len(cfg.rank_uid)} ranks, header "
                 f"declares {nprocs}; extra entries dropped")
             cfg.rank_uid = cfg.rank_uid[:nprocs]
         elif len(cfg.rank_uid) < nprocs:
-            for rank in range(len(cfg.rank_uid), nprocs):
-                report.lose_rank(rank, reason="absent from rank map")
+            absent = nprocs - len(cfg.rank_uid)
+            if absent > MAX_ABSENT_RANKS:
+                raise CorruptTraceError(
+                    f"header declares {nprocs} ranks, {absent} of them "
+                    f"absent from the rank map; salvage reports at most "
+                    f"{MAX_ABSENT_RANKS} lost ranks")
+            report.lose_span(len(cfg.rank_uid), absent,
+                             reason="absent from rank map")
         if not (report.degraded or report.notes):
             report = None
         return cls(nprocs=nprocs, cst=cst, cfg=cfg, timing_duration=td,
@@ -423,53 +298,19 @@ class TraceFile:
         Section sizes include each section's length prefix and 4-byte
         CRC32; ``header`` is the magic/version/flags/nprocs preamble.
         """
-        payloads = self._section_payloads()
-        names = ["cst", "cfg"]
-        if self.timing_duration is not None:
-            names.extend(("timing_duration", "timing_interval",
-                          "timing_meta"))
-        sizes = {"header": HEADER_FIXED + len(_uvarint_bytes(self.nprocs))}
-        for name, payload in zip(names, payloads):
-            section = bytearray()
-            emit_section(section, payload, compress)
-            sizes[name] = len(section)
+        spans = TRACE.spans(self.to_bytes(compress))
+        sizes = {"header": spans["cst.len"][0]}
+        for key, start, end in _section_bounds(spans):
+            sizes[key] = end - start
         sizes["total"] = sum(sizes.values())
         return sizes
 
-    def section_hashes(self, compress: bool = True) -> dict[str, str]:
-        """SHA-256 per serialized section — what the trace store would
-        address this trace's sections under (see :func:`section_hashes`
-        for the blob-level equivalent)."""
-        return section_hashes(self.to_bytes(compress))
 
-
-def section_spans(data: bytes) -> dict[str, tuple[int, int]]:
-    """Byte spans ``name -> (start, end)`` of every region in a valid
-    trace blob (header fields, then per section its length prefix, CRC,
-    and payload).  The corruption fuzzer aims its mutations at these
-    boundaries; ``repro info`` could render them too."""
-    if len(data) < HEADER_FIXED or data[:4] != MAGIC:
-        raise TraceFormatError("not a Pilgrim trace (bad magic)")
-    flags = data[5]
-    spans: dict[str, tuple[int, int]] = {
-        "magic": (0, 4), "version": (4, 5), "flags": (5, 6)}
-    r = Reader(data, HEADER_FIXED)
-    r.read_uvarint()
-    spans["nprocs"] = (HEADER_FIXED, r.pos)
-    names = ["cst", "cfg"]
-    if flags & FLAG_TIMING:
-        names.extend(("timing_duration", "timing_interval"))
-    if flags & FLAG_TIMING_META:
-        names.append("timing_meta")
-    for name in names:
-        start = r.pos
-        n = r.read_uvarint()
-        spans[f"{name}.len"] = (start, r.pos)
-        spans[f"{name}.crc"] = (r.pos, r.pos + CRC_BYTES)
-        r.read_bytes(CRC_BYTES)
-        spans[f"{name}.payload"] = (r.pos, r.pos + n)
-        r.read_bytes(n)
-    return spans
+def _section_bounds(spans: dict) -> list[tuple[str, int, int]]:
+    """``(key, start, end)`` of each whole section (length prefix, CRC
+    and payload) in the spans of a trace."""
+    return [(s.key, spans[f"{s.key}.len"][0], spans[f"{s.key}.payload"][1])
+            for s in TRACE.sections if f"{s.key}.len" in spans]
 
 
 def split_sections(data: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
@@ -482,32 +323,19 @@ def split_sections(data: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
     section surfaces later through its CRC.  Trailing bytes are
     rejected so a reassembled blob can never silently grow.
     """
-    spans = section_spans(data)
-    names = [n[:-len(".len")] for n in spans if n.endswith(".len")]
-    sections = []
-    end = HEADER_FIXED
-    for name in names:
-        start = spans[f"{name}.len"][0]
-        end = spans[f"{name}.payload"][1]
-        sections.append((name, data[start:end]))
-    if end != len(data):
+    bounds = _section_bounds(TRACE.spans(data))
+    if bounds[-1][2] != len(data):
         raise CorruptTraceError(
-            f"{len(data) - end} trailing bytes after the last section")
-    header_end = spans[f"{names[0]}.len"][0] if names else len(data)
-    return data[:header_end], sections
+            f"{len(data) - bounds[-1][2]} trailing bytes after the last "
+            f"section")
+    return (data[:bounds[0][1]],
+            [(key, data[start:end]) for key, start, end in bounds])
 
 
 def section_hashes(data: bytes) -> dict[str, str]:
     """SHA-256 content hash per section of a valid trace blob — the free
     content addresses the trace store keys its blobs on (section bytes
     are deterministic, so identical runs hash identically)."""
-    import hashlib
     _, sections = split_sections(data)
     return {name: hashlib.sha256(blob).hexdigest()
             for name, blob in sections}
-
-
-def _uvarint_bytes(n: int) -> bytes:
-    out = bytearray()
-    write_uvarint(out, n)
-    return bytes(out)

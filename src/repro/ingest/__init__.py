@@ -3,8 +3,9 @@
 Layers (dependencies flow **upward only**; see DESIGN.md):
 
 1. :mod:`.protocol` — sans-io framing: length-prefixed, CRC-checked
-   frames carrying serialized :class:`~repro.core.shard.ShardPartial`
-   blobs, reusing the trace-format v2 section writers.
+   frames carrying flush records of
+   :class:`~repro.core.shard.ShardPartial` s, one
+   :class:`~repro.core.container.Container` declaration.
 2. :mod:`.session` — sans-io per-tenant stream state machines:
    sequence numbers, duplicate suppression, idempotent reconnect,
    the bounded-window backpressure contract.
@@ -25,7 +26,7 @@ from ..core.errors import FrameFormatError, TraceFormatError
 from .aggregator import Aggregator, FoldError, RankFold, TenantFold
 from .client import (ChunkingTracer, IngestClient, IngestError, PushResult,
                      push)
-from .protocol import FrameDecoder, IngestConfig, frame_spans
+from .protocol import FrameDecoder, IngestConfig
 from .server import IngestServer, RunningServer, serve_in_thread
 from .session import (DEFAULT_WINDOW, SequenceError, Session, SessionError,
                       SessionRegistry, TenantState)
@@ -51,7 +52,6 @@ __all__ = [
     "TenantFold",
     "TenantState",
     "TraceFormatError",
-    "frame_spans",
     "push",
     "serve_in_thread",
 ]

@@ -46,8 +46,8 @@ import os
 from operator import lt
 from typing import Optional
 
-from ..core.errors import (CorruptTraceError, TraceFormatError,
-                           UnsupportedVersionError)
+from ..core.container import Container, Section
+from ..core.errors import CorruptTraceError, TraceFormatError
 from ..core.grammar import Grammar
 from ..core.packing import Reader, read_value, write_value
 from ..core.pipeline import TracePipeline, tree_reduce
@@ -57,9 +57,6 @@ from ..core.timing import TimingMeta
 from ..obs import NULL_RECORDER, NULL_REGISTRY
 from .protocol import IngestConfig, validate_tenant
 from .session import TenantState
-
-CHECKPOINT_MAGIC = b"PICK"
-CHECKPOINT_VERSION = 2
 
 #: consolidate a rank's part list once it holds this many frozen
 #: grammars (memory bound; byte-invisible — see module docstring)
@@ -312,40 +309,57 @@ class TenantFold:
     # -- checkpointing -------------------------------------------------------------
 
     def to_bytes(self, state: TenantState) -> bytes:
-        out = bytearray(CHECKPOINT_MAGIC)
-        out.append(CHECKPOINT_VERSION)
-        write_value(out, (self.tenant, self.nprocs, state.next_seq,
-                          state.finished, self.config.to_tuple()))
-        out.extend(write_flush(
-            [self.ranks[r].to_partial() for r in sorted(self.ranks)]))
-        return bytes(out)
+        head = bytearray()
+        write_value(head, (self.tenant, self.nprocs, state.next_seq,
+                           state.finished, self.config.to_tuple()))
+        return CHECKPOINT.write((bytes(head), write_flush(
+            [self.ranks[r].to_partial() for r in sorted(self.ranks)])))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> tuple["TenantFold", TenantState]:
-        if len(data) < 5 or data[:4] != CHECKPOINT_MAGIC:
-            raise CorruptTraceError(
-                "not an ingest checkpoint (bad magic)")
-        if data[4] != CHECKPOINT_VERSION:
-            raise UnsupportedVersionError(data[4], CHECKPOINT_VERSION)
-        r = Reader(data, 5)
-        head = read_value(r)
-        if (not isinstance(head, tuple) or len(head) != 5
-                or not isinstance(head[0], str)
-                or isinstance(head[1], bool) or not isinstance(head[1], int)
-                or isinstance(head[2], bool) or not isinstance(head[2], int)
-                or not isinstance(head[3], bool)):
-            raise CorruptTraceError("malformed checkpoint header")
-        tenant, nprocs, next_seq, finished, cfg_tuple = head
-        try:
-            config = IngestConfig.from_tuple(cfg_tuple)
-        except TraceFormatError as e:
-            raise CorruptTraceError(
-                f"malformed checkpoint config ({e})") from e
+        (tenant, nprocs, next_seq, finished, config), record = \
+            CHECKPOINT.read(data).values
         fold = cls(tenant, nprocs, config)
-        fold._absorb_all(read_flush(data[r.pos:]))
+        try:
+            fold._absorb_all(read_flush(record))
+        except FoldError as e:
+            raise CorruptTraceError(
+                f"checkpoint of tenant {tenant!r} does not fold ({e})") from e
         state = TenantState(tenant=tenant, nprocs=nprocs, config=config,
                             next_seq=next_seq, finished=finished)
         return fold, state
+
+
+def _read_checkpoint_head(r: Reader) -> tuple:
+    """The session the checkpoint resumes: tenant, nprocs, the next
+    sequence number, whether it finished, and the fold's config."""
+    head = read_value(r)
+    if (not isinstance(head, tuple) or len(head) != 5
+            or not isinstance(head[0], str)
+            or isinstance(head[1], bool) or not isinstance(head[1], int)
+            or isinstance(head[2], bool) or not isinstance(head[2], int)
+            or not isinstance(head[3], bool)):
+        raise CorruptTraceError("malformed checkpoint header")
+    tenant, nprocs, next_seq, finished, cfg_tuple = head
+    validate_tenant(tenant)
+    if nprocs < 1 or next_seq < 0:
+        raise CorruptTraceError(
+            f"checkpoint declares nprocs {nprocs} and next sequence number "
+            f"{next_seq}: want nprocs >= 1 and a sequence number >= 0")
+    try:
+        config = IngestConfig.from_tuple(cfg_tuple)
+    except TraceFormatError as e:
+        raise CorruptTraceError(
+            f"malformed checkpoint config ({e})") from e
+    return tenant, nprocs, next_seq, finished, config
+
+
+#: a session's watermark plus its fold's state, as one flush record
+#: holding every live rank's consolidated partial
+CHECKPOINT = Container(
+    b"PICK", 3, None,
+    (Section("header", _read_checkpoint_head), Section("flush")),
+    what="Pilgrim ingest checkpoint")
 
 
 class Aggregator:

@@ -1,18 +1,10 @@
 """Ingest wire protocol — layer 1 (framing), no upward imports.
 
-One frame is::
-
-    [0:4]  magic  b"PIGF"
-    [4]    version (1)
-    [5]    kind   (HELLO..ERROR below)
-    [6]    flags  (bit 0: payload zlib-compressed)
-    [7:]   one trace-format v2 section: uvarint payload length,
-           CRC32 (LE), payload bytes
-
-The payload section reuses :func:`repro.core.trace_format.emit_section`
-verbatim, so every frame's content is integrity-checked exactly like a
-trace section on disk, and the corruption fuzzer
-(:mod:`repro.ingest.fuzz`) can aim the same boundary attacks at it.
+One frame is the :data:`FRAME` container (:mod:`repro.core.container`):
+magic ``PIGF``, version 1, a kind byte (HELLO..ERROR below), a flags
+byte (bit 0: payload zlib-compressed), then one CRC'd section holding
+the payload — integrity-checked exactly like a trace section on disk,
+and attacked with the same boundary mutations by :mod:`repro.fuzz`.
 
 A CHUNK is one *flush* of the client's tracer, not one rank's share of
 it: its payload is ``uvarint seq`` followed by one flush record
@@ -37,18 +29,12 @@ primitives.  ``session`` imports this; ``aggregator`` imports core;
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..core.errors import (FrameFormatError, TraceFormatError,
-                           TruncatedTraceError, UnsupportedVersionError)
+from ..core.container import CRC_BYTES, Container, Section
+from ..core.errors import FrameFormatError, TruncatedTraceError
 from ..core.packing import Reader, read_value, write_uvarint, write_value
-from ..core.trace_format import emit_section, take_section
-
-FRAME_MAGIC = b"PIGF"
-FRAME_VERSION = 1
-_FLAG_COMPRESSED = 1
 
 #: frame kinds
 HELLO = 1        # client -> server: open/resume a tenant session
@@ -62,6 +48,10 @@ ERROR = 7        # server -> client: structured failure, session dropped
 
 KIND_NAMES = {HELLO: "HELLO", HELLO_ACK: "HELLO_ACK", CHUNK: "CHUNK",
               ACK: "ACK", FIN: "FIN", RESULT: "RESULT", ERROR: "ERROR"}
+
+FRAME = Container(b"PIGF", 1, 1, (Section("frame"),), FrameFormatError,
+                  what="Pilgrim ingest frame", kinds=KIND_NAMES,
+                  compressed=1)
 
 #: sanity bound on a single frame's payload; a length prefix beyond this
 #: is treated as corruption rather than an allocation request
@@ -77,12 +67,8 @@ def encode_frame(kind: int, payload: bytes, *, compress: bool = False) -> bytes:
     """One complete frame as bytes (the only frame writer)."""
     if kind not in KIND_NAMES:
         raise ValueError(f"unknown frame kind {kind}")
-    out = bytearray(FRAME_MAGIC)
-    out.append(FRAME_VERSION)
-    out.append(kind)
-    out.append(_FLAG_COMPRESSED if compress else 0)
-    emit_section(out, payload, compress)
-    return bytes(out)
+    return FRAME.write((payload,), flags=FRAME.compressed if compress else 0,
+                       kind=kind)
 
 
 class FrameDecoder:
@@ -104,38 +90,21 @@ class FrameDecoder:
     def feed(self, data: bytes) -> None:
         self._buf.extend(data)
 
-    @property
-    def pending_bytes(self) -> int:
-        """Buffered bytes that do not yet form a complete frame."""
-        return len(self._buf)
-
     def _try_parse(self) -> Optional[tuple[int, bytes, int]]:
         """``(kind, payload, total_frame_len)`` if the buffer holds a
         complete frame, None if more bytes are needed."""
         buf = self._buf
-        have = len(buf)
-        head = bytes(buf[:4])
-        if head != FRAME_MAGIC[:len(head)]:
-            raise FrameFormatError(
-                f"not an ingest frame (bad magic {head!r})")
-        if have < 7:
+        try:
+            FRAME.header(buf)
+        except TruncatedTraceError:
             return None
-        if buf[4] != FRAME_VERSION:
-            raise UnsupportedVersionError(buf[4], FRAME_VERSION)
-        kind = buf[5]
-        if kind not in KIND_NAMES:
-            raise FrameFormatError(f"unknown frame kind {kind}")
-        flags = buf[6]
-        if flags & ~_FLAG_COMPRESSED:
-            raise FrameFormatError(
-                f"unknown frame flag bits in {flags:#04x}")
         # the payload-length varint, read without consuming: the buffer
         # may end inside it, but no honest length needs more than 10 bytes
-        r = Reader(buf, 7)
+        r = Reader(buf, FRAME.fixed)
         try:
             n = r.read_uvarint()
         except TruncatedTraceError:
-            if have - 7 <= 10:
+            if len(buf) - FRAME.fixed <= 10:
                 return None
             raise FrameFormatError(
                 "frame length varint is overlong") from None
@@ -143,13 +112,11 @@ class FrameDecoder:
             raise FrameFormatError(
                 f"frame payload of {n} bytes exceeds the "
                 f"{MAX_FRAME_PAYLOAD}-byte bound")
-        end = r.pos + 4 + n
-        if have < end:
+        end = r.pos + CRC_BYTES + n
+        if len(buf) < end:
             return None
-        name = f"frame-{KIND_NAMES[kind]}"
-        pr = take_section(Reader(bytes(buf[:end]), 7),
-                          bool(flags & _FLAG_COMPRESSED), name)
-        return kind, pr.read_bytes(pr.remaining()), end
+        parsed = FRAME.read(bytes(buf[:end]))
+        return parsed.kind, parsed.values[0], end
 
     def frames(self) -> Iterator[tuple[int, bytes]]:
         """Yield every complete buffered frame."""
@@ -170,31 +137,6 @@ class FrameDecoder:
             raise TruncatedTraceError(
                 f"{len(self._buf)} trailing bytes form no complete "
                 f"ingest frame")
-
-
-def frame_spans(blob: bytes) -> dict[str, tuple[int, int]]:
-    """Byte spans of every region of a valid frame stream, for the
-    boundary fuzzer — the frame-stream analogue of
-    :func:`repro.core.trace_format.section_spans`."""
-    spans: dict[str, tuple[int, int]] = {}
-    r = Reader(blob)
-    i = 0
-    while r.remaining():
-        base = r.pos
-        hdr = r.read_bytes(7)
-        if hdr[:4] != FRAME_MAGIC:
-            raise FrameFormatError("not an ingest frame (bad magic)")
-        name = f"frame{i}.{KIND_NAMES.get(hdr[5], '?')}"
-        spans[f"{name}.header"] = (base, base + 7)
-        start = r.pos
-        n = r.read_uvarint()
-        spans[f"{name}.len"] = (start, r.pos)
-        spans[f"{name}.crc"] = (r.pos, r.pos + 4)
-        r.read_bytes(4)
-        spans[f"{name}.payload"] = (r.pos, r.pos + n)
-        r.read_bytes(n)
-        i += 1
-    return spans
 
 
 # -- per-kind payload codecs ---------------------------------------------------------
@@ -296,15 +238,9 @@ def parse_chunk(payload: bytes) -> tuple[int, bytes]:
     aggregation layer owns the partial reader
     (:func:`repro.ingest.aggregator.read_partials`) so a corrupt partial
     fails inside the tenant's fold, not the shared reader."""
-    try:
-        r = Reader(payload)
-        seq = r.read_uvarint()
-        return seq, r.read_bytes(r.remaining())
-    except TraceFormatError:
-        raise
-    except (IndexError, ValueError, struct.error) as e:
-        raise FrameFormatError(
-            f"malformed CHUNK payload ({type(e).__name__}: {e})") from e
+    r = Reader(payload)
+    seq = r.read_uvarint()
+    return seq, r.read_bytes(r.remaining())
 
 
 def encode_ack(seq: int) -> bytes:
@@ -355,18 +291,10 @@ def parse_error(payload: bytes) -> tuple[str, str]:
 
 def _read_tuple(payload: bytes, kind: str,
                 length: Optional[int] = None) -> tuple:
-    try:
-        r = Reader(payload)
-        val = read_value(r)
-        if not r.exhausted:
-            raise FrameFormatError(
-                f"trailing bytes after {kind} payload value")
-    except TraceFormatError:
-        raise
-    except (IndexError, KeyError, ValueError, OverflowError,
-            struct.error) as e:
-        raise FrameFormatError(
-            f"malformed {kind} payload ({type(e).__name__}: {e})") from e
+    r = Reader(payload)
+    val = read_value(r)
+    if not r.exhausted:
+        raise FrameFormatError(f"trailing bytes after {kind} payload value")
     if not isinstance(val, tuple) or \
             (length is not None and len(val) != length):
         raise FrameFormatError(f"malformed {kind} payload structure")
@@ -374,15 +302,8 @@ def _read_tuple(payload: bytes, kind: str,
 
 
 def _read_uvarint_payload(payload: bytes, kind: str) -> int:
-    try:
-        r = Reader(payload)
-        n = r.read_uvarint()
-        if not r.exhausted:
-            raise FrameFormatError(
-                f"trailing bytes after {kind} sequence number")
-        return n
-    except TraceFormatError:
-        raise
-    except (IndexError, ValueError, struct.error) as e:
-        raise FrameFormatError(
-            f"malformed {kind} payload ({type(e).__name__}: {e})") from e
+    r = Reader(payload)
+    n = r.read_uvarint()
+    if not r.exhausted:
+        raise FrameFormatError(f"trailing bytes after {kind} sequence number")
+    return n

@@ -11,8 +11,6 @@ generation (paper §6).
   extrapolation) with a lockstep :class:`LockstepComparator` producing a
   first-divergence-per-rank :class:`DivergenceReport`.  The public
   facade is :func:`repro.api.replay`.
-* :func:`run_replay_fuzz` — corruption fuzzing of the replay entry
-  point (mutated traces must fail structurally, never crash).
 * :func:`generate_miniapp` — emit a standalone Python proxy program with
   the same communication pattern as the trace (the paper's planned
   "mini-app generator").
@@ -25,13 +23,12 @@ from .divergence import (ExtrapolationError, ReplayOptions, ReplayResult,
                          parse_net, run_divergence)
 from .engine import (RankReplayer, ReplayState, build_rank_programs,
                      replay_trace, run_replay, structurally_equal)
-from .fuzz import ReplayFuzzReport, run_replay_fuzz
 
 __all__ = [
     "DIVERGENCE_REPORT_SCHEMA", "DivergencePoint", "DivergenceReport",
     "ExtrapolationError", "LockstepComparator", "RankReplayer",
-    "ReplayFuzzReport", "ReplayOptions", "ReplayResult", "ReplayState",
+    "ReplayOptions", "ReplayResult", "ReplayState",
     "build_rank_programs", "generate_miniapp", "load_miniapp",
     "parse_net", "replay_trace", "run_divergence", "run_replay",
-    "run_replay_fuzz", "structurally_equal",
+    "structurally_equal",
 ]

@@ -12,8 +12,8 @@ crashing:
   jitter, recomputing the failed task on every retry.
 - :mod:`repro.resilience.salvage` — :class:`SalvageReport`, the precise
   accounting (lost ranks, lost sections, call deficit) attached to any
-  degraded result, plus the salvage read modes on
-  ``TraceFile.from_bytes`` / ``RankShard.from_bytes``.
+  degraded result, plus the salvage read mode of
+  ``TraceFile.from_bytes``.
 
 :mod:`repro.resilience.chaos` closes the loop: it runs workloads under
 random seeded plans and asserts the chaos property — byte-identical

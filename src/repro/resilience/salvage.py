@@ -31,12 +31,20 @@ class SalvageReport:
     lost_calls: Dict[int, int] = field(default_factory=dict)
     #: free-form diagnostics, in discovery order
     notes: List[str] = field(default_factory=list)
+    #: ``lost_ranks`` as a set: a header that declares a million ranks
+    #: its rank map lacks costs a million appends, not their square
+    _lost: set = field(default_factory=set, init=False, repr=False,
+                       compare=False)
+
+    def __post_init__(self) -> None:
+        self._lost.update(self.lost_ranks)
 
     # -- recording ----------------------------------------------------------------
 
     def lose_rank(self, rank: int, calls: int = 0,
                   reason: str = "") -> None:
-        if rank not in self.lost_ranks:
+        if rank not in self._lost:
+            self._lost.add(rank)
             self.lost_ranks.append(rank)
         if calls:
             self.lost_calls[rank] = max(self.lost_calls.get(rank, 0), calls)
@@ -88,8 +96,7 @@ class SalvageReport:
         return sum(self.lost_calls.values())
 
     def surviving_ranks(self, nprocs: int) -> List[int]:
-        lost = set(self.lost_ranks)
-        return [r for r in range(nprocs) if r not in lost]
+        return [r for r in range(nprocs) if r not in self._lost]
 
     def summary(self) -> str:
         if not self.degraded:

@@ -10,7 +10,7 @@ delta-encoded against the workload's prior run.
 Strictly layered, upward-only (pinned by ``tests/test_store.py``)::
 
     (4) maintenance.py   gc (mark-sweep + refcount audit), retention,
-        fuzz.py          compaction; the manifest corruption fuzzer
+                         compaction
              │
              ▼
     (3) repository.py    TraceStore: put/get/ls/diff/drifted/
@@ -25,7 +25,7 @@ Strictly layered, upward-only (pinned by ``tests/test_store.py``)::
                          sidecars, integrity re-verification on read
              │
              ▼
-        repro.core       (split_sections, section writers, errors)
+        repro.core       (split_sections, Container, errors)
 
 The ingest service persists folded tenants *into* this store
 (``repro serve --store DIR``), so the whole package sits below
@@ -39,7 +39,7 @@ from typing import Any, Optional
 from .index import RunIndex
 from .maintenance import (GCReport, RetentionReport, apply_retention,
                           compute_refcounts, gc)
-from .manifest import RunRecord, SectionRef, manifest_spans
+from .manifest import RunRecord, SectionRef
 from .objects import ObjectStore, hash_blob
 from .repository import (DEFAULT_ROOT, DedupStats, DiffEntry, PutResult,
                          StoreDiff, TraceStore)
@@ -48,7 +48,7 @@ __all__ = [
     "DEFAULT_ROOT", "DedupStats", "DiffEntry", "GCReport", "ObjectStore",
     "PutResult", "RetentionReport", "RunIndex", "RunRecord", "SectionRef",
     "StoreDiff", "TraceStore", "apply_retention", "compute_refcounts",
-    "gc", "hash_blob", "manifest_spans",
+    "gc", "hash_blob",
 ]
 
 

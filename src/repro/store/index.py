@@ -6,7 +6,7 @@ reference pattern drift queries compare against.  A global counter
 issues run ids, so ids are unique across workloads and ``repro store
 get r000042`` needs no workload qualifier.
 
-The file reuses the v2 section writers (CRC + length prefix) and is
+The file is the :data:`INDEX` container (one CRC'd section) and is
 rewritten atomically on every mutation — the index is tiny (ids only;
 the heavy state lives in manifests and the CAS), so full rewrite is
 cheaper than being clever.  A corrupt index raises a structured
@@ -19,13 +19,10 @@ import os
 import tempfile
 from typing import Optional
 
-from ..core.errors import StoreFormatError, TraceFormatError
-from ..core.packing import Reader, read_value, write_value
-from ..core.trace_format import emit_section, take_section
+from ..core.container import Container, Section
+from ..core.errors import StoreFormatError
+from ..core.packing import read_value, write_value
 from .manifest import validate_name, validate_run_id
-
-INDEX_MAGIC = b"PIDX"
-INDEX_VERSION = 1
 
 
 class WorkloadLineage:
@@ -57,71 +54,18 @@ class RunIndex:
                 data = fh.read()
         except FileNotFoundError:
             return
-        if len(data) < 5 or data[:4] != INDEX_MAGIC:
-            raise StoreFormatError(
-                f"{self.path} is not a run index (bad magic)")
-        if data[4] != INDEX_VERSION:
-            raise StoreFormatError(
-                f"unsupported index version {data[4]}")
-        try:
-            r = Reader(data, 5)
-            body = read_value(take_section(r, False, "index"))
-            if not r.exhausted:
-                raise StoreFormatError(
-                    f"trailing bytes after the index section")
-            self._from_tuple(body)
-        except StoreFormatError:
-            raise
-        except TraceFormatError as e:
-            raise StoreFormatError(f"corrupt run index ({e})") from e
-        except (IndexError, KeyError, ValueError, OverflowError,
-                TypeError) as e:
-            raise StoreFormatError(
-                f"malformed run index ({type(e).__name__}: {e})") from e
-
-    def _from_tuple(self, body) -> None:
-        if not isinstance(body, tuple) or len(body) != 2:
-            raise StoreFormatError("index body is not a 2-tuple")
-        next_id, entries = body
-        if isinstance(next_id, bool) or not isinstance(next_id, int) \
-                or next_id < 1:
-            raise StoreFormatError(f"index counter {next_id!r} invalid")
-        if not isinstance(entries, tuple):
-            raise StoreFormatError("index entries are not a tuple")
-        lineages: dict[str, WorkloadLineage] = {}
-        for entry in entries:
-            if not isinstance(entry, tuple) or len(entry) != 3:
-                raise StoreFormatError(f"malformed index entry {entry!r}")
-            workload, golden, runs = entry
-            validate_name(workload, "workload")
-            if golden != "":
-                validate_run_id(golden)
-            if not isinstance(runs, tuple):
-                raise StoreFormatError(
-                    f"index runs for {workload!r} are not a tuple")
-            for rid in runs:
-                validate_run_id(rid)
-            if golden and golden not in runs:
-                raise StoreFormatError(
-                    f"index pins golden {golden} for {workload!r} but "
-                    f"the lineage does not contain it")
-            lineages[workload] = WorkloadLineage(list(runs), golden)
-        self.next_id = next_id
-        self.lineages = lineages
+        self.next_id, self.lineages = INDEX.read(data).values[0]
 
     def save(self) -> None:
-        out = bytearray(INDEX_MAGIC)
-        out.append(INDEX_VERSION)
         payload = bytearray()
         write_value(payload, (
             self.next_id,
             tuple((w, lin.golden, tuple(lin.runs))
                   for w, lin in sorted(self.lineages.items()))))
-        emit_section(out, bytes(payload), compress=False)
         os.makedirs(self.root, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".tmp-idx-", dir=self.root)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(out))
+            fh.write(INDEX.write((bytes(payload),)))
         os.replace(tmp, self.path)
 
     # -- mutation ------------------------------------------------------------------
@@ -179,3 +123,39 @@ class RunIndex:
             if run_id in lin.runs:
                 return workload
         return None
+
+
+def _lineages(body) -> tuple[int, dict[str, WorkloadLineage]]:
+    """The index section's ``(next_id, entries)`` tuple, validated."""
+    if not isinstance(body, tuple) or len(body) != 2:
+        raise StoreFormatError("index body is not a 2-tuple")
+    next_id, entries = body
+    if isinstance(next_id, bool) or not isinstance(next_id, int) \
+            or next_id < 1:
+        raise StoreFormatError(f"index counter {next_id!r} invalid")
+    if not isinstance(entries, tuple):
+        raise StoreFormatError("index entries are not a tuple")
+    lineages: dict[str, WorkloadLineage] = {}
+    for entry in entries:
+        if not isinstance(entry, tuple) or len(entry) != 3:
+            raise StoreFormatError(f"malformed index entry {entry!r}")
+        workload, golden, runs = entry
+        validate_name(workload, "workload")
+        if golden != "":
+            validate_run_id(golden)
+        if not isinstance(runs, tuple):
+            raise StoreFormatError(
+                f"index runs for {workload!r} are not a tuple")
+        for rid in runs:
+            validate_run_id(rid)
+        if golden and golden not in runs:
+            raise StoreFormatError(
+                f"index pins golden {golden} for {workload!r} but "
+                f"the lineage does not contain it")
+        lineages[workload] = WorkloadLineage(list(runs), golden)
+    return next_id, lineages
+
+
+INDEX = Container(b"PIDX", 1, None,
+                  (Section("index", lambda r: _lineages(read_value(r))),),
+                  StoreFormatError, what="run index")

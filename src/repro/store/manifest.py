@@ -7,18 +7,13 @@ pure concatenation (``header + section blobs``), so a round trip through
 the store is byte-identical by construction — and two runs that share
 sections share storage.
 
-The on-disk form reuses the v2 section writers (CRC-checked, length
-prefixed) so the corruption fuzzer attacks manifests with the exact
-machinery it already aims at traces and ingest frames
-(:func:`manifest_spans` feeds
-:func:`~repro.core.fuzz.iter_blob_mutations`)::
+The on-disk form is the :data:`MANIFEST` container (magic ``PRUN``,
+version 1, one uncompressed CRC'd section), so :mod:`repro.fuzz` attacks
+manifests with the machinery it aims at traces and ingest frames; the
+section is::
 
-    magic  b"PRUN"            4 bytes
-    version                   1 byte
-    -- one section (emit_section, uncompressed) --
-    payload = write_value((run_id, workload, tenant, nprocs,
-                           created_ms, parent, header_hex,
-                           ((name, digest, size, reused), ...)))
+    write_value((run_id, workload, tenant, nprocs, created_ms, parent,
+                 header_hex, ((name, digest, size, reused), ...)))
 
 Every read path raises a structured
 :class:`~repro.core.errors.StoreFormatError` — a corrupt hash ref must
@@ -31,13 +26,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.errors import StoreFormatError, TraceFormatError
-from ..core.packing import Reader, read_value, write_value
-from ..core.trace_format import emit_section, take_section
+from ..core.container import Container, Section
+from ..core.errors import StoreFormatError
+from ..core.packing import read_value, write_value
 from .objects import validate_digest
-
-MANIFEST_MAGIC = b"PRUN"
-MANIFEST_VERSION = 1
 
 #: run ids are index-issued ("r000042"); workload keys double as path
 #: components, so both are validated on every read
@@ -137,47 +129,17 @@ class RunRecord:
     # -- serialization ---------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = bytearray(MANIFEST_MAGIC)
-        out.append(MANIFEST_VERSION)
         payload = bytearray()
         write_value(payload, (
             self.run_id, self.workload, self.tenant, self.nprocs,
             self.created_ms, self.parent, self.header.hex(),
             tuple((s.name, s.digest, s.size, s.reused)
                   for s in self.sections)))
-        emit_section(out, bytes(payload), compress=False)
-        return bytes(out)
+        return MANIFEST.write((bytes(payload),))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RunRecord":
-        if len(data) < 5:
-            raise StoreFormatError(
-                f"manifest of {len(data)} bytes is shorter than its "
-                f"5-byte header")
-        if data[:4] != MANIFEST_MAGIC:
-            raise StoreFormatError("not a run manifest (bad magic)")
-        if data[4] != MANIFEST_VERSION:
-            raise StoreFormatError(
-                f"unsupported manifest version {data[4]} (this reader "
-                f"understands {MANIFEST_VERSION})")
-        try:
-            r = Reader(data, 5)
-            body = read_value(take_section(r, False, "manifest"))
-            if not r.exhausted:
-                raise StoreFormatError(
-                    f"{len(data) - r.pos} trailing bytes after the "
-                    f"manifest section")
-            return cls._from_tuple(body)
-        except StoreFormatError:
-            raise
-        except TraceFormatError as e:
-            # CRC/truncation failures from the shared section reader
-            raise StoreFormatError(f"corrupt manifest ({e})") from e
-        except (IndexError, KeyError, ValueError, OverflowError,
-                TypeError, MemoryError) as e:
-            # safety net: the store's contract is structured errors only
-            raise StoreFormatError(
-                f"malformed manifest ({type(e).__name__}: {e})") from e
+        return MANIFEST.read(data).values[0]
 
     @classmethod
     def _from_tuple(cls, body) -> "RunRecord":
@@ -229,23 +191,10 @@ class RunRecord:
                    header=header, sections=refs)
 
 
-def manifest_spans(data: bytes) -> dict[str, tuple[int, int]]:
-    """Byte spans of every region in a valid manifest blob — the
-    boundary targets :func:`~repro.core.fuzz.iter_blob_mutations` aims
-    at (the same contract as
-    :func:`~repro.core.trace_format.section_spans`)."""
-    if len(data) < 5 or data[:4] != MANIFEST_MAGIC:
-        raise StoreFormatError("not a run manifest (bad magic)")
-    spans: dict[str, tuple[int, int]] = {
-        "magic": (0, 4), "version": (4, 5)}
-    r = Reader(data, 5)
-    start = r.pos
-    n = r.read_uvarint()
-    spans["body.len"] = (start, r.pos)
-    spans["body.crc"] = (r.pos, r.pos + 4)
-    r.read_bytes(4)
-    spans["body.payload"] = (r.pos, r.pos + n)
-    return spans
+MANIFEST = Container(
+    b"PRUN", 1, None,
+    (Section("manifest", lambda r: RunRecord._from_tuple(read_value(r))),),
+    StoreFormatError, what="run manifest")
 
 
 def resolve_ref(ref: str) -> tuple[Optional[str], Optional[str]]:

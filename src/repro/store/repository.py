@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.errors import StoreFormatError
-from ..core.packing import Reader
-from ..core.trace_format import HEADER_FIXED, split_sections
+from ..core.trace_format import TRACE, split_sections
 from ..obs import NULL_REGISTRY
 from .index import RunIndex
 from .manifest import (RunRecord, SectionRef, resolve_ref, validate_name)
@@ -211,7 +210,7 @@ class TraceStore:
         run_id = self.index.issue_run_id()
         record = RunRecord(
             run_id=run_id, workload=workload, tenant=tenant,
-            nprocs=Reader(blob, HEADER_FIXED).read_uvarint(),
+            nprocs=TRACE.header(header, check=False)[2][0],
             created_ms=int(time.time() * 1000), parent=parent,
             header=header, sections=refs)
         self._write_record(record)

@@ -20,19 +20,15 @@ from time import perf_counter
 import pytest
 
 import repro
+from repro import fuzz
 from repro.core.errors import (CorruptTraceError, StoreFormatError,
                                TraceFormatError)
-from repro.core.fuzz import (CODEC_BOMBS, HOSTILE_TABLES, corpus_mutations,
-                             run_fuzz)
-from repro.core.trace_format import TraceFile, emit_section
+from repro.core.trace_format import TraceFile
+from repro.fuzz import CODEC_BOMBS, HOSTILE_TABLES
 from repro.ingest import protocol as proto, push, serve_in_thread
 from repro.ingest.aggregator import read_partials
-from repro.ingest.fuzz import (build_frame_corpus, corpus_frame_mutations,
-                               run_frame_fuzz)
-from repro.replay import run_replay_fuzz
 from repro.store import TraceStore
-from repro.store.fuzz import corpus_manifest_mutations, run_store_fuzz
-from repro.store.index import INDEX_MAGIC, INDEX_VERSION, RunIndex
+from repro.store.index import INDEX, RunIndex
 from repro.store.manifest import RunRecord
 
 #: the acceptance bound for the 320 KB varint case; the quadratic reader
@@ -59,7 +55,7 @@ def trace_blob() -> bytes:
 
 @pytest.fixture(scope="module")
 def trace_bombs(trace_blob) -> list:
-    bombs = [(d, b) for d, b in corpus_mutations(trace_blob)
+    bombs = [(d, b) for d, b in fuzz.trace_corpus(trace_blob)
              if d.startswith("codec bomb")]
     assert len(bombs) == len(CODEC_BOMBS) == 2
     return bombs
@@ -69,8 +65,8 @@ def trace_bombs(trace_blob) -> list:
 def frame_bombs() -> list:
     # the sequence-number bomb, then each codec bomb as the signature of
     # a chunk's first partial and of its second
-    bombs = [(d, b) for d, b in corpus_frame_mutations(
-                 build_frame_corpus(chunk_calls=64))
+    bombs = [(d, b) for d, b in fuzz.frame_corpus(
+                 fuzz.frame_stream(*fuzz.record_stream(chunk_calls=64)))
              if d.startswith(("CHUNK sequence number", "codec bomb"))]
     assert len(bombs) == 1 + 2 * len(CODEC_BOMBS)
     return bombs
@@ -89,7 +85,7 @@ class TestStructuredAndBounded:
         # range, order or number, bad column shapes and references, and
         # counts that claim 2**40 of something or more fields than the
         # section has bytes — refused before they are allocated
-        tables = [(d, b) for d, b in corpus_mutations(trace_blob)
+        tables = [(d, b) for d, b in fuzz.trace_corpus(trace_blob)
                   if d.startswith("hostile table")]
         assert len(tables) == len(HOSTILE_TABLES) >= 16
         assert sum("2**40" in d for d, _ in tables) == 5
@@ -135,19 +131,16 @@ class TestStructuredAndBounded:
         store = TraceStore(str(tmp_path / "st"))
         put = store.put(repro.trace("stencil2d", 2).trace_bytes, "w")
         record = store.read_record(put.run_id)
-        bombs = [(d, b) for d, b in corpus_manifest_mutations(record)
+        bombs = [(d, b) for d, b in fuzz.manifest_corpus(record)
                  if d.startswith("codec bomb")]
         assert len(bombs) == 2
         for desc, blob in bombs:
             assert _refused(RunRecord.from_bytes, blob,
                             StoreFormatError) < BOUND_S, desc
         for desc, value in CODEC_BOMBS:
-            out = bytearray(INDEX_MAGIC)
-            out.append(INDEX_VERSION)
-            emit_section(out, value, compress=False)
             root = tmp_path / f"idx{len(value)}"
             os.makedirs(root)
-            (root / "index.bin").write_bytes(bytes(out))
+            (root / "index.bin").write_bytes(INDEX.write((value,)))
             assert _refused(RunIndex, str(root),
                             StoreFormatError) < BOUND_S, desc
 
@@ -177,21 +170,21 @@ class TestStructuredAndBounded:
 
 class TestFuzzersCarryTheBombs:
     def test_trace_and_replay_fuzzers(self, trace_blob):
-        for salvage in (False, True):
-            report = run_fuzz(trace_blob, n_random=0, salvage=salvage)
+        for target in fuzz.trace_target, fuzz.salvage_target:
+            report = fuzz.run(target(trace_blob), n_random=0)
             assert report.ok, report.failures
-        replay = run_replay_fuzz(trace_blob, n_random=0)
+        replay = fuzz.run(fuzz.replay_target(trace_blob), n_random=0)
         assert replay.ok, replay.failures
         assert replay.by_error["CorruptTraceError"] >= 6
 
     def test_store_fuzzer(self, tmp_path, trace_blob):
         store = TraceStore(str(tmp_path / "st"))
         put = store.put(trace_blob, "w")
-        report = run_store_fuzz(store, put.run_id, n_random=0)
+        report = fuzz.run(fuzz.store_target(store, put.run_id), n_random=0)
         assert report.ok, report.failures
 
     def test_frame_fuzzer(self):
-        report = run_frame_fuzz(build_frame_corpus(chunk_calls=64),
-                                n_random=0)
+        report = fuzz.run(fuzz.frames_target(
+            fuzz.frame_stream(*fuzz.record_stream(chunk_calls=64))), n_random=0)
         assert report.ok, report.failures
         assert report.by_error["CorruptTraceError"] >= 3

@@ -23,13 +23,13 @@ from repro.core.backends import TracerOptions, make_tracer
 from repro.core.cst import MergedCST
 from repro.core.errors import (CorruptTraceError, TruncatedTraceError,
                                UnsupportedVersionError)
-from repro.core.fuzz import iter_blob_mutations
 from repro.core.packing import (MAX_VALUE_DEPTH, Reader, read_column,
                                 read_value, write_column, write_uvarint,
                                 write_value)
-from repro.core.trace_format import (FLAG_COMPRESSED, VERSION, TraceFile,
-                                     emit_section, split_sections,
-                                     take_section)
+from repro.core.container import emit_section, take_section
+from repro.core.trace_format import (FLAG_COMPRESSED, TRACE, TraceFile,
+                                     split_sections)
+from repro.fuzz import iter_blob_mutations
 from repro.workloads import REGISTRY, make
 
 # -- the oracle: the v2 CST codec, kept verbatim ----------------------------------------
@@ -97,7 +97,7 @@ def read_v2_trace(blob: bytes) -> TraceFile:
     cst = V2CST.read_from(
         take_section(Reader(sections[0][1]), compressed, "CST"))
     out = bytearray(header)
-    out[4] = VERSION
+    out[4] = TRACE.version
     emit_section(out, b"\x00", compressed)
     trace = TraceFile.from_bytes(
         bytes(out) + b"".join(sec for _, sec in sections[1:]))
@@ -157,7 +157,8 @@ def test_a_v2_blob_is_an_unsupported_version():
     for salvage in (False, True):
         with pytest.raises(UnsupportedVersionError) as ei:
             TraceFile.from_bytes(old, salvage=salvage)
-        assert (ei.value.found, ei.value.expected) == (2, VERSION) == (2, 3)
+        assert (ei.value.found, ei.value.expected) == (2, TRACE.version) \
+            == (2, 3)
 
 
 def test_seconds_only_tables_round_to_nanoseconds():

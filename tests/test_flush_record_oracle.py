@@ -26,12 +26,10 @@ from repro.core.grammar import Grammar
 from repro.core.packing import (Reader, read_value, read_varints, unzigzag,
                                 write_uvarint, write_value, write_varints,
                                 zigzag)
-from repro.core.shard import (PARTIAL_MAGIC, PARTIAL_VERSION, ShardPartial,
-                              read_flush, write_flush)
-from repro.core.trace_format import emit_section, take_section
+from repro.core.container import emit_section, take_section
+from repro.core.shard import FLUSH, ShardPartial, read_flush, write_flush
 from repro.ingest import ChunkingTracer, IngestClient, protocol as proto
-from repro.ingest.aggregator import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                     TenantFold, read_partials)
+from repro.ingest.aggregator import CHECKPOINT, TenantFold, read_partials
 from repro.ingest.session import TenantState
 from repro.workloads import make
 
@@ -44,7 +42,7 @@ _V1_FLAG_COMPRESSED = 2
 def v1_to_bytes(self: ShardPartial, compress: bool = True) -> bytes:
     """The parent's ``ShardPartial.to_bytes``."""
     out = bytearray()
-    out.extend(PARTIAL_MAGIC)
+    out.extend(FLUSH.magic)
     out.append(1)
     flags = (_V1_FLAG_TIMING if self.timing_duration is not None
              else 0) | (_V1_FLAG_COMPRESSED if compress else 0)
@@ -83,7 +81,7 @@ def v1_read_from(r: Reader) -> ShardPartial:
         raise TruncatedTraceError(
             f"shard partial of {left} bytes is shorter than the header")
     head = r.read_bytes(6)
-    if head[:4] != PARTIAL_MAGIC:
+    if head[:4] != FLUSH.magic:
         raise TraceFormatError("not a Pilgrim shard partial (bad magic)")
     if head[4] != 1:
         raise UnsupportedVersionError(head[4], 1)
@@ -160,7 +158,7 @@ def v1_read_partials(blob: bytes) -> list[ShardPartial]:
 
 def v1_checkpoint(fold: TenantFold, state: TenantState) -> bytes:
     """The parent's ``TenantFold.to_bytes``."""
-    out = bytearray(CHECKPOINT_MAGIC)
+    out = bytearray(CHECKPOINT.magic)
     out.append(1)
     write_value(out, (fold.tenant, fold.nprocs, state.next_seq,
                       state.finished, fold.config.to_tuple()))
@@ -176,7 +174,7 @@ def v1_checkpoint(fold: TenantFold, state: TenantState) -> bytes:
 def v1_restore(data: bytes) -> tuple[TenantFold, TenantState]:
     """The parent's ``TenantFold.from_bytes``, less the header checks the
     product still makes on its own checkpoints."""
-    assert data[:5] == CHECKPOINT_MAGIC + b"\x01"
+    assert data[:5] == CHECKPOINT.magic + b"\x01"
     r = Reader(data, 5)
     tenant, nprocs, next_seq, finished, cfg_tuple = read_value(r)
     config = proto.IngestConfig.from_tuple(cfg_tuple)
@@ -366,7 +364,7 @@ class TestAgainstVersionOne:
             with pytest.raises(UnsupportedVersionError) as ei:
                 parse(blob)
             assert (ei.value.found, ei.value.expected) == (1, 2)
-        assert PARTIAL_VERSION == 2 and blob[:4] == PARTIAL_MAGIC
+        assert FLUSH.version == 2 and blob[:4] == FLUSH.magic
 
     def test_a_version_one_checkpoint_is_refused_by_name(self):
         recorded, config, fin = _recorded("stencil2d", 2, lossy=True)
@@ -377,15 +375,13 @@ class TestAgainstVersionOne:
         old = v1_checkpoint(fold, state)
         with pytest.raises(UnsupportedVersionError) as ei:
             TenantFold.from_bytes(old)
-        assert (ei.value.found, ei.value.expected) == (1, CHECKPOINT_VERSION)
-        # the same fold, both ways: header, then one record of every
+        assert (ei.value.found, ei.value.expected) == (1, CHECKPOINT.version)
+        # the same fold, both ways: a header, then one record of every
         # live rank where there was a count of length-prefixed blobs
         new = fold.to_bytes(state)
-        head = len(CHECKPOINT_MAGIC) + 1
-        assert new[:head] == CHECKPOINT_MAGIC + bytes((CHECKPOINT_VERSION,))
-        r = Reader(new, head)
-        read_value(r)
-        assert read_flush(new[r.pos:]) == \
+        head, record = CHECKPOINT.read(new).values
+        assert head[:3] == ("t", 2, 2)
+        assert read_flush(record) == \
             [fold.ranks[k].to_partial() for k in sorted(fold.ranks)]
         for restore, blob in ((TenantFold.from_bytes, new),
                               (v1_restore, old)):

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import fuzz
 from repro.core.errors import (ChecksumError, CorruptTraceError,
                                FrameFormatError, TraceFormatError,
                                TruncatedTraceError, UnsupportedVersionError)
@@ -27,8 +28,7 @@ from repro.ingest import protocol as proto
 from repro.ingest.aggregator import (Aggregator, FoldError, TenantFold,
                                      read_partials)
 from repro.ingest.client import ChunkingTracer
-from repro.ingest.fuzz import (_raw_record, build_frame_corpus,
-                               run_frame_fuzz)
+from repro.fuzz import _raw_record
 from repro.ingest.session import (SEQ_DUPLICATE, SEQ_NEW, SequenceError,
                                   Session, SessionError, SessionRegistry)
 from repro.workloads import make
@@ -178,7 +178,7 @@ class TestChunkIsAFlush:
         payload = b"\x03" + blob
         assert len(payload) < 0x80
         assert proto.encode_chunk(3, blob) == (
-            b"PIGF" + bytes((proto.FRAME_VERSION, proto.CHUNK, 0,
+            b"PIGF" + bytes((proto.FRAME.version, proto.CHUNK, 0,
                              len(payload)))
             + struct.pack("<I", zlib.crc32(payload)) + payload)
 
@@ -344,9 +344,9 @@ class TestFrameFuzz:
     different decode."""
 
     def test_recorded_stream_survives_fuzz(self):
-        blob = build_frame_corpus("osu_latency", 2, seed=11,
-                                  chunk_calls=32)
-        report = run_frame_fuzz(blob, seed=1, n_random=150)
+        blob = fuzz.frame_stream(*fuzz.record_stream(
+            "osu_latency", 2, seed=11, chunk_calls=32))
+        report = fuzz.run(fuzz.frames_target(blob), seed=1, n_random=150)
         assert report.ok, report.summary() + "".join(
             f"\n  {f}" for f in report.failures[:10])
         # the boundary attack must actually exercise the CRC and
@@ -355,13 +355,14 @@ class TestFrameFuzz:
         assert report.by_error.get("TruncatedTraceError", 0) > 0
 
     def test_corpus_records_flushes_and_hostile_chunks(self):
-        from repro.ingest.fuzz import corpus_frame_mutations, decode_stream
-        blob = build_frame_corpus("stencil2d", 4, seed=3, chunk_calls=64)
-        chunks = [f for k, f in decode_stream(blob) if k == proto.CHUNK]
+        blob = fuzz.frame_stream(*fuzz.record_stream(
+            "stencil2d", 4, seed=3, chunk_calls=64))
+        chunks = [f for k, f in fuzz.decode_stream(blob)
+                  if k == proto.CHUNK]
         # (seq, partial, partial, ...): a flush of 64 calls over 4 ranks
         assert max(len(c) - 1 for c in chunks) == 4
         assert [c[0] for c in chunks] == list(range(len(chunks)))
-        hostile = dict(corpus_frame_mutations(blob))
+        hostile = dict(fuzz.frame_corpus(blob))
         for needle, count in (
                 ("count bomb", 7), ("ranks descend", 1), ("rank 0 twice", 1),
                 ("names a signature the record has not", 1),
@@ -374,7 +375,7 @@ class TestFrameFuzz:
             assert sum(needle in d for d in hostile) == count, needle
         for desc, stream in hostile.items():
             with pytest.raises(TraceFormatError):
-                decode_stream(stream)
+                fuzz.decode_stream(stream)
 
 
 class TestSession:
@@ -514,3 +515,36 @@ class TestCheckpoint:
     def test_corrupt_checkpoint_is_structured(self):
         with pytest.raises(TraceFormatError):
             TenantFold.from_bytes(b"NOPE" + b"\x00" * 20)
+
+    def test_every_header_bit_flip_is_refused_or_restores_identically(self):
+        """Bugfix: the header tuple (tenant, nprocs, next sequence number,
+        finished, config) sat outside every CRC, so most single-bit flips
+        in it restored a different session without complaint (tenant
+        ``t`` -> ``u``, ``next_seq`` 57 -> -58, ``finished`` flipped) and
+        a few escaped as a bare ``FoldError``."""
+        from repro.ingest.session import TenantState
+        partials, _fin = _stream_partials("stencil2d", 2, seed=1)
+        fold = TenantFold("t", 2, CFG)
+        for p in partials[:len(partials) // 2]:
+            fold.absorb(p)
+        blob = fold.to_bytes(TenantState(tenant="t", nprocs=2, config=CFG,
+                                         next_seq=57))
+
+        def restored(data):
+            f, s = TenantFold.from_bytes(data)
+            return (repr(s), f.tenant, f.nprocs, f.config,
+                    [f.ranks[r].to_partial() for r in sorted(f.ranks)])
+
+        reference = restored(blob)
+        silent = []
+        for off in range(blob.index(b"PPRT")):
+            for bit in range(8):
+                mut = bytearray(blob)
+                mut[off] ^= 1 << bit
+                try:
+                    got = restored(bytes(mut))
+                except TraceFormatError:
+                    continue
+                if got != reference:
+                    silent.append((off, bit))
+        assert silent == []

@@ -27,13 +27,14 @@ from repro.core.backends import TracerOptions, make_tracer
 from repro.core.decoder import TraceDecoder
 from repro.core.errors import (CorruptTraceError, TraceFormatError,
                                TruncatedTraceError)
-from repro.core.fuzz import iter_blob_mutations
 from repro.core.grammar import Grammar
 from repro.core.packing import (MAX_VALUE_DEPTH, MAX_VARINT_BYTES, Reader,
                                 pack_value, read_value, read_varints,
                                 write_varints)
 from repro.core.shard import ShardPartial, read_flush, write_flush
-from repro.core.trace_format import TraceFile, emit_section, section_spans
+from repro.core.container import emit_section
+from repro.core.trace_format import TRACE, TraceFile
+from repro.fuzz import iter_blob_mutations
 from repro.ingest import ChunkingTracer
 from repro.workloads import make
 
@@ -452,7 +453,7 @@ class TestSectionsAgainstOracle:
                                       "timing_meta"])
     def test_mutated_trace_section_fails_alike(self, amr_trace, name):
         plain = TraceFile.from_bytes(amr_trace).to_bytes(compress=False)
-        spans = section_spans(plain)
+        spans = TRACE.spans(plain)
         names = [n[:-4] for n in spans if n.endswith(".len")]
         whole = [(spans[f"{n}.len"][0], spans[f"{n}.payload"][1])
                  for n in names]

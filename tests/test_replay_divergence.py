@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import fuzz
 from repro.core import TraceDecoder, TracerOptions
 from repro.core.errors import ReplayFormatError, TraceFormatError
 from repro.core.relative import decode as rel_decode
 from repro.mpisim import constants as C
 from repro.mpisim.netmodel import NetworkModel
 from repro.replay import (DIVERGENCE_REPORT_SCHEMA, ExtrapolationError,
-                          ReplayOptions, parse_net, run_replay_fuzz)
+                          ReplayOptions, parse_net)
 
 #: the property sweep: ≥4 workload families with distinct call mixes
 FAMILIES = ["stencil2d", "osu_latency", "npb_is", "milc_su3_rmd",
@@ -259,7 +260,7 @@ class TestReplayStructuredErrors:
 
     def test_fuzzed_traces_never_crash_the_replayer(self):
         blob = trace_of("mw_sweep", 4, seed=1)
-        report = run_replay_fuzz(blob, seed=0, n_random=60)
+        report = fuzz.run(fuzz.replay_target(blob), seed=0, n_random=60)
         assert report.ok, report.summary()
         assert report.total > 0
 

@@ -27,7 +27,8 @@ from typing import Callable
 import pytest
 
 import repro
-from repro.core import TraceDecoder, corpus_mutations
+from repro import fuzz
+from repro.core import TraceDecoder
 from repro.core import decoder as decoder_mod
 from repro.core.decoder import RankStream
 from repro.core.encoder import _RELEASING, PTR_DEVICE, PTR_HEAP
@@ -37,7 +38,7 @@ from repro.core.records import DecodedCall, sig_to_params
 from repro.mpisim import SimMPI, constants as C, funcs as F
 from repro.mpisim.hooks import TracerHooks
 from repro.mpisim.runtime import RankAPI
-from repro.replay import ReplayOptions, divergence, engine, run_replay_fuzz
+from repro.replay import ReplayOptions, divergence, engine
 from repro.replay.comparator import (NOT_REISSUED, DivergencePoint,
                                      LockstepComparator, _RankCursor)
 from repro.replay.engine import (_ALIASES, _ANY_SOURCE_ENC, _DIRECTED,
@@ -720,7 +721,7 @@ class TestErrors:
 
     def test_undecodable_terminals_raise_structured_errors(self):
         blob = trace_of("stencil2d", iters=3)
-        cases = {desc: mut for desc, mut in corpus_mutations(blob)
+        cases = {desc: mut for desc, mut in fuzz.trace_corpus(blob)
                  if "CST" in desc}
         assert len(cases) == 4
         reasons = {
@@ -743,10 +744,10 @@ class TestErrors:
 
     def test_fuzzers_cover_the_cst_corpus(self):
         blob = trace_of("stencil2d", iters=3)
-        decode = repro.core.run_fuzz(blob, n_random=0)
+        decode = fuzz.run(fuzz.trace_target(blob), n_random=0)
         assert decode.ok, decode.failures
         assert decode.by_error.get("CorruptTraceError", 0) >= 4
-        replay = run_replay_fuzz(blob, n_random=0)
+        replay = fuzz.run(fuzz.replay_target(blob), n_random=0)
         assert replay.ok, replay.failures
         assert replay.by_error.get("CorruptTraceError", 0) >= 4
 

@@ -21,6 +21,7 @@ import inspect
 import pytest
 
 import repro
+from repro import fuzz
 from repro.core import PilgrimTracer, TraceDecoder
 from repro.core.errors import TraceFormatError
 from repro.core.trace_format import TraceFile
@@ -28,7 +29,7 @@ from repro.mpisim import SimMPI, constants as C, datatypes as dt, funcs as F
 from repro.mpisim import ops
 from repro.mpisim.runtime import RankAPI
 from repro.mpisim.win import LOCK_EXCLUSIVE, LOCK_SHARED
-from repro.replay import replay_trace, run_replay_fuzz, structurally_equal
+from repro.replay import replay_trace, structurally_equal
 from repro.replay import comparator, engine
 from test_replay_plan import (assert_reports_identical,
                               assert_setup_matches_oracle)
@@ -646,7 +647,8 @@ def hostile_entries(blob: bytes):
 class TestHostileInput:
     @pytest.mark.parametrize("stop", sorted(TOUR))
     def test_replay_fuzz_over_the_tour(self, stop, tour_traces):
-        report = run_replay_fuzz(tour_traces[stop], n_random=24)
+        report = fuzz.run(fuzz.replay_target(tour_traces[stop]),
+                          n_random=24)
         assert report.ok, report.failures
         assert report.total > 24
 

@@ -5,9 +5,9 @@ degraded-mode (watermark) tracing."""
 import pytest
 
 import repro
-from repro.core import (MissingRankError, PilgrimTracer, TraceDecoder,
-                        TracerOptions, TracePipeline, corpus_mutations,
-                        run_fuzz)
+from repro import fuzz
+from repro.core import (CorruptTraceError, MissingRankError, PilgrimTracer,
+                        TraceDecoder, TracerOptions, TracePipeline)
 from repro.resilience import (FOREVER, FaultInjector, FaultPlan, FaultSpec,
                               InjectedOSError, RetryPolicy, SalvageReport,
                               SupervisorStats, TaskSupervisor,
@@ -309,7 +309,7 @@ class TestChaosProperty:
 class TestSalvageDecode:
     def test_corpus_raises_missing_rank(self, reference):
         blob = reference.trace_bytes
-        mutations = dict(corpus_mutations(blob))
+        mutations = dict(fuzz.trace_corpus(blob))
         mut = mutations[
             "header declares one more rank than the rank map covers"]
         dec = TraceDecoder.from_bytes(mut, salvage=True)
@@ -321,6 +321,21 @@ class TestSalvageDecode:
         with pytest.raises(IndexError):
             dec.rank_terminals(NP + 1)  # out of range: caller bug
 
+    def test_phantom_ranks_are_one_span_and_a_huge_header_is_refused(
+            self, reference):
+        mutations = dict(fuzz.trace_corpus(reference.trace_bytes))
+        dec = TraceDecoder.from_bytes(
+            mutations["header declares 16 phantom ranks past the rank map"],
+            salvage=True)
+        assert dec.salvage.lost_ranks == list(range(NP, NP + 16))
+        assert dec.salvage.notes == [
+            f"ranks [{NP}, {NP + 16}): absent from rank map"]
+        # nprocs is outside every CRC: a flipped high bit must not make
+        # the report enumerate 2**40 ranks
+        with pytest.raises(CorruptTraceError, match="at most"):
+            TraceDecoder.from_bytes(
+                mutations["header declares 2**40 ranks"], salvage=True)
+
     def test_truncated_blob_salvages_what_parses(self, reference):
         blob = reference.trace_bytes
         # cut inside the CFG section: the CST survives, everything that
@@ -330,13 +345,14 @@ class TestSalvageDecode:
         assert dec.salvage.degraded
 
     def test_salvage_fuzz_never_crashes(self, reference):
-        report = run_fuzz(reference.trace_bytes, seed=0, n_random=80,
-                          salvage=True)
+        report = fuzz.run(fuzz.salvage_target(reference.trace_bytes),
+                          seed=0, n_random=80)
         assert report.ok, [str(f) for f in report.failures[:5]]
         assert report.salvaged > 0
 
     def test_strict_fuzz_still_structured(self, reference):
-        report = run_fuzz(reference.trace_bytes, seed=0, n_random=80)
+        report = fuzz.run(fuzz.trace_target(reference.trace_bytes),
+                          seed=0, n_random=80)
         assert report.ok, [str(f) for f in report.failures[:5]]
 
 

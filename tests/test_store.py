@@ -22,17 +22,16 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import api, cli
+from repro import api, cli, fuzz
 from repro.core import (MissingObjectError, StoreFormatError,
                         StoreIntegrityError, TraceFormatError,
                         TracerOptions, section_hashes, split_sections)
 from repro.obs import MetricsRegistry
 from repro.store import (ObjectStore, RunIndex, RunRecord, SectionRef,
                          TraceStore, apply_retention, compute_refcounts,
-                         gc, hash_blob, manifest_spans)
-from repro.store.fuzz import corpus_manifest_mutations, run_store_fuzz
-from repro.store.manifest import resolve_ref, validate_name, \
-    validate_run_id
+                         gc, hash_blob)
+from repro.store.manifest import (MANIFEST, resolve_ref, validate_name,
+                                  validate_run_id)
 
 FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
             "milc_su3_rmd")
@@ -152,13 +151,13 @@ class TestManifestAndIndex:
 
     def test_manifest_spans_cover_blob(self):
         blob = self._record().to_bytes()
-        spans = manifest_spans(blob)
+        spans = MANIFEST.spans(blob)
         assert spans["magic"] == (0, 4)
         assert max(end for _, end in spans.values()) == len(blob)
 
     def test_corruption_is_always_structured(self, tmp_path):
         st_ = TraceStore(str(tmp_path))
-        for desc, mut in corpus_manifest_mutations(self._record()):
+        for desc, mut in fuzz.manifest_corpus(self._record()):
             with pytest.raises(StoreFormatError):
                 # a dangling-but-well-formed hash ref parses; it must
                 # then fail dereference with MissingObjectError (a
@@ -335,7 +334,7 @@ class TestStoreFuzz:
     def test_manifest_fuzz_is_structured(self, tmp_path):
         st_ = TraceStore(str(tmp_path))
         put = st_.put(_trace_bytes(), "w")
-        report = run_store_fuzz(st_, put.run_id, n_random=150)
+        report = fuzz.run(fuzz.store_target(st_, put.run_id), n_random=150)
         assert report.ok, report.failures[:5]
         assert report.total > 100
         # the dangling-ref corpus entry must surface as the dedicated
@@ -391,8 +390,8 @@ class TestStoreCLI:
         assert "StoreFormatError" in err
 
     def test_cli_store_fuzz(self, capsys):
-        assert cli.main(["fuzz", "osu_latency", "-n", "2", "--store",
-                         "--mutations", "60"]) == 0
+        assert cli.main(["fuzz", "osu_latency", "-n", "2", "--target",
+                         "store", "--mutations", "60"]) == 0
         assert "structured errors" in capsys.readouterr().out
 
 
@@ -438,7 +437,7 @@ class TestLayering:
         import repro.store as store_pkg
         pkg_dir = os.path.dirname(store_pkg.__file__)
         order = {"objects": 1, "manifest": 2, "index": 3,
-                 "repository": 4, "maintenance": 5, "fuzz": 5}
+                 "repository": 4, "maintenance": 5}
         for mod, level in order.items():
             tree = ast.parse(
                 open(os.path.join(pkg_dir, mod + ".py")).read())

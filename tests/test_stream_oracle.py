@@ -479,8 +479,8 @@ class TestCrossVersion:
     trace through today's fold.  ``new_chunks`` is what this producer
     emits for the same run, one flush record a CHUNK, and
     ``new_checkpoint`` the fold of the first half of them (re-recorded
-    in PR 23; the file's ``note`` says how they were checked against
-    the version-1 recording they replace).
+    at each format revision since; the file's ``note`` says how each
+    was checked against the recording it replaces).
 
     The pinned trace is a format-v2 blob and stays one: what the streams
     fold to is compared as *tables* — signatures, counts, nanoseconds,

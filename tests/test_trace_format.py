@@ -8,7 +8,7 @@ from repro.core.errors import (ChecksumError, CorruptTraceError,
 from repro.core.grammar import Grammar
 from repro.core.interproc import merge_grammars
 from repro.core.sequitur import Sequitur
-from repro.core.trace_format import MAGIC, VERSION, TraceFile, section_spans
+from repro.core.trace_format import TRACE, TraceFile
 
 
 def _freeze(seq):
@@ -41,7 +41,7 @@ def _trace(rank_seqs, with_timing=False):
 class TestRoundTrip:
     def test_magic_and_version(self):
         blob = _trace([[0, 1, 0]]).to_bytes()
-        assert blob[:4] == MAGIC
+        assert blob[:4] == TRACE.magic
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestRoundTrip:
         with pytest.raises(UnsupportedVersionError) as ei:
             TraceFile.from_bytes(bytes(blob))
         assert ei.value.found == 99
-        assert ei.value.expected == VERSION
+        assert ei.value.expected == TRACE.version
 
     def test_v1_traces_rejected(self):
         # pre-checksum traces (version 1) are not silently misparsed
@@ -112,7 +112,7 @@ class TestChecksums:
     def test_payload_flip_raises_checksum_error(self, compress):
         t = _trace([[0, 1] * 6, [2] * 4])
         blob = bytearray(t.to_bytes(compress=compress))
-        start, _end = section_spans(bytes(blob))["cst.payload"]
+        start, _end = TRACE.spans(bytes(blob))["cst.payload"]
         blob[start] ^= 0x10
         with pytest.raises(ChecksumError) as ei:
             TraceFile.from_bytes(bytes(blob))
@@ -121,14 +121,14 @@ class TestChecksums:
 
     def test_crc_field_flip_raises_checksum_error(self):
         blob = bytearray(_trace([[0, 1, 0]]).to_bytes())
-        start, _end = section_spans(bytes(blob))["cfg.crc"]
+        start, _end = TRACE.spans(bytes(blob))["cfg.crc"]
         blob[start] ^= 0x01
         with pytest.raises(ChecksumError):
             TraceFile.from_bytes(bytes(blob))
 
     def test_section_spans_tile_the_blob(self):
         blob = _trace([[0, 1] * 3, [0, 1] * 3], with_timing=True).to_bytes()
-        spans = sorted(section_spans(blob).values())
+        spans = sorted(TRACE.spans(blob).values())
         assert spans[0][0] == 0
         assert spans[-1][1] == len(blob)
         for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
@@ -192,7 +192,7 @@ class TestTimingMetaSection:
         from repro.core.timing import TimingMeta
         t = self._meta_trace()
         blob = bytearray(t.to_bytes())
-        start, end = section_spans(bytes(blob))["timing_meta.payload"]
+        start, end = TRACE.spans(bytes(blob))["timing_meta.payload"]
         blob[start] ^= 0x10
         back = TraceFile.from_bytes(bytes(blob), salvage=True)
         # the timing sections themselves survive; the lost meta falls
@@ -204,5 +204,5 @@ class TestTimingMetaSection:
 
     def test_meta_section_spans_present(self):
         blob = self._meta_trace().to_bytes()
-        spans = section_spans(blob)
+        spans = TRACE.spans(blob)
         assert "timing_meta.payload" in spans

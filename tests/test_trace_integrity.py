@@ -4,12 +4,13 @@ fuzzer, the grown differential verifier, and decoder edge cases."""
 
 import pytest
 
+from repro import fuzz
 from repro.core import (ChecksumError, CorruptTraceError, PilgrimTracer,
                         TraceDecoder, TraceFile, TraceFormatError,
                         TruncatedTraceError, UnsupportedVersionError,
-                        run_fuzz, verify_roundtrip, verify_workload)
+                        verify_roundtrip, verify_workload)
 from repro.core.backends import TracerOptions
-from repro.core.fuzz import iter_mutations
+from repro.core.trace_format import TRACE
 from repro.core.grammar import Grammar
 from repro.workloads import REGISTRY, make
 
@@ -78,7 +79,8 @@ class TestExhaustiveCorruption:
 
 class TestFuzzer:
     def test_fuzz_report_clean(self, small_blob):
-        report = run_fuzz(small_blob, seed=0, n_random=500)
+        report = fuzz.run(fuzz.trace_target(small_blob), seed=0,
+                          n_random=500)
         assert report.total >= 500
         assert report.ok, [str(f) for f in report.failures[:5]]
         assert report.structured == report.total
@@ -87,18 +89,26 @@ class TestFuzzer:
             report.by_error)
 
     def test_fuzz_is_deterministic(self, small_blob):
-        a = run_fuzz(small_blob, seed=7, n_random=120)
-        b = run_fuzz(small_blob, seed=7, n_random=120)
+        a, b = (fuzz.run(fuzz.trace_target(small_blob), seed=7,
+                         n_random=120) for _ in range(2))
         assert a.by_error == b.by_error and a.total == b.total
 
+    def test_a_target_runs_its_whole_corpus_every_time(self, small_blob):
+        target = fuzz.trace_target(small_blob)
+        a, b = (fuzz.run(target, n_random=0) for _ in range(2))
+        assert a.total == b.total > len(target.corpus) > 0
+        assert a.by_error == b.by_error
+
     def test_mutations_differ_from_original(self, small_blob):
-        for _desc, mut in iter_mutations(small_blob, seed=3, n_random=60):
+        for _desc, mut in fuzz.iter_blob_mutations(
+                small_blob, TRACE.spans(small_blob), seed=3, n_random=60):
             assert mut != small_blob or len(mut) == len(small_blob)
 
     def test_fuzz_with_timing_sections(self):
         tracer = PilgrimTracer(timing_mode="lossy")
         make("npb_is", 4).run(seed=1, tracer=tracer)
-        report = run_fuzz(tracer.result.trace_bytes, seed=2, n_random=200)
+        report = fuzz.run(fuzz.trace_target(tracer.result.trace_bytes),
+                          seed=2, n_random=200)
         assert report.ok, [str(f) for f in report.failures[:5]]
 
 
@@ -197,7 +207,10 @@ class TestCLI:
         from repro.cli import main as cli_main
         assert cli_main(["fuzz", "stencil2d", "-n", "4",
                          "--param", "iters=4", "--mutations", "120"]) == 0
-        assert "0 failures" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # every reader, each with no crash and no silent decode
+        assert out.count("0 failures") == len(fuzz.TARGETS)
+        assert "FAILED" not in out
 
     def test_corrupt_file_is_diagnosed_not_traceback(self, tmp_path,
                                                      capsys, small_blob):
