@@ -1,14 +1,14 @@
 """Per-call hot-path microbenchmark (the intra-process axis of Fig 7/8).
 
 Replays captured workload event streams into fresh Pilgrim tracers and
-times exactly the ``on_call`` path — encode → CST intern → Sequitur
-append — once per call (``batch_size=1``) and once with the CST /
-Sequitur / timing stages deferred into whole-batch flushes
-(``TracerOptions.batch_size``).  Deferred work is still tracing time, so
-the drain of whatever a tracer buffers at the end of the stream is
-inside the timed region.  Per sample, on the same runner, each family is
-also run once under the ``null`` backend, so two kinds of metric come
-out per family:
+times the intra-process path — encode → CST intern → log per call,
+Sequitur once per distinct logged stream — once per call
+(``batch_size=1``) and once with the CST / log / timing stages deferred
+into whole-batch flushes (``TracerOptions.batch_size``).  Deferred work
+is still tracing time: the batch tails and every rank's compression
+(``compress_ranks``) are inside the timed region.  Per sample, on the
+same runner, each family is also run once under the ``null`` backend,
+so two kinds of metric come out per family:
 
 * ``<family>.us_per_call`` / ``batched_us_per_call`` — absolute times,
   for humans (``BENCH_hotpath.json``), with ``<family>.null_us_per_call``,
@@ -45,13 +45,13 @@ class _EncodeOnly(PilgrimTracer):
 
 def timed_trace(cap: CapturedRun, options: TracerOptions):
     """Replay *cap* into a fresh Pilgrim tracer built from *options*;
-    returns ``(seconds, tracer)``: the time inside the hooks plus the
-    drain of the per-rank batch tails, so every call has been through
-    CST and Sequitur when the clock stops."""
+    returns ``(seconds, tracer)``: the time inside the hooks plus
+    ``compress_ranks``, so every call has been through CST and Sequitur
+    when the clock stops."""
     tracer = make_tracer("pilgrim", options)
     seconds = cap.timed_replay(tracer)
     start = perf_counter()
-    tracer.flush_batches()
+    tracer.compress_ranks()
     return seconds + (perf_counter() - start), tracer
 
 

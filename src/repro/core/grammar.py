@@ -25,13 +25,38 @@ Rule = tuple[Token, ...]
 
 
 class TermLog(list):
-    """A plain terminal log with a live :class:`Sequitur`'s feed surface:
-    what a streaming rank appends to.  It leaves as a :meth:`Grammar.flat`
-    part and the stream's consumer compresses (:meth:`Grammar.refeed`)."""
+    """One stream's terminal column with a live :class:`Sequitur`'s feed
+    surface: what every rank appends to, at list speed.  :meth:`drain`
+    feeds the log to the column's own live Sequitur (``seq``, bounding
+    what a long run keeps resident); Sequitur is online, so where drains
+    fall is invisible in what :meth:`freeze` returns.  A streaming
+    rank's log never drains: it leaves as a :meth:`Grammar.flat` part."""
 
-    __slots__ = ()
+    __slots__ = ("seq", "loop_detection")
     append_array = list.extend
-    n_input = property(list.__len__)
+
+    def __init__(self, loop_detection: bool = True):
+        super().__init__()
+        self.seq: Sequitur | None = None
+        self.loop_detection = loop_detection
+
+    @property
+    def n_input(self) -> int:
+        return len(self) + (self.seq.n_input if self.seq else 0)
+
+    def drain(self) -> None:
+        if self.seq is None:
+            self.seq = Sequitur(loop_detection=self.loop_detection)
+        self.seq.append_array(self)
+        self.clear()
+
+    def freeze(self, memo: dict | None = None) -> "Grammar":
+        """Everything logged as one grammar; a log that never drained
+        goes through *memo* (:meth:`Grammar.compress`)."""
+        if self.seq is None:
+            return Grammar.compress(self, self.loop_detection, memo)
+        self.drain()
+        return Grammar.freeze(self.seq)
 
 
 @dataclass(frozen=True)
@@ -77,7 +102,7 @@ class Grammar:
         pass to build, and a :class:`Grammar` like any other to every
         reader (``expand()`` gives *terms* back)."""
         body: list[Token] = []
-        last, run = -1, 0
+        last, run = None, 0
         for v in terms:
             if v == last:
                 run += 1
@@ -92,16 +117,31 @@ class Grammar:
         return cls((tuple(body),))
 
     @classmethod
-    def refeed(cls, parts: Iterable["Grammar"],
-               loop_detection: bool = True) -> "Grammar":
-        """Expand frozen *parts* in order through one fresh Sequitur and
-        freeze it.  That Sequitur sees the stream an uncut run would have
+    def compress(cls, terms: list[int], loop_detection: bool = True,
+                 memo: dict | None = None) -> "Grammar":
+        """The grammar one fresh Sequitur builds from the column *terms*.
+        With *memo* (one dict per run and ``loop_detection`` setting)
+        each distinct column is compressed once, and equal columns — the
+        SPMD ranks of §3.5.2 — share one :class:`Grammar` object."""
+        if memo is not None:
+            key = tuple(terms)
+            g = memo.get(key)
+            if g is None:
+                g = memo[key] = cls.compress(terms, loop_detection)
+            return g
+        seq = Sequitur(loop_detection=loop_detection)
+        seq.append_array(terms)
+        return cls.freeze(seq)
+
+    @classmethod
+    def refeed(cls, parts: Iterable["Grammar"], loop_detection: bool = True,
+               memo: dict | None = None) -> "Grammar":
+        """Expand frozen *parts* in order and :meth:`compress` the
+        result.  That Sequitur sees the stream an uncut run would have
         fed it, so watermark spills, streamed parts, fold consolidation
         and checkpoints are all invisible in the final bytes."""
-        seq = Sequitur(loop_detection=loop_detection)
-        seq.append_array(list(chain.from_iterable(
-            part.expand() for part in parts)))
-        return cls.freeze(seq)
+        return cls.compress(list(chain.from_iterable(
+            part.expand() for part in parts)), loop_detection, memo)
 
     # -- queries ---------------------------------------------------------------------
 

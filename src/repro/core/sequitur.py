@@ -24,7 +24,7 @@ Terminals are non-negative ints; rule references are negative ints
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 #: digram-index key ``(v1, e1, v2, e2)`` for the token pair ``v1^e1 v2^e2``
 DigramKey = tuple[int, int, int, int]
@@ -43,16 +43,8 @@ class Symbol:
         #: for guard nodes only: the owning rule (used to find rule heads)
         self.rule_of: Optional["Rule"] = None
 
-    @property
-    def is_guard(self) -> bool:
-        return self.rule_of is not None
-
-    @property
-    def is_rule_ref(self) -> bool:
-        return self.value < 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_guard:
+        if self.rule_of is not None:
             return f"<guard of R{self.rule_of.rid}>"
         e = f"^{self.exp}" if self.exp != 1 else ""
         return f"<{self.value}{e}>"
@@ -131,11 +123,6 @@ class Sequitur:
         self.rules[rid] = rule
         self._users[rid] = set()
         return rule
-
-    @staticmethod
-    def _key(left: Symbol) -> DigramKey:
-        right = left.next
-        return (left.value, left.exp, right.value, right.exp)
 
     def _delete_digram_at(self, left: Symbol) -> None:
         """Forget the digram starting at *left*, if indexed as such."""
@@ -245,7 +232,7 @@ class Sequitur:
             # order matters: replacing `found` first keeps `left` valid
             self._substitute(found, rule)
             self._substitute(left, rule)
-            self._digrams[key if key is not None else self._key(a)] = a
+            self._digrams[key or (a.value, a.exp, b.value, b.exp)] = a
 
     def _substitute(self, left: Symbol, rule: Rule) -> None:
         """Replace the digram starting at *left* by a reference to *rule*."""
@@ -318,18 +305,7 @@ class Sequitur:
                     self._bump_tail()
                 return
             self._flush_prediction()
-        # the body of _append_raw, inlined into the per-call hot path
-        last = self.start.guard.prev
-        if last.rule_of is None and last.value == value:
-            self._delete_digram_at(last.prev)
-            last.exp += exp
-            self._check(last.prev)
-        else:
-            sym = Symbol(value, exp)
-            self._link_after(last, sym)
-            self._check(last)
-        if self._pending_underused:
-            self._process_underused()
+        self._append_raw(value, exp)
         if self.loop_detection:
             self._arm_prediction()
 
@@ -392,8 +368,7 @@ class Sequitur:
         grammar; idempotent."""
         self._flush_prediction()
 
-    def append_array(self, values: Sequence[int],
-                     exps: Optional[Sequence[int]] = None) -> None:
+    def append_array(self, values: Sequence[int]) -> None:
         """Feed a batch of terminals; byte-identical to appending each
         one with :meth:`append`, but substantially faster.
 
@@ -402,15 +377,8 @@ class Sequitur:
         loop prediction is matched against the input a whole iteration
         at a time with one C-level slice comparison instead of one
         Python-level comparison per element — the dominant case for
-        loopy traces.  When *exps* is given (run-length input) each
-        token takes the scalar path, which is the only one that handles
-        exponents.
+        loopy traces.
         """
-        if exps is not None:
-            append = self.append
-            for v, e in zip(values, exps):
-                append(v, e)
-            return
         if not isinstance(values, list):
             values = list(values)
         n = len(values)
@@ -466,14 +434,6 @@ class Sequitur:
             if loop_detection:
                 self._arm_prediction()
 
-    def extend(self, values: Iterable[int],
-               exps: Optional[Sequence[int]] = None) -> None:
-        """Feed many tokens; equivalent to calling :meth:`append` per
-        element (same run-length and loop-prediction bookkeeping), routed
-        through :meth:`append_array`."""
-        self.append_array(values if isinstance(values, list)
-                          else list(values), exps)
-
     # -- inspection -----------------------------------------------------------------
 
     def expand(self) -> list[int]:
@@ -521,9 +481,9 @@ class Sequitur:
             prev_tok: Optional[tuple[int, int]] = None
             pos = 0
             sym = rule.first
-            while not sym.is_guard:
+            while sym.rule_of is None:
                 tok = (sym.value, sym.exp)
-                if sym.is_rule_ref:
+                if sym.value < 0:
                     assert sym.value in self.rules, \
                         f"dangling rule ref {sym.value}"
                     refcounts[sym.value] += 1

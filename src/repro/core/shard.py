@@ -31,6 +31,7 @@ same integrity checking as a finished trace.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,7 +44,6 @@ from .errors import CorruptTraceError
 from .grammar import Grammar, TermLog
 from .packing import (Reader, read_value, read_varints, write_uvarint,
                       write_value, write_varints)
-from .sequitur import Sequitur
 from .timing import TimingCompressor
 from .trace_format import FLAG_COMPRESSED, FLAG_TIMING
 
@@ -500,19 +500,24 @@ def _read_columns(r: Reader, timing: bool) -> list[ShardPartial]:
     return partials
 
 
+#: a one-shot rank's log drains into its live Sequitur at this length
+LOG_LIMIT = 4096
+
+
 class RankCompressor:
     """One rank's intra-process compression state, extracted from the
     tracer so it can be frozen into a :class:`RankShard` independently of
-    every other rank (the paper's embarrassingly parallel stage)."""
+    every other rank (the paper's embarrassingly parallel stage).  Its
+    hot path only logs terminals (``grammar``, a :class:`TermLog`)."""
 
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
                  "raw_terms", "keep_raw", "loop_detection",
                  "memory_watermark", "_spill_parts", "_spill_input",
                  "watermark_spills", "batch_size", "_batch_n",
                  "_b_sigs", "_b_fnames", "_b_durs", "_b_t0", "_b_t1",
-                 "_b_terms", "_bufs")
+                 "_b_terms", "_bufs", "_cap", "_frozen")
 
-    #: a streaming rank (and its timing compressor) only logs terminals
+    #: a streaming rank's logs leave whole with each flush, never drained
     streaming = False
 
     def __init__(self, rank: int, comm_space, *, win_space=None,
@@ -524,11 +529,6 @@ class RankCompressor:
                  encoder: Optional[PerRankEncoder] = None,
                  memory_watermark: Optional[int] = None,
                  batch_size: int = 1):
-        if memory_watermark is not None and memory_watermark < 1:
-            raise ValueError(
-                f"memory_watermark must be >= 1, got {memory_watermark}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.rank = rank
         self.encoder = encoder if encoder is not None else PerRankEncoder(
             rank, comm_space, win_space=win_space,
@@ -536,21 +536,25 @@ class RankCompressor:
             per_signature_request_pools=per_signature_request_pools)
         self.cst = CST()
         self.loop_detection = loop_detection
-        self.grammar = TermLog() if self.streaming \
-            else Sequitur(loop_detection=loop_detection)
+        self.grammar = TermLog(loop_detection)
         self.timing = timing
         self.keep_raw = keep_raw
         self.raw_terms: list[int] = []
-        #: soft memory watermark (degraded-mode tracing): when the live
-        #: grammar has buffered this many input terminals, it is frozen
-        #: early into a continuation part and a fresh Sequitur takes
-        #: over, bounding the mutable grammar structures a rank keeps
-        #: resident.  None disables the watermark entirely.
+        #: soft memory watermark (degraded-mode tracing): when the rank
+        #: has logged this many terminals since the last crossing (checked
+        #: whenever the log fills: past :data:`LOG_LIMIT`, at each drain),
+        #: they are compressed early into a continuation part and the
+        #: column starts over, bounding the mutable grammar structures a
+        #: rank keeps resident.  None disables the watermark entirely.
         self.memory_watermark = memory_watermark
         self._spill_parts: list[Grammar] = []
         self._spill_input = 0
         #: how many times the watermark fired (observability/tests)
         self.watermark_spills = 0
+        self._cap = min(sys.maxsize if self.streaming else LOG_LIMIT,
+                        memory_watermark or sys.maxsize)
+        #: :meth:`compress`'s result and the call count it covers
+        self._frozen: Optional[tuple] = None
         #: columnar call buffer (``batch_size > 1``): the symbolic encode
         #: stays synchronous per call — request/status objects mutate
         #: after the hook returns — while CST intern, grammar append and
@@ -575,24 +579,23 @@ class RankCompressor:
     @property
     def observed_calls(self) -> int:
         """Calls this compressor has seen, spilled parts and buffered
-        batch included (also correct when the tracer appends to
-        ``grammar`` directly)."""
+        batch included."""
         return self._spill_input + self.grammar.n_input + self._batch_n
 
     def observe(self, fname: str, values: tuple, t0: float,
                 t1: float) -> int:
         """Run one call through the intra-process pipeline (Fig 2):
-        symbolic encode → CST intern → grammar append → timing."""
+        symbolic encode → CST intern → log the terminal → timing."""
         sig = PLANS[fname].encode(self.encoder, values)
         term = self.cst.intern(sig, t1 - t0)
-        self.grammar.append(term)
+        log = self.grammar
+        log.append(term)
         if self.timing is not None:
             self.timing.record(term, fname, t0, t1)
         if self.keep_raw:
             self.raw_terms.append(term)
-        if self.memory_watermark is not None \
-                and self.grammar.n_input >= self.memory_watermark:
-            self.spill()
+        if len(log) >= self._cap:
+            self._overflow()
         return term
 
     def observe_batched(self, fname: str, values: tuple, t0: float,
@@ -600,9 +603,9 @@ class RankCompressor:
         """Columnar variant of :meth:`observe` for ``batch_size > 1``:
         encode now, defer intern/append/timing until the buffer fills.
 
-        The watermark is checked at flush granularity, so a spill can
-        overshoot the threshold by at most one batch; spills are
-        byte-invisible either way (``freeze`` re-feeds the parts)."""
+        The log's limits are checked at flush granularity, so a drain or
+        spill can overshoot its threshold by at most one batch; both are
+        byte-invisible either way."""
         n = self._batch_n
         b = self._bufs
         b[0][n] = PLANS[fname].encode(self.encoder, values)
@@ -615,10 +618,10 @@ class RankCompressor:
             self.flush_batch()
 
     def flush_batch(self) -> None:
-        """Drain the columnar buffer through CST intern → grammar append
-        → timing, in one pass per stage.  Byte-identical to the per-call
-        path: stage order within a call only matters per subsystem, and
-        each subsystem still sees its inputs in exact call order."""
+        """Drain the columnar buffer through CST intern → log → timing,
+        in one pass per stage.  Byte-identical to the per-call path:
+        stage order within a call only matters per subsystem, and each
+        subsystem still sees its inputs in exact call order."""
         n = self._batch_n
         if not n:
             return
@@ -632,24 +635,54 @@ class RankCompressor:
                                      self._b_t0, self._b_t1, n)
         if self.keep_raw:
             self.raw_terms.extend(terms)
+        if len(self.grammar) >= self._cap:
+            self._overflow()
+
+    def _overflow(self) -> None:
+        """The log reached its cap: a watermark crossing spills, a full
+        log drains; either way a one-shot rank drains its timing logs."""
         if self.memory_watermark is not None \
                 and self.grammar.n_input >= self.memory_watermark:
             self.spill()
+        else:
+            self.grammar.drain()
+        if self.timing is not None and not self.streaming:
+            self.timing.duration_grammar.drain()
+            self.timing.interval_grammar.drain()
 
     def spill(self) -> None:
-        """Watermark crossing: freeze the live grammar into a frozen
-        continuation part and restart Sequitur on a fresh grammar.
+        """Watermark crossing: compress the pending stream into a frozen
+        continuation part and start the column over.
 
-        Only the *grammar* is rotated — the CST, encoder, timing
-        compressor, and raw-term buffer all key off stable CST terminal
-        numbers and stay live, so spilling is invisible to every other
-        stage.  ``freeze()`` later splices the parts back together."""
-        if self.grammar.n_input == 0:
-            return
-        self._spill_parts.append(Grammar.freeze(self.grammar))
-        self._spill_input += self.grammar.n_input
-        self.watermark_spills += 1
-        self.grammar = Sequitur(loop_detection=self.loop_detection)
+        Only the *grammar* is cut — the CST, encoder, timing compressor,
+        and raw-term buffer all key off stable CST terminal numbers and
+        stay live, so spilling is invisible to every other stage."""
+        log = self.grammar
+        if log.n_input:
+            self._spill_input += log.n_input
+            self._spill_parts.append(log.freeze())
+            log.seq = None
+            log.clear()
+            self.watermark_spills += 1
+
+    def compress(self, memo: Optional[dict] = None
+                 ) -> tuple[Grammar, Optional[tuple[Grammar, Grammar]]]:
+        """This rank's grammar and, under lossy timing, its duration and
+        interval grammars.  A log that never drained goes through *memo*
+        (:meth:`Grammar.compress`); spilled parts are refed with the
+        pending tail, so spills are invisible in the bytes.  The result
+        is kept for the call count it covers: the logs only grow, so a
+        later :meth:`freeze` of the same calls runs no Sequitur."""
+        self.flush_batch()
+        n = self.observed_calls
+        if self._frozen is None or self._frozen[0] != n:
+            parts = self._spill_parts
+            g = (Grammar.refeed([*parts, self.grammar.freeze()],
+                                self.loop_detection, memo)
+                 if parts else self.grammar.freeze(memo))
+            timing = self.timing.freeze(memo) if self.timing else None
+            self._frozen = (n, g, timing)
+        return self._frozen[1:]
 
     def freeze(self) -> RankShard:
         """Snapshot this rank into a self-contained single-rank shard.
@@ -659,35 +692,26 @@ class RankCompressor:
         Freezing also drops the hot-path accelerator caches (encoder
         signature memo, CST identity fast path): they are meaningless
         after tracing ends and must never ride along when a compressor
-        or its shard is serialized.
-
-        Parts the memory watermark spilled go back through one
-        Sequitur with the live tail (:meth:`Grammar.refeed`), so the
-        final trace is byte-identical to a run that never spilled."""
-        self.flush_batch()
+        or its shard is serialized."""
+        g, timing = self.compress()
         self.encoder.reset_cache()
         self.cst.reset_cache()
-        g = Grammar.freeze(self.grammar)
-        if self._spill_parts:
-            g = Grammar.refeed([*self._spill_parts, g], self.loop_detection)
         shard = RankShard(
             base_rank=self.rank, nranks=1,
             sigs=list(self.cst.sigs), counts=list(self.cst.counts),
             dur_ns=[_dur_to_ns(d) for d in self.cst.dur_sums],
-            cfg=GrammarSet.single(g),
-            calls=[self._spill_input + self.grammar.n_input])
-        if self.timing is not None:
-            d, i = self.timing.freeze()
-            shard.timing_duration = GrammarSet.single(d)
-            shard.timing_interval = GrammarSet.single(i)
+            cfg=GrammarSet.single(g), calls=[self.observed_calls])
+        if timing is not None:
+            shard.timing_duration = GrammarSet.single(timing[0])
+            shard.timing_interval = GrammarSet.single(timing[1])
         return shard
 
 
 class StreamingRankCompressor(RankCompressor):
     """A rank whose state leaves mid-run, one :class:`ShardPartial` per
     flush, for the stream's consumer to fold: encode + CST only.  Its
-    terminals go to a :class:`TermLog`, not a live Sequitur; only a
-    ``memory_watermark`` crossing compresses, to bound the log."""
+    :class:`TermLog` never drains; only a ``memory_watermark`` crossing
+    compresses, to bound the log."""
 
     __slots__ = ("streamed_calls", "_sent_counts", "_sent_dur_ns")
     streaming = True
@@ -699,16 +723,6 @@ class StreamingRankCompressor(RankCompressor):
         #: per CST entry, the count and rounded nanoseconds already sent
         self._sent_counts: list[int] = []
         self._sent_dur_ns: list[int] = []
-
-    def spill(self) -> None:
-        """Watermark crossing: the one time a streaming rank compresses."""
-        log = self.grammar
-        if log:
-            self._spill_parts.append(Grammar.refeed(
-                [Grammar.flat(log)], self.loop_detection))
-            self._spill_input += len(log)
-            self.watermark_spills += 1
-            log.clear()
 
     def flush_partial(self) -> Optional[ShardPartial]:
         """Package everything observed since the previous flush into a

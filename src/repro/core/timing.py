@@ -12,9 +12,9 @@ Two modes:
   ``sum(b^bin_j)``, not the true one, so absolute timestamps recovered in
   post-processing stay within the same relative error bound.
 
-The resulting bin streams are fed to two more Sequitur grammars (one for
-durations, one for intervals), exactly as the paper does (a streaming
-rank only logs the bins and the stream's consumer feeds the grammars).
+The resulting bin streams become two more Sequitur grammars (one for
+durations, one for intervals), exactly as the paper does, through two
+:class:`~repro.core.grammar.TermLog` columns their rank drains with its own.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Mapping, Optional
 from .errors import CorruptTraceError
 from .grammar import Grammar, TermLog
 from .packing import Reader, read_value, write_value
-from .sequitur import Sequitur
 
 #: bins are shifted by this offset so Sequitur sees non-negative terminals
 BIN_OFFSET = 4096
@@ -135,17 +134,16 @@ class TimingCompressor:
 
     def __init__(self, base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
-                 loop_detection: bool = True, streaming: bool = False):
+                 loop_detection: bool = True):
         if base <= 1.0:
             raise ValueError("binning base must exceed 1.0")
         self.base = base
         #: §3.2: the base is user-tunable per function
         self.per_function_base = per_function_base or {}
-        #: live grammars (:meth:`freeze`), or plain bin logs when the
-        #: rank streams (:meth:`rotate`)
-        feed = TermLog if streaming \
-            else lambda: Sequitur(loop_detection=loop_detection)
-        self.duration_grammar, self.interval_grammar = feed(), feed()
+        #: the two bin columns (:meth:`freeze`, or :meth:`rotate` when the
+        #: rank streams)
+        self.duration_grammar = TermLog(loop_detection)
+        self.interval_grammar = TermLog(loop_detection)
         #: per-signature-terminal reconstructed clock (sum of b^bin)
         self._recon: dict[int, float] = {}
         self.n_calls = 0
@@ -216,9 +214,9 @@ class TimingCompressor:
 
     # -- freezing -----------------------------------------------------------------
 
-    def freeze(self) -> tuple[Grammar, Grammar]:
-        return (Grammar.freeze(self.duration_grammar),
-                Grammar.freeze(self.interval_grammar))
+    def freeze(self, memo: Optional[dict] = None) -> tuple[Grammar, Grammar]:
+        return (self.duration_grammar.freeze(memo),
+                self.interval_grammar.freeze(memo))
 
     def rotate(self) -> tuple[Grammar, Grammar]:
         """Streaming produce path: hand over the two bin logs as flat

@@ -10,12 +10,13 @@ Attach an instance to a :class:`repro.mpisim.SimMPI` run::
     print(result.section_sizes())   # {"cst": ..., "cfg": ..., "total": ...}
 
 Pipeline per intercepted call (Fig 2): encode parameters symbolically →
-intern the signature in this rank's CST → grow this rank's CFG with the
-terminal (optimized Sequitur) → optionally compress timing.  Each rank's
-state lives in a :class:`~repro.core.shard.RankCompressor`; at
-``MPI_Finalize`` time the inter-process compression runs as the explicit
-shard → reduce → serialize pipeline of :mod:`repro.core.pipeline` — a
-ceil(log2 P) tree reduction over per-rank shards.
+intern the signature in this rank's CST → log the terminal for this
+rank's CFG → optionally bin timing.  Each rank's state lives in a
+:class:`~repro.core.shard.RankCompressor`; at ``MPI_Finalize`` time each
+distinct logged stream is compressed once (optimized Sequitur), and the
+inter-process compression runs as the explicit shard → reduce →
+serialize pipeline of :mod:`repro.core.pipeline` — a ceil(log2 P) tree
+reduction over per-rank shards.
 
 All the paper's optimizations are individually toggleable for the
 ablation benchmarks: ``relative_ranks`` (§3.4.2),
@@ -102,12 +103,6 @@ class PilgrimResult:
             "inter_cfg": self.time_cfg_merge / total,
         }
 
-    def phase_breakdown(self) -> dict[str, float]:
-        """Profiler phases as fractions of their sum (the finer-grained
-        decomposition the ``repro stats`` table renders)."""
-        total = sum(self.phases.values()) or 1.0
-        return {name: t / total for name, t in self.phases.items()}
-
 
 class PilgrimTracer(TracerHooks):
     """Near-lossless tracing with CST+CFG compression."""
@@ -157,7 +152,7 @@ class PilgrimTracer(TracerHooks):
         #: RankCompressor.spill
         self.memory_watermark = memory_watermark
         #: columnar hot path: calls are buffered per rank and run through
-        #: the CST/Sequitur/timing stages a whole batch at a time —
+        #: the CST/log/timing stages a whole batch at a time —
         #: byte-identical to the per-call path, just faster.  1 = the
         #: classic per-call behaviour.
         self.batch_size = batch_size
@@ -170,12 +165,10 @@ class PilgrimTracer(TracerHooks):
         #: spans) and the pipeline (merge-task spans)
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
-        # the fine per-call path stamps each stage itself and does not
-        # check the watermark — watermark runs use the coarse path.
-        # Batched runs defer the cst/sequitur/timing stages into flushes,
-        # so per-call stage attribution is only meaningful unbatched.
-        self._fine = self.profiler.fine and memory_watermark is None \
-            and batch_size == 1
+        # the fine per-call path stamps each stage itself.  Batched runs
+        # defer the cst/log/timing stages into flushes, so per-call
+        # stage attribution is only meaningful unbatched.
+        self._fine = self.profiler.fine and batch_size == 1
         #: fine-grained per-call phase accumulators (seconds); folded into
         #: the profiler once at finalize to keep on_call cheap
         self._ph_encode = 0.0
@@ -222,8 +215,7 @@ class PilgrimTracer(TracerHooks):
         for r in range(sim.nprocs):
             timing = TimingCompressor(
                 self.timing_base, self.per_function_base,
-                loop_detection=self.loop_detection,
-                streaming=self.rank_class.streaming) \
+                loop_detection=self.loop_detection) \
                 if self.timing_mode == TIMING_LOSSY else None
             rc = self.rank_class(
                 r, self.comm_space, win_space=self.win_space,
@@ -257,7 +249,10 @@ class PilgrimTracer(TracerHooks):
             tb = _time.perf_counter()
             term = rc.cst.intern(sig, t1 - t0)
             tc = _time.perf_counter()
-            rc.grammar.append(term)
+            log = rc.grammar
+            log.append(term)
+            if len(log) >= rc._cap:
+                rc._overflow()
             end = _time.perf_counter()
             self._ph_encode += tb - tick
             self._ph_cst += tc - tb
@@ -277,12 +272,17 @@ class PilgrimTracer(TracerHooks):
         self.total_calls += 1
         self.time_intra += _pc() - tick
 
-    def flush_batches(self) -> None:
-        """Drain every rank's partially filled call buffer (no-op when
-        ``batch_size == 1`` or nothing is buffered).  ``finalize`` calls
-        this automatically."""
+    def compress_ranks(self) -> None:
+        """Compress every rank's logs through one memo: one Sequitur per
+        distinct stream (DESIGN.md §15).  It is deferred hot-path work,
+        so it is billed to ``time_intra`` and the ``sequitur`` phase."""
+        tick = _time.perf_counter()
+        memo: dict = {}
         for rc in self.ranks:
-            rc.flush_batch()
+            rc.compress(memo)
+        elapsed = _time.perf_counter() - tick
+        self.time_intra += elapsed
+        self._ph_seq += elapsed
 
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:
@@ -318,8 +318,7 @@ class PilgrimTracer(TracerHooks):
         # profiler's phases) — it returns the cached result.
         if self.result is not None:
             return self.result
-        # batched runs: any tail shorter than batch_size is still buffered
-        self.flush_batches()
+        self.compress_ranks()
         prof = self.profiler
         # The whole inter-process stage lives under one root span; the
         # root opens *before* the per-call fold so the synthetic

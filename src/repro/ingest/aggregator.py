@@ -184,21 +184,23 @@ class RankFold:
                 parts[:] = [Grammar.refeed(parts, loop_detection)]
         self.consolidations += 1
 
-    def to_shard(self, config: IngestConfig) -> RankShard:
+    def to_shard(self, config: IngestConfig,
+                 memo: Optional[dict] = None) -> RankShard:
         """Freeze the fold into the single-rank shard a one-shot
-        ``RankCompressor.freeze()`` would have produced."""
+        ``RankCompressor.freeze()`` would have produced; its streams go
+        through *memo* (:meth:`Grammar.compress`)."""
         ld = config.loop_detection
         shard = RankShard(
             base_rank=self.rank, nranks=1,
             sigs=list(self.sigs), counts=list(self.counts),
             dur_ns=list(self.dur_ns),
-            cfg=GrammarSet.single(Grammar.refeed(self.parts, ld)),
+            cfg=GrammarSet.single(Grammar.refeed(self.parts, ld, memo)),
             calls=[self.calls])
         if config.lossy_timing:
             shard.timing_duration = GrammarSet.single(
-                Grammar.refeed(self.timing_dur_parts, ld))
+                Grammar.refeed(self.timing_dur_parts, ld, memo))
             shard.timing_interval = GrammarSet.single(
-                Grammar.refeed(self.timing_int_parts, ld))
+                Grammar.refeed(self.timing_int_parts, ld, memo))
         return shard
 
     def to_partial(self) -> ShardPartial:
@@ -292,9 +294,10 @@ class TenantFold:
                     f"holds {sum(got)} (per-rank {expected_calls} vs "
                     f"{got})")
         cfg = self.config
+        memo: dict = {}     # one Sequitur per distinct rank stream
         shards = [
             (self.ranks[r] if r in self.ranks else RankFold(r))
-            .to_shard(cfg)
+            .to_shard(cfg, memo)
             for r in range(self.nprocs)]
         final = tree_reduce(shards, merge_shards)
         timing_meta = TimingMeta(

@@ -110,9 +110,6 @@ class Comm:
             raise InvalidHandleError("remote_size on an intra-communicator")
         return self.remote_group.size
 
-    def rank_of_world(self, world_rank: int) -> int:
-        return self.group.rank_of(world_rank)
-
     def check_usable(self) -> None:
         if self.freed:
             raise InvalidHandleError(f"communicator {self.name} was freed")

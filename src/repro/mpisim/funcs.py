@@ -480,9 +480,5 @@ PILGRIM_SUPPORTED = 446
 SIM_FUNC_COUNT = len(FUNCS)
 
 
-def spec_for(name: str) -> FuncSpec:
-    return FUNCS[name]
-
-
 def all_names() -> Iterable[str]:
     return FUNCS.keys()

@@ -34,10 +34,6 @@ class Status:
             return C.UNDEFINED
         return self.count // datatype_size
 
-    def as_tuple(self) -> tuple:
-        return (self.count, self.cancelled, self.MPI_SOURCE, self.MPI_TAG,
-                self.MPI_ERROR)
-
 
 #: ``Status(*EMPTY)``: the status of an operation on ``MPI_PROC_NULL`` or
 #: a null request (the standard's 'empty' status: source=PROC_NULL,

@@ -45,8 +45,8 @@ the core pipeline can depend on it without import cycles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 ERROR_KINDS = frozenset({"oserror", "memoryerror", "kill", "stall"})
 BYTE_KINDS = frozenset({"corrupt", "truncate"})
@@ -163,9 +163,6 @@ class FaultPlan:
     def describe(self) -> str:
         body = "; ".join(s.describe() for s in self.specs) or "<empty>"
         return f"FaultPlan(seed={self.seed}: {body})"
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # -- construction --------------------------------------------------------------
 
@@ -346,11 +343,3 @@ def arm(plan) -> Optional[FaultInjector]:
     raise TypeError(f"expected FaultPlan or FaultInjector, "
                     f"got {type(plan).__name__}")
 
-
-def iter_specs(plans: Iterable[FaultPlan]) -> Iterable[FaultSpec]:
-    for p in plans:
-        yield from p.specs
-
-
-# re-exported dataclass field helper kept out of the public surface
-_ = field

@@ -189,7 +189,7 @@ class TestGrammarSizeAccounting:
 
 
 class TestBatchAppend:
-    """append_array/extend must be byte-identical to scalar appends."""
+    """append_array must be byte-identical to scalar appends."""
 
     def _same_grammar(self, seq, chunks, ld=True):
         batched = Sequitur(loop_detection=ld)
@@ -218,21 +218,6 @@ class TestBatchAppend:
         s.append_array([1, 2, 3] * 10 + [1, 2])  # ends mid-prediction
         assert s._predict is not None and s._predict_pos
         assert len(s.expand()) == s.n_input == 32
-
-    def test_extend_routes_through_batch_path(self):
-        a = Sequitur()
-        a.extend(iter([5, 6] * 25))
-        b = compress([5, 6] * 25)
-        assert a.expand() == b.expand()
-        assert Grammar.freeze(a).expand() == Grammar.freeze(b).expand()
-
-    def test_extend_with_exponents(self):
-        a = Sequitur()
-        a.extend([1, 2, 1], exps=[3, 1, 4])
-        b = Sequitur()
-        for v, e in ((1, 3), (2, 1), (1, 4)):
-            b.append(v, exp=e)
-        assert a.expand() == b.expand() == [1] * 3 + [2] + [1] * 4
 
     def test_huge_exponent_falls_back_to_tuple_key(self):
         # exponents >= 2**32 were outside the range the digram key packed

@@ -5,7 +5,9 @@ Until PR 16 every flush froze the rank's live Sequitur into a grammar
 part, started a fresh one, and scanned the whole CST for the entries
 that had moved.  That producer left ``src/`` when streaming ranks became
 encode + CST only (:class:`~repro.core.shard.StreamingRankCompressor`);
-it lives on here, verbatim, as the oracle.  Flush by flush the product
+it lives on here as the oracle.  Since every product rank only logs its
+terminals, the oracle owns the per-call Sequitur the parent's rank had
+instead of borrowing the rank's column.  Flush by flush the product
 must report the same calls, signatures and sparse deltas, its parts must
 expand to the oracle's terminals, and both streams must fold to the
 one-shot bytes.
@@ -43,6 +45,13 @@ from test_flush_record_oracle import v1_read_partials, v1_restore
 # -- the oracle: the freeze-a-Sequitur-per-flush producer, kept verbatim ----------------
 
 
+def o_restart(timing: TimingCompressor, loop_detection: bool) -> None:
+    """Give *timing* the parent's two live bin grammars: ``record`` and
+    ``record_batch`` feed them per call / per batch."""
+    timing.duration_grammar = Sequitur(loop_detection=loop_detection)
+    timing.interval_grammar = Sequitur(loop_detection=loop_detection)
+
+
 def o_rotate(timing: TimingCompressor, loop_detection: bool
              ) -> Optional[tuple[Grammar, Grammar]]:
     """The parent's ``TimingCompressor.rotate``: freeze the two live bin
@@ -51,35 +60,72 @@ def o_rotate(timing: TimingCompressor, loop_detection: bool
         return None
     parts = (Grammar.freeze(timing.duration_grammar),
              Grammar.freeze(timing.interval_grammar))
-    timing.duration_grammar = Sequitur(loop_detection=loop_detection)
-    timing.interval_grammar = Sequitur(loop_detection=loop_detection)
+    o_restart(timing, loop_detection)
     return parts
 
 
 class OracleRank(RankCompressor):
-    """A one-shot rank (live Sequitur, Sequitur timing grammars) with the
-    parent's ``flush_partial`` on it."""
+    """The parent's one-shot rank with its ``flush_partial`` on it: its
+    own live Sequitur fed per call (per batch when batched), Sequitur
+    timing grammars, and both frozen into parts and restarted at each
+    watermark crossing and each flush.  The product's terminal log is
+    never written."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.seq = Sequitur(loop_detection=self.loop_detection)
+        if self.timing is not None:
+            o_restart(self.timing, self.loop_detection)
+        self.o_parts: list[Grammar] = []
+        self.o_input = 0
         self.streamed_calls = 0
         self._sent_sigs_n = 0
         self._sent_counts: list[int] = []
         self._sent_dur_ns: list[int] = []
 
+    def observe(self, fname, values, t0, t1):
+        term = self.cst.intern(self.encoder.encode_call(fname, values),
+                               t1 - t0)
+        self.seq.append(term)
+        if self.timing is not None:
+            self.timing.record(term, fname, t0, t1)
+        self._o_watermark()
+        return term
+
+    def flush_batch(self) -> None:
+        n = self._batch_n
+        if not n:
+            return
+        self._batch_n = 0
+        terms = self._b_terms
+        self.cst.intern_batch(self._b_sigs, self._b_durs, n, terms)
+        self.seq.append_array(terms[:n])
+        if self.timing is not None:
+            self.timing.record_batch(terms[:n], self._b_fnames,
+                                     self._b_t0, self._b_t1, n)
+        self._o_watermark()
+
+    def _o_watermark(self) -> None:
+        if self.memory_watermark is not None \
+                and self.seq.n_input >= self.memory_watermark:
+            self._o_rotate()
+
+    def _o_rotate(self) -> None:
+        self.o_parts.append(Grammar.freeze(self.seq))
+        self.o_input += self.seq.n_input
+        self.seq = Sequitur(loop_detection=self.loop_detection)
+
     def flush_partial(self) -> Optional[ShardPartial]:
         self.flush_batch()
-        if self.grammar.n_input:
-            # same rotation as spill(), but not a *watermark* event
-            self._spill_parts.append(Grammar.freeze(self.grammar))
-            self._spill_input += self.grammar.n_input
-            self.grammar = Sequitur(loop_detection=self.loop_detection)
-        n_calls = self._spill_input - self.streamed_calls
+        if self.seq.n_input:
+            # the watermark's rotation, but not a *watermark* event
+            self._o_rotate()
+        n_calls = self.o_input - self.streamed_calls
         if n_calls == 0:
             return None
-        parts = self._spill_parts
-        self._spill_parts = []
-        self.streamed_calls = self._spill_input
+        parts = self.o_parts
+        self.o_parts = []
+        self.streamed_calls = self.o_input
 
         cst = self.cst
         sigs = cst.sigs
@@ -284,6 +330,13 @@ class TestFlatGrammar:
         with pytest.raises(ValueError, match="non-negative"):
             Sequitur().append(-2)
 
+    @pytest.mark.parametrize("terms", [[-1], [-1, -1, 3], [3, -2]])
+    def test_a_leading_minus_one_is_no_run_of_the_sentinel(self, terms):
+        # the run sentinel was -1, so a leading -1 "extended" it into the
+        # self-referencing ((-1, 1),), whose expand() died as cyclic
+        with pytest.raises(ValueError, match="non-negative"):
+            Grammar.flat(terms)
+
     def test_term_log_has_the_feed_surface(self):
         log, seq = TermLog(), Sequitur()
         for feed in (log, seq):
@@ -402,7 +455,7 @@ class TestOneRefeedRoutine:
                 if rc.memory_watermark and rc.grammar.n_input >= 7:
                     rc.spill()
         assert spilled.watermark_spills == len(stream) // 7
-        parts = [*spilled._spill_parts, Grammar.freeze(spilled.grammar)]
+        parts = [*spilled._spill_parts, spilled.grammar.freeze()]
         shard = spilled.freeze()
         assert shard.cfg == plain.freeze().cfg
         assert shard.calls == [len(stream)]
