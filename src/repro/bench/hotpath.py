@@ -2,23 +2,23 @@
 
 Replays captured workload event streams into fresh Pilgrim tracers and
 times the intra-process path — encode → CST intern → log per call,
-Sequitur once per distinct logged stream — once per call
-(``batch_size=1``) and once with the CST / log / timing stages deferred
-into whole-batch flushes (``TracerOptions.batch_size``).  Deferred work
-is still tracing time: the batch tails and every rank's compression
-(``compress_ranks``) are inside the timed region.  Per sample, on the
-same runner, each family is also run once under the ``null`` backend,
-so two kinds of metric come out per family:
+Sequitur once per distinct logged stream — once with aggregate timing
+(the default) and once with lossy timing (``TracerOptions.lossy_timing``:
+two more bin streams per rank, one more stage per call).  Deferred work
+is still tracing time: every rank's compression (``compress_ranks``) is
+inside the timed region.  Per sample, on the same runner, each family is
+also run once under the ``null`` backend, so two kinds of metric come
+out per family:
 
-* ``<family>.us_per_call`` / ``batched_us_per_call`` — absolute times,
+* ``<family>.us_per_call`` / ``lossy_us_per_call`` — absolute times,
   for humans (``BENCH_hotpath.json``), with ``<family>.null_us_per_call``,
   the denominator of the ratio below, beside them: when a ratio moves
   the JSON says which side did; and ``<family>.encode_us_per_call``, the
   same stream through the encode stage alone (the per-function closures
   of ``repro.core.encoder``), the largest stage of ``us_per_call``;
 * ``<family>.hot_over_null`` — per-call tracing time over the untraced
-  run that produced the calls, and ``<family>.batched_over_percall`` —
-  the two entries against each other.  Machine-independent, so these
+  run that produced the calls, and ``<family>.lossy_over_percall`` —
+  the two timing modes against each other.  Machine-independent, so these
   are what CI gates.
 """
 
@@ -56,13 +56,12 @@ def timed_trace(cap: CapturedRun, options: TracerOptions):
 
 
 @register("hotpath",
-          "per-call tracing time over a null-backend run, per-call vs "
-          "batched entry")
+          "per-call tracing time over a null-backend run, aggregate vs "
+          "lossy timing")
 def _hotpath(params: dict):
     families = list(params.setdefault("families", list(DEFAULT_FAMILIES)))
     nprocs = int(params.setdefault("nprocs", 8))
     seed = int(params.setdefault("seed", 1))
-    batch_size = int(params.setdefault("batch_size", 256))
     captures = [CapturedRun.record(f, nprocs, seed=seed) for f in families]
 
     def sample() -> dict:
@@ -71,8 +70,7 @@ def _hotpath(params: dict):
             fam = cap.family
             per_call_us = 1e6 / max(cap.n_calls, 1)
             t_percall, _ = timed_trace(cap, TracerOptions())
-            t_batched, _ = timed_trace(
-                cap, TracerOptions(batch_size=batch_size))
+            t_lossy, _ = timed_trace(cap, TracerOptions(lossy_timing=True))
             start = perf_counter()
             make(fam, nprocs).run(seed=seed, tracer=make_tracer("null"))
             t_null = perf_counter() - start
@@ -80,9 +78,9 @@ def _hotpath(params: dict):
             out[f"{fam}.encode_us_per_call"] = \
                 cap.timed_replay(_EncodeOnly()) * per_call_us
             out[f"{fam}.null_us_per_call"] = t_null * per_call_us
-            out[f"{fam}.batched_us_per_call"] = t_batched * per_call_us
+            out[f"{fam}.lossy_us_per_call"] = t_lossy * per_call_us
             out[f"{fam}.hot_over_null"] = t_percall / t_null
-            out[f"{fam}.batched_over_percall"] = t_batched / t_percall
+            out[f"{fam}.lossy_over_percall"] = t_lossy / t_percall
         return out
 
     return sample

@@ -43,9 +43,9 @@ class TracerOptions:
     lossy_timing: bool = False
     #: retain raw per-rank streams for lossless verification
     keep_raw: bool = False
-    #: columnar hot path: buffer this many calls per rank and run the
-    #: CST/Sequitur/timing stages a whole batch at a time (byte-identical
-    #: to per-call operation; 1 = the classic per-call path)
+    #: no effect: every call takes the one per-call path.  Still accepted
+    #: (and checked) because the e2e benchmark's workloads set it; removed
+    #: with ROADMAP 2(a)'s benchmark PR
     batch_size: int = 1
     #: self-instrumentation registry (None = disabled, zero overhead)
     metrics: Any = None
@@ -136,7 +136,6 @@ def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
     return PilgrimTracer(
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
         keep_raw=opts.keep_raw,
-        batch_size=opts.batch_size,
         metrics=resolve_metrics(opts),
         fault_plan=opts.fault_plan, retry=opts.retry,
         memory_watermark=opts.memory_watermark,

@@ -95,64 +95,6 @@ class CST:
         by_id[id(sig)] = (sig, term)
         return term
 
-    def intern_batch(self, sigs: list, durations, n: int,
-                     out: Optional[list[int]] = None) -> list[int]:
-        """Resolve *n* signatures to terminals in one call.
-
-        Byte-identical to *n* :meth:`intern` calls (same table growth
-        order, same counts/duration sums) with the per-call attribute
-        lookups hoisted out of the loop.  *sigs* and *durations* are
-        columns (any indexable; only the first *n* slots are read).
-        Writes terminals into *out* when given (first *n* slots,
-        preallocated by the caller) and returns it, else a fresh list.
-        """
-        if out is None:
-            out = [0] * n
-        table = self._table
-        all_sigs = self.sigs
-        counts = self.counts
-        dur_sums = self.dur_sums
-        by_id = self._by_id
-        last_sig = self._last_sig
-        last_term = self._last_term
-        for i in range(n):
-            sig = sigs[i]
-            duration = durations[i]
-            if sig is last_sig:
-                term = last_term
-                counts[term] += 1
-                dur_sums[term] += duration
-                out[i] = term
-                continue
-            hit = by_id.get(id(sig))
-            if hit is not None and hit[0] is sig:
-                term = hit[1]
-                counts[term] += 1
-                dur_sums[term] += duration
-                last_sig = sig
-                last_term = term
-                out[i] = term
-                continue
-            term = table.get(sig)
-            if term is None:
-                term = len(all_sigs)
-                table[sig] = term
-                all_sigs.append(sig)
-                counts.append(1)
-                dur_sums.append(duration)
-            else:
-                counts[term] += 1
-                dur_sums[term] += duration
-            last_sig = sig
-            last_term = term
-            if len(by_id) >= self._BY_ID_CAP:
-                by_id.clear()
-            by_id[id(sig)] = (sig, term)
-            out[i] = term
-        self._last_sig = last_sig
-        self._last_term = last_term
-        return out
-
     def reset_cache(self) -> None:
         """Drop the identity fast-path state (shard freeze time); the
         table itself — the actual CST — is untouched."""

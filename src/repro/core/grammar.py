@@ -25,15 +25,15 @@ Rule = tuple[Token, ...]
 
 
 class TermLog(list):
-    """One stream's terminal column with a live :class:`Sequitur`'s feed
-    surface: what every rank appends to, at list speed.  :meth:`drain`
-    feeds the log to the column's own live Sequitur (``seq``, bounding
-    what a long run keeps resident); Sequitur is online, so where drains
-    fall is invisible in what :meth:`freeze` returns.  A streaming
-    rank's log never drains: it leaves as a :meth:`Grammar.flat` part."""
+    """One stream's terminal column with a live :class:`Sequitur`'s
+    ``append`` / ``n_input``: what every rank appends to, at list speed.
+    :meth:`drain` feeds the log to the column's own live Sequitur
+    (``seq``, bounding what a long run keeps resident); Sequitur is
+    online, so where drains fall is invisible in what :meth:`freeze`
+    returns.  A streaming rank's log never drains: it leaves as a
+    :meth:`Grammar.flat` part."""
 
     __slots__ = ("seq", "loop_detection")
-    append_array = list.extend
 
     def __init__(self, loop_detection: bool = True):
         super().__init__()

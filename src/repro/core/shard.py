@@ -32,7 +32,6 @@ same integrity checking as a finished trace.
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -513,9 +512,7 @@ class RankCompressor:
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
                  "raw_terms", "keep_raw", "loop_detection",
                  "memory_watermark", "_spill_parts", "_spill_input",
-                 "watermark_spills", "batch_size", "_batch_n",
-                 "_b_sigs", "_b_fnames", "_b_durs", "_b_t0", "_b_t1",
-                 "_b_terms", "_bufs", "_cap", "_frozen")
+                 "watermark_spills", "_cap", "_frozen")
 
     #: a streaming rank's logs leave whole with each flush, never drained
     streaming = False
@@ -527,8 +524,7 @@ class RankCompressor:
                  timing: Optional[TimingCompressor] = None,
                  keep_raw: bool = False,
                  encoder: Optional[PerRankEncoder] = None,
-                 memory_watermark: Optional[int] = None,
-                 batch_size: int = 1):
+                 memory_watermark: Optional[int] = None):
         self.rank = rank
         self.encoder = encoder if encoder is not None else PerRankEncoder(
             rank, comm_space, win_space=win_space,
@@ -555,32 +551,11 @@ class RankCompressor:
                         memory_watermark or sys.maxsize)
         #: :meth:`compress`'s result and the call count it covers
         self._frozen: Optional[tuple] = None
-        #: columnar call buffer (``batch_size > 1``): the symbolic encode
-        #: stays synchronous per call — request/status objects mutate
-        #: after the hook returns — while CST intern, grammar append and
-        #: timing are deferred into whole-batch flushes
-        self.batch_size = batch_size
-        self._batch_n = 0
-        if batch_size > 1:
-            self._b_sigs: list = [None] * batch_size
-            self._b_fnames: list = [None] * batch_size
-            self._b_durs = array("d", bytes(8 * batch_size))
-            self._b_t0 = array("d", bytes(8 * batch_size))
-            self._b_t1 = array("d", bytes(8 * batch_size))
-            self._b_terms: list[int] = [0] * batch_size
-        else:
-            self._b_sigs = self._b_fnames = self._b_terms = []
-            self._b_durs = self._b_t0 = self._b_t1 = array("d")
-        #: the five columns as one tuple: ``observe_batched`` pays one
-        #: attribute load instead of five per call
-        self._bufs = (self._b_sigs, self._b_fnames, self._b_durs,
-                      self._b_t0, self._b_t1)
 
     @property
     def observed_calls(self) -> int:
-        """Calls this compressor has seen, spilled parts and buffered
-        batch included."""
-        return self._spill_input + self.grammar.n_input + self._batch_n
+        """Calls this compressor has seen, spilled parts included."""
+        return self._spill_input + self.grammar.n_input
 
     def observe(self, fname: str, values: tuple, t0: float,
                 t1: float) -> int:
@@ -597,46 +572,6 @@ class RankCompressor:
         if len(log) >= self._cap:
             self._overflow()
         return term
-
-    def observe_batched(self, fname: str, values: tuple, t0: float,
-                        t1: float) -> None:
-        """Columnar variant of :meth:`observe` for ``batch_size > 1``:
-        encode now, defer intern/append/timing until the buffer fills.
-
-        The log's limits are checked at flush granularity, so a drain or
-        spill can overshoot its threshold by at most one batch; both are
-        byte-invisible either way."""
-        n = self._batch_n
-        b = self._bufs
-        b[0][n] = PLANS[fname].encode(self.encoder, values)
-        b[1][n] = fname
-        b[2][n] = t1 - t0
-        b[3][n] = t0
-        b[4][n] = t1
-        self._batch_n = n = n + 1
-        if n == self.batch_size:
-            self.flush_batch()
-
-    def flush_batch(self) -> None:
-        """Drain the columnar buffer through CST intern → log → timing,
-        in one pass per stage.  Byte-identical to the per-call path:
-        stage order within a call only matters per subsystem, and each
-        subsystem still sees its inputs in exact call order."""
-        n = self._batch_n
-        if not n:
-            return
-        self._batch_n = 0
-        out = self._b_terms
-        self.cst.intern_batch(self._b_sigs, self._b_durs, n, out)
-        terms = out if n == self.batch_size else out[:n]
-        self.grammar.append_array(terms)
-        if self.timing is not None:
-            self.timing.record_batch(terms, self._b_fnames,
-                                     self._b_t0, self._b_t1, n)
-        if self.keep_raw:
-            self.raw_terms.extend(terms)
-        if len(self.grammar) >= self._cap:
-            self._overflow()
 
     def _overflow(self) -> None:
         """The log reached its cap: a watermark crossing spills, a full
@@ -673,7 +608,6 @@ class RankCompressor:
         pending tail, so spills are invisible in the bytes.  The result
         is kept for the call count it covers: the logs only grow, so a
         later :meth:`freeze` of the same calls runs no Sequitur."""
-        self.flush_batch()
         n = self.observed_calls
         if self._frozen is None or self._frozen[0] != n:
             parts = self._spill_parts
@@ -732,7 +666,6 @@ class StreamingRankCompressor(RankCompressor):
         timing bin logs likewise.  Their terminals are exactly the CST
         entries that moved, so the deltas are built from those alone; a
         rank that saw nothing returns ``None`` without touching the CST."""
-        self.flush_batch()
         log, parts = self.grammar, self._spill_parts
         if not log and not parts:
             return None

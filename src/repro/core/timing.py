@@ -129,14 +129,26 @@ class TimingMeta:
         return cls(base=base, per_function_base=pfb)
 
 
+def check_bases(base: float,
+                per_function_base: Optional[Mapping[str, float]]) -> None:
+    """Refuse a binning base that is not > 1.0, global or per function:
+    the log is undefined or non-increasing there, and a trace recorded
+    with one is refused by :meth:`TimingMeta.read_from`."""
+    if not base > 1.0:
+        raise ValueError(f"binning base must exceed 1.0, got {base}")
+    for fname, b in (per_function_base or {}).items():
+        if not b > 1.0:
+            raise ValueError(
+                f"binning base for {fname} must exceed 1.0, got {b}")
+
+
 class TimingCompressor:
     """Per-rank lossy duration/interval compression."""
 
     def __init__(self, base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
                  loop_detection: bool = True):
-        if base <= 1.0:
-            raise ValueError("binning base must exceed 1.0")
+        check_bases(base, per_function_base)
         self.base = base
         #: §3.2: the base is user-tunable per function
         self.per_function_base = per_function_base or {}
@@ -181,36 +193,6 @@ class TimingCompressor:
         if self.keep_raw:
             self.raw_durations.append(t1 - t0)
             self.raw_starts.append(t0)
-
-    def record_batch(self, terms, fnames, t0s, t1s, n: int) -> None:
-        """Record *n* calls from columns in one pass.
-
-        Byte-identical to *n* :meth:`record` calls: the duration and
-        interval grammars are independent, so feeding each one its whole
-        bin column via ``append_array`` preserves the per-grammar append
-        order exactly.
-        """
-        pfb = self.per_function_base
-        default_base = self.base
-        recon = self._recon
-        bin_ = self._bin
-        dbins = [0] * n
-        ibins = [0] * n
-        for i in range(n):
-            t0 = t0s[i]
-            base = pfb.get(fnames[i], default_base) if pfb else default_base
-            dbins[i] = bin_(t1s[i] - t0, base) + BIN_OFFSET
-            term = terms[i]
-            prev = recon.get(term, 0.0)
-            ib = bin_(t0 - prev, base)
-            ibins[i] = ib + BIN_OFFSET
-            recon[term] = prev + base ** ib
-        self.duration_grammar.append_array(dbins)
-        self.interval_grammar.append_array(ibins)
-        self.n_calls += n
-        if self.keep_raw:
-            self.raw_durations.extend(t1s[i] - t0s[i] for i in range(n))
-            self.raw_starts.extend(t0s[i] for i in range(n))
 
     # -- freezing -----------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from .cst import CST
 from .encoder import CommIdSpace, PerRankEncoder, WinIdSpace
 from .pipeline import TracePipeline
 from .shard import RankCompressor
-from .timing import TimingCompressor, TimingMeta
+from .timing import TimingCompressor, TimingMeta, check_bases
 from .trace_format import TraceFile
 
 #: hoisted timer: the hot path pays two reads per call, and the
@@ -122,15 +122,14 @@ class PilgrimTracer(TracerHooks):
                  metrics: Optional[MetricsRegistry] = None,
                  fault_plan=None,
                  retry: Optional[RetryPolicy] = None,
-                 memory_watermark: Optional[int] = None,
-                 batch_size: int = 1):
+                 memory_watermark: Optional[int] = None):
         if timing_mode not in (TIMING_AGGREGATE, TIMING_LOSSY):
             raise ValueError(f"unknown timing mode {timing_mode!r}")
+        if timing_mode == TIMING_LOSSY:
+            check_bases(timing_base, per_function_base)
         if memory_watermark is not None and memory_watermark < 1:
             raise ValueError(
                 f"memory_watermark must be >= 1, got {memory_watermark}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.relative_ranks = relative_ranks
         self.per_signature_request_pools = per_signature_request_pools
         self.loop_detection = loop_detection
@@ -151,11 +150,6 @@ class PilgrimTracer(TracerHooks):
         #: soft per-rank memory watermark (degraded-mode tracing); see
         #: RankCompressor.spill
         self.memory_watermark = memory_watermark
-        #: columnar hot path: calls are buffered per rank and run through
-        #: the CST/log/timing stages a whole batch at a time —
-        #: byte-identical to the per-call path, just faster.  1 = the
-        #: classic per-call behaviour.
-        self.batch_size = batch_size
         #: observability: disabled by default (NULL_REGISTRY) so the
         #: benchmarked hot path pays nothing unless profiling is requested
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -165,10 +159,8 @@ class PilgrimTracer(TracerHooks):
         #: spans) and the pipeline (merge-task spans)
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
-        # the fine per-call path stamps each stage itself.  Batched runs
-        # defer the cst/log/timing stages into flushes, so per-call
-        # stage attribution is only meaningful unbatched.
-        self._fine = self.profiler.fine and batch_size == 1
+        # the fine per-call path stamps each stage itself
+        self._fine = self.profiler.fine
         #: fine-grained per-call phase accumulators (seconds); folded into
         #: the profiler once at finalize to keep on_call cheap
         self._ph_encode = 0.0
@@ -185,8 +177,8 @@ class PilgrimTracer(TracerHooks):
         self.win_space: Optional[WinIdSpace] = None
         #: per-rank compression state (the shard stage's input)
         self.ranks: list[RankCompressor] = []
-        #: per-rank bound observe methods (observe / observe_batched),
-        #: captured at run start so on_call skips the dispatch
+        #: per-rank bound ``observe`` methods, captured at run start so
+        #: on_call skips the attribute lookups
         self._observe: list = []
         #: aliases into self.ranks for consumers (verify, tests, benchmarks)
         self.encoders: list[PerRankEncoder] = []
@@ -223,12 +215,10 @@ class PilgrimTracer(TracerHooks):
                 per_signature_request_pools=self.per_signature_request_pools,
                 loop_detection=self.loop_detection,
                 timing=timing, keep_raw=self.keep_raw,
-                memory_watermark=self.memory_watermark,
-                batch_size=self.batch_size)
+                memory_watermark=self.memory_watermark)
             rc.encoder.set_comm_resolver(sim.comm_by_cid)
             self.ranks.append(rc)
-        self._observe = [rc.observe_batched if self.batch_size > 1
-                         else rc.observe for rc in self.ranks]
+        self._observe = [rc.observe for rc in self.ranks]
         self.encoders = [rc.encoder for rc in self.ranks]
         self.csts = [rc.cst for rc in self.ranks]
         self.timing = [rc.timing for rc in self.ranks] \

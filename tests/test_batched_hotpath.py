@@ -1,10 +1,14 @@
-"""The batched columnar hot path is a pure accelerator.
+"""``TracerOptions.batch_size`` selects nothing.
 
-``TracerOptions.batch_size`` must be invisible everywhere except the
-clock: byte-identical traces against the classic per-call path across
-workload families, process counts, timing modes, the parallel finalize,
-and mid-batch memory-watermark spills.  Plus the bench plumbing that
-measures the batched path.
+Every call takes ``RankCompressor.observe``: the columnar batched entry
+(``observe_batched`` / ``flush_batch``, with ``CST.intern_batch`` and
+``TimingCompressor.record_batch``) is gone.  The field is still accepted
+and checked, and read by nothing, because the e2e benchmark's workloads
+set it.  These tests, named for the entry they used to hold, pin that
+it is inert: any batch size traces the default's bytes across families,
+process counts, timing modes and memory-watermark spills, and no rank
+keeps a call buffer behind for finalize to drain.  Plus the plumbing of
+the hot-path bench.
 """
 
 from __future__ import annotations
@@ -32,6 +36,12 @@ def _trace_bytes(family: str, nprocs: int, seed: int, *,
     return tracer.result.trace_bytes
 
 
+def _no_buffer(tracer, n_calls: int) -> bool:
+    """Every call is already in its rank's log or spilled parts."""
+    return all(not hasattr(rc, "_batch_n") for rc in tracer.ranks) \
+        and sum(rc.observed_calls for rc in tracer.ranks) == n_calls
+
+
 class TestBatchedByteIdentity:
     @settings(max_examples=8, deadline=None)
     @given(family=st.sampled_from(FAMILIES),
@@ -43,28 +53,23 @@ class TestBatchedByteIdentity:
                                              lossy, batch_size):
         a = _trace_bytes(family, nprocs, seed, batch_size=batch_size,
                          lossy=lossy)
-        b = _trace_bytes(family, nprocs, seed, batch_size=1, lossy=lossy)
+        b = _trace_bytes(family, nprocs, seed, lossy=lossy)
         assert a == b
 
     @pytest.mark.parametrize("family", ["stencil2d", "milc_su3_rmd"])
     def test_identical_under_parallel_finalize(self, family):
-        a = _trace_bytes(family, 4, 7, batch_size=256)
-        b = _trace_bytes(family, 4, 7, batch_size=1)
-        assert a == b
+        # the parallel finalize is gone too: one serial tree either way
+        assert _trace_bytes(family, 4, 7, batch_size=256) == \
+            _trace_bytes(family, 4, 7)
 
     def test_watermark_spill_mid_batch(self):
-        # a watermark far below the batch size forces spills at flush
-        # time while later calls are still streaming into the buffer;
-        # freeze() re-splices the parts, so bytes must not change
         tracer = make_tracer("pilgrim", TracerOptions(
             batch_size=64, memory_watermark=50))
         make("stencil2d", 4).run(seed=5, tracer=tracer)
         assert any(rc.watermark_spills > 0 for rc in tracer.ranks)
-        plain = _trace_bytes("stencil2d", 4, 5, batch_size=1)
+        plain = _trace_bytes("stencil2d", 4, 5)
         assert tracer.result.trace_bytes == plain
-        # and the watermark alone (batched vs not) is also invisible
-        assert _trace_bytes("stencil2d", 4, 5, batch_size=1,
-                            watermark=50) == plain
+        assert _trace_bytes("stencil2d", 4, 5, watermark=50) == plain
 
     def test_batch_size_one_matches_default(self):
         assert _trace_bytes("osu_latency", 2, 1, batch_size=1) == \
@@ -72,9 +77,7 @@ class TestBatchedByteIdentity:
 
 
 class TestRecordBatchEntry:
-    """The captured-stream replay the hot-path bench times, under the
-    batched entry (the class predates the ``record_batch`` array
-    entry's removal; a capture now has the one ``on_call`` feed)."""
+    """The captured-stream replay the hot-path bench times."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_replay_batched_matches_replay(self, family):
@@ -87,13 +90,13 @@ class TestRecordBatchEntry:
             scalar.finalize().trace_bytes
 
     def test_partial_tail_flushed_by_finalize(self):
-        # fewer calls than batch_size: everything still lands via the
-        # finalize-time flush
+        # fewer calls than batch_size: there is no tail, every call is
+        # logged before finalize runs
         cap = CapturedRun.record("osu_latency", 2, seed=3)
         tracer = make_tracer("pilgrim", TracerOptions(
             batch_size=1 << 20))
         cap.replay(tracer)
-        assert any(rc._batch_n > 0 for rc in tracer.ranks)
+        assert _no_buffer(tracer, cap.n_calls)
         plain = make_tracer("pilgrim", TracerOptions())
         cap.replay(plain)
         assert tracer.finalize().trace_bytes == \
@@ -102,23 +105,23 @@ class TestRecordBatchEntry:
 
 
 class TestBenchPlumbing:
-    def test_hotpath_bench_emits_batched_metrics(self):
+    def test_hotpath_bench_emits_lossy_metrics(self):
         doc = run_benchmark("hotpath", repeats=1, warmup=0, params={
-            "families": ["osu_latency"], "nprocs": 2, "batch_size": 8})
+            "families": ["osu_latency"], "nprocs": 2})
         assert set(doc["metrics"]) == {
             f"osu_latency.{m}" for m in (
-                "us_per_call", "encode_us_per_call", "batched_us_per_call",
+                "us_per_call", "encode_us_per_call", "lossy_us_per_call",
                 "null_us_per_call", "hot_over_null",
-                "batched_over_percall")}
+                "lossy_over_percall")}
         assert all(v > 0 for v in doc["metrics"].values())
-        assert doc["params"]["batch_size"] == 8
+        assert "batch_size" not in doc["params"]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bench_batched_replay_drains_the_tail(self, family):
-        # the timed region must cover every call's CST/Sequitur work:
-        # nothing may be left in a rank's batch buffer when it closes
+        # the timed region covers every call's CST/Sequitur work: each
+        # rank's compression of exactly the calls it saw is done
         cap = CapturedRun.record(family, 8, seed=1)
         _, tracer = timed_trace(cap, TracerOptions(batch_size=256))
-        assert all(rc._batch_n == 0 for rc in tracer.ranks)
-        assert sum(rc.grammar.n_input + rc._spill_input
-                   for rc in tracer.ranks) == cap.n_calls
+        assert _no_buffer(tracer, cap.n_calls)
+        assert all(rc._frozen[0] == rc.observed_calls
+                   for rc in tracer.ranks)

@@ -2,12 +2,13 @@
 profiler, JSONL dump/aggregation, and the stats/--json CLI surface."""
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.analysis import summarize_metrics
 from repro.cli import main as cli_main
-from repro.core import PilgrimTracer
+from repro.core import PilgrimTracer, shard
 from repro.obs import (NULL_REGISTRY, EventLog, MetricsRegistry,
                       PhaseProfiler, read_metrics_jsonl, write_metrics_jsonl)
 from repro.workloads import make
@@ -186,15 +187,35 @@ class TestJsonlRoundTrip:
 
 
 class TestTracerIntegration:
-    def _run(self, metrics=None):
-        tracer = PilgrimTracer(metrics=metrics)
+    def _run(self, metrics=None, **kwargs):
+        tracer = PilgrimTracer(metrics=metrics, **kwargs)
         make("stencil2d", 9, iters=3).run(seed=2, tracer=tracer)
         return tracer
 
+    #: (tracer kwargs, ``shard.LOG_LIMIT``): every stage the profiled
+    #: fork in ``on_call`` spells out again, and its drains and spills
+    CONFIGS = [({}, shard.LOG_LIMIT),
+               ({"timing_mode": "lossy"}, shard.LOG_LIMIT),
+               ({"memory_watermark": 5}, shard.LOG_LIMIT),
+               ({"timing_mode": "lossy"}, 3),
+               ({"keep_raw": True}, shard.LOG_LIMIT),
+               ({"timing_mode": "lossy", "memory_watermark": 7,
+                 "keep_raw": True}, 4)]
+
     def test_enabled_and_disabled_traces_identical(self):
-        plain = self._run()
-        profiled = self._run(MetricsRegistry())
-        assert plain.result.trace_bytes == profiled.result.trace_bytes
+        # the profiled fork is the one per-call body besides observe
+        for kwargs, log_limit in self.CONFIGS:
+            with mock.patch.object(shard, "LOG_LIMIT", log_limit):
+                plain = self._run(**kwargs)
+                profiled = self._run(MetricsRegistry(), **kwargs)
+            assert profiled._fine and not plain._fine
+            assert plain.result.trace_bytes == \
+                profiled.result.trace_bytes, kwargs
+            assert plain.result.per_rank_calls == \
+                profiled.result.per_rank_calls, kwargs
+            assert plain.raw_terms == profiled.raw_terms, kwargs
+            assert [rc.watermark_spills for rc in plain.ranks] == \
+                [rc.watermark_spills for rc in profiled.ranks], kwargs
 
     def test_phases_cover_measured_overhead(self):
         reg = MetricsRegistry()

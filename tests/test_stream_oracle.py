@@ -18,9 +18,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 import pytest
 
+from repro.core import shard
 from repro.core.backends import TracerOptions, make_tracer
 from repro.core.grammar import Grammar, TermLog
 from repro.core.packing import Reader
@@ -46,8 +48,8 @@ from test_flush_record_oracle import v1_read_partials, v1_restore
 
 
 def o_restart(timing: TimingCompressor, loop_detection: bool) -> None:
-    """Give *timing* the parent's two live bin grammars: ``record`` and
-    ``record_batch`` feed them per call / per batch."""
+    """Give *timing* the parent's two live bin grammars: ``record``
+    feeds them per call."""
     timing.duration_grammar = Sequitur(loop_detection=loop_detection)
     timing.interval_grammar = Sequitur(loop_detection=loop_detection)
 
@@ -66,8 +68,7 @@ def o_rotate(timing: TimingCompressor, loop_detection: bool
 
 class OracleRank(RankCompressor):
     """The parent's one-shot rank with its ``flush_partial`` on it: its
-    own live Sequitur fed per call (per batch when batched), Sequitur
-    timing grammars, and both frozen into parts and restarted at each
+    own live Sequitur fed per call, Sequitur timing grammars, and both frozen into parts and restarted at each
     watermark crossing and each flush.  The product's terminal log is
     never written."""
 
@@ -92,19 +93,6 @@ class OracleRank(RankCompressor):
         self._o_watermark()
         return term
 
-    def flush_batch(self) -> None:
-        n = self._batch_n
-        if not n:
-            return
-        self._batch_n = 0
-        terms = self._b_terms
-        self.cst.intern_batch(self._b_sigs, self._b_durs, n, terms)
-        self.seq.append_array(terms[:n])
-        if self.timing is not None:
-            self.timing.record_batch(terms[:n], self._b_fnames,
-                                     self._b_t0, self._b_t1, n)
-        self._o_watermark()
-
     def _o_watermark(self) -> None:
         if self.memory_watermark is not None \
                 and self.seq.n_input >= self.memory_watermark:
@@ -116,7 +104,6 @@ class OracleRank(RankCompressor):
         self.seq = Sequitur(loop_detection=self.loop_detection)
 
     def flush_partial(self) -> Optional[ShardPartial]:
-        self.flush_batch()
         if self.seq.n_input:
             # the watermark's rotation, but not a *watermark* event
             self._o_rotate()
@@ -183,14 +170,13 @@ def _run(family: str, tracer):
 
 
 def _stream(tracer_cls, family: str, *, chunk_calls: int = 64,
-            lossy: bool = False, watermark=None, batch_size: int = 1,
-            **kwargs):
+            lossy: bool = False, watermark=None, **kwargs):
     """One run's flushes, its config, its FIN call counts, its tracer."""
     flushes: list[list[ShardPartial]] = []
     tracer = _run(family, tracer_cls(
         emit_flush=flushes.append, chunk_calls=chunk_calls,
         timing_mode="lossy" if lossy else "aggregate",
-        memory_watermark=watermark, batch_size=batch_size, **kwargs))
+        memory_watermark=watermark, **kwargs))
     return (flushes, tracer.config(),
             [rc.streamed_calls for rc in tracer.ranks], tracer)
 
@@ -202,9 +188,11 @@ def _fold(flushes, config, fin) -> bytes:
     return fold.finish(fin)
 
 
-def _one_shot(family: str, *, lossy: bool = False, watermark=None):
-    return _run(family, make_tracer("pilgrim", TracerOptions(
-        lossy_timing=lossy, memory_watermark=watermark)))
+def _one_shot(family: str, *, lossy: bool = False, watermark=None,
+              log_limit: int = shard.LOG_LIMIT):
+    with mock.patch.object(shard, "LOG_LIMIT", log_limit):
+        return _run(family, make_tracer("pilgrim", TracerOptions(
+            lossy_timing=lossy, memory_watermark=watermark)))
 
 
 def _expansions(parts) -> list[list[int]]:
@@ -216,16 +204,20 @@ def _expansions(parts) -> list[list[int]]:
 
 class TestAgainstTheOracle:
 
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    # the one-shot reference's ranks drain their logs into Sequitur
+    # after every call (1) or never (256: more calls than any rank here
+    # makes); the streams must fold to its bytes either way
+    @pytest.mark.parametrize("log_limit", [1, 256])
     @pytest.mark.parametrize("watermark", [None, 7, 23])
     @pytest.mark.parametrize("lossy", [False, True],
                              ids=["aggregate", "lossy"])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_flush_by_flush(self, family, lossy, watermark, batch_size):
-        ref = _one_shot(family, lossy=lossy).result.trace_bytes
+    def test_flush_by_flush(self, family, lossy, watermark, log_limit):
+        ref = _one_shot(family, lossy=lossy,
+                        log_limit=log_limit).result.trace_bytes
         for chunk_calls in (1, 9, 64, 256, 10 ** 9):
             kw = dict(chunk_calls=chunk_calls, lossy=lossy,
-                      watermark=watermark, batch_size=batch_size)
+                      watermark=watermark)
             got, config, fin, _ = _stream(ChunkingTracer, family, **kw)
             want, o_config, o_fin, _ = _stream(OracleTracer, family, **kw)
             assert (config, fin) == (o_config, o_fin)
@@ -340,8 +332,8 @@ class TestFlatGrammar:
     def test_term_log_has_the_feed_surface(self):
         log, seq = TermLog(), Sequitur()
         for feed in (log, seq):
-            feed.append(4)
-            feed.append_array([4, 5, 4])
+            for t in (4, 4, 5, 4):
+                feed.append(t)
         assert log.n_input == seq.n_input == 4
         assert list(log) == seq.expand()
         assert Grammar.flat(log).expand() == Grammar.freeze(seq).expand()

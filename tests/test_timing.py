@@ -194,34 +194,35 @@ class TestClampDetection:
         assert not hasattr(tc, "_bin_memo")
 
 
-class TestBatchedRecording:
-    def test_record_batch_matches_scalar(self):
-        events = []
-        t = 0.0
-        for i in range(300):
-            t += 1e-5 * (1 + (i * 3) % 7)
-            events.append((i % 4, f"MPI_F{i % 3}", t, t + 1e-6 * (i % 5 + 1)))
-        scalar = TimingCompressor(base=1.2,
-                                  per_function_base={"MPI_F1": 1.5})
-        scalar.keep_raw = True
-        for term, fn, t0, t1 in events:
-            scalar.record(term, fn, t0, t1)
-        batched = TimingCompressor(base=1.2,
-                                   per_function_base={"MPI_F1": 1.5})
-        batched.keep_raw = True
-        for i in range(0, len(events), 17):
-            chunk = events[i:i + 17]
-            batched.record_batch([e[0] for e in chunk],
-                                 [e[1] for e in chunk],
-                                 [e[2] for e in chunk],
-                                 [e[3] for e in chunk], len(chunk))
-        assert batched.n_calls == scalar.n_calls == len(events)
-        assert batched.raw_durations == scalar.raw_durations
-        assert batched.raw_starts == scalar.raw_starts
-        sd, si = scalar.freeze()
-        bd, bi = batched.freeze()
-        assert bd.expand() == sd.expand()
-        assert bi.expand() == si.expand()
+class TestPerFunctionBaseValidation:
+    """Regression: only the global base was checked.  An override of 0.9
+    traced a file its own reader refused ("malformed per-function base"),
+    1.0 died mid-run dividing by ``log(1.0)``, and -2.0 died mid-run in
+    ``math.log``; all three are refused when the tracer is built."""
+
+    @staticmethod
+    def _tracer(pfb):
+        from repro.core.tracer import PilgrimTracer
+        return PilgrimTracer(timing_mode="lossy", per_function_base=pfb)
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, -2.0])
+    def test_a_base_not_above_one_is_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match="MPI_Barrier"):
+            self._tracer({"MPI_Send": 2.0, "MPI_Barrier": bad})
+        with pytest.raises(ValueError, match="MPI_Barrier"):
+            TimingCompressor(per_function_base={"MPI_Barrier": bad})
+
+    def test_a_valid_override_round_trips(self):
+        from repro.core.trace_format import TraceFile
+        from repro.workloads import make
+        blobs = []
+        for pfb in ({"MPI_Waitall": 1.5, "MPI_Isend": 3.0}, {}):
+            tracer = self._tracer(pfb)
+            make("stencil2d", 4).run(seed=3, tracer=tracer)
+            blobs.append(tracer.result.trace_bytes)
+            meta = TraceFile.from_bytes(blobs[-1]).timing_meta
+            assert meta.per_function_base == pfb
+        assert blobs[0] != blobs[1]     # the overrides binned those calls
 
 
 class TestTimingMeta:
