@@ -13,6 +13,7 @@ so each process can rewrite its grammar's terminals (Fig 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import sub
@@ -26,10 +27,14 @@ from .packing import (COLUMN_SAME, Reader, read_column, read_varints,
 #: associative, so any reduction tree yields the same sums); 1 ns is far
 #: below the simulator's clock resolution
 NS_PER_SECOND = 1_000_000_000
+#: what a sum that is not finite (a duration of ``inf`` or NaN reached
+#: the hook) saturates to: the largest int64, ~292 years
+NS_SATURATED = (1 << 63) - 1
 
 
 def _dur_to_ns(seconds: float) -> int:
-    return int(round(seconds * NS_PER_SECOND))
+    ns = seconds * NS_PER_SECOND
+    return int(round(ns)) if math.isfinite(ns) else NS_SATURATED
 
 
 class CST:

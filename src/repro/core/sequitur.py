@@ -372,12 +372,21 @@ class Sequitur:
         """Feed a batch of terminals; byte-identical to appending each
         one with :meth:`append`, but substantially faster.
 
-        Two things make the batch path cheap: the per-append attribute
-        and bound-method lookups are hoisted out of the loop, and a live
+        Three things make the batch path cheap: the per-append attribute
+        and bound-method lookups are hoisted out of the loop; a live
         loop prediction is matched against the input a whole iteration
         at a time with one C-level slice comparison instead of one
         Python-level comparison per element — the dominant case for
-        loopy traces.
+        loopy traces; and a run of terminals equal to the start rule's
+        tail token ``v^e`` is taken in one *run step* — the dominant
+        case for timing bins.  Per symbol, such a run only moves the
+        digram ``(left, v^e)`` to ``(left, v^(e+1))``, and restructures
+        the grammar only when that key is already indexed.  So the run
+        step raises ``e`` across every exponent whose key is absent and
+        leaves the one index entry the per-symbol steps would leave;
+        every step it skips inserted and then deleted the same transient
+        entry.  At the first indexed key it falls back to the per-symbol
+        step.
         """
         if not isinstance(values, list):
             values = list(values)
@@ -387,6 +396,7 @@ class Sequitur:
         check = self._check
         delete_digram_at = self._delete_digram_at
         link_after = self._link_after
+        digrams = self._digrams
         loop_detection = self.loop_detection
         while i < n:
             predict = self._predict
@@ -415,17 +425,46 @@ class Sequitur:
                 self._flush_prediction()
                 # values[i] mismatched the prediction: raw-append it below
             value = values[i]
-            i += 1
             if value < 0:
                 raise ValueError(
                     f"terminals must be non-negative, got {value}")
-            self.n_input += 1
             last = guard.prev
             if last.rule_of is None and last.value == value:
-                delete_digram_at(last.prev)
+                # the run step (see above): no prediction is live, since
+                # the tail is a terminal, and no rule awaits P2
+                left = last.prev
+                e = last.exp
+                j = i
+                if left.rule_of is not None:    # the run opens the rule
+                    while j < n and values[j] == value:
+                        j += 1
+                    e += j - i
+                elif left.value != value:
+                    lv, le = left.value, left.exp
+                    while j < n and values[j] == value \
+                            and (lv, le, value, e + 1) not in digrams:
+                        j += 1
+                        e += 1
+                    if j > i:
+                        key = (lv, le, value, last.exp)
+                        if digrams.get(key) is left:
+                            del digrams[key]
+                        digrams[lv, le, value, e] = left
+                if j > i:
+                    last.exp = e
+                    self.n_input += j - i
+                    i = j
+                    continue
+                # (left, v^(e+1)) is indexed, or left is v too: the
+                # per-symbol step
+                i += 1
+                self.n_input += 1
+                delete_digram_at(left)
                 last.exp += 1
-                check(last.prev)
+                check(left)
             else:
+                i += 1
+                self.n_input += 1
                 sym = Symbol(value, 1)
                 link_after(last, sym)
                 check(last)

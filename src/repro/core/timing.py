@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from math import ceil, inf, log
 from typing import Mapping, Optional
 
 from .errors import CorruptTraceError
@@ -32,6 +33,8 @@ from .packing import Reader, read_value, write_value
 BIN_OFFSET = 4096
 #: durations/intervals below this are clamped into the lowest bin
 _EPS = 1e-12
+#: any bin outside ``±BIN_OFFSET``: sends a value to the clamping path
+_OUT = BIN_OFFSET + 1
 
 
 class BinClampWarning(RuntimeWarning):
@@ -49,7 +52,7 @@ def _raw_bin(x: float, base: float) -> int:
     try:
         return math.ceil(math.log(x) / math.log(base))
     except (OverflowError, ValueError):
-        return BIN_OFFSET + 1
+        return _OUT
 
 
 def _warn_clamp(b: int, base: float) -> None:
@@ -78,8 +81,14 @@ def bin_value(x: float, base: float) -> int:
 
 def unbin_value(b: int, base: float) -> float:
     """Representative value of a bin (its upper edge, so the true value is
-    within a factor of ``base`` below it)."""
-    return base ** b
+    within a factor of ``base`` below it).  A bin past the largest float
+    — the top clamp bin at base 1.2 is ``1.2 ** 4096`` — saturates to
+    ``math.inf``, in the tracer's reconstructed clock and the decoder's
+    alike."""
+    try:
+        return base ** b
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -158,6 +167,8 @@ class TimingCompressor:
         self.interval_grammar = TermLog(loop_detection)
         #: per-signature-terminal reconstructed clock (sum of b^bin)
         self._recon: dict[int, float] = {}
+        #: base -> math.log(base), the divisor of every bin
+        self._log_base: dict[float, float] = {}
         self.n_calls = 0
         #: clamp events observed while binning (each out-of-range call
         #: counts)
@@ -182,11 +193,22 @@ class TimingCompressor:
 
     def record(self, term: int, fname: str, t0: float, t1: float) -> None:
         base = self.per_function_base.get(fname, self.base)
-        dbin = self._bin(t1 - t0, base)
+        log_base = self._log_base.get(base)
+        if log_base is None:
+            log_base = self._log_base[base] = math.log(base)
+        # the in-range bin inline (the float operations of _raw_bin); a
+        # value below _EPS, not finite or out of range goes to _bin
+        d = t1 - t0
+        dbin = ceil(log(d) / log_base) if _EPS <= d < inf else _OUT
+        if not -BIN_OFFSET <= dbin <= BIN_OFFSET:
+            dbin = self._bin(d, base)
         self.duration_grammar.append(dbin + BIN_OFFSET)
         # drift-free interval: measure against the reconstructed clock
         recon = self._recon.get(term, 0.0)
-        ibin = self._bin(t0 - recon, base)
+        x = t0 - recon
+        ibin = ceil(log(x) / log_base) if _EPS <= x < inf else _OUT
+        if not -BIN_OFFSET <= ibin <= BIN_OFFSET:
+            ibin = self._bin(x, base)
         self.interval_grammar.append(ibin + BIN_OFFSET)
         self._recon[term] = recon + unbin_value(ibin, base)
         self.n_calls += 1

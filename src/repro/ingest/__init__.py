@@ -27,9 +27,20 @@ from .aggregator import Aggregator, FoldError, RankFold, TenantFold
 from .client import (ChunkingTracer, IngestClient, IngestError, PushResult,
                      push)
 from .protocol import FrameDecoder, IngestConfig
-from .server import IngestServer, RunningServer, serve_in_thread
 from .session import (DEFAULT_WINDOW, SequenceError, Session, SessionError,
                       SessionRegistry, TenantState)
+
+#: served by :func:`__getattr__`: the server loads asyncio, which nothing
+#: on the produce or fold side needs (a traced application that pushes
+#: imports this package too)
+_SERVER_NAMES = ("IngestServer", "RunningServer", "serve_in_thread")
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from . import server
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Aggregator",

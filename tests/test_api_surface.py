@@ -121,6 +121,27 @@ def test_replay_unknown_loose_kwarg_is_rejected():
         repro.replay(b"", bogus_option=1)
 
 
+
+def test_client_and_fold_imports_do_not_load_asyncio():
+    """Only the ingest server needs asyncio.  A traced application that
+    pushes imports ``repro.ingest`` for its client, so the server's
+    names are served on first use, like ``repro.api.serve`` imports it."""
+    import os
+    import subprocess
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = ("import sys, repro.api, repro.ingest, repro.core; "
+            "print(sorted(m for m in sys.modules if m.startswith('asyncio')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+    from repro import ingest
+    from repro.ingest import server
+    assert ingest.serve_in_thread is server.serve_in_thread
+    assert ingest.IngestServer is server.IngestServer
+    assert ingest.RunningServer is server.RunningServer
+
+
 if __name__ == "__main__":
     if "--update" in sys.argv:
         SNAPSHOT.parent.mkdir(parents=True, exist_ok=True)

@@ -249,6 +249,69 @@ class TestBatchAppend:
         batched.check_invariants()
 
 
+# -- the run step: a run of the tail's terminal in one step ---------------------------
+
+#: timing-bin-like streams: runs of 1–40 over a few recurring values,
+#: laid out by a few run motifs that recur (and merge where one ends on
+#: the value the next starts with), so the same run boundary comes back
+#: with other run lengths and an indexed ``(left, v^e)`` key is met in
+#: the middle of a run
+_bin_streams = st.builds(
+    lambda motifs, picks: [v for k in picks
+                           for v, n in motifs[k % len(motifs)]
+                           for _ in range(n)],
+    st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)),
+                      min_size=1, max_size=4), min_size=1, max_size=5),
+    st.lists(st.integers(0, 7), min_size=1, max_size=14))
+
+#: a captured lossy duration-bin stream, run-length coded: ``flash_cellular``
+#: on 8 ranks, ``iters=4``, seed 1, rank 0
+_FLASH_CELLULAR_BINS = [
+    v for v, n in [(4016, 5), (4023, 3), (4038, 1), (4041, 1),
+                   (4016, 3), (4023, 3), (4045, 1), (4034, 1),
+                   (4016, 3), (4023, 3), (4028, 1), (4046, 1),
+                   (4016, 3), (4023, 3), (4033, 1), (4044, 1), (4029, 1)]
+    for _ in range(n)]
+
+
+class TestRunStep:
+    """``append_array``'s run step against the scalar ``append`` oracle:
+    the grammar and the digram index both."""
+
+    @staticmethod
+    def _assert_same(seq, chunks, ld):
+        batched = Sequitur(loop_detection=ld)
+        i = 0
+        for c in chunks:
+            batched.append_array(seq[i:i + c])
+            i += c
+        batched.append_array(seq[i:])
+        scalar = compress(seq, ld)
+        assert batched.n_input == scalar.n_input == len(seq)
+        assert batched._digrams.keys() == scalar._digrams.keys()
+        assert Grammar.freeze(batched) == Grammar.freeze(scalar)
+        assert batched.expand() == seq
+        batched.check_invariants()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bin_streams, st.lists(st.integers(1, 60), max_size=20),
+           st.booleans())
+    def test_bin_streams_equal_scalar_append(self, seq, chunks, ld):
+        self._assert_same(seq, chunks, ld)
+
+    @pytest.mark.parametrize("ld", [True, False])
+    @pytest.mark.parametrize("chunks", [[], [1] * 35, [4, 7, 2, 9], [17]])
+    def test_captured_flash_cellular_bins(self, chunks, ld):
+        self._assert_same(_FLASH_CELLULAR_BINS, chunks, ld)
+
+    def test_a_run_that_opens_the_rule_is_one_token(self):
+        s = Sequitur()
+        s.append_array([3] * 50)
+        s.append_array([3] * 50)
+        assert list(s.start.tokens()) == [(3, 100)]
+        assert not s._digrams
+
+
 # -- the digram key: the parent's packed int, kept verbatim as the oracle --------------
 
 _PACK_LIM = 1 << 32   # exponents must stay below this for the packed form
@@ -266,7 +329,13 @@ def _digram_key(v1, e1, v2, e2):
 
 
 class PackedKeySequitur(Sequitur):
-    """The three places that build a digram key, as the parent had them."""
+    """The three places that build a digram key, as the parent had them.
+    ``append_array`` feeds the scalar ``append``: its run step reads the
+    index by tuple key."""
+
+    def append_array(self, values) -> None:
+        for v in values:
+            self.append(v)
 
     @staticmethod
     def _key(left):

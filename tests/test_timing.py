@@ -194,6 +194,77 @@ class TestClampDetection:
         assert not hasattr(tc, "_bin_memo")
 
 
+class TestNonFiniteTimes:
+    """Regression: at the default base 1.2 the top clamp bin unbins to
+    ``1.2 ** 4096``, past the largest float.  An infinite or NaN time
+    raised a bare ``OverflowError`` in the reconstructed clock (or, for
+    an infinite duration, in the decoder's) and an infinite duration
+    died converting the CST's duration sum to nanoseconds.  The bin now
+    unbins to ``inf``, and the sum saturates."""
+
+    INF, NAN = float("inf"), float("nan")
+    #: (t0, t1, calls whose bins clamp)
+    CASES = [(INF, INF, 2), (NAN, 1.0, 2), (1.0, INF, 1)]
+
+    def test_top_bin_unbins_to_inf(self):
+        from repro.core.timing import BIN_OFFSET
+        assert unbin_value(BIN_OFFSET, 1.2) == self.INF
+        assert unbin_value(-BIN_OFFSET, 1.2) == 0.0
+        assert reconstruct_times([2 * BIN_OFFSET], [BIN_OFFSET], [0]) \
+            == [(1.0, self.INF)]
+
+    @pytest.mark.parametrize("t0,t1,clamped", CASES)
+    def test_compressor_clamps_counts_and_reconstructs(self, t0, t1,
+                                                       clamped):
+        from repro.core.timing import BinClampWarning
+        tc = TimingCompressor()
+        with pytest.warns(BinClampWarning):
+            tc.record(0, "MPI_Send", t0, t1)
+        tc.record(1, "MPI_Send", 2.0, 2.5)
+        assert tc.n_clamped == clamped
+        dg, ig = tc.freeze()
+        (ts, te), (ts1, te1) = reconstruct_times(dg.expand(), ig.expand(),
+                                                 [0, 1])
+        assert te == self.INF and ts == (1.0 if t0 == 1.0 else self.INF)
+        assert 2.0 <= ts1 < 2.0 * 1.2 and 0.5 <= te1 - ts1 < 0.5 * 1.2
+
+    @pytest.mark.parametrize("t0,t1,clamped", CASES)
+    def test_lossy_tracer_reaches_rank_times(self, t0, t1, clamped):
+        import warnings as w
+        from repro.bench.capture import CapturedRun
+        from repro.core.backends import TracerOptions, make_tracer
+        from repro.core.decoder import TraceDecoder
+        cap = CapturedRun.record("osu_latency", 2, seed=4)
+        calls = [i for i, ev in enumerate(cap.events)
+                 if ev[0] == 0 and ev[1] == 0]
+        k = calls[5]
+        cap.events[k] = (*cap.events[k][:4], t0, t1, *cap.events[k][6:])
+        tracer = make_tracer("pilgrim", TracerOptions(lossy_timing=True))
+        with w.catch_warnings():
+            w.simplefilter("ignore")
+            cap.replay(tracer)
+        assert tracer.ranks[0].timing.n_clamped == clamped
+        times = TraceDecoder.from_bytes(
+            tracer.finalize().trace_bytes).rank_times(0)
+        assert len(times) == len(calls)
+        assert times[5][1] == self.INF
+        assert all(te < self.INF for _, te in times[:5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(), st.floats(), st.sampled_from([1.005, 1.2, 2.0]))
+    def test_record_bins_like_bin_value(self, t0, t1, base):
+        import warnings as w
+        from repro.core.timing import BIN_OFFSET
+        tc = TimingCompressor(base=base)
+        with w.catch_warnings():
+            w.simplefilter("ignore")
+            tc.record(0, "MPI_Send", t0, t1)
+            want = (bin_value(t1 - t0, base), bin_value(t0, base))
+        got = (tc.duration_grammar[0] - BIN_OFFSET,
+               tc.interval_grammar[0] - BIN_OFFSET)
+        assert got == want
+
+
 class TestPerFunctionBaseValidation:
     """Regression: only the global base was checked.  An override of 0.9
     traced a file its own reader refused ("malformed per-function base"),
