@@ -6,7 +6,7 @@ Times the shipping side: a workload traced by a
 a thread of the same process — what ``repro push`` / ``api.push`` does —
 and, on the same runner right after it, ``api.trace`` of the same
 workload in-process.  The pushed trace must equal the in-process one
-byte for byte, or the sample raises.  Four kinds of metric come out:
+byte for byte, or the sample raises.  Five kinds of metric come out:
 
 * ``<family>.push_ms`` / ``trace_ms`` — absolute times, for humans
   (``BENCH_ingest.json``), and ``trace_us_per_call``, the denominator of
@@ -23,7 +23,12 @@ byte for byte, or the sample raises.  Four kinds of metric come out:
 * ``codec_write_us_per_partial`` / ``codec_read_us_per_partial`` — the
   flush record's writer and reader alone, over every flush of every
   family (captured once, outside the timing), per partial carried: the
-  phase of ``push - trace`` that is the codec, once on each side.
+  phase of ``push - trace`` that is the codec, once on each side;
+* ``fold_us_per_call.short`` / ``.long`` and ``fold_long_over_short`` —
+  absorb plus finish of a local fold (an :class:`~repro.ingest.Aggregator`
+  with no socket) of ``stencil2d``/4, lossy, flushed every 16 calls, at
+  ``iters`` 75 and 600 (past ``LOG_LIMIT`` per rank); a fold that slows
+  as its stream grows reads above 1.
 
 ``chunk_calls=256`` (the ``repro push`` default) over the 8 ranks
 ``repro bench`` passes (``-n``; 16 when ``run_benchmark`` is called
@@ -50,7 +55,7 @@ FAMILIES = ("stencil2d", "flash_sedov", "milc_su3_rmd")
 def _ingest(params: dict):
     from ..core.shard import write_flush
     from ..ingest import ChunkingTracer, IngestClient, serve_in_thread
-    from ..ingest.aggregator import read_partials
+    from ..ingest.aggregator import Aggregator, read_partials
     families = list(params.setdefault("families", list(FAMILIES)))
     nprocs = int(params.setdefault("nprocs", 16))
     seed = int(params.setdefault("seed", 1))
@@ -60,6 +65,14 @@ def _ingest(params: dict):
         make(fam, nprocs).run(seed=seed, noise=0.05, tracer=ChunkingTracer(
             emit_flush=flushes.append, chunk_calls=chunk_calls))
     n_partials = sum(map(len, flushes))
+    arms = {}
+    for arm, iters in (("short", 75), ("long", 600)):
+        tracer = ChunkingTracer(emit_flush=(flushed := []).append,
+                                chunk_calls=16, timing_mode="lossy")
+        make("stencil2d", 4, iters=iters).run(
+            seed=seed, noise=0.05, tracer=tracer)
+        arms[arm] = [write_flush(f) for f in flushed], tracer
+    folds = Aggregator()
     server = serve_in_thread()
 
     def push(fam: str) -> tuple[bytes, int, IngestClient]:
@@ -110,6 +123,17 @@ def _ingest(params: dict):
             1e6 * (written - start) / n_partials
         out["codec_read_us_per_partial"] = \
             1e6 * (perf_counter() - written) / n_partials
+        for arm, (records, tracer) in arms.items():
+            fin = [rc.streamed_calls for rc in tracer.ranks]
+            start = perf_counter()
+            folds.start(arm, len(fin), tracer.config())
+            for record in records:
+                folds.absorb(arm, record)
+            folds.finish(arm, fin)
+            out[f"fold_us_per_call.{arm}"] = \
+                1e6 * (perf_counter() - start) / sum(fin)
+        out["fold_long_over_short"] = \
+            out["fold_us_per_call.long"] / out["fold_us_per_call.short"]
         return out
 
     weakref.finalize(sample, server.stop)

@@ -33,30 +33,43 @@ class TermLog(list):
     returns.  A streaming rank's log never drains: it leaves as a
     :meth:`Grammar.flat` part."""
 
-    __slots__ = ("seq", "loop_detection")
+    __slots__ = ("seq", "loop_detection", "_flushed")
 
     def __init__(self, loop_detection: bool = True):
         super().__init__()
         self.seq: Sequitur | None = None
         self.loop_detection = loop_detection
+        self._flushed = False
 
     @property
     def n_input(self) -> int:
         return len(self) + (self.seq.n_input if self.seq else 0)
 
     def drain(self) -> None:
-        if self.seq is None:
+        terms = self
+        if self.seq is None or self._flushed:
+            # a freeze flushed the loop prediction an uncut stream keeps
+            # live: go on from a fresh Sequitur fed the whole column
+            terms = self.expand()
             self.seq = Sequitur(loop_detection=self.loop_detection)
-        self.seq.append_array(self)
+            self._flushed = False
+        self.seq.append_array(terms)
         self.clear()
 
     def freeze(self, memo: dict | None = None) -> "Grammar":
         """Everything logged as one grammar; a log that never drained
-        goes through *memo* (:meth:`Grammar.compress`)."""
+        goes through *memo* (:meth:`Grammar.compress`).  The column may
+        go on logging after it: freezing is invisible in later freezes."""
         if self.seq is None:
             return Grammar.compress(self, self.loop_detection, memo)
-        self.drain()
+        if self:
+            self.drain()
+        self._flushed = True
         return Grammar.freeze(self.seq)
+
+    def expand(self) -> list[int]:
+        """Every terminal logged, in order, leaving the column as it is."""
+        return (self.seq.expand() if self.seq else []) + self
 
 
 @dataclass(frozen=True)
@@ -138,8 +151,8 @@ class Grammar:
                memo: dict | None = None) -> "Grammar":
         """Expand frozen *parts* in order and :meth:`compress` the
         result.  That Sequitur sees the stream an uncut run would have
-        fed it, so watermark spills, streamed parts, fold consolidation
-        and checkpoints are all invisible in the final bytes."""
+        fed it, so a rank's watermark spills are invisible in the final
+        bytes."""
         return cls.compress(list(chain.from_iterable(
             part.expand() for part in parts)), loop_detection, memo)
 

@@ -313,10 +313,10 @@ class ShardPartial:
     (one run-length rule, a grammar like any other on the wire) behind
     any parts a ``memory_watermark`` crossing compressed early; the
     timing bin logs likewise.  A consumer that expands every part of
-    every partial in order through one fresh Sequitur
-    (:meth:`~repro.core.grammar.Grammar.refeed`) gets exactly the
-    grammar a one-shot run would freeze — the byte-identity invariant
-    the ingest service is built on.
+    every partial in order onto one :class:`~repro.core.grammar.TermLog`
+    (the ingest fold's ``RankFold``) freezes exactly the grammar a
+    one-shot run would — the byte-identity invariant the ingest service
+    is built on.
 
     Duration deltas telescope over *rounded* totals: each flush sends
     ``round(total_ns) - previously_sent_ns``, so the sum over any
@@ -345,24 +345,12 @@ class ShardPartial:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardPartial":
-        return _only(read_flush(data))
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "ShardPartial":
-        """Read a record of one partial at the reader's position and
-        leave the reader just past it."""
-        end = max(end for _, end in FLUSH.spans(r.data, r.pos).values())
-        partial = cls.from_bytes(r.data[r.pos:end])
-        r.pos = end
-        return partial
-
-
-def _only(partials: list[ShardPartial]) -> ShardPartial:
-    if len(partials) != 1:
-        raise CorruptTraceError(
-            f"flush record holds {len(partials)} partials where exactly "
-            f"one was expected")
-    return partials[0]
+        partials = read_flush(data)
+        if len(partials) != 1:
+            raise CorruptTraceError(
+                f"flush record holds {len(partials)} partials where "
+                f"exactly one was expected")
+        return partials[0]
 
 
 #: one flush — every rank's partial — as one section of whole-flush

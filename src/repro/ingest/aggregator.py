@@ -8,13 +8,12 @@ the same point:
 * the CST rebuilt from append-only signature slices plus sparse integer
   count/nanosecond deltas (integer addition is associative, so any
   chunking sums to the same totals);
-* the grammar as an ordered list of frozen parts (a streaming client's
-  flat terminal runs, its watermark spills, earlier consolidations —
-  the fold treats them alike), bounded by periodic *consolidation*
-  through :meth:`~repro.core.grammar.Grammar.refeed` — the one Sequitur
-  a streamed trace goes through, and it preserves the terminal stream
-  and therefore the final bytes;
-* the lossy-timing bin streams, likewise as parts.
+* the call stream and, under lossy timing, the two bin streams as
+  :class:`~repro.core.grammar.TermLog` columns: every part that arrives
+  is expanded onto its column, which drains into its own live Sequitur
+  at :data:`~repro.core.shard.LOG_LIMIT`, as a one-shot rank's does.
+  Sequitur is online, so neither where parts begin nor where a column
+  drains shows in the final bytes.
 
 ``finish()`` turns the accumulators into single-rank
 :class:`~repro.core.shard.RankShard` objects and runs the *existing*
@@ -48,20 +47,16 @@ from typing import Optional
 
 from ..core.container import Container, Section
 from ..core.errors import CorruptTraceError, TraceFormatError
-from ..core.grammar import Grammar
+from ..core.grammar import Grammar, TermLog
 from ..core.packing import Reader, read_value, write_value
 from ..core.pipeline import TracePipeline, tree_reduce
+from ..core import shard as _shard
 from ..core.shard import (GrammarSet, RankShard, ShardPartial, merge_shards,
                           read_flush, write_flush)
 from ..core.timing import TimingMeta
 from ..obs import NULL_RECORDER, NULL_REGISTRY
 from .protocol import IngestConfig, validate_tenant
 from .session import TenantState
-
-#: consolidate a rank's part list once it holds this many frozen
-#: grammars (memory bound; byte-invisible — see module docstring)
-CONSOLIDATE_AFTER = 64
-
 
 class FoldError(RuntimeError):
     """A tenant's fold is inconsistent (rank out of range, signature
@@ -103,20 +98,18 @@ def _terminals(grammars) -> tuple[int, int]:
 class RankFold:
     """One rank's accumulated streaming state."""
 
-    __slots__ = ("rank", "sigs", "counts", "dur_ns", "parts",
-                 "timing_dur_parts", "timing_int_parts", "calls",
-                 "consolidations")
+    __slots__ = ("rank", "sigs", "counts", "dur_ns", "calls", "logs")
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, config: IngestConfig):
         self.rank = rank
         self.sigs: list[tuple] = []
         self.counts: list[int] = []
         self.dur_ns: list[int] = []
-        self.parts: list[Grammar] = []
-        self.timing_dur_parts: list[Grammar] = []
-        self.timing_int_parts: list[Grammar] = []
         self.calls = 0
-        self.consolidations = 0
+        #: the call stream's column, then under lossy timing the
+        #: duration and interval bin streams'
+        self.logs = tuple(TermLog(config.loop_detection)
+                          for _ in range(3 if config.lossy_timing else 1))
 
     def check(self, p: ShardPartial) -> None:
         """Refuse *p* if :meth:`apply` could not take it whole; touches
@@ -159,7 +152,7 @@ class RankFold:
                 f"rank {p.rank}: a grammar part names terminal {top} but "
                 f"the fold knows {known} signatures")
 
-    def apply(self, p: ShardPartial, *, loop_detection: bool) -> None:
+    def apply(self, p: ShardPartial) -> None:
         """Fold in a partial that :meth:`check` has passed."""
         if p.new_sigs:
             self.sigs.extend(p.new_sigs)
@@ -169,58 +162,42 @@ class RankFold:
         for i, dc, dns in zip(p.idx, p.d_counts, p.d_dur_ns):
             counts[i] += dc
             dur_ns[i] += dns
-        self.parts.extend(p.parts)
-        if p.timing_duration is not None:
-            self.timing_dur_parts.append(p.timing_duration)
-            self.timing_int_parts.append(p.timing_interval)
+        for log, parts in zip(self.logs, (
+                p.parts, (p.timing_duration,), (p.timing_interval,))):
+            for part in parts:
+                log.extend(part.expand())
+            if len(log) >= _shard.LOG_LIMIT:
+                log.drain()
         self.calls += p.n_calls
-        if len(self.parts) > CONSOLIDATE_AFTER:
-            self._consolidate(loop_detection)
 
-    def _consolidate(self, loop_detection: bool) -> None:
-        for parts in (self.parts, self.timing_dur_parts,
-                      self.timing_int_parts):
-            if parts:
-                parts[:] = [Grammar.refeed(parts, loop_detection)]
-        self.consolidations += 1
-
-    def to_shard(self, config: IngestConfig,
-                 memo: Optional[dict] = None) -> RankShard:
+    def to_shard(self, memo: Optional[dict] = None) -> RankShard:
         """Freeze the fold into the single-rank shard a one-shot
-        ``RankCompressor.freeze()`` would have produced; its streams go
-        through *memo* (:meth:`Grammar.compress`)."""
-        ld = config.loop_detection
+        ``RankCompressor.freeze()`` would have produced; a column that
+        never drained goes through *memo* (:meth:`Grammar.compress`)."""
+        cfg, *timing = (GrammarSet.single(log.freeze(memo))
+                        for log in self.logs)
         shard = RankShard(
             base_rank=self.rank, nranks=1,
             sigs=list(self.sigs), counts=list(self.counts),
-            dur_ns=list(self.dur_ns),
-            cfg=GrammarSet.single(Grammar.refeed(self.parts, ld, memo)),
-            calls=[self.calls])
-        if config.lossy_timing:
-            shard.timing_duration = GrammarSet.single(
-                Grammar.refeed(self.timing_dur_parts, ld, memo))
-            shard.timing_interval = GrammarSet.single(
-                Grammar.refeed(self.timing_int_parts, ld, memo))
+            dur_ns=list(self.dur_ns), cfg=cfg, calls=[self.calls])
+        if timing:
+            shard.timing_duration, shard.timing_interval = timing
         return shard
 
     def to_partial(self) -> ShardPartial:
-        """The fold's whole accumulated state as one consolidated
-        partial — what checkpoints persist (a checkpoint restore is just
-        :meth:`TenantFold.absorb` of this into a fresh fold; partials
-        compose)."""
-        n = len(self.sigs)
-        idx = [i for i in range(n) if self.counts[i] or self.dur_ns[i]]
-        td = ti = None
-        if self.timing_dur_parts:
-            # a checkpoint must hold at most one timing pair per rank so
-            # the restore absorb sees a well-formed partial
-            td = Grammar.refeed(self.timing_dur_parts)
-            ti = Grammar.refeed(self.timing_int_parts)
+        """The fold's whole accumulated state as one partial, each
+        column one flat part read off without touching its live
+        Sequitur — what checkpoints persist (a checkpoint restore is
+        just :meth:`TenantFold.absorb` of this into a fresh fold;
+        partials compose)."""
+        idx = [i for i, c in enumerate(self.counts) if c or self.dur_ns[i]]
+        calls, *timing = (Grammar.flat(log.expand()) for log in self.logs)
+        td, ti = timing or (None, None)
         return ShardPartial(
             rank=self.rank, n_calls=self.calls, new_sigs=list(self.sigs),
             idx=idx, d_counts=[self.counts[i] for i in idx],
             d_dur_ns=[self.dur_ns[i] for i in idx],
-            parts=list(self.parts), timing_duration=td, timing_interval=ti)
+            parts=[calls], timing_duration=td, timing_interval=ti)
 
 
 class TenantFold:
@@ -262,13 +239,12 @@ class TenantFold:
                 raise FoldError(
                     f"tenant {self.tenant!r}: partial timing presence does "
                     f"not match the session's lossy_timing config")
-            fold = self.ranks.get(p.rank) or RankFold(p.rank)
+            fold = self.ranks.get(p.rank) or RankFold(p.rank, self.config)
             fold.check(p)
             folds.append(fold)
-        loop_detection = self.config.loop_detection
         for p, fold in zip(partials, folds):
             self.ranks[p.rank] = fold
-            fold.apply(p, loop_detection=loop_detection)
+            fold.apply(p)
         self.partials_absorbed += len(partials)
 
     @property
@@ -295,10 +271,8 @@ class TenantFold:
                     f"{got})")
         cfg = self.config
         memo: dict = {}     # one Sequitur per distinct rank stream
-        shards = [
-            (self.ranks[r] if r in self.ranks else RankFold(r))
-            .to_shard(cfg, memo)
-            for r in range(self.nprocs)]
+        shards = [(self.ranks.get(r) or RankFold(r, cfg)).to_shard(memo)
+                  for r in range(self.nprocs)]
         final = tree_reduce(shards, merge_shards)
         timing_meta = TimingMeta(
             base=cfg.timing_base,
@@ -358,7 +332,7 @@ def _read_checkpoint_head(r: Reader) -> tuple:
 
 
 #: a session's watermark plus its fold's state, as one flush record
-#: holding every live rank's consolidated partial
+#: holding every live rank's :meth:`RankFold.to_partial`
 CHECKPOINT = Container(
     b"PICK", 3, None,
     (Section("header", _read_checkpoint_head), Section("flush")),

@@ -44,7 +44,7 @@ import pytest
 from repro import api, fuzz
 from repro.core.backends import TracerOptions
 from repro.core.errors import TraceFormatError, UnsupportedVersionError
-from repro.core.shard import write_flush
+from repro.core.shard import read_flush, write_flush
 from repro.ingest.aggregator import CHECKPOINT, TenantFold
 from repro.ingest.client import ChunkingTracer
 from repro.ingest.session import TenantState
@@ -176,15 +176,30 @@ def test_every_corpus_entry_raises_its_recorded_error(row, golden,
 def test_the_recorded_checkpoint_is_refused_by_name(row, golden, observed):
     """The recording commit's checkpoint kept its header outside every
     CRC (version 2); today's is a CRC'd header section ahead of the
-    flush record, and the old one is refused by version."""
+    flush record, and the old one is refused by version.  Both hold the
+    same fold, though not cut into the same parts: the recording
+    commit's fold kept every part it received, today's sends each
+    stream as one."""
     old = bytes.fromhex(golden[row]["checkpoint"])
     with pytest.raises(UnsupportedVersionError) as ei:
         TenantFold.from_bytes(old)
     assert (ei.value.found, ei.value.expected) == (2, 3) \
         == (old[4], CHECKPOINT.version)
     new = bytes.fromhex(observed[row]["checkpoint"])
-    # the same fold: the parent's record is today's flush section
-    assert new != old and old[old.index(b"PPRT"):] in new
+    assert new != old
+    assert _fold_state(old[old.index(b"PPRT"):]) == \
+        _fold_state(CHECKPOINT.read(new).values[1])
+
+
+def _fold_state(record: bytes) -> list:
+    """Per rank, what a checkpoint's flush record says of the fold:
+    signatures, counts, nanoseconds, calls and the expanded call and
+    timing streams — not where its parts begin."""
+    return [(p.rank, p.new_sigs, p.idx, p.d_counts, p.d_dur_ns, p.n_calls,
+             [t for g in p.parts for t in g.expand()],
+             *(g and g.expand() for g in (p.timing_duration,
+                                          p.timing_interval)))
+            for p in read_flush(record)]
 
 
 if __name__ == "__main__":

@@ -388,8 +388,7 @@ class TestSocketEndToEnd:
 
         def fold_state(fold):
             return (fold.partials_absorbed,
-                    {r: (f.sigs, f.counts, f.dur_ns, f.calls, len(f.parts))
-                     for r, f in fold.ranks.items()})
+                    {r: f.to_partial() for r, f in fold.ranks.items()})
 
         with serve_in_thread() as srv:
             got = session(srv.port, [chunk(i, f) for i, f in

@@ -22,7 +22,6 @@ from repro.core.errors import (ChecksumError, CorruptTraceError,
                                FrameFormatError, TraceFormatError,
                                TruncatedTraceError, UnsupportedVersionError)
 from repro.core.grammar import Grammar
-from repro.core.packing import Reader
 from repro.core.shard import ShardPartial, write_flush
 from repro.ingest import protocol as proto
 from repro.ingest.aggregator import (Aggregator, FoldError, TenantFold,
@@ -207,14 +206,9 @@ class TestChunkIsAFlush:
         assert (kind, seq) == (proto.CHUNK, 9)
         assert read_partials(blob) == partials
 
-    def test_read_from_leaves_the_reader_after_the_partial(self):
+    def test_a_chunk_is_one_record(self):
         a, b = _partial(0).to_bytes(), _partial(1, timing=False).to_bytes()
-        r = Reader(a + b + b"tail")
-        assert ShardPartial.read_from(r) == _partial(0)
-        assert r.pos == len(a)
-        assert ShardPartial.read_from(r) == _partial(1, timing=False)
-        assert r.remaining() == 4
-        # a CHUNK is one record: a second one behind it is trailing bytes
+        # a second record behind the first is trailing bytes
         for parse in ShardPartial.from_bytes, read_partials:
             with pytest.raises(CorruptTraceError, match="trailing"):
                 parse(a + b)
@@ -269,9 +263,7 @@ class TestChunkIsAFlush:
         def state():
             return (fold.partials_absorbed, fold.bytes_absorbed,
                     sorted(fold.ranks),
-                    [(f.sigs, f.counts, f.dur_ns, f.parts, f.calls,
-                      f.timing_dur_parts)
-                     for f in map(fold.ranks.get, sorted(fold.ranks))])
+                    [fold.ranks[r].to_partial() for r in sorted(fold.ranks)])
 
         return fold, state
 

@@ -17,10 +17,10 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import shard as shard_mod
-from repro.core.grammar import Grammar
+from repro.core.grammar import Grammar, TermLog
 from repro.core.sequitur import Sequitur
 from repro.core.shard import LOG_LIMIT, RankCompressor
 from repro.core.tracer import PilgrimTracer
@@ -229,3 +229,73 @@ class TestOneSequiturPerDistinctStream:
         assert result.phases["sequitur"] >= 0.06
         assert result.time_intra >= 0.06
         assert result.phases["shard"] < 0.02
+
+
+@st.composite
+def loopy_streams(draw):
+    """Streams of one short loop body, rotated and repeated, between
+    stray tags: the shape on which a flushed loop prediction changes
+    what Sequitur builds next."""
+    tags = st.integers(0, ALPHABET - 1)
+    body = draw(st.lists(tags, min_size=1, max_size=3))
+    stream = []
+    for _ in range(draw(st.integers(1, 8))):
+        stream += draw(st.lists(tags, max_size=2))
+        r = draw(st.integers(0, len(body) - 1))
+        stream += (body[r:] + body[:r]) * draw(st.integers(1, 6))
+    return stream
+
+
+class CompressEvery(PilgrimTracer):
+    """Rank 0 runs ``compress()`` after every *every*-th call, and goes
+    on tracing."""
+
+    def __init__(self, every: int, **kwargs):
+        super().__init__(**kwargs)
+        self.every = every
+
+    def on_call(self, rank, fname, values, t0, t1):
+        super().on_call(rank, fname, values, t0, t1)
+        if rank == 0 and self.ranks[0].observed_calls % self.every == 0:
+            self.ranks[0].compress()
+
+
+class TestFreezingMidStream:
+    """A column frozen before its last terminal goes on to the grammar
+    of a column never frozen early.  ``Grammar.freeze`` flushes the live
+    Sequitur's loop prediction, which an uncut stream keeps live, so the
+    column must not go on from the flushed Sequitur."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=loopy_streams(), limit=st.integers(1, 4),
+           every=st.integers(1, 4), loop_detection=st.booleans())
+    @example(stream=[3, 3, 2, 3, 2, 3, 2, 4, 2, 3, 2, 3, 2, 3], limit=1,
+             every=12, loop_detection=True)
+    def test_a_frozen_column_goes_on_as_if_uncut(self, stream, limit,
+                                                 every, loop_detection):
+        log = TermLog(loop_detection)
+        for i, t in enumerate(stream, 1):
+            log.append(t)
+            if len(log) >= limit:
+                log.drain()
+            if i % every == 0:
+                assert log.freeze() == \
+                    Grammar.compress(stream[:i], loop_detection)
+        assert log.expand() == stream
+        assert log.freeze() == Grammar.compress(stream, loop_detection)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stream=loopy_streams(), limit=st.integers(1, 4),
+           every=st.integers(1, 4), lossy=st.booleans(),
+           loop_detection=st.booleans())
+    @example(stream=[3, 3, 2, 3, 2, 3, 2, 4, 2, 3, 2, 3, 2, 3], limit=1,
+             every=13, lossy=False, loop_detection=True)
+    def test_compress_mid_run_is_invisible_in_the_trace(
+            self, stream, limit, every, lossy, loop_detection):
+        streams = [stream, stream]
+        with mock.patch.object(shard_mod, "LOG_LIMIT", limit):
+            got = _run(CompressEvery(every,
+                                     **_kwargs(lossy, loop_detection)),
+                       streams)
+        assert got.result.trace_bytes == \
+            _oracle(streams, lossy, loop_detection)

@@ -16,6 +16,7 @@ one-shot bytes.
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 from typing import Optional
 from unittest import mock
@@ -35,7 +36,7 @@ from repro.core.trace_format import TraceFile
 from repro.core.encoder import CommIdSpace
 from repro.core.errors import UnsupportedVersionError
 from repro.ingest import ChunkingTracer, protocol as proto
-from repro.ingest.aggregator import (CONSOLIDATE_AFTER, TenantFold,
+from repro.ingest.aggregator import (CHECKPOINT, TenantFold,
                                      read_partials)
 from repro.ingest.session import TenantState
 from repro.obs import MetricsRegistry
@@ -189,10 +190,11 @@ def _fold(flushes, config, fin) -> bytes:
 
 
 def _one_shot(family: str, *, lossy: bool = False, watermark=None,
-              log_limit: int = shard.LOG_LIMIT):
+              log_limit: int = shard.LOG_LIMIT, loop_detection: bool = True):
     with mock.patch.object(shard, "LOG_LIMIT", log_limit):
         return _run(family, make_tracer("pilgrim", TracerOptions(
-            lossy_timing=lossy, memory_watermark=watermark)))
+            lossy_timing=lossy, memory_watermark=watermark,
+            extra=dict(loop_detection=loop_detection))))
 
 
 def _expansions(parts) -> list[list[int]]:
@@ -417,11 +419,12 @@ class TestFlushCostsWhatChanged:
             rc.freeze()
 
 
-# -- unit tests: one refeed routine, three former call sites ----------------------------
+# -- unit tests: spills and the fold against one fresh Sequitur per stream --------------
 
 
 def o_refeed(parts, loop_detection: bool = True) -> Grammar:
-    """``RankFold._refeed`` as the parent had it (and, with the live
+    """Every part expanded, in order, through one fresh Sequitur: what
+    the fold's refeed and consolidation once were (and, with the live
     grammar's terminals as a last part, ``RankCompressor.freeze``'s
     splice)."""
     seq = Sequitur(loop_detection=loop_detection)
@@ -462,49 +465,105 @@ class TestOneRefeedRoutine:
         assert spilled.result.trace_bytes == \
             _one_shot(family, lossy=True).result.trace_bytes
 
-    def test_consolidated_folds(self):
-        flushes, config, fin, _ = _stream(
-            ChunkingTracer, "stencil2d", chunk_calls=1, lossy=True)
-        fold = TenantFold("t", NPROCS, config)
-        shadow: dict[int, list[list[Grammar]]] = {}
-        for flush in flushes:
-            for p in flush:
-                main, dur, ivl = shadow.setdefault(p.rank, [[], [], []])
-                main.extend(p.parts)
-                dur.append(p.timing_duration)
-                ivl.append(p.timing_interval)
-            fold.absorb_blob(write_flush(flush))
-        assert any(f.consolidations for f in fold.ranks.values())
+    def test_drained_folds(self):
+        """Streams past ``LOG_LIMIT`` drain into the fold's live
+        Sequiturs, and still freeze to the grammar of every part
+        received, fed to one fresh Sequitur."""
+        for lossy, loop_detection in product([False, True], repeat=2):
+            self._drained_fold(lossy, loop_detection)
+
+    @staticmethod
+    def _drained_fold(lossy: bool, loop_detection: bool) -> None:
+        with mock.patch.object(shard, "LOG_LIMIT", 16):
+            flushes, config, fin, _ = _stream(
+                ChunkingTracer, "stencil2d", chunk_calls=1, lossy=lossy,
+                loop_detection=loop_detection)
+            fold = TenantFold("t", NPROCS, config)
+            shadow: dict[int, list[list[Grammar]]] = {}
+            for flush in flushes:
+                for p in flush:
+                    main, dur, ivl = shadow.setdefault(p.rank, [[], [], []])
+                    main.extend(p.parts)
+                    if lossy:
+                        dur.append(p.timing_duration)
+                        ivl.append(p.timing_interval)
+                fold.absorb_blob(write_flush(flush))
         for rank, f in fold.ranks.items():
-            assert len(f.parts) <= CONSOLIDATE_AFTER
-            shard = f.to_shard(config)
-            for got, parts in zip((shard.cfg, shard.timing_duration,
-                                   shard.timing_interval), shadow[rank]):
-                assert got.unique == [o_refeed(parts)]
-        assert fold.finish(fin) == \
-            _one_shot("stencil2d", lossy=True).result.trace_bytes
+            assert len(f.logs) == (3 if lossy else 1)
+            got = f.to_shard()
+            for log, gs, parts in zip(f.logs, (got.cfg, got.timing_duration,
+                                               got.timing_interval),
+                                      shadow[rank]):
+                assert log.seq is not None      # it drained
+                assert gs.unique == [o_refeed(parts, loop_detection)]
+        assert fold.finish(fin) == _one_shot(
+            "stencil2d", lossy=lossy,
+            loop_detection=loop_detection).result.trace_bytes
 
     def test_checkpoint_restore(self):
+        """A checkpoint, before or after the fold's streams drained,
+        holds each stream as one flat part, resumes to the one-shot
+        bytes, and costs the live fold nothing: it goes on without a
+        Sequitur the fold would not have built unchecked."""
+        for case in product([shard.LOG_LIMIT, 48], [False, True],
+                            [False, True]):
+            self._checkpoint_restore(*case)
+
+    @staticmethod
+    def _checkpoint_restore(log_limit: int, lossy: bool,
+                            loop_detection: bool) -> None:
+        built = []
+
+        class Counting(Sequitur):
+            def __init__(self, **kw):
+                built.append(1)
+                super().__init__(**kw)
+
         flushes, config, fin, _ = _stream(
-            ChunkingTracer, "flash_sedov", chunk_calls=32, lossy=True)
-        ref = _fold(flushes, config, fin)
+            ChunkingTracer, "flash_sedov", chunk_calls=32, lossy=lossy,
+            loop_detection=loop_detection)
+        want = _one_shot("flash_sedov", lossy=lossy,
+                         loop_detection=loop_detection).result.trace_bytes
         cut = len(flushes) // 2
-        fold = TenantFold("t", NPROCS, config)
-        for flush in flushes[:cut]:
-            fold.absorb_blob(write_flush(flush))
-        for f in fold.ranks.values():
-            p = f.to_partial()
-            assert p.timing_duration == o_refeed(f.timing_dur_parts)
-            assert p.timing_interval == o_refeed(f.timing_int_parts)
-            assert _expansions(p.parts) == _expansions(f.parts)
-        state = TenantState(tenant="t", nprocs=NPROCS, config=config,
-                            next_seq=cut)
-        restored, got_state = TenantFold.from_bytes(fold.to_bytes(state))
+        with mock.patch.object(shard, "LOG_LIMIT", log_limit), \
+                mock.patch("repro.core.grammar.Sequitur", Counting):
+            assert _fold(flushes, config, fin) == want
+            unchecked = len(built)
+            fold = TenantFold("t", NPROCS, config)
+            for flush in flushes[:cut]:
+                fold.absorb_blob(write_flush(flush))
+            drained = any(f.logs[0].seq for f in fold.ranks.values())
+            state = TenantState(tenant="t", nprocs=NPROCS, config=config,
+                                next_seq=cut)
+            blob = fold.to_bytes(state)
+            for flush in flushes[cut:]:
+                fold.absorb_blob(write_flush(flush))
+            assert fold.finish(fin) == want
+            assert len(built) == 2 * unchecked
+            restored, got_state = TenantFold.from_bytes(blob)
+            for flush in flushes[cut:]:
+                restored.absorb_blob(write_flush(flush))
+            assert restored.finish(fin) == want
+        assert drained == (log_limit != shard.LOG_LIMIT)
         assert got_state.next_seq == cut
-        for flush in flushes[cut:]:
-            restored.absorb_blob(write_flush(flush))
-        assert restored.finish(fin) == ref == \
-            _one_shot("flash_sedov", lossy=True).result.trace_bytes
+        for p in read_partials(CHECKPOINT.read(blob).values[1]):
+            calls, durs, ivls = _sent(flushes[:cut], p.rank)
+            assert p.parts == [Grammar.flat(calls)]
+            assert (p.timing_duration, p.timing_interval) == (
+                (Grammar.flat(durs), Grammar.flat(ivls)) if lossy
+                else (None, None))
+
+
+def _sent(flushes, rank: int) -> list[list[int]]:
+    """The call, duration-bin and interval-bin terminals *flushes* sent
+    for *rank*, in order."""
+    out: list[list[int]] = [[], [], []]
+    for p in (p for flush in flushes for p in flush if p.rank == rank):
+        for terms, parts in zip(out, (p.parts, [p.timing_duration],
+                                      [p.timing_interval])):
+            terms.extend(t for g in parts if g is not None
+                         for t in g.expand())
+    return out
 
 
 # -- wire and checkpoint compatibility with the parent commit ---------------------------
