@@ -983,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--families", nargs="+", metavar="NAME",
                    help="workload families (default: the 5-family "
-                        "representative set)")
+                        "representative set; replay adds flash_cellular)")
     p.add_argument("--output-dir", default="benchmarks/results",
                    help="where <name>.json lands (default "
                         "benchmarks/results); BENCH_<name>.json is "

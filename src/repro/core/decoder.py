@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from ..mpisim.funcs import FuncSpec
 from .errors import CorruptTraceError, MissingRankError
-from .records import DecodedCall, sig_to_params
+from .records import DecodedCall, sig_spec, sig_to_params
 from .timing import TimingMeta, reconstruct_times
 from .trace_format import TraceFile
 
@@ -24,7 +25,9 @@ class RankStream:
     one per *unique grammar*, shared by every rank that compressed to
     it) and ``table`` (terminal -> the rank's one frozen record for that
     signature, first-occurrence order).  Per-signature consumers walk
-    ``table`` once, then ``terms``.  Neither may be mutated.
+    ``table`` once, then ``terms``.  Neither may be mutated.  (Replay
+    builds the same view over its own per-trace table, whose records
+    are ``repro.replay.engine.SigPlan``.)
     """
 
     __slots__ = ("terms", "table")
@@ -110,22 +113,30 @@ class TraceDecoder:
 
     # -- record level ----------------------------------------------------------------------
 
+    def signature(self, term: int, rank: Optional[int] = None
+                  ) -> tuple[FuncSpec, tuple]:
+        """CST entry *term* and the registry entry it names, validated: a
+        terminal the CST cannot answer for is corruption, not a caller
+        bug."""
+        sigs = self.trace.cst.sigs
+        if 0 <= term < len(sigs):
+            try:
+                return sig_spec(sigs[term]), sigs[term]
+            except CorruptTraceError as e:
+                reason = f": {e}"
+        else:
+            reason = f" is outside the {len(sigs)}-entry CST"
+        where = f"terminal {term}" if rank is None \
+            else f"rank {rank}: terminal {term}"
+        raise CorruptTraceError(where + reason)
+
     def _decode_sig(self, term: int, rank: Optional[int] = None
                     ) -> tuple[str, dict]:
-        """Decode (once) and validate CST entry *term*; a terminal the
-        CST cannot answer for is corruption, not a caller bug."""
+        """Decode (once) and validate CST entry *term*."""
         got = self._sig_cache.get(term)
         if got is None:
-            sigs = self.trace.cst.sigs
-            where = f"terminal {term}" if rank is None \
-                else f"rank {rank}: terminal {term}"
-            if not 0 <= term < len(sigs):
-                raise CorruptTraceError(
-                    f"{where} is outside the {len(sigs)}-entry CST")
-            try:
-                got = self._sig_cache[term] = sig_to_params(sigs[term])
-            except CorruptTraceError as e:
-                raise CorruptTraceError(f"{where}: {e}") from None
+            got = self._sig_cache[term] = sig_to_params(
+                self.signature(term, rank)[1])
         return got
 
     def rank_calls(self, rank: int) -> RankStream:

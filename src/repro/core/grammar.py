@@ -85,17 +85,19 @@ class Grammar:
         """Canonical snapshot of a live Sequitur grammar (flushes any
         pending loop prediction first)."""
         seq.flush()
-        order: dict[int, int] = {}
-
-        def visit(rid: int) -> None:
-            if rid in order:
-                return
-            order[rid] = len(order)
-            for value, _exp in seq.rules[rid].tokens():
-                if value < 0:
-                    visit(value)
-
-        visit(seq.START_RID)
+        # first-visit (preorder) numbering from the start rule, on an
+        # explicit stack of token iterators: no self-calling closure, so
+        # a freeze leaves nothing for the cyclic collector
+        order = {seq.START_RID: 0}
+        stack = [iter(seq.rules[seq.START_RID].tokens())]
+        while stack:
+            for value, _exp in stack[-1]:
+                if value < 0 and value not in order:
+                    order[value] = len(order)
+                    stack.append(iter(seq.rules[value].tokens()))
+                    break
+            else:
+                stack.pop()
         # DFS above assigns parents before children but visits depth-first;
         # renumber breadth-consistently by the recorded first-visit order.
         rules: list[Rule] = [()] * len(order)
@@ -168,49 +170,51 @@ class Grammar:
 
     def expand(self, max_len: int | None = None) -> list[int]:
         """The terminal string this grammar uniquely generates."""
-        memo: dict[int, list[int]] = {}
+        return self._expand(0, {}, frozenset())
 
-        def body(idx: int, active: frozenset) -> list[int]:
-            got = memo.get(idx)
-            if got is not None:
-                return got
-            if idx in active:
-                raise ValueError(f"cyclic grammar at rule {idx}")
-            out: list[int] = []
-            for value, exp in self.rules[idx]:
-                if value >= 0:
-                    out.extend([value] * exp)
+    def _expand(self, idx: int, memo: dict[int, list[int]],
+                active: frozenset) -> list[int]:
+        """Rule *idx* expanded, each rule once through *memo*.  (A
+        method, not a nested function that calls itself: that closure
+        would be a reference cycle holding the memo until the cyclic
+        collector ran.)"""
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        if idx in active:
+            raise ValueError(f"cyclic grammar at rule {idx}")
+        out: list[int] = []
+        for value, exp in self.rules[idx]:
+            if value >= 0:
+                out.extend([value] * exp)
+            else:
+                sub = self._expand(-value - 1, memo, active | {idx})
+                if exp == 1:
+                    out.extend(sub)
                 else:
-                    sub = body(-value - 1, active | {idx})
-                    if exp == 1:
-                        out.extend(sub)
-                    else:
-                        out.extend(sub * exp)
-            memo[idx] = out
-            return out
-
-        return body(0, frozenset())
+                    out.extend(sub * exp)
+        memo[idx] = out
+        return out
 
     def expanded_length(self) -> int:
         """Length of the expanded string without materializing it."""
-        memo: dict[int, int] = {}
+        return self._length(0, {}, frozenset())
 
-        def length(idx: int, active: frozenset) -> int:
-            got = memo.get(idx)
-            if got is not None:
-                return got
-            if idx in active:
-                raise ValueError(f"cyclic grammar at rule {idx}")
-            n = 0
-            for value, exp in self.rules[idx]:
-                if value >= 0:
-                    n += exp
-                else:
-                    n += exp * length(-value - 1, active | {idx})
-            memo[idx] = n
-            return n
-
-        return length(0, frozenset())
+    def _length(self, idx: int, memo: dict[int, int],
+                active: frozenset) -> int:
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        if idx in active:
+            raise ValueError(f"cyclic grammar at rule {idx}")
+        n = 0
+        for value, exp in self.rules[idx]:
+            if value >= 0:
+                n += exp
+            else:
+                n += exp * self._length(-value - 1, memo, active | {idx})
+        memo[idx] = n
+        return n
 
     def iter_terminals(self) -> Iterator[int]:
         """All terminal values mentioned (with repetition per token)."""

@@ -60,16 +60,22 @@ class DecodedCall:
         return f"[{self.rank}] {self.fname}({args})"
 
 
-def sig_to_params(sig: tuple) -> tuple[str, dict[str, Any]]:
-    """Split a flat signature tuple into (fname, named params)."""
+def sig_spec(sig: tuple) -> F.FuncSpec:
+    """The registry entry a flat signature tuple ``(fid, *values)``
+    names, checked against the tuple's arity."""
     if not sig:
         raise CorruptTraceError("empty signature")
     spec = F.BY_ID.get(sig[0])
     if spec is None:
         raise CorruptTraceError(f"unknown function id {sig[0]!r}")
-    values = sig[1:]
-    if len(values) != len(spec.params):
+    if len(sig) - 1 != len(spec.params):
         raise CorruptTraceError(
             f"signature arity mismatch for {spec.name}: "
-            f"{len(values)} values vs {len(spec.params)} params")
-    return spec.name, {p.name: v for p, v in zip(spec.params, values)}
+            f"{len(sig) - 1} values vs {len(spec.params)} params")
+    return spec
+
+
+def sig_to_params(sig: tuple) -> tuple[str, dict[str, Any]]:
+    """Split a flat signature tuple into (fname, named params)."""
+    spec = sig_spec(sig)
+    return spec.name, {p.name: v for p, v in zip(spec.params, sig[1:])}

@@ -106,6 +106,36 @@ def _write_cfg_section(out: bytearray, merge: CFGMergeResult) -> None:
     # compressed by the final Sequitur pass) and is re-derived on read.
 
 
+def _expand_top(rules, base_to_uid: dict, name: str, idx: int,
+                memo: dict, active: frozenset) -> list[int]:
+    """Top rule *idx* of a CFG section expanded to unique-grammar ids:
+    a reference to a sub-grammar's start rule is that grammar's uid."""
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    if idx in active:
+        raise CorruptTraceError(f"{name} section top rule {idx} is cyclic")
+    out: list[int] = []
+    for v, e in rules[idx]:
+        ref = -v - 1
+        if v >= 0:
+            raise CorruptTraceError(
+                f"{name} section top rule {idx} holds a raw terminal "
+                f"{v}; corrupt CFG")
+        if ref in base_to_uid:
+            out.extend([base_to_uid[ref]] * e)
+        elif ref >= len(rules):
+            raise CorruptTraceError(
+                f"{name} section top rule {idx} references missing "
+                f"rule {ref}")
+        else:
+            sub = _expand_top(rules, base_to_uid, name, ref, memo,
+                              active | {idx})
+            out.extend(sub if e == 1 else sub * e)
+    memo[idx] = out
+    return out
+
+
 def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
     n_top = r.read_uvarint()
     n_unique = r.read_uvarint()
@@ -135,35 +165,8 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
     # derive the rank -> uid sequence by expanding the top-level rules,
     # treating references to sub-grammar start rules as uid terminals
     base_to_uid = {b: uid for uid, b in enumerate(bases)}
-    memo: dict[int, list[int]] = {}
-
-    def expand_top(idx: int, active: frozenset) -> list[int]:
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        if idx in active:
-            raise CorruptTraceError(
-                f"{name} section top rule {idx} is cyclic")
-        out: list[int] = []
-        for v, e in final.rules[idx]:
-            ref = -v - 1
-            if v >= 0:
-                raise CorruptTraceError(
-                    f"{name} section top rule {idx} holds a raw terminal "
-                    f"{v}; corrupt CFG")
-            if ref in base_to_uid:
-                out.extend([base_to_uid[ref]] * e)
-            elif ref >= len(final.rules):
-                raise CorruptTraceError(
-                    f"{name} section top rule {idx} references missing "
-                    f"rule {ref}")
-            else:
-                sub = expand_top(ref, active | {idx})
-                out.extend(sub if e == 1 else sub * e)
-        memo[idx] = out
-        return out
-
-    rank_uid = expand_top(0, frozenset()) if n_top else []
+    rank_uid = _expand_top(final.rules, base_to_uid, name, 0, {},
+                           frozenset()) if n_top else []
     return CFGMergeResult(final=final, rank_uid=rank_uid, unique=unique)
 
 

@@ -135,7 +135,6 @@ class SimMPI:
         self._bridges: dict = {}
         self._ran = False
         self.finished = False
-        self.apis: list[RankAPI] = []
 
     # -- registry ----------------------------------------------------------------
 
@@ -214,7 +213,6 @@ class SimMPI:
             # the API keeps the context's call trail current (diagnostics)
             api = RankAPI(self, r, ctx)
             ctx.gen = self._rank_main(api, program)
-            self.apis.append(api)
             self.scheduler.add_rank(ctx)
         self.scheduler.run()
         self.finished = True

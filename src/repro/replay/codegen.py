@@ -35,9 +35,9 @@ are functions, repetition exponents are loops.  Run directly:
 """
 
 from repro.core.decoder import RankStream
-from repro.core.records import DecodedCall, sig_to_params
+from repro.core.records import sig_spec
 from repro.mpisim import SimMPI
-from repro.replay.engine import RankReplayer, ReplayState
+from repro.replay.engine import RankReplayer, ReplayState, plan_signature
 
 NPROCS = {nprocs}
 
@@ -56,18 +56,18 @@ _FOOTER = '''
 CLASS_FUNCS = [__CLASS_NAMES__]
 
 
-def _decoded_calls(rank):
-    """The rank's stream: its class's terminals, one record per signature."""
+def _planned_calls(rank):
+    """The rank's stream: its class's terminals, one plan per signature."""
     terms = list(CLASS_FUNCS[RANK_CLASS[rank]]())
     return RankStream(terms, {
-        term: DecodedCall(rank, *sig_to_params(SIGS[term]))
+        term: plan_signature(sig_spec(SIGS[term]), SIGS[term])
         for term in dict.fromkeys(terms)})
 
 
 def make_program(state):
     """Rank program factory for repro.mpisim.SimMPI."""
     def program(m):
-        replayer = RankReplayer(m.rank, state, _decoded_calls(m.rank))
+        replayer = RankReplayer(m.rank, state, _planned_calls(m.rank))
         yield from replayer.program(m)
     return program
 

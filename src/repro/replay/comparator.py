@@ -35,16 +35,14 @@ applies there.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.decoder import RankStream
-from ..core.records import DecodedCall
 from ..core.relative import MARK_REL, decode as rel_decode
 from ..mpisim import funcs as F
 from ..mpisim.hooks import TracerHooks
-from .engine import NOT_REISSUED
+from .engine import NOT_REISSUED, SigPlan, signature_table
 
 #: schema tag stamped on divergence-report JSON documents
 DIVERGENCE_SCHEMA = "repro.divergence/v1"
@@ -167,31 +165,6 @@ class _RankCursor:
     timing_max: float = 0.0
 
 
-#: the kinds ``engine._DIRECTED`` pins, in the order a mismatch is
-#: reported; ``K_INT`` is the count an index set comes with (``outcount``)
-_OUTCOME_KINDS = (F.K_INDEX, F.K_INDEXV, F.K_INT, F.K_FLAG, F.K_STATUS)
-
-
-@functools.cache
-def _outcome_fields(fname: str) -> tuple:
-    """``(kind, name, FuncSpec.pos)`` of *fname*'s outcome parameters."""
-    params = F.FUNCS[fname].params
-    counted = any(p.kind == F.K_INDEXV for p in params)
-    return tuple((kind, p.name, i) for kind in _OUTCOME_KINDS
-                 for i, p in enumerate(params) if p.kind == kind
-                 and (kind != F.K_INT or counted and p.direction == F.OUT))
-
-
-def _says_something(kind: str, v: Any) -> bool:
-    """Could a live value disagree with this recorded one?  (Isend,
-    irecv, collectives: never — the comparator spends one branch.)"""
-    if kind == F.K_STATUS:
-        return isinstance(v, tuple) and len(v) == 2
-    if kind == F.K_FLAG:
-        return v is not None
-    return kind == F.K_INDEXV or isinstance(v, int)
-
-
 class LockstepComparator(TracerHooks):
     """Attach as the replay :class:`~repro.mpisim.SimMPI`'s tracer; call
     :meth:`finish` after the run for the :class:`DivergenceReport`.
@@ -202,28 +175,22 @@ class LockstepComparator(TracerHooks):
     """
 
     def __init__(self, decoder, *, nprocs: Optional[int] = None,
-                 rank_sources: Optional[list[int]] = None):
+                 rank_sources: Optional[list[int]] = None,
+                 table: Optional[dict[int, SigPlan]] = None):
         n = decoder.nprocs if nprocs is None else nprocs
         if rank_sources is None:
             rank_sources = list(range(n))
+        if table is None:
+            table = signature_table(decoder, rank_sources)
         self.recorded_nprocs = decoder.nprocs
         self.nprocs = n
-        self._cursors = [_RankCursor(decoder.rank_calls(rank_sources[r]))
-                         for r in range(n)]
-        # decided once per signature, whichever ranks and calls use it
-        records: dict[int, DecodedCall] = {}
-        for cur in self._cursors:
-            records.update(cur.recorded.table)
-        #: terminals the engine re-issues nothing for
-        self._not_reissued = {term for term, rec in records.items()
-                              if rec.fname in NOT_REISSUED}
-        #: terminal -> (function, recorded mean duration, the outcome
-        #: fields worth comparing or None)
-        self._verdicts = {
-            term: (rec.fname, rec.avg_duration, tuple(
-                f for f in _outcome_fields(rec.fname)
-                if _says_something(f[0], rec.params[f[1]])) or None)
-            for term, rec in records.items()}
+        #: per recorded terminal, the verdict decided once per signature
+        #: whichever ranks and calls use it: ``SigPlan.fname`` / ``avg`` /
+        #: ``outcome`` (the outcome fields worth comparing, or None)
+        self._table = table
+        self._cursors = [_RankCursor(RankStream(
+            decoder.rank_terminals(rank_sources[r]), table))
+            for r in range(n)]
 
     # -- the hook ----------------------------------------------------------------
 
@@ -234,33 +201,32 @@ class LockstepComparator(TracerHooks):
         if cur.point is not None:
             return  # already diverged: count, don't compare
         try:  # the common case: the next recorded entry is this call
-            rec_fname, avg, outcome = self._verdicts[
-                cur.recorded.terms[cur.ptr]]
+            rec = self._table[cur.recorded.terms[cur.ptr]]
         except IndexError:
-            rec_fname = ""
-        if rec_fname != fname:  # a skip, a mismatch or the end of stream
-            term = self._advance(cur, fname)
-            if term is None:
+            rec = None
+        if rec is None or rec.fname != fname:
+            # a skip, a mismatch or the end of stream
+            rec = self._advance(cur, fname)
+            if rec is None:
                 cur.extra += 1
                 cur.point = DivergencePoint(
                     rank=rank, call_index=len(cur.recorded), function=fname,
                     recorded_function="", field="stream", live=fname)
                 return
-            rec_fname, avg, outcome = self._verdicts[term]
-            if rec_fname != fname:
+            if rec.fname != fname:
                 cur.point = DivergencePoint(
                     rank=rank, call_index=cur.ptr, function=fname,
-                    recorded_function=rec_fname, field="function",
-                    recorded=rec_fname, live=fname,
-                    timing_delta_s=(t1 - t0) - avg)
+                    recorded_function=rec.fname, field="function",
+                    recorded=rec.fname, live=fname,
+                    timing_delta_s=(t1 - t0) - rec.avg)
                 cur.ptr += 1
                 return
-        delta = (t1 - t0) - avg
-        cur.timing_abs += abs(delta)
-        if abs(delta) > cur.timing_max:
-            cur.timing_max = abs(delta)
-        mismatch = outcome and self._compare_outcome(
-            rank, cur.recorded[cur.ptr], outcome, values)
+        delta = (t1 - t0) - rec.avg
+        size = abs(delta)
+        cur.timing_abs += size
+        if size > cur.timing_max:
+            cur.timing_max = size
+        mismatch = rec.outcome and self._compare_outcome(rank, rec, values)
         if mismatch:
             field_name, rec_v, live_v = mismatch
             cur.point = DivergencePoint(
@@ -271,31 +237,29 @@ class LockstepComparator(TracerHooks):
             cur.matched += 1
         cur.ptr += 1
 
-    def _advance(self, cur: _RankCursor, fname: str) -> Optional[int]:
+    def _advance(self, cur: _RankCursor, fname: str) -> Optional[SigPlan]:
         """Skip recorded entries the engine never re-issues (unless the
-        live call happens to be exactly that entry); returns the
-        terminal to compare against, or None past the end of the
-        stream."""
+        live call happens to be exactly that entry); returns the entry
+        to compare against, or None past the end of the stream."""
         terms = cur.recorded.terms
         while cur.ptr < len(terms):
-            term = terms[cur.ptr]
-            if term in self._not_reissued \
-                    and self._verdicts[term][0] != fname:
+            rec = self._table[terms[cur.ptr]]
+            if rec.fname in NOT_REISSUED and rec.fname != fname:
                 cur.skipped += 1
                 cur.ptr += 1
                 continue
-            return term
+            return rec
         return None
 
     # -- outcome comparison ------------------------------------------------------
 
-    def _compare_outcome(self, rank: int, rec: DecodedCall, outcome: tuple,
-                         values: tuple):
-        """The first *outcome* field whose live value (by position, as
-        ``on_call`` carries it) left the record: completion picks and
-        index sets, Test* flags, the wildcard completion source."""
-        for kind, name, pos in outcome:
-            rec_v, live = rec.params[name], values[pos]
+    def _compare_outcome(self, rank: int, rec: SigPlan, values: tuple):
+        """The first of ``rec.outcome``'s fields whose live value left
+        the record (both by position, as ``on_call`` carries them):
+        completion picks and index sets, Test* flags, the wildcard
+        completion source."""
+        for kind, name, pos in rec.outcome:
+            rec_v, live = rec.values[pos], values[pos]
             if kind == F.K_INDEXV:
                 a = list(rec_v) if rec_v is not None else None
                 b = list(live) if live is not None else None
@@ -314,13 +278,15 @@ class LockstepComparator(TracerHooks):
                 return name, rec_v, live
         return None
 
-    def _recorded_source(self, rank: int, rec: DecodedCall) -> Optional[int]:
+    @staticmethod
+    def _recorded_source(rank: int, rec: SigPlan) -> Optional[int]:
         """The recorded completion source as a world rank, or None when
         it cannot be decoded safely (non-world communicator with a
         relative encoding, no status recorded).  Decoding against
         ``FuncSpec.ctx_comm`` instead of refusing off-world is ROADMAP
         2(f)'s, not this comparator's."""
-        st = rec.params.get("status")
+        pos = F.FUNCS[rec.fname].pos
+        st = rec.values[pos["status"]] if "status" in pos else None
         if not (isinstance(st, tuple) and len(st) == 2):
             return None
         enc = st[0]
@@ -328,7 +294,8 @@ class LockstepComparator(TracerHooks):
             return enc if enc >= 0 else None
         if not (isinstance(enc, tuple) and len(enc) == 2):
             return None
-        if enc[0] == MARK_REL and rec.params.get("comm", 0) != 0:
+        if enc[0] == MARK_REL and "comm" in pos \
+                and rec.values[pos["comm"]] != 0:
             return None  # context rank unknown off-world
         val = rel_decode(enc, rank)
         return val if val >= 0 else None

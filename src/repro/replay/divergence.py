@@ -30,14 +30,16 @@ zero divergences, by construction.
 Phases are span-instrumented (``ReplayOptions(spans=True)``) so ``repro
 stats --spans`` can show where a replay spends its time: ``decode`` →
 ``build`` → ``execute`` → ``compare``.  ``build`` is all of set-up (the
-per-terminal tables, segment extents, wildcard bookkeeping), ``execute``
+per-signature table, segment extents, wildcard bookkeeping), ``execute``
 the simulator and the compiled per-function bodies alone.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as _dc_fields
 from typing import Any, Optional, Union
 
@@ -48,7 +50,7 @@ from ..mpisim.runtime import SimMPI
 from ..obs.spans import NULL_RECORDER, SpanRecorder
 from ..resilience.faults import FaultInjector, FaultPlan, arm
 from .comparator import DivergenceReport, LockstepComparator
-from .engine import build_rank_programs, run_replay
+from .engine import build_rank_programs, run_replay, signature_table
 
 #: NetworkModel fields settable through ``net=`` specs
 _NET_FIELDS = ("alpha", "beta", "overhead")
@@ -307,6 +309,22 @@ def _extrapolation_sources(decoder: TraceDecoder, n: int) -> list[int]:
     return [0] * n
 
 
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic collector off for one replay, and give the caller
+    back the setting it had, however the replay ends.  Nothing a replay
+    builds — decoder, signature table, replayers, comparator, simulated
+    world — is a reference cycle, so a collection during it could free
+    nothing and only costs time (``tests/test_replay_gc.py``)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_divergence(trace: Union[bytes, TraceDecoder],
                    options: Optional[ReplayOptions] = None) -> ReplayResult:
     """Replay *trace* under ``options`` with the lockstep comparator
@@ -318,13 +336,20 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
     traces raise structured errors
     (:class:`~repro.core.errors.TraceFormatError` /
     :class:`~repro.core.errors.ReplayFormatError`), never simulator
-    internals.
+    internals.  The cyclic collector is held off for the whole replay.
     """
     opts = options if options is not None else ReplayOptions()
+    with _collector_paused():
+        # the collector comes back only after ``_replay`` returned and
+        # reference counting freed all it built
+        return _replay(trace, opts)
+
+
+def _replay(trace: Union[bytes, TraceDecoder],
+            opts: ReplayOptions) -> ReplayResult:
     recorder = SpanRecorder() if opts.spans else NULL_RECORDER
     w0, c0 = _time.perf_counter(), _time.process_time()
-    with recorder.span("replay", scope="replay",
-                       what_if=opts.what_if):
+    with recorder.span("replay", scope="replay", what_if=opts.what_if):
         with recorder.span("decode", scope="replay"):
             decoder = trace if isinstance(trace, TraceDecoder) \
                 else TraceDecoder.from_bytes(trace)
@@ -332,7 +357,7 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
         n = recorded_n if opts.extrapolate_ranks is None \
             else opts.extrapolate_ranks
         with recorder.span("build", scope="replay", nprocs=n):
-            rank_sources = None
+            rank_sources = list(range(n))
             strict_ids = True
             if n != recorded_n:
                 rank_sources = _extrapolation_sources(decoder, n)
@@ -340,13 +365,16 @@ def run_divergence(trace: Union[bytes, TraceDecoder],
                 # than were recorded, by design
                 strict_ids = False
             directed = not opts.what_if
+            table = signature_table(decoder, rank_sources)
             comparator = LockstepComparator(decoder, nprocs=n,
-                                            rank_sources=rank_sources)
+                                            rank_sources=rank_sources,
+                                            table=table)
             _state, replayers, program = build_rank_programs(
                 decoder, nprocs=n, directed=directed,
-                strict_ids=strict_ids, rank_sources=rank_sources)
+                strict_ids=strict_ids, rank_sources=rank_sources,
+                table=table)
             counters = {
-                "replay.plan.terminals": len(replayers[0].plan),
+                "replay.plan.terminals": len(table),
                 "replay.plan.calls": sum(len(r.stream) for r in replayers),
                 # ranks of one grammar share one terminal list
                 "replay.plan.grammars_shared":

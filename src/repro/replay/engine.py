@@ -47,7 +47,7 @@ import inspect
 import re
 from contextlib import contextmanager
 from types import GeneratorType
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from ..mpisim import constants as C
 from ..mpisim import funcs as F
@@ -74,6 +74,9 @@ NOT_REISSUED = frozenset(("MPI_Get_count",))
 NOT_REPLAYABLE = frozenset(("MPI_Abort",))
 #: pseudo-calls the runtime emits itself around every rank program
 RUNTIME_EMITTED = frozenset(("MPI_Init", "MPI_Finalize"))
+#: where a wildcard irecv keeps what the prescan reads
+_IRECV_REQUEST = F.FUNCS["MPI_Irecv"].pos["request"]
+_IRECV_SOURCE = F.FUNCS["MPI_Irecv"].pos["source"]
 
 
 class ReplayState:
@@ -188,13 +191,14 @@ _SPECIAL = {
     # §3.3.2: a wildcard irecv's source is recorded by the call that
     # completes it — matched by request id and occurrence
     "MPI_Irecv": _Special(args={
-        "directed_source": "(r._wildcard_source(${p}, ${ctx}) "
+        "directed_source": "(r._wildcard_source(${p['request']}, ${ctx}) "
                            "if ${p['source'] == _ANY_SOURCE_ENC} else None)"}),
     # §3.4.2: Cartesian coordinates are recorded relative to the caller's
     "MPI_Cart_rank": _Special(args={
         "coords": "${r._abs_coords(comm, ctx, p['coords'])}"}),
     # §3.3.3: the call allocates the segment its recorded id names
-    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(${p}, ret)"),
+    "MPI_Win_allocate": _Special(
+        post="ret = r._bind_allocated(${p['baseptr']}, ${p['size']}, ret)"),
     # released ids are re-handed to the next object created
     "MPI_Type_free": _Special(
         post="r.type_map.pop(${p['datatype']}, None); r._rebound()"),
@@ -211,7 +215,8 @@ _SPECIAL = {
 def _compile_runner(fname: str) -> tuple[Callable, Callable]:
     """Generate the inverse of the encoder's walk for one registry
     function, in two halves: ``bind(r, m, p) -> (run, ...)`` resolves what
-    reads only the signature and the rank's bindings, ``run(r, m, a)``
+    reads only the signature (``p``, its values by registry position)
+    and the rank's bindings, ``run(r, m, a)``
     keeps what a call can change — request lookups, the wildcard
     occurrence count, the call, the binders, the release."""
     if fname in NOT_REPLAYABLE:
@@ -301,12 +306,17 @@ def _compile_runner(fname: str) -> tuple[Callable, Callable]:
                          "    r._release(sym, req)"]
     body.insert(0, f"{', '.join(f'a{i}' for i in range(len(bound)))}, = a")
     # the context rank, by the registry's one rule (FuncSpec.ctx_comm);
-    # no communicator parameter is MPI_COMM_NULL (-1): the world rank
+    # no communicator parameter: the world rank
+    comm = "None" if spec.ctx_comm is None \
+        else f"r.comm(p[{spec.ctx_comm!r}])"
     src = (f"def bind(r, m, p):\n"
-           f"    comm = r.comm(p.get({spec.ctx_comm!r}, -1))\n"
+           f"    comm = {comm}\n"
            f"    ctx = _context_rank(comm, r.rank)\n"
            f"    return ({', '.join(bound)},)\n"
            f"def run(r, m, a):\n    " + "\n    ".join(body) + "\n")
+    # the recorded values arrive as the signature's tuple: every
+    # parameter is read by its registry position, as the hook passes it
+    src = re.sub(r"p\['(\w+)'\]", lambda mo: f"p[{spec.pos[mo[1]]}]", src)
     ns = {"_abs": _abs, "_status_source": _status_source,
           "_context_rank": F.context_rank, "_OPS_BY_HANDLE": _OPS_BY_HANDLE,
           "_ANY_SOURCE_ENC": _ANY_SOURCE_ENC,
@@ -326,51 +336,125 @@ def _runner(fname: str) -> Optional[Callable]:
 
 
 # ---------------------------------------------------------------------------------
-# the per-terminal table
+# the per-signature table
 # ---------------------------------------------------------------------------------
 
-class TermPlan(NamedTuple):
-    """What replay derives from one signature, once, however many calls
-    and ranks share it."""
+#: the kinds ``_DIRECTED`` pins, in the order the comparator reports a
+#: mismatch; ``K_INT`` is the count an index set comes with (``outcount``)
+_OUTCOME_KINDS = (F.K_INDEX, F.K_INDEXV, F.K_INT, F.K_FLAG, F.K_STATUS)
 
-    #: bind(replayer, api, params) -> (run, *bound arguments), compiled
+
+@functools.cache
+def _outcome_fields(fname: str) -> tuple:
+    """``(kind, name, FuncSpec.pos)`` of *fname*'s outcome parameters."""
+    params = F.FUNCS[fname].params
+    counted = any(p.kind == F.K_INDEXV for p in params)
+    return tuple((kind, p.name, i) for kind in _OUTCOME_KINDS
+                 for i, p in enumerate(params) if p.kind == kind
+                 and (kind != F.K_INT or counted and p.direction == F.OUT))
+
+
+def _says_something(kind: str, v: Any) -> bool:
+    """Could a live value disagree with this recorded one?  (Isend,
+    irecv, collectives: never — the comparator spends one branch.)"""
+    if kind == F.K_STATUS:
+        return isinstance(v, tuple) and len(v) == 2
+    if kind == F.K_FLAG:
+        return v is not None
+    return kind == F.K_INDEXV or isinstance(v, int)
+
+
+@functools.cache
+def _ptr_positions(fname: str) -> tuple:
+    """Where *fname*'s buffer pointers are (``K_PTR``), by position."""
+    return tuple(i for i, p in enumerate(F.FUNCS[fname].params)
+                 if p.kind == F.K_PTR)
+
+
+class SigPlan(NamedTuple):
+    """What replay derives from one CST signature, once per trace,
+    however many calls and ranks share it: the engine reads ``bind``,
+    ``segments`` and ``win_sid``, the comparator its verdict (``fname``,
+    ``avg``, ``outcome``)."""
+
+    fname: str
+    #: the recorded values, in ``FuncSpec.params`` order — the order the
+    #: hook carries live values in
+    values: tuple
+    #: bind(replayer, api, values) -> (run, *bound arguments), compiled
     #: per *function* from its registry entry; None for MPI_Init /
     #: MPI_Finalize, which the runtime emits itself, and ``NOT_REISSUED``
     bind: Optional[Callable]
-    params: dict
-    #: every heap/device segment mention: (sid, device or -1, offset)
+    #: every heap/device segment a pointer names: (sid, device or -1,
+    #: offset)
     segments: tuple
     #: sid MPI_Win_allocate returns (the replayed call allocates it)
     win_sid: Optional[int]
+    #: the recorded mean duration (seconds)
+    avg: float
+    #: the outcome fields worth comparing (``_outcome_fields``), or None
+    outcome: Optional[tuple]
 
 
-def _plan_terminal(call) -> TermPlan:
-    fname, p = call.fname, call.params
+def plan_signature(spec: F.FuncSpec, sig: tuple,
+                   avg: float = 0.0) -> SigPlan:
+    """Plan one CST signature ``(fid, *values)`` of the registry entry
+    *spec* (``records.sig_spec`` checks the pair), whose mean recorded
+    duration is *avg*."""
+    fname, values = spec.name, sig[1:]
     segments = []
-    for v in p.values():
-        if not (isinstance(v, tuple) and v):
-            continue
-        if v[0] == PTR_HEAP and len(v) == 3:
-            segments.append((v[1], -1, v[2]))
-        elif v[0] == PTR_DEVICE and len(v) == 4:
-            segments.append((v[2], v[1], v[3]))
+    for i in _ptr_positions(fname):
+        v = values[i]
+        if v.__class__ is tuple and v:
+            if v[0] == PTR_HEAP and len(v) == 3:
+                segments.append((v[1], -1, v[2]))
+            elif v[0] == PTR_DEVICE and len(v) == 4:
+                segments.append((v[2], v[1], v[3]))
     win_sid = None
     if fname == "MPI_Win_allocate":
-        bp = p.get("baseptr")
+        bp = values[spec.pos["baseptr"]]
         if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
             win_sid = bp[1]
-    return TermPlan(_runner(fname), p, tuple(segments), win_sid)
+    outcome = _outcome_fields(fname)
+    if outcome:
+        outcome = tuple(f for f in outcome
+                        if _says_something(f[0], values[f[2]])) or None
+    else:
+        outcome = None
+    return SigPlan(fname, values, _runner(fname), tuple(segments), win_sid,
+                   avg, outcome)
 
 
-def _reported(call) -> tuple:
+def signature_table(decoder: TraceDecoder,
+                    sources: Iterable[int]) -> dict[int, SigPlan]:
+    """One :class:`SigPlan` per CST terminal the recorded ranks *sources*
+    use, in one pass: what the replayers and the comparator of one
+    replay share."""
+    cst = decoder.trace.cst
+    table: dict[int, SigPlan] = {}
+    seen: set[int] = set()  # ranks of one grammar share one list
+    for rank in sources:
+        terms = decoder.rank_terminals(rank)
+        if id(terms) in seen:
+            continue
+        seen.add(id(terms))
+        for term in dict.fromkeys(terms):
+            if term not in table:
+                spec, sig = decoder.signature(term, rank)
+                count = cst.counts[term]
+                table[term] = plan_signature(
+                    spec, sig, cst.dur_sums[term] / count if count else 0.0)
+    return table
+
+
+def _reported(plan: SigPlan) -> tuple:
     """``(request id, recorded status)`` for every request a completion
     call reports on, paired by parameter kind through the registry's
     ``FuncSpec.status_picks`` — so every completion call is covered by
     construction.  A false flag reports on nothing."""
-    spec, p = F.FUNCS[call.fname], call.params
+    spec = F.FUNCS[plan.fname]
     syms = statuses = None
-    for prm in spec.params:
-        v = p[prm.name]
+    for prm, v in zip(spec.params, plan.values):
         if prm.kind == F.K_FLAG and not v:
             return ()
         if prm.kind == F.K_REQUEST:
@@ -385,7 +469,7 @@ def _reported(call) -> tuple:
         return ()
     picks = spec.status_picks
     if picks is not None:
-        idxs = p[picks.name]
+        idxs = plan.values[spec.pos[picks.name]]
         if picks.kind == F.K_INDEX:
             idxs = (idxs,)
         if idxs is None:
@@ -397,12 +481,12 @@ def _reported(call) -> tuple:
 
 
 class RankReplayer:
-    """Replays one rank's decoded call stream.
+    """Replays one rank's recorded call stream.
 
-    ``stream`` is the decoder's :class:`~repro.core.decoder.RankStream`.
-    What replay derives from a *signature* is resolved once per terminal
-    into ``plan`` (:class:`TermPlan`; ranks handed the same dict share
-    entries), and construction folds those into the rank's set-up: the
+    ``stream`` is a :class:`~repro.core.decoder.RankStream` whose table
+    holds a :class:`SigPlan` per terminal — one table per trace, shared
+    by every rank and by the comparator (:func:`signature_table`).
+    Construction folds the stream's plans into the rank's set-up: the
     segments to materialize in ascending symbolic-id order (preserving
     the tracer's id assignment and hence the fixed-point property) and
     the recorded source of every wildcard irecv.  A terminal's arguments
@@ -425,12 +509,10 @@ class RankReplayer:
     """
 
     def __init__(self, rank: int, state: ReplayState, stream: RankStream, *,
-                 plan: Optional[dict[int, TermPlan]] = None,
                  directed: bool = True, strict_ids: bool = True) -> None:
         self.rank = rank
         self.state = state
         self.stream = stream
-        self.plan: dict[int, TermPlan] = {} if plan is None else plan
         self.directed = directed
         self.strict_ids = strict_ids
         # per-rank symbolic bindings
@@ -450,10 +532,13 @@ class RankReplayer:
         #: terminal's first call and dropped whenever a symbol is rebound
         self.bound: dict[int, tuple] = {}
         self.binds = self.rebinds = 0
+        # the stream's terminals, each once, in last-occurrence order
+        last_seen = list(dict.fromkeys(reversed(stream.terms)))
+        last_seen.reverse()
         #: segments to materialize, ascending sid: (sid, device, max_off)
-        self._segments = self._fold_segments()
+        self._segments = self._fold_segments(last_seen)
         #: (request sym, occurrence) -> recorded completion source enc
-        self._any_sources = self._scan_wildcards()
+        self._any_sources = self._scan_wildcards(last_seen)
 
     # -- symbolic object bindings (per rank) --------------------------------------
 
@@ -507,19 +592,16 @@ class RankReplayer:
     #: references stays inside the materialized allocation
     _SEG_PAD = 1 << 16
 
-    def _fold_segments(self) -> list[tuple[int, int, int]]:
-        """Plan the stream's terminals and fold their segment mentions
+    def _fold_segments(self, terms: list[int]) -> list[tuple[int, int, int]]:
+        """Fold the segment mentions of the stream's distinct *terms*
         into ``(sid, device, max displacement)`` — in last-occurrence
         order, so a sid reused across devices keeps the device the stream
         mentions last, as a call-by-call walk would conclude."""
-        plan, table = self.plan, self.stream.table
+        table = self.stream.table
         need: dict[int, tuple[int, int]] = {}  # sid -> (device, max_off)
         skip_sids: set[int] = set()
-        last_seen = dict.fromkeys(reversed(self.stream.terms))
-        for term in reversed(last_seen):
-            entry = plan.get(term)
-            if entry is None:
-                entry = plan[term] = _plan_terminal(table[term])
+        for term in terms:
+            entry = table[term]
             for sid, dev, off in entry.segments:
                 need[sid] = (dev, max(need.get(sid, (dev, 0))[1], off))
             if entry.win_sid is not None:
@@ -528,22 +610,21 @@ class RankReplayer:
                 for sid, (dev, off) in sorted(need.items())
                 if sid not in skip_sids]
 
-    def _scan_wildcards(self) -> dict[tuple, Any]:
+    def _scan_wildcards(self, terms: list[int]) -> dict[tuple, Any]:
         """The recorded completion source of every wildcard irecv, keyed
         by request id and occurrence (so pool-slot reuse is handled) —
         what directed replay pins ``ANY_SOURCE`` to.  The one set-up step
         that needs call order: the stream is walked only when one of its
-        terminals is an ``ANY_SOURCE`` ``MPI_Irecv``."""
+        distinct *terms* is an ``ANY_SOURCE`` ``MPI_Irecv``."""
         found: dict[tuple, Any] = {}
-        table = self.stream.table
-        posts = {term: call.params["request"]
-                 for term, call in table.items()
-                 if call.fname == "MPI_Irecv"
-                 and call.params.get("source") == _ANY_SOURCE_ENC}
+        entries = [(term, self.stream.table[term]) for term in terms]
+        posts = {term: e.values[_IRECV_REQUEST] for term, e in entries
+                 if e.fname == "MPI_Irecv"
+                 and e.values[_IRECV_SOURCE] == _ANY_SOURCE_ENC}
         if not posts:
             return found
-        reports = {term: _reported(call) for term, call in table.items()
-                   if call.fname in _RELEASING}
+        reports = {term: _reported(e) for term, e in entries
+                   if e.fname in _RELEASING}
         occ_next: dict[tuple, int] = {}
         occ_active: dict[tuple, int] = {}
         for term in self.stream.terms:
@@ -612,12 +693,12 @@ class RankReplayer:
 
     # -- the explicit cases (``_SPECIAL``) ---------------------------------------------
 
-    def _wildcard_source(self, p: dict, ctx: int) -> Optional[int]:
-        """The source this occurrence of a wildcard irecv was recorded
-        completing from; None leaves the match to the live simulator."""
+    def _wildcard_source(self, key: tuple, ctx: int) -> Optional[int]:
+        """The source the current occurrence of the wildcard irecv
+        posted under request id *key* was recorded completing from; None
+        leaves the match to the live simulator."""
         if not self.directed:
             return None
-        key = p["request"]
         occ = self._any_occ.get(key, 0)
         self._any_occ[key] = occ + 1
         rec = self._any_sources.get((key, occ))
@@ -630,13 +711,12 @@ class RankReplayer:
             return list(coords)
         return [c + o for c, o in zip(coords, comm.topo.coords_of(ctx))]
 
-    def _bind_allocated(self, p: dict, ret):
+    def _bind_allocated(self, bp, size: int, ret):
         """``MPI_Win_allocate`` returns the memory with the window: the
-        recorded segment id now names that allocation."""
+        segment id recorded in *bp* now names that allocation."""
         base, win = ret
-        bp = p["baseptr"]
         if isinstance(bp, tuple) and bp and bp[0] == PTR_HEAP:
-            self.seg_map[bp[1]] = (base, max(p["size"], 1) + self._SEG_PAD)
+            self.seg_map[bp[1]] = (base, max(size, 1) + self._SEG_PAD)
             self._rebound()
         return win
 
@@ -661,14 +741,14 @@ class RankReplayer:
         """Generator: re-issues every recorded call on the live runtime."""
         self.comm_map.setdefault(0, m.world)
         self._materialize_segments(m)
-        plan, bound = self.plan, self.bound
+        table, bound = self.stream.table, self.bound
         for term in self.stream.terms:
             a = bound.get(term)
             if a is None:
-                entry = plan[term]
+                entry = table[term]
                 if entry.bind is None:
                     continue
-                a = bound[term] = entry.bind(self, m, entry.params)
+                a = bound[term] = entry.bind(self, m, entry.values)
                 self.binds += 1
             yield from a[0](self, m, a)
 
@@ -700,7 +780,8 @@ def build_rank_programs(decoder: TraceDecoder, *,
                         nprocs: Optional[int] = None,
                         directed: bool = True,
                         strict_ids: bool = True,
-                        rank_sources: Optional[list[int]] = None):
+                        rank_sources: Optional[list[int]] = None,
+                        table: Optional[dict[int, SigPlan]] = None):
     """Construct the replay machinery for one decoded trace.
 
     Returns ``(state, replayers, program)`` where *program* is the rank
@@ -712,7 +793,9 @@ def build_rank_programs(decoder: TraceDecoder, *,
     ``rank_sources[r]`` names the recorded rank whose call stream replay
     rank *r* re-issues (default: itself — only meaningful with a
     ``nprocs`` override, where new ranks must borrow a recorded
-    stream).
+    stream).  ``table`` is the trace's :func:`signature_table` over
+    those sources, when the caller built it already (the comparator
+    shares it).
     """
     n = decoder.nprocs if nprocs is None else nprocs
     if n <= 0:
@@ -727,12 +810,14 @@ def build_rank_programs(decoder: TraceDecoder, *,
         raise ReplayFormatError(
             f"rank_sources covers {len(rank_sources)} ranks, world is {n}")
     state = ReplayState(n)
-    plan: dict[int, TermPlan] = {}
+    if table is None:
+        table = signature_table(decoder, rank_sources)
     with _structured_errors():
         replayers = [
-            RankReplayer(r, state, decoder.rank_calls(rank_sources[r]),
-                         plan=plan, directed=directed,
-                         strict_ids=strict_ids)
+            RankReplayer(r, state,
+                         RankStream(decoder.rank_terminals(rank_sources[r]),
+                                    table),
+                         directed=directed, strict_ids=strict_ids)
             for r in range(n)
         ]
 

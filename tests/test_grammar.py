@@ -1,11 +1,15 @@
 """Tests for frozen Grammar serialization and transforms."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import CorruptTraceError
 from repro.core.grammar import Grammar
-from repro.core.packing import Reader, read_varints
+from repro.core.packing import Reader, read_varints, write_varints
 from repro.core.sequitur import Sequitur
+from repro.core.trace_format import _read_cfg_section
 
 
 def freeze(seq_values, ld=True):
@@ -127,4 +131,67 @@ class TestSerialization:
         with pytest.raises(ValueError):
             bad.expand()
         with pytest.raises(ValueError):
+            bad.expanded_length()
+
+
+def cfg_section(top_rules, sub_rules) -> Reader:
+    """A CFG section over one sub-grammar: *top_rules* reference it (as
+    rule ``len(top_rules)``) and each other."""
+    out = bytearray()
+    write_varints(out, [len(top_rules), 1, len(sub_rules)], signed=False)
+    Grammar(tuple(top_rules) + tuple(sub_rules)).write_to(out)
+    return Reader(bytes(out))
+
+
+def cyclic_garbage(fn, *args):
+    """What the cyclic collector finds after ``fn(*args)`` (run with the
+    collector off, so nothing is collected behind the count)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """Each call expands through a memo it drops on return.  A nested
+    function that calls itself holds its own closure cell, a cycle that
+    kept the whole memo alive until the cyclic collector ran."""
+
+    SEQ = [1, 2, 3, 1, 2, 3, 4] * 40 + [5, 6] * 30
+
+    def test_expand_and_length(self):
+        g = freeze(self.SEQ)
+        assert g.n_rules > 2
+        assert cyclic_garbage(g.expand) == 0
+        assert cyclic_garbage(g.expanded_length) == 0
+
+    def test_freeze(self):
+        seq = Sequitur()
+        for v in self.SEQ:
+            seq.append(v)
+        # the live Sequitur stays referenced: only the freeze is counted
+        assert cyclic_garbage(Grammar.freeze, seq) == 0
+        assert Grammar.freeze(seq).expand() == self.SEQ
+
+    def test_read_cfg_section(self):
+        top = (((-2, 1), (-3, 3)), ((-3, 1),))
+        sub = (((5, 2),),)
+        assert _read_cfg_section(cfg_section(top, sub)).rank_uid \
+            == [0] * 4
+        assert cyclic_garbage(_read_cfg_section, cfg_section(top, sub)) == 0
+
+    def test_cyclic_errors_are_kept(self):
+        with pytest.raises(CorruptTraceError, match="top rule 0 is cyclic"):
+            _read_cfg_section(cfg_section((((-2, 1),), ((-1, 1),)),
+                                          (((5, 1),),)))
+        # a rule that reaches itself only through another
+        bad = Grammar((((-2, 1),), ((-3, 1),), ((-2, 1),)))
+        with pytest.raises(ValueError, match="cyclic grammar at rule 1"):
+            bad.expand()
+        with pytest.raises(ValueError, match="cyclic grammar at rule 1"):
             bad.expanded_length()

@@ -15,10 +15,11 @@ Across every workload family the two sides must agree on the
 materialised segments, the wildcard bookkeeping, the call log at the
 simulator boundary and, byte for byte, the divergence report.  A
 counting test pins the work bound itself: one grammar expansion per
-unique grammar, at most one decode per CST terminal.
+unique grammar, one signature-table entry per CST terminal used, and no
+named record (``TraceDecoder._decode_sig`` / ``DecodedCall``) on the
+replay path.
 """
 
-import copy
 import inspect
 import json
 from types import GeneratorType
@@ -34,7 +35,8 @@ from repro.core.decoder import RankStream
 from repro.core.encoder import _RELEASING, PTR_DEVICE, PTR_HEAP
 from repro.core.errors import CorruptTraceError, ReplayFormatError
 from repro.core.grammar import Grammar
-from repro.core.records import DecodedCall, sig_to_params
+from repro.core.records import DecodedCall
+from repro.core.relative import MARK_REL, decode as rel_decode
 from repro.mpisim import SimMPI, constants as C, funcs as F
 from repro.mpisim.hooks import TracerHooks
 from repro.mpisim.runtime import RankAPI
@@ -144,14 +146,27 @@ class ParentComparator(LockstepComparator):
     """The comparator hook as it stood at 6561f71, verbatim: the cursor
     goes through ``_advance`` on every call, outcomes are compared *by
     name* over a ``dict(zip(FuncSpec.pos, values))`` under five
-    hand-written field names.  Only ``finish`` and ``_recorded_source``
-    are the product's."""
+    hand-written field names, against the decoder's named records
+    (``TraceDecoder.rank_calls``).  Only ``finish`` is the product's;
+    ``_recorded_source`` is the product's as it stood at 7ceec1c, before
+    the signature table made it positional."""
 
-    def __init__(self, decoder, **kw):
-        super().__init__(decoder, **kw)
+    def __init__(self, decoder, *, nprocs=None, rank_sources=None,
+                 table=None):
+        # held against the decoder's named records, not the product's
+        # signature table
+        n = decoder.nprocs if nprocs is None else nprocs
+        if rank_sources is None:
+            rank_sources = list(range(n))
+        self.recorded_nprocs = decoder.nprocs
+        self.nprocs = n
+        self._cursors = [_RankCursor(decoder.rank_calls(rank_sources[r]))
+                         for r in range(n)]
         records = {}
         for cur in self._cursors:
             records.update(cur.recorded.table)
+        self._not_reissued = {term for term, rec in records.items()
+                              if rec.fname in NOT_REISSUED}
         self._with_outcome = {term for term, rec in records.items()
                               if _records_outcome(rec)}
 
@@ -243,13 +258,30 @@ class ParentComparator(LockstepComparator):
                 return "status.source", src, live_src
         return None
 
+    def _recorded_source(self, rank, rec):
+        """(7ceec1c, verbatim) The recorded completion source as a world
+        rank, read by name."""
+        st = rec.params.get("status")
+        if not (isinstance(st, tuple) and len(st) == 2):
+            return None
+        enc = st[0]
+        if isinstance(enc, int):
+            return enc if enc >= 0 else None
+        if not (isinstance(enc, tuple) and len(enc) == 2):
+            return None
+        if enc[0] == MARK_REL and rec.params.get("comm", 0) != 0:
+            return None  # context rank unknown off-world
+        val = rel_decode(enc, rank)
+        return val if val >= 0 else None
+
 
 class OracleComparator(ParentComparator):
     """The per-call comparator: private per-rank lists of records,
     ``NOT_REISSUED`` membership and the full by-name outcome probe on
     every call.  Only ``finish`` is the product's."""
 
-    def __init__(self, decoder, *, nprocs=None, rank_sources=None):
+    def __init__(self, decoder, *, nprocs=None, rank_sources=None,
+                 table=None):
         n = decoder.nprocs if nprocs is None else nprocs
         if rank_sources is None:
             rank_sources = list(range(n))
@@ -313,9 +345,13 @@ class OracleComparator(ParentComparator):
 # ``_BINDERS``, ``_SPECIAL`` and ``_compile_runner`` below are copied
 # verbatim from ``src/repro/replay/engine.py`` at commit 6561f71 (PR 23):
 # one generated ``run(r, m, p)`` per function that resolves every argument
-# on every call.  The kind tables it reads (``_RESOLVERS``, ``_DIRECTED``,
-# ``_ALIASES``, ``_REPLAY_ONLY``) are the product's: they are the shared
-# statement of the inverse walk, the generator is what is under test.
+# on every call, by name.  (Two ``_SPECIAL`` entries pass the replayer's
+# helpers the values they read — ``p['request']``; ``p['baseptr']``,
+# ``p['size']`` — rather than ``p``, because the helpers no longer take a
+# named-parameter dict.)  The kind tables it reads (``_RESOLVERS``,
+# ``_DIRECTED``, ``_ALIASES``, ``_REPLAY_ONLY``) are the product's: they
+# are the shared statement of the inverse walk, the generator is what is
+# under test.
 
 #: per OUT kind, the statement binding the call's result ``ret`` under
 #: the recorded id ``{v}``.  A call that returns a request binds only
@@ -334,13 +370,14 @@ _SPECIAL = {
     # §3.3.2: a wildcard irecv's source is recorded by the call that
     # completes it — matched by request id and occurrence
     "MPI_Irecv": _Special(args={
-        "directed_source": "(r._wildcard_source(p, ctx) "
+        "directed_source": "(r._wildcard_source(p['request'], ctx) "
                            "if p['source'] == _ANY_SOURCE_ENC else None)"}),
     # §3.4.2: Cartesian coordinates are recorded relative to the caller's
     "MPI_Cart_rank": _Special(args={
         "coords": "r._abs_coords(comm, ctx, p['coords'])"}),
     # §3.3.3: the call allocates the segment its recorded id names
-    "MPI_Win_allocate": _Special(post="ret = r._bind_allocated(p, ret)"),
+    "MPI_Win_allocate": _Special(
+        post="ret = r._bind_allocated(p['baseptr'], p['size'], ret)"),
     # released ids are re-handed to the next object created
     "MPI_Type_free": _Special(post="r.type_map.pop(p['datatype'], None)"),
     "MPI_Group_free": _Special(post="r.group_map.pop(p['group'], None)"),
@@ -444,20 +481,37 @@ _ORACLE_RUNNERS = {}
 
 class OracleReplayer(RankReplayer):
     """``RankReplayer.program`` as it stood at 6561f71: one table lookup
-    and the function's per-call body, nothing bound."""
+    and the function's per-call body over the signature's named
+    parameters, nothing bound."""
 
     def program(self, m):
         self.comm_map.setdefault(0, m.world)
         self._materialize_segments(m)
+        named = {}
         for term in self.stream.terms:
-            entry = self.plan[term]
+            entry = self.stream.table[term]
             if entry.bind is None:
                 continue
-            fname = self.stream.table[term].fname
-            run = _ORACLE_RUNNERS.get(fname)
+            run = _ORACLE_RUNNERS.get(entry.fname)
             if run is None:
-                run = _ORACLE_RUNNERS[fname] = _compile_runner(fname)
-            yield from run(self, m, entry.params)
+                run = _ORACLE_RUNNERS[entry.fname] = \
+                    _compile_runner(entry.fname)
+            p = named.get(term)
+            if p is None:
+                p = named[term] = dict(zip(F.FUNCS[entry.fname].pos,
+                                           entry.values))
+            yield from run(self, m, p)
+
+
+def planned(stream: RankStream) -> RankStream:
+    """A stream of the decoder's named records (built by hand here) as
+    the engine takes it: one ``SigPlan`` per terminal."""
+    table = {}
+    for term, c in stream.table.items():
+        spec = F.FUNCS[c.fname]
+        sig = (spec.fid, *(c.params[p.name] for p in spec.params))
+        table[term] = engine.plan_signature(spec, sig, c.avg_duration)
+    return RankStream(stream.terms, table)
 
 
 class _RecordingAllocator:
@@ -594,6 +648,23 @@ class TestDifferential:
             monkeypatch)
         assert doc["diverged"] and doc["points"]
 
+    @pytest.mark.parametrize("options", [
+        ReplayOptions(net="alpha=2e-5,beta=1e-9", seed=5),
+        ReplayOptions(fault_plan="delay@sched*6:rank=3", seed=5),
+    ], ids=["net", "fault-plan"])
+    def test_signature_heavy_family_under_what_if(self, options,
+                                                  monkeypatch):
+        """``flash_cellular`` at 8 ranks: ~6 calls per signature, so
+        nearly every terminal is planned, bound and compared once."""
+        blob = trace_of("flash_cellular", 8)
+        dec = TraceDecoder.from_bytes(blob)
+        assert dec.call_count() < 8 * len(dec.trace.cst.sigs)
+        assert_setup_matches_oracle(dec, directed=False)
+        doc = assert_reports_identical(blob, options, monkeypatch)
+        c = doc["counts"]
+        assert c["matched"] + c["skipped"] + c["mismatched"] \
+            + c["unchecked"] == c["recorded"] == dec.call_count()
+
     def test_extrapolated_run_matches(self, monkeypatch):
         blob = trace_of("osu_allreduce")
         assert_setup_matches_oracle(
@@ -617,7 +688,7 @@ class TestDifferential:
         table = {0: send((PTR_HEAP, 3, 8)), 1: send((PTR_DEVICE, 1, 3, 64))}
         for terms in ([0, 1, 0], [0, 1], [1, 0, 1, 1]):
             stream = RankStream(terms, table)
-            replayer = RankReplayer(0, ReplayState(1), stream)
+            replayer = RankReplayer(0, ReplayState(1), planned(stream))
             assert replayer._segments == oracle_prescan(list(stream))[0]
 
 
@@ -630,31 +701,33 @@ class TestWorkCounts:
         blob = trace_of("stencil2d", 16, iters=6)
         trace = TraceDecoder.from_bytes(blob).trace
         expansions = []
-        decoded = []
+        planned_sigs = []
         real_expand = Grammar.expand
+        real_plan = engine.plan_signature
 
         def counting_expand(self, *a, **kw):
             expansions.append(self)
             return real_expand(self, *a, **kw)
 
-        def counting_sig_to_params(sig):
-            fname, params = sig_to_params(sig)
-            decoded.append((sig, params, copy.deepcopy(params)))
-            return fname, params
+        def counting_plan(spec, sig, *a, **kw):
+            planned_sigs.append(sig)
+            return real_plan(spec, sig, *a, **kw)
+
+        def no_named_records(*a, **kw):
+            raise AssertionError("replay decoded a signature into a dict")
 
         monkeypatch.setattr(Grammar, "expand", counting_expand)
-        monkeypatch.setattr(decoder_mod, "sig_to_params",
-                            counting_sig_to_params)
+        monkeypatch.setattr(engine, "plan_signature", counting_plan)
+        monkeypatch.setattr(decoder_mod.TraceDecoder, "_decode_sig",
+                            no_named_records)
         res = repro.replay(blob)
         assert not res.diverged
 
         assert len(expansions) == len(trace.cfg.unique) < 16
-        sigs = [sig for sig, _p, _c in decoded]
-        assert len(sigs) == len(set(sigs)) <= len(trace.cst.sigs)
-        # params dicts are shared by every rank and every call of the
-        # signature: nothing in replay may write to one
-        for _sig, params, snapshot in decoded:
-            assert params == snapshot
+        # one table entry per signature the ranks use, shared by every
+        # rank and by the comparator
+        assert len(planned_sigs) == len(set(planned_sigs)) \
+            == res.counters["replay.plan.terminals"] <= len(trace.cst.sigs)
 
     def test_streams_are_shared_not_copied(self):
         dec = TraceDecoder.from_bytes(trace_of("osu_allreduce"))
@@ -711,7 +784,7 @@ class TestErrors:
 
         table = {0: call("MPI_Init"), 1: call("MPI_Barrier"),
                  2: call("MPI_Abort")}
-        stream = RankStream([0, 1, 1, 2, 1], table)
+        stream = planned(RankStream([0, 1, 1, 2, 1], table))
         replayer = RankReplayer(0, ReplayState(1), stream)  # plans fine
         log = _CallLog()
         with pytest.raises(ReplayFormatError,

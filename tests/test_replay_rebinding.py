@@ -41,6 +41,7 @@ from repro.mpisim import SimMPI, datatypes as dt, funcs as F
 from repro.mpisim.hooks import TracerHooks
 from repro.replay import replay_trace, structurally_equal
 from repro.replay.engine import RankReplayer, ReplayState, run_replay
+from test_replay_plan import planned
 from test_replay_registry import retrace, trace_of
 
 ROUNDS = 4
@@ -177,7 +178,7 @@ def replay_observed(name: str, blob: bytes) -> _Uses:
     for rank in range(dec.nprocs):
         stream = fold_ids(dec.rank_calls(rank), *fold)
         assert len(stream.table) < len(dec.rank_calls(rank).table)
-        replayers.append(RankReplayer(rank, state, stream,
+        replayers.append(RankReplayer(rank, state, planned(stream),
                                       strict_ids=False))
     run_replay(SimMPI(dec.nprocs, tracer=uses),
                lambda m: replayers[m.rank].program(m))
