@@ -177,14 +177,11 @@ def render_stats(s: MetricsSummary, source: str = "",
     for scope in s.scopes():
         table = s.phase_table(scope)
         total_t = s.timers.get(f"{scope}.total")
-        # per-level reduction timings (merge.level.<k>) are sub-phases of
-        # cst_merge: render them indented, exclude them from coverage
-        covered = sum(r[3] for r in table if ".level." not in r[0])
+        covered = sum(r[3] for r in table)
         print_table(
             f"{scope}: overhead decomposition (Fig 8 style)",
             ["phase", "wall", "calls", "share"],
-            [(("  " + p if ".level." in p else p), fmt_time(secs),
-              fmt_count(c), f"{100 * share:.1f}%")
+            [(p, fmt_time(secs), fmt_count(c), f"{100 * share:.1f}%")
              for p, secs, c, share in table],
             note=(f"total overhead {fmt_time(total_t['seconds'])}, "
                   f"phases cover {100 * covered:.1f}%") if total_t else "")

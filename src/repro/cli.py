@@ -528,7 +528,10 @@ def cmd_bench(args) -> int:
             except ValueError as e:
                 raise SystemExit(f"repro bench: {args.compare} is not a "
                                  f"benchmark JSON document ({e})")
-    params: dict = {"nprocs": args.procs, "seed": args.seed}
+    procs = args.procs if len(args.procs) > 1 else args.procs[0]
+    if isinstance(procs, list) and names != ["finalize"]:
+        raise SystemExit("repro bench: only finalize takes several -n")
+    params: dict = {"nprocs": procs, "seed": args.seed}
     if args.families:
         params["families"] = args.families
     failed = False
@@ -979,11 +982,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed repetitions per benchmark (default 5)")
     p.add_argument("--warmup", type=int, default=1,
                    help="untimed warmup repetitions (default 1)")
-    p.add_argument("-n", "--procs", type=int, default=8)
+    p.add_argument("-n", "--procs", type=int, nargs="+", default=[8],
+                   help="ranks (default 8; finalize takes several)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--families", nargs="+", metavar="NAME",
                    help="workload families (default: the 5-family "
-                        "representative set; replay adds flash_cellular)")
+                        "representative set; replay adds flash_cellular; "
+                        "finalize takes NAME:KEY=VALUE,...)")
     p.add_argument("--output-dir", default="benchmarks/results",
                    help="where <name>.json lands (default "
                         "benchmarks/results); BENCH_<name>.json is "

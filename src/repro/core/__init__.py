@@ -14,9 +14,8 @@ Public surface:
   and the corruption fuzzer (:mod:`repro.fuzz`) it makes "lossless" a
   checked property of the format.
 * The sharded pipeline: :class:`RankShard` / :class:`RankCompressor` /
-  :func:`merge_shards` (:mod:`repro.core.shard`), the tree-reduction
-  scheduler :func:`tree_reduce` and :class:`TracePipeline`
-  (:mod:`repro.core.pipeline`).
+  the one-pass :func:`reduce_shards` (:mod:`repro.core.shard`), its
+  oracle :func:`merge_shards` / :func:`tree_reduce`, :class:`TracePipeline`.
 * The tracer-backend registry (:mod:`repro.core.backends`):
   :func:`make_tracer` / :func:`register_backend` / :class:`TracerOptions`
   — the one construction path the CLI, runner, and benchmarks share.
@@ -43,7 +42,7 @@ from .pipeline import PipelineResult, TracePipeline, tree_reduce
 from .records import DecodedCall, sig_to_params
 from .sequitur import Sequitur
 from .shard import (GrammarSet, RankCompressor, RankShard, ShardPartial,
-                    merge_shards)
+                    merge_shards, reduce_shards)
 from .symbolic import IdPool, ObjectIdTable, RequestIdAllocator
 from .timing import (BinClampWarning, TimingCompressor, TimingMeta,
                      bin_value, reconstruct_times, unbin_value)
@@ -69,7 +68,7 @@ __all__ = [
     "TruncatedTraceError", "UnsupportedVersionError", "VerifyReport",
     "available_backends", "bin_value", "expand_rank",
     "make_tracer", "merge_csts", "merge_grammars", "merge_shards",
-    "reconstruct_times", "section_hashes",
+    "reconstruct_times", "reduce_shards", "section_hashes",
     "sig_to_params", "split_sections",
     "tree_reduce", "unbin_value", "verify_roundtrip", "verify_workload",
 ]

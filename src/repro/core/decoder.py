@@ -178,6 +178,10 @@ class TraceDecoder:
             raise MissingRankError(rank, "absent from the timing rank maps")
         dbins = td.unique[td.rank_uid[rank]].expand()
         ibins = ti.unique[ti.rank_uid[rank]].expand()
+        if not len(dbins) == len(ibins) == len(terms):
+            raise CorruptTraceError(
+                f"rank {rank}: {len(terms)} calls but {len(dbins)} "
+                f"duration and {len(ibins)} interval bins")
         meta = trace.timing_meta or TimingMeta()
         term_bases = None
         if meta.per_function_base:

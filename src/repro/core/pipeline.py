@@ -3,48 +3,37 @@ serialize), with optional resilience.
 
 Stage 1 (**shard**) freezes every rank's intra-process state into a
 self-contained :class:`~repro.core.shard.RankShard`.  Stage 2
-(**reduce**) folds the shards through :func:`~repro.core.shard.
-merge_shards` in ceil(log2 P) pairwise levels — the paper's Fig 3/4 tree
-reduction.  The paper runs each level on the application's own ranks;
-here finalize runs in one process, so the tree is a serial loop.
-Because the merge is associative (see :mod:`repro.core.shard`), every
-tree shape yields byte-identical traces.  Stage 3 (**serialize**) runs
-the final CFG dedup/merge/Sequitur pass over the reduced shard's
-per-rank grammars and emits the on-disk trace format.
+(**reduce**) absorbs the shards, in rank order, into one
+:class:`~repro.core.shard.ShardUnion`.  Pilgrim merges in ceil(log2 P)
+pairwise levels (Fig 3/4) because P processes merge at once; one
+process here would only remap every grammar once per level, so the
+levels are the oracle: :func:`tree_reduce` over the associative
+:func:`~repro.core.shard.merge_shards` yields the same bytes.  Stage 3
+(**serialize**) runs the final CFG dedup/merge/Sequitur pass over the
+reduced shard's per-rank grammars and emits the on-disk trace format.
 
-**Resilience** (``faults=`` / ``retry=``): every freeze, pair-merge, and
-the final serialize runs under a :class:`~repro.resilience.retry.
-TaskSupervisor` — bounded exponential backoff with seeded jitter, and a
-recomputation of the failed task on every retry.  A task whose retry
-budget is exhausted does not abort the run: its rank span is replaced by
-a placeholder shard and recorded in a :class:`~repro.resilience.salvage.
-SalvageReport`, and the result is marked ``degraded``.  The counters
-surface through the ``pipeline.*`` metrics scope (``retries``,
-``worker_deaths``, ``gave_up``, ``degraded``).  When neither faults nor
-a retry policy are armed, every stage takes the unsupervised code path —
-byte-identical output, no added work.
+**Resilience** (``faults=`` / ``retry=``): every freeze, every rank's
+absorb (site ``merge``) and the serialize runs under a
+:class:`~repro.resilience.retry.TaskSupervisor` — bounded exponential
+backoff with seeded jitter, the failed task recomputed on every retry.
+A task whose budget runs out does not abort the run: its rank becomes a
+placeholder shard and a :class:`~repro.resilience.salvage.SalvageReport`
+entry, and the result is marked ``degraded``.  The counters surface in
+the ``pipeline.*`` metrics scope (``retries``, ``worker_deaths``,
+``gave_up``, ``degraded``).  Unarmed, every stage takes the unsupervised
+path — byte-identical output, no added work.
 
-Each reduction level is timed as a ``merge.level.<k>`` phase in the
-attached :class:`~repro.obs.PhaseProfiler`, so ``repro stats`` renders
-the per-level breakdown of the Fig 8 decomposition.
-
-**Span collection** (``recorder=``): when a :class:`~repro.obs.
-SpanRecorder` is attached, every pair merge becomes a ``merge.task``
-span nested under its ``merge.level.<k>`` phase span and counts into
-``merge.tasks`` / ``merge.task_seconds``.  Under supervision a pair's
-telemetry is recorded only once it survives every fault check, so a
-killed or corrupted attempt never leaves a duplicate span behind.
-
-:func:`tree_reduce` is generic (any associative ``merge(a, b)``), so
-later subsystems — timing reduction, multi-trace aggregation — can reuse
-the scheduler unchanged.
+**Spans** (``recorder=``): each stage is a phase of the attached
+:class:`~repro.obs.PhaseProfiler` (``shard``, ``cst_merge``,
+``cfg_merge``, ``timing_merge``, ``serialize``) and each rank's absorb a
+``merge.task`` span, recorded only for the attempt that survived.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from ..obs import PhaseProfiler, SpanRecorder
 from ..resilience.faults import FaultInjector, WorkerDiedError, arm
@@ -52,7 +41,7 @@ from ..resilience.retry import RetryPolicy, TaskSupervisor
 from ..resilience.salvage import SalvageReport
 from .errors import TraceFormatError
 from .interproc import CFGMergeResult, merge_grammars
-from .shard import GrammarSet, RankShard, merge_shards
+from .shard import RankShard, ShardUnion, reduce_shards
 from .trace_format import TraceFile
 
 T = TypeVar("T")
@@ -65,78 +54,19 @@ T = TypeVar("T")
 RETRYABLE = (OSError, MemoryError, TraceFormatError, WorkerDiedError)
 
 
-def _pair_attrs(a, b) -> dict[str, Any]:
-    """Span attributes identifying a merge pair (rank-span based when the
-    items are shards; empty for generic reductions)."""
-    base = getattr(a, "base_rank", None)
-    if base is None:
-        return {}
-    return {"base_rank": base,
-            "nranks": getattr(a, "nranks", 0) + getattr(b, "nranks", 0)}
-
-
-def _count_task(scope, seconds: float) -> None:
-    if scope is not None and scope.enabled:
-        scope.counter("merge.tasks").inc()
-        scope.timer("merge.task_seconds").add(seconds)
-
-
-class _SiteMerge(NamedTuple):
-    """A ``fn(a, b, site)`` for :func:`tree_reduce`: told the level it
-    runs at, and recording its own ``merge.task`` telemetry (the
-    pipeline's supervised merge, which names its fault site and counts
-    only the attempt that survived)."""
-
-    fn: Callable
-
-
-def tree_reduce(items: Sequence[T],
-                merge: Callable[[T, T], T] | _SiteMerge, *,
-                profiler: Optional[PhaseProfiler] = None,
-                phase_prefix: str = "merge.level",
-                recorder: Optional[SpanRecorder] = None,
-                scope=None) -> T:
+def tree_reduce(items: Sequence[T], merge: Callable[[T, T], T]) -> T:
     """Fold *items* with an associative *merge* in ceil(log2 N) pairwise
-    levels: adjacent pairs merge left to right, an odd tail passes
-    through unchanged.
-
-    Per-level wall time is recorded as ``<phase_prefix>.<k>`` phases in
-    *profiler*; with a *recorder* (and/or metrics *scope*) attached,
-    every pair merge additionally records a ``merge.task`` span and
-    counts into ``merge.tasks`` / ``merge.task_seconds``.  A merge
-    wrapped in :class:`_SiteMerge` is handed each level's site instead
-    and records its own telemetry.
-    """
+    levels, as Pilgrim's parallel merge does: adjacent pairs merge left
+    to right, an odd tail passes through unchanged.  The oracle
+    :func:`~repro.core.shard.reduce_shards` is held to."""
     if not items:
         raise ValueError("tree_reduce needs at least one item")
-    if profiler is None:
-        profiler = PhaseProfiler()
-    if recorder is None:
-        recorder = profiler.recorder
-    collect = recorder.enabled or (scope is not None and scope.enabled)
-
-    def step(a, b, site: str):
-        if isinstance(merge, _SiteMerge):
-            return merge.fn(a, b, site)
-        if not collect:
-            return merge(a, b)
-        t0 = _time.perf_counter()
-        with recorder.span("merge.task", scope="pipeline", site=site,
-                           **_pair_attrs(a, b)):
-            out = merge(a, b)
-        _count_task(scope, _time.perf_counter() - t0)
-        return out
-
     work = list(items)
-    level = 0
     while len(work) > 1:
-        site = f"{phase_prefix}.{level}"
-        with profiler.phase(site):
-            merged = [step(a, b, site) for a, b in zip(work[::2], work[1::2])]
-            if len(work) % 2:
-                merged.append(work[-1])
+        merged = [merge(a, b) for a, b in zip(work[::2], work[1::2])]
+        if len(work) % 2:
+            merged.append(work[-1])
         work = merged
-        level += 1
     return work[0]
 
 
@@ -148,7 +78,7 @@ class PipelineResult:
     trace_bytes: bytes
     cfg: CFGMergeResult
     shard: RankShard
-    #: wall seconds: shard freeze + tree reduction (the "inter CST" cost)
+    #: wall seconds: shard freeze + the reduce (the "inter CST" cost)
     time_reduce: float = 0.0
     #: wall seconds: final CFG dedup/merge/Sequitur (the "inter CFG" cost)
     time_cfg: float = 0.0
@@ -169,8 +99,8 @@ class TracePipeline:
     RetryPolicy`; ``scope`` is an optional ``repro.obs`` metrics scope
     (conventionally ``pipeline``) the resilience counters report into;
     ``recorder`` is an optional :class:`~repro.obs.SpanRecorder` the
-    merge-task spans collect into — defaults to the profiler's recorder
-    so phase and task spans share one tree.
+    per-rank ``merge.task`` spans collect into — defaults to the
+    profiler's recorder so phase and task spans share one tree.
     """
 
     def __init__(self, *, loop_detection: bool = True,
@@ -243,62 +173,47 @@ class TracePipeline:
 
     def reduce(self, shards: Sequence[RankShard]) -> RankShard:
         with self.profiler.phase("cst_merge"):
-            if not shards:
-                # a never-run tracer still finalizes to a valid empty trace
-                return RankShard(base_rank=0, nranks=0, sigs=[], counts=[],
-                                 dur_ns=[], cfg=GrammarSet(unique=[], uid=[]),
-                                 calls=[])
-            merge: Callable[[RankShard, RankShard], RankShard] | _SiteMerge
-            merge = (_SiteMerge(self._merge_supervised) if self.resilient
-                     else merge_shards)
-            return tree_reduce(shards, merge, profiler=self.profiler,
-                               recorder=self.recorder, scope=self._scope)
+            if not self.resilient and not self.recorder.enabled:
+                return reduce_shards(shards)
+            union = ShardUnion()
+            for shard in shards:
+                self._absorb(union, shard)
+            return union.shard
 
-    def _merge_supervised(self, a: RankShard, b: RankShard,
-                          site: str) -> RankShard:
-        """One pair merge under the supervisor: an injected failure, the
-        merge, injected damage to the merged shard's serialized form and
-        a rank-span check, retried as a whole; a pair whose budget runs
-        out becomes a placeholder shard and a salvage entry."""
-        inj = self.injector
-        recorder, scope = self.recorder, self._scope
+    def _absorb(self, union: ShardUnion, shard: RankShard) -> None:
+        """One rank's absorb.  Resilient, it is supervised: an injected
+        failure, injected damage to the shard's bytes and a rank-span
+        check, then the absorb (all-or-nothing), retried as a whole; a
+        rank whose budget runs out is absorbed as a placeholder."""
+        inj, rec, rank = self.injector, self.recorder, shard.base_rank
 
-        def thunk(attempt: int) -> RankShard:
+        def thunk(attempt: int) -> None:
+            given = shard
             if inj is not None:
-                inj.raise_failure(site)
-            t0 = _time.perf_counter()
-            out = merge_shards(a, b)
-            dt = _time.perf_counter() - t0
-            if inj is not None:
-                damaged = inj.corrupt_bytes(site, out.to_bytes())
+                inj.raise_failure("merge", rank)
+                damaged = inj.corrupt_bytes("merge", shard.to_bytes(), rank)
                 if damaged is not None:
-                    out = RankShard.from_bytes(
-                        damaged, span=(a.base_rank, a.nranks + b.nranks))
-            # only a result that survived every fault check is counted:
-            # a killed or corrupted attempt is recomputed, and counting
-            # it here (not in the attempt) keeps the merged tree free of
-            # duplicate merge spans
-            if recorder.enabled or (scope is not None and scope.enabled):
-                recorder.record("merge.task", dur_s=dt, scope="pipeline",
-                                site=site, attempt=attempt,
-                                **_pair_attrs(a, b))
-                _count_task(scope, dt)
-            return out
+                    given = RankShard.from_bytes(
+                        damaged, span=(rank, shard.nranks))
+            t0 = _time.perf_counter()
+            union.absorb(given)
+            # only the attempt that survived is recorded
+            if rec.enabled:
+                rec.record("merge.task", dur_s=_time.perf_counter() - t0,
+                           scope="pipeline", rank=rank, attempt=attempt)
 
-        def on_exhausted(exc: BaseException) -> RankShard:
-            for off, c in enumerate(a.calls):
-                self.salvage.lose_rank(a.base_rank + off, c)
-            for off, c in enumerate(b.calls):
-                self.salvage.lose_rank(b.base_rank + off, c)
-            self.salvage.note(
-                f"ranks [{a.base_rank}, {b.base_rank + b.nranks}) "
-                f"lost at {site} ({type(exc).__name__}: {exc})")
-            return RankShard.empty(
-                a.base_rank, a.nranks + b.nranks,
-                timing=a.timing_duration is not None)
+        def on_exhausted(exc: BaseException) -> None:
+            for off, calls in enumerate(shard.calls):
+                self.salvage.lose_rank(
+                    rank + off, calls,
+                    f"merge abandoned ({type(exc).__name__}: {exc})")
+            union.absorb(RankShard.empty(
+                rank, shard.nranks, timing=shard.timing_duration is not None))
 
-        return self.supervisor.run(thunk, site=site,
-                                   on_exhausted=on_exhausted)
+        if self.resilient:
+            self.supervisor.run(thunk, site="merge", on_exhausted=on_exhausted)
+        else:
+            thunk(0)
 
     # -- stage 3: serialize ------------------------------------------------------------
 

@@ -1,19 +1,22 @@
 """Per-rank shard artifacts: the unit of the sharded compression pipeline.
 
-Pilgrim's inter-process compression (§3.5) is a ceil(log2 P) tree
-reduction over per-rank partial results.  This module makes those
-partials first-class:
+Pilgrim's inter-process compression (§3.5) reduces per-rank partial
+results in a ceil(log2 P) merge tree.  This module makes those partials
+first-class:
 
 * :class:`RankCompressor` owns one rank's intra-process state (encoder,
   CST, Sequitur grammar, optional timing compressor) and freezes it into
 * :class:`RankShard` — a self-contained, picklable, byte-serializable
   artifact covering a contiguous rank range ``[base_rank, base_rank +
   nranks)``: the merged signature table, the per-rank grammars (dedup'd
-  into a :class:`GrammarSet`), and the timing partials; and
-* :func:`merge_shards` — the **associative** pairwise reduction step.
+  into a :class:`GrammarSet`), and the timing partials;
+* :func:`merge_shards` — the **associative** pairwise reduction step,
+  and :func:`reduce_shards` — the product's reduce, one pass
+  (:class:`ShardUnion`) to what every merge tree reaches.
 
 Associativity is what lets any reduction tree (left fold, balanced,
-parallel) produce byte-identical final traces.  It holds because
+parallel) and the one pass produce byte-identical final traces.  It
+holds because
 
 * the merged signature order is the *ordered union* "left order, then
   novel right signatures in right order", and ordered union is
@@ -34,7 +37,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .container import Container, Parsed, Section
 from .cst import CST, MergedCST, _dur_to_ns
@@ -70,18 +73,22 @@ class GrammarSet:
 
     def merge(self, other: "GrammarSet") -> "GrammarSet":
         """Ordered-union dedup merge (associative, not commutative)."""
-        unique = list(self.unique)
-        index = {g: i for i, g in enumerate(unique)}
-        remap = []
+        out = GrammarSet(unique=list(self.unique), uid=list(self.uid))
+        out.extend(other, {g: i for i, g in enumerate(out.unique)})
+        return out
+
+    def extend(self, other: "GrammarSet", index: dict) -> None:
+        """Append *other*'s ranks, each grammar stored once: *index* maps
+        every grammar of this set to its position and is kept up to
+        date."""
+        local = []
         for g in other.unique:
             i = index.get(g)
             if i is None:
-                i = len(unique)
-                index[g] = i
-                unique.append(g)
-            remap.append(i)
-        return GrammarSet(unique=unique,
-                          uid=list(self.uid) + [remap[u] for u in other.uid])
+                i = index[g] = len(self.unique)
+                self.unique.append(g)
+            local.append(i)
+        self.uid.extend([local[u] for u in other.uid])
 
     # -- serialization (one v2 section payload) ----------------------------------
 
@@ -143,7 +150,7 @@ class RankShard:
     def empty(cls, base_rank: int, nranks: int, *,
               timing: bool = False) -> "RankShard":
         """A placeholder shard covering *nranks* ranks with no data —
-        what the resilient pipeline substitutes for a subtree it had to
+        what the resilient pipeline substitutes for a rank it had to
         abandon.  Every covered rank gets the empty grammar (expands to
         zero calls), so downstream stages and the decoder handle the
         span without special cases."""
@@ -204,10 +211,11 @@ class RankShard:
                 f"shard claims ranks [{base_rank}, {base_rank + nranks}) "
                 f"but was sent for [{span[0]}, {span[0] + span[1]})")
         (sigs, counts, dur_ns), calls, cfg, td, ti = parsed.values
-        if len(calls) != nranks or len(cfg.uid) != nranks:
+        maps = [len(gs.uid) for gs in (cfg, td, ti) if gs is not None]
+        if any(n != nranks for n in [len(calls), *maps]):
             raise CorruptTraceError(
                 f"shard covers {nranks} ranks but carries {len(calls)} "
-                f"call counts and {len(cfg.uid)} grammar assignments")
+                f"call counts and rank maps (CFG, then timing) of {maps}")
         return cls(base_rank=base_rank, nranks=nranks, sigs=sigs,
                    counts=counts, dur_ns=dur_ns, cfg=cfg, calls=calls,
                    timing_duration=td, timing_interval=ti)
@@ -297,6 +305,75 @@ def merge_shards(a: RankShard, b: RankShard) -> RankShard:
     return merged
 
 
+class ShardUnion:
+    """The reduce in one pass: shards absorbed in rank order build, in
+    :attr:`shard`, the shard every :func:`merge_shards` tree over them
+    reaches (the tree is the test oracle).  One signature index and one
+    grammar index per stream serve the whole pass, so each grammar is
+    remapped (memoised; not at all when the identity) and looked up once,
+    not once per tree level.  :meth:`absorb` is all-or-nothing: whatever
+    can raise runs before the first write, so a failed one can be rerun."""
+
+    def __init__(self) -> None:
+        #: the union so far: one shard over every rank absorbed
+        self.shard = RankShard(0, 0, [], [], [], GrammarSet([], []))
+        self._index: dict[tuple, int] = {}
+        self._remapped: dict[tuple, Grammar] = {}
+        #: grammar -> position in the CFG, duration and interval sets
+        self._at: tuple[dict, dict, dict] = ({}, {}, {})
+
+    def absorb(self, shard: RankShard) -> None:
+        out, timing = self.shard, shard.timing_duration is not None
+        if out.nranks and shard.base_rank != out.base_rank + out.nranks:
+            raise ValueError(
+                f"shards are not adjacent: the union covers [{out.base_rank}"
+                f", {out.base_rank + out.nranks}), the next shard starts at "
+                f"{shard.base_rank}")
+        if out.nranks and timing != (out.timing_duration is not None):
+            raise ValueError(
+                "cannot merge a timing shard with a non-timing one")
+        index, novel = self._index, {}
+        remap = [index.get(sig) for sig in shard.sigs]
+        if None in remap:
+            for i, j in enumerate(remap):
+                if j is None:
+                    remap[i] = novel.setdefault(shard.sigs[i],
+                                                len(out.sigs) + len(novel))
+        cfg = shard.cfg
+        if remap != list(range(len(remap))):
+            key, memo = tuple(remap), self._remapped
+            cfg = GrammarSet([memo.get((g, key)) or memo.setdefault(
+                (g, key), g.remap_terminals(key.__getitem__))
+                for g in cfg.unique], cfg.uid)
+        # -- commit: nothing below raises
+        if not out.nranks:
+            out.base_rank = shard.base_rank
+            if timing:
+                out.timing_duration = GrammarSet([], [])
+                out.timing_interval = GrammarSet([], [])
+        index.update(novel)
+        out.sigs += novel
+        counts, dur_ns = out.counts, out.dur_ns
+        counts += [0] * len(novel)
+        dur_ns += [0] * len(novel)
+        for j, c, ns in zip(remap, shard.counts, shard.dur_ns):
+            counts[j] += c
+            dur_ns[j] += ns
+        out.cfg.extend(cfg, self._at[0])
+        if timing:  # timing terminals are bins, not CST symbols: no remap
+            out.timing_duration.extend(shard.timing_duration, self._at[1])
+            out.timing_interval.extend(shard.timing_interval, self._at[2])
+        out.calls += shard.calls
+        out.nranks += shard.nranks
+
+
+def reduce_shards(shards: Iterable[RankShard]) -> RankShard:
+    """Reduce adjacent shards, in rank order, in one pass (see
+    :class:`ShardUnion`); no shards reduce to an empty one."""
+    union = ShardUnion()
+    for shard in shards:
+        union.absorb(shard)
+    return union.shard
 
 
 @dataclass

@@ -249,10 +249,11 @@ class TraceFile:
                 "timing-meta flag set without timing sections")
         (nprocs,) = parsed.head
         cst, cfg, td, ti, tm = parsed.values
+        maps = [len(m.rank_uid) for m in (cfg, td, ti) if m is not None]
         if report is None:
-            if len(cfg.rank_uid) != nprocs:
+            if any(n != nprocs for n in maps):
                 raise CorruptTraceError(
-                    f"CFG rank map covers {len(cfg.rank_uid)} ranks but "
+                    f"rank maps (CFG, then timing) cover {maps} ranks but "
                     f"the header declares {nprocs}")
             return cls(nprocs=nprocs, cst=cst, cfg=cfg, timing_duration=td,
                        timing_interval=ti, timing_meta=tm)
@@ -266,6 +267,11 @@ class TraceFile:
             # the pair is only meaningful together
             if td is not None or ti is not None:
                 report.lose_section("timing", "half of the pair lost")
+            td = ti = None
+        elif cfg is not None and len(set(maps)) > 1:
+            # bins would be read against another rank's calls
+            report.lose_section("timing", f"rank maps (CFG, then timing) "
+                                f"cover {maps} ranks")
             td = ti = None
         if cst is None:
             # CFG terminals index the CST: without it nothing decodes

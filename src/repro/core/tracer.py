@@ -15,8 +15,8 @@ rank's CFG → optionally bin timing.  Each rank's state lives in a
 :class:`~repro.core.shard.RankCompressor`; at ``MPI_Finalize`` time each
 distinct logged stream is compressed once (optimized Sequitur), and the
 inter-process compression runs as the explicit shard → reduce →
-serialize pipeline of :mod:`repro.core.pipeline` — a ceil(log2 P) tree
-reduction over per-rank shards.
+serialize pipeline of :mod:`repro.core.pipeline` — one ordered-union
+pass over per-rank shards, to the result of the paper's log2 P tree.
 
 All the paper's optimizations are individually toggleable for the
 ablation benchmarks: ``relative_ranks`` (§3.4.2),
@@ -62,15 +62,15 @@ class PilgrimResult:
     n_signatures: int
     #: real CPU seconds spent in per-call tracing (Fig 8 "intra-process")
     time_intra: float
-    #: real CPU seconds in the shard freeze + CST tree reduction (Fig 8)
+    #: real CPU seconds in the shard freeze + CST reduce (Fig 8)
     time_cst_merge: float
     #: real CPU seconds in the CFG dedup/merge/final Sequitur (Fig 8)
     time_cfg_merge: float
     per_rank_calls: list[int] = field(default_factory=list)
-    #: profiler phase -> wall seconds (always holds the finalize phases —
-    #: including the per-level ``merge.level.<k>`` reduction timings;
-    #: also the per-call split encode/cst/sequitur/timing when the tracer
-    #: ran with an enabled metrics registry)
+    #: profiler phase -> wall seconds (always holds the finalize phases,
+    #: ``shard`` / ``cst_merge`` / ``cfg_merge`` / ``timing_merge`` /
+    #: ``serialize``; also the per-call split encode/cst/sequitur/timing
+    #: when the tracer ran with an enabled metrics registry)
     phases: dict[str, float] = field(default_factory=dict)
     #: True when the resilient pipeline had to abandon any rank span or
     #: section; ``salvage`` then says exactly what was lost
@@ -329,8 +329,8 @@ class PilgrimTracer(TracerHooks):
                     prof.add("mem", self._ph_mem)
 
             # Shard → reduce → serialize (see repro.core.pipeline).  The
-            # reduce stage is the paper's log2 P tree over per-rank
-            # partials.
+            # reduce is one pass over the per-rank partials, in rank
+            # order, to the result of the paper's log2 P merge tree.
             timing_meta = TimingMeta(
                 base=self.timing_base,
                 per_function_base=dict(self.per_function_base or {})) \

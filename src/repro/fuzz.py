@@ -38,9 +38,8 @@ from .core.backends import TracerOptions
 from .core.decoder import TraceDecoder
 from .core.errors import TraceFormatError
 from .core.packing import pack_value, write_uvarint, write_varints
-from .core.pipeline import tree_reduce
 from .core.shard import (FLUSH, SHARD, GrammarSet, RankShard, ShardPartial,
-                         merge_shards, write_flush)
+                         reduce_shards, write_flush)
 from .core.trace_format import FLAG_COMPRESSED, TRACE, TraceFile
 from .ingest import protocol as proto
 from .ingest.aggregator import CHECKPOINT, TenantFold, read_partials
@@ -663,10 +662,9 @@ def build_targets(workload: str, nprocs: int, root: str, *, seed: int = 1,
         "replay": replay_target(trace),
         "frames": frames_target(frame_stream(flushes, config, fin)),
         "store": store_target(store, run_id),
-        # every rank's frozen shard, merged: what a reduce level ships
-        "shard": shard_target(tree_reduce(
-            [rc.freeze() for rc in result.tracer.ranks],
-            merge_shards).to_bytes()),
+        # every rank's frozen shard, reduced: a multi-rank shard
+        "shard": shard_target(reduce_shards(
+            rc.freeze() for rc in result.tracer.ranks).to_bytes()),
         "checkpoint": checkpoint_target(fold.to_bytes(TenantState(
             tenant="fuzz-corpus", nprocs=nprocs, config=config,
             next_seq=cut))),

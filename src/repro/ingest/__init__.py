@@ -9,11 +9,11 @@ Layers (dependencies flow **upward only**; see DESIGN.md):
 2. :mod:`.session` — sans-io per-tenant stream state machines:
    sequence numbers, duplicate suppression, idempotent reconnect,
    the bounded-window backpressure contract.
-3. :mod:`.aggregator` — the incremental fold: re-feeds each rank's
-   partial grammars through one fresh Sequitur (the same mechanism as
-   the watermark spill, so the result is byte-identical to a one-shot
-   run), then ``tree_reduce``/``merge_shards``/``TracePipeline`` for
-   the final trace; per-tenant isolation and disk checkpoints.
+3. :mod:`.aggregator` — the incremental fold: expands each rank's
+   partial grammars onto ``TermLog`` columns that drain as a one-shot
+   rank's do (so the result is byte-identical to a one-shot run), then
+   ``reduce_shards`` and ``TracePipeline`` for the final trace;
+   per-tenant isolation and disk checkpoints.
 4. :mod:`.server` / :mod:`.client` — asyncio transport + orchestration
    and the blocking produce side (``repro serve`` / ``repro push``).
 

@@ -17,8 +17,7 @@ the same point:
 
 ``finish()`` turns the accumulators into single-rank
 :class:`~repro.core.shard.RankShard` objects and runs the *existing*
-pipeline — ``tree_reduce(merge_shards)`` then
-:meth:`TracePipeline.serialize` — so the folded trace is byte-identical
+pipeline — ``reduce_shards`` then :meth:`TracePipeline.serialize` — so the folded trace is byte-identical
 to the one-shot in-process run (the invariant
 ``tests/test_ingest.py::test_chunked_fold_byte_identity`` pins across
 workload families and chunk sizes).
@@ -49,10 +48,10 @@ from ..core.container import Container, Section
 from ..core.errors import CorruptTraceError, TraceFormatError
 from ..core.grammar import Grammar, TermLog
 from ..core.packing import Reader, read_value, write_value
-from ..core.pipeline import TracePipeline, tree_reduce
+from ..core.pipeline import TracePipeline
 from ..core import shard as _shard
-from ..core.shard import (GrammarSet, RankShard, ShardPartial, merge_shards,
-                          read_flush, write_flush)
+from ..core.shard import (GrammarSet, RankShard, ShardPartial, read_flush,
+                          reduce_shards, write_flush)
 from ..core.timing import TimingMeta
 from ..obs import NULL_RECORDER, NULL_REGISTRY
 from .protocol import IngestConfig, validate_tenant
@@ -273,7 +272,7 @@ class TenantFold:
         memo: dict = {}     # one Sequitur per distinct rank stream
         shards = [(self.ranks.get(r) or RankFold(r, cfg)).to_shard(memo)
                   for r in range(self.nprocs)]
-        final = tree_reduce(shards, merge_shards)
+        final = reduce_shards(shards)
         timing_meta = TimingMeta(
             base=cfg.timing_base,
             per_function_base=dict(cfg.per_function_base)) \

@@ -14,8 +14,7 @@ simulated-MPI scheduler):
 
 ==================  =======================================================
 ``shard.freeze``    freezing one rank's compressor into a shard
-``merge.level.<k>`` one pair-merge task at tree-reduction level *k*
-                    (a spec site of ``merge`` matches every level)
+``merge``           absorbing one rank's shard into the reduce
 ``serialize``       the final CFG merge + on-disk serialization
 ``sched``           the simulator's rank scheduler (``delay``/``drop``)
 ==================  =======================================================
@@ -53,7 +52,7 @@ BYTE_KINDS = frozenset({"corrupt", "truncate"})
 SCHED_KINDS = frozenset({"delay", "drop"})
 KINDS = ERROR_KINDS | BYTE_KINDS | SCHED_KINDS
 
-#: sites a spec may name (``merge`` matches any ``merge.level.<k>``)
+#: sites a spec may name
 SITES = ("shard.freeze", "merge", "serialize", "sched")
 
 #: ``times`` value meaning "never exhausts" (a permanent fault)
@@ -103,7 +102,7 @@ class FaultSpec:
     site: str
     #: fires this many times then passes; FOREVER (-1) never exhausts
     times: int = 1
-    #: restrict to one rank (sites that carry a rank: shard.freeze, sched)
+    #: restrict to one rank (every site but serialize carries one)
     rank: Optional[int] = None
     #: chance of firing per opportunity (drawn from the plan's seeded RNG)
     probability: float = 1.0
@@ -112,14 +111,12 @@ class FaultSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"known: {sorted(KINDS)}")
-        if not any(self.site == s or self.site.startswith(s + ".")
-                   for s in SITES):
+        if self.site not in SITES:
             raise ValueError(f"unknown fault site {self.site!r}; "
-                             f"known: {SITES} (merge.level.<k> allowed)")
-        if self.kind in SCHED_KINDS and not self.site.startswith("sched"):
-            raise ValueError(f"{self.kind!r} faults only apply to 'sched'")
-        if self.site.startswith("sched") and self.kind not in SCHED_KINDS:
-            raise ValueError(f"{self.kind!r} cannot target 'sched'")
+                             f"known: {SITES}")
+        if (self.kind in SCHED_KINDS) != (self.site == "sched"):
+            raise ValueError(f"{self.kind!r} cannot target {self.site!r}: "
+                             f"'sched' takes 'delay' and 'drop' only")
         if self.times == 0 or self.times < FOREVER:
             raise ValueError(f"times must be positive or FOREVER (-1), "
                              f"got {self.times}")
@@ -131,9 +128,8 @@ class FaultSpec:
                              f"got {self.probability}")
 
     def matches(self, site: str, rank: Optional[int]) -> bool:
-        if self.site != site and not site.startswith(self.site + "."):
-            return False
-        return self.rank is None or rank is None or self.rank == rank
+        return self.site == site and (self.rank is None or rank is None
+                                      or self.rank == rank)
 
     def describe(self) -> str:
         out = f"{self.kind}@{self.site}"
@@ -174,7 +170,7 @@ class FaultPlan:
         Examples::
 
             oserror@shard.freeze*2
-            kill@merge.level.0
+            kill@merge:rank=3
             corrupt@shard.freeze:rank=1
             kill@shard.freeze*forever:rank=2      (permanent -> degraded)
             delay@sched*8; drop@sched*4
@@ -236,7 +232,7 @@ class FaultPlan:
                               rank=rng.randrange(nprocs)),
             lambda: FaultSpec("kill", "merge", times=rng.randint(1, 3)),
             lambda: FaultSpec("stall", "merge", times=rng.randint(1, 2)),
-            lambda: FaultSpec("kill", f"merge.level.{rng.randrange(3)}",
+            lambda: FaultSpec("kill", "merge", rank=rng.randrange(nprocs),
                               times=rng.randint(1, 2)),
             lambda: FaultSpec("oserror", "serialize", times=1),
             lambda: FaultSpec("memoryerror", "serialize", times=1),
@@ -274,7 +270,7 @@ class FaultInjector:
     def wants_sched(self) -> bool:
         """Whether the scheduler needs to consult this injector at all
         (False keeps the scheduler loop entirely fault-free)."""
-        return any(s.site.startswith("sched") for s in self.plan.specs)
+        return any(s.site == "sched" for s in self.plan.specs)
 
     @property
     def exhausted(self) -> bool:

@@ -16,6 +16,12 @@ calls, the ``sha256`` of the trace bytes, the whole salvage report and
 the run's ``pipeline.*`` counters.  A change to the reduce, the retry
 supervisor or the salvage path that moves any of them moved a fault
 sequence, a retry or a loss.
+
+The rows whose plan names the ``merge`` site (random 105, 110 and 111
+and the explicit plans) were re-recorded when the reduce became one
+pass, whose ``merge`` site is one rank's absorb rather than a tree
+level's pair merge; every other row is byte for byte the named commit's
+recording, read through :data:`RETIRED`.
 """
 
 import hashlib
@@ -38,12 +44,14 @@ WORKLOADS = ("stencil2d", "npb_mg")
 NPROCS = 8
 MODES = {"aggregate": False, "lossy": True}
 RANDOM_SEEDS = range(100, 112)
-EXPLICIT = ("kill@merge.level.0*2", "stall@merge*2", "corrupt@merge.level.1",
-            "truncate@merge", "oserror@merge*forever")
+EXPLICIT = ("kill@merge*2:rank=0", "stall@merge*2", "corrupt@merge:rank=1",
+            "truncate@merge", "oserror@merge*forever",
+            "oserror@merge*forever:rank=5")
 #: counters the recording commit emitted and this tree no longer has:
 #: the circuit breaker that abandoned a merge process pool for serial
-#: merging went with the pool
-RETIRED = frozenset({"pipeline.breaker_trips"})
+#: merging went with the pool, and the per-pair ``merge.tasks`` count
+#: with the pair-merge tree (each absorb is a ``merge.task`` span)
+RETIRED = frozenset({"pipeline.breaker_trips", "pipeline.merge.tasks"})
 
 
 def plans() -> dict:
@@ -113,6 +121,19 @@ def test_the_golden_names_its_commit_and_covers_the_matrix(golden):
         assert row["oserror@merge*forever"]["outcome"] == "degraded"
         assert all(c["fired"] for name, c in row.items()
                    if name in EXPLICIT)
+
+
+def test_every_plan_conserves_calls(golden):
+    """What a run keeps and what its salvage report says it lost add up
+    to the fault-free run's calls, on every plan, and a lost call is
+    one the report names."""
+    for row in (v for k, v in golden.items() if k != "recorded_on"):
+        total = max(c["surviving_calls"] for c in row.values())
+        for name, case in row.items():
+            assert case["surviving_calls"] + case["lost_calls"] == total, \
+                name
+            lost = case["salvage"]["lost_calls"] if case["salvage"] else {}
+            assert case["lost_calls"] == sum(lost.values()), name
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

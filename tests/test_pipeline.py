@@ -1,10 +1,11 @@
-"""The sharded compression pipeline: shard artifacts, associative tree
-reduction, and the tracer-backend registry.
+"""The sharded compression pipeline: shard artifacts, the one-pass
+reduce and its tree oracle, and the tracer-backend registry.
 
 The load-bearing property: :func:`repro.core.shard.merge_shards` is
 associative, so *every* reduction shape — left fold, right fold, any
 split point, the balanced tree — must produce byte-identical final
-traces.
+traces, and the product's one pass (:func:`repro.core.shard.
+reduce_shards`) must produce the same bytes as all of them.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import (NullTracer, PilgrimTracer, RankShard, RawTracer,
-                        TracePipeline, TracerOptions, available_backends,
-                        make_tracer, merge_shards, register_backend,
-                        tree_reduce, verify_workload)
+from repro.core import (Grammar, GrammarSet, NullTracer, PilgrimTracer,
+                        RankShard, RawTracer, TracePipeline, TracerOptions,
+                        available_backends, make_tracer, merge_shards,
+                        reduce_shards, register_backend, tree_reduce,
+                        verify_workload)
 from repro.core.backends import _BACKENDS, TracerOptions
 from repro.core.errors import TraceFormatError
 from repro.mpisim import SimMPI
-from repro.obs import EventLog, MetricsRegistry, PhaseProfiler
+from repro.obs import EventLog, MetricsRegistry
+from repro.resilience.faults import InjectedOSError
 from repro.scalatrace import ScalaTraceTracer
 from repro.workloads import make
 
@@ -74,6 +78,7 @@ class TestMergeAssociativity:
         assert left == serial
         assert right == serial
         assert balanced == serial
+        assert _serialize(reduce_shards(shards)) == serial
 
     def test_lossy_timing_tree_shapes(self):
         tracer = _trace("stencil2d", 8, {}, lossy=True)
@@ -82,6 +87,7 @@ class TestMergeAssociativity:
         assert _serialize(_fold_left(shards)) == serial
         assert _serialize(_fold_right(shards)) == serial
         assert _serialize(tree_reduce(shards, merge_shards)) == serial
+        assert _serialize(reduce_shards(shards)) == serial
 
     def test_uneven_split_points(self):
         """Any split of the rank range reduces to the same trace: merge
@@ -174,12 +180,15 @@ class TestTreeReduce:
 
     def test_matches_left_fold(self):
         items = [f"<{i}>" for i in range(11)]
-        prof = PhaseProfiler()
-        got = tree_reduce(items, lambda a, b: a + b, profiler=prof)
-        assert got == "".join(items)
-        # ceil(log2 11) = 4 levels, each timed
-        assert [p for p in prof.phases() if p.startswith("merge.level.")] \
-            == [f"merge.level.{k}" for k in range(4)]
+        merges = []
+
+        def merge(a, b):
+            merges.append((a, b))
+            return a + b
+
+        assert tree_reduce(items, merge) == "".join(items)
+        # ceil(log2 11) = 4 levels of 5, 3, 1 and 1 pair merges
+        assert len(merges) == 10 and merges[5] == ("<0><1>", "<2><3>")
 
     def test_single_item_and_empty(self):
         assert tree_reduce(["x"], lambda a, b: a + b) == "x"
@@ -307,19 +316,20 @@ class TestEventLogNormalization:
 
 
 class TestPipelinePhases:
-    def test_merge_level_phases_recorded(self):
+    def test_stage_phases_recorded(self):
         tracer = PilgrimTracer(metrics=MetricsRegistry())
         make("stencil2d", 8, ).run(seed=1, tracer=tracer)
         phases = tracer.result.phases
-        # 8 ranks -> 3 reduction levels, plus the named stage phases
+        # the reduce is one pass: one cst_merge phase, no per-level ones
         assert {"shard", "cst_merge", "cfg_merge", "serialize"} \
             <= set(phases)
-        assert [p for p in phases if p.startswith("merge.level.")] \
-            == ["merge.level.0", "merge.level.1", "merge.level.2"]
-        # level timings are sub-phases of the reduce stage
-        level_sum = sum(t for p, t in phases.items()
-                        if p.startswith("merge.level."))
-        assert level_sum <= phases["cst_merge"] + 1e-6
+        assert not [p for p in phases if ".level." in p]
+        # one merge.task span per rank's absorb, inside cst_merge
+        spans = tracer.result.spans
+        reduce_span, = [s for s in spans if s["name"] == "cst_merge"]
+        tasks = [s for s in spans if s["name"] == "merge.task"]
+        assert [s["attrs"]["rank"] for s in tasks] == list(range(8))
+        assert all(s["parent_id"] == reduce_span["span_id"] for s in tasks)
 
     def test_grammar_set_merge_dedups(self):
         tracer = _trace("stencil2d", 8, {})
@@ -327,3 +337,95 @@ class TestPipelinePhases:
         assert len(final.cfg.unique) == tracer.result.n_unique_grammars
         assert len(final.cfg.uid) == 8
         assert final.cfg.per_rank()[0] is final.cfg.unique[final.cfg.uid[0]]
+
+
+# -- the one pass against its tree oracle ------------------------------------------
+
+#: a small signature pool, so rank tables overlap as often as not
+SIG_POOL = [("MPI_Send", i) for i in range(5)] + [("MPI_Barrier",)]
+
+
+@st.composite
+def shard_lists(draw):
+    """Adjacent shards from rank 0: single ranks with overlapping or
+    disjoint tables and (from short columns over few symbols) often
+    equal grammars, ``RankShard.empty`` placeholders, runs already
+    merged into multi-rank shards; with or without lossy timing."""
+    timing = draw(st.booleans())
+    ranks = []
+    for rank in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            ranks.append(RankShard.empty(rank, 1, timing=timing))
+            continue
+        sigs = draw(st.lists(st.sampled_from(SIG_POOL), min_size=1,
+                             max_size=4, unique=True))
+        terms = draw(st.lists(st.integers(0, len(sigs) - 1), min_size=1,
+                              max_size=10))
+        shard = RankShard(
+            base_rank=rank, nranks=1, sigs=sigs,
+            counts=[terms.count(i) for i in range(len(sigs))],
+            dur_ns=draw(st.lists(st.integers(0, 10 ** 9),
+                                 min_size=len(sigs), max_size=len(sigs))),
+            cfg=GrammarSet.single(Grammar.compress(terms)),
+            calls=[len(terms)])
+        if timing:
+            bins = st.lists(st.integers(0, 3), min_size=len(terms),
+                            max_size=len(terms))
+            shard.timing_duration = GrammarSet.single(
+                Grammar.compress(draw(bins)))
+            shard.timing_interval = GrammarSet.single(
+                Grammar.compress(draw(bins)))
+        ranks.append(shard)
+    cuts = sorted(draw(st.sets(st.integers(1, len(ranks) - 1)))
+                  if len(ranks) > 1 else set())
+    return [_fold_left(ranks[a:b])
+            for a, b in zip([0, *cuts], [*cuts, len(ranks)])]
+
+
+class TestOnePassOracle:
+    """:func:`reduce_shards` is the product, the log P pair-merge tree
+    its oracle: the same shard, byte for byte, on any shard list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shard_lists())
+    def test_one_pass_equals_the_tree(self, shards):
+        want = tree_reduce(shards, merge_shards).to_bytes()
+        assert reduce_shards(shards).to_bytes() == want
+
+    def test_no_shards_reduce_to_an_empty_one(self):
+        empty = reduce_shards([])
+        assert (empty.nranks, empty.sigs, empty.cfg.uid) == (0, [], [])
+        assert TracePipeline().reduce([]).to_bytes() == empty.to_bytes()
+
+    def test_refuses_what_merge_shards_refuses(self):
+        shards = [rc.freeze() for rc in _trace("osu_latency", 4, {}).ranks]
+        with pytest.raises(ValueError, match="not adjacent"):
+            reduce_shards([shards[0], shards[2]])
+        lossy = _trace("osu_latency", 4, {}, lossy=True).ranks[1].freeze()
+        with pytest.raises(ValueError, match="non-timing"):
+            reduce_shards([shards[0], lossy])
+
+    def test_a_failed_absorb_leaves_the_union_as_it_was(self, monkeypatch):
+        """The retry contract: a fault in the middle of an absorb (after
+        the signature pass, inside the grammar remap) leaves the union
+        unchanged, so running the absorb again is the whole recovery."""
+        from repro.core.shard import ShardUnion
+        tracer = _trace("milc_su3_rmd", 8, {})  # every rank its own table
+        shards = [rc.freeze() for rc in tracer.ranks]
+        union = ShardUnion()
+        for s in shards[:3]:
+            union.absorb(s)
+        before = union.shard.to_bytes()
+        remap = Grammar.remap_terminals
+
+        def failing(self, mapping):
+            monkeypatch.setattr(Grammar, "remap_terminals", remap)
+            raise InjectedOSError("injected oserror inside an absorb")
+
+        monkeypatch.setattr(Grammar, "remap_terminals", failing)
+        with pytest.raises(InjectedOSError):
+            union.absorb(shards[3])
+        assert union.shard.to_bytes() == before
+        for s in shards[3:]:  # the retry, then the rest
+            union.absorb(s)
+        assert _serialize(union.shard) == tracer.result.trace_bytes

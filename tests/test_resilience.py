@@ -45,8 +45,10 @@ class TestFaultPlan:
         assert plan.specs[2].times == FOREVER
 
     def test_parse_rejects_garbage(self):
+        # the reduce is one pass: there are no per-level merge sites
         for bad in ("explode@merge", "kill@nowhere", "kill@merge*0",
-                    "kill@merge:p=2", "kill@merge:bogus=1"):
+                    "kill@merge:p=2", "kill@merge:bogus=1",
+                    "kill@merge.level.0"):
             with pytest.raises(ValueError):
                 FaultPlan.parse(bad)
 
@@ -79,18 +81,23 @@ class TestFaultInjector:
     def test_times_budget(self):
         inj = arm(FaultPlan.parse("oserror@merge*2"))
         with pytest.raises(InjectedOSError):
-            inj.raise_failure("merge.level.0")
+            inj.raise_failure("merge", 0)
         with pytest.raises(InjectedOSError):
-            inj.raise_failure("merge.level.1")
-        inj.raise_failure("merge.level.2")  # budget spent: no-op
+            inj.raise_failure("merge", 1)
+        inj.raise_failure("merge", 2)  # budget spent: no-op
         assert len(inj.fired) == 2
         assert inj.exhausted
 
     def test_rank_targeting(self):
-        inj = arm(FaultPlan.parse("oserror@shard.freeze:rank=2"))
+        inj = arm(FaultPlan.parse("oserror@shard.freeze:rank=2;"
+                                  "kill@merge:rank=5"))
         inj.raise_failure("shard.freeze", 0)  # wrong rank: no-op
         with pytest.raises(InjectedOSError):
             inj.raise_failure("shard.freeze", 2)
+        inj.raise_failure("merge", 4)
+        with pytest.raises(WorkerDiedError):
+            inj.raise_failure("merge", 5)
+        assert inj.fired[-1] == "kill@merge[rank=5]"
 
     def test_corrupt_bytes_preserves_header(self):
         inj = arm(FaultPlan.parse("corrupt@serialize;truncate@serialize",
@@ -124,7 +131,7 @@ class TestSupervisor:
                 raise OSError("transient")
             return "done"
 
-        assert sup.run(thunk, site="merge.level.0") == "done"
+        assert sup.run(thunk, site="merge") == "done"
         assert calls == [0, 1, 2]
         assert sup.stats.retries == 2
 
@@ -159,7 +166,7 @@ class TestSupervisor:
                 raise WorkerDiedError("worker died")
             return "ok"
 
-        assert sup.run(thunk, site="merge.level.0") == "ok"
+        assert sup.run(thunk, site="merge") == "ok"
         assert sup.stats.worker_deaths == 2
         assert sup.stats.retries == 2
 
@@ -185,7 +192,7 @@ class TestSupervisor:
                              (OSError,), sleep=lambda s: None)
         with pytest.raises(KeyError):
             sup.run(lambda attempt: (_ for _ in ()).throw(KeyError("x")),
-                    site="merge.level.0")
+                    site="merge")
 
 
 # -- salvage report ----------------------------------------------------------------
@@ -279,6 +286,19 @@ class TestChaosProperty:
             ref = [ref_dec.trace.cst.sigs[t]
                    for t in ref_dec.rank_terminals(rank)]
             assert got == ref
+
+    def test_exhausted_absorb_loses_one_rank(self, reference):
+        """A merge fault that never clears loses the rank it targets,
+        not a merged span: the other ranks' absorbs go through."""
+        r = trace(fault_plan="oserror@merge*forever:rank=2")
+        assert r.degraded
+        assert r.salvage.lost_ranks == [2]
+        ref_dec = TraceDecoder.from_bytes(reference.trace_bytes)
+        assert r.salvage.call_deficit == ref_dec.call_count(2)
+        dec = TraceDecoder.from_bytes(r.trace_bytes, salvage=True)
+        assert dec.call_count(2) == 0
+        for rank in (0, 1, 3):
+            assert dec.call_count(rank) == ref_dec.call_count(rank)
 
     def test_degraded_verify_passes_with_allow(self):
         rep = repro.verify(WORKLOAD, NP, **PARAMS,

@@ -2,11 +2,12 @@
 Chrome-trace/JSONL/manifest exporters, the finalize span tree, and the
 surfacing through ``repro.api`` and the CLI.
 
-Includes the regression tests for the merge-task telemetry:
+Includes the regression tests for the merge-task telemetry (one
+``merge.task`` span per rank's absorb into the reduce):
 
-* metric parity — the supervised merge (armed by a retry policy) and
-  the plain one report the same ``merge.tasks`` totals;
-* no duplicate spans from killed-and-retried merges under fault
+* parity — the supervised absorb (armed by a retry policy) and the
+  plain one record the same spans and counters;
+* no duplicate spans from killed-and-retried absorbs under fault
   injection.
 """
 
@@ -189,8 +190,7 @@ def _run(nprocs=8, fault_plan=None, seed=1, retry=None):
 
 
 def _merge_keys(spans):
-    return Counter((s["attrs"].get("site"), s["attrs"].get("base_rank"),
-                    s["attrs"].get("nranks"))
+    return Counter(s["attrs"].get("rank")
                    for s in spans if s["name"] == "merge.task")
 
 
@@ -201,30 +201,26 @@ class TestCrossProcessCollection:
         roots = build_span_tree(spans)
         assert len(roots) == 1
         assert roots[0]["span"]["name"] == "finalize"
-        # 8 shards -> 7 pair merges, each exactly one span
-        assert sum(v for v in _merge_keys(spans).values()) == 7
+        # 8 shards -> 8 absorbs, each exactly one span
+        assert _merge_keys(spans) == Counter(range(8))
 
     def test_parallel_metric_parity_with_serial(self):
-        """The supervised merge (armed here by a bare retry policy) and
-        the plain one report the same merge-task totals."""
+        """The supervised absorb (armed here by a bare retry policy) and
+        the plain one report the same merge-task spans and counters."""
         plain, reg1 = _run(nprocs=8)
         supervised, reg2 = _run(nprocs=8, retry=RetryPolicy())
         assert supervised.trace_bytes == plain.trace_bytes
-        s1, s2 = reg1.snapshot(), reg2.snapshot()
-        assert s1["counters"] == s2["counters"]
-        t1 = s1["timers"]["pipeline.merge.task_seconds"]
-        t2 = s2["timers"]["pipeline.merge.task_seconds"]
-        assert t1["count"] == t2["count"] == 7
-        assert _merge_keys(supervised.spans) == _merge_keys(plain.spans)
+        assert reg1.snapshot()["counters"] == reg2.snapshot()["counters"]
+        assert _merge_keys(supervised.spans) == _merge_keys(plain.spans) \
+            == Counter(range(8))
 
     def test_parity_under_fault_injection(self):
-        _, clean = _run(nprocs=8)
-        _, reg = _run(nprocs=8, fault_plan="kill@merge*2")
+        clean, _ = _run(nprocs=8)
+        res, reg = _run(nprocs=8, fault_plan="kill@merge*2")
         counters = reg.snapshot()["counters"]
         assert counters["pipeline.retries"] == 2
         assert counters["pipeline.worker_deaths"] == 2
-        assert counters["pipeline.merge.tasks"] \
-            == clean.snapshot()["counters"]["pipeline.merge.tasks"]
+        assert _merge_keys(res.spans) == _merge_keys(clean.spans)
 
     def test_no_duplicate_spans_from_killed_workers(self):
         """A killed-and-retried merge appears exactly once in the tree:
@@ -234,10 +230,10 @@ class TestCrossProcessCollection:
                         fault_plan=FaultPlan.parse("kill@merge*2", seed=7))
         assert len(res.fired_faults) == 2
         keys = _merge_keys(res.spans)
-        assert sum(keys.values()) == 7
+        assert sum(keys.values()) == 8
         dups = {k: v for k, v in keys.items() if v > 1}
         assert not dups, f"duplicated merges {dups}"
-        assert reg.snapshot()["counters"]["pipeline.merge.tasks"] == 7
+        assert reg.snapshot()["counters"]["pipeline.worker_deaths"] == 2
 
     def test_disabled_telemetry_records_nothing(self):
         res = api.trace("stencil2d", 8, options=TracerOptions())
@@ -252,14 +248,14 @@ class TestCrossProcessCollection:
 
 class TestApiSurfacing:
     def test_manifest_contents(self):
-        res, _ = _run(nprocs=8)
+        res, reg = _run(nprocs=8)
         m = res.manifest()
         doc = m.to_dict()
         assert doc["schema"] == MANIFEST_SCHEMA
         assert doc["workload"] == "stencil2d" and doc["nprocs"] == 8
         assert doc["wall_s"] > 0 and doc["cpu_s"] > 0
         assert doc["peak_rss_kb"] > 0
-        assert doc["counters"]["pipeline.merge.tasks"] == 7
+        assert doc["counters"] == reg.snapshot()["counters"]
         assert doc["totals"]["calls"] == res.total_calls
         assert doc["totals"]["spans"] == len(res.spans)
         assert doc["outputs"]["trace_bytes"] == res.trace_size
@@ -372,4 +368,4 @@ class TestTracerDirect:
         assert again is first
         assert len(first.spans) == len(tracer.recorder.spans)
         keys = _merge_keys(first.spans)
-        assert sum(keys.values()) == 3  # 4 shards -> 3 pair merges
+        assert keys == Counter(range(4))  # 4 shards -> 4 absorbs

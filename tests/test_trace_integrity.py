@@ -195,6 +195,57 @@ class TestDecoderEdgeCases:
             assert dec.call_count(rank=rank) == len(expected)
 
 
+class TestTimingRankMaps:
+    """A timing rank map must cover exactly the ranks the trace (or
+    shard) declares: one entry too many shifts every later rank's bins
+    onto the wrong calls, silently (lossy ``stencil2d``/4 used to
+    decode with every ``rank_times`` from rank 2 on off by one)."""
+
+    @pytest.fixture(scope="class")
+    def lossy(self):
+        tracer = PilgrimTracer(timing_mode="lossy")
+        make("stencil2d", 4, iters=4).run(seed=1, tracer=tracer)
+        return tracer
+
+    def test_trace_with_a_long_timing_rank_map_is_refused(self, lossy):
+        from repro.core import (GrammarSet, TracePipeline, merge_shards,
+                                tree_reduce)
+        shards = [rc.freeze() for rc in lossy.ranks]
+        td = shards[1].timing_duration
+        shards[1].timing_duration = GrammarSet(td.unique, td.uid * 2)
+        blob = TracePipeline().serialize(
+            tree_reduce(shards, merge_shards)).trace_bytes
+        # every section's CRC is valid; the duration map covers 5 ranks
+        with pytest.raises(CorruptTraceError,
+                           match=r"rank maps .* \[4, 5, 4\] ranks"):
+            TraceFile.from_bytes(blob)
+        salvaged = TraceFile.from_bytes(blob, salvage=True)
+        assert salvaged.timing_duration is None
+        assert salvaged.timing_interval is None
+        assert salvaged.salvage.lost_sections == ["timing"]
+        want = TraceFile.from_bytes(lossy.result.trace_bytes)
+        assert salvaged.cfg == want.cfg  # the calls are all there
+
+    def test_shard_with_a_long_timing_rank_map_is_refused(self, lossy):
+        from repro.core import GrammarSet, RankShard
+        shard = lossy.ranks[0].freeze()
+        td = shard.timing_duration
+        shard.timing_duration = GrammarSet(td.unique, td.uid * 2)
+        with pytest.raises(CorruptTraceError,
+                           match=r"rank maps .* of \[1, 2, 1\]"):
+            RankShard.from_bytes(shard.to_bytes())
+
+    def test_rank_times_checks_bins_against_calls(self, lossy):
+        dec = TraceDecoder.from_bytes(lossy.result.trace_bytes)
+        for rank in range(4):
+            assert len(dec.rank_times(rank)) == dec.call_count(rank)
+        td = dec.trace.timing_duration
+        td.unique = [Grammar((((0, 1),),))] + td.unique[1:]
+        td.rank_uid = [0] * 4
+        with pytest.raises(CorruptTraceError, match="bins"):
+            dec.rank_times(0)
+
+
 class TestCLI:
     def test_verify_subcommand(self, capsys):
         from repro.cli import main as cli_main
