@@ -1,7 +1,7 @@
 """The explicit three-stage compression pipeline (shard → reduce →
 serialize), with optional resilience.
 
-Stage 1 (**shard**) freezes every rank's intra-process state into a
+Stage 1 (**shard**) freezes every rank, traced or ingest-folded, into a
 self-contained :class:`~repro.core.shard.RankShard`.  Stage 2
 (**reduce**) absorbs the shards, in rank order, into one
 :class:`~repro.core.shard.ShardUnion`.  Pilgrim merges in ceil(log2 P)
@@ -41,7 +41,7 @@ from ..resilience.retry import RetryPolicy, TaskSupervisor
 from ..resilience.salvage import SalvageReport
 from .errors import TraceFormatError
 from .interproc import CFGMergeResult, merge_grammars
-from .shard import RankShard, ShardUnion, reduce_shards
+from .shard import RankShard, ShardUnion
 from .trace_format import TraceFile
 
 T = TypeVar("T")
@@ -89,9 +89,10 @@ class PipelineResult:
 
 
 class TracePipeline:
-    """Drives shard → reduce → serialize over a set of
-    :class:`~repro.core.shard.RankCompressor` objects (or pre-built
-    shards), timing every stage through *profiler*.
+    """Drives shard → reduce → serialize over a run's ranks — traced
+    :class:`~repro.core.shard.RankCompressor` objects or an ingest fold's
+    ``RankFold`` objects: anything with ``rank``, ``observed_calls`` and
+    ``freeze(memo)`` — timing every stage through *profiler*.
 
     ``faults`` arms a :class:`~repro.resilience.faults.FaultPlan` (or an
     already-armed injector, so the tracer and scheduler can share one);
@@ -135,20 +136,21 @@ class TracePipeline:
 
     # -- stage 1: shard ----------------------------------------------------------------
 
-    def shard(self, compressors) -> list[RankShard]:
+    def shard(self, ranks) -> list[RankShard]:
+        memo: dict = {}     # one Sequitur per distinct rank stream
         with self.profiler.phase("shard"):
             if not self.resilient:
-                return [rc.freeze() for rc in compressors]
-            return [self._freeze_resilient(rc) for rc in compressors]
+                return [rc.freeze(memo) for rc in ranks]
+            return [self._freeze_resilient(rc, memo) for rc in ranks]
 
-    def _freeze_resilient(self, rc) -> RankShard:
+    def _freeze_resilient(self, rc, memo: dict) -> RankShard:
         inj = self.injector
-        timing = rc.timing is not None
+        timing = self.timing_meta is not None
 
         def thunk(attempt: int) -> RankShard:
             if inj is not None:
                 inj.raise_failure("shard.freeze", rc.rank)
-            shard = rc.freeze()
+            shard = rc.freeze(memo)
             if inj is not None:
                 damaged = inj.corrupt_bytes("shard.freeze",
                                             shard.to_bytes(), rc.rank)
@@ -173,8 +175,6 @@ class TracePipeline:
 
     def reduce(self, shards: Sequence[RankShard]) -> RankShard:
         with self.profiler.phase("cst_merge"):
-            if not self.resilient and not self.recorder.enabled:
-                return reduce_shards(shards)
             union = ShardUnion()
             for shard in shards:
                 self._absorb(union, shard)
@@ -267,8 +267,8 @@ class TracePipeline:
 
     # -- the whole flow ----------------------------------------------------------------
 
-    def run(self, compressors) -> PipelineResult:
-        shards = self.shard(compressors)
+    def run(self, ranks) -> PipelineResult:
+        shards = self.shard(ranks)
         final = self.reduce(shards)
         result = self.serialize(final)
         result.time_reduce = (self.profiler.wall("shard")

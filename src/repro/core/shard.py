@@ -147,6 +147,18 @@ class RankShard:
         return sum(self.calls)
 
     @classmethod
+    def single(cls, rank: int, calls: int, sigs, counts, dur_ns,
+               grammars) -> "RankShard":
+        """Rank *rank*'s own shard, what a traced rank and an ingest fold
+        both freeze to: *grammars* is its call grammar, then under lossy
+        timing its duration and interval grammars."""
+        cfg, *timing = map(GrammarSet.single, grammars)
+        td, ti = timing or (None, None)
+        return cls(base_rank=rank, nranks=1, sigs=list(sigs),
+                   counts=list(counts), dur_ns=list(dur_ns), cfg=cfg,
+                   calls=[calls], timing_duration=td, timing_interval=ti)
+
+    @classmethod
     def empty(cls, base_rank: int, nranks: int, *,
               timing: bool = False) -> "RankShard":
         """A placeholder shard covering *nranks* ranks with no data —
@@ -683,27 +695,22 @@ class RankCompressor:
             self._frozen = (n, g, timing)
         return self._frozen[1:]
 
-    def freeze(self) -> RankShard:
+    def freeze(self, memo: Optional[dict] = None) -> RankShard:
         """Snapshot this rank into a self-contained single-rank shard.
         Terminals in the frozen grammar are this rank's local CST
-        indices, which *are* the shard's signature numbering.
+        indices, which *are* the shard's signature numbering (*memo*:
+        :meth:`compress`).
 
         Freezing also drops the hot-path accelerator caches (encoder
         signature memo, CST identity fast path): they are meaningless
         after tracing ends and must never ride along when a compressor
         or its shard is serialized."""
-        g, timing = self.compress()
+        g, timing = self.compress(memo)
         self.encoder.reset_cache()
         self.cst.reset_cache()
-        shard = RankShard(
-            base_rank=self.rank, nranks=1,
-            sigs=list(self.cst.sigs), counts=list(self.cst.counts),
-            dur_ns=[_dur_to_ns(d) for d in self.cst.dur_sums],
-            cfg=GrammarSet.single(g), calls=[self.observed_calls])
-        if timing is not None:
-            shard.timing_duration = GrammarSet.single(timing[0])
-            shard.timing_interval = GrammarSet.single(timing[1])
-        return shard
+        return RankShard.single(
+            self.rank, self.observed_calls, self.cst.sigs, self.cst.counts,
+            map(_dur_to_ns, self.cst.dur_sums), (g, *(timing or ())))
 
 
 class StreamingRankCompressor(RankCompressor):
@@ -763,7 +770,7 @@ class StreamingRankCompressor(RankCompressor):
                             d_dur_ns=d_dur_ns, parts=parts,
                             timing_duration=td, timing_interval=ti)
 
-    def freeze(self) -> RankShard:
+    def freeze(self, memo: Optional[dict] = None) -> RankShard:
         raise RuntimeError(
             f"rank {self.rank} streams: its calls leave via "
             f"flush_partial() and the stream's consumer owns the fold")

@@ -138,6 +138,14 @@ class TimingMeta:
         return cls(base=base, per_function_base=pfb)
 
 
+def timing_meta(lossy: bool, base: float,
+                per_function_base: Optional[Mapping[str, float]]
+                ) -> Optional[TimingMeta]:
+    """The bases a run's trace persists, None unless *lossy*: the one
+    construction the tracer and the ingest fold share."""
+    return TimingMeta(base, dict(per_function_base or {})) if lossy else None
+
+
 def check_bases(base: float,
                 per_function_base: Optional[Mapping[str, float]]) -> None:
     """Refuse a binning base that is not > 1.0, global or per function:
@@ -177,10 +185,6 @@ class TimingCompressor:
         self.keep_raw = False
         self.raw_durations: list[float] = []
         self.raw_starts: list[float] = []
-
-    def meta(self) -> TimingMeta:
-        return TimingMeta(base=self.base,
-                          per_function_base=dict(self.per_function_base))
 
     def _bin(self, x: float, base: float) -> int:
         """:func:`bin_value`, counting the clamps."""

@@ -40,7 +40,7 @@ from .cst import CST
 from .encoder import CommIdSpace, PerRankEncoder, WinIdSpace
 from .pipeline import TracePipeline
 from .shard import RankCompressor
-from .timing import TimingCompressor, TimingMeta, check_bases
+from .timing import TimingCompressor, check_bases, timing_meta
 from .trace_format import TraceFile
 
 #: hoisted timer: the hot path pays two reads per call, and the
@@ -331,17 +331,16 @@ class PilgrimTracer(TracerHooks):
             # Shard → reduce → serialize (see repro.core.pipeline).  The
             # reduce is one pass over the per-rank partials, in rank
             # order, to the result of the paper's log2 P merge tree.
-            timing_meta = TimingMeta(
-                base=self.timing_base,
-                per_function_base=dict(self.per_function_base or {})) \
-                if self.timing_mode == TIMING_LOSSY else None
+            lossy = self.timing_mode == TIMING_LOSSY
             pipeline = TracePipeline(loop_detection=self.loop_detection,
                                      cfg_dedup=self.cfg_dedup,
                                      profiler=prof, faults=self.faults,
                                      retry=self.retry,
                                      scope=self.metrics.scope("pipeline"),
                                      recorder=self.recorder,
-                                     timing_meta=timing_meta)
+                                     timing_meta=timing_meta(
+                                         lossy, self.timing_base,
+                                         self.per_function_base))
             out = pipeline.run(self.ranks)
         trace, blob, cfg = out.trace, out.trace_bytes, out.cfg
 

@@ -12,8 +12,8 @@ Layers (dependencies flow **upward only**; see DESIGN.md):
 3. :mod:`.aggregator` — the incremental fold: expands each rank's
    partial grammars onto ``TermLog`` columns that drain as a one-shot
    rank's do (so the result is byte-identical to a one-shot run), then
-   ``reduce_shards`` and ``TracePipeline`` for the final trace;
-   per-tenant isolation and disk checkpoints.
+   the tracer's ``TracePipeline.run`` over every rank for the final
+   trace; per-tenant isolation and disk checkpoints.
 4. :mod:`.server` / :mod:`.client` — asyncio transport + orchestration
    and the blocking produce side (``repro serve`` / ``repro push``).
 

@@ -15,11 +15,10 @@ the same point:
   Sequitur is online, so neither where parts begin nor where a column
   drains shows in the final bytes.
 
-``finish()`` turns the accumulators into single-rank
-:class:`~repro.core.shard.RankShard` objects and runs the *existing*
-pipeline — ``reduce_shards`` then :meth:`TracePipeline.serialize` — so the folded trace is byte-identical
-to the one-shot in-process run (the invariant
-``tests/test_ingest.py::test_chunked_fold_byte_identity`` pins across
+A :class:`RankFold` freezes like a traced rank, so ``finish()`` runs the
+existing pipeline — :meth:`~repro.core.pipeline.TracePipeline.run`, the
+tracer's finalize — and the folded trace is byte-identical to the
+one-shot in-process run (``tests/test_ingest.py`` pins it across
 workload families and chunk sizes).
 
 A CHUNK (one flush record, :func:`read_partials`) is absorbed
@@ -41,19 +40,20 @@ Imports: ``repro.core``, :mod:`repro.ingest.protocol`, and
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from operator import lt
 from typing import Optional
 
 from ..core.container import Container, Section
-from ..core.errors import CorruptTraceError, TraceFormatError
+from ..core.errors import (CorruptTraceError, StoreFormatError,
+                           TraceFormatError)
 from ..core.grammar import Grammar, TermLog
 from ..core.packing import Reader, read_value, write_value
 from ..core.pipeline import TracePipeline
 from ..core import shard as _shard
-from ..core.shard import (GrammarSet, RankShard, ShardPartial, read_flush,
-                          reduce_shards, write_flush)
-from ..core.timing import TimingMeta
-from ..obs import NULL_RECORDER, NULL_REGISTRY
+from ..core.shard import RankShard, ShardPartial, read_flush, write_flush
+from ..core.timing import timing_meta
+from ..obs import NULL_REGISTRY, PhaseProfiler
 from .protocol import IngestConfig, validate_tenant
 from .session import TenantState
 
@@ -95,16 +95,16 @@ def _terminals(grammars) -> tuple[int, int]:
 
 
 class RankFold:
-    """One rank's accumulated streaming state."""
+    """One rank's accumulated streaming state, frozen like a traced rank."""
 
-    __slots__ = ("rank", "sigs", "counts", "dur_ns", "calls", "logs")
+    __slots__ = ("rank", "sigs", "counts", "dur_ns", "observed_calls", "logs")
 
     def __init__(self, rank: int, config: IngestConfig):
         self.rank = rank
         self.sigs: list[tuple] = []
         self.counts: list[int] = []
         self.dur_ns: list[int] = []
-        self.calls = 0
+        self.observed_calls = 0
         #: the call stream's column, then under lossy timing the
         #: duration and interval bin streams'
         self.logs = tuple(TermLog(config.loop_detection)
@@ -167,21 +167,15 @@ class RankFold:
                 log.extend(part.expand())
             if len(log) >= _shard.LOG_LIMIT:
                 log.drain()
-        self.calls += p.n_calls
+        self.observed_calls += p.n_calls
 
-    def to_shard(self, memo: Optional[dict] = None) -> RankShard:
+    def freeze(self, memo: Optional[dict] = None) -> RankShard:
         """Freeze the fold into the single-rank shard a one-shot
         ``RankCompressor.freeze()`` would have produced; a column that
         never drained goes through *memo* (:meth:`Grammar.compress`)."""
-        cfg, *timing = (GrammarSet.single(log.freeze(memo))
-                        for log in self.logs)
-        shard = RankShard(
-            base_rank=self.rank, nranks=1,
-            sigs=list(self.sigs), counts=list(self.counts),
-            dur_ns=list(self.dur_ns), cfg=cfg, calls=[self.calls])
-        if timing:
-            shard.timing_duration, shard.timing_interval = timing
-        return shard
+        return RankShard.single(
+            self.rank, self.observed_calls, self.sigs, self.counts,
+            self.dur_ns, [log.freeze(memo) for log in self.logs])
 
     def to_partial(self) -> ShardPartial:
         """The fold's whole accumulated state as one partial, each
@@ -193,7 +187,8 @@ class RankFold:
         calls, *timing = (Grammar.flat(log.expand()) for log in self.logs)
         td, ti = timing or (None, None)
         return ShardPartial(
-            rank=self.rank, n_calls=self.calls, new_sigs=list(self.sigs),
+            rank=self.rank, n_calls=self.observed_calls,
+            new_sigs=list(self.sigs),
             idx=idx, d_counts=[self.counts[i] for i in idx],
             d_dur_ns=[self.dur_ns[i] for i in idx],
             parts=[calls], timing_duration=td, timing_interval=ti)
@@ -248,39 +243,36 @@ class TenantFold:
 
     @property
     def total_calls(self) -> int:
-        return sum(f.calls for f in self.ranks.values())
+        return sum(f.observed_calls for f in self.ranks.values())
 
-    def per_rank_calls(self) -> list[int]:
-        return [self.ranks[r].calls if r in self.ranks else 0
+    def all_ranks(self) -> list[RankFold]:
+        """Every rank's fold in rank order, a rank that sent nothing an
+        empty one: what the pipeline freezes."""
+        return [self.ranks.get(r) or RankFold(r, self.config)
                 for r in range(self.nprocs)]
 
-    def finish(self, expected_calls: Optional[list[int]] = None) -> bytes:
-        """Fold to the final trace blob through the existing pipeline.
+    def finish(self, expected_calls: Optional[list[int]] = None,
+               scope=None) -> bytes:
+        """Fold to the final trace blob through the tracer's pipeline.
 
         *expected_calls* (from the FIN frame) is the conservation check:
         the fold must account for exactly the calls the client traced.
+        *scope* (a metrics scope) gets the ``phase.<name>`` timers.
         """
-        if expected_calls is not None:
-            got = self.per_rank_calls()
-            if list(expected_calls) != got:
-                raise FoldError(
-                    f"tenant {self.tenant!r}: conservation mismatch — "
-                    f"client declared {sum(expected_calls)} calls, fold "
-                    f"holds {sum(got)} (per-rank {expected_calls} vs "
-                    f"{got})")
+        ranks = self.all_ranks()
+        got = [f.observed_calls for f in ranks]
+        if expected_calls is not None and list(expected_calls) != got:
+            raise FoldError(
+                f"tenant {self.tenant!r}: conservation mismatch — client "
+                f"declared {sum(expected_calls)} calls, fold holds "
+                f"{sum(got)} (per-rank {expected_calls} vs {got})")
         cfg = self.config
-        memo: dict = {}     # one Sequitur per distinct rank stream
-        shards = [(self.ranks.get(r) or RankFold(r, cfg)).to_shard(memo)
-                  for r in range(self.nprocs)]
-        final = reduce_shards(shards)
-        timing_meta = TimingMeta(
-            base=cfg.timing_base,
-            per_function_base=dict(cfg.per_function_base)) \
-            if cfg.lossy_timing else None
-        pipeline = TracePipeline(loop_detection=cfg.loop_detection,
-                                 cfg_dedup=cfg.cfg_dedup,
-                                 timing_meta=timing_meta)
-        return pipeline.serialize(final).trace_bytes
+        pipeline = TracePipeline(
+            loop_detection=cfg.loop_detection, cfg_dedup=cfg.cfg_dedup,
+            profiler=PhaseProfiler(scope),
+            timing_meta=timing_meta(cfg.lossy_timing, cfg.timing_base,
+                                    cfg.per_function_base))
+        return pipeline.run(ranks).trace_bytes
 
     # -- checkpointing -------------------------------------------------------------
 
@@ -342,11 +334,10 @@ class Aggregator:
     """All tenant folds behind one server, with obs counters,
     checkpoint persistence, and optional trace-store archival."""
 
-    def __init__(self, *, metrics=None, recorder=None,
+    def __init__(self, *, metrics=None,
                  checkpoint_dir: Optional[str] = None, store=None):
         registry = metrics if metrics is not None else NULL_REGISTRY
         self.obs = registry.scope("ingest")
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.checkpoint_dir = checkpoint_dir
         #: a :class:`repro.store.TraceStore` (or None): every completed
         #: fold is put as a run of workload == tenant, so successive
@@ -355,7 +346,6 @@ class Aggregator:
         #: tenant -> run id of its most recently archived fold
         self.stored_runs: dict[str, str] = {}
         self.tenants: dict[str, TenantFold] = {}
-        self.folds_completed = 0
 
     def start(self, tenant: str, nprocs: int, config: IngestConfig, *,
               resume: bool = False) -> TenantFold:
@@ -383,12 +373,7 @@ class Aggregator:
 
     def finish(self, tenant: str,
                expected_calls: Optional[list[int]] = None) -> bytes:
-        fold = self._fold(tenant)
-        with self.recorder.span("ingest.fold", scope="ingest",
-                                tenant=tenant, nprocs=fold.nprocs,
-                                partials=fold.partials_absorbed):
-            blob = fold.finish(expected_calls)
-        self.folds_completed += 1
+        blob = self._fold(tenant).finish(expected_calls, self.obs)
         if self.obs.enabled:
             self.obs.counter("folds").inc()
             self.obs.counter("trace_bytes").inc(len(blob))
@@ -403,7 +388,6 @@ class Aggregator:
         succeeded and the RESULT frame must still go out, so a store
         rejection (e.g. a tenant name outside the stricter workload
         grammar) is counted, not raised."""
-        from ..core.errors import StoreFormatError
         try:
             put = self.store.put(blob, tenant, tenant=tenant)
         except StoreFormatError:
@@ -415,7 +399,12 @@ class Aggregator:
             self.obs.counter("stored_runs").inc()
 
     def discard(self, tenant: str) -> None:
+        """Forget a delivered tenant, its checkpoint too: a restart must
+        not reopen a stream that was already delivered."""
         self.tenants.pop(tenant, None)
+        if self.checkpoint_dir is not None:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(self.checkpoint_dir, f"{tenant}.ckpt"))
         if self.obs.enabled:
             self.obs.gauge("tenants").set(len(self.tenants))
 

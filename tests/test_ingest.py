@@ -441,6 +441,70 @@ class TestSocketEndToEnd:
             assert "conservation" in ei.value.detail
 
 
+class TestOneFinalize:
+    """A tenant's fold finalizes through the tracer's own
+    ``TracePipeline.run``: it reports the tracer's finalize phases and
+    gets the tracer's supervision."""
+
+    #: the phases a traced run bills per call, not at finalize
+    HOT_PHASES = {"encode", "cst", "sequitur", "timing", "mem"}
+
+    def test_server_times_the_tracers_finalize_phases(self):
+        reg = MetricsRegistry()
+        lossy = TracerOptions(lossy_timing=True)
+        with repro.serve(metrics=reg) as srv:
+            repro.push("stencil2d", 4, port=srv.port, tenant="lossy",
+                       seed=2, options=lossy, chunk_calls=64)
+            repro.push("osu_latency", 2, port=srv.port, tenant="agg",
+                       seed=2, chunk_calls=64)
+        prefix = "ingest.phase."
+        served = {name[len(prefix):]: t["count"]
+                  for name, t in reg.snapshot()["timers"].items()
+                  if name.startswith(prefix) and not name.endswith(".cpu")}
+        traced = repro.trace("stencil2d", 4, seed=2, options=replace(
+            lossy, metrics=MetricsRegistry())).result.phases
+        finalize = set(traced) - self.HOT_PHASES
+        assert finalize == {"shard", "cst_merge", "cfg_merge",
+                            "timing_merge", "serialize"}
+        assert set(served) == finalize
+        # once per delivered fold; timing_merge for the lossy one only
+        assert served == {p: 1 if p == "timing_merge" else 2
+                          for p in finalize}
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_a_fold_rank_that_never_freezes_is_lost_alone(self, lossy):
+        from repro.core.decoder import TraceDecoder
+        from repro.core.pipeline import TracePipeline
+        from repro.core.timing import timing_meta
+        from repro.resilience import FaultPlan
+
+        partials = []
+        tracer = ChunkingTracer(partials.append, chunk_calls=32,
+                                timing_mode="lossy" if lossy
+                                else "aggregate")
+        make("stencil2d", 4).run(seed=3, tracer=tracer, noise=0.05)
+        fold = TenantFold("t", 4, tracer.config())
+        for p in partials:
+            fold.absorb(p)
+        ref = TraceDecoder.from_bytes(fold.finish())
+        cfg = fold.config
+        out = TracePipeline(
+            faults=FaultPlan.parse("kill@shard.freeze*forever:rank=1",
+                                   seed=11),
+            timing_meta=timing_meta(cfg.lossy_timing, cfg.timing_base,
+                                    cfg.per_function_base),
+        ).run(fold.all_ranks())
+        assert out.degraded
+        assert out.salvage.lost_ranks == [1]
+        assert out.salvage.lost_calls == {1: fold.ranks[1].observed_calls}
+        dec = TraceDecoder.from_bytes(out.trace_bytes, salvage=True)
+        assert dec.call_count(1) == 0
+        for rank in (0, 2, 3):
+            # signatures, not terminals: the lost rank renumbers the CST
+            assert [dec.trace.cst.sigs[t] for t in dec.rank_terminals(rank)] \
+                == [ref.trace.cst.sigs[t] for t in ref.rank_terminals(rank)]
+
+
 class TestSatelliteGuards:
     """The smaller PR-8 satellites: eager option validation, the
     freeze() guard, and the upward-only layering rule."""

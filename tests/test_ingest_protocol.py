@@ -504,6 +504,23 @@ class TestCheckpoint:
         assert state.tenant == "t" and state.next_seq == len(partials)
         assert a2.finish("t", fin) == expected
 
+    def test_discard_removes_the_checkpoint(self, tmp_path):
+        """Bugfix: a delivered tenant's checkpoint stayed on disk, so a
+        restarted server restored the fold and a resume HELLO could
+        reopen a stream that was already delivered."""
+        from repro.ingest.session import TenantState
+        partials, fin = _stream_partials("osu_latency", 2, seed=4)
+        ckdir = str(tmp_path / "ck")
+        agg = Aggregator(checkpoint_dir=ckdir)
+        agg.start("t", 2, CFG)
+        for p in partials:
+            agg.absorb("t", p.to_bytes())
+        agg.checkpoint("t", TenantState(
+            tenant="t", nprocs=2, config=CFG, next_seq=len(partials)))
+        agg.finish("t", fin)
+        agg.discard("t")
+        assert Aggregator(checkpoint_dir=ckdir).restore() == []
+
     def test_corrupt_checkpoint_is_structured(self):
         with pytest.raises(TraceFormatError):
             TenantFold.from_bytes(b"NOPE" + b"\x00" * 20)

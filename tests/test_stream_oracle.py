@@ -490,7 +490,7 @@ class TestOneRefeedRoutine:
                 fold.absorb_blob(write_flush(flush))
         for rank, f in fold.ranks.items():
             assert len(f.logs) == (3 if lossy else 1)
-            got = f.to_shard()
+            got = f.freeze()
             for log, gs, parts in zip(f.logs, (got.cfg, got.timing_duration,
                                                got.timing_interval),
                                       shadow[rank]):

@@ -322,9 +322,11 @@ class TestTimingMeta:
             TimingMeta.read_from(Reader(bytes(out)))
 
     def test_compressor_meta_snapshot(self):
+        from repro.core.timing import timing_meta
         tc = TimingCompressor(base=1.4,
                               per_function_base={"MPI_Wait": 3.0})
-        meta = tc.meta()
+        assert timing_meta(False, tc.base, tc.per_function_base) is None
+        meta = timing_meta(True, tc.base, tc.per_function_base)
         assert meta.base == 1.4
         assert meta.per_function_base == {"MPI_Wait": 3.0}
         meta.per_function_base["MPI_Wait"] = 9.9  # a copy, not a view
