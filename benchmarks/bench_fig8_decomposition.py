@@ -20,6 +20,7 @@ from __future__ import annotations
 from conftest import once, save_results
 from repro.analysis import print_table, run_experiment
 from repro.core.backends import TracerOptions
+from repro.obs import MetricsRegistry
 
 CODES = {
     "flash_sedov": dict(iters=40),
@@ -33,14 +34,13 @@ NPROCS = 48
 
 
 def test_fig8_overhead_decomposition(benchmark):
-    # profile=True turns on the self-instrumentation registry: the same
-    # PhaseProfiler that backs `repro trace --metrics` supplies these
-    # numbers, so figure and CLI can never drift apart
+    # an enabled metrics registry turns on self-instrumentation: the
+    # same PhaseProfiler that backs `repro trace --metrics` supplies
+    # these numbers, so figure and CLI can never drift apart
     def run():
-        return {code: run_experiment(code, NPROCS, scalatrace=False,
-                                     baseline=False,
-                                     options=TracerOptions(profile=True),
-                                     **kw)
+        return {code: run_experiment(
+                    code, NPROCS, scalatrace=False, baseline=False,
+                    options=TracerOptions(metrics=MetricsRegistry()), **kw)
                 for code, kw in CODES.items()}
 
     rows = once(benchmark, run)

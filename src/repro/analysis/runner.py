@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..core.backends import TracerOptions, resolve_metrics
+from ..core.backends import TracerOptions
 from ..workloads import make
 
 
@@ -34,7 +34,7 @@ class ExperimentRow:
     time_intra: float = 0.0
     time_cst_merge: float = 0.0
     time_cfg_merge: float = 0.0
-    #: fine-grained phase -> wall seconds (filled when profile=True)
+    #: fine-grained phase -> wall seconds (filled when metrics are on)
     phases: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
@@ -64,15 +64,12 @@ def run_experiment(workload: str, nprocs: int, *, seed: int = 1,
 
     Tracer configuration travels in *options* (one
     :class:`TracerOptions` shared by both tracers):
-    ``options.profile`` attaches an enabled metrics registry to both so
-    the fine-grained phase decomposition (Fig 8) lands in
-    ``row.phases``; ``options.metrics`` accumulates across rows.  Extra
-    keywords are workload parameters."""
+    an enabled ``options.metrics`` registry is shared by both, so the
+    fine-grained phase decomposition (Fig 8) lands in ``row.phases`` and
+    the registry accumulates across rows.  Extra keywords are workload
+    parameters."""
     from .. import api  # late import: repro.api sits above repro.analysis
     opts = options if options is not None else TracerOptions()
-    # one registry shared by both tracers (profile=True on the options
-    # would otherwise mint a fresh registry per tracer)
-    opts = replace(opts, metrics=resolve_metrics(opts), profile=False)
     row = ExperimentRow(workload=workload, nprocs=nprocs, params=params)
 
     if baseline:

@@ -25,8 +25,6 @@ class MetricsSummary:
     gauges: dict[str, float] = field(default_factory=dict)
     #: name -> {"clock", "count", "seconds"}
     timers: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: name -> {"base", "count", "sum", "bins"}
-    histograms: dict[str, dict[str, Any]] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
     #: raw span records (``type: span``), in file order — render with
     #: :func:`render_spans`
@@ -74,7 +72,6 @@ class MetricsSummary:
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "timers": dict(sorted(self.timers.items())),
-            "histograms": dict(sorted(self.histograms.items())),
             "event_counts": dict(sorted(self.event_counts.items())),
             "n_events": len(self.events),
             "n_spans": len(self.spans),
@@ -106,14 +103,6 @@ def summarize_metrics(records: list[dict[str, Any]]) -> MetricsSummary:
                               "count": 0, "seconds": 0.0})
             t["count"] += rec["count"]
             t["seconds"] += rec["seconds"]
-        elif kind == "histogram":
-            h = s.histograms.setdefault(
-                rec["name"], {"base": rec.get("base", 2.0),
-                              "count": 0, "sum": 0.0, "bins": {}})
-            h["count"] += rec["count"]
-            h["sum"] += rec["sum"]
-            for b, n in rec.get("bins", {}).items():
-                h["bins"][b] = h["bins"].get(b, 0) + n
         elif kind == "event":
             s.events.append({k: v for k, v in rec.items() if k != "type"})
         elif kind == "span":
@@ -196,13 +185,6 @@ def render_stats(s: MetricsSummary, source: str = "",
                       fmt_time(t["seconds"] / t["count"])
                       if t["count"] else "-")
                      for n, t in sorted(other.items())])
-
-    for name, h in sorted(s.histograms.items()):
-        print_table(f"histogram {name} (log base {h['base']:g})",
-                    ["bin <=", "count"],
-                    [(h["base"] ** int(b), n)
-                     for b, n in sorted(h["bins"].items(),
-                                        key=lambda kv: int(kv[0]))])
 
     if s.events:
         print_table(f"runtime events{title_sfx}", ["kind", "count"],

@@ -81,8 +81,7 @@ def cmd_trace(args) -> int:
         fault_plan=_fault_plan_arg(args),
         options=TracerOptions(
             lossy_timing=args.lossy_timing, keep_raw=args.verify,
-            metrics=metrics,
-            memory_watermark=args.watermark))
+            metrics=metrics))
     r = result.result
     result.write(args.output)
     manifest_path = f"{args.output}.manifest.json"
@@ -256,9 +255,7 @@ def cmd_push(args) -> int:
     res = api.push(args.workload, args.procs,
                    host=args.host, port=args.port, tenant=args.tenant,
                    seed=args.seed,
-                   options=TracerOptions(
-                       lossy_timing=args.lossy_timing,
-                       memory_watermark=args.watermark),
+                   options=TracerOptions(lossy_timing=args.lossy_timing),
                    chunk_calls=args.chunk_calls,
                    params=_parse_params(args.param))
     print(f"{args.workload} ({args.procs} ranks, tenant {args.tenant!r}): "
@@ -270,8 +267,7 @@ def cmd_push(args) -> int:
         ref = api.trace(args.workload, args.procs, seed=args.seed,
                         params=_parse_params(args.param),
                         options=TracerOptions(
-                            lossy_timing=args.lossy_timing,
-                            memory_watermark=args.watermark)).trace_bytes
+                            lossy_timing=args.lossy_timing)).trace_bytes
         ok = ref == res.trace_bytes
         print("byte-identity vs in-process run: "
               + ("OK" if ok else "FAILED"))
@@ -728,10 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tracer backend from the repro.core.backends "
                         "registry (default: pilgrim)")
     _add_fault_flags(p)
-    p.add_argument("--watermark", type=int, default=None, metavar="CALLS",
-                   help="soft per-rank memory watermark: spill the live "
-                        "grammar after this many calls (degraded-mode "
-                        "tracing; traces stay byte-identical)")
     p.add_argument("--verify", action="store_true",
                    help="run the lossless round-trip check")
     p.add_argument("--metrics", metavar="FILE",
@@ -843,9 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VALUE")
     p.add_argument("--lossy-timing", action="store_true")
-    p.add_argument("--watermark", type=int, default=None, metavar="CALLS",
-                   help="soft per-rank memory watermark (see 'repro "
-                        "trace --watermark')")
     p.add_argument("--check", action="store_true",
                    help="also run the same trace in-process and assert "
                         "the server fold is byte-identical")

@@ -49,9 +49,6 @@ class TracerOptions:
     batch_size: int = 1
     #: self-instrumentation registry (None = disabled, zero overhead)
     metrics: Any = None
-    #: convenience: create an enabled metrics registry when none is
-    #: given, so phase/stats profiling is one flag instead of a registry
-    profile: bool = False
     #: a FaultPlan (or pre-armed FaultInjector) to inject during the
     #: run and its finalize pipeline; None = every injection point is a
     #: no-op None check
@@ -59,9 +56,6 @@ class TracerOptions:
     #: RetryPolicy for the resilient pipeline (None = defaults when a
     #: fault plan is armed, no supervision otherwise)
     retry: Any = None
-    #: soft per-rank memory watermark for degraded-mode tracing
-    #: (see RankCompressor.spill); None = disabled
-    memory_watermark: Optional[int] = None
     #: backend-specific constructor kwargs, passed through verbatim
     extra: dict = field(default_factory=dict)
 
@@ -74,10 +68,6 @@ class TracerOptions:
             raise ValueError(
                 f"TracerOptions.batch_size must be >= 1, "
                 f"got {self.batch_size}")
-        if self.memory_watermark is not None and self.memory_watermark < 1:
-            raise ValueError(
-                f"TracerOptions.memory_watermark must be >= 1 (or None "
-                f"to disable), got {self.memory_watermark}")
 
 
 BackendFactory = Callable[[TracerOptions], TracerHooks]
@@ -119,26 +109,14 @@ def make_tracer(name: str, options: Optional[TracerOptions] = None,
 # -- built-in backends ---------------------------------------------------------------------
 
 
-def resolve_metrics(opts: TracerOptions):
-    """The registry a backend should instrument into: the explicit one,
-    a fresh enabled registry when ``profile=True``, else None."""
-    if opts.metrics is not None:
-        return opts.metrics
-    if opts.profile:
-        from ..obs import MetricsRegistry
-        return MetricsRegistry()
-    return None
-
-
 @register_backend("pilgrim")
 def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
     from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
     return PilgrimTracer(
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
         keep_raw=opts.keep_raw,
-        metrics=resolve_metrics(opts),
+        metrics=opts.metrics,
         fault_plan=opts.fault_plan, retry=opts.retry,
-        memory_watermark=opts.memory_watermark,
         **opts.extra)
 
 
@@ -146,7 +124,7 @@ def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
 def _make_scalatrace(opts: TracerOptions) -> TracerHooks:
     # late import: repro.scalatrace lives outside repro.core
     from ..scalatrace import ScalaTraceTracer
-    return ScalaTraceTracer(metrics=resolve_metrics(opts), **opts.extra)
+    return ScalaTraceTracer(metrics=opts.metrics, **opts.extra)
 
 
 @dataclass

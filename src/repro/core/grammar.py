@@ -148,16 +148,6 @@ class Grammar:
         seq.append_array(terms)
         return cls.freeze(seq)
 
-    @classmethod
-    def refeed(cls, parts: Iterable["Grammar"], loop_detection: bool = True,
-               memo: dict | None = None) -> "Grammar":
-        """Expand frozen *parts* in order and :meth:`compress` the
-        result.  That Sequitur sees the stream an uncut run would have
-        fed it, so a rank's watermark spills are invisible in the final
-        bytes."""
-        return cls.compress(list(chain.from_iterable(
-            part.expand() for part in parts)), loop_detection, memo)
-
     # -- queries ---------------------------------------------------------------------
 
     @property
@@ -168,7 +158,7 @@ class Grammar:
     def n_tokens(self) -> int:
         return sum(len(r) for r in self.rules)
 
-    def expand(self, max_len: int | None = None) -> list[int]:
+    def expand(self) -> list[int]:
         """The terminal string this grammar uniquely generates."""
         return self._expand(0, {}, frozenset())
 

@@ -399,10 +399,11 @@ class ShardPartial:
     integer-nanosecond duration increments for the entries that moved,
     and the terminals observed since the last flush as grammar *parts*:
     the rank's log as one :meth:`~repro.core.grammar.Grammar.flat` part
-    (one run-length rule, a grammar like any other on the wire) behind
-    any parts a ``memory_watermark`` crossing compressed early; the
-    timing bin logs likewise.  A consumer that expands every part of
-    every partial in order onto one :class:`~repro.core.grammar.TermLog`
+    (one run-length rule, a grammar like any other on the wire), the
+    timing bin logs likewise.  The fold takes any number of parts of any
+    shape, so a stream recorded when producers still shipped compressed
+    multi-rule parts folds the same.  A consumer that expands every part
+    of every partial in order onto one :class:`~repro.core.grammar.TermLog`
     (the ingest fold's ``RankFold``) freezes exactly the grammar a
     one-shot run would — the byte-identity invariant the ingest service
     is built on.
@@ -587,12 +588,8 @@ class RankCompressor:
     hot path only logs terminals (``grammar``, a :class:`TermLog`)."""
 
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
-                 "raw_terms", "keep_raw", "loop_detection",
-                 "memory_watermark", "_spill_parts", "_spill_input",
-                 "watermark_spills", "_cap", "_frozen")
-
-    #: a streaming rank's logs leave whole with each flush, never drained
-    streaming = False
+                 "raw_terms", "keep_raw", "loop_detection", "_cap",
+                 "_frozen")
 
     def __init__(self, rank: int, comm_space, *, win_space=None,
                  relative_ranks: bool = True,
@@ -600,8 +597,7 @@ class RankCompressor:
                  loop_detection: bool = True,
                  timing: Optional[TimingCompressor] = None,
                  keep_raw: bool = False,
-                 encoder: Optional[PerRankEncoder] = None,
-                 memory_watermark: Optional[int] = None):
+                 encoder: Optional[PerRankEncoder] = None):
         self.rank = rank
         self.encoder = encoder if encoder is not None else PerRankEncoder(
             rank, comm_space, win_space=win_space,
@@ -613,26 +609,14 @@ class RankCompressor:
         self.timing = timing
         self.keep_raw = keep_raw
         self.raw_terms: list[int] = []
-        #: soft memory watermark (degraded-mode tracing): when the rank
-        #: has logged this many terminals since the last crossing (checked
-        #: whenever the log fills: past :data:`LOG_LIMIT`, at each drain),
-        #: they are compressed early into a continuation part and the
-        #: column starts over, bounding the mutable grammar structures a
-        #: rank keeps resident.  None disables the watermark entirely.
-        self.memory_watermark = memory_watermark
-        self._spill_parts: list[Grammar] = []
-        self._spill_input = 0
-        #: how many times the watermark fired (observability/tests)
-        self.watermark_spills = 0
-        self._cap = min(sys.maxsize if self.streaming else LOG_LIMIT,
-                        memory_watermark or sys.maxsize)
+        self._cap = LOG_LIMIT
         #: :meth:`compress`'s result and the call count it covers
         self._frozen: Optional[tuple] = None
 
     @property
     def observed_calls(self) -> int:
-        """Calls this compressor has seen, spilled parts included."""
-        return self._spill_input + self.grammar.n_input
+        """Calls this compressor has seen."""
+        return self.grammar.n_input
 
     def observe(self, fname: str, values: tuple, t0: float,
                 t1: float) -> int:
@@ -651,46 +635,23 @@ class RankCompressor:
         return term
 
     def _overflow(self) -> None:
-        """The log reached its cap: a watermark crossing spills, a full
-        log drains; either way a one-shot rank drains its timing logs."""
-        if self.memory_watermark is not None \
-                and self.grammar.n_input >= self.memory_watermark:
-            self.spill()
-        else:
-            self.grammar.drain()
-        if self.timing is not None and not self.streaming:
+        """The log reached :data:`LOG_LIMIT`: drain it and the timing
+        logs into their live Sequiturs."""
+        self.grammar.drain()
+        if self.timing is not None:
             self.timing.duration_grammar.drain()
             self.timing.interval_grammar.drain()
-
-    def spill(self) -> None:
-        """Watermark crossing: compress the pending stream into a frozen
-        continuation part and start the column over.
-
-        Only the *grammar* is cut — the CST, encoder, timing compressor,
-        and raw-term buffer all key off stable CST terminal numbers and
-        stay live, so spilling is invisible to every other stage."""
-        log = self.grammar
-        if log.n_input:
-            self._spill_input += log.n_input
-            self._spill_parts.append(log.freeze())
-            log.seq = None
-            log.clear()
-            self.watermark_spills += 1
 
     def compress(self, memo: Optional[dict] = None
                  ) -> tuple[Grammar, Optional[tuple[Grammar, Grammar]]]:
         """This rank's grammar and, under lossy timing, its duration and
         interval grammars.  A log that never drained goes through *memo*
-        (:meth:`Grammar.compress`); spilled parts are refed with the
-        pending tail, so spills are invisible in the bytes.  The result
-        is kept for the call count it covers: the logs only grow, so a
-        later :meth:`freeze` of the same calls runs no Sequitur."""
+        (:meth:`Grammar.compress`).  The result is kept for the call
+        count it covers: the logs only grow, so a later :meth:`freeze`
+        of the same calls runs no Sequitur."""
         n = self.observed_calls
         if self._frozen is None or self._frozen[0] != n:
-            parts = self._spill_parts
-            g = (Grammar.refeed([*parts, self.grammar.freeze()],
-                                self.loop_detection, memo)
-                 if parts else self.grammar.freeze(memo))
+            g = self.grammar.freeze(memo)
             timing = self.timing.freeze(memo) if self.timing else None
             self._frozen = (n, g, timing)
         return self._frozen[1:]
@@ -716,41 +677,41 @@ class RankCompressor:
 class StreamingRankCompressor(RankCompressor):
     """A rank whose state leaves mid-run, one :class:`ShardPartial` per
     flush, for the stream's consumer to fold: encode + CST only.  Its
-    :class:`TermLog` never drains; only a ``memory_watermark`` crossing
-    compresses, to bound the log."""
+    :class:`TermLog` never drains and runs no Sequitur: it leaves whole
+    with each flush, so what it keeps resident is bounded by the flush
+    period alone."""
 
     __slots__ = ("streamed_calls", "_sent_counts", "_sent_dur_ns")
-    streaming = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._cap = sys.maxsize
         #: calls already handed off via :meth:`flush_partial`
         self.streamed_calls = 0
         #: per CST entry, the count and rounded nanoseconds already sent
         self._sent_counts: list[int] = []
         self._sent_dur_ns: list[int] = []
 
+    @property
+    def observed_calls(self) -> int:
+        return self.streamed_calls + len(self.grammar)
+
     def flush_partial(self) -> Optional[ShardPartial]:
         """Package everything observed since the previous flush into a
         :class:`ShardPartial`, at a cost proportional to what changed.
 
-        The log leaves as a flat part behind any watermark parts, the
-        timing bin logs likewise.  Their terminals are exactly the CST
-        entries that moved, so the deltas are built from those alone; a
-        rank that saw nothing returns ``None`` without touching the CST."""
-        log, parts = self.grammar, self._spill_parts
-        if not log and not parts:
+        The log leaves as one flat part, the timing bin logs likewise.
+        Their terminals are exactly the CST entries that moved, so the
+        deltas are built from those alone; a rank that saw nothing
+        returns ``None`` without touching the CST."""
+        log = self.grammar
+        if not log:
             return None
         dirty = set(log)
-        for part in parts:
-            dirty.update(part.iter_terminals())
-        if log:
-            parts.append(Grammar.flat(log))
-            self._spill_input += len(log)
-            log.clear()
-        self._spill_parts = []
-        n_calls = self._spill_input - self.streamed_calls
-        self.streamed_calls = self._spill_input
+        parts = [Grammar.flat(log)]
+        n_calls = len(log)
+        self.streamed_calls += n_calls
+        log.clear()
 
         counts, dur_sums = self.cst.counts, self.cst.dur_sums
         sent_c, sent_ns = self._sent_counts, self._sent_dur_ns

@@ -121,15 +121,11 @@ class PilgrimTracer(TracerHooks):
                  keep_raw: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  fault_plan=None,
-                 retry: Optional[RetryPolicy] = None,
-                 memory_watermark: Optional[int] = None):
+                 retry: Optional[RetryPolicy] = None):
         if timing_mode not in (TIMING_AGGREGATE, TIMING_LOSSY):
             raise ValueError(f"unknown timing mode {timing_mode!r}")
         if timing_mode == TIMING_LOSSY:
             check_bases(timing_base, per_function_base)
-        if memory_watermark is not None and memory_watermark < 1:
-            raise ValueError(
-                f"memory_watermark must be >= 1, got {memory_watermark}")
         self.relative_ranks = relative_ranks
         self.per_signature_request_pools = per_signature_request_pools
         self.loop_detection = loop_detection
@@ -147,9 +143,6 @@ class PilgrimTracer(TracerHooks):
         #: retry policy for the resilient pipeline (None = defaults when
         #: faults are armed, no supervision otherwise)
         self.retry = retry
-        #: soft per-rank memory watermark (degraded-mode tracing); see
-        #: RankCompressor.spill
-        self.memory_watermark = memory_watermark
         #: observability: disabled by default (NULL_REGISTRY) so the
         #: benchmarked hot path pays nothing unless profiling is requested
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -214,8 +207,7 @@ class PilgrimTracer(TracerHooks):
                 relative_ranks=self.relative_ranks,
                 per_signature_request_pools=self.per_signature_request_pools,
                 loop_detection=self.loop_detection,
-                timing=timing, keep_raw=self.keep_raw,
-                memory_watermark=self.memory_watermark)
+                timing=timing, keep_raw=self.keep_raw)
             rc.encoder.set_comm_resolver(sim.comm_by_cid)
             self.ranks.append(rc)
         self._observe = [rc.observe for rc in self.ranks]

@@ -340,7 +340,6 @@ def push(workload: str, nprocs: int = 8, *,
     tracer = ChunkingTracer(
         emit_flush=client.send_partials, chunk_calls=chunk_calls,
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
-        memory_watermark=opts.memory_watermark,
         **opts.extra)
     client.connect(nprocs, tracer.config())
     try:

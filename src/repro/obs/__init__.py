@@ -19,16 +19,16 @@ from .export import (CHROME_TRACE_SCHEMA, MANIFEST_SCHEMA, RunManifest,
                      write_chrome_trace, write_spans_jsonl)
 from .profiler import PhaseProfiler
 from .registry import (CLOCK_CPU, CLOCK_WALL, NULL_REGISTRY, SCHEMA, Counter,
-                       Gauge, Histogram, MetricsRegistry, Scope, Timer,
+                       Gauge, MetricsRegistry, Scope, Timer,
                        read_metrics_jsonl, write_metrics_jsonl)
 from .spans import (NULL_RECORDER, SPAN_SCHEMA, Span, SpanRecorder,
                     build_span_tree, span_self_ns)
 
 __all__ = [
     "CHROME_TRACE_SCHEMA", "CLOCK_CPU", "CLOCK_WALL", "Counter", "EventLog",
-    "Gauge", "Histogram", "MANIFEST_SCHEMA", "MetricsRegistry",
-    "NULL_RECORDER", "NULL_REGISTRY", "PhaseProfiler", "RunManifest",
-    "SCHEMA", "SPAN_SCHEMA", "Scope", "Span", "SpanRecorder", "Timer",
+    "Gauge", "MANIFEST_SCHEMA", "MetricsRegistry", "NULL_RECORDER",
+    "NULL_REGISTRY", "PhaseProfiler", "RunManifest", "SCHEMA",
+    "SPAN_SCHEMA", "Scope", "Span", "SpanRecorder", "Timer",
     "build_span_tree", "git_describe", "host_environment", "peak_rss_kb",
     "read_metrics_jsonl", "read_spans_jsonl", "span_self_ns",
     "to_chrome_trace", "validate_json", "write_chrome_trace",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry (counters, gauges, timers, histograms).
+"""Process-wide metrics registry (counters, gauges, timers).
 
 This is the reproduction's self-instrumentation substrate — the analogue
 of the counters the real Pilgrim authors read off their cluster runs to
@@ -14,8 +14,6 @@ Instruments:
   wall (``perf_counter``) or CPU (``process_time``) time.  Use
   :meth:`Timer.time` as a context manager or :meth:`Timer.add` from hot
   loops that manage their own timestamps.
-* :class:`Histogram` — log-scale (power-of-``base``) bins, the right shape
-  for latencies and message sizes that span orders of magnitude.
 
 A registry built with ``enabled=False`` hands out *null* instruments whose
 mutators are no-ops; hot paths can additionally guard on
@@ -27,7 +25,6 @@ observability is always opt-in.
 from __future__ import annotations
 
 import json
-import math
 import time as _time
 from typing import Any, Callable, Iterable, Optional
 
@@ -122,40 +119,6 @@ class Timer:
                 "count": self.count, "seconds": self.total}
 
 
-class Histogram:
-    """Log-scale histogram: value v lands in bin ``ceil(log_base v)``."""
-
-    __slots__ = ("name", "base", "bins", "count", "sum", "_log_base")
-
-    def __init__(self, name: str, base: float = 2.0):
-        if base <= 1.0:
-            raise ValueError("histogram base must exceed 1.0")
-        self.name = name
-        self.base = base
-        self.bins: dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-        self._log_base = math.log(base)
-
-    def observe(self, value: float, n: int = 1) -> None:
-        if value <= 0:
-            b = 0
-        else:
-            b = math.ceil(math.log(value) / self._log_base)
-        self.bins[b] = self.bins.get(b, 0) + n
-        self.count += n
-        self.sum += value * n
-
-    def bin_edge(self, b: int) -> float:
-        """Upper edge of bin *b* (values in the bin are <= this)."""
-        return self.base ** b
-
-    def record(self) -> dict[str, Any]:
-        return {"type": "histogram", "name": self.name, "base": self.base,
-                "count": self.count, "sum": self.sum,
-                "bins": {str(b): self.bins[b] for b in sorted(self.bins)}}
-
-
 class _NullCounter(Counter):
     __slots__ = ()
 
@@ -194,13 +157,6 @@ class _NullTimer(Timer):
         return _NULL_TIMER_BLOCK
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float, n: int = 1) -> None:
-        pass
-
-
 class MetricsRegistry:
     """Named instruments under one namespace.
 
@@ -215,7 +171,6 @@ class MetricsRegistry:
         self._null_counter = _NullCounter("")
         self._null_gauge = _NullGauge("")
         self._null_timer = _NullTimer("")
-        self._null_histogram = _NullHistogram("")
 
     # -- instrument factories ------------------------------------------------------
 
@@ -245,11 +200,6 @@ class MetricsRegistry:
             return self._null_timer
         return self._get(name, Timer, lambda: Timer(name, clock))
 
-    def histogram(self, name: str, base: float = 2.0) -> Histogram:
-        if not self.enabled:
-            return self._null_histogram
-        return self._get(name, Histogram, lambda: Histogram(name, base))
-
     def scope(self, prefix: str) -> "Scope":
         return Scope(self, prefix)
 
@@ -268,7 +218,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """Deterministic nested view: kind -> name -> state."""
         snap: dict[str, dict[str, Any]] = {
-            "counters": {}, "gauges": {}, "timers": {}, "histograms": {}}
+            "counters": {}, "gauges": {}, "timers": {}}
         for rec in self.records():
             kind = rec.pop("type")
             name = rec.pop("name")
@@ -298,9 +248,6 @@ class Scope:
 
     def timer(self, name: str, clock: str = CLOCK_WALL) -> Timer:
         return self._registry.timer(f"{self.prefix}.{name}", clock)
-
-    def histogram(self, name: str, base: float = 2.0) -> Histogram:
-        return self._registry.histogram(f"{self.prefix}.{name}", base)
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self._registry, f"{self.prefix}.{prefix}")

@@ -52,6 +52,9 @@ def current_surface() -> dict:
         "ReplayResult": sorted(
             n for n in dir(api.ReplayResult) if not n.startswith("_")),
         "PushResult": sorted(f.name for f in fields(PushResult)),
+        # every settable option is part of the contract: a new knob
+        # shows up here as a deliberate snapshot diff
+        "TracerOptions": sorted(f.name for f in fields(api.TracerOptions)),
         "api.__all__": sorted(api.__all__),
         "repro.__all__": sorted(repro.__all__),
     }

@@ -6,8 +6,8 @@ Every call takes ``RankCompressor.observe``: the columnar batched entry
 and checked, and read by nothing, because the e2e benchmark's workloads
 set it.  These tests, named for the entry they used to hold, pin that
 it is inert: any batch size traces the default's bytes across families,
-process counts, timing modes and memory-watermark spills, and no rank
-keeps a call buffer behind for finalize to drain.  Plus the plumbing of
+process counts and timing modes, and no rank keeps a call buffer behind
+for finalize to drain.  Plus the plumbing of
 the hot-path bench.
 """
 
@@ -27,17 +27,15 @@ FAMILIES = ("stencil2d", "osu_latency", "npb_mg", "flash_sedov",
 
 
 def _trace_bytes(family: str, nprocs: int, seed: int, *,
-                 batch_size: int = 1, lossy: bool = False,
-                 watermark=None) -> bytes:
+                 batch_size: int = 1, lossy: bool = False) -> bytes:
     tracer = make_tracer("pilgrim", TracerOptions(
-        lossy_timing=lossy, batch_size=batch_size,
-        memory_watermark=watermark))
+        lossy_timing=lossy, batch_size=batch_size))
     make(family, nprocs).run(seed=seed, tracer=tracer)
     return tracer.result.trace_bytes
 
 
 def _no_buffer(tracer, n_calls: int) -> bool:
-    """Every call is already in its rank's log or spilled parts."""
+    """Every call is already in its rank's log."""
     return all(not hasattr(rc, "_batch_n") for rc in tracer.ranks) \
         and sum(rc.observed_calls for rc in tracer.ranks) == n_calls
 
@@ -61,15 +59,6 @@ class TestBatchedByteIdentity:
         # the parallel finalize is gone too: one serial tree either way
         assert _trace_bytes(family, 4, 7, batch_size=256) == \
             _trace_bytes(family, 4, 7)
-
-    def test_watermark_spill_mid_batch(self):
-        tracer = make_tracer("pilgrim", TracerOptions(
-            batch_size=64, memory_watermark=50))
-        make("stencil2d", 4).run(seed=5, tracer=tracer)
-        assert any(rc.watermark_spills > 0 for rc in tracer.ranks)
-        plain = _trace_bytes("stencil2d", 4, 5)
-        assert tracer.result.trace_bytes == plain
-        assert _trace_bytes("stencil2d", 4, 5, watermark=50) == plain
 
     def test_batch_size_one_matches_default(self):
         assert _trace_bytes("osu_latency", 2, 1, batch_size=1) == \

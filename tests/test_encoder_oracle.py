@@ -303,7 +303,7 @@ class OracleRank(RankCompressor):
             **kwargs)
 
     def observe(self, fname, values, t0, t1):
-        # the oracle tracer runs at the defaults: per call, no watermark
+        # the oracle tracer runs at the defaults: per call, no drain
         term = self.cst.intern(self.encoder.encode_call(fname, values),
                                t1 - t0)
         self.grammar.append(term)
@@ -329,10 +329,9 @@ def _run(tracer, family: str, nprocs: int = 4, seed: int = 11) -> bytes:
 def test_every_configuration_matches_the_oracle_trace(family, lossy):
     want = _run(OracleTracer(
         timing_mode=TIMING_LOSSY if lossy else TIMING_AGGREGATE), family)
-    for watermark in (None, 37):
-        got = _run(make_tracer("pilgrim", TracerOptions(
-            lossy_timing=lossy, memory_watermark=watermark)), family)
-        assert got == want, watermark
+    got = _run(make_tracer("pilgrim", TracerOptions(lossy_timing=lossy)),
+               family)
+    assert got == want
 
 
 def _lifecycle_program(m):

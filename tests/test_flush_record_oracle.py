@@ -203,7 +203,8 @@ _sigs = st.lists(st.recursive(
     _atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=6), max_size=4).map(tuple)
 _rules = st.lists(st.tuples(_ints, _ints), max_size=5).map(tuple)
-#: flat parts, multi-rule watermark parts, and the grammar of no rules
+#: flat parts, multi-rule parts (which no producer emits any more, but
+#: the record and the fold still take), and the grammar of no rules
 _grammars = st.lists(_rules, max_size=3).map(lambda r: Grammar(tuple(r)))
 
 
@@ -317,26 +318,22 @@ class TestRoundTrip:
 # -- real flushes, and what a version-1 blob gets ----------------------------------------
 
 
-def _recorded(family: str, nprocs: int, *, lossy: bool, watermark=None,
+def _recorded(family: str, nprocs: int, *, lossy: bool,
               chunk_calls: int = 48):
     out: list[list[ShardPartial]] = []
     tracer = ChunkingTracer(
         emit_flush=out.append, chunk_calls=chunk_calls,
-        timing_mode="lossy" if lossy else "aggregate",
-        memory_watermark=watermark)
+        timing_mode="lossy" if lossy else "aggregate")
     make(family, nprocs).run(seed=7, tracer=tracer, noise=0.05)
     return out, tracer.config(), [rc.streamed_calls for rc in tracer.ranks]
 
 
 class TestAgainstVersionOne:
 
-    @pytest.mark.parametrize("lossy,watermark",
-                             [(False, None), (True, None), (True, 7)])
+    @pytest.mark.parametrize("lossy", [False, True])
     @pytest.mark.parametrize("family", ["stencil2d", "flash_sedov"])
-    def test_both_codecs_carry_the_same_stream(self, family, lossy,
-                                               watermark):
-        recorded, config, fin = _recorded(family, 4, lossy=lossy,
-                                          watermark=watermark)
+    def test_both_codecs_carry_the_same_stream(self, family, lossy):
+        recorded, config, fin = _recorded(family, 4, lossy=lossy)
         assert max(map(len, recorded)) == 4
         fold, v1_fold = (TenantFold("t", 4, config) for _ in range(2))
         v2_bytes = v1_bytes = 0

@@ -3,8 +3,8 @@
 The invariant (tentpole): **any** chunking of a rank's stream into
 partial shards folds, server-side, to a trace byte-identical to the
 one-shot in-process run — across workload families, chunk sizes
-(including per-call streaming and whole-run), lossy timing, and the
-memory watermark.  Property-tested in-memory (fast), then pinned over
+(including per-call streaming and whole-run) and lossy timing.
+Property-tested in-memory (fast), then pinned over
 real sockets with concurrent multi-tenant pushes, reconnects, and a
 corrupt client that must not disturb healthy tenants.
 """
@@ -39,22 +39,20 @@ CHUNKINGS = (1, 7, 97, 10 ** 9)
 
 
 def _one_shot(family: str, nprocs: int, seed: int, *,
-              lossy: bool, watermark=None) -> bytes:
-    tracer = make_tracer("pilgrim", TracerOptions(
-        lossy_timing=lossy, memory_watermark=watermark))
+              lossy: bool) -> bytes:
+    tracer = make_tracer("pilgrim", TracerOptions(lossy_timing=lossy))
     make(family, nprocs).run(seed=seed, tracer=tracer, noise=0.05)
     return tracer.result.trace_bytes
 
 
 def _folded(family: str, nprocs: int, seed: int, *, chunk_calls: int,
-            lossy: bool, watermark=None) -> bytes:
+            lossy: bool) -> bytes:
     """Stream through ChunkingTracer into an Aggregator, no sockets."""
     agg = Aggregator()
     tracer = ChunkingTracer(
         lambda p: agg.absorb("t", p.to_bytes()),
         chunk_calls=chunk_calls,
-        timing_mode="lossy" if lossy else "aggregate",
-        memory_watermark=watermark)
+        timing_mode="lossy" if lossy else "aggregate")
     agg.start("t", nprocs, tracer.config())
     make(family, nprocs).run(seed=seed, tracer=tracer, noise=0.05)
     return agg.finish("t", [rc.streamed_calls for rc in tracer.ranks])
@@ -76,14 +74,6 @@ class TestFoldByteIdentity:
                       lossy=lossy)
         assert got == ref
 
-    @pytest.mark.parametrize("family", ["stencil2d", "milc_su3_rmd"])
-    @pytest.mark.parametrize("chunk_calls", [1, 23, 10 ** 9])
-    def test_identity_under_memory_watermark(self, family, chunk_calls):
-        ref = _one_shot(family, 4, 5, lossy=True, watermark=7)
-        got = _folded(family, 4, 5, chunk_calls=chunk_calls,
-                      lossy=True, watermark=7)
-        assert got == ref
-
     def test_every_family_whole_run_and_per_call(self):
         for family in FAMILIES[:4]:
             ref = _one_shot(family, 2, 3, lossy=False)
@@ -94,13 +84,12 @@ class TestFoldByteIdentity:
 
 @functools.lru_cache(maxsize=None)
 def _recorded(family: str, nprocs: int, seed: int, *, chunk_calls: int,
-              lossy: bool = False, watermark=None):
+              lossy: bool = False):
     """One run's partial stream, flush by flush: (config, flushes, fin)."""
     flushes: list = []
     tracer = ChunkingTracer(
         emit_flush=flushes.append, chunk_calls=chunk_calls,
-        timing_mode="lossy" if lossy else "aggregate",
-        memory_watermark=watermark)
+        timing_mode="lossy" if lossy else "aggregate")
     make(family, nprocs).run(seed=seed, tracer=tracer, noise=0.05)
     return (tracer.config(), flushes,
             [rc.streamed_calls for rc in tracer.ranks])
@@ -134,16 +123,13 @@ class TestChunkRegrouping:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.sampled_from([1, 2]),
            chunk_calls=st.sampled_from([1, 9, 64, 10 ** 9]),
-           timing=st.sampled_from([(False, None), (True, None), (True, 7)]),
+           lossy=st.booleans(),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6))
     def test_any_regrouping_folds_byte_identical(self, family, seed,
-                                                 chunk_calls, timing, sizes):
-        lossy, watermark = timing
-        ref = _cached_one_shot(family, 4, seed, lossy=lossy,
-                               watermark=watermark)
+                                                 chunk_calls, lossy, sizes):
+        ref = _cached_one_shot(family, 4, seed, lossy=lossy)
         config, flushes, fin = _recorded(
-            family, 4, seed, chunk_calls=chunk_calls, lossy=lossy,
-            watermark=watermark)
+            family, 4, seed, chunk_calls=chunk_calls, lossy=lossy)
         partials = [p for flush in flushes for p in flush]
         agg = Aggregator()
         agg.start("t", 4, config)
@@ -512,9 +498,7 @@ class TestSatelliteGuards:
     def test_tracer_options_validate_eagerly(self):
         with pytest.raises(ValueError, match="batch_size"):
             TracerOptions(batch_size=0)
-        with pytest.raises(ValueError, match="memory_watermark"):
-            TracerOptions(memory_watermark=0)
-        TracerOptions(batch_size=1, memory_watermark=1)
+        TracerOptions(batch_size=1)
 
     def test_chunk_calls_validates(self):
         with pytest.raises(ValueError, match="chunk_calls"):

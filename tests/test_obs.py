@@ -45,16 +45,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             Timer("bad", "sundial")
 
-    def test_histogram_log_bins(self):
-        h = MetricsRegistry().histogram("sizes", base=2.0)
-        for v in (1, 2, 3, 4, 1024):
-            h.observe(v)
-        assert h.count == 5
-        assert h.sum == 1034
-        # 1 -> bin 0, 2 -> bin 1, 3 and 4 -> bin 2, 1024 -> bin 10
-        assert h.bins == {0: 1, 1: 1, 2: 2, 10: 1}
-        assert h.bin_edge(10) == 1024
-
     def test_kind_mismatch_rejected(self):
         reg = MetricsRegistry()
         reg.counter("x")
@@ -73,7 +63,6 @@ class TestSnapshotDeterminism:
         reg.counter("b").inc(2)
         reg.counter("a").inc(1)
         reg.timer("t").add(1.5, count=3)
-        reg.histogram("h").observe(10)
         reg.gauge("g").set(7)
 
     def test_identical_histories_identical_snapshots(self):
@@ -101,7 +90,6 @@ class TestDisabledMode:
         reg.timer("t").add(2.0)
         with reg.timer("t").time():
             pass
-        reg.histogram("h").observe(3)
         assert len(reg) == 0
         assert reg.records() == []
 
@@ -150,7 +138,6 @@ class TestJsonlRoundTrip:
         reg.timer("pilgrim.phase.cfg_merge").add(0.3)
         reg.timer("pilgrim.phase.encode.cpu", "cpu").add(0.5, count=1000)
         reg.timer("pilgrim.total").add(1.0)
-        reg.histogram("pilgrim.msg").observe(256)
         log = EventLog()
         log.emit("p2p.match", src=0, dst=1)
         path = str(tmp_path / "m.jsonl")
@@ -193,14 +180,13 @@ class TestTracerIntegration:
         return tracer
 
     #: (tracer kwargs, ``shard.LOG_LIMIT``): every stage the profiled
-    #: fork in ``on_call`` spells out again, and its drains and spills
+    #: fork in ``on_call`` spells out again, and its drains
     CONFIGS = [({}, shard.LOG_LIMIT),
                ({"timing_mode": "lossy"}, shard.LOG_LIMIT),
-               ({"memory_watermark": 5}, shard.LOG_LIMIT),
+               ({}, 5),
                ({"timing_mode": "lossy"}, 3),
                ({"keep_raw": True}, shard.LOG_LIMIT),
-               ({"timing_mode": "lossy", "memory_watermark": 7,
-                 "keep_raw": True}, 4)]
+               ({"timing_mode": "lossy", "keep_raw": True}, 4)]
 
     def test_enabled_and_disabled_traces_identical(self):
         # the profiled fork is the one per-call body besides observe
@@ -214,8 +200,6 @@ class TestTracerIntegration:
             assert plain.result.per_rank_calls == \
                 profiled.result.per_rank_calls, kwargs
             assert plain.raw_terms == profiled.raw_terms, kwargs
-            assert [rc.watermark_spills for rc in plain.ranks] == \
-                [rc.watermark_spills for rc in profiled.ranks], kwargs
 
     def test_phases_cover_measured_overhead(self):
         reg = MetricsRegistry()

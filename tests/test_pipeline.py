@@ -218,11 +218,10 @@ class TestBackendRegistry:
 
     def test_options_and_overrides(self):
         opts = TracerOptions(lossy_timing=True, keep_raw=True)
-        t = make_tracer("pilgrim", opts, memory_watermark=3)
-        assert (t.timing_mode, t.keep_raw, t.memory_watermark) \
-            == ("lossy", True, 3)
+        t = make_tracer("pilgrim", opts, lossy_timing=False)
+        assert (t.timing_mode, t.keep_raw) == ("aggregate", True)
         # the shared options object is untouched
-        assert opts.memory_watermark is None
+        assert opts.lossy_timing is True
         t = make_tracer("pilgrim", extra={"cfg_dedup": False})
         assert t.cfg_dedup is False
 
@@ -286,7 +285,8 @@ class TestARunStartsOver:
         # is exact, so the two results can be compared whole
         ticks = itertools.count()
         monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
-        tracer = make_tracer(backend, TracerOptions(profile=True))
+        tracer = make_tracer(backend,
+                             TracerOptions(metrics=MetricsRegistry()))
         runs = []
         for _ in range(2):
             make("stencil2d", 4, iters=3).run(seed=1, tracer=tracer)

@@ -8,7 +8,7 @@ Sequitur; one that never did is compressed at finalize through a memo
 shared by the run's ranks (:meth:`~repro.core.grammar.Grammar.compress`).
 Sequitur is online, so none of that may move a byte: the oracle here is
 the rank this design replaced — one fresh Sequitur per rank, fed per
-call with ``append``, no watermark, no memo.
+call with ``append``, no memo.
 """
 
 from __future__ import annotations
@@ -135,13 +135,10 @@ class TestAgainstAPerCallSequitur:
     @settings(max_examples=60, deadline=None)
     @given(streams=rank_streams(), lossy=st.booleans(),
            loop_detection=st.booleans(),
-           watermark=st.sampled_from([None, 1, 3, 7, 50]),
-           log_limit=st.sampled_from([LOG_LIMIT, 4, 9]))
-    def test_trace_bytes(self, streams, lossy, loop_detection, watermark,
-                         log_limit):
+           log_limit=st.sampled_from([LOG_LIMIT, 1, 4, 9]))
+    def test_trace_bytes(self, streams, lossy, loop_detection, log_limit):
         with mock.patch.object(shard_mod, "LOG_LIMIT", log_limit):
-            got = _run(PilgrimTracer(memory_watermark=watermark,
-                                     **_kwargs(lossy, loop_detection)),
+            got = _run(PilgrimTracer(**_kwargs(lossy, loop_detection)),
                        streams)
         assert got.result.trace_bytes == \
             _oracle(streams, lossy, loop_detection)

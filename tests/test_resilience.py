@@ -1,6 +1,5 @@
 """Resilience subsystem tests: fault plans, the injector, retry
-supervision, the chaos recovery property, partial-trace salvage, and
-degraded-mode (watermark) tracing."""
+supervision, the chaos recovery property and partial-trace salvage."""
 
 import pytest
 
@@ -374,33 +373,6 @@ class TestSalvageDecode:
         report = fuzz.run(fuzz.trace_target(reference.trace_bytes),
                           seed=0, n_random=80)
         assert report.ok, [str(f) for f in report.failures[:5]]
-
-
-# -- degraded-mode tracer (memory watermark) ---------------------------------------
-
-
-class TestWatermark:
-    def test_byte_identity_with_spills(self, reference):
-        r = trace(options=TracerOptions(memory_watermark=10))
-        spills = [rc.watermark_spills for rc in r.tracer.ranks]
-        assert all(s > 0 for s in spills)
-        assert r.trace_bytes == reference.trace_bytes
-
-    def test_byte_identity_with_lossy_timing(self):
-        ref = trace(options=TracerOptions(lossy_timing=True))
-        wm = trace(options=TracerOptions(lossy_timing=True,
-                                         memory_watermark=8))
-        assert wm.trace_bytes == ref.trace_bytes
-
-    def test_watermark_with_faults(self, reference):
-        r = trace(fault_plan="oserror@shard.freeze*2",
-                  options=TracerOptions(memory_watermark=10))
-        assert not r.degraded
-        assert r.trace_bytes == reference.trace_bytes
-
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            PilgrimTracer(memory_watermark=0)
 
 
 # -- scheduler injection -----------------------------------------------------------

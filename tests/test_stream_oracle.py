@@ -69,9 +69,15 @@ def o_rotate(timing: TimingCompressor, loop_detection: bool
 
 class OracleRank(RankCompressor):
     """The parent's one-shot rank with its ``flush_partial`` on it: its
-    own live Sequitur fed per call, Sequitur timing grammars, and both frozen into parts and restarted at each
-    watermark crossing and each flush.  The product's terminal log is
-    never written."""
+    own live Sequitur fed per call, Sequitur timing grammars, and both
+    frozen into parts and restarted at each flush.  With ``cut`` set
+    the call Sequitur is also frozen and restarted every ``cut`` calls,
+    as the memory watermark once cut a streaming rank's column, so its
+    flushes carry multi-rule parts.  The product's terminal log is never
+    written."""
+
+    #: calls between the call Sequitur's extra cuts (None: no cuts)
+    cut: Optional[int] = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -91,13 +97,9 @@ class OracleRank(RankCompressor):
         self.seq.append(term)
         if self.timing is not None:
             self.timing.record(term, fname, t0, t1)
-        self._o_watermark()
-        return term
-
-    def _o_watermark(self) -> None:
-        if self.memory_watermark is not None \
-                and self.seq.n_input >= self.memory_watermark:
+        if self.cut is not None and self.seq.n_input >= self.cut:
             self._o_rotate()
+        return term
 
     def _o_rotate(self) -> None:
         self.o_parts.append(Grammar.freeze(self.seq))
@@ -106,7 +108,6 @@ class OracleRank(RankCompressor):
 
     def flush_partial(self) -> Optional[ShardPartial]:
         if self.seq.n_input:
-            # the watermark's rotation, but not a *watermark* event
             self._o_rotate()
         n_calls = self.o_input - self.streamed_calls
         if n_calls == 0:
@@ -152,6 +153,15 @@ class OracleRank(RankCompressor):
 class OracleTracer(ChunkingTracer):
     rank_class = OracleRank
 
+    def __init__(self, *args, cut: Optional[int] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cut = cut
+
+    def on_run_start(self, sim) -> None:
+        super().on_run_start(sim)
+        for rc in self.ranks:
+            rc.cut = self.cut
+
 
 # -- helpers ----------------------------------------------------------------------------
 
@@ -171,13 +181,12 @@ def _run(family: str, tracer):
 
 
 def _stream(tracer_cls, family: str, *, chunk_calls: int = 64,
-            lossy: bool = False, watermark=None, **kwargs):
+            lossy: bool = False, **kwargs):
     """One run's flushes, its config, its FIN call counts, its tracer."""
     flushes: list[list[ShardPartial]] = []
     tracer = _run(family, tracer_cls(
         emit_flush=flushes.append, chunk_calls=chunk_calls,
-        timing_mode="lossy" if lossy else "aggregate",
-        memory_watermark=watermark, **kwargs))
+        timing_mode="lossy" if lossy else "aggregate", **kwargs))
     return (flushes, tracer.config(),
             [rc.streamed_calls for rc in tracer.ranks], tracer)
 
@@ -189,16 +198,16 @@ def _fold(flushes, config, fin) -> bytes:
     return fold.finish(fin)
 
 
-def _one_shot(family: str, *, lossy: bool = False, watermark=None,
+def _one_shot(family: str, *, lossy: bool = False,
               log_limit: int = shard.LOG_LIMIT, loop_detection: bool = True):
     with mock.patch.object(shard, "LOG_LIMIT", log_limit):
         return _run(family, make_tracer("pilgrim", TracerOptions(
-            lossy_timing=lossy, memory_watermark=watermark,
-            extra=dict(loop_detection=loop_detection))))
+            lossy_timing=lossy, extra=dict(loop_detection=loop_detection))))
 
 
-def _expansions(parts) -> list[list[int]]:
-    return [g.expand() for g in parts]
+def _terminals(parts) -> list[int]:
+    """Every part expanded, in order, as one terminal stream."""
+    return [t for g in parts for t in g.expand()]
 
 
 # -- the differential matrix ------------------------------------------------------------
@@ -208,20 +217,23 @@ class TestAgainstTheOracle:
 
     # the one-shot reference's ranks drain their logs into Sequitur
     # after every call (1) or never (256: more calls than any rank here
-    # makes); the streams must fold to its bytes either way
+    # makes); the streams must fold to its bytes either way.  The oracle
+    # also cuts its call Sequitur every 7 or 23 calls (or only at
+    # flushes): its multi-rule parts are what producers shipped before
+    # every part went flat, and they must fold to the same bytes
     @pytest.mark.parametrize("log_limit", [1, 256])
-    @pytest.mark.parametrize("watermark", [None, 7, 23])
+    @pytest.mark.parametrize("cut", [None, 7, 23])
     @pytest.mark.parametrize("lossy", [False, True],
                              ids=["aggregate", "lossy"])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_flush_by_flush(self, family, lossy, watermark, log_limit):
+    def test_flush_by_flush(self, family, lossy, cut, log_limit):
         ref = _one_shot(family, lossy=lossy,
                         log_limit=log_limit).result.trace_bytes
         for chunk_calls in (1, 9, 64, 256, 10 ** 9):
-            kw = dict(chunk_calls=chunk_calls, lossy=lossy,
-                      watermark=watermark)
+            kw = dict(chunk_calls=chunk_calls, lossy=lossy)
             got, config, fin, _ = _stream(ChunkingTracer, family, **kw)
-            want, o_config, o_fin, _ = _stream(OracleTracer, family, **kw)
+            want, o_config, o_fin, _ = _stream(OracleTracer, family,
+                                               cut=cut, **kw)
             assert (config, fin) == (o_config, o_fin)
             assert len(got) == len(want), chunk_calls
             for flush, o_flush in zip(got, want):
@@ -231,8 +243,9 @@ class TestAgainstTheOracle:
                             p.d_dur_ns) == \
                         (o.n_calls, o.new_sigs, o.idx, o.d_counts,
                          o.d_dur_ns), (chunk_calls, p.rank)
-                    assert _expansions(p.parts) == _expansions(o.parts)
-                    assert sum(map(len, _expansions(p.parts))) == p.n_calls
+                    assert len(p.parts) == 1
+                    assert _terminals(p.parts) == _terminals(o.parts)
+                    assert len(_terminals(p.parts)) == p.n_calls
                     if lossy:
                         assert p.timing_duration.expand() == \
                             o.timing_duration.expand()
@@ -243,24 +256,18 @@ class TestAgainstTheOracle:
             assert _fold(got, config, fin) == ref, chunk_calls
             assert _fold(want, config, fin) == ref, chunk_calls
 
-    def test_parts_are_flat_unless_the_watermark_compressed_them(self):
-        flushes, *_ = _stream(ChunkingTracer, "stencil2d", chunk_calls=64,
-                              lossy=True)
-        for p in (p for flush in flushes for p in flush):
-            assert len(p.parts) == 1
-            for g in (*p.parts, p.timing_duration, p.timing_interval):
-                assert g == Grammar.flat(g.expand())
-        flushes, _, _, tracer = _stream(
-            ChunkingTracer, "stencil2d", chunk_calls=10 ** 9, watermark=7)
-        assert any(rc.watermark_spills for rc in tracer.ranks)
-        (flush,) = flushes
-        for p, rc in zip(flush, tracer.ranks):
-            assert len(p.parts) == rc.watermark_spills + 1
-            # a whole-run chunk with a watermark never held more than
-            # the watermark's worth of raw terminals
-            assert all(g.expanded_length() == 7 for g in p.parts[:-1])
-            assert all(g == Grammar.refeed([g]) for g in p.parts[:-1])
-            assert p.parts[-1] == Grammar.flat(p.parts[-1].expand())
+    def test_parts_are_flat(self):
+        for chunk_calls in (64, 10 ** 9):
+            flushes, *_ = _stream(ChunkingTracer, "stencil2d",
+                                  chunk_calls=chunk_calls, lossy=True)
+            for p in (p for flush in flushes for p in flush):
+                assert len(p.parts) == 1
+                for g in (*p.parts, p.timing_duration, p.timing_interval):
+                    assert g == Grammar.flat(g.expand())
+        # the oracle's cuts do leave multi-rule parts for the fold to take
+        want, *_ = _stream(OracleTracer, "stencil2d", cut=23)
+        assert any(g.n_rules > 1 for flush in want for p in flush
+                   for g in p.parts)
 
 
 class TestProfiledStreaming:
@@ -309,7 +316,7 @@ class TestFlatGrammar:
         g.write_to(out)
         r = Reader(bytes(out))
         assert Grammar.from_reader(r) == g and r.exhausted
-        assert Grammar.refeed([g]).expand() == log
+        assert Grammar.compress(g.expand()).expand() == log
 
     def test_adjacent_equal_terminals_share_a_token(self):
         assert Grammar.flat([3] * 40).rules == (((3, 40),),)
@@ -395,7 +402,7 @@ class TestFlushCostsWhatChanged:
             sent += rc.flush_partial().d_dur_ns[0]
         assert sent == _dur_to_ns(rc.cst.dur_sums[0]) == 3
 
-    def test_a_watermark_crossing_is_the_only_sequitur(self, monkeypatch):
+    def test_a_streaming_rank_builds_no_sequitur(self, monkeypatch):
         built = []
         real = Sequitur.__init__
 
@@ -404,29 +411,32 @@ class TestFlushCostsWhatChanged:
             real(self, **kw)
 
         monkeypatch.setattr(Sequitur, "__init__", counting)
-        rc = _rank(memory_watermark=6)
+        rc = _rank()
         _feed(rc, [0, 1, 0, 1, 0, 1])
-        assert isinstance(rc.grammar, TermLog) and not built
-        rc.spill()                  # what observe does at n_input == 6
-        assert built == [1] and rc.watermark_spills == 1
-        assert not rc.grammar and rc.observed_calls == 6
-        _feed(rc, [2])
+        assert isinstance(rc.grammar, TermLog) and rc.observed_calls == 6
         p = rc.flush_partial()
-        assert built == [1]
-        assert _expansions(p.parts) == [[0, 1, 0, 1, 0, 1], [2]]
-        assert p.parts[0].n_rules > 1 and p.idx == [0, 1, 2]
+        _feed(rc, [2])
+        assert rc.observed_calls == 7
+        q = rc.flush_partial()
+        assert (p.parts, q.parts) == ([Grammar.flat([0, 1] * 3)],
+                                      [Grammar.flat([2])])
+        assert q.idx == [2] and rc.streamed_calls == rc.observed_calls
         with pytest.raises(RuntimeError, match="flush_partial"):
             rc.freeze()
+        # a whole-run chunk far past LOG_LIMIT: the log never drains
+        with mock.patch.object(shard, "LOG_LIMIT", 4):
+            (flush,), *_ = _stream(ChunkingTracer, "stencil2d",
+                                   chunk_calls=10 ** 9, lossy=True)
+        assert min(p.n_calls for p in flush) > 4
+        assert not built
 
 
-# -- unit tests: spills and the fold against one fresh Sequitur per stream --------------
+# -- unit tests: the fold against one fresh Sequitur per stream -------------------------
 
 
 def o_refeed(parts, loop_detection: bool = True) -> Grammar:
     """Every part expanded, in order, through one fresh Sequitur: what
-    the fold's refeed and consolidation once were (and, with the live
-    grammar's terminals as a last part, ``RankCompressor.freeze``'s
-    splice)."""
+    the fold's refeed and consolidation once were."""
     seq = Sequitur(loop_detection=loop_detection)
     for part in parts:
         seq.append_array(part.expand())
@@ -434,36 +444,6 @@ def o_refeed(parts, loop_detection: bool = True) -> Grammar:
 
 
 class TestOneRefeedRoutine:
-
-    @pytest.mark.parametrize("loop_detection", [True, False])
-    def test_spilled_one_shot_runs_freeze_to_the_unspilled_grammar(
-            self, loop_detection):
-        stream = ([0, 1, 2] * 9 + [3]) * 4 + [4, 4, 4, 0, 1]
-        plain = RankCompressor(0, CommIdSpace(1),
-                               loop_detection=loop_detection)
-        spilled = RankCompressor(0, CommIdSpace(1), memory_watermark=7,
-                                 loop_detection=loop_detection)
-        for rc in (plain, spilled):
-            for t in stream:
-                rc.cst.intern(("MPI_Fake", t), 1e-6)
-                rc.grammar.append(t)
-                if rc.memory_watermark and rc.grammar.n_input >= 7:
-                    rc.spill()
-        assert spilled.watermark_spills == len(stream) // 7
-        parts = [*spilled._spill_parts, spilled.grammar.freeze()]
-        shard = spilled.freeze()
-        assert shard.cfg == plain.freeze().cfg
-        assert shard.calls == [len(stream)]
-        (g,) = shard.cfg.unique
-        assert g == o_refeed(parts, loop_detection) \
-            == Grammar.refeed(parts, loop_detection)
-
-    @pytest.mark.parametrize("family", ["stencil2d", "milc_su3_rmd"])
-    def test_spilled_workload_runs_are_byte_identical(self, family):
-        spilled = _one_shot(family, lossy=True, watermark=7)
-        assert any(rc.watermark_spills for rc in spilled.ranks)
-        assert spilled.result.trace_bytes == \
-            _one_shot(family, lossy=True).result.trace_bytes
 
     def test_drained_folds(self):
         """Streams past ``LOG_LIMIT`` drain into the fold's live
@@ -573,18 +553,21 @@ FIXTURE = Path(__file__).parent / "data" / "stream_xversion.json"
 
 class TestCrossVersion:
     """``tests/data/stream_xversion.json`` pins one stream each way
-    (stencil2d, 4 ranks, seed 11, lossy timing, watermark 23, 97 calls a
-    chunk).  ``parent_*`` was recorded by the commit before PR 16 — its
-    CHUNK payloads, a checkpoint taken after half of them, and the trace
-    its own server folded them to — in ``PARTIAL_VERSION`` 1 and
+    (stencil2d, 4 ranks, seed 11, lossy timing, 97 calls a chunk).
+    ``parent_*`` was recorded by the commit before PR 16 — its CHUNK
+    payloads, a checkpoint taken after half of them, and the trace its
+    own server folded them to — in ``PARTIAL_VERSION`` 1 and
     ``CHECKPOINT_VERSION`` 1: the product refuses both by version, and
     the reader that left ``src/`` with them
     (``tests/test_flush_record_oracle.py``) still takes them to that
-    trace through today's fold.  ``new_chunks`` is what this producer
-    emits for the same run, one flush record a CHUNK, and
-    ``new_checkpoint`` the fold of the first half of them (re-recorded
-    at each format revision since; the file's ``note`` says how each
-    was checked against the recording it replaces).
+    trace through today's fold.  ``new_chunks`` is one flush record a
+    CHUNK for the same run, and ``new_checkpoint`` the fold of the first
+    half of them (re-recorded at each format revision since; the file's
+    ``note`` says how each was checked against the recording it
+    replaces).  They were recorded while the producer still cut each
+    rank's call stream at a memory watermark of 23 calls, so their parts
+    are multi-rule grammars: today's producer ships the same streams as
+    one flat part a partial, and the fold must take both.
 
     The pinned trace is a format-v2 blob and stays one: what the streams
     fold to is compared as *tables* — signatures, counts, nanoseconds,
@@ -631,13 +614,16 @@ class TestCrossVersion:
 
     def test_todays_producer_emits_what_the_parent_parsed(self, pinned):
         flushes, config, fin, _ = _stream(
-            ChunkingTracer, "stencil2d", chunk_calls=97, lossy=True,
-            watermark=23)
+            ChunkingTracer, "stencil2d", chunk_calls=97, lossy=True)
         assert (config, fin) == (pinned["config"], pinned["fin"])
-        assert flushes == [read_partials(b) for b in pinned["new_chunks"]]
-        # the wire: the recorded CHUNK payloads, byte for byte
-        assert [write_flush(flush, compress=False)
-                for flush in flushes] == pinned["new_chunks"]
+        recorded = [read_partials(b) for b in pinned["new_chunks"]]
+        assert any(g.n_rules > 1 for flush in recorded for p in flush
+                   for g in p.parts)
+        assert len(flushes) == len(recorded)
+        for flush, pinned_flush in zip(flushes, recorded):
+            assert [_stream_of(p) for p in flush] == \
+                [_stream_of(p) for p in pinned_flush]
+            assert all(len(p.parts) == 1 for p in flush)
         folded = _fold(flushes, config, fin)
         assert folded == _one_shot("stencil2d", lossy=True).result.trace_bytes
         assert TraceFile.from_bytes(folded) == pinned["tables"]
@@ -659,6 +645,15 @@ class TestCrossVersion:
                 resumed.absorb_blob(chunk)
             assert TraceFile.from_bytes(
                 resumed.finish(pinned["fin"])) == pinned["tables"]
+
+
+def _stream_of(p: ShardPartial) -> tuple:
+    """A partial field for field, each grammar as the terminal stream it
+    expands to."""
+    return (p.rank, p.n_calls, p.new_sigs, p.idx, p.d_counts, p.d_dur_ns,
+            _terminals(p.parts),
+            *(g.expand() if g is not None else None
+              for g in (p.timing_duration, p.timing_interval)))
 
 
 def _tuplify(x):
