@@ -72,7 +72,9 @@ class TraceResult:
     nprocs: int
     backend: str
     seed: int
-    #: the constructed tracer (still holds raw streams, CSTs, metrics)
+    #: the constructed tracer: its result, metrics and spans, and each
+    #: rank's frozen shard (``tracer.ranks[r].freeze()``); raw streams,
+    #: CSTs and encoders only under ``keep_raw`` (DESIGN.md §17)
     tracer: Any
     #: the simulator's RunResult (virtual times, scheduler steps)
     run: Any

@@ -16,7 +16,11 @@ per sample, on the same runner, each family is also run once under the
 * ``<family>.decode_over_null`` / ``decode_over_null`` — decode time over
   the untraced run that produced the calls (and summed over families) —
   and ``<family>.trace_bytes``, the size of the blob being parsed, an
-  exact count.  Machine-independent, so these are what CI gates.
+  exact count.  Machine-independent, so these are what CI gates;
+* ``<family>.retained_kib`` — what a finished tracer keeps alive — and
+  ``<family>.parsed_kib`` — what one :class:`TraceDecoder` holds after
+  ``all_terminals()`` — both counted once at setup by ``tracemalloc``
+  (exact counts, IQR 0; not gated).
 
 The regular :data:`~repro.bench.hotpath.DEFAULT_FAMILIES` compress to a
 few hundred bytes and decode in about a millisecond whatever the codec
@@ -27,6 +31,7 @@ the family whose decode time is parsing.
 
 from __future__ import annotations
 
+import gc
 import tempfile
 from time import perf_counter
 
@@ -40,6 +45,36 @@ from .hotpath import DEFAULT_FAMILIES
 LOSSY_FAMILIES = ("flash_cellular",)
 
 
+def _kib_held(build) -> float:
+    """KiB still allocated once *build*'s result is made and the garbage
+    collected, the result itself alive (``tracemalloc``)."""
+    import tracemalloc  # only here: importing the package loads none of it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = build()
+        gc.collect()
+        kib = (tracemalloc.get_traced_memory()[0] - before) / 1024
+    finally:
+        tracemalloc.stop()
+    del held
+    return kib
+
+
+def _finished_tracer(fam: str, nprocs: int, seed: int):
+    tracer = make_tracer("pilgrim", TracerOptions(
+        lossy_timing=fam in LOSSY_FAMILIES))
+    make(fam, nprocs).run(seed=seed, tracer=tracer)
+    return tracer
+
+
+def _parsed(blob: bytes) -> TraceDecoder:
+    decoder = TraceDecoder.from_bytes(blob)
+    decoder.all_terminals()
+    return decoder
+
+
 @register("decode", "trace parse + full grammar expansion time over a "
                     "null-backend run, plus the trace-store read path")
 def _decode(params: dict):
@@ -51,11 +86,16 @@ def _decode(params: dict):
     blobs = []
     total_calls = 0
     for fam in families:
-        tracer = make_tracer("pilgrim", TracerOptions(
-            lossy_timing=fam in LOSSY_FAMILIES))
-        make(fam, nprocs).run(seed=seed, tracer=tracer)
+        tracer = _finished_tracer(fam, nprocs, seed)
         blobs.append((fam, tracer.result.trace_bytes))
         total_calls += tracer.result.total_calls
+    # the first run of each family above made its lazily built tables
+    # (encoder plans and the like): these count what one more run keeps
+    held = {}
+    for fam, blob in blobs:
+        held[f"{fam}.retained_kib"] = _kib_held(
+            lambda fam=fam: _finished_tracer(fam, nprocs, seed))
+        held[f"{fam}.parsed_kib"] = _kib_held(lambda blob=blob: _parsed(blob))
     # held in the sample closure so the store outlives setup; cleaned
     # up by the TemporaryDirectory finalizer on release
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
@@ -63,7 +103,7 @@ def _decode(params: dict):
     runs = {fam: store.put(blob, fam).run_id for fam, blob in blobs}
 
     def sample(_tmp=tmp) -> dict:
-        out: dict = {}
+        out: dict = dict(held)
         total_ms = total_null_ms = 0.0
         for fam, blob in blobs:
             start = perf_counter()

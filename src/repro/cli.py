@@ -38,10 +38,11 @@ from .analysis import fmt_kb, print_table, run_experiment
 from .core import (TraceFormatError, TracerOptions, available_backends,
                    make_tracer, verify_roundtrip)
 from .core.export import to_text, write_otf_text
+from .core.trace_format import section_sizes
 from .obs import EventLog, MetricsRegistry, write_metrics_jsonl
 from .replay import generate_miniapp, replay_trace, structurally_equal
 from .resilience import FaultPlan
-from .workloads import REGISTRY, make
+from .workloads import REGISTRY
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -404,7 +405,9 @@ def cmd_info(args) -> int:
     dec = api.decode(blob, salvage=args.salvage)
     if dec.salvage is not None:
         print(f"note: {dec.salvage.summary()}")
-    sizes = dec.trace.section_sizes()
+    # a salvaged trace's sizes are those of what was recovered
+    sizes = section_sizes(blob) if dec.salvage is None \
+        else dec.trace.section_sizes()
     hist = dict(sorted(dec.function_histogram().items(),
                        key=lambda kv: -kv[1]))
     if args.json:

@@ -216,16 +216,20 @@ class Grammar:
     # -- transforms --------------------------------------------------------------------
 
     def remap_terminals(self, mapping: Callable[[int], int]) -> "Grammar":
-        """Apply a terminal renumbering (local → global CST symbols)."""
+        """Apply a terminal renumbering (local → global CST symbols);
+        rule references are this grammar's own token objects."""
         return Grammar(tuple(
-            tuple((mapping(v) if v >= 0 else v, e) for v, e in rule)
+            tuple([(mapping(t[0]), t[1]) if t[0] >= 0 else t for t in rule])
             for rule in self.rules))
 
     def shift_rules(self, offset: int) -> tuple[Rule, ...]:
         """Rule bodies with every rule reference shifted by *offset*
-        (used when splicing grammars into a merged rule space)."""
+        (used when splicing grammars into a merged rule space).  A rule
+        that references no other is this grammar's own tuple, and so is
+        every terminal token."""
         return tuple(
-            tuple((v if v >= 0 else v - offset, e) for v, e in rule)
+            rule if not rule or min(rule)[0] >= 0 else
+            tuple([t if t[0] >= 0 else (t[0] - offset, t[1]) for t in rule])
             for rule in self.rules)
 
     # -- serialization ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from struct import Struct, error as StructError
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import CorruptTraceError, TruncatedTraceError
 
@@ -151,37 +151,37 @@ class Reader:
 def read_varints(r: Reader, n: int, signed: bool = True) -> list[int]:
     """The next *n* varints in one call (zigzag-decoded if *signed*) — a
     C-speed slice when every one of them is a single byte, else one loop
-    with the two- and three-byte forms in line (nanosecond deltas are all
-    of those) and a call only for what is longer."""
+    with the two- and three-byte forms and the zigzag in line (nanosecond
+    deltas are all of those) and a call only for what is longer."""
     data, pos = r.data, r.pos
     out = data[pos:pos + n]
     if len(out) == n and (not n or max(out) < 0x80):
-        pos += n
-    else:
-        out = []
-        append = out.append
-        try:
-            for _ in range(n):
-                z = data[pos]
-                if z < 0x80:
-                    pos += 1
+        r.pos = pos + n
+        return [(z >> 1) ^ -(z & 1) for z in out] if signed else list(out)
+    out = []
+    append = out.append
+    try:
+        for _ in range(n):
+            z = data[pos]
+            if z < 0x80:
+                pos += 1
+            else:
+                b = data[pos + 1]
+                if b < 0x80:
+                    z += (b << 7) - 0x80
+                    pos += 2
                 else:
-                    b = data[pos + 1]
-                    if b < 0x80:
-                        z += (b << 7) - 0x80
-                        pos += 2
+                    c = data[pos + 2]
+                    if c < 0x80:
+                        z += (b << 7) + (c << 14) - 0x4080
+                        pos += 3
                     else:
-                        c = data[pos + 2]
-                        if c < 0x80:
-                            z += (b << 7) + (c << 14) - 0x4080
-                            pos += 3
-                        else:
-                            z, pos = _uvarint_tail(data, pos + 1, z)
-                append(z)
-        except IndexError:
-            raise _truncated(f"{n}-varint array", r.pos, data) from None
+                        z, pos = _uvarint_tail(data, pos + 1, z)
+            append((z >> 1) ^ -(z & 1) if signed else z)
+    except IndexError:
+        raise _truncated(f"{n}-varint array", r.pos, data) from None
     r.pos = pos
-    return [(z >> 1) ^ -(z & 1) for z in out] if signed else list(out)
+    return out
 
 
 # -- tagged values ---------------------------------------------------------------
@@ -340,6 +340,9 @@ COLUMN_SAME = 4
 
 _INT_ONLY = frozenset((int,))
 _TUPLE_ONLY = frozenset((tuple,))
+#: value types that equal no value of another type: rows of these alone
+#: can be shared by equality
+_EXACT = frozenset((int, str, type(None)))
 #: equal-width tuples up to this wide are records, stored by position
 #: (the encoder's widest is a device pointer); wider ones are vectors
 #: that happen to agree on a length
@@ -373,11 +376,17 @@ def write_column(out: bytearray, values: Sequence, depth: int = 0) -> None:
 
 
 def read_column(r: Reader, n: int, depth: int = 0,
-                earlier: Sequence = ()) -> Sequence:
+                earlier: Sequence = (), inexact: Optional[list] = None
+                ) -> Sequence:
     """The next column of *n* values; *earlier* are the columns a SAME
     may refer to.  Every value of every other shape costs at least one
     byte, so a count the buffer cannot hold is refused before anything
-    is allocated."""
+    is allocated.
+
+    Equal rows of a TUPLE or LIST column are one object (a column
+    repeats few distinct rows many times), unless the rows hold values
+    that equal a value of another type (``True == 1 == 1.0``): a column
+    of such values says so by appending to *inexact*, its parent's."""
     tag = r.read_uvarint()
     if tag == COLUMN_SAME:
         j = r.read_uvarint()
@@ -392,19 +401,31 @@ def read_column(r: Reader, n: int, depth: int = 0,
     if tag == _C_INT:
         return read_varints(r, n)
     if tag == _C_VALUES:
-        return [read_value(r) for _ in range(n)]
+        values = [read_value(r) for _ in range(n)]
+        if inexact is not None and not set(map(type, values)) <= _EXACT:
+            inexact.append(tag)
+        return values
     if tag != _C_TUPLE and tag != _C_LIST:
         raise CorruptTraceError(f"unknown column tag {tag} at offset "
                                 f"{r.pos - 1}")
     if depth >= MAX_VALUE_DEPTH:
         raise CorruptTraceError(f"column at offset {r.pos} nests past "
                                 f"{MAX_VALUE_DEPTH} levels")
+    below: list = []
     if tag == _C_TUPLE:
         k = r.read_uvarint()
         if not 0 < k <= r.remaining():
             raise CorruptTraceError(f"tuple column claims {k} positions "
                                     f"with {r.remaining()} bytes left")
-        return list(zip(*[read_column(r, n, depth + 1) for _ in range(k)]))
-    lens = read_varints(r, n, signed=False)
-    flat = iter(read_column(r, sum(lens), depth + 1))
-    return [tuple(islice(flat, k)) for k in lens]
+        rows = zip(*[read_column(r, n, depth + 1, inexact=below)
+                     for _ in range(k)])
+    else:
+        lens = read_varints(r, n, signed=False)
+        flat = iter(read_column(r, sum(lens), depth + 1, inexact=below))
+        rows = (tuple(islice(flat, k)) for k in lens)
+    if below:
+        if inexact is not None:
+            inexact.append(tag)
+        return list(rows)
+    distinct: dict = {}
+    return [distinct.setdefault(row, row) for row in rows]

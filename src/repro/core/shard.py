@@ -589,7 +589,7 @@ class RankCompressor:
 
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
                  "raw_terms", "keep_raw", "loop_detection", "_cap",
-                 "_frozen")
+                 "_frozen", "_shard")
 
     def __init__(self, rank: int, comm_space, *, win_space=None,
                  relative_ranks: bool = True,
@@ -612,11 +612,15 @@ class RankCompressor:
         self._cap = LOG_LIMIT
         #: :meth:`compress`'s result and the call count it covers
         self._frozen: Optional[tuple] = None
+        #: :meth:`freeze`'s shard and the call count it covers: all a
+        #: sealed rank keeps
+        self._shard: Optional[tuple[int, RankShard]] = None
 
     @property
     def observed_calls(self) -> int:
         """Calls this compressor has seen."""
-        return self.grammar.n_input
+        log = self.grammar
+        return log.n_input if log is not None else self._shard[0]
 
     def observe(self, fname: str, values: tuple, t0: float,
                 t1: float) -> int:
@@ -660,18 +664,34 @@ class RankCompressor:
         """Snapshot this rank into a self-contained single-rank shard.
         Terminals in the frozen grammar are this rank's local CST
         indices, which *are* the shard's signature numbering (*memo*:
-        :meth:`compress`).
+        :meth:`compress`).  Like :meth:`compress`, the shard is kept for
+        the call count it covers: freezing the same calls again returns
+        it.
 
         Freezing also drops the hot-path accelerator caches (encoder
         signature memo, CST identity fast path): they are meaningless
         after tracing ends and must never ride along when a compressor
         or its shard is serialized."""
-        g, timing = self.compress(memo)
-        self.encoder.reset_cache()
-        self.cst.reset_cache()
-        return RankShard.single(
-            self.rank, self.observed_calls, self.cst.sigs, self.cst.counts,
-            map(_dur_to_ns, self.cst.dur_sums), (g, *(timing or ())))
+        n = self.observed_calls
+        if self._shard is None or self._shard[0] != n:
+            g, timing = self.compress(memo)
+            self.encoder.reset_cache()
+            self.cst.reset_cache()
+            self._shard = (n, RankShard.single(
+                self.rank, n, self.cst.sigs, self.cst.counts,
+                map(_dur_to_ns, self.cst.dur_sums), (g, *(timing or ()))))
+        return self._shard[1]
+
+    def seal(self) -> None:
+        """Finish the rank: keep exactly what :meth:`freeze` answers with
+        and drop the rest — the logs, the timing clocks, the CST index
+        and the encoder with its symbolic pools and the comm resolver
+        that holds the whole simulated world.  A sealed rank observes
+        nothing more; its :meth:`freeze` returns the same shard, the one
+        finalize froze."""
+        self.freeze()
+        self.encoder = self.cst = self.grammar = self.timing = None
+        self._frozen = None
 
 
 class StreamingRankCompressor(RankCompressor):

@@ -76,10 +76,10 @@ from typing import Optional
 from ..resilience.salvage import SalvageReport
 from .container import Container, Section
 from .cst import MergedCST
-from .errors import CorruptTraceError
+from .errors import CorruptTraceError, TruncatedTraceError
 from .grammar import Grammar
 from .interproc import CFGMergeResult
-from .packing import Reader, read_varints, write_varints
+from .packing import MAX_VARINT_BYTES, Reader, read_varints, write_varints
 from .timing import TimingMeta
 
 FLAG_TIMING = 1
@@ -144,23 +144,23 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
             f"{name} section claims {n_unique} unique grammars but only "
             f"{r.remaining()} bytes remain")
     rule_counts = read_varints(r, n_unique, signed=False)
-    final = Grammar.from_reader(r)
+    final = _read_last_grammar(r, name)
     if n_top + sum(rule_counts) != len(final.rules):
         raise CorruptTraceError(
             f"{name} section rule accounting is inconsistent: "
             f"{n_top} top + {sum(rule_counts)} sub-grammar rules != "
             f"{len(final.rules)} total")
-    # recover the per-unique sub-grammars from the spliced rule space
+    # recover the per-unique sub-grammars from the spliced rule space:
+    # a rule that references no other is the final grammar's own tuple
     unique: list[Grammar] = []
     bases: list[int] = []
     base = n_top
     for count in rule_counts:
         bases.append(base)
-        rules = []
-        for rule in final.rules[base:base + count]:
-            rules.append(tuple(
-                (v + base if v < 0 else v, e) for v, e in rule))
-        unique.append(Grammar(tuple(rules)))
+        unique.append(Grammar(tuple(
+            rule if not rule or min(rule)[0] >= 0 else
+            tuple([t if t[0] >= 0 else (t[0] + base, t[1]) for t in rule])
+            for rule in final.rules[base:base + count])))
         base += count
     # derive the rank -> uid sequence by expanding the top-level rules,
     # treating references to sub-grammar start rules as uid terminals
@@ -168,6 +168,33 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
     rank_uid = _expand_top(final.rules, base_to_uid, name, 0, {},
                            frozenset()) if n_top else []
     return CFGMergeResult(final=final, rank_uid=rank_uid, unique=unique)
+
+
+#: the bytes that continue a varint; every other byte ends one
+_CONTINUED = bytes(range(0x80, 0x100))
+
+
+def _read_last_grammar(r: Reader, name: str) -> Grammar:
+    """The grammar that fills the rest of the section: every varint left,
+    counted by their last bytes, in one call, then cut into rules.  A
+    grammar that needs more ints than there are fails as reading them
+    one by one would: truncated, unless what is left is a varint longer
+    than the format allows."""
+    ints = read_varints(r, len(bytes(r.data[r.pos:]).translate(None,
+                                                                _CONTINUED)))
+    try:
+        final, used = Grammar._read_ints(ints, 0)
+    except TruncatedTraceError:
+        if r.remaining() > MAX_VARINT_BYTES:
+            raise CorruptTraceError(
+                f"{name} section ends in a varint longer than "
+                f"{MAX_VARINT_BYTES} bytes") from None
+        raise
+    if used < len(ints):
+        raise CorruptTraceError(
+            f"{len(ints) - used} ints left over after the {name} "
+            f"section's grammar")
+    return final
 
 
 def _timing(name: str) -> Section:
@@ -302,17 +329,24 @@ class TraceFile:
     # -- size accounting ----------------------------------------------------------------
 
     def section_sizes(self, compress: bool = True) -> dict[str, int]:
-        """On-disk byte size per section (what the figures plot).
+        """On-disk byte size per section of this trace serialized (see
+        :func:`section_sizes`; a caller holding the blob asks that)."""
+        return section_sizes(self.to_bytes(compress))
 
-        Section sizes include each section's length prefix and 4-byte
-        CRC32; ``header`` is the magic/version/flags/nprocs preamble.
-        """
-        spans = TRACE.spans(self.to_bytes(compress))
-        sizes = {"header": spans["cst.len"][0]}
-        for key, start, end in _section_bounds(spans):
-            sizes[key] = end - start
-        sizes["total"] = sum(sizes.values())
-        return sizes
+
+def section_sizes(data: bytes) -> dict[str, int]:
+    """On-disk byte size per section of the trace blob *data* (what the
+    figures plot), from its framing alone.
+
+    Section sizes include each section's length prefix and 4-byte
+    CRC32; ``header`` is the magic/version/flags/nprocs preamble.
+    """
+    spans = TRACE.spans(data)
+    sizes = {"header": spans["cst.len"][0]}
+    for key, start, end in _section_bounds(spans):
+        sizes[key] = end - start
+    sizes["total"] = sum(sizes.values())
+    return sizes
 
 
 def _section_bounds(spans: dict) -> list[tuple[str, int, int]]:

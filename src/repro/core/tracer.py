@@ -41,7 +41,7 @@ from .encoder import CommIdSpace, PerRankEncoder, WinIdSpace
 from .pipeline import TracePipeline
 from .shard import RankCompressor
 from .timing import TimingCompressor, check_bases, timing_meta
-from .trace_format import TraceFile
+from .trace_format import TraceFile, section_sizes
 
 #: hoisted timer: the hot path pays two reads per call, and the
 #: module-attribute hop is measurable at that frequency
@@ -88,7 +88,7 @@ class PilgrimResult:
         return len(self.trace_bytes)
 
     def section_sizes(self) -> dict[str, int]:
-        return self.trace.section_sizes()
+        return section_sizes(self.trace_bytes)
 
     @property
     def time_total_overhead(self) -> float:
@@ -173,7 +173,8 @@ class PilgrimTracer(TracerHooks):
         #: per-rank bound ``observe`` methods, captured at run start so
         #: on_call skips the attribute lookups
         self._observe: list = []
-        #: aliases into self.ranks for consumers (verify, tests, benchmarks)
+        #: aliases into self.ranks for consumers (verify, tests,
+        #: benchmarks); emptied by :meth:`seal` unless ``keep_raw``
         self.encoders: list[PerRankEncoder] = []
         self.csts: list[CST] = []
         self.timing: list[TimingCompressor] = []
@@ -372,4 +373,15 @@ class PilgrimTracer(TracerHooks):
             if self.faults is not None else [],
             spans=self.recorder.export(),
         )
+        if not self.keep_raw:
+            self.seal()
         return self.result
+
+    def seal(self) -> None:
+        """Drop every rank's working set (:meth:`RankCompressor.seal`)
+        and the tracer's views of it: a finished rank keeps exactly what
+        its ``freeze()`` answers with.  ``keep_raw`` tracers stay whole,
+        for :func:`~repro.core.verify.verify_roundtrip`."""
+        for rc in self.ranks:
+            rc.seal()
+        self._observe, self.encoders, self.csts, self.timing = [], [], [], []

@@ -30,7 +30,7 @@ dependencies flow upward (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .protocol import IngestConfig

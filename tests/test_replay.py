@@ -7,7 +7,7 @@ re-trace yields the same per-rank signature streams.
 import pytest
 
 from repro.core import PilgrimTracer, TraceDecoder
-from repro.mpisim import MpiSimError, SimMPI, constants as C, datatypes as dt
+from repro.mpisim import SimMPI, constants as C, datatypes as dt
 from repro.replay import (generate_miniapp, load_miniapp, replay_trace,
                           structurally_equal)
 from repro.replay.engine import ReplayState

@@ -9,8 +9,7 @@ from repro.core import (CorruptTraceError, MissingRankError, PilgrimTracer,
                         TraceDecoder, TracerOptions, TracePipeline)
 from repro.resilience import (FOREVER, FaultInjector, FaultPlan, FaultSpec,
                               InjectedOSError, RetryPolicy, SalvageReport,
-                              SupervisorStats, TaskSupervisor,
-                              WorkerDiedError, arm)
+                              TaskSupervisor, WorkerDiedError, arm)
 from repro.resilience.chaos import run_chaos_case, run_fault_matrix
 from repro.workloads import make
 
