@@ -88,7 +88,7 @@ def test_ablation_runlength_sequitur(benchmark):
 def test_ablation_request_pools(benchmark):
     """§3.4.3: per-signature request pools keep the signature population
     independent of the non-deterministic completion order."""
-    from repro.core import PilgrimTracer
+    from repro.core import RawTracer
     from repro.mpisim import SimMPI, datatypes as dt
 
     def prog(m):
@@ -112,13 +112,11 @@ def test_ablation_request_pools(benchmark):
         def creation_sigs(per_sig):
             counts = set()
             for seed in range(5):
-                tr = PilgrimTracer(keep_raw=True,
-                                   per_signature_request_pools=per_sig)
+                tr = RawTracer(per_signature_request_pools=per_sig)
                 SimMPI(2, seed=seed, tracer=tr).run(prog)
                 from repro.mpisim import funcs as F
                 fid = F.FUNCS["MPI_Irecv"].fid
-                sigs = frozenset(tr.csts[0].sigs[t] for t in tr.raw_terms[0]
-                                 if tr.csts[0].sigs[t][0] == fid)
+                sigs = frozenset(s for s in tr.streams[0] if s[0] == fid)
                 counts.add(sigs)
             return counts
 

@@ -7,7 +7,7 @@ trace, verifies the lossless round trip, and decodes a few records.
     python examples/quickstart.py
 """
 
-from repro.core import PilgrimTracer, TraceDecoder, verify_roundtrip
+from repro.core import PilgrimTracer, RoundTrip, TraceDecoder, verify_roundtrip
 from repro.mpisim import SimMPI, constants as C, datatypes as dt, ops
 
 
@@ -35,11 +35,13 @@ def stencil(m):
 
 
 def main():
-    tracer = PilgrimTracer(keep_raw=True)   # keep_raw enables verification
-    sim = SimMPI(nprocs=16, seed=42, tracer=tracer)
+    # the tee runs the uncompressed ``raw`` backend beside Pilgrim: the
+    # reference the lossless check compares the decoded trace against
+    tee = RoundTrip(PilgrimTracer())
+    sim = SimMPI(nprocs=16, seed=42, tracer=tee)
     sim.run(stencil)
 
-    r = tracer.result
+    r = tee.result
     print(f"ranks:            {sim.nprocs}")
     print(f"MPI calls traced: {r.total_calls}")
     print(f"call signatures:  {r.n_signatures}")
@@ -49,7 +51,7 @@ def main():
           f"({r.total_calls * 50 // max(r.trace_size, 1)}x+ vs ~50B/call raw)")
     print(f"sections:         {r.section_sizes()}")
 
-    report = verify_roundtrip(tracer)
+    report = verify_roundtrip(tee)
     print(f"lossless check:   {'OK' if report.ok else report.mismatches[:3]}")
 
     # the trace is plain bytes — write it, read it back, decode it

@@ -26,15 +26,15 @@ def main():
     args = ap.parse_args()
 
     tracer = PilgrimTracer(timing_mode=TIMING_LOSSY, timing_base=args.base)
-    # retain ground-truth streams for the error check
-    orig_start = tracer.on_run_start
+    # record each call's true start time for the error check
+    starts = [[] for _ in range(args.procs)]
+    on_call = tracer.on_call
 
-    def patched(sim):
-        orig_start(sim)
-        for tc in tracer.timing:
-            tc.keep_raw = True
+    def recording(rank, fname, values, t0, t1):
+        starts[rank].append(t0)
+        on_call(rank, fname, values, t0, t1)
 
-    tracer.on_run_start = patched
+    tracer.on_call = recording
     wl = make("milc_su3_rmd", args.procs, steps=3, cg_iters=6)
     wl.run(seed=3, tracer=tracer)
 
@@ -58,9 +58,8 @@ def main():
     ibins = ti.unique[ti.rank_uid[rank]].expand()
     recon = reconstruct_times(dbins, ibins, terms, base=args.base)
 
-    truth = tracer.timing[rank]
     worst = 0.0
-    for (ts, _te), t0 in zip(recon, truth.raw_starts):
+    for (ts, _te), t0 in zip(recon, starts[rank]):
         if t0 > 1e-9:
             worst = max(worst, abs(ts - t0) / t0)
     bound = args.base - 1

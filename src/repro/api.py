@@ -48,7 +48,7 @@ from typing import Any, Optional, Union
 
 from .core.backends import TracerOptions, make_tracer
 from .core.decoder import TraceDecoder
-from .core.verify import VerifyReport, verify_roundtrip
+from .core.verify import RoundTrip, VerifyReport, verify_roundtrip
 from .replay.divergence import ReplayOptions, ReplayResult, run_divergence
 from .resilience.faults import FaultInjector, arm
 from .workloads import make as _make_workload
@@ -73,8 +73,8 @@ class TraceResult:
     backend: str
     seed: int
     #: the constructed tracer: its result, metrics and spans, and each
-    #: rank's frozen shard (``tracer.ranks[r].freeze()``); raw streams,
-    #: CSTs and encoders only under ``keep_raw`` (DESIGN.md §17)
+    #: rank's frozen shard (``tracer.ranks[r].freeze()``); a finished
+    #: tracer keeps no CSTs, logs or encoders (DESIGN.md §17)
     tracer: Any
     #: the simulator's RunResult (virtual times, scheduler steps)
     run: Any
@@ -230,6 +230,16 @@ def trace(workload: str, nprocs: int = 16, *,
     ``times=`` budgets are global to the run.  Without a plan every
     injection point is a no-op ``None`` check.
     """
+    return _run(workload, nprocs, backend, options, fault_plan, seed=seed,
+                params=params, noise=noise, events=events)
+
+
+def _run(workload: str, nprocs: int, backend: str,
+         options: Optional[TracerOptions], fault_plan: Any, *, seed: int,
+         params: Optional[dict], noise: float = 0.05, events: Any = None,
+         tee: bool = False) -> TraceResult:
+    """:func:`trace`; with *tee* the tracer runs under a
+    :class:`~repro.core.verify.RoundTrip`, the result's ``tracer``."""
     opts = options if options is not None else TracerOptions()
     if fault_plan is not None:
         opts = replace(opts, fault_plan=fault_plan)
@@ -241,6 +251,8 @@ def trace(workload: str, nprocs: int = 16, *,
         # hand every consumer the *same* armed injector
         opts = replace(opts, fault_plan=injector)
     tracer = make_tracer(backend, opts)
+    if tee:
+        tracer = RoundTrip(tracer)
     wl = _make_workload(workload, nprocs, **(params or {}))
     w0, c0 = _time.perf_counter(), _time.process_time()
     run = wl.run(seed=seed, tracer=tracer, noise=noise, events=events,
@@ -272,19 +284,18 @@ def verify(workload: str, nprocs: int = 16, *, seed: int = 1,
            allow_degraded: bool = False,
            fault_plan: Any = None,
            **params) -> VerifyReport:
-    """Trace *workload* with raw streams retained and differentially
-    verify the lossless round-trip (the ``repro verify`` entry point).
+    """Trace *workload* with Pilgrim beside the ``raw`` backend (a
+    :class:`~repro.core.verify.RoundTrip`) and differentially verify
+    the lossless round-trip (the ``repro verify`` entry point).
 
     Extra keywords are workload parameters; tracer configuration
     travels in *options*.  With ``fault_plan`` and
     ``allow_degraded=True`` this verifies the *survivors* of a degraded
     trace and audits the salvage report's call accounting.
     """
-    opts = replace(options if options is not None else TracerOptions(),
-                   keep_raw=True)
-    tr = trace(workload, nprocs, backend="pilgrim", options=opts,
-               seed=seed, params=params, fault_plan=fault_plan)
-    return verify_roundtrip(tr.tracer, allow_degraded=allow_degraded)
+    tee = _run(workload, nprocs, "pilgrim", options, fault_plan, seed=seed,
+               params=params, tee=True).tracer
+    return verify_roundtrip(tee, allow_degraded=allow_degraded)
 
 
 def compare(workload: str, nprocs: int, *, seed: int = 1,

@@ -36,7 +36,7 @@ import sys
 from . import api
 from .analysis import fmt_kb, print_table, run_experiment
 from .core import (TraceFormatError, TracerOptions, available_backends,
-                   make_tracer, verify_roundtrip)
+                   make_tracer)
 from .core.export import to_text, write_otf_text
 from .core.trace_format import section_sizes
 from .obs import EventLog, MetricsRegistry, write_metrics_jsonl
@@ -73,16 +73,12 @@ def cmd_trace(args) -> int:
     want_telemetry = bool(args.metrics or args.timeline or args.spans)
     metrics = MetricsRegistry() if want_telemetry else None
     events = EventLog() if args.events else None
-    if args.verify and args.backend != "pilgrim":
-        raise SystemExit(f"--verify requires the pilgrim backend, "
-                         f"not {args.backend!r}")
     result = api.trace(
         args.workload, args.procs, backend=args.backend, seed=args.seed,
         params=_parse_params(args.param), events=events,
         fault_plan=_fault_plan_arg(args),
         options=TracerOptions(
-            lossy_timing=args.lossy_timing, keep_raw=args.verify,
-            metrics=metrics))
+            lossy_timing=args.lossy_timing, metrics=metrics))
     r = result.result
     result.write(args.output)
     manifest_path = f"{args.output}.manifest.json"
@@ -127,14 +123,6 @@ def cmd_trace(args) -> int:
         events.write(args.events)
         print(f"wrote {len(events)} runtime events to {args.events}"
               + (f" ({events.dropped} dropped)" if events.dropped else ""))
-    if args.verify:
-        report = verify_roundtrip(result.tracer,
-                                  allow_degraded=args.allow_degraded)
-        print(report.summary())
-        if not report.ok:
-            for m in report.mismatches:
-                print(f"  {m}")
-            return 1
     return 0
 
 
@@ -727,8 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tracer backend from the repro.core.backends "
                         "registry (default: pilgrim)")
     _add_fault_flags(p)
-    p.add_argument("--verify", action="store_true",
-                   help="run the lossless round-trip check")
     p.add_argument("--metrics", metavar="FILE",
                    help="enable self-instrumentation; dump the metrics "
                         "registry (and events, if captured) as JSONL")

@@ -7,7 +7,8 @@ Public surface:
 * :class:`TraceFile` / :class:`TraceDecoder` — the binary format and its
   decoder (decompression back to per-rank call records).
 * :func:`verify_roundtrip` / :func:`verify_workload` — the paper's
-  lossless round-trip check, grown into a differential verifier.
+  lossless round-trip check, grown into a differential verifier; its
+  :class:`RoundTrip` tee runs a tracer beside the ``raw`` backend.
 * :class:`Container` (:mod:`repro.core.container`) — the one
   declaration every binary format is written and read through; with
   the :class:`TraceFormatError` hierarchy (:mod:`repro.core.errors`)
@@ -48,7 +49,7 @@ from .timing import (BinClampWarning, TimingCompressor, TimingMeta,
                      bin_value, reconstruct_times, unbin_value)
 from .trace_format import TraceFile, section_hashes, split_sections
 from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimResult, PilgrimTracer
-from .verify import VerifyReport, verify_roundtrip, verify_workload
+from .verify import RoundTrip, VerifyReport, verify_roundtrip, verify_workload
 
 __all__ = [
     "BinClampWarning",
@@ -59,7 +60,8 @@ __all__ = [
     "ReplayFormatError",
     "ObjectIdTable", "PerRankEncoder",
     "PilgrimResult", "PilgrimTracer", "PipelineResult", "RankCompressor",
-    "RankShard", "RawTracer", "RequestIdAllocator", "Section", "Sequitur",
+    "RankShard", "RawTracer", "RequestIdAllocator", "RoundTrip", "Section",
+    "Sequitur",
     "ShardPartial",
     "StoreFormatError", "StoreIntegrityError",
     "TIMING_AGGREGATE", "TIMING_LOSSY", "TimingCompressor", "TimingMeta",

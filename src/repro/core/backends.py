@@ -41,8 +41,6 @@ class TracerOptions:
 
     #: lossy per-call timing (Pilgrim §3.2) instead of aggregate stats
     lossy_timing: bool = False
-    #: retain raw per-rank streams for lossless verification
-    keep_raw: bool = False
     #: no effect: every call takes the one per-call path.  Still accepted
     #: (and checked) because the e2e benchmark's workloads set it; removed
     #: with ROADMAP 2(a)'s benchmark PR
@@ -114,7 +112,6 @@ def _make_pilgrim(opts: TracerOptions) -> TracerHooks:
     from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimTracer
     return PilgrimTracer(
         timing_mode=TIMING_LOSSY if opts.lossy_timing else TIMING_AGGREGATE,
-        keep_raw=opts.keep_raw,
         metrics=opts.metrics,
         fault_plan=opts.fault_plan, retry=opts.retry,
         **opts.extra)
@@ -174,14 +171,19 @@ class NullTracer(TracerHooks):
 class RawTracer(TracerHooks):
     """Verbatim per-rank signature streams, no compression at all — the
     uncompressed-size baseline ("4.5 TB for 1000 time steps" in the
-    paper's intro is this tracer's regime).  Signatures are the same
-    symbolic encodings Pilgrim interns, so size ratios against Pilgrim
-    isolate the *compression*, not the encoding."""
+    paper's intro is this tracer's regime).  Each rank's encoder sees
+    the same calls and memory hooks as a Pilgrim rank's, with the same
+    encoder settings, so its signatures are the ones Pilgrim interns:
+    size ratios against Pilgrim isolate the *compression*, and
+    :class:`~repro.core.verify.RoundTrip` holds a decoded Pilgrim trace
+    against these streams."""
 
     MAGIC = b"RAWT"
 
-    def __init__(self, *, relative_ranks: bool = True) -> None:
+    def __init__(self, *, relative_ranks: bool = True,
+                 per_signature_request_pools: bool = True) -> None:
         self.relative_ranks = relative_ranks
+        self.per_signature_request_pools = per_signature_request_pools
         self.nprocs = 0
         self.streams: list[list[tuple]] = []
         self.encoders: list[PerRankEncoder] = []
@@ -194,8 +196,10 @@ class RawTracer(TracerHooks):
         win_space = WinIdSpace(sim.nprocs)
         self.encoders = []
         for r in range(sim.nprocs):
-            enc = PerRankEncoder(r, comm_space, win_space=win_space,
-                                 relative_ranks=self.relative_ranks)
+            enc = PerRankEncoder(
+                r, comm_space, win_space=win_space,
+                relative_ranks=self.relative_ranks,
+                per_signature_request_pools=self.per_signature_request_pools)
             enc.set_comm_resolver(sim.comm_by_cid)
             self.encoders.append(enc)
         self.streams = [[] for _ in range(sim.nprocs)]
@@ -206,6 +210,9 @@ class RawTracer(TracerHooks):
         self.streams[rank].append(
             self.encoders[rank].encode_call(fname, values))
         self.total_calls += 1
+
+    def on_mem(self, rank, fname, args, result, t) -> None:
+        self.encoders[rank].memory.on_mem(fname, args, result)
 
     def on_run_end(self, sim) -> None:
         self.result = self.finalize()

@@ -131,6 +131,16 @@ class MemoryTable:
         self.epoch += 1
         return sid
 
+    def on_mem(self, fname: str, args: dict[str, Any], result: Any) -> None:
+        """Apply one intercepted memory call (the simulator's ``on_mem``
+        hook: malloc/calloc/realloc/free/cudaMalloc/cudaFree)."""
+        if fname in ("free", "cudaFree") or fname == "realloc" and args["ptr"]:
+            self.on_free(args["ptr"])
+        if fname in ("malloc", "calloc", "realloc"):
+            self.on_alloc(result, args.get("nmemb", 1) * args["size"])
+        elif fname == "cudaMalloc":
+            self.on_alloc(result, args["size"], device=args.get("device", 0))
+
     # -- pointer encoding ----------------------------------------------------------
 
     def encode_ptr(self, addr: int) -> tuple:

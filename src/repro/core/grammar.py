@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptTraceError, TruncatedTraceError
-from .packing import Reader, read_varints, write_varints
+from .packing import write_varints
 from .sequitur import Sequitur
 
 Token = tuple[int, int]
@@ -278,17 +278,3 @@ class Grammar:
                 f"column") from None
         return cls(tuple(rules)), pos
 
-    @classmethod
-    def from_reader(cls, r: Reader) -> "Grammar":
-        nrules = r.read_varint()
-        if nrules < 0:
-            raise CorruptTraceError(f"negative grammar rule count {nrules}")
-        rules = []
-        for i in range(nrules):
-            ntok = r.read_varint()
-            if ntok < 0:
-                raise CorruptTraceError(
-                    f"negative token count {ntok} in rule {i}")
-            flat = read_varints(r, 2 * ntok)
-            rules.append(tuple(zip(flat[::2], flat[1::2])))
-        return cls(tuple(rules))

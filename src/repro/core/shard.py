@@ -47,7 +47,7 @@ from .grammar import Grammar, TermLog
 from .packing import (Reader, read_value, read_varints, write_uvarint,
                       write_value, write_varints)
 from .timing import TimingCompressor
-from .trace_format import FLAG_COMPRESSED, FLAG_TIMING
+from .trace_format import FLAG_COMPRESSED, FLAG_TIMING, read_grammars
 
 
 @dataclass
@@ -112,8 +112,7 @@ class GrammarSet:
             raise CorruptTraceError(
                 f"{name} section rank map references grammar {bad[0]} "
                 f"but only {n_unique} exist")
-        unique = [Grammar.from_reader(r) for _ in range(n_unique)]
-        return cls(unique=unique, uid=uid)
+        return cls(unique=read_grammars(r, n_unique, name), uid=uid)
 
 
 @dataclass
@@ -588,15 +587,13 @@ class RankCompressor:
     hot path only logs terminals (``grammar``, a :class:`TermLog`)."""
 
     __slots__ = ("rank", "encoder", "cst", "grammar", "timing",
-                 "raw_terms", "keep_raw", "loop_detection", "_cap",
-                 "_frozen", "_shard")
+                 "loop_detection", "_cap", "_frozen", "_shard")
 
     def __init__(self, rank: int, comm_space, *, win_space=None,
                  relative_ranks: bool = True,
                  per_signature_request_pools: bool = True,
                  loop_detection: bool = True,
                  timing: Optional[TimingCompressor] = None,
-                 keep_raw: bool = False,
                  encoder: Optional[PerRankEncoder] = None):
         self.rank = rank
         self.encoder = encoder if encoder is not None else PerRankEncoder(
@@ -607,8 +604,6 @@ class RankCompressor:
         self.loop_detection = loop_detection
         self.grammar = TermLog(loop_detection)
         self.timing = timing
-        self.keep_raw = keep_raw
-        self.raw_terms: list[int] = []
         self._cap = LOG_LIMIT
         #: :meth:`compress`'s result and the call count it covers
         self._frozen: Optional[tuple] = None
@@ -632,8 +627,6 @@ class RankCompressor:
         log.append(term)
         if self.timing is not None:
             self.timing.record(term, fname, t0, t1)
-        if self.keep_raw:
-            self.raw_terms.append(term)
         if len(log) >= self._cap:
             self._overflow()
         return term

@@ -181,10 +181,6 @@ class TimingCompressor:
         #: clamp events observed while binning (each out-of-range call
         #: counts)
         self.n_clamped = 0
-        #: raw streams kept only when verification asks for them
-        self.keep_raw = False
-        self.raw_durations: list[float] = []
-        self.raw_starts: list[float] = []
 
     def _bin(self, x: float, base: float) -> int:
         """:func:`bin_value`, counting the clamps."""
@@ -216,9 +212,6 @@ class TimingCompressor:
         self.interval_grammar.append(ibin + BIN_OFFSET)
         self._recon[term] = recon + unbin_value(ibin, base)
         self.n_calls += 1
-        if self.keep_raw:
-            self.raw_durations.append(t1 - t0)
-            self.raw_starts.append(t0)
 
     # -- freezing -----------------------------------------------------------------
 

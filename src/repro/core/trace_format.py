@@ -144,7 +144,7 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
             f"{name} section claims {n_unique} unique grammars but only "
             f"{r.remaining()} bytes remain")
     rule_counts = read_varints(r, n_unique, signed=False)
-    final = _read_last_grammar(r, name)
+    final, = read_grammars(r, 1, name)
     if n_top + sum(rule_counts) != len(final.rules):
         raise CorruptTraceError(
             f"{name} section rule accounting is inconsistent: "
@@ -174,16 +174,19 @@ def _read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
 _CONTINUED = bytes(range(0x80, 0x100))
 
 
-def _read_last_grammar(r: Reader, name: str) -> Grammar:
-    """The grammar that fills the rest of the section: every varint left,
-    counted by their last bytes, in one call, then cut into rules.  A
-    grammar that needs more ints than there are fails as reading them
-    one by one would: truncated, unless what is left is a varint longer
-    than the format allows."""
+def read_grammars(r: Reader, n: int, name: str) -> list[Grammar]:
+    """The *n* grammars that fill the rest of a section: every varint
+    left, counted by their last bytes, in one call, then cut into
+    grammars.  Grammars that need more ints than there are fail as
+    reading them one by one would: truncated, unless what is left is a
+    varint longer than the format allows."""
     ints = read_varints(r, len(bytes(r.data[r.pos:]).translate(None,
                                                                 _CONTINUED)))
+    grammars, used = [], 0
     try:
-        final, used = Grammar._read_ints(ints, 0)
+        for _ in range(n):
+            g, used = Grammar._read_ints(ints, used)
+            grammars.append(g)
     except TruncatedTraceError:
         if r.remaining() > MAX_VARINT_BYTES:
             raise CorruptTraceError(
@@ -193,8 +196,8 @@ def _read_last_grammar(r: Reader, name: str) -> Grammar:
     if used < len(ints):
         raise CorruptTraceError(
             f"{len(ints) - used} ints left over after the {name} "
-            f"section's grammar")
-    return final
+            f"section's grammars")
+    return grammars
 
 
 def _timing(name: str) -> Section:

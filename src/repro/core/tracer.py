@@ -36,7 +36,6 @@ from ..obs import (NULL_REGISTRY, MetricsRegistry, PhaseProfiler,
 from ..resilience.faults import FaultInjector, arm
 from ..resilience.retry import RetryPolicy
 from ..resilience.salvage import SalvageReport
-from .cst import CST
 from .encoder import CommIdSpace, PerRankEncoder, WinIdSpace
 from .pipeline import TracePipeline
 from .shard import RankCompressor
@@ -60,11 +59,12 @@ class PilgrimResult:
     n_unique_grammars: int
     total_calls: int
     n_signatures: int
-    #: real CPU seconds spent in per-call tracing (Fig 8 "intra-process")
+    #: wall seconds (``perf_counter``) spent in per-call tracing (Fig 8
+    #: "intra-process")
     time_intra: float
-    #: real CPU seconds in the shard freeze + CST reduce (Fig 8)
+    #: wall seconds in the shard freeze + CST reduce (Fig 8)
     time_cst_merge: float
-    #: real CPU seconds in the CFG dedup/merge/final Sequitur (Fig 8)
+    #: wall seconds in the CFG dedup/merge/final Sequitur (Fig 8)
     time_cfg_merge: float
     per_rank_calls: list[int] = field(default_factory=list)
     #: profiler phase -> wall seconds (always holds the finalize phases,
@@ -118,7 +118,6 @@ class PilgrimTracer(TracerHooks):
                  timing_mode: str = TIMING_AGGREGATE,
                  timing_base: float = 1.2,
                  per_function_base: Optional[dict[str, float]] = None,
-                 keep_raw: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  fault_plan=None,
                  retry: Optional[RetryPolicy] = None):
@@ -133,7 +132,6 @@ class PilgrimTracer(TracerHooks):
         self.timing_mode = timing_mode
         self.timing_base = timing_base
         self.per_function_base = per_function_base
-        self.keep_raw = keep_raw
         #: armed fault injector (None when no plan is given: every
         #: injection point then reduces to a no-op None check).  An
         #: already-armed FaultInjector is accepted too, so the tracer
@@ -173,13 +171,10 @@ class PilgrimTracer(TracerHooks):
         #: per-rank bound ``observe`` methods, captured at run start so
         #: on_call skips the attribute lookups
         self._observe: list = []
-        #: aliases into self.ranks for consumers (verify, tests,
-        #: benchmarks); emptied by :meth:`seal` unless ``keep_raw``
+        #: aliases into self.ranks for the run's consumers (tests,
+        #: benchmarks); emptied when :meth:`finalize` seals the ranks
         self.encoders: list[PerRankEncoder] = []
-        self.csts: list[CST] = []
         self.timing: list[TimingCompressor] = []
-        #: per-rank local-terminal streams, kept for lossless verification
-        self.raw_terms: list[list[int]] = []
         self.total_calls = 0
         self.time_intra = 0.0
         self.result: Optional[PilgrimResult] = None
@@ -208,16 +203,13 @@ class PilgrimTracer(TracerHooks):
                 relative_ranks=self.relative_ranks,
                 per_signature_request_pools=self.per_signature_request_pools,
                 loop_detection=self.loop_detection,
-                timing=timing, keep_raw=self.keep_raw)
+                timing=timing)
             rc.encoder.set_comm_resolver(sim.comm_by_cid)
             self.ranks.append(rc)
         self._observe = [rc.observe for rc in self.ranks]
         self.encoders = [rc.encoder for rc in self.ranks]
-        self.csts = [rc.cst for rc in self.ranks]
         self.timing = [rc.timing for rc in self.ranks] \
             if self.timing_mode == TIMING_LOSSY else []
-        self.raw_terms = [rc.raw_terms for rc in self.ranks] \
-            if self.keep_raw else []
         self.result = None
 
     def on_call(self, rank: int, fname: str, values: tuple,
@@ -245,8 +237,6 @@ class PilgrimTracer(TracerHooks):
                 te = _time.perf_counter()
                 self._ph_timing += te - end
                 end = te
-            if self.keep_raw:
-                rc.raw_terms.append(term)
             self.total_calls += 1
             self.time_intra += end - tick
             return
@@ -270,21 +260,7 @@ class PilgrimTracer(TracerHooks):
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:
         tick = _time.perf_counter()
-        mem = self.encoders[rank].memory
-        if fname == "malloc":
-            mem.on_alloc(result, args["size"])
-        elif fname == "calloc":
-            mem.on_alloc(result, args["nmemb"] * args["size"])
-        elif fname == "realloc":
-            if args["ptr"]:
-                mem.on_free(args["ptr"])
-            mem.on_alloc(result, args["size"])
-        elif fname == "free":
-            mem.on_free(args["ptr"])
-        elif fname == "cudaMalloc":
-            mem.on_alloc(result, args["size"], device=args.get("device", 0))
-        elif fname == "cudaFree":
-            mem.on_free(args["ptr"])
+        self.encoders[rank].memory.on_mem(fname, args, result)
         dt = _time.perf_counter() - tick
         self.time_intra += dt
         if self._fine:
@@ -373,15 +349,10 @@ class PilgrimTracer(TracerHooks):
             if self.faults is not None else [],
             spans=self.recorder.export(),
         )
-        if not self.keep_raw:
-            self.seal()
-        return self.result
-
-    def seal(self) -> None:
-        """Drop every rank's working set (:meth:`RankCompressor.seal`)
-        and the tracer's views of it: a finished rank keeps exactly what
-        its ``freeze()`` answers with.  ``keep_raw`` tracers stay whole,
-        for :func:`~repro.core.verify.verify_roundtrip`."""
+        # seal: every rank drops its working set
+        # (:meth:`RankCompressor.seal`), and the tracer its views of it;
+        # a finished rank keeps exactly what its ``freeze()`` answers with
         for rc in self.ranks:
             rc.seal()
-        self._observe, self.encoders, self.csts, self.timing = [], [], [], []
+        self._observe, self.encoders, self.timing = [], [], []
+        return self.result

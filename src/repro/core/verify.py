@@ -3,13 +3,16 @@
 "As we developed both compressor and decompressor, we can check
 correctness by comparing uncompressed traces to compressed next
 decompressed traces" (§4).  This module is that check, grown into a real
-verifier: run the tracer with ``keep_raw=True`` (it then retains each
-rank's uncompressed local terminal stream), decompress the produced
-trace blob, and prove four independent properties:
+verifier.  The uncompressed side comes from an independent observer: a
+:class:`RoundTrip` tee runs the :class:`PilgrimTracer` under test beside
+a :class:`~repro.core.backends.RawTracer`, which encodes every call and
+memory hook with its own encoders and keeps each rank's signatures
+verbatim — no CST, no grammar.  The check decompresses the Pilgrim
+blob and proves four properties against those streams:
 
-* **terminal_streams** — each rank's decoded terminal stream is
-  *byte-exact* against its raw stream (both sides varint-packed and
-  compared as bytes, not just element-wise);
+* **terminal_streams** — each rank's decoded terminal stream equals its
+  raw signature stream mapped through the merged CST, symbol for
+  symbol;
 * **records** — the fully decoded :class:`DecodedCall` records (function
   name + every parameter) equal the records re-derived from the raw
   per-rank signatures;
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..mpisim.hooks import TracerHooks
+from .backends import RawTracer
 from .decoder import TraceDecoder
 from .records import sig_to_params
 from .trace_format import TraceFile
@@ -70,12 +75,53 @@ def _note(mismatches: list[str], msg: str) -> bool:
     return False
 
 
-def verify_roundtrip(tracer: PilgrimTracer, *,
-                     allow_degraded: bool = False) -> VerifyReport:
-    """Compare raw (pre-compression) records against decode(compress(...)).
+class RoundTrip(TracerHooks):
+    """Run *tracer* and a :class:`RawTracer` on the same calls: every
+    call and memory hook goes to both.  The raw side is built with the tracer's encoder
+    settings, so on a sound tracer its streams are what the trace
+    decodes to (attach the tee to the simulator in the tracer's place,
+    then hand it to :func:`verify_roundtrip`)."""
 
-    Requires the tracer to have been constructed with ``keep_raw=True``
-    and the run to have finished (``tracer.result`` populated).
+    def __init__(self, tracer: PilgrimTracer) -> None:
+        self.tracer = tracer
+        self.raw = RawTracer(
+            relative_ranks=tracer.relative_ranks,
+            per_signature_request_pools=tracer.per_signature_request_pools)
+
+    @property
+    def result(self):
+        return self.tracer.result
+
+    @property
+    def total_calls(self) -> int:
+        """The traced calls (what the simulator's ``RunResult`` reads)."""
+        return self.tracer.total_calls
+
+    def on_run_start(self, sim) -> None:
+        self.tracer.on_run_start(sim)
+        self.raw.on_run_start(sim)
+
+    def on_call(self, rank, fname, values, t0, t1) -> None:
+        self.tracer.on_call(rank, fname, values, t0, t1)
+        self.raw.on_call(rank, fname, values, t0, t1)
+
+    def on_mem(self, rank, fname, args, result, t) -> None:
+        self.tracer.on_mem(rank, fname, args, result, t)
+        self.raw.on_mem(rank, fname, args, result, t)
+
+    def on_run_end(self, sim) -> None:
+        # the raw side's streams are complete: its serialized blob is
+        # never read, and building it would re-encode every signature
+        self.tracer.on_run_end(sim)
+
+
+def verify_roundtrip(tee: RoundTrip, *,
+                     allow_degraded: bool = False) -> VerifyReport:
+    """Compare the raw (never compressed) signature streams against
+    decode(compress(...)).
+
+    Requires a :class:`RoundTrip` whose run has finished
+    (``tee.result`` populated).
 
     A degraded result (the resilient pipeline abandoned some rank span)
     fails outright unless ``allow_degraded=True``, in which case the
@@ -83,8 +129,10 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
     fifth check, ``salvage_accounting``, proves the salvage report's
     call deficit exactly accounts for every call the trace dropped.
     """
-    if not tracer.keep_raw:
-        raise ValueError("verify_roundtrip needs PilgrimTracer(keep_raw=True)")
+    if not isinstance(tee, RoundTrip):
+        raise TypeError(f"verify_roundtrip needs a RoundTrip(tracer) run, "
+                        f"not a {type(tee).__name__}")
+    tracer, streams = tee.tracer, tee.raw.streams
     if tracer.result is None:
         raise ValueError("run not finalized — nothing to verify")
 
@@ -93,6 +141,7 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
     salvage = getattr(result, "salvage", None)
     blob = result.trace_bytes
     decoder = TraceDecoder.from_bytes(blob, salvage=allow_degraded)
+    index = {sig: t for t, sig in enumerate(decoder.trace.cst.sigs)}
     mismatches: list[str] = []
     checks = {"terminal_streams": True, "records": True,
               "call_counts": True, "reencode": True}
@@ -124,8 +173,7 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
         if rank in lost:
             per_rank.append(0)
             continue
-        raw_terms = tracer.raw_terms[rank]
-        raw_sigs = [tracer.csts[rank].sigs[t] for t in raw_terms]
+        raw_sigs = streams[rank]
         dec_terms = decoder.rank_terminals(rank)
         dec_sigs = [decoder.trace.cst.sigs[t] for t in dec_terms]
         total += len(raw_sigs)
@@ -134,23 +182,23 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
         # conservation: the decoder's count must match without expansion
         # tricks, per rank and against the stream it actually yields
         n_dec = decoder.call_count(rank)
-        if n_dec != len(raw_terms) or n_dec != len(dec_terms):
+        if n_dec != len(raw_sigs) or n_dec != len(dec_terms):
             checks["call_counts"] = _note(
-                mismatches, f"rank {rank}: {len(raw_terms)} raw calls, "
+                mismatches, f"rank {rank}: {len(raw_sigs)} raw calls, "
                 f"{len(dec_terms)} decoded, call_count says {n_dec}")
 
-        # exact terminal streams: map the raw local signatures to the
-        # decoded CST's global numbering and compare symbol for symbol
+        # exact terminal streams: map the raw signatures to the decoded
+        # CST's numbering and compare symbol for symbol
         if len(raw_sigs) != len(dec_sigs):
             checks["terminal_streams"] = _note(
                 mismatches, f"rank {rank}: length {len(raw_sigs)} raw vs "
                 f"{len(dec_sigs)} decoded")
             continue
-        raw_global = [_global_term(decoder, sig, mismatches)
-                      for sig in raw_sigs]
-        if None in raw_global:
-            checks["terminal_streams"] = False
-        elif raw_global != dec_terms:
+        missing = [sig for sig in raw_sigs if sig not in index]
+        for sig in missing:
+            checks["terminal_streams"] = _note(
+                mismatches, f"raw signature {sig!r} missing from merged CST")
+        if not missing and [index[sig] for sig in raw_sigs] != dec_terms:
             checks["terminal_streams"] = _note(
                 mismatches, f"rank {rank}: terminal streams differ")
 
@@ -171,8 +219,8 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
             checks["call_counts"] = _note(
                 mismatches, f"surviving calls: {total} raw, "
                 f"{decoder.call_count()} decoded")
-        true_deficit = sum(len(tracer.raw_terms[r]) for r in lost
-                           if r < len(tracer.raw_terms))
+        true_deficit = sum(len(streams[r]) for r in lost
+                           if r < len(streams))
         if salvage is not None and salvage.call_deficit != true_deficit:
             checks["salvage_accounting"] = _note(
                 mismatches, f"salvage reports a deficit of "
@@ -197,27 +245,11 @@ def verify_roundtrip(tracer: PilgrimTracer, *,
                         trace_bytes=len(blob))
 
 
-#: cache slot on the decoder for the sig -> global-terminal index
-_SIG_INDEX_ATTR = "_verify_sig_index"
-
-
-def _global_term(decoder: TraceDecoder, sig: tuple,
-                 mismatches: list[str]):
-    index = getattr(decoder, _SIG_INDEX_ATTR, None)
-    if index is None:
-        index = {s: t for t, s in enumerate(decoder.trace.cst.sigs)}
-        setattr(decoder, _SIG_INDEX_ATTR, index)
-    term = index.get(sig)
-    if term is None:
-        _note(mismatches, f"raw signature {sig!r} missing from merged CST")
-    return term
-
-
 def verify_workload(name: str, nprocs: int, *, seed: int = 1,
                     options=None, allow_degraded: bool = False,
                     **params) -> VerifyReport:
-    """Trace a registered workload with ``keep_raw=True`` and round-trip
-    verify it (the ``repro verify`` CLI entry point).
+    """Trace a registered workload under a :class:`RoundTrip` and
+    round-trip verify it (the ``repro verify`` CLI entry point).
 
     This is a thin wrapper over :func:`repro.api.verify` — tracer
     configuration belongs in *options* (a :class:`~repro.core.backends.

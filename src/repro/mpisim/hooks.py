@@ -5,7 +5,7 @@ for the real Pilgrim: it observes every MPI call (with all inputs and
 outputs and virtual entry/exit timestamps) and every memory-management
 call.  Hooks are synchronous — time the tracer spends inside a hook is
 exactly the "intra-process compression" overhead of Fig 7/8, and the
-harness measures it with real CPU timers.
+harness measures it in wall seconds (``time.perf_counter``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PilgrimTracer
+from repro.core import PilgrimTracer, RoundTrip
 from repro.mpisim import SimMPI
 
 
@@ -18,10 +18,11 @@ def run_program(nprocs: int, program, *, seed: int = 1, tracer=None,
 
 def trace_program(nprocs: int, program, *, seed: int = 1, noise: float = 0.0,
                   **tracer_kw):
-    """Run under a Pilgrim tracer; returns the tracer (result populated)."""
-    tracer = PilgrimTracer(**tracer_kw)
-    SimMPI(nprocs, seed=seed, tracer=tracer, noise=noise).run(program)
-    return tracer
+    """Run under a Pilgrim tracer beside the raw backend; returns the
+    :class:`RoundTrip` (result populated, raw streams in ``.raw``)."""
+    tee = RoundTrip(PilgrimTracer(**tracer_kw))
+    SimMPI(nprocs, seed=seed, tracer=tee, noise=noise).run(program)
+    return tee
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ request pools, communicator id agreement."""
 
 
 from conftest import trace_program
-from repro.core import PilgrimTracer
+from repro.core import PilgrimTracer, RoundTrip
 from repro.core.encoder import (PTR_DEVICE, PTR_HEAP, PTR_NULL, PTR_STACK,
                                 CommIdSpace, MemoryTable)
 from repro.mpisim import SimMPI, constants as C, datatypes as dt
@@ -77,8 +77,8 @@ class TestCommIdSpace:
         assert s.sym_for(inter) == 2  # exceeds the left half's max
 
 
-def _sig_stream(tracer, rank):
-    return [tracer.csts[rank].sigs[t] for t in tracer.raw_terms[rank]]
+def _sig_stream(tee, rank):
+    return tee.raw.streams[rank]
 
 
 class TestEndToEndEncoding:
@@ -86,7 +86,7 @@ class TestEndToEndEncoding:
         def prog(m):
             m.comm_rank()
             yield from m.barrier()
-        tr = trace_program(4, prog, keep_raw=True)
+        tr = trace_program(4, prog)
         sigs = {r: _sig_stream(tr, r) for r in range(4)}
         # the comm_rank signature must be identical on every rank
         assert sigs[0][1] == sigs[1][1] == sigs[2][1] == sigs[3][1]
@@ -99,7 +99,7 @@ class TestEndToEndEncoding:
             m.free(a)
             m.free(b)
             yield from m.barrier()
-        tr = trace_program(3, prog, keep_raw=True)
+        tr = trace_program(3, prog)
         send0 = _sig_stream(tr, 0)[1]
         send2 = _sig_stream(tr, 2)[1]
         assert send0 == send2
@@ -114,7 +114,7 @@ class TestEndToEndEncoding:
             yield from m.send(buf, 1, t, dest=C.PROC_NULL, tag=1)
             m.type_free(t)
             yield from m.barrier()
-        tr = trace_program(1, prog, keep_raw=True)
+        tr = trace_program(1, prog)
         sigs = _sig_stream(tr, 0)
         create = next(s for s in sigs if s[0] ==
                       _fid("MPI_Type_vector"))
@@ -141,7 +141,7 @@ class TestEndToEndEncoding:
                     done += len(idxs)
 
         def irecv_sigs(seed):
-            tr = PilgrimTracer(keep_raw=True)
+            tr = RoundTrip(PilgrimTracer())
             SimMPI(2, seed=seed, tracer=tr).run(prog)
             return [s for s in _sig_stream(tr, 0)
                     if s[0] == _fid("MPI_Irecv")]
@@ -177,8 +177,8 @@ class TestEndToEndEncoding:
             yield from m.waitall(reqs)
 
         def irecv_sig_set(seed, per_sig):
-            tr = PilgrimTracer(keep_raw=True,
-                               per_signature_request_pools=per_sig)
+            tr = RoundTrip(PilgrimTracer(
+                per_signature_request_pools=per_sig))
             SimMPI(2, seed=seed, tracer=tr).run(prog)
             return frozenset(s for s in _sig_stream(tr, 0)
                              if s[0] == _fid("MPI_Irecv"))
@@ -192,7 +192,7 @@ class TestEndToEndEncoding:
         def prog(m):
             sub = yield from m.comm_split(color=m.rank % 2, key=m.rank)
             yield from m.barrier(sub)
-        tr = trace_program(4, prog, keep_raw=True)
+        tr = trace_program(4, prog)
         barrier_sigs = {r: [s for s in _sig_stream(tr, r)
                             if s[0] == _fid("MPI_Barrier")][0]
                         for r in range(4)}
@@ -206,7 +206,7 @@ class TestEndToEndEncoding:
                 yield from m.send(buf, 1, dt.DOUBLE, dest=1, tag=9)
             else:
                 _ = yield from m.recv(buf, 1, dt.DOUBLE, source=0, tag=9)
-        tr = trace_program(2, prog, keep_raw=True)
+        tr = trace_program(2, prog)
         recv = next(s for s in _sig_stream(tr, 1)
                     if s[0] == _fid("MPI_Recv"))
         status_enc = recv[-1]

@@ -91,8 +91,9 @@ class TestCLI:
     def test_trace_info_dump_replay_miniapp(self, tmp_path):
         trace = tmp_path / "t.pilgrim"
         assert cli_main(["trace", "stencil2d", "-n", "9",
-                         "--param", "iters=5", "-o", str(trace),
-                         "--verify"]) == 0
+                         "--param", "iters=5", "-o", str(trace)]) == 0
+        assert cli_main(["verify", "stencil2d", "-n", "9",
+                         "--param", "iters=5"]) == 0
         assert trace.exists()
         assert cli_main(["info", str(trace)]) == 0
         assert cli_main(["dump", str(trace), "--rank", "1",

@@ -33,6 +33,8 @@ from repro.ingest.aggregator import CHECKPOINT, TenantFold, read_partials
 from repro.ingest.session import TenantState
 from repro.workloads import make
 
+from test_reader_oracle import oracle_grammar_from_reader
+
 # -- the oracle: PARTIAL_VERSION 1 and CHECKPOINT_VERSION 1, kept verbatim --------------
 
 _V1_FLAG_TIMING = 1
@@ -123,12 +125,12 @@ def v1_read_from(r: Reader) -> ShardPartial:
             raise CorruptTraceError(
                 f"shard partial claims {n} grammar parts but only "
                 f"{pr.remaining()} bytes remain")
-        parts = [Grammar.from_reader(pr) for _ in range(n)]
+        parts = [oracle_grammar_from_reader(pr) for _ in range(n)]
         td = ti = None
         if flags & _V1_FLAG_TIMING:
-            td = Grammar.from_reader(
+            td = oracle_grammar_from_reader(
                 take_section(r, compressed, "partial-timing-duration"))
-            ti = Grammar.from_reader(
+            ti = oracle_grammar_from_reader(
                 take_section(r, compressed, "partial-timing-interval"))
     except TraceFormatError:
         raise

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core import PilgrimTracer, verify_roundtrip
+from repro.core import PilgrimTracer, RoundTrip, verify_roundtrip
 from repro.mpisim import SimMPI, constants as C, datatypes as dt, ops
 from repro.replay import replay_trace, structurally_equal
 
@@ -154,13 +154,13 @@ def make_random_program(schedule_seed: int, steps: int = 25):
 def test_fuzzed_program_roundtrip_and_replay(schedule_seed):
     program = make_random_program(schedule_seed)
     nprocs = 3 + schedule_seed % 4
-    tracer = PilgrimTracer(keep_raw=True)
-    SimMPI(nprocs, seed=schedule_seed * 17 + 1, tracer=tracer).run(program)
+    tee = RoundTrip(PilgrimTracer())
+    SimMPI(nprocs, seed=schedule_seed * 17 + 1, tracer=tee).run(program)
 
-    report = verify_roundtrip(tracer)
+    report = verify_roundtrip(tee)
     assert report.ok, report.mismatches[:3]
 
-    blob = tracer.result.trace_bytes
+    blob = tee.result.trace_bytes
     retrace = PilgrimTracer()
     replay_trace(blob, seed=schedule_seed + 100, tracer=retrace)
     assert structurally_equal(blob, retrace.result.trace_bytes)
@@ -171,9 +171,9 @@ def test_fuzzed_nondeterminism_always_roundtrips(run_seed):
     """Same schedule, different completion orders: every run must verify
     (the trace content differs per run, the losslessness must not)."""
     program = make_random_program(4, steps=30)
-    tracer = PilgrimTracer(keep_raw=True)
-    SimMPI(4, seed=run_seed, tracer=tracer).run(program)
-    assert verify_roundtrip(tracer).ok
+    tee = RoundTrip(PilgrimTracer())
+    SimMPI(4, seed=run_seed, tracer=tee).run(program)
+    assert verify_roundtrip(tee).ok
 
 
 def test_fuzzed_miniapp_roundtrip():

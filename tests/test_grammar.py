@@ -9,7 +9,7 @@ from repro.core.errors import CorruptTraceError
 from repro.core.grammar import Grammar
 from repro.core.packing import Reader, read_varints, write_varints
 from repro.core.sequitur import Sequitur
-from repro.core.trace_format import _read_cfg_section
+from repro.core.trace_format import _read_cfg_section, read_grammars
 
 
 def freeze(seq_values, ld=True):
@@ -26,7 +26,8 @@ def to_bytes(g: Grammar) -> bytes:
 
 
 def from_bytes(data: bytes) -> Grammar:
-    return Grammar.from_reader(Reader(data))
+    g, = read_grammars(Reader(data), 1, "grammar")
+    return g
 
 
 class TestFreeze:
@@ -108,7 +109,7 @@ class TestSerialization:
         g = freeze([4, 5, 6] * 4)
         out = bytearray()
         g.write_to(out)
-        assert Grammar.from_reader(Reader(bytes(out))) == g
+        assert read_grammars(Reader(bytes(out)), 1, "grammar") == [g]
 
     def test_identical_grammars_identical_bytes(self):
         # the §3.5.2 memcmp identity check depends on this

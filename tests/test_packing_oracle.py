@@ -1,9 +1,10 @@
 """Differential tests: the one-pass codec against the codec it replaced.
 
 The recursive ``write_value``/``read_value``, the call-per-byte
-``Reader`` methods and the per-int grammar reader/writer left ``src/``
-when :mod:`repro.core.packing` went one-pass; they live on here,
-verbatim, as the oracle.  The product must write identical bytes, read
+``Reader`` methods and the per-int grammar writer left ``src/`` when
+:mod:`repro.core.packing` went one-pass; they live on here, verbatim, as
+the oracle (the rule-by-rule grammar reader is in
+``test_reader_oracle.py``).  The product must write identical bytes, read
 identical values, and — on damaged input — raise the same error class
 (bar the two bounds the oracle never had: ``MAX_VARINT_BYTES`` and
 ``MAX_VALUE_DEPTH``).
@@ -161,20 +162,6 @@ def o_read_varints(r: Reader, n: int, signed: bool = True) -> list:
             for _ in range(n)]
 
 
-def o_grammar_from_reader(cls, r: Reader) -> Grammar:
-    nrules = o_read_varint(r)
-    if nrules < 0:
-        raise CorruptTraceError(f"negative grammar rule count {nrules}")
-    rules = []
-    for i in range(nrules):
-        ntok = o_read_varint(r)
-        if ntok < 0:
-            raise CorruptTraceError(f"negative token count {ntok} in rule {i}")
-        rules.append(tuple((o_read_varint(r), o_read_varint(r))
-                           for _ in range(ntok)))
-    return cls(tuple(rules))
-
-
 def o_grammar_write_to(self: Grammar, out: bytearray) -> None:
     o_write_varint(out, len(self.rules))
     for rule in self.rules:
@@ -192,7 +179,6 @@ def oracle_codec():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Reader, "read_uvarint", o_read_uvarint)
         mp.setattr(Reader, "read_varint", o_read_varint)
-        mp.setattr(Grammar, "from_reader", classmethod(o_grammar_from_reader))
         mp.setattr(Grammar, "write_to", o_grammar_write_to)
         # ``packing`` itself too: its column pair (the CST's table) sits
         # on the same kernels

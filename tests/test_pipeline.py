@@ -217,9 +217,9 @@ class TestBackendRegistry:
             make_tracer("recorder")
 
     def test_options_and_overrides(self):
-        opts = TracerOptions(lossy_timing=True, keep_raw=True)
+        opts = TracerOptions(lossy_timing=True, extra={"cfg_dedup": False})
         t = make_tracer("pilgrim", opts, lossy_timing=False)
-        assert (t.timing_mode, t.keep_raw) == ("aggregate", True)
+        assert (t.timing_mode, t.cfg_dedup) == ("aggregate", False)
         # the shared options object is untouched
         assert opts.lossy_timing is True
         t = make_tracer("pilgrim", extra={"cfg_dedup": False})

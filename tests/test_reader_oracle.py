@@ -1,17 +1,19 @@
-"""Differential tests: the trace reader's CFG sections and table columns
-against the readers they replaced.
+"""Differential tests: the trace reader's CFG sections, the shard
+container's grammar sets and table columns against the readers they
+replaced.
 
-A CFG section's grammar used to be read rule by rule
-(``Grammar.from_reader``), each sub-grammar rebuilt token by token from
-it, and every row of a TUPLE or LIST column built as a tuple of its own.
-Both readers live on here, verbatim, as oracles.  The product reads the
-grammar's ints in one call and shares what it can: a sub-grammar rule
-that references no other is the final grammar's own tuple, and equal
-rows of a column are one object.  On real sections, random grammars and
-tables, and their truncated or garbled tails, the two must return equal
-values — ``repr``-equal for columns, so ``True`` is not ``1`` — or
-raise the same exception class (salvage keys on
-:class:`TruncatedTraceError`).  The section sizes every reporter prints
+A CFG section's grammar and every grammar of a grammar set used to be
+read rule by rule (``Grammar.from_reader``), each sub-grammar rebuilt
+token by token from it, and every row of a TUPLE or LIST column built
+as a tuple of its own.  Those readers live on here, verbatim, as
+oracles.  The product reads a section's grammar ints in one call
+(``trace_format.read_grammars``) and shares what it can: a sub-grammar
+rule that references no other is the final grammar's own tuple, and
+equal rows of a column are one object.  On real sections, random
+grammars, grammar sets and tables, and their truncated or garbled
+tails, the two must return equal values — ``repr``-equal for columns,
+so ``True`` is not ``1`` — or raise the same exception class (salvage
+keys on :class:`TruncatedTraceError`).  The section sizes every reporter prints
 come from the blob's framing; they must equal a re-serialization's.
 """
 
@@ -37,11 +39,46 @@ from repro.core.packing import (_C_INT, _C_LIST, _C_TUPLE, _C_VALUES,
                                 COLUMN_SAME, MAX_VALUE_DEPTH, Reader,
                                 read_column, read_value, read_varints,
                                 write_column)
+from repro.core.shard import SHARD, GrammarSet, RankShard, reduce_shards
 from repro.core.trace_format import (TRACE, TraceFile, _expand_top,
                                      _read_cfg_section, section_sizes)
 from repro.workloads import REGISTRY, make
 
 # -- the oracles, kept verbatim ----------------------------------------------------------
+
+
+def oracle_grammar_from_reader(r: Reader) -> Grammar:
+    """``Grammar.from_reader``: one grammar, rule by rule."""
+    nrules = r.read_varint()
+    if nrules < 0:
+        raise CorruptTraceError(f"negative grammar rule count {nrules}")
+    rules = []
+    for i in range(nrules):
+        ntok = r.read_varint()
+        if ntok < 0:
+            raise CorruptTraceError(
+                f"negative token count {ntok} in rule {i}")
+        flat = read_varints(r, 2 * ntok)
+        rules.append(tuple(zip(flat[::2], flat[1::2])))
+    return Grammar(tuple(rules))
+
+
+def oracle_read_grammar_set(r: Reader,
+                            name: str = "grammar-set") -> GrammarSet:
+    n_unique = r.read_uvarint()
+    n_uid = r.read_uvarint()
+    if max(n_unique, n_uid) > r.remaining():
+        raise CorruptTraceError(
+            f"{name} section claims {n_unique} grammars over {n_uid} "
+            f"ranks but only {r.remaining()} bytes remain")
+    uid = read_varints(r, n_uid, signed=False)
+    bad = [u for u in uid if u >= n_unique]
+    if bad:
+        raise CorruptTraceError(
+            f"{name} section rank map references grammar {bad[0]} "
+            f"but only {n_unique} exist")
+    unique = [oracle_grammar_from_reader(r) for _ in range(n_unique)]
+    return GrammarSet(unique=unique, uid=uid)
 
 
 def oracle_read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
@@ -52,7 +89,7 @@ def oracle_read_cfg_section(r: Reader, name: str = "CFG") -> CFGMergeResult:
             f"{name} section claims {n_unique} unique grammars but only "
             f"{r.remaining()} bytes remain")
     rule_counts = read_varints(r, n_unique, signed=False)
-    final = Grammar.from_reader(r)
+    final = oracle_grammar_from_reader(r)
     if n_top + sum(rule_counts) != len(final.rules):
         raise CorruptTraceError(
             f"{name} section rule accounting is inconsistent: "
@@ -166,6 +203,18 @@ def assert_cfg_agrees(payload: bytes):
     return got
 
 
+def assert_grammar_set_agrees(payload: bytes):
+    got = outcome(GrammarSet.read_from, payload)
+    assert got == outcome(oracle_read_grammar_set, payload)
+    return got
+
+
+def _grammar_set_payload(gs: GrammarSet) -> bytes:
+    out = bytearray()
+    gs.write_to(out)
+    return bytes(out)
+
+
 def assert_cst_agrees(payload: bytes):
     got = outcome(MergedCST.read_from, payload)
     assert _cst_view(got) == _cst_view(outcome(oracle_read_cst, payload))
@@ -225,11 +274,30 @@ def test_a_garbled_cfg_section_fails_as_the_oracle_fails(data, ranks):
     assert_cfg_agrees(data.draw(garbled(_cfg_payload(_merged(ranks)))))
 
 
+def _grammar_set(ranks) -> GrammarSet:
+    """The ranks' grammars as a shard's grammar set (equal ones once)."""
+    gs = GrammarSet([], [])
+    for terms in ranks:
+        gs.extend(GrammarSet.single(Grammar.compress(terms)),
+                  {g: i for i, g in enumerate(gs.unique)})
+    return gs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _ranks)
+def test_any_grammar_set_reads_as_the_oracle_reads_it(data, ranks):
+    gs = _grammar_set(ranks)
+    payload = _grammar_set_payload(gs)
+    assert assert_grammar_set_agrees(payload) == gs
+    assert_grammar_set_agrees(data.draw(garbled(payload)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=40))
 def test_any_bytes_read_as_the_oracle_reads_them(payload):
     assert_cfg_agrees(payload)
     assert_cst_agrees(payload)
+    assert_grammar_set_agrees(payload)
 
 
 def test_a_tail_past_the_varint_bound_is_corrupt_not_truncated():
@@ -324,17 +392,21 @@ def test_equal_rows_are_one_object_unless_a_type_would_merge():
 
 
 @lru_cache(maxsize=None)
-def _blob(family: str, lossy: bool) -> bytes:
+def _traced(family: str, lossy: bool):
     tracer = make_tracer("pilgrim", TracerOptions(lossy_timing=lossy))
     make(family, 4).run(seed=5, tracer=tracer)
-    return tracer.result.trace_bytes
+    return tracer
 
 
-def _payloads(blob: bytes) -> dict[str, bytes]:
+def _blob(family: str, lossy: bool) -> bytes:
+    return _traced(family, lossy).result.trace_bytes
+
+
+def _payloads(blob: bytes, container=TRACE) -> dict[str, bytes]:
     """Each section's payload, inflated."""
-    spans = TRACE.spans(blob)
+    spans = container.spans(blob)
     return {s.key: zlib.decompress(blob[slice(*spans[f"{s.key}.payload"])])
-            for s in TRACE.sections if f"{s.key}.payload" in spans}
+            for s in container.sections if f"{s.key}.payload" in spans}
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["aggregate", "lossy"])
@@ -349,6 +421,21 @@ def test_every_family_reads_as_the_oracle_reads_it(family, lossy):
     assert ("timing_duration" in payloads) == lossy
     trace = TraceFile.from_bytes(blob)
     assert trace.to_bytes() == blob
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["aggregate", "lossy"])
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_every_family_shard_reads_as_the_oracle_reads_it(family, lossy):
+    merged = reduce_shards(rc.freeze() for rc in _traced(family, lossy).ranks)
+    blob = merged.to_bytes()
+    payloads = _payloads(blob, SHARD)
+    for key in ("shard_cfg", "shard_timing_duration",
+                "shard_timing_interval"):
+        if key in payloads:
+            assert not isinstance(
+                assert_grammar_set_agrees(payloads[key]), type)
+    assert ("shard_timing_duration" in payloads) == lossy
+    assert RankShard.from_bytes(blob) == merged
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["aggregate", "lossy"])

@@ -4,7 +4,7 @@ semantics, tracing, and replay."""
 import pytest
 
 from conftest import run_program
-from repro.core import PilgrimTracer, verify_roundtrip
+from repro.core import PilgrimTracer, RoundTrip, verify_roundtrip
 from repro.mpisim import DeadlockError, SimMPI, datatypes as dt, ops
 from repro.mpisim.errors import RankProgramError
 from repro.mpisim.win import LOCK_EXCLUSIVE, LOCK_SHARED
@@ -186,9 +186,9 @@ class TestRMATracing:
         yield from m.win_free(win)
 
     def test_roundtrip_lossless(self):
-        tracer = PilgrimTracer(keep_raw=True)
-        SimMPI(4, seed=1, tracer=tracer).run(self._rma_prog)
-        assert verify_roundtrip(tracer).ok
+        tee = RoundTrip(PilgrimTracer())
+        SimMPI(4, seed=1, tracer=tee).run(self._rma_prog)
+        assert verify_roundtrip(tee).ok
 
     def test_ring_rma_grammars_collapse(self):
         """Relative target ranks: an RMA ring produces ONE grammar class
@@ -204,13 +204,13 @@ class TestRMATracing:
         assert abs(t16.result.trace_size - tracer.result.trace_size) < 32
 
     def test_window_ids_agree_across_ranks(self):
-        tracer = PilgrimTracer(keep_raw=True)
-        SimMPI(4, seed=1, tracer=tracer).run(self._rma_prog)
+        tee = RoundTrip(PilgrimTracer())
+        SimMPI(4, seed=1, tracer=tee).run(self._rma_prog)
         from repro.mpisim import funcs as F
         fid = F.FUNCS["MPI_Win_fence"].fid
         ids = set()
         for r in range(4):
-            sigs = [tracer.csts[r].sigs[t] for t in tracer.raw_terms[r]]
+            sigs = tee.raw.streams[r]
             ids.update(s[2] for s in sigs if s[0] == fid)
         assert ids == {0}  # one window, same symbolic id everywhere
 

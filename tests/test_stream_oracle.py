@@ -32,7 +32,7 @@ from repro.core.shard import (RankCompressor, ShardPartial,
                               StreamingRankCompressor, _dur_to_ns,
                               write_flush)
 from repro.core.timing import TimingCompressor
-from repro.core.trace_format import TraceFile
+from repro.core.trace_format import TraceFile, read_grammars
 from repro.core.encoder import CommIdSpace
 from repro.core.errors import UnsupportedVersionError
 from repro.ingest import ChunkingTracer, protocol as proto
@@ -315,7 +315,7 @@ class TestFlatGrammar:
         out = bytearray()
         g.write_to(out)
         r = Reader(bytes(out))
-        assert Grammar.from_reader(r) == g and r.exhausted
+        assert read_grammars(r, 1, "flat") == [g] and r.exhausted
         assert Grammar.compress(g.expand()).expand() == log
 
     def test_adjacent_equal_terminals_share_a_token(self):

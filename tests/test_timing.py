@@ -46,7 +46,6 @@ class TestReconstruction:
     def _drive(self, events, base=1.2):
         """events: list of (term, t0, duration)."""
         tc = TimingCompressor(base=base)
-        tc.keep_raw = True
         for term, t0, d in events:
             tc.record(term, "MPI_Send", t0, t0 + d)
         dg, ig = tc.freeze()

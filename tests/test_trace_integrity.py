@@ -6,10 +6,10 @@ import pytest
 
 from repro import fuzz
 from repro.core import (ChecksumError, CorruptTraceError, PilgrimTracer,
-                        TraceDecoder, TraceFile, TraceFormatError,
+                        RoundTrip, TraceDecoder, TraceFile, TraceFormatError,
                         TruncatedTraceError, UnsupportedVersionError,
                         verify_roundtrip, verify_workload)
-from repro.core.backends import TracerOptions
+from repro.core.backends import TracerOptions, make_tracer
 from repro.core.trace_format import TRACE
 from repro.core.grammar import Grammar
 from repro.workloads import REGISTRY, make
@@ -134,28 +134,57 @@ class TestVerifier:
         assert report.ok, report.mismatches[:3]
 
     def test_verify_catches_dropped_call(self):
-        tracer = PilgrimTracer(keep_raw=True)
-        make("stencil2d", 4, iters=4).run(seed=1, tracer=tracer)
-        tracer.raw_terms[2].append(tracer.raw_terms[2][-1])  # desync
-        report = verify_roundtrip(tracer)
+        tee = RoundTrip(PilgrimTracer())
+        make("stencil2d", 4, iters=4).run(seed=1, tracer=tee)
+        tee.raw.streams[2].append(tee.raw.streams[2][-1])  # desync
+        report = verify_roundtrip(tee)
         assert not report.ok
         assert not report.checks["call_counts"]
         assert any("rank 2" in m for m in report.mismatches)
 
-    def test_verify_requires_keep_raw(self):
-        with pytest.raises(ValueError):
-            verify_roundtrip(PilgrimTracer())
+    def test_verify_requires_a_tee(self):
+        # a finished tracer alone has no independent reference to check
+        tracer = PilgrimTracer()
+        make("osu_barrier", 2).run(seed=1, tracer=tracer)
+        with pytest.raises(TypeError, match="RoundTrip"):
+            verify_roundtrip(tracer)
 
     def test_verify_requires_finalize(self):
         with pytest.raises(ValueError):
-            verify_roundtrip(PilgrimTracer(keep_raw=True))
+            verify_roundtrip(RoundTrip(PilgrimTracer()))
+
+    def test_verify_sees_a_misfiling_cst(self, monkeypatch):
+        """A CST that files every ``MPI_Barrier`` under the previous
+        terminal loses every barrier from the trace; the raw reference
+        never went through the CST, so the check fails."""
+        from repro.core.cst import CST
+        from repro.mpisim.funcs import FUNCS
+        barrier, intern = FUNCS["MPI_Barrier"].fid, CST.intern
+
+        def misfiling(self, sig, duration):
+            if sig[0] == barrier and self._last_term >= 0:
+                term = self._last_term
+                self.counts[term] += 1
+                self.dur_sums[term] += duration
+                return term
+            return intern(self, sig, duration)
+
+        monkeypatch.setattr(CST, "intern", misfiling)
+        tee = RoundTrip(PilgrimTracer())
+        make("osu_barrier", 4).run(seed=1, tracer=tee)
+        dec = TraceDecoder.from_bytes(tee.result.trace_bytes)
+        assert "MPI_Barrier" not in dec.function_histogram()
+        report = verify_roundtrip(tee)
+        assert not report.ok
+        assert not (report.checks["records"]
+                    and report.checks["terminal_streams"])
 
 
 class TestDecoderEdgeCases:
     def test_empty_trace_zero_calls(self):
         # a tracer whose run never started still finalizes to a valid,
         # decodable, zero-call trace (win_space declared in __init__)
-        tracer = PilgrimTracer(keep_raw=True)
+        tracer = PilgrimTracer()
         assert tracer.win_space is None
         result = tracer.finalize()
         dec = TraceDecoder.from_bytes(result.trace_bytes)
@@ -165,11 +194,11 @@ class TestDecoderEdgeCases:
         assert dec.function_histogram() == {}
 
     def test_single_rank_run(self):
-        tracer = PilgrimTracer(keep_raw=True)
-        make("osu_barrier", 1).run(seed=1, tracer=tracer)
-        report = verify_roundtrip(tracer)
+        tee = RoundTrip(PilgrimTracer())
+        make("osu_barrier", 1).run(seed=1, tracer=tee)
+        report = verify_roundtrip(tee)
         assert report.ok, report.mismatches[:3]
-        dec = TraceDecoder.from_bytes(tracer.result.trace_bytes)
+        dec = TraceDecoder.from_bytes(tee.result.trace_bytes)
         assert dec.nprocs == 1
         assert dec.call_count(rank=0) == dec.call_count()
         assert len(dec.rank_terminals(0)) == dec.call_count()
@@ -184,15 +213,31 @@ class TestDecoderEdgeCases:
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_rank_terminals_every_workload(self, name):
-        tracer = PilgrimTracer(keep_raw=True)
-        make(name, 4).run(seed=0, tracer=tracer)
-        dec = TraceDecoder.from_bytes(tracer.result.trace_bytes)
+        tee = RoundTrip(PilgrimTracer())
+        make(name, 4).run(seed=0, tracer=tee)
+        dec = TraceDecoder.from_bytes(tee.result.trace_bytes)
         sig_index = {s: t for t, s in enumerate(dec.trace.cst.sigs)}
         for rank in range(4):
-            expected = [sig_index[tracer.csts[rank].sigs[t]]
-                        for t in tracer.raw_terms[rank]]
+            expected = [sig_index[sig] for sig in tee.raw.streams[rank]]
             assert dec.rank_terminals(rank) == expected
             assert dec.call_count(rank=rank) == len(expected)
+
+    @pytest.mark.parametrize("lossy", [False, True],
+                             ids=["aggregate", "lossy"])
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_raw_streams_are_the_decoded_signatures(self, name, lossy):
+        """The ``raw`` backend is the verifier's reference: its streams
+        (own encoders, fed the same call and memory hooks) equal the
+        decoded Pilgrim signature streams on every family."""
+        nprocs = 9 if name in ("npb_bt", "npb_sp") else 4
+        tee = RoundTrip(make_tracer("pilgrim",
+                                    TracerOptions(lossy_timing=lossy)))
+        make(name, nprocs).run(seed=3, tracer=tee)
+        dec = TraceDecoder.from_bytes(tee.result.trace_bytes)
+        sigs = dec.trace.cst.sigs
+        for rank in range(nprocs):
+            assert [sigs[t] for t in dec.rank_terminals(rank)] == \
+                tee.raw.streams[rank], (name, rank)
 
 
 class TestTimingRankMaps:

@@ -3,8 +3,9 @@
 ``finalize`` seals every rank: a finished rank keeps exactly what its
 ``freeze()`` answers with — its shard — and the logs, timing clocks, CST
 index and encoder (whose comm resolver holds the whole simulated world)
-go.  ``keep_raw`` is the one exception: a tracer kept for
-:func:`~repro.core.verify.verify_roundtrip` stays whole.
+go.  There is no exception: :func:`~repro.core.verify.verify_roundtrip`
+takes its uncompressed side from the ``raw`` backend beside the tracer,
+so the tracer ``api.verify`` checks is sealed like any other.
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ def reachable(root) -> list:
 @pytest.fixture
 def traced(monkeypatch):
     """Trace a case, returning the result, a weak reference to its
-    simulator and the shards its finalize reduced."""
-    sims, reduced = [], []
+    simulator and the shards its finalize reduced.  ``run.tracers``
+    lists every tracer a run started."""
+    sims, reduced, tracers = [], [], []
     start, reduce = PilgrimTracer.on_run_start, TracePipeline.reduce
 
     def on_run_start(self, sim):
         sims.append(weakref.ref(sim))
+        tracers.append(self)
         return start(self, sim)
 
     def spy_reduce(self, shards):
@@ -65,14 +68,14 @@ def traced(monkeypatch):
     monkeypatch.setattr(PilgrimTracer, "on_run_start", on_run_start)
     monkeypatch.setattr(TracePipeline, "reduce", spy_reduce)
 
-    def run(family, lossy, params, keep_raw=False):
+    def run(family, lossy, params):
         result = api.trace(family, 8, seed=3, params=params,
-                           options=TracerOptions(lossy_timing=lossy,
-                                                 keep_raw=keep_raw))
+                           options=TracerOptions(lossy_timing=lossy))
         gc.collect()
         (sim,), (shards,) = sims, reduced
         return result, sim, shards
 
+    run.tracers = tracers
     return run
 
 
@@ -90,7 +93,7 @@ def test_a_finished_rank_keeps_its_shard_alone(traced, family, lossy,
     left = [type(o).__name__ for o in reachable(result)
             if isinstance(o, _WORKING_SET)]
     assert left == []
-    assert not (tracer.encoders or tracer.csts or tracer.timing
+    assert not (tracer.encoders or tracer.timing
                 or tracer._observe)
     assert sim() is None
     assert tracer.finalize() is result.result
@@ -100,15 +103,16 @@ def test_a_finished_rank_keeps_its_shard_alone(traced, family, lossy,
 
 @pytest.mark.parametrize("family,lossy,params", CASES,
                          ids=[c[0] for c in CASES])
-def test_keep_raw_seals_nothing(traced, family, lossy, params):
-    result, sim, shards = traced(family, lossy, params, keep_raw=True)
-    tracer = result.tracer
-    assert all(isinstance(rc.grammar, TermLog) for rc in tracer.ranks)
-    assert all(isinstance(rc.encoder, PerRankEncoder)
-               for rc in tracer.ranks)
-    assert len(tracer.csts) == len(tracer.raw_terms) == 8
-    assert bool(tracer.timing) == lossy
-    assert [rc.freeze().to_bytes() for rc in tracer.ranks] == \
-        [s.to_bytes() for s in shards]
+def test_verify_seals_its_tracer(traced, family, lossy, params):
+    result, sim, shards = traced(family, lossy, params)
     assert api.verify(family, 8, seed=3, **params,
                       options=TracerOptions(lossy_timing=lossy)).ok
+    _, checked = traced.tracers
+    assert checked.result.trace_bytes == result.trace_bytes
+    left = [type(o).__name__ for o in reachable(checked)
+            if isinstance(o, _WORKING_SET)]
+    assert left == []
+    assert not (checked.encoders or checked.timing
+                or checked._observe)
+    assert [rc.freeze().to_bytes() for rc in checked.ranks] == \
+        [s.to_bytes() for s in shards]

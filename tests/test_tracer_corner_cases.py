@@ -3,15 +3,15 @@ non-blocking communicator creation, inter-communicators, persistent
 requests, derived datatypes in flight, device memory, stack buffers."""
 
 
-from repro.core import PilgrimTracer, TraceDecoder, verify_roundtrip
+from repro.core import PilgrimTracer, RoundTrip, TraceDecoder, verify_roundtrip
 from repro.core.encoder import PTR_DEVICE, PTR_HEAP, PTR_STACK
 from repro.mpisim import SimMPI, constants as C, datatypes as dt, ops
 
 
 def traced(nprocs, prog, seed=1, **kw):
-    tracer = PilgrimTracer(keep_raw=True, **kw)
-    SimMPI(nprocs, seed=seed, tracer=tracer).run(prog)
-    return tracer
+    tee = RoundTrip(PilgrimTracer(**kw))
+    SimMPI(nprocs, seed=seed, tracer=tee).run(prog)
+    return tee
 
 
 class TestCommIdupTracing:
@@ -32,7 +32,7 @@ class TestCommIdupTracing:
         fid = F.FUNCS["MPI_Barrier"].fid
         ids = set()
         for r in range(4):
-            sigs = [tracer.csts[r].sigs[t] for t in tracer.raw_terms[r]]
+            sigs = tracer.raw.streams[r]
             ids.update(s[1] for s in sigs if s[0] == fid and s[1] != 0)
         assert len(ids) == 1
 
@@ -130,8 +130,7 @@ class TestDatatypeTracing:
         # produce ONE set of signatures
         from repro.mpisim import funcs as F
         fid = F.FUNCS["MPI_Type_vector"].fid
-        sigs = {tracer.csts[0].sigs[t] for t in tracer.raw_terms[0]
-                if tracer.csts[0].sigs[t][0] == fid}
+        sigs = {s for s in tracer.raw.streams[0] if s[0] == fid}
         assert len(sigs) == 1
 
     def test_nested_derived_types(self):
@@ -164,8 +163,7 @@ class TestMemoryTracing:
         assert verify_roundtrip(tracer).ok
         from repro.mpisim import funcs as F
         fid = F.FUNCS["MPI_Send"].fid
-        sends = [tracer.csts[0].sigs[t] for t in tracer.raw_terms[0]
-                 if tracer.csts[0].sigs[t][0] == fid]
+        sends = [s for s in tracer.raw.streams[0] if s[0] == fid]
         assert sends[0][1][0] == PTR_HEAP
         assert sends[0][1][2] == 16            # displacement preserved
         assert sends[1][1][0] == PTR_DEVICE
@@ -180,8 +178,7 @@ class TestMemoryTracing:
         tracer = traced(1, prog)
         from repro.mpisim import funcs as F
         fid = F.FUNCS["MPI_Send"].fid
-        sends = [tracer.csts[0].sigs[t] for t in tracer.raw_terms[0]
-                 if tracer.csts[0].sigs[t][0] == fid]
+        sends = [s for s in tracer.raw.streams[0] if s[0] == fid]
         assert sends[0][1] == (PTR_STACK, 0)
         assert len({s[1] for s in sends}) == 1  # stable first-touch id
 

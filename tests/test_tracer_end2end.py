@@ -3,16 +3,16 @@ workloads, decoder output, ablation toggles, timing mode."""
 
 import pytest
 
-from repro.core import (PilgrimTracer, TIMING_LOSSY, TraceDecoder,
-                        verify_roundtrip)
+from repro.core import (PilgrimTracer, RoundTrip, TIMING_LOSSY,
+                        TraceDecoder, verify_roundtrip)
 from repro.mpisim import SimMPI, constants as C, datatypes as dt
 from repro.workloads import make
 
 
 def run_traced(workload, nprocs, seed=1, tracer_kw=None, **params):
-    tracer = PilgrimTracer(keep_raw=True, **(tracer_kw or {}))
-    make(workload, nprocs, **params).run(seed=seed, tracer=tracer)
-    return tracer
+    tee = RoundTrip(PilgrimTracer(**(tracer_kw or {})))
+    make(workload, nprocs, **params).run(seed=seed, tracer=tee)
+    return tee
 
 
 WORKLOAD_MATRIX = [
@@ -68,16 +68,16 @@ class TestLosslessRoundtrip:
                     done += len(idxs)
 
         for seed in range(5):
-            tracer = PilgrimTracer(keep_raw=True)
-            SimMPI(2, seed=seed, tracer=tracer).run(prog)
-            assert verify_roundtrip(tracer).ok
+            tee = RoundTrip(PilgrimTracer())
+            SimMPI(2, seed=seed, tracer=tee).run(prog)
+            assert verify_roundtrip(tee).ok
 
     def test_verify_detects_corruption(self):
-        tracer = run_traced("stencil2d", 4, iters=5)
+        tee = run_traced("stencil2d", 4, iters=5)
         # tamper with the raw stream: verification must fail
-        tracer.raw_terms[1][3] = (tracer.raw_terms[1][3] + 1) % \
-            len(tracer.csts[1].sigs)
-        report = verify_roundtrip(tracer)
+        stream = tee.raw.streams[1]
+        stream[3] = next(sig for sig in stream if sig != stream[3])
+        report = verify_roundtrip(tee)
         assert not report.ok
 
 
@@ -124,7 +124,7 @@ class TestDecoder:
             yield from m.send(buf, 1, dt.DOUBLE, dest=dest, tag=1)
             _ = yield from m.recv(buf, 1, dt.DOUBLE, source=src, tag=1)
 
-        tracer = PilgrimTracer(keep_raw=True)
+        tracer = PilgrimTracer()
         SimMPI(4, seed=0, tracer=tracer).run(prog)
         dec = TraceDecoder.from_bytes(tracer.result.trace_bytes)
         for rank in range(4):
