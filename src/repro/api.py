@@ -73,8 +73,9 @@ class TraceResult:
     backend: str
     seed: int
     #: the constructed tracer: its result, metrics and spans, and each
-    #: rank's frozen shard (``tracer.ranks[r].freeze()``); a finished
-    #: tracer keeps no CSTs, logs or encoders (DESIGN.md §17)
+    #: rank's shard, rebuilt from the trace bytes on demand
+    #: (``tracer.ranks[r].freeze()``); a finished tracer keeps no CSTs,
+    #: logs, encoders, shards or parsed trace (DESIGN.md §17)
     tracer: Any
     #: the simulator's RunResult (virtual times, scheduler steps)
     run: Any

@@ -6,7 +6,7 @@ Public surface:
   :class:`repro.mpisim.SimMPI` run; produces the compressed trace.
 * :class:`TraceFile` / :class:`TraceDecoder` — the binary format and its
   decoder (decompression back to per-rank call records).
-* :func:`verify_roundtrip` / :func:`verify_workload` — the paper's
+* :func:`verify_roundtrip` (``repro.api.verify``) — the paper's
   lossless round-trip check, grown into a differential verifier; its
   :class:`RoundTrip` tee runs a tracer beside the ``raw`` backend.
 * :class:`Container` (:mod:`repro.core.container`) — the one
@@ -49,7 +49,7 @@ from .timing import (BinClampWarning, TimingCompressor, TimingMeta,
                      bin_value, reconstruct_times, unbin_value)
 from .trace_format import TraceFile, section_hashes, split_sections
 from .tracer import TIMING_AGGREGATE, TIMING_LOSSY, PilgrimResult, PilgrimTracer
-from .verify import RoundTrip, VerifyReport, verify_roundtrip, verify_workload
+from .verify import RoundTrip, VerifyReport, verify_roundtrip
 
 __all__ = [
     "BinClampWarning",
@@ -72,5 +72,5 @@ __all__ = [
     "make_tracer", "merge_csts", "merge_grammars", "merge_shards",
     "reconstruct_times", "reduce_shards", "section_hashes",
     "sig_to_params", "split_sections",
-    "tree_reduce", "unbin_value", "verify_roundtrip", "verify_workload",
+    "tree_reduce", "unbin_value", "verify_roundtrip",
 ]

@@ -22,8 +22,8 @@ blob and proves four properties against those streams:
 * **reencode** — parse(serialize(trace)) re-serializes to the identical
   byte string, so the on-disk form is a fixed point of the reader.
 
-``verify_workload`` wraps the whole flow (trace a registered workload,
-then verify) for the ``repro verify`` CLI subcommand and CI.
+:func:`repro.api.verify` wraps the whole flow (trace a registered
+workload, then verify) for the ``repro verify`` CLI subcommand and CI.
 """
 
 from __future__ import annotations
@@ -244,17 +244,3 @@ def verify_roundtrip(tee: RoundTrip, *,
                         checks=checks, per_rank_calls=per_rank,
                         trace_bytes=len(blob))
 
-
-def verify_workload(name: str, nprocs: int, *, seed: int = 1,
-                    options=None, allow_degraded: bool = False,
-                    **params) -> VerifyReport:
-    """Trace a registered workload under a :class:`RoundTrip` and
-    round-trip verify it (the ``repro verify`` CLI entry point).
-
-    This is a thin wrapper over :func:`repro.api.verify` — tracer
-    configuration belongs in *options* (a :class:`~repro.core.backends.
-    TracerOptions`); extra keywords are workload parameters.
-    """
-    from .. import api  # late import: repro.api sits above repro.core
-    return api.verify(name, nprocs, seed=seed, options=options,
-                      allow_degraded=allow_degraded, **params)

@@ -108,8 +108,12 @@ class ChunkingTracer(PilgrimTracer):
             self._emit(p)
 
     def on_run_end(self, sim) -> None:
-        # the server owns the fold: ship the tail, never finalize
+        # the server owns the fold: ship the tail, never finalize; then
+        # drop the ranks' working sets (RankCompressor.release) and views
         self.flush_now()
+        for rc in self.ranks:
+            rc.release()
+        self._observe, self.encoders, self.timing = [], [], []
 
     def config(self) -> proto.IngestConfig:
         return proto.IngestConfig(

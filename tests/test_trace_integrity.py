@@ -4,11 +4,11 @@ fuzzer, the grown differential verifier, and decoder edge cases."""
 
 import pytest
 
-from repro import fuzz
+from repro import api, fuzz
 from repro.core import (ChecksumError, CorruptTraceError, PilgrimTracer,
                         RoundTrip, TraceDecoder, TraceFile, TraceFormatError,
                         TruncatedTraceError, UnsupportedVersionError,
-                        verify_roundtrip, verify_workload)
+                        verify_roundtrip)
 from repro.core.backends import TracerOptions, make_tracer
 from repro.core.trace_format import TRACE
 from repro.core.grammar import Grammar
@@ -121,7 +121,7 @@ class TestVerifier:
         ("milc_su3_rmd", {}),
     ])
     def test_verify_workload_families(self, name, params):
-        report = verify_workload(name, 8, **params)
+        report = api.verify(name, 8, **params)
         assert report.ok, report.mismatches[:3]
         assert all(report.checks.values())
         assert set(report.checks) == {"terminal_streams", "records",
@@ -129,8 +129,8 @@ class TestVerifier:
         assert sum(report.per_rank_calls) == report.total_calls
 
     def test_verify_lossy_timing(self):
-        report = verify_workload("stencil2d", 4, iters=4,
-                                 options=TracerOptions(lossy_timing=True))
+        report = api.verify("stencil2d", 4, iters=4,
+                            options=TracerOptions(lossy_timing=True))
         assert report.ok, report.mismatches[:3]
 
     def test_verify_catches_dropped_call(self):
