@@ -131,19 +131,33 @@ def _traced(family: str, nprocs: int, lossy: bool = False, seed: int = 11,
     return tracer.result
 
 
+def _built(monkeypatch, family: str, nprocs: int, lossy: bool = False,
+           seed: int = 11, **params) -> tuple[bytes, TraceFile]:
+    """A traced run's bytes and the :class:`TraceFile` its pipeline built
+    before any codec: the one object the run serializes."""
+    built, to_bytes = [], TraceFile.to_bytes
+    with monkeypatch.context() as m:
+        m.setattr(TraceFile, "to_bytes",
+                  lambda self, *a, **kw: built.append(self)
+                  or to_bytes(self, *a, **kw))
+        blob = _traced(family, nprocs, lossy, seed, **params).trace_bytes
+    (trace,) = built
+    return blob, trace
+
+
 # -- real tables: every registry family ------------------------------------------------
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["aggregate", "lossy"])
 @pytest.mark.parametrize("family", sorted(REGISTRY))
-def test_every_family_reads_what_the_oracle_round_trips(family, lossy):
-    result = _traced(family, 4, lossy)
-    blob = result.trace_bytes
+def test_every_family_reads_what_the_oracle_round_trips(monkeypatch, family,
+                                                        lossy):
+    blob, pipeline = _built(monkeypatch, family, 4, lossy)
     # the oracle carries the table the pipeline built, before any codec
-    want = V2CST.read_from(Reader(v2_payload(result.trace.cst)))
+    want = V2CST.read_from(Reader(v2_payload(pipeline.cst)))
     trace = TraceFile.from_bytes(blob)
     assert _table(trace.cst) == _table(want)
-    assert trace == result.trace
+    assert trace == pipeline
     assert trace.to_bytes() == blob             # re-encoding is byte-stable
     assert trace.cst.dur_sums == [ns / 1e9 for ns in trace.cst.dur_ns]
     # never larger than its v2 bytes, and a v2 reader of them agrees
@@ -275,7 +289,8 @@ def test_equal_columns_are_written_once_within_the_field_budget():
 
 
 def test_the_table_is_read_by_columns_not_by_values(monkeypatch):
-    trace = _traced("flash_cellular", 27, lossy=True, seed=3, iters=6).trace
+    _, trace = _built(monkeypatch, "flash_cellular", 27, lossy=True, seed=3,
+                      iters=6)
     n = len(trace.cst.sigs)
     payload = _v3(trace.cst)
     n_values = sum(map(len, trace.cst.sigs)) + 2 * n
