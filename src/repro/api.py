@@ -354,7 +354,7 @@ def serve(host: str = "127.0.0.1", port: int = 0, *,
     the trace store at that path as a run of workload == tenant, so
     repeated pushes dedup against each other (see :func:`store`).
     """
-    from .ingest import serve_in_thread  # heavier import (asyncio), lazy
+    from .ingest import serve_in_thread  # heavier import (sockets), lazy
     trace_store = store(store_dir, metrics=metrics) \
         if store_dir is not None else None
     return serve_in_thread(host, port, checkpoint_dir=checkpoint_dir,

@@ -214,8 +214,6 @@ def cmd_fuzz(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the streaming trace-ingest service in the foreground."""
-    import asyncio
-
     from .ingest.server import IngestServer
 
     store = api.store(args.store) if args.store else None
@@ -223,19 +221,17 @@ def cmd_serve(args) -> int:
                           checkpoint_dir=args.checkpoint_dir,
                           checkpoint_every=args.checkpoint_every,
                           store=store)
-
-    async def _run() -> None:
-        await server.start()
-        # flushed immediately so scripts (and the CI smoke job) can
-        # scrape the bound port from the first line of output
-        print(f"repro ingest listening on {server.host}:{server.port}",
-              flush=True)
-        await server.serve_forever()
-
+    server.start()
+    # flushed immediately so scripts (and the CI smoke job) can scrape
+    # the bound port from the first line of output
+    print(f"repro ingest listening on {server.host}:{server.port}",
+          flush=True)
     try:
-        asyncio.run(_run())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("repro ingest: shutting down")
+    finally:
+        server.stop()
     return 0
 
 

@@ -21,16 +21,15 @@ Public surface:
   :func:`make_tracer` / :func:`register_backend` / :class:`TracerOptions`
   — the one construction path the CLI, runner, and benchmarks share.
 * Building blocks, exported for tests/benchmarks: :class:`Sequitur`,
-  :class:`Grammar`, :class:`CST`, :func:`merge_csts`,
-  :func:`merge_grammars`, :class:`IntervalTree`,
-  :class:`TimingCompressor`.
+  :class:`Grammar`, :class:`CST`, :func:`merge_grammars`,
+  :class:`IntervalTree`, :class:`TimingCompressor`.
 """
 
 from .avl import IntervalTree
 from .backends import (NullTracer, RawTracer, TracerOptions,
                        available_backends, make_tracer, register_backend)
 from .container import Container, Section
-from .cst import CST, MergedCST, merge_csts
+from .cst import CST, MergedCST
 from .decoder import TraceDecoder
 from .encoder import CommIdSpace, MemoryTable, PerRankEncoder
 from .errors import (ChecksumError, CorruptTraceError, FrameFormatError,
@@ -69,7 +68,7 @@ __all__ = [
     "TraceFile", "TraceFormatError", "TracePipeline", "TracerOptions",
     "TruncatedTraceError", "UnsupportedVersionError", "VerifyReport",
     "available_backends", "bin_value", "expand_rank",
-    "make_tracer", "merge_csts", "merge_grammars", "merge_shards",
+    "make_tracer", "merge_grammars", "merge_shards",
     "reconstruct_times", "reduce_shards", "section_hashes",
     "sig_to_params", "split_sections",
     "tree_reduce", "unbin_value", "verify_roundtrip",

@@ -6,9 +6,11 @@ Alongside every entry it aggregates timing statistics — Pilgrim's default
 timing mode keeps only the per-signature call count and mean duration
 (§3.2), which adds no new grammar symbols.
 
-:func:`merge_csts` implements the inter-process compression: pairwise
-merges in ceil(log2 P) phases, then a global renumbering table per rank
-so each process can rewrite its grammar's terminals (Fig 3).
+:class:`MergedCST` is the trace's global signature table (Fig 3), built
+from the reduced shard (:meth:`repro.core.shard.RankShard.merged_cst`).
+The paper's pairwise merge of per-rank CSTs in ceil(log2 P) phases, with
+a renumbering table per rank, is a test oracle
+(``tests/test_cst_interproc.py::merge_csts``).
 """
 
 from __future__ import annotations
@@ -258,53 +260,3 @@ class MergedCST:
             raise CorruptTraceError(
                 f"{r.remaining()} trailing bytes after the last CST group")
         return cls.from_ns(sigs, counts, dur_ns)
-
-
-def merge_csts(csts: list[CST]) -> MergedCST:
-    """Inter-process CST compression (§3.5.1).
-
-    Performs the paper's ceil(log2 P) phases of pairwise merges (the work
-    is real, so callers can time it), then derives the per-rank terminal
-    remap tables from the final global numbering.
-    """
-    nprocs = len(csts)
-    # working copies: sig -> (count, dur_sum); global numbering grows as
-    # novel signatures are appended during merges, preserving the lower
-    # partner's numbering exactly as in Fig 3
-    partial: list[Optional[dict[tuple, int]]] = []
-    order: list[Optional[list[tuple]]] = []
-    stats: dict[tuple, tuple[int, float]] = {}
-    for cst in csts:
-        d = dict(cst._table)
-        partial.append(d)
-        order.append(list(cst.sigs))
-        for sig, c, s in zip(cst.sigs, cst.counts, cst.dur_sums):
-            got = stats.get(sig)
-            stats[sig] = (c, s) if got is None else (got[0] + c, got[1] + s)
-
-    stride = 1
-    while stride < nprocs:
-        for left in range(0, nprocs, 2 * stride):
-            right = left + stride
-            if right >= nprocs:
-                continue
-            ltab, lorder = partial[left], order[left]
-            for sig in order[right]:
-                if sig not in ltab:
-                    ltab[sig] = len(lorder)
-                    lorder.append(sig)
-            partial[right] = None
-            order[right] = None
-        stride *= 2
-
-    final_order = order[0] if nprocs else []
-    final_index = partial[0] if nprocs else {}
-    remaps = []
-    for cst in csts:
-        remaps.append([final_index[sig] for sig in cst.sigs])
-    return MergedCST(
-        sigs=list(final_order),
-        counts=[stats[s][0] for s in final_order],
-        dur_sums=[stats[s][1] for s in final_order],
-        remaps=remaps,
-    )

@@ -648,7 +648,13 @@ class RankCompressor:
         interval grammars.  A log that never drained goes through *memo*
         (:meth:`Grammar.compress`).  The result is kept for the call
         count it covers: the logs only grow, so a later :meth:`freeze`
-        of the same calls runs no Sequitur."""
+        of the same calls runs no Sequitur.  A sealed rank answers from
+        the shard :meth:`freeze` rebuilds."""
+        if self.grammar is None:
+            shard = self.freeze()
+            td, ti = shard.timing_duration, shard.timing_interval
+            return shard.cfg.unique[0], (td.unique[0], ti.unique[0]) \
+                if td is not None and ti is not None else None
         n = self.observed_calls
         if self._frozen is None or self._frozen[0] != n:
             g = self.grammar.freeze(memo)

@@ -7,15 +7,17 @@ Layers (dependencies flow **upward only**; see DESIGN.md):
    :class:`~repro.core.shard.ShardPartial` s, one
    :class:`~repro.core.container.Container` declaration.
 2. :mod:`.session` — sans-io per-tenant stream state machines:
-   sequence numbers, duplicate suppression, idempotent reconnect,
-   the bounded-window backpressure contract.
+   sequence numbers, duplicate suppression, idempotent reconnect from
+   a durable watermark.
 3. :mod:`.aggregator` — the incremental fold: expands each rank's
    partial grammars onto ``TermLog`` columns that drain as a one-shot
    rank's do (so the result is byte-identical to a one-shot run), then
    the tracer's ``TracePipeline.run`` over every rank for the final
    trace; per-tenant isolation and disk checkpoints.
-4. :mod:`.server` / :mod:`.client` — asyncio transport + orchestration
-   and the blocking produce side (``repro serve`` / ``repro push``).
+4. :mod:`.server` / :mod:`.client` — the blocking-socket transport, one
+   handler thread per connection folding inline (TCP flow control is
+   the backpressure), and the blocking produce side with its window of
+   unACKed chunks (``repro serve`` / ``repro push``).
 
 The core invariant, property-tested in ``tests/test_ingest.py``: any
 chunking of a rank's stream into partials folds to a **byte-identical**
@@ -27,20 +29,9 @@ from .aggregator import Aggregator, FoldError, RankFold, TenantFold
 from .client import (ChunkingTracer, IngestClient, IngestError, PushResult,
                      push)
 from .protocol import FrameDecoder, IngestConfig
+from .server import IngestServer, RunningServer, serve_in_thread
 from .session import (DEFAULT_WINDOW, SequenceError, Session, SessionError,
                       SessionRegistry, TenantState)
-
-#: served by :func:`__getattr__`: the server loads asyncio, which nothing
-#: on the produce or fold side needs (a traced application that pushes
-#: imports this package too)
-_SERVER_NAMES = ("IngestServer", "RunningServer", "serve_in_thread")
-
-
-def __getattr__(name: str):
-    if name in _SERVER_NAMES:
-        from . import server
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Aggregator",

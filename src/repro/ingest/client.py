@@ -11,10 +11,10 @@ an emit callback instead of folding locally — ``on_run_end`` skips
 socket: HELLO/HELLO_ACK handshake, one CHUNK per flush
 (:meth:`IngestClient.send_partials`: every rank's partial in one record
 in one frame, compressed once, written once, ACKed once), a bounded
-window of unACKed CHUNKs (mirroring the server's bounded queue — the
-client blocks on ACKs when the window fills), FIN with per-rank call
-counts for the conservation check, then RESULT with the folded trace.
-Reconnects ride
+window of unACKed CHUNKs (the client blocks on ACKs when the window
+fills; the server folds inline, so TCP pushes back on its sends), FIN
+with per-rank call counts for the conservation check, then RESULT with
+the folded trace.  Reconnects ride
 :class:`~repro.resilience.retry.TaskSupervisor`: on a connection
 failure the client redials with backoff, re-HELLOs with ``resume=True``,
 learns the server's durable ``next_seq``, drops everything already

@@ -8,21 +8,21 @@ survives a dropped connection so a client can resume idempotently.
 
 Two counters make the reconnect story exact:
 
-* ``Session.expected_seq`` (per connection) — what the *reader* has
+* ``Session.expected_seq`` (per connection) — what the connection has
   accepted; used to classify an incoming CHUNK as duplicate / in-order /
   gap.
 * ``TenantState.next_seq`` (per tenant, durable) — what the *fold* has
-  absorbed; advanced by the consumer only after a chunk is safely in
-  the aggregate, and reported back in HELLO_ACK.  Anything the client
-  has not seen ACKed it resends; anything already absorbed the reader
-  recognizes as a duplicate and re-ACKs without re-folding.
+  absorbed; advanced only after a chunk is safely in the aggregate,
+  and reported back in HELLO_ACK.  Anything the client has not seen
+  ACKed it resends; anything already absorbed the server recognizes as
+  a duplicate and re-ACKs without re-folding.
 
-Backpressure is a contract, not a mechanism, at this layer: the server
-binds each session to a bounded queue of :data:`DEFAULT_WINDOW` pending
-chunks (one chunk = one flush of the client's tracer, however many ranks
-it covers), and the transport stops reading while the queue is full (TCP
-push-back does the rest).  The client mirrors the same window on its
-unacked buffer.
+Backpressure is the transport's, not this layer's: the server folds
+each chunk inline, before it reads the next, so a fold that falls behind
+stops the reads and TCP flow control pushes back on the client.  The
+client bounds its own unACKed buffer at :data:`DEFAULT_WINDOW` chunks
+(one chunk = one flush of the client's tracer, however many ranks it
+covers).
 
 Imports: :mod:`repro.ingest.protocol` and ``repro.core`` only —
 dependencies flow upward (see DESIGN.md).
@@ -35,8 +35,7 @@ from typing import Optional
 
 from .protocol import IngestConfig
 
-#: bound on chunks (flushes) queued between the connection reader and the
-#: fold consumer (and on the client's unacked window)
+#: bound on the chunks (flushes) a client sends ahead of their ACKs
 DEFAULT_WINDOW = 32
 
 #: CHUNK classification results
@@ -145,15 +144,11 @@ class Session:
     FINISHING = "finishing"
     CLOSED = "closed"
 
-    def __init__(self, registry: SessionRegistry,
-                 window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError(f"session window must be >= 1, got {window}")
+    def __init__(self, registry: SessionRegistry):
         self.registry = registry
-        self.window = window
         self.state = self.AWAIT_HELLO
         self.tenant_state: Optional[TenantState] = None
-        #: next sequence number this connection's reader will accept
+        #: next sequence number this connection will accept
         self.expected_seq = 0
         self.chunks_accepted = 0
         self.duplicates = 0
@@ -177,7 +172,7 @@ class Session:
 
     def on_chunk(self, seq: int) -> str:
         """Classify an in-order CHUNK.  :data:`SEQ_NEW` means the caller
-        must hand the chunk to the fold consumer; :data:`SEQ_DUPLICATE`
+        must hand the chunk to the fold; :data:`SEQ_DUPLICATE`
         means re-ACK and drop (idempotent resend after reconnect)."""
         if self.state != self.ACTIVE:
             raise SessionError(f"CHUNK in state {self.state}")
@@ -203,7 +198,7 @@ class Session:
         self.state = self.FINISHING
 
     def absorbed(self, seq: int) -> None:
-        """The fold consumer committed chunk *seq*: advance the durable
+        """The fold committed chunk *seq*: advance the durable
         watermark so a reconnect resumes past it."""
         st = self.tenant_state
         assert st is not None

@@ -126,13 +126,14 @@ def test_replay_unknown_loose_kwarg_is_rejected():
 
 
 def test_client_and_fold_imports_do_not_load_asyncio():
-    """Only the ingest server needs asyncio.  A traced application that
-    pushes imports ``repro.ingest`` for its client, so the server's
-    names are served on first use, like ``repro.api.serve`` imports it."""
+    """No ``repro`` module loads asyncio: the ingest server runs on
+    blocking sockets, and neither it nor the CLI that serves it imports
+    an event loop (asyncio alone adds ~2 MB to a process)."""
     import os
     import subprocess
     src = str(Path(repro.__file__).resolve().parent.parent)
-    code = ("import sys, repro.api, repro.ingest, repro.core; "
+    code = ("import sys, repro.api, repro.ingest, repro.core, "
+            "repro.ingest.server, repro.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('asyncio')))")
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True,

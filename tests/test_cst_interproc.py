@@ -1,12 +1,64 @@
 """CST interning/merging and inter-process grammar compression tests."""
 
+from typing import Optional
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cst import CST, MergedCST, merge_csts
+from repro.core.cst import CST, MergedCST
 from repro.core.grammar import Grammar
 from repro.core.interproc import expand_rank, merge_grammars
 from repro.core.packing import Reader
 from repro.core.sequitur import Sequitur
+
+
+def merge_csts(csts: list[CST]) -> MergedCST:
+    """Inter-process CST compression (§3.5.1), the paper's way: its
+    ceil(log2 P) phases of pairwise merges, then the per-rank terminal
+    remap tables from the final global numbering.  The tracer builds its
+    table with the one-pass reduce (``repro.core.shard.reduce_shards``);
+    this is the oracle the tests below and ``test_trace_format.py``
+    build traces with."""
+    nprocs = len(csts)
+    # working copies: sig -> (count, dur_sum); global numbering grows as
+    # novel signatures are appended during merges, preserving the lower
+    # partner's numbering exactly as in Fig 3
+    partial: list[Optional[dict[tuple, int]]] = []
+    order: list[Optional[list[tuple]]] = []
+    stats: dict[tuple, tuple[int, float]] = {}
+    for cst in csts:
+        d = dict(cst._table)
+        partial.append(d)
+        order.append(list(cst.sigs))
+        for sig, c, s in zip(cst.sigs, cst.counts, cst.dur_sums):
+            got = stats.get(sig)
+            stats[sig] = (c, s) if got is None else (got[0] + c, got[1] + s)
+
+    stride = 1
+    while stride < nprocs:
+        for left in range(0, nprocs, 2 * stride):
+            right = left + stride
+            if right >= nprocs:
+                continue
+            ltab, lorder = partial[left], order[left]
+            for sig in order[right]:
+                if sig not in ltab:
+                    ltab[sig] = len(lorder)
+                    lorder.append(sig)
+            partial[right] = None
+            order[right] = None
+        stride *= 2
+
+    final_order = order[0] if nprocs else []
+    final_index = partial[0] if nprocs else {}
+    remaps = []
+    for cst in csts:
+        remaps.append([final_index[sig] for sig in cst.sigs])
+    return MergedCST(
+        sigs=list(final_order),
+        counts=[stats[s][0] for s in final_order],
+        dur_sums=[stats[s][1] for s in final_order],
+        remaps=remaps,
+    )
 
 
 def freeze(seq):

@@ -426,6 +426,65 @@ class TestSocketEndToEnd:
             assert ei.value.code == "FoldError"
             assert "conservation" in ei.value.detail
 
+    @staticmethod
+    def _frames(sock, n=None):
+        """Read *n* frames, or every frame until the server closes."""
+        dec, got = proto.FrameDecoder(), []
+        while n is None or len(got) < n:
+            data = sock.recv(65536)
+            if not data:
+                break
+            dec.feed(data)
+            got.extend(dec.frames())
+        return got
+
+    def test_an_idle_connection_is_dropped_and_releases_its_tenant(self):
+        config = proto.IngestConfig()
+        with serve_in_thread(idle_timeout=0.2) as srv:
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=10) as sock:
+                sock.sendall(proto.encode_hello("t", 2, config))
+                got = self._frames(sock)
+            assert [k for k, _ in got] == [proto.HELLO_ACK, proto.ERROR]
+            code, detail = proto.parse_error(got[1][1])
+            assert code == "SessionError" and "idle for 0.2s" in detail
+            # the dead connection gave its live-session slot back
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=10) as sock:
+                sock.sendall(proto.encode_hello("t", 2, config,
+                                                resume=True))
+                kind, payload = self._frames(sock, 1)[0]
+            assert kind == proto.HELLO_ACK
+            assert proto.parse_hello_ack(payload) == 0
+
+    def test_stop_mid_stream_returns_and_leaves_no_thread(self):
+        config, flushes, _ = _recorded("stencil2d", 2, 3, chunk_calls=32)
+        assert len(flushes) > 2
+
+        before = set(threading.enumerate())
+
+        def ingest_threads():
+            return [t.name for t in threading.enumerate()
+                    if t not in before and t.name.startswith("repro-ingest-")]
+
+        srv = serve_in_thread()
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as sock:
+            sock.sendall(proto.encode_hello("t", 2, config) + b"".join(
+                proto.encode_chunk(i, write_flush(f, compress=False))
+                for i, f in enumerate(flushes[:2])))
+            assert [k for k, _ in self._frames(sock, 3)] == \
+                [proto.HELLO_ACK, proto.ACK, proto.ACK]
+            assert any(n.startswith("repro-ingest-conn-")
+                       for n in ingest_threads())
+            t0 = time.monotonic()
+            srv.stop(timeout=5.0)
+            assert time.monotonic() - t0 < 5.0
+            assert sock.recv(65536) == b""      # the server cut it
+        assert ingest_threads() == []
+        assert srv.server.registry.get("t").next_seq == 2
+        srv.stop()                              # idempotent
+
 
 class TestOneFinalize:
     """A tenant's fold finalizes through the tracer's own

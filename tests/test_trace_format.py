@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.cst import CST, merge_csts
+from repro.core.cst import CST
 from repro.core.errors import (ChecksumError, CorruptTraceError,
                                TruncatedTraceError, UnsupportedVersionError)
 from repro.core.grammar import Grammar
 from repro.core.interproc import merge_grammars
 from repro.core.sequitur import Sequitur
 from repro.core.trace_format import TRACE, TraceFile
+from test_cst_interproc import merge_csts
 
 
 def _freeze(seq):

@@ -177,6 +177,21 @@ def test_a_sealed_rank_rebuilds_the_shard_reduce_received(traced, family,
         [s.to_bytes() for s in shards]
 
 
+@pytest.mark.parametrize("family,lossy,params", CASES,
+                         ids=[c[0] for c in CASES])
+def test_a_sealed_rank_compresses_to_the_grammars_reduce_received(
+        traced, family, lossy, params):
+    """``compress()`` and ``freeze()`` agree on a sealed rank: the call
+    grammar and, under lossy timing, the two timing grammars."""
+    result, _, shards = traced(family, lossy, params)
+    for rc, s in zip(result.tracer.ranks, shards):
+        want = [gs.per_rank()[0] for gs in (
+            s.cfg, s.timing_duration, s.timing_interval) if gs is not None]
+        g, timing = rc.compress()
+        assert [g, *(timing or ())] == want
+        assert (timing is not None) == lossy
+
+
 def test_a_lost_rank_keeps_its_own_shard(traced):
     result, _, shards = traced("flash_cellular", True, {"iters": 4},
                                nprocs=4,
