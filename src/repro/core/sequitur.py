@@ -386,7 +386,15 @@ class Sequitur:
         leaves the one index entry the per-symbol steps would leave;
         every step it skips inserted and then deleted the same transient
         entry.  At the first indexed key it falls back to the per-symbol
-        step.
+        step.  The *extension step* takes the second pass of a loop:
+        when the tail is ``R^1``, ``R`` has two uses and the new
+        terminal ``v`` makes the digram ``(R, v)`` indexed at the other
+        use, the per-symbol step would make ``R' -> R v``, substitute
+        both uses and inline ``R``.  The extension step instead moves
+        the other use's ``v`` to the end of ``R``'s body and renames
+        ``R`` to ``R'``: the same rules, ids and index entries, then the
+        one ``_check`` the inline runs.  Where the other use is a whole
+        rule body or is followed by the tail, the per-symbol step runs.
         """
         if not isinstance(values, list):
             values = list(values)
@@ -465,13 +473,48 @@ class Sequitur:
             else:
                 i += 1
                 self.n_input += 1
-                sym = Symbol(value, 1)
-                link_after(last, sym)
-                check(last)
+                found = digrams.get((last.value, 1, value, 1)) \
+                    if last.value < 0 and last.exp == 1 else None
+                if found is None or not self._extend(found, last):
+                    link_after(last, Symbol(value, 1))
+                    check(last)
             if self._pending_underused:
                 self._process_underused()
             if loop_detection:
                 self._arm_prediction()
+
+    def _extend(self, other: Symbol, tail: Symbol) -> bool:
+        """The extension step (see :meth:`append_array`): the tail is
+        ``R^1`` and ``(R, v)`` is indexed at *other*, so *other* is
+        followed by ``v^1``.  False, with nothing changed, when the
+        per-symbol step must run instead."""
+        rule = self.rules[tail.value]
+        v = other.next
+        after, before = v.next, other.prev
+        if rule.refcount != 2 or after is tail \
+                or (before.rule_of is not None and after.rule_of is not None):
+            return False
+        zed = tail.prev
+        for left in (other, v, before, zed):
+            self._delete_digram_at(left)
+        other.next, after.prev = after, other      # v leaves the other use
+        old_last = rule.guard.prev                 # ... and ends R's body
+        v.prev, v.next = old_last, rule.guard
+        old_last.next = rule.guard.prev = v
+        rid, new = rule.rid, self._next_rid
+        self._next_rid -= 1
+        del self.rules[rid]
+        self.rules[new] = rule
+        self._users[new] = self._users.pop(rid)
+        self._expand_cache.pop(rid, None)
+        rule.rid = other.value = tail.value = new
+        digrams = self._digrams
+        for left in (before, other, zed):
+            right = left.next
+            if left.rule_of is None and right.rule_of is None:
+                digrams[left.value, left.exp, right.value, right.exp] = left
+        self._check(old_last)
+        return True
 
     # -- inspection -----------------------------------------------------------------
 
@@ -508,19 +551,28 @@ class Sequitur:
         grammar's size in symbols."""
         return sum(sum(1 for _ in r.tokens()) for r in self.rules.values())
 
+    @staticmethod
+    def _key(left: Symbol) -> DigramKey:
+        """The index key of the digram at *left*."""
+        return (left.value, left.exp, left.next.value, left.next.exp)
+
     def check_invariants(self) -> None:
-        """Assert P1 (token-digram uniqueness) and P2 (rule utility).
+        """Assert P1 (token-digram uniqueness), P2 (rule utility) and
+        that the digram index holds exactly the grammar's digrams.
 
         Used by the property-based tests; raises AssertionError on
         violation.
         """
         seen: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+        index: dict = {}    # what the digram index must hold, exactly
         refcounts: dict[int, int] = {rid: 0 for rid in self.rules}
         for rule in self.rules.values():
             prev_tok: Optional[tuple[int, int]] = None
             pos = 0
             sym = rule.first
             while sym.rule_of is None:
+                if sym.prev.rule_of is None:
+                    index[self._key(sym.prev)] = sym.prev
                 tok = (sym.value, sym.exp)
                 if sym.value < 0:
                     assert sym.value in self.rules, \
@@ -537,6 +589,10 @@ class Sequitur:
                 prev_tok = tok
                 pos += 1
                 sym = sym.next
+        # every adjacent pair is indexed at its left symbol, and every
+        # entry is a linked, non-guard symbol that spells its key
+        assert self._digrams == index, "digram index drift: " \
+            f"{set(self._digrams.items()) ^ set(index.items())}"
         for rid, rule in self.rules.items():
             assert rule.refcount == refcounts[rid], \
                 f"refcount drift on R{rid}: {rule.refcount} vs {refcounts[rid]}"

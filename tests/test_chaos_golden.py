@@ -24,6 +24,7 @@ level's pair merge; every other row is byte for byte the named commit's
 recording, read through :data:`RETIRED`.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -34,10 +35,12 @@ from dataclasses import replace
 import pytest
 
 from repro import api
+from repro.core import pipeline
 from repro.core.backends import TracerOptions
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultPlan
 from repro.resilience.chaos import run_chaos_case
+from repro.resilience.retry import TaskSupervisor
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "chaos_golden.json")
 WORKLOADS = ("stencil2d", "npb_mg")
@@ -136,9 +139,19 @@ def test_every_plan_conserves_calls(golden):
             assert case["lost_calls"] == sum(lost.values()), name
 
 
+@pytest.fixture
+def no_backoff_sleep(monkeypatch):
+    """Retry backoff without the wall-clock wait: the jittered delays
+    are still drawn (and recorded as spans), so every fault sequence,
+    retry and counter is the one a sleeping supervisor produces."""
+    monkeypatch.setattr(pipeline, "TaskSupervisor", functools.partial(
+        TaskSupervisor, sleep=lambda _delay: None))
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_fired_faults_salvage_and_counters(workload, mode, golden):
+def test_fired_faults_salvage_and_counters(workload, mode, golden,
+                                           no_backoff_sleep):
     want = golden[f"{workload}/{mode}"]
     got = observe_row(workload, mode)
     for name, case in want.items():

@@ -292,6 +292,7 @@ class TestRunStep:
         assert Grammar.freeze(batched) == Grammar.freeze(scalar)
         assert batched.expand() == seq
         batched.check_invariants()
+        return batched, scalar
 
     @settings(max_examples=300, deadline=None)
     @given(_bin_streams, st.lists(st.integers(1, 60), max_size=20),
@@ -310,6 +311,96 @@ class TestRunStep:
         s.append_array([3] * 50)
         assert list(s.start.tokens()) == [(3, 100)]
         assert not s._digrams
+
+
+# -- the extension step: the second pass of a loop grows its rule in place ----------
+
+#: loop bodies of 1–14 symbols, repeated 1–6 times, with a few symbols
+#: overwritten and sometimes a noisy gap and a second loop after them
+_loop_streams = st.builds(
+    lambda body, reps, muts, gap, reps2: [
+        muts.get(i, v) for i, v in enumerate(body * reps + gap + body * reps2)],
+    st.lists(st.integers(0, 20), min_size=1, max_size=14),
+    st.integers(1, 6),
+    st.dictionaries(st.integers(0, 90), st.integers(0, 20), max_size=4),
+    st.lists(st.integers(0, 5), max_size=8), st.integers(0, 3))
+
+#: a captured call column (CST terminals): ``flash_cellular`` on 8 ranks,
+#: ``iters=4``, seed 1, rank 0
+_FLASH_CELLULAR_CALLS = [0, 1] + list(range(2, 10)) * 4 + [10]
+
+
+def _counting(seq: Sequitur, name: str) -> list:
+    """Wrap *seq*'s method *name*; the returned list collects each call's
+    positional arguments."""
+    calls, method = [], getattr(seq, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return method(*args)
+    setattr(seq, name, wrapper)
+    return calls
+
+
+class TestExtendStep:
+    """``append_array``'s extension step against the scalar ``append``
+    oracle: the grammar, the digram index, the rule ids and their order."""
+
+    @staticmethod
+    def _assert_same(seq, chunks, ld):
+        batched, scalar = TestRunStep._assert_same(seq, chunks, ld)
+        assert list(batched.rules) == list(scalar.rules)
+        assert batched._next_rid == scalar._next_rid
+        scalar.check_invariants()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_loop_streams, st.lists(st.integers(1, 40), max_size=8),
+           st.booleans())
+    def test_loops_equal_scalar_append(self, seq, chunks, ld):
+        self._assert_same(seq, chunks, ld)
+
+    @pytest.mark.parametrize("ld", [True, False])
+    @pytest.mark.parametrize("chunks", [[], [1] * 35, [3, 11, 5], [19]])
+    def test_captured_flash_cellular_calls(self, chunks, ld):
+        self._assert_same(_FLASH_CELLULAR_CALLS, chunks, ld)
+
+    @pytest.mark.parametrize("ld,array,scalar", [(True, 2, 11),
+                                                 (False, 3, 21)])
+    def test_the_second_pass_builds_two_rules(self, ld, array, scalar):
+        # scalar append makes a rule per symbol of the second pass; the
+        # extension step grows the first one instead, so a step that
+        # stops firing shows up as extra rules here
+        seq = list(range(12)) * 3
+        made = {}
+        for path in ("array", "scalar"):
+            s = Sequitur(loop_detection=ld)
+            made[path] = _counting(s, "_new_rule")
+            if path == "array":
+                s.append_array(seq)
+            else:
+                for v in seq:
+                    s.append(v)
+            assert s.expand() == seq
+        assert (len(made["array"]), len(made["scalar"])) == (array, scalar)
+
+    def test_the_other_use_inside_another_rule(self):
+        # without loop detection the third pass re-forms "0 1" inside the
+        # loop rule and extends it there, its other use being in that rule
+        seq = list(range(6)) * 3
+        s = Sequitur(loop_detection=False)
+        extend, owners = s._extend, []
+
+        def owned(other, tail):
+            head = other.prev
+            while head.rule_of is None:
+                head = head.prev
+            took = extend(other, tail)
+            owners.append((head.rule_of is s.start, took))
+            return took
+        s._extend = owned
+        s.append_array(seq)
+        assert (True, True) in owners and (False, True) in owners
+        self._assert_same(seq, [], False)
 
 
 # -- the digram key: the parent's packed int, kept verbatim as the oracle --------------
