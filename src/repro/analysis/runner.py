@@ -34,7 +34,7 @@ class ExperimentRow:
     time_intra: float = 0.0
     time_cst_merge: float = 0.0
     time_cfg_merge: float = 0.0
-    #: fine-grained phase -> wall seconds (filled when metrics are on)
+    #: Pilgrim's phase -> wall seconds (``PilgrimResult.phases``)
     phases: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
@@ -64,10 +64,10 @@ def run_experiment(workload: str, nprocs: int, *, seed: int = 1,
 
     Tracer configuration travels in *options* (one
     :class:`TracerOptions` shared by both tracers):
-    an enabled ``options.metrics`` registry is shared by both, so the
-    fine-grained phase decomposition (Fig 8) lands in ``row.phases`` and
-    the registry accumulates across rows.  Extra keywords are workload
-    parameters."""
+    Pilgrim's phase decomposition (Fig 8) lands in ``row.phases`` with
+    or without a registry; an enabled ``options.metrics`` registry is
+    shared by both tracers and accumulates across rows.  Extra keywords
+    are workload parameters."""
     from .. import api  # late import: repro.api sits above repro.analysis
     opts = options if options is not None else TracerOptions()
     row = ExperimentRow(workload=workload, nprocs=nprocs, params=params)

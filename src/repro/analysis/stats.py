@@ -5,7 +5,7 @@ per line (see :mod:`repro.obs.registry`); this module turns such a file
 back into tables — most importantly the Fig 8-style *overhead
 decomposition*: for each tracer scope found (``pilgrim``,
 ``scalatrace``), the per-phase wall seconds and their share of the
-tracer's measured total overhead.
+phase sum, which is the tracer's measured overhead.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class MetricsSummary:
     meta: dict[str, Any] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    #: name -> {"clock", "count", "seconds"}
+    #: name -> {"count", "seconds"}
     timers: dict[str, dict[str, Any]] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
     #: raw span records (``type: span``), in file order — render with
@@ -48,19 +48,12 @@ class MetricsSummary:
         return sorted(found)
 
     def phase_table(self, scope: str) -> list[tuple[str, float, int, float]]:
-        """``(phase, wall seconds, count, share-of-total)`` rows for one
-        tracer scope, largest first.  The share denominator is the
-        scope's ``total`` timer when present, else the phase sum."""
+        """``(phase, wall seconds, count, share)`` rows for one tracer
+        scope, largest first; the share denominator is the phase sum."""
         prefix = f"{scope}.phase."
-        rows = []
-        for name, t in self.timers.items():
-            if not name.startswith(prefix) or name.endswith(".cpu"):
-                continue
-            rows.append((name[len(prefix):], t["seconds"], t["count"]))
-        total_t = self.timers.get(f"{scope}.total")
-        denom = total_t["seconds"] if total_t else \
-            sum(r[1] for r in rows)
-        denom = denom or 1.0
+        rows = [(name[len(prefix):], t["seconds"], t["count"])
+                for name, t in self.timers.items() if name.startswith(prefix)]
+        denom = sum(r[1] for r in rows) or 1.0
         rows.sort(key=lambda r: -r[1])
         return [(name, secs, count, secs / denom)
                 for name, secs, count in rows]
@@ -98,9 +91,8 @@ def summarize_metrics(records: list[dict[str, Any]]) -> MetricsSummary:
         elif kind == "gauge":
             s.gauges[rec["name"]] = rec["value"]
         elif kind == "timer":
-            t = s.timers.setdefault(
-                rec["name"], {"clock": rec.get("clock", "wall"),
-                              "count": 0, "seconds": 0.0})
+            t = s.timers.setdefault(rec["name"],
+                                    {"count": 0, "seconds": 0.0})
             t["count"] += rec["count"]
             t["seconds"] += rec["seconds"]
         elif kind == "event":
@@ -165,22 +157,17 @@ def render_stats(s: MetricsSummary, source: str = "",
 
     for scope in s.scopes():
         table = s.phase_table(scope)
-        total_t = s.timers.get(f"{scope}.total")
-        covered = sum(r[3] for r in table)
         print_table(
             f"{scope}: overhead decomposition (Fig 8 style)",
             ["phase", "wall", "calls", "share"],
             [(p, fmt_time(secs), fmt_count(c), f"{100 * share:.1f}%")
-             for p, secs, c, share in table],
-            note=(f"total overhead {fmt_time(total_t['seconds'])}, "
-                  f"phases cover {100 * covered:.1f}%") if total_t else "")
+             for p, secs, c, share in table])
 
-    other = {n: t for n, t in s.timers.items()
-             if ".phase." not in n and not n.endswith(".total")}
+    other = {n: t for n, t in s.timers.items() if ".phase." not in n}
     if other:
         print_table(f"timers{title_sfx}",
-                    ["timer", "clock", "count", "total", "mean"],
-                    [(n, t["clock"], fmt_count(t["count"]),
+                    ["timer", "count", "total", "mean"],
+                    [(n, fmt_count(t["count"]),
                       fmt_time(t["seconds"]),
                       fmt_time(t["seconds"] / t["count"])
                       if t["count"] else "-")

@@ -77,10 +77,6 @@ class PipelineResult:
     trace_bytes: bytes
     cfg: CFGMergeResult
     shard: RankShard
-    #: wall seconds: shard freeze + the reduce (the "inter CST" cost)
-    time_reduce: float = 0.0
-    #: wall seconds: final CFG dedup/merge/Sequitur (the "inter CFG" cost)
-    time_cfg: float = 0.0
     #: True when any rank span or section had to be abandoned; the
     #: salvage report then says exactly what was lost
     degraded: bool = False
@@ -221,7 +217,7 @@ class TracePipeline:
 
     def serialize(self, shard: RankShard) -> PipelineResult:
         prof = self.profiler
-        with prof.phase("cfg_merge") as ph_cfg:
+        with prof.phase("cfg_merge"):
             cfg = merge_grammars(shard.cfg.per_rank(),
                                  loop_detection=self.loop_detection,
                                  dedup=self.cfg_dedup)
@@ -250,7 +246,7 @@ class TracePipeline:
         if degraded and self._scope is not None:
             self._scope.counter("degraded").inc()
         return PipelineResult(trace_bytes=blob, cfg=cfg, shard=shard,
-                              time_cfg=ph_cfg.wall, degraded=degraded,
+                              degraded=degraded,
                               salvage=self.salvage if degraded else None)
 
     def _serialize_once(self, trace: TraceFile) -> bytes:
@@ -273,6 +269,4 @@ class TracePipeline:
         union = self.reduce(shards)
         result = self.serialize(union.shard)
         result.rows = union.rows
-        result.time_reduce = (self.profiler.wall("shard")
-                              + self.profiler.wall("cst_merge"))
         return result

@@ -59,18 +59,20 @@ class PilgrimResult:
     n_unique_grammars: int
     total_calls: int
     n_signatures: int
-    #: wall seconds (``perf_counter``) spent in per-call tracing (Fig 8
-    #: "intra-process")
+    #: wall seconds (``perf_counter``) spent in per-call tracing and each
+    #: rank's deferred compression (Fig 8 "intra-process"): exactly
+    #: ``phases["intra"] + phases["sequitur"]``
     time_intra: float
     #: wall seconds in the shard freeze + CST reduce (Fig 8)
     time_cst_merge: float
     #: wall seconds in the CFG dedup/merge/final Sequitur (Fig 8)
     time_cfg_merge: float
     per_rank_calls: list[int] = field(default_factory=list)
-    #: profiler phase -> wall seconds (always holds the finalize phases,
-    #: ``shard`` / ``cst_merge`` / ``cfg_merge`` / ``timing_merge`` /
-    #: ``serialize``; also the per-call split encode/cst/sequitur/timing
-    #: when the tracer ran with an enabled metrics registry)
+    #: profiler phase -> wall seconds, Fig 8's decomposition with or
+    #: without a metrics registry: ``intra`` (the hot path), ``sequitur``
+    #: (:meth:`PilgrimTracer.compress_ranks`), then the finalize stages
+    #: ``shard`` / ``cst_merge`` / ``cfg_merge`` / ``timing_merge`` (lossy
+    #: timing only) / ``serialize``
     phases: dict[str, float] = field(default_factory=dict)
     #: True when the resilient pipeline had to abandon any rank span or
     #: section; ``salvage`` then says exactly what was lost
@@ -150,15 +152,6 @@ class PilgrimTracer(TracerHooks):
         #: spans) and the pipeline (merge-task spans)
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
-        # the fine per-call path stamps each stage itself
-        self._fine = self.profiler.fine
-        #: fine-grained per-call phase accumulators (seconds); folded into
-        #: the profiler once at finalize to keep on_call cheap
-        self._ph_encode = 0.0
-        self._ph_cst = 0.0
-        self._ph_seq = 0.0
-        self._ph_timing = 0.0
-        self._ph_mem = 0.0
 
         self.nprocs = 0
         self.comm_space: Optional[CommIdSpace] = None
@@ -185,8 +178,6 @@ class PilgrimTracer(TracerHooks):
         # everything a run accumulates starts over where the run starts
         self.recorder = SpanRecorder(enabled=self.obs.enabled)
         self.profiler = PhaseProfiler(self.obs, recorder=self.recorder)
-        self._ph_encode = self._ph_cst = self._ph_seq = 0.0
-        self._ph_timing = self._ph_mem = 0.0
         self.total_calls = 0
         self.time_intra = 0.0
         self.nprocs = sim.nprocs
@@ -214,32 +205,6 @@ class PilgrimTracer(TracerHooks):
 
     def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
-        if self._fine:
-            # profiled path: stamp each pipeline stage.  The stamps are
-            # shared between adjacent stages, so the stage deltas sum to
-            # the intra-process total exactly.
-            rc = self.ranks[rank]
-            tick = _time.perf_counter()
-            sig = rc.encoder.encode_call(fname, values)
-            tb = _time.perf_counter()
-            term = rc.cst.intern(sig, t1 - t0)
-            tc = _time.perf_counter()
-            log = rc.grammar
-            log.append(term)
-            if len(log) >= rc._cap:
-                rc._overflow()
-            end = _time.perf_counter()
-            self._ph_encode += tb - tick
-            self._ph_cst += tc - tb
-            self._ph_seq += end - tc
-            if rc.timing is not None:
-                rc.timing.record(term, fname, t0, t1)
-                te = _time.perf_counter()
-                self._ph_timing += te - end
-                end = te
-            self.total_calls += 1
-            self.time_intra += end - tick
-            return
         tick = _pc()
         self._observe[rank](fname, values, t0, t1)
         self.total_calls += 1
@@ -247,24 +212,19 @@ class PilgrimTracer(TracerHooks):
 
     def compress_ranks(self) -> None:
         """Compress every rank's logs through one memo: one Sequitur per
-        distinct stream (DESIGN.md §15).  It is deferred hot-path work,
-        so it is billed to ``time_intra`` and the ``sequitur`` phase."""
-        tick = _time.perf_counter()
+        distinct stream (DESIGN.md §15).  It is deferred hot-path work:
+        the ``sequitur`` phase, which :meth:`finalize` bills to
+        ``time_intra``."""
         memo: dict = {}
-        for rc in self.ranks:
-            rc.compress(memo)
-        elapsed = _time.perf_counter() - tick
-        self.time_intra += elapsed
-        self._ph_seq += elapsed
+        with self.profiler.phase("sequitur"):
+            for rc in self.ranks:
+                rc.compress(memo)
 
     def on_mem(self, rank: int, fname: str, args: dict[str, Any],
                result: Any, t: float) -> None:
-        tick = _time.perf_counter()
+        tick = _pc()
         self.encoders[rank].memory.on_mem(fname, args, result)
-        dt = _time.perf_counter() - tick
-        self.time_intra += dt
-        if self._fine:
-            self._ph_mem += dt
+        self.time_intra += _pc() - tick
 
     def on_run_end(self, sim) -> None:
         self.result = self.finalize()
@@ -273,30 +233,20 @@ class PilgrimTracer(TracerHooks):
 
     def finalize(self) -> PilgrimResult:
         # Idempotent: a second call must neither redo the pipeline nor
-        # re-fold the per-call accumulators (which would double-count the
-        # profiler's phases) — it returns the cached result.
+        # re-bill the hot path (which would double-count the profiler's
+        # phases) — it returns the cached result.
         if self.result is not None:
             return self.result
-        self.compress_ranks()
         prof = self.profiler
-        # The whole inter-process stage lives under one root span; the
-        # root opens *before* the per-call fold so the synthetic
-        # encode/cst/sequitur spans nest under it too.
+        # The whole finalize lives under one root span; the hot-path
+        # seconds and the deferred compression are its first two phases,
+        # so the phase table is Fig 8's decomposition: intra-process
+        # (intra + sequitur), then the inter-process stages.
         with self.recorder.span("finalize", scope="pilgrim",
                                 nprocs=self.nprocs):
-            # Fold the per-call accumulators into the profiler (fine mode
-            # only — in coarse mode there is just the undivided intra
-            # total).
-            if self._fine:
-                prof.add("encode", self._ph_encode, count=self.total_calls)
-                prof.add("cst", self._ph_cst, count=self.total_calls)
-                prof.add("sequitur", self._ph_seq, count=self.total_calls)
-                if self.timing:
-                    prof.add("timing", self._ph_timing,
-                             count=self.total_calls)
-                if self._ph_mem:
-                    prof.add("mem", self._ph_mem)
-
+            prof.add("intra", self.time_intra, count=self.total_calls)
+            self.compress_ranks()
+            self.time_intra += prof.wall("sequitur")
             # Shard → reduce → serialize (see repro.core.pipeline).  The
             # reduce is one pass over the per-rank partials, in rank
             # order, to the result of the paper's log2 P merge tree.
@@ -313,18 +263,12 @@ class PilgrimTracer(TracerHooks):
             out = pipeline.run(self.ranks)
         blob, cfg = out.trace_bytes, out.cfg
 
-        phases = prof.phases()
-        finalize_wall = (out.time_reduce + prof.wall("cfg_merge")
-                         + prof.wall("timing_merge") + prof.wall("serialize"))
         if self.obs.enabled:
             self.obs.counter("calls").inc(self.total_calls)
             self.obs.gauge("ranks").set(self.nprocs)
             self.obs.gauge("signatures").set(out.shard.n_signatures)
             self.obs.gauge("unique_grammars").set(cfg.n_unique)
             self.obs.gauge("trace_bytes").set(len(blob))
-            self.obs.timer("intra").add(self.time_intra,
-                                        count=self.total_calls)
-            self.obs.timer("total").add(self.time_intra + finalize_wall)
             if self.timing:
                 clamped = sum(t.n_clamped for t in self.timing)
                 if clamped:
@@ -338,10 +282,10 @@ class PilgrimTracer(TracerHooks):
             total_calls=self.total_calls,
             n_signatures=out.shard.n_signatures,
             time_intra=self.time_intra,
-            time_cst_merge=out.time_reduce,
-            time_cfg_merge=out.time_cfg,
+            time_cst_merge=prof.wall("shard") + prof.wall("cst_merge"),
+            time_cfg_merge=prof.wall("cfg_merge"),
             per_rank_calls=[rc.observed_calls for rc in self.ranks],
-            phases=phases,
+            phases=prof.phases(),
             degraded=out.degraded,
             salvage=out.salvage,
             fired_faults=list(self.faults.fired)

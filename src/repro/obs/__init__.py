@@ -18,14 +18,13 @@ from .export import (CHROME_TRACE_SCHEMA, MANIFEST_SCHEMA, RunManifest,
                      read_spans_jsonl, to_chrome_trace, validate_json,
                      write_chrome_trace, write_spans_jsonl)
 from .profiler import PhaseProfiler
-from .registry import (CLOCK_CPU, CLOCK_WALL, NULL_REGISTRY, SCHEMA, Counter,
-                       Gauge, MetricsRegistry, Scope, Timer,
-                       read_metrics_jsonl, write_metrics_jsonl)
+from .registry import (NULL_REGISTRY, SCHEMA, Counter, Gauge, MetricsRegistry,
+                       Scope, Timer, read_metrics_jsonl, write_metrics_jsonl)
 from .spans import (NULL_RECORDER, SPAN_SCHEMA, Span, SpanRecorder,
                     build_span_tree, span_self_ns)
 
 __all__ = [
-    "CHROME_TRACE_SCHEMA", "CLOCK_CPU", "CLOCK_WALL", "Counter", "EventLog",
+    "CHROME_TRACE_SCHEMA", "Counter", "EventLog",
     "Gauge", "MANIFEST_SCHEMA", "MetricsRegistry", "NULL_RECORDER",
     "NULL_REGISTRY", "PhaseProfiler", "RunManifest", "SCHEMA",
     "SPAN_SCHEMA", "Scope", "Span", "SpanRecorder", "Timer",

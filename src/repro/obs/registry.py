@@ -10,10 +10,8 @@ Instruments:
 
 * :class:`Counter` — monotonically increasing event count.
 * :class:`Gauge`   — last-write-wins scalar (trace size, rank count, ...).
-* :class:`Timer`   — accumulated seconds + call count; ``clock`` selects
-  wall (``perf_counter``) or CPU (``process_time``) time.  Use
-  :meth:`Timer.time` as a context manager or :meth:`Timer.add` from hot
-  loops that manage their own timestamps.
+* :class:`Timer`   — accumulated wall seconds + call count, fed by
+  :meth:`Timer.add` from code that takes its own timestamps.
 
 A registry built with ``enabled=False`` hands out *null* instruments whose
 mutators are no-ops; hot paths can additionally guard on
@@ -25,16 +23,7 @@ observability is always opt-in.
 from __future__ import annotations
 
 import json
-import time as _time
-from typing import Any, Callable, Iterable, Optional
-
-CLOCK_WALL = "wall"
-CLOCK_CPU = "cpu"
-
-_CLOCKS: dict[str, Callable[[], float]] = {
-    CLOCK_WALL: _time.perf_counter,
-    CLOCK_CPU: _time.process_time,
-}
+from typing import Any, Iterable, Optional
 
 
 class Counter:
@@ -69,53 +58,22 @@ class Gauge:
         return {"type": "gauge", "name": self.name, "value": self.value}
 
 
-class _TimerBlock:
-    """Context manager for one timed block of a :class:`Timer`."""
-
-    __slots__ = ("_timer", "_t0", "seconds")
-
-    def __init__(self, timer: "Timer"):
-        self._timer = timer
-        self._t0 = 0.0
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_TimerBlock":
-        self._t0 = self._timer._clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = self._timer._clock() - self._t0
-        self._timer.add(self.seconds)
-
-
 class Timer:
-    """Accumulated seconds + count under one clock (wall or CPU)."""
+    """Accumulated wall seconds + count."""
 
-    __slots__ = ("name", "clock", "count", "total", "_clock")
+    __slots__ = ("name", "count", "total")
 
-    def __init__(self, name: str, clock: str = CLOCK_WALL):
-        if clock not in _CLOCKS:
-            raise ValueError(f"unknown timer clock {clock!r}")
+    def __init__(self, name: str):
         self.name = name
-        self.clock = clock
         self.count = 0
         self.total = 0.0
-        self._clock = _CLOCKS[clock]
 
     def add(self, seconds: float, count: int = 1) -> None:
         self.total += seconds
         self.count += count
 
-    def time(self) -> _TimerBlock:
-        """``with timer.time(): ...`` — measures and accumulates the block."""
-        return _TimerBlock(self)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def record(self) -> dict[str, Any]:
-        return {"type": "timer", "name": self.name, "clock": self.clock,
+        return {"type": "timer", "name": self.name,
                 "count": self.count, "seconds": self.total}
 
 
@@ -133,28 +91,11 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullTimerBlock:
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-
-_NULL_TIMER_BLOCK = _NullTimerBlock()
-
-
 class _NullTimer(Timer):
     __slots__ = ()
 
     def add(self, seconds: float, count: int = 1) -> None:
         pass
-
-    def time(self):
-        return _NULL_TIMER_BLOCK
 
 
 class MetricsRegistry:
@@ -195,10 +136,10 @@ class MetricsRegistry:
             return self._null_gauge
         return self._get(name, Gauge, lambda: Gauge(name))
 
-    def timer(self, name: str, clock: str = CLOCK_WALL) -> Timer:
+    def timer(self, name: str) -> Timer:
         if not self.enabled:
             return self._null_timer
-        return self._get(name, Timer, lambda: Timer(name, clock))
+        return self._get(name, Timer, lambda: Timer(name))
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self, prefix)
@@ -246,8 +187,8 @@ class Scope:
     def gauge(self, name: str) -> Gauge:
         return self._registry.gauge(f"{self.prefix}.{name}")
 
-    def timer(self, name: str, clock: str = CLOCK_WALL) -> Timer:
-        return self._registry.timer(f"{self.prefix}.{name}", clock)
+    def timer(self, name: str) -> Timer:
+        return self._registry.timer(f"{self.prefix}.{name}")
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self._registry, f"{self.prefix}.{prefix}")

@@ -116,6 +116,7 @@ class ScalaTraceTracer(TracerHooks):
         from ..core.symbolic import IdPool
         self._req_active = [{} for _ in range(sim.nprocs)]
         self._req_pool = [IdPool() for _ in range(sim.nprocs)]
+        self.result = None
 
     def on_call(self, rank: int, fname: str, values: tuple,
                 t0: float, t1: float) -> None:
@@ -240,6 +241,10 @@ class ScalaTraceTracer(TracerHooks):
     # -- finalize --------------------------------------------------------------------------
 
     def finalize(self) -> ScalaTraceResult:
+        # idempotent, like every backend: a second call returns the
+        # cached result and leaves the registry as it was
+        if self.result is not None:
+            return self.result
         prof = self.profiler
         prof.add("intra", self.time_intra, count=self.recorded_calls)
         with prof.phase("merge") as ph_merge:
@@ -272,8 +277,7 @@ class ScalaTraceTracer(TracerHooks):
             self.obs.gauge("ranks").set(self.nprocs)
             self.obs.gauge("unique_traces").set(len(order))
             self.obs.gauge("trace_bytes").set(len(out))
-            self.obs.timer("total").add(self.time_intra + t_merge)
-        return ScalaTraceResult(
+        self.result = ScalaTraceResult(
             trace_bytes=bytes(out),
             total_calls=self.total_calls,
             recorded_calls=self.recorded_calls,
@@ -282,3 +286,4 @@ class ScalaTraceTracer(TracerHooks):
             time_merge=t_merge,
             per_rank_entries=[c.n_entries for c in self.compressors],
         )
+        return self.result

@@ -491,8 +491,8 @@ class TestOneFinalize:
     ``TracePipeline.run``: it reports the tracer's finalize phases and
     gets the tracer's supervision."""
 
-    #: the phases a traced run bills per call, not at finalize
-    HOT_PHASES = {"encode", "cst", "sequitur", "timing", "mem"}
+    #: the phases a traced run bills to intra-process work, not finalize
+    HOT_PHASES = {"intra", "sequitur"}
 
     def test_server_times_the_tracers_finalize_phases(self):
         reg = MetricsRegistry()
@@ -505,7 +505,7 @@ class TestOneFinalize:
         prefix = "ingest.phase."
         served = {name[len(prefix):]: t["count"]
                   for name, t in reg.snapshot()["timers"].items()
-                  if name.startswith(prefix) and not name.endswith(".cpu")}
+                  if name.startswith(prefix)}
         traced = repro.trace("stencil2d", 4, seed=2, options=replace(
             lossy, metrics=MetricsRegistry())).result.phases
         finalize = set(traced) - self.HOT_PHASES

@@ -11,6 +11,7 @@ from repro.cli import main as cli_main
 from repro.core import PilgrimTracer, shard
 from repro.obs import (NULL_REGISTRY, EventLog, MetricsRegistry,
                       PhaseProfiler, read_metrics_jsonl, write_metrics_jsonl)
+from repro.scalatrace import ScalaTraceTracer
 from repro.workloads import make
 
 
@@ -32,18 +33,11 @@ class TestInstruments:
     def test_timer_add_and_block(self):
         t = MetricsRegistry().timer("work")
         t.add(0.5, count=10)
-        with t.time():
-            pass
+        t.add(0.25)
         assert t.count == 11
-        assert t.total >= 0.5
-        assert t.mean == pytest.approx(t.total / 11)
-
-    def test_timer_clock_validation(self):
-        reg = MetricsRegistry()
-        assert reg.timer("cpu_t", "cpu").clock == "cpu"
-        from repro.obs.registry import Timer
-        with pytest.raises(ValueError):
-            Timer("bad", "sundial")
+        assert t.total == pytest.approx(0.75)
+        assert t.record() == {"type": "timer", "name": "work",
+                              "count": 11, "seconds": 0.75}
 
     def test_kind_mismatch_rejected(self):
         reg = MetricsRegistry()
@@ -88,8 +82,6 @@ class TestDisabledMode:
         reg.counter("c").inc(5)
         reg.gauge("g").set(1)
         reg.timer("t").add(2.0)
-        with reg.timer("t").time():
-            pass
         assert len(reg) == 0
         assert reg.records() == []
 
@@ -99,45 +91,38 @@ class TestDisabledMode:
         NULL_REGISTRY.counter("leak").inc()
         assert len(NULL_REGISTRY) == 0
 
-    def test_profiler_fine_only_when_enabled(self):
-        assert PhaseProfiler(None).fine is False
-        assert PhaseProfiler(NULL_REGISTRY.scope("p")).fine is False
-        assert PhaseProfiler(MetricsRegistry().scope("p")).fine is True
-
 
 class TestPhaseProfiler:
     def test_accumulates_and_publishes(self):
         reg = MetricsRegistry()
         prof = PhaseProfiler(reg.scope("pilgrim"))
-        prof.add("encode", 0.25, count=100, cpu=0.2)
-        prof.add("encode", 0.75, count=100, cpu=0.6)
+        prof.add("intra", 0.25, count=100)
+        prof.add("intra", 0.75, count=100)
         with prof.phase("merge") as ph:
             pass
-        assert prof.wall("encode") == pytest.approx(1.0)
-        assert prof.count("encode") == 200
-        assert prof.total() == pytest.approx(1.0 + ph.wall)
-        assert prof.phases() == {"encode": pytest.approx(1.0),
-                                 "merge": pytest.approx(ph.wall)}
-        t = reg.timer("pilgrim.phase.encode")
+        assert prof.wall("intra") == pytest.approx(1.0)
+        assert prof.phases() == {"intra": pytest.approx(1.0),
+                                 "merge": ph.wall}
+        t = reg.timer("pilgrim.phase.intra")
         assert t.total == pytest.approx(1.0) and t.count == 200
-        assert reg.timer("pilgrim.phase.encode.cpu").clock == "cpu"
+        assert reg.timer("pilgrim.phase.merge").count == 1
+        # one wall clock: a phase publishes one timer, no twin
+        assert reg.names() == ["pilgrim.phase.intra", "pilgrim.phase.merge"]
 
     def test_measures_even_without_registry(self):
         prof = PhaseProfiler(None)
-        with prof.phase("only"):
+        with prof.phase("only") as ph:
             pass
         assert prof.wall("only") > 0
-        assert prof.snapshot()["only"]["count"] == 1
+        assert prof.phases() == {"only": ph.wall}
 
 
 class TestJsonlRoundTrip:
     def test_write_read_summarize(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("pilgrim.calls").inc(1000)
-        reg.timer("pilgrim.phase.encode").add(0.6, count=1000)
+        reg.timer("pilgrim.phase.intra").add(0.6, count=1000)
         reg.timer("pilgrim.phase.cfg_merge").add(0.3)
-        reg.timer("pilgrim.phase.encode.cpu", "cpu").add(0.5, count=1000)
-        reg.timer("pilgrim.total").add(1.0)
         log = EventLog()
         log.emit("p2p.match", src=0, dst=1)
         path = str(tmp_path / "m.jsonl")
@@ -156,10 +141,11 @@ class TestJsonlRoundTrip:
         assert s.counters["pilgrim.calls"] == 1000
         assert s.event_counts == {"p2p.match": 1}
         table = s.phase_table("pilgrim")
-        # .cpu twin excluded; sorted by wall seconds, shares vs .total
-        assert [row[0] for row in table] == ["encode", "cfg_merge"]
-        assert table[0][3] == pytest.approx(0.6)
-        assert sum(r[3] for r in table) == pytest.approx(0.9)
+        # sorted by wall seconds, shares of the phase sum
+        assert [row[:3] for row in table] == [("intra", 0.6, 1000),
+                                              ("cfg_merge", 0.3, 1)]
+        assert table[0][3] == pytest.approx(2 / 3)
+        assert sum(r[3] for r in table) == pytest.approx(1.0)
 
     def test_concatenated_files_accumulate(self, tmp_path):
         reg = MetricsRegistry()
@@ -170,7 +156,7 @@ class TestJsonlRoundTrip:
         write_metrics_jsonl(p2, reg)
         s = summarize_metrics(read_metrics_jsonl(p1) + read_metrics_jsonl(p2))
         assert s.counters["n"] == 10
-        assert s.timers["t"] == {"clock": "wall", "count": 4, "seconds": 2.0}
+        assert s.timers["t"] == {"count": 4, "seconds": 2.0}
 
 
 class TestTracerIntegration:
@@ -179,36 +165,63 @@ class TestTracerIntegration:
         make("stencil2d", 9, iters=3).run(seed=2, tracer=tracer)
         return tracer
 
-    #: (tracer kwargs, ``shard.LOG_LIMIT``): every stage the profiled
-    #: fork in ``on_call`` spells out again, and its drains
+    #: (tracer kwargs, ``shard.LOG_LIMIT``): both timing modes, with and
+    #: without drains
     CONFIGS = [({}, shard.LOG_LIMIT),
                ({"timing_mode": "lossy"}, shard.LOG_LIMIT),
                ({}, 5),
                ({"timing_mode": "lossy"}, 3)]
 
     def test_enabled_and_disabled_traces_identical(self):
-        # the profiled fork is the one per-call body besides observe
         for kwargs, log_limit in self.CONFIGS:
             with mock.patch.object(shard, "LOG_LIMIT", log_limit):
                 plain = self._run(**kwargs)
                 profiled = self._run(MetricsRegistry(), **kwargs)
-            assert profiled._fine and not plain._fine
             assert plain.result.trace_bytes == \
                 profiled.result.trace_bytes, kwargs
             assert plain.result.per_rank_calls == \
                 profiled.result.per_rank_calls, kwargs
 
     def test_phases_cover_measured_overhead(self):
+        # the phase table is Fig 8's decomposition, exactly, with or
+        # without a registry: intra-process (the hot path + the deferred
+        # Sequitur), then the inter-process stages
+        for kwargs, timing in [({}, []),
+                               ({"timing_mode": "lossy"}, ["timing_merge"])]:
+            reg = MetricsRegistry()
+            plain = self._run(**kwargs).result
+            profiled = self._run(reg, **kwargs).result
+            keys = ["intra", "sequitur", "shard", "cst_merge", "cfg_merge",
+                    *timing, "serialize"]
+            assert list(plain.phases) == list(profiled.phases) == keys
+            for r in (plain, profiled):
+                assert r.phases["intra"] + r.phases["sequitur"] \
+                    == r.time_intra, kwargs
+                assert r.phases["shard"] + r.phases["cst_merge"] \
+                    == r.time_cst_merge, kwargs
+                assert r.phases["cfg_merge"] == r.time_cfg_merge, kwargs
+            timers = reg.snapshot()["timers"]
+            prefix = "pilgrim.phase."
+            assert {n[len(prefix):]: t["seconds"] for n, t in timers.items()
+                    if n.startswith(prefix)} == profiled.phases
+            assert timers["pilgrim.phase.intra"]["count"] == \
+                profiled.total_calls
+            # no timer beside the phases: their sum is the overhead
+            assert all(n.startswith(prefix) for n in timers
+                       if n.startswith("pilgrim."))
+
+    def test_scalatrace_phases_cover_measured_overhead(self):
         reg = MetricsRegistry()
-        tracer = self._run(reg)
+        tracer = ScalaTraceTracer(metrics=reg)
+        make("stencil2d", 9, iters=3).run(seed=2, tracer=tracer)
         r = tracer.result
-        phases = r.phases
-        percall = sum(phases.get(p, 0.0) for p in
-                      ("encode", "cst", "sequitur", "timing", "mem"))
-        assert percall >= 0.9 * r.time_intra
-        total = reg.timer("pilgrim.total").total
-        assert sum(phases.values()) >= 0.9 * total
-        assert {"cst_merge", "cfg_merge", "serialize"} <= set(phases)
+        timers = reg.snapshot()["timers"]
+        assert sorted(timers) == ["scalatrace.phase.intra",
+                                  "scalatrace.phase.merge"]
+        assert timers["scalatrace.phase.intra"]["seconds"] \
+            + timers["scalatrace.phase.merge"]["seconds"] \
+            == r.time_intra + r.time_merge
+        assert timers["scalatrace.phase.intra"]["count"] == r.recorded_calls
 
     def test_disabled_mode_records_nothing(self):
         tracer = self._run()
@@ -233,25 +246,33 @@ class TestCli:
         assert s.counters["pilgrim.calls"] > 0
         assert "p2p.match" in s.event_counts
         table = s.phase_table("pilgrim")
-        assert sum(r[3] for r in table) >= 0.9  # >=90% of total overhead
+        assert sum(r[3] for r in table) == pytest.approx(1.0, abs=1e-9)
         capsys.readouterr()
 
         rc = cli_main(["stats", mfile, "--events", "3"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "overhead decomposition" in out
-        assert "encode" in out and "cfg_merge" in out
+        assert "intra" in out and "sequitur" in out and "cfg_merge" in out
+
+        assert cli_main(["stats", mfile, "--json"]) == 0
+        decomp = json.loads(capsys.readouterr().out)["decomposition"]
+        assert {row["phase"] for row in decomp["pilgrim"]} == {
+            "intra", "sequitur", "shard", "cst_merge", "cfg_merge",
+            "serialize"}
+        assert sum(row["share"] for row in decomp["pilgrim"]) == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_stats_json_mode(self, tmp_path, capsys):
         mfile = str(tmp_path / "m.jsonl")
         reg = MetricsRegistry()
-        reg.timer("pilgrim.phase.encode").add(0.9)
-        reg.timer("pilgrim.total").add(1.0)
+        reg.timer("pilgrim.phase.intra").add(0.9)
+        reg.timer("pilgrim.phase.sequitur").add(0.1)
         write_metrics_jsonl(mfile, reg)
         assert cli_main(["stats", mfile, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         decomp = payload["decomposition"]["pilgrim"]
-        assert decomp[0]["phase"] == "encode"
+        assert decomp[0]["phase"] == "intra"
         assert decomp[0]["share"] == pytest.approx(0.9)
 
     def test_info_json_mode(self, tmp_path, capsys):

@@ -271,7 +271,8 @@ class TestAgainstTheOracle:
 
 
 class TestProfiledStreaming:
-    """Regression: the profiled per-call branch appended through a
+    """Regression: a profiled per-call branch (since removed: a
+    registry no longer changes the per-call body) appended through a
     ``tracer.grammars`` alias list captured at run start; the first
     flush rotated ``rc.grammar`` and every later call of the run went
     into a Sequitur nobody would ever read — no error, calls lost."""
@@ -281,7 +282,6 @@ class TestProfiledStreaming:
         got, config, fin, tracer = _stream(
             ChunkingTracer, "stencil2d", chunk_calls=64, lossy=lossy,
             metrics=MetricsRegistry())
-        assert tracer._fine
         ref = _one_shot("stencil2d", lossy=lossy)
         assert sum(fin) == tracer.total_calls == ref.result.total_calls
         assert fin == ref.result.per_rank_calls
@@ -291,7 +291,7 @@ class TestProfiledStreaming:
     def test_the_one_shot_profiled_path_reads_the_live_rank(self):
         tracer = _run("stencil2d", make_tracer(
             "pilgrim", TracerOptions(metrics=MetricsRegistry())))
-        assert tracer._fine and not hasattr(tracer, "grammars")
+        assert not hasattr(tracer, "grammars")
         assert tracer.result.trace_bytes == \
             _one_shot("stencil2d").result.trace_bytes
 
